@@ -520,6 +520,8 @@ _SUMMARY_STAT_NAMES = frozenset(
         # not monotonic counters.
         "quarantined_templates",
         "workload_drift_score",
+        # Size of the prepared-statement lane (repro/core/matching/prepared.py).
+        "prepared_entries",
     }
 )
 

@@ -338,7 +338,9 @@ class KnowledgeBase:
         self._parsed_queries = LruCache(self.PARSE_CACHE_SIZE)
         #: Matching observability: how much work the index saved.  Guarded by
         #: ``_stats_lock``: parallel re-optimization calls ``match`` from
-        #: worker threads.
+        #: worker threads.  Counts SPARQL work actually performed: a verdict
+        #: served from the prepared-statement lane replays its usage ticks
+        #: (:meth:`replay_usage`) but adds nothing here.
         self.match_stats = {
             "queries": 0,
             "indexed_queries": 0,
@@ -377,6 +379,12 @@ class KnowledgeBase:
         #: per-template subgraphs are maintained copy-on-write, so a reader
         #: always sees either the old or the new state of any one template.
         self._write_lock = threading.RLock()
+        #: Monotonic count of completed structural mutations (add / evict /
+        #: update / index rebuild / load), advanced *last* inside
+        #: ``_write_lock``.  Caches of match verdicts stamp themselves with
+        #: it: a reader that took the generation before computing a verdict
+        #: can never pass a half-applied mutation off as current.
+        self.generation = 0
         #: True when the knowledge base has mutated since the last ``save``;
         #: the serving tier's checkpoint timer skips clean snapshots.
         self._dirty = False
@@ -461,6 +469,7 @@ class KnowledgeBase:
             self._usage[template_id] = TemplateUsage(last_used_tick=self._usage_tick)
             self.lifecycle_stats["added"] += 1
             self._dirty = True
+            self.generation += 1
         return template
 
     def _add_template_triples(
@@ -606,6 +615,7 @@ class KnowledgeBase:
                         subgraph.add(triple)
                 self._template_graphs[template_id] = subgraph
                 self.index.add(self._profile_from_subgraph(template, subgraph))
+            self.generation += 1
 
     # ------------------------------------------------------------------
     # online lifecycle: evict / update / capacity enforcement
@@ -638,6 +648,7 @@ class KnowledgeBase:
                     self.graph.remove(triple)
             self.lifecycle_stats["evicted"] += 1
             self._dirty = True
+            self.generation += 1
             return True
 
     def update_template(
@@ -677,6 +688,7 @@ class KnowledgeBase:
                 template.recommended_summary = recommended_summary
             self.lifecycle_stats["updated"] += 1
             self._dirty = True
+            self.generation += 1
             return template
 
     def _replace_literal(self, template_id, subject, predicate, value) -> None:
@@ -723,6 +735,19 @@ class KnowledgeBase:
                 self._usage[template_id] = usage
             usage.hits += 1
             usage.last_used_tick = self._usage_tick
+
+    def replay_usage(self, batches: Sequence[Sequence[str]]) -> None:
+        """Re-record the usage ticks of a cached match verdict.
+
+        ``batches`` are the template-id lists :meth:`match` recorded while the
+        verdict was computed, one per segment that matched, in order; replaying
+        them advances the logical clock and the hit counts exactly as running
+        the match again would, so :meth:`eviction_order` cannot tell a replayed
+        verdict from a recomputed one.
+        """
+        with self._stats_lock:
+            for batch in batches:
+                self._record_usage_locked(batch)
 
     def template_usage(self, template_id: str) -> TemplateUsage:
         return self._usage.get(template_id, TemplateUsage())
@@ -1208,10 +1233,12 @@ class KnowledgeBase:
                     },
                 )
             )
-        self.index.clear()
-        self._template_graphs = subgraphs
-        for profile in profiles:
-            self.index.add(profile)
+        with self._write_lock:
+            self.index.clear()
+            self._template_graphs = subgraphs
+            for profile in profiles:
+                self.index.add(profile)
+            self.generation += 1
         return True
 
     @classmethod

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import LruCache
 from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
+from repro.core.matching.prepared import PreparedStatement, PreparedStatements
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import remap_guideline_document
 from repro.core.transform.sparql_gen import (
@@ -127,7 +128,8 @@ class QueryReoptimization:
 class SteeringDecision:
     """Outcome of the plan-only online pipeline (no execution).
 
-    Produced by :meth:`MatchingEngine.steer` for the serving tier, which wants
+    Produced by :meth:`MatchingEngine.steer` (and its cached twin
+    :meth:`MatchingEngine.steer_prepared`) for the serving tier, which wants
     to execute a query exactly once -- on the steered plan when the knowledge
     base matched, on the baseline plan otherwise -- instead of executing both
     sides the way :meth:`MatchingEngine.reoptimize` does for experiments.
@@ -140,6 +142,10 @@ class SteeringDecision:
     matches: List[TemplateMatch] = field(default_factory=list)
     guideline_document: GuidelineDocument = field(default_factory=GuidelineDocument)
     match_time_ms: float = 0.0
+    #: How the prepared-statement lane answered: ``"hit"`` (verdict replayed),
+    #: ``"miss"`` / ``"stale"`` (verdict computed; stale = an entry existed
+    #: under an older stamp).  Empty from the uncached :meth:`steer`.
+    prepared: str = ""
 
     @property
     def steered(self) -> bool:
@@ -166,6 +172,8 @@ class MatchingEngine:
         self.knowledge_base = knowledge_base
         self.config = config or MatchingConfig()
         self._sparql_cache = LruCache(self.SPARQL_CACHE_SIZE)
+        #: The prepared-statement lane behind :meth:`steer_prepared`.
+        self.prepared = PreparedStatements()
 
     @property
     def sparql_cache_hits(self) -> int:
@@ -217,8 +225,22 @@ class MatchingEngine:
         template with the largest recorded improvement) and the matching time
         in milliseconds.
         """
+        matches, _, elapsed_ms = self._match_plan_recording_usage(qgm)
+        return matches, elapsed_ms
+
+    def _match_plan_recording_usage(
+        self, qgm: Qgm
+    ) -> Tuple[List[TemplateMatch], Tuple[Tuple[str, ...], ...], float]:
+        """:meth:`match_plan`, also returning the usage batches it caused.
+
+        ``KnowledgeBase.match`` ticks its usage clock once per segment whose
+        ``found`` list is non-empty and credits a hit to *every* template in
+        it (not only the best one); the batches are those id lists, in
+        order, so a cached verdict can replay them exactly.
+        """
         started = time.perf_counter()
         matches: List[TemplateMatch] = []
+        usage_batches: List[Tuple[str, ...]] = []
         claimed_aliases: set = set()
         segments = segment_plan(qgm, self.config.max_joins)
         # Prefer larger (more specific) segments first.
@@ -232,11 +254,12 @@ class MatchingEngine:
             )
             if not found:
                 continue
+            usage_batches.append(tuple(match.template.template_id for match in found))
             best = max(found, key=lambda match: match.template.improvement)
             matches.append(best)
             claimed_aliases |= segment_aliases
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return matches, elapsed_ms
+        return matches, tuple(usage_batches), elapsed_ms
 
     def build_guidelines(self, matches: Sequence[TemplateMatch]) -> GuidelineDocument:
         """Collect the recommended rewrites of ``matches`` into one document."""
@@ -321,7 +344,8 @@ class MatchingEngine:
         """
         with span.child("plan") as plan_span:
             baseline_qgm = self.database.explain(sql, query_name=query_name)
-            plan_span.set("operators", len(baseline_qgm.nodes()))
+            if plan_span.recording:
+                plan_span.set("operators", len(baseline_qgm.nodes()))
         with span.child("match") as match_span:
             matches, match_time_ms = self.match_plan(baseline_qgm)
             match_span.set("matches", len(matches))
@@ -337,9 +361,10 @@ class MatchingEngine:
                     guidelines=guideline_document,
                     query_name=f"{query_name} (steered)",
                 )
-                steer_span.set(
-                    "templates", [match.template.template_id for match in matches]
-                )
+                if steer_span.recording:
+                    steer_span.set(
+                        "templates", [match.template.template_id for match in matches]
+                    )
         return SteeringDecision(
             query_name=query_name,
             sql=sql,
@@ -348,6 +373,96 @@ class MatchingEngine:
             matches=matches,
             guideline_document=guideline_document,
             match_time_ms=match_time_ms,
+        )
+
+    def steer_prepared(
+        self, sql: str, query_name: str = "", span=NULL_SPAN, match_filter=None
+    ) -> SteeringDecision:
+        """:meth:`steer`, served from the prepared-statement lane.
+
+        Same arguments, same spans, same decision as :meth:`steer` -- which
+        stays the uncached reference -- but a statement served before under
+        an unchanged stamp (see :mod:`repro.core.matching.prepared`) skips
+        ``explain`` + ``match_plan`` + ``build_guidelines`` + the steered
+        ``explain``.  Still done on every request, because each is per-request
+        state rather than a function of the stamp: ``match_filter`` screens
+        the cached raw matches (probe counters advance, and the steered plan
+        is looked up by the ids it *allowed*); the usage ticks the match
+        recorded are replayed into the knowledge base; and the plans handed
+        out are fresh copies of the entry's masters.
+        """
+        # The stamp is read before any work an entry would stand in for: an
+        # entry built while the learner thread mutates the KB (or a reload
+        # swaps it) then carries the older stamp and is stale by construction.
+        knowledge_base = self.knowledge_base
+        stats_epoch = self.database.stats_epoch
+        generation = knowledge_base.generation
+        entry, outcome = self.prepared.lookup(
+            sql, stats_epoch, knowledge_base, generation
+        )
+        with span.child("plan") as plan_span:
+            if entry is None:
+                master = self.database.explain(sql, query_name=query_name)
+            else:
+                master = entry.baseline
+            baseline_qgm = master.copy()
+            baseline_qgm.query_name = query_name
+            if plan_span.recording:
+                plan_span.set("operators", len(baseline_qgm.nodes()))
+        with span.child("match") as match_span:
+            if entry is None:
+                matches, usage_batches, match_time_ms = (
+                    self._match_plan_recording_usage(master)
+                )
+                entry = PreparedStatement(
+                    stats_epoch=stats_epoch,
+                    knowledge_base=knowledge_base,
+                    generation=generation,
+                    baseline=master,
+                    matches=matches,
+                    usage_batches=usage_batches,
+                )
+                self.prepared.publish(sql, entry)
+            else:
+                started = time.perf_counter()
+                knowledge_base.replay_usage(entry.usage_batches)
+                match_time_ms = (time.perf_counter() - started) * 1000.0
+            match_span.set("matches", len(entry.matches))
+            match_span.set("prepared", outcome)
+        matches = list(entry.matches)
+        if match_filter is not None:
+            matches = list(match_filter(matches))
+        allowed = tuple(match.template.template_id for match in matches)
+        cached = entry.plans.get(allowed)
+        if cached is None:
+            guideline_document = self.build_guidelines(matches)
+            steered_master = None
+        else:
+            guideline_document, steered_master = cached
+        if guideline_document.is_empty:
+            qgm = baseline_qgm
+        else:
+            steered_name = f"{query_name} (steered)"
+            with span.child("steer") as steer_span:
+                if steered_master is None:
+                    steered_master = self.database.explain(
+                        sql, guidelines=guideline_document, query_name=steered_name
+                    )
+                qgm = steered_master.copy()
+                qgm.query_name = steered_name
+                if steer_span.recording:
+                    steer_span.set("templates", list(allowed))
+        if cached is None:
+            entry.plans.setdefault(allowed, (guideline_document, steered_master))
+        return SteeringDecision(
+            query_name=query_name,
+            sql=sql,
+            baseline_qgm=baseline_qgm,
+            qgm=qgm,
+            matches=matches,
+            guideline_document=guideline_document,
+            match_time_ms=match_time_ms,
+            prepared=outcome,
         )
 
     def reoptimize_workload(

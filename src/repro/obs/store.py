@@ -140,6 +140,8 @@ _TIMELINE_ATTRS = (
     "elapsed_ms",
     "matches",
     "steered",
+    # Prepared-statement lane: hit = verdict replayed, miss/stale = computed.
+    "prepared",
     "memo_hits",
     "memo_misses",
     "table",

@@ -9,7 +9,7 @@ thousand-template knowledge base in the millisecond range the paper reports.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SparqlEvaluationError
 from repro.rdf.graph import Graph
@@ -27,6 +27,8 @@ from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.terms import IRI, BlankNode, Literal, Node, Variable
 
 Bindings = Dict[str, Node]
+#: A FILTER still waiting for its variables, with their names.
+PendingFilter = Tuple[FilterClause, Tuple[str, ...]]
 
 
 class SparqlEngine:
@@ -66,7 +68,13 @@ class SparqlEngine:
 
     def _evaluate(self, query: SelectQuery) -> Iterator[Bindings]:
         patterns = list(query.patterns)
-        filters = list(query.filters)
+        # Each filter's variable names are derived once here: ``backtrack``
+        # re-tests every pending filter at every search node, and walking the
+        # filter expression there dominated matching time.
+        filters: List[PendingFilter] = [
+            (clause, tuple(variable.name for variable in clause.variables()))
+            for clause in query.filters
+        ]
         ordered = _order_patterns(patterns)
 
         def project(bindings: Bindings) -> Bindings:
@@ -79,15 +87,18 @@ class SparqlEngine:
             }
 
         def backtrack(
-            index: int, bindings: Bindings, pending_filters: List[FilterClause]
+            index: int, bindings: Bindings, pending_filters: List[PendingFilter]
         ) -> Iterator[Bindings]:
             applicable = []
             remaining = []
-            for clause in pending_filters:
-                if all(variable.name in bindings for variable in clause.variables()):
-                    applicable.append(clause)
+            for pending in pending_filters:
+                clause, names = pending
+                for name in names:
+                    if name not in bindings:
+                        remaining.append(pending)
+                        break
                 else:
-                    remaining.append(clause)
+                    applicable.append(clause)
             for clause in applicable:
                 if not _evaluate_filter(clause.expression, bindings):
                     return

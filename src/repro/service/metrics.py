@@ -20,6 +20,9 @@ DECLARED_COUNTERS = (
     "rejected",
     "failed",
     "steered",
+    "prepared_hits",
+    "prepared_misses",
+    "prepared_invalidations",
     "learning_enqueued",
     "learning_dropped",
     "learning_completed",
@@ -221,6 +224,10 @@ class ServiceMetrics:
         "rejected": "Requests refused by admission control.",
         "failed": "Requests that raised during serving.",
         "steered": "Requests executed with a KB-steered plan.",
+        "prepared_hits": "Requests whose match verdict the prepared lane replayed.",
+        "prepared_misses": "Requests whose match verdict was computed (no current entry).",
+        "prepared_invalidations": "Misses that found an entry under a stale stamp.",
+        "prepared_entries": "Statements currently held by the prepared lane.",
         "learning_enqueued": "Queries enqueued for background learning.",
         "learning_dropped": "Learning candidates dropped (queue full).",
         "learning_completed": "Background learning tasks finished.",

@@ -3,8 +3,9 @@
 ``GaloService`` accepts a stream of SQL requests and, for each one:
 
 1. matches the query against the knowledge base via the indexed online tier
-   (:meth:`repro.core.matching.engine.MatchingEngine.steer`) and plans the
-   steered (or baseline) QGM;
+   (:meth:`repro.core.matching.engine.MatchingEngine.steer_prepared`: a
+   repeated statement replays its cached verdict instead of re-matching) and
+   plans the steered (or baseline) QGM;
 2. executes that plan exactly once on the vectorized engine, in a bounded
    worker pool, and returns rows + runtime metrics as soon as they are ready;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
@@ -391,15 +392,16 @@ class GaloService:
 
         Service counters and latency stats from :class:`ServiceMetrics`, plus
         gauges for the shared execution memo (entry count, estimated bytes,
-        hit/miss totals under the ``memo_`` prefix), the knowledge-base size
-        and the learning backlog.  Serve it from any HTTP framework as
-        ``text/plain``.
+        hit/miss totals under the ``memo_`` prefix), the knowledge-base size,
+        the prepared-statement lane's entry count and the learning backlog.
+        Serve it from any HTTP framework as ``text/plain``.
         """
         memo_stats = self.galo.database.workload_memo().stats()
         gauges: Dict[str, float] = {
             f"memo_{name}": value for name, value in memo_stats.items()
         }
         gauges["kb_templates"] = len(self.galo.knowledge_base)
+        gauges["prepared_entries"] = len(self.galo.matching_engine.prepared)
         gauges["pending_requests"] = self._pending
         # Depth of the serve queue proper: admitted requests beyond the
         # worker threads are waiting for a thread, not running.
@@ -492,10 +494,17 @@ class GaloService:
                         screen = guard.screen(_kb, matches)
                         return screen.allowed
 
-                decision = self.galo.matching_engine.steer(
+                decision = self.galo.matching_engine.steer_prepared(
                     sql, query_name=query_name, span=request_span,
                     match_filter=match_filter,
                 )
+                if decision.prepared == "hit":
+                    self.metrics.increment("prepared_hits")
+                else:
+                    self.metrics.increment("prepared_misses")
+                    if decision.prepared == "stale":
+                        self.metrics.increment("prepared_invalidations")
+                request_span.set("prepared", decision.prepared)
                 qgm = decision.qgm
                 steered = decision.steered
                 matched_ids = decision.matched_template_ids

@@ -209,6 +209,7 @@ async def _shard_serve(
             "kb_version": kb_version(),
             "kb_templates": len(galo.knowledge_base),
             "quarantined_templates": len(galo.knowledge_base.quarantined_template_ids()),
+            "prepared_entries": len(galo.matching_engine.prepared),
             "pending": service.pending,
             "learning_backlog": service.learning_backlog,
             "metrics": service.metrics.state(),
@@ -677,6 +678,10 @@ class ShardedGaloService:
                 default=0,
             ),
             "learning_backlog": sum(status["learning_backlog"] for status in live),
+            # Every worker prepares the statements routed to it in its own lane.
+            "prepared_entries": sum(
+                status.get("prepared_entries", 0) for status in live
+            ),
         }
         page = merged.render_prometheus(gauges).rstrip("\n")
         lines = [page]

@@ -1,0 +1,488 @@
+"""The prepared-statement lane against its uncached reference.
+
+``MatchingEngine.steer_prepared`` serves a repeated statement from one
+stamped entry; ``MatchingEngine.steer`` recomputes everything.  The lane is
+only correct if the two are indistinguishable -- same decision, same executed
+result, same knowledge-base usage bookkeeping, same guard behaviour -- on
+first and repeated calls and across every event that changes the verdict.
+"""
+
+import asyncio
+import sys
+import threading
+import time
+
+from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
+from repro.core.matching.prepared import PreparedStatements
+from repro.core.matching.segmenter import segment_plan
+from repro.service import GaloService, ServiceConfig
+from repro.service.guard import SteeringGuard
+from repro.service.metrics import ServiceMetrics
+from tests.prepared_support import (
+    MAX_JOINS,
+    WORKLOAD,
+    assert_lane_equals_oracle,
+    build_system,
+    plan_key,
+    usage_snapshot,
+)
+
+GUARD_SECONDS = 120
+
+ALL_HITS = ["hit"] * len(WORKLOAD)
+ALL_STALE = ["stale"] * len(WORKLOAD)
+
+
+def run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, timeout=GUARD_SECONDS))
+
+
+def current_entry(galo, sql):
+    """The lane's entry for ``sql`` under the current stamp (None if stale)."""
+    kb = galo.knowledge_base
+    entry, _ = galo.matching_engine.prepared.lookup(
+        sql, galo.database.stats_epoch, kb, kb.generation
+    )
+    return entry
+
+
+def reinsert_sales(database, count=5):
+    data = database.catalog.table_data("SALES")
+    database.load_rows("SALES", list(data.rows(range(count))))
+
+
+class TestEqualsUncachedSteer:
+    def test_first_and_repeated_calls(self):
+        galo = build_system()
+        assert assert_lane_equals_oracle(galo) == ["miss"] * len(WORKLOAD)
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+
+    def test_workload_is_not_trivial(self):
+        """The seeded KB steers, changes a plan, and leaves one statement alone."""
+        galo = build_system()
+        decisions = [
+            galo.matching_engine.steer_prepared(sql, query_name=name)
+            for name, sql in WORKLOAD
+        ]
+        assert any(d.steered and plan_key(d.qgm)[1:] != plan_key(d.baseline_qgm)[1:]
+                   for d in decisions)
+        assert any(not d.matches for d in decisions)
+        assert any(
+            len(batch) > 1
+            for _, sql in WORKLOAD
+            for batch in current_entry(galo, sql).usage_batches
+        )
+
+    def test_query_names_follow_the_request(self):
+        galo = build_system()
+        name, sql = WORKLOAD[1]
+        galo.matching_engine.steer_prepared(sql, query_name=name)
+        renamed = galo.matching_engine.steer_prepared(sql, query_name="other")
+        assert renamed.prepared == "hit"
+        assert renamed.baseline_qgm.query_name == "other"
+        assert renamed.qgm.query_name == "other (steered)"
+
+    def test_clearing_the_lane_reaches_the_miss_path(self):
+        galo = build_system()
+        assert_lane_equals_oracle(galo)
+        galo.matching_engine.prepared.clear()
+        assert len(galo.matching_engine.prepared) == 0
+        assert assert_lane_equals_oracle(galo) == ["miss"] * len(WORKLOAD)
+
+
+class TestInvalidation:
+    """Every event that can change a verdict makes the next lookup stale."""
+
+    def warmed(self):
+        galo = build_system()
+        assert_lane_equals_oracle(galo)
+        return galo
+
+    def check(self, galo):
+        assert assert_lane_equals_oracle(galo) == ALL_STALE
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+
+    def test_add_template(self):
+        galo = self.warmed()
+        name, sql = WORKLOAD[0]
+        segment = segment_plan(galo.database.explain(sql), max_joins=MAX_JOINS)[-1]
+        added = abstract_template_from_plan(
+            galo.knowledge_base, segment, name="late", improvement=0.95,
+            catalog=galo.database.catalog,
+        )
+        self.check(galo)
+        served = galo.matching_engine.steer_prepared(sql, query_name=name)
+        assert served.matched_template_ids == [added.template_id]
+
+    def test_evict_template(self):
+        galo = self.warmed()
+        name, sql = WORKLOAD[0]
+        before = galo.matching_engine.steer_prepared(sql, query_name=name)
+        assert galo.evict_template(before.matched_template_ids[0])
+        self.check(galo)
+        after = galo.matching_engine.steer_prepared(sql, query_name=name)
+        assert before.matched_template_ids[0] not in after.matched_template_ids
+
+    def test_update_template_improvement(self):
+        """Re-ranking a twin above its sibling changes which one steers."""
+        galo = self.warmed()
+        sql, runner_up = next(
+            (sql, template_id)
+            for _, sql in WORKLOAD
+            for batch in current_entry(galo, sql).usage_batches
+            for template_id in batch
+            if len(batch) > 1
+            and template_id
+            not in galo.matching_engine.steer_prepared(sql).matched_template_ids
+        )
+        galo.knowledge_base.update_template(runner_up, improvement=0.99)
+        self.check(galo)
+        assert runner_up in galo.matching_engine.steer_prepared(sql).matched_template_ids
+
+    def test_update_template_guideline(self):
+        galo = self.warmed()
+        name, sql = WORKLOAD[0]
+        before = galo.matching_engine.steer_prepared(sql, query_name=name)
+        twin = next(t for t in galo.knowledge_base.all_templates()
+                    if t.name.endswith("-twin"))
+        galo.knowledge_base.update_template(
+            before.matched_template_ids[0], guideline_xml=twin.guideline_xml
+        )
+        self.check(galo)
+
+    def test_runstats(self):
+        galo = self.warmed()
+        galo.database.runstats("SALES")
+        self.check(galo)
+
+    def test_load_rows(self):
+        galo = self.warmed()
+        reinsert_sales(galo.database)
+        self.check(galo)
+
+    def test_adopt_knowledge_base(self):
+        galo = self.warmed()
+        replacement = KnowledgeBase()
+        galo.adopt_knowledge_base(replacement)
+        self.check(galo)
+        assert not galo.matching_engine.steer_prepared(WORKLOAD[0][1]).matches
+
+    def test_hot_reload(self, tmp_path):
+        galo = self.warmed()
+        galo.save_knowledge_base(str(tmp_path))
+        old = galo.knowledge_base
+        assert galo.maybe_reload_knowledge_base(str(tmp_path), force=True) == 1
+        assert galo.knowledge_base is not old
+        self.check(galo)
+
+    def test_rebuild_index_advances_the_generation(self):
+        galo = self.warmed()
+        generation = galo.knowledge_base.generation
+        galo.knowledge_base.rebuild_index()
+        assert galo.knowledge_base.generation == generation + 1
+        self.check(galo)
+
+    def test_guard_transitions_do_not_invalidate(self):
+        """Quarantine is screened per request, not baked into the entry."""
+        galo = self.warmed()
+        template_id = galo.matching_engine.steer_prepared(
+            WORKLOAD[0][1]
+        ).matched_template_ids[0]
+        galo.quarantine_template(template_id)
+        galo.rearm_template(template_id)
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+
+
+class TestUsageReplay:
+    def test_usage_and_eviction_order_equal_a_steer_served_run(self, tmp_path):
+        """Replayed ticks are indistinguishable from recomputed ones."""
+        build_system().save_knowledge_base(str(tmp_path))
+        requests = [WORKLOAD[i % len(WORKLOAD)] for i in (0, 1, 1, 2, 0, 3, 4, 2, 2, 1, 0, 3)]
+
+        def serve_through(method_name):
+            galo = build_system(knowledge_base=KnowledgeBase.load(str(tmp_path)))
+            method = getattr(galo.matching_engine, method_name)
+            snapshots = []
+            for name, sql in requests:
+                method(sql, query_name=name)
+                snapshots.append(usage_snapshot(galo.knowledge_base))
+            return snapshots, galo
+
+        lane, lane_galo = serve_through("steer_prepared")
+        oracle, oracle_galo = serve_through("steer")
+        assert lane == oracle
+        assert any(hits for hits, _ in lane[-1][0].values())
+        # Capacity enforcement reads those ticks: both runs evict the same ids.
+        assert lane_galo.enforce_kb_capacity(3) == oracle_galo.enforce_kb_capacity(3)
+
+    def test_match_stats_count_only_sparql_work_performed(self):
+        galo = build_system()
+        name, sql = WORKLOAD[2]
+        galo.matching_engine.steer_prepared(sql, query_name=name)
+        performed = dict(galo.knowledge_base.match_stats)
+        galo.matching_engine.steer_prepared(sql, query_name=name)
+        assert galo.knowledge_base.match_stats == performed
+
+    def test_replay_skips_templates_no_longer_registered(self):
+        galo = build_system()
+        kb = galo.knowledge_base
+        kept, gone = sorted(kb.templates)[:2]
+        kb.evict_template(gone)
+        kb.replay_usage([(kept, gone)])
+        assert kb.template_usage(kept).hits == 1
+        assert gone not in kb._usage
+
+
+class TestGuardPerRequest:
+    def test_quarantined_template_blocked_on_hits_and_probed_on_the_interval(self):
+        interval = 3
+        galo = build_system()
+        engine = galo.matching_engine
+        kb = galo.knowledge_base
+        guard = SteeringGuard(probe_interval=interval, metrics=ServiceMetrics())
+        name, sql = WORKLOAD[0]
+        free = engine.steer_prepared(sql, query_name=name)
+        assert free.steered
+        (template_id,) = free.matched_template_ids
+        kb.quarantine_template(template_id)
+
+        screens = []
+
+        def match_filter(matches):
+            screens.append(guard.screen(kb, matches))
+            return screens[-1].allowed
+
+        outcomes = []
+        for _ in range(2 * interval):
+            decision = engine.steer_prepared(sql, query_name=name, match_filter=match_filter)
+            assert decision.prepared == "hit"
+            outcomes.append((decision.steered, decision.matched_template_ids))
+        blocked, probed = (False, []), (True, [template_id])
+        assert outcomes == [blocked, blocked, probed] * 2
+        assert [bool(screen.probed) for screen in screens] == [False, False, True] * 2
+        assert kb.guard_record(template_id).probe_counter == 2 * interval
+        # A blocked request ran the plan steer() gives it, not the steered one.
+        blocked_decision = engine.steer_prepared(
+            sql, query_name=name, match_filter=lambda matches: []
+        )
+        assert plan_key(blocked_decision.qgm) == plan_key(blocked_decision.baseline_qgm)
+        assert blocked_decision.guideline_document.is_empty
+
+    def test_each_allowed_set_gets_its_own_plan(self):
+        galo = build_system()
+        # q_join4: three nested segments, but only the largest is claimed.
+        for name, sql in WORKLOAD:
+            raw = galo.matching_engine.steer_prepared(sql, query_name=name).matches
+            for keep in range(len(raw) + 1):
+                allowed = {m.template.template_id for m in raw[:keep]}
+
+                def match_filter(matches, _allowed=allowed):
+                    return [m for m in matches if m.template.template_id in _allowed]
+
+                assert_lane_equals_oracle(galo, [(name, sql)], match_filter=match_filter)
+
+
+class TestMastersAndCapacity:
+    def test_executing_a_returned_plan_never_mutates_the_master(self):
+        galo = build_system()
+        engine = galo.matching_engine
+        name, sql = WORKLOAD[1]
+        first = engine.steer_prepared(sql, query_name=name)
+        entry = current_entry(galo, sql)
+        (steered_master,) = [plan for _, plan in entry.plans.values()]
+
+        def annotations(qgm):
+            return [(node.operator_id, dict(vars(node))) for node in qgm.nodes()]
+
+        masters_before = annotations(entry.baseline), annotations(steered_master)
+        for decision in (first, engine.steer_prepared(sql, query_name=name)):
+            assert decision.qgm is not steered_master
+            assert decision.baseline_qgm is not entry.baseline
+            galo.database.execute_plan(decision.qgm)
+            galo.database.execute_plan(decision.baseline_qgm)
+        assert (annotations(entry.baseline), annotations(steered_master)) == masters_before
+
+    def test_capacity_bound_holds_after_300_distinct_statements(self):
+        galo = build_system()
+        engine = galo.matching_engine
+        for price in range(300):
+            engine.steer_prepared(
+                f"SELECT i_category FROM item WHERE i_price > {price}"
+            )
+            assert len(engine.prepared) <= PreparedStatements.CAPACITY
+        assert len(engine.prepared) == PreparedStatements.CAPACITY
+        # LRU: the most recent statement is still prepared, the first is not.
+        assert engine.steer_prepared(
+            "SELECT i_category FROM item WHERE i_price > 299"
+        ).prepared == "hit"
+        assert engine.steer_prepared(
+            "SELECT i_category FROM item WHERE i_price > 0"
+        ).prepared == "miss"
+
+
+class TestConcurrentMutation:
+    def test_readers_never_see_a_verdict_older_than_the_generation_they_read(self):
+        """Two threads hammer one statement while a writer adds and evicts.
+
+        The writer installs templates of strictly increasing benefit over the
+        statement's segment (each becomes the best match) and evicts the one
+        before, so "which template steers" is monotone in the KB generation.
+        A reader that took generation g before asking and got a *replayed*
+        verdict must see the template that was best at g or a later one:
+        anything older means an entry outlived the mutation that replaced it.
+
+        Computed verdicts are not held to that: ``KnowledgeBase.match`` reads
+        without the write lock, so one that overlaps two mutations can mix
+        their states (candidates listed before an add, evaluated after the
+        following evict) -- exactly as the uncached ``steer()`` can.  Such a
+        verdict carries the stamp read before it started, which those
+        mutations have since advanced past, so it is never replayed; the
+        hit-side assertion is what proves that.
+        """
+        galo = build_system()
+        engine = galo.matching_engine
+        kb = galo.knowledge_base
+        name, sql = WORKLOAD[0]
+        segment = segment_plan(galo.database.explain(sql), max_joins=MAX_JOINS)[-1]
+        rounds = 40
+        base = kb.generation
+        # Operation i (1-based) leaves generation base + i: add(1), then
+        # add(k), evict(k - 1) for k = 2..rounds.
+        best_at = {base: 0, base + 1: 1}
+        for k in range(2, rounds + 1):
+            best_at[base + 2 * k - 2] = k
+            best_at[base + 2 * k - 1] = k
+        failures = []
+        done = threading.Event()
+
+        def writer():
+            try:
+                previous = None
+                for k in range(1, rounds + 1):
+                    added = abstract_template_from_plan(
+                        kb, segment, name=f"rank-{k:03d}", improvement=10.0 + k,
+                        catalog=galo.database.catalog,
+                    )
+                    if previous is not None:
+                        kb.evict_template(previous.template_id)
+                    previous = added
+            except Exception as exc:  # pragma: no cover - reported below
+                failures.append(repr(exc))
+            finally:
+                done.set()
+
+        served = []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    generation = kb.generation
+                    decision = engine.steer_prepared(sql, query_name=name)
+                    ranks = [
+                        int(match.template.name.split("-")[1])
+                        for match in decision.matches
+                        if match.template.name.startswith("rank-")
+                    ]
+                    rank = max(ranks, default=0)
+                    served.append(decision.prepared)
+                    if decision.prepared == "hit" and rank < best_at[generation]:
+                        failures.append(
+                            f"generation {generation}: served rank {rank}, "
+                            f"best was {best_at[generation]} ({decision.prepared})"
+                        )
+            except Exception as exc:  # pragma: no cover - reported below
+                failures.append(repr(exc))
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(2)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + GUARD_SECONDS
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        assert kb.generation == base + 2 * rounds - 1
+        assert "hit" in served and set(served) <= {"hit", "miss", "stale"}
+        # Quiescent again: the lane agrees with the oracle on the final KB.
+        final = engine.steer_prepared(sql, query_name=name)
+        assert [m.template.name for m in final.matches] == [f"rank-{rounds:03d}"]
+        assert_lane_equals_oracle(galo)
+
+
+class TestServiceObservability:
+    def serve(self, galo, requests, tracing=True):
+        service = GaloService(
+            galo,
+            ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=tracing),
+        )
+
+        async def scenario():
+            async with service:
+                return [
+                    await service.submit(sql, query_name=name) for name, sql in requests
+                ]
+
+        return run(scenario()), service
+
+    def test_counters_gauge_and_request_span(self):
+        galo = build_system()
+        responses, service = self.serve(galo, WORKLOAD * 3)
+        assert all(response.ok for response in responses)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["prepared_misses"] == len(WORKLOAD)
+        assert snapshot["prepared_hits"] == 2 * len(WORKLOAD)
+        assert snapshot["prepared_invalidations"] == 0
+        page = service.render_metrics()
+        assert f"galo_prepared_entries {len(WORKLOAD)}\n" in page
+        assert "# TYPE galo_prepared_hits counter" in page
+        assert "# TYPE galo_prepared_entries gauge" in page
+        for name in ("prepared_hits", "prepared_misses", "prepared_invalidations",
+                     "prepared_entries"):
+            assert name in ServiceMetrics.PROMETHEUS_HELP
+        # The request timeline says whether the verdict was replayed.
+        assert "prepared=miss" in service.explain_request(responses[0].request_id)
+        replayed = service.explain_request(responses[-1].request_id)
+        assert "prepared=hit" in replayed
+        for stage in ("plan", "match", "execute", "feedback"):
+            assert stage in replayed
+        assert service.stage_timings.get("match").count == len(responses)
+
+    def test_stale_entries_count_as_invalidations(self):
+        galo = build_system()
+        _, service = self.serve(galo, WORKLOAD, tracing=False)
+        galo.database.runstats("SALES")
+        # A second service on the same Galo shares the engine's lane.
+        responses, second = self.serve(galo, WORKLOAD * 2, tracing=False)
+        snapshot = second.metrics.snapshot()
+        assert snapshot["prepared_invalidations"] == len(WORKLOAD)
+        assert snapshot["prepared_misses"] == len(WORKLOAD)
+        assert snapshot["prepared_hits"] == len(WORKLOAD)
+
+    def test_merge_sums_the_prepared_counters(self):
+        first, second = ServiceMetrics(), ServiceMetrics()
+        first.increment("prepared_hits", 3)
+        second.increment("prepared_hits", 4)
+        second.increment("prepared_invalidations")
+        merged = ServiceMetrics.merge([first, second]).snapshot()
+        assert merged["prepared_hits"] == 7
+        assert merged["prepared_invalidations"] == 1
+
+    def test_replayed_responses_equal_the_computed_ones(self):
+        """A statement's hit returns exactly what its miss returned."""
+        galo = build_system()
+        responses, _ = self.serve(galo, WORKLOAD * 2, tracing=False)
+        first, second = responses[: len(WORKLOAD)], responses[len(WORKLOAD):]
+        for cold, warm in zip(first, second):
+            assert [tuple(r.items()) for r in cold.rows] == [
+                tuple(r.items()) for r in warm.rows
+            ]
+            assert cold.elapsed_ms == warm.elapsed_ms
+            assert cold.matched_template_ids == warm.matched_template_ids
+            assert cold.steered == warm.steered
