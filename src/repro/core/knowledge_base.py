@@ -340,12 +340,20 @@ class KnowledgeBase:
         #: ``_stats_lock``: parallel re-optimization calls ``match`` from
         #: worker threads.  Counts SPARQL work actually performed: a verdict
         #: served from the prepared-statement lane replays its usage ticks
-        #: (:meth:`replay_usage`) but adds nothing here.
+        #: (:meth:`replay_usage`) but adds nothing here.  ``queries`` /
+        #: ``indexed_queries`` count ``match`` calls (all / through the
+        #: index); ``candidates_evaluated`` / ``templates_skipped`` split the
+        #: templates of every indexed call into those SPARQL then evaluated
+        #: and those the index discarded; ``index_only_segments`` counts the
+        #: indexed calls the index answered alone -- no candidate left, so no
+        #: query text was written or parsed ("index discarded" as opposed to
+        #: "SPARQL rejected").
         self.match_stats = {
             "queries": 0,
             "indexed_queries": 0,
             "candidates_evaluated": 0,
             "templates_skipped": 0,
+            "index_only_segments": 0,
         }
         self._stats_lock = threading.Lock()
         #: Online lifecycle observability (adds / evictions / updates /
@@ -959,11 +967,11 @@ class KnowledgeBase:
         template name.
         """
         segment_nodes = list(generated.node_for_variable.values())
-        segment_joins = sum(1 for node in segment_nodes if node.is_join)
-        segment_scans = sum(1 for node in segment_nodes if node.is_scan)
-        query_ast = self._parsed_query(generated.text)
 
         if use_index:
+            # Index before SPARQL: ``generated.text`` may be produced on first
+            # read, and the index is conservative, so a segment it leaves no
+            # candidate for is answered without writing or parsing a query.
             profile = SegmentProfile.from_segment_nodes(
                 segment_nodes, generated.cardinality_tolerance
             )
@@ -973,6 +981,10 @@ class KnowledgeBase:
                 self.match_stats["indexed_queries"] += 1
                 self.match_stats["candidates_evaluated"] += len(candidate_ids)
                 self.match_stats["templates_skipped"] += len(self.templates) - len(candidate_ids)
+                self.match_stats["index_only_segments"] += not candidate_ids
+            if not candidate_ids:
+                return []
+            query_ast = self._parsed_query(generated.text)
             solutions: List[dict] = []
             for template_id in candidate_ids:
                 subgraph = self._template_graphs.get(template_id)
@@ -986,8 +998,10 @@ class KnowledgeBase:
         else:
             with self._stats_lock:
                 self.match_stats["queries"] += 1
-            solutions = SparqlEngine(self.graph).query(query_ast)
+            solutions = SparqlEngine(self.graph).query(self._parsed_query(generated.text))
 
+        segment_joins = sum(1 for node in segment_nodes if node.is_join)
+        segment_scans = sum(1 for node in segment_nodes if node.is_scan)
         solutions_by_template: Dict[str, List[dict]] = {}
         for solution in solutions:
             template_node = solution.get(generated.template_variable)

@@ -186,37 +186,30 @@ class MatchingEngine:
     # ------------------------------------------------------------------
 
     def _generated_sparql(self, segment: PlanNode) -> GeneratedSparql:
-        """Generate (or fetch from cache) the matching query for one segment."""
+        """The matching query for one segment; its text is written on first read."""
+        node_for_variable, label_variables = variable_maps_for(segment)
+        return GeneratedSparql(
+            text_source=lambda: self._sparql_text(segment),
+            node_for_variable=node_for_variable,
+            label_variables=label_variables,
+            cardinality_tolerance=self.config.cardinality_tolerance,
+        )
+
+    def _sparql_text(self, segment: PlanNode) -> str:
+        """Generate (or fetch from cache) the matching query text for one segment."""
+        options = dict(
+            catalog=self.database.catalog,
+            check_row_size=self.config.check_row_size,
+            cardinality_tolerance=self.config.cardinality_tolerance,
+        )
         if not self.config.cache_segment_sparql:
-            return sparql_for_subplan(
-                segment,
-                catalog=self.database.catalog,
-                check_row_size=self.config.check_row_size,
-                cardinality_tolerance=self.config.cardinality_tolerance,
-            )
-        key = segment_cache_key(
-            segment,
-            catalog=self.database.catalog,
-            check_row_size=self.config.check_row_size,
-            cardinality_tolerance=self.config.cardinality_tolerance,
-        )
+            return sparql_for_subplan(segment, **options).text
+        key = segment_cache_key(segment, **options)
         text = self._sparql_cache.get(key)
-        if text is not None:
-            node_for_variable, label_variables = variable_maps_for(segment)
-            return GeneratedSparql(
-                text=text,
-                node_for_variable=node_for_variable,
-                label_variables=label_variables,
-                cardinality_tolerance=self.config.cardinality_tolerance,
-            )
-        generated = sparql_for_subplan(
-            segment,
-            catalog=self.database.catalog,
-            check_row_size=self.config.check_row_size,
-            cardinality_tolerance=self.config.cardinality_tolerance,
-        )
-        self._sparql_cache.put(key, generated.text)
-        return generated
+        if text is None:
+            text = sparql_for_subplan(segment, **options).text
+            self._sparql_cache.put(key, text)
+        return text
 
     def match_plan(self, qgm: Qgm) -> Tuple[List[TemplateMatch], float]:
         """Match a QGM's segments against the knowledge base.

@@ -15,8 +15,7 @@ paper describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import vocabulary as voc
 from repro.engine.catalog import Catalog
@@ -29,19 +28,44 @@ _PREFIXES = (
 )
 
 
-@dataclass
 class GeneratedSparql:
-    """A generated SPARQL query plus the mapping from variables to plan nodes."""
+    """A generated SPARQL query plus the mapping from variables to plan nodes.
 
-    text: str
-    #: variable name (without '?') -> the plan node it represents
-    node_for_variable: Dict[str, PlanNode] = field(default_factory=dict)
-    #: variable name of the table-label variable -> scan node it describes
-    label_variables: Dict[str, PlanNode] = field(default_factory=dict)
-    template_variable: str = "template"
-    #: tolerance the FILTER values were generated with (consumed by the
-    #: knowledge base's index so its pre-filter applies the same comparison).
-    cardinality_tolerance: float = 1.0
+    The variable maps are a cheap walk of the sub-plan; the query text is the
+    expensive part and only an evaluator needs it.  A caller may therefore
+    pass ``text_source`` -- a zero-argument callable -- instead of ``text``:
+    it runs on the first read of :attr:`text`, so a segment the knowledge
+    base's index rejects outright never has its query written or parsed.
+    """
+
+    def __init__(
+        self,
+        text: Optional[str] = None,
+        node_for_variable: Optional[Dict[str, PlanNode]] = None,
+        label_variables: Optional[Dict[str, PlanNode]] = None,
+        template_variable: str = "template",
+        cardinality_tolerance: float = 1.0,
+        text_source: Optional[Callable[[], str]] = None,
+    ):
+        if (text is None) == (text_source is None):
+            raise ValueError("GeneratedSparql needs exactly one of text / text_source")
+        self._text = text
+        self._text_source = text_source
+        #: variable name (without '?') -> the plan node it represents
+        self.node_for_variable = node_for_variable if node_for_variable is not None else {}
+        #: variable name of the table-label variable -> scan node it describes
+        self.label_variables = label_variables if label_variables is not None else {}
+        self.template_variable = template_variable
+        #: tolerance the FILTER values were generated with (consumed by the
+        #: knowledge base's index so its pre-filter applies the same comparison).
+        self.cardinality_tolerance = cardinality_tolerance
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            assert self._text_source is not None
+            self._text = self._text_source()
+        return self._text
 
 
 class _InternalHandles:

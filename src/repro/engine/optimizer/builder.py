@@ -11,7 +11,7 @@ when it re-optimizes a query "through the optimizer again".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.expressions import (
@@ -53,7 +53,16 @@ def sargable_column(predicate: Predicate) -> Optional[ColumnRef]:
 
 
 class PlanBuilder:
-    """Builds cost-annotated plan nodes for one bound query."""
+    """Builds cost-annotated plan nodes for one bound query.
+
+    A builder lives for one ``optimize`` / ``generate`` call and keeps the
+    alias-set bookkeeping of that call: the qualifier set of every join
+    predicate, the connecting predicates of every pair of alias sets asked
+    for, and the alias set of every node it has built or been handed.  All
+    three are pure functions of the bound query and of subtrees the builder
+    never mutates, so they are derived once instead of once per candidate
+    join; they die with the builder.
+    """
 
     def __init__(
         self,
@@ -66,6 +75,17 @@ class PlanBuilder:
         self.query = query
         self.estimator = estimator or CardinalityEstimator(catalog, query)
         self.cost_model = cost_model or CostModel(catalog)
+        #: ``query.join_predicates`` in order, each with its qualifier set.
+        self._join_qualifiers: Tuple[Tuple[Comparison, FrozenSet[str]], ...] = tuple(
+            (predicate, predicate.referenced_qualifiers())
+            for predicate in query.join_predicates
+        )
+        self._connecting: Dict[
+            Tuple[FrozenSet[str], FrozenSet[str]], Tuple[Comparison, ...]
+        ] = {}
+        #: ``id(node)`` -> (node, alias set of its subtree).  The entry holds
+        #: the node, so its id cannot be recycled while the entry exists.
+        self._alias_sets: Dict[int, Tuple[PlanNode, FrozenSet[str]]] = {}
 
     # ------------------------------------------------------------------
     # access paths
@@ -159,8 +179,8 @@ class PlanBuilder:
                 selectivity *= self.estimator.predicate_selectivity(predicate)
         return max(1.0, table_rows * selectivity)
 
-    def _join_columns(self, alias: str) -> set:
-        columns = set()
+    def _join_columns(self, alias: str) -> Set[str]:
+        columns: Set[str] = set()
         for predicate in self.query.join_predicates:
             for side in (predicate.left, predicate.right):
                 if isinstance(side, ColumnRef) and side.qualifier == alias:
@@ -171,10 +191,44 @@ class PlanBuilder:
     # joins
     # ------------------------------------------------------------------
 
+    def aliases_of(self, node: PlanNode) -> FrozenSet[str]:
+        """Table instances covered by ``node``'s subtree.
+
+        Known without a walk for every node this builder created (joins,
+        SORT wrappers, nested-loop lookups); walked once for anything else
+        (access paths, fragments built elsewhere).
+        """
+        known = self._alias_sets.get(id(node))
+        if known is not None:
+            return known[1]
+        return self._remember_aliases(node, frozenset(node.aliases()))
+
+    def _remember_aliases(self, node: PlanNode, aliases: FrozenSet[str]) -> FrozenSet[str]:
+        self._alias_sets[id(node)] = (node, aliases)
+        return aliases
+
+    def connecting_predicates(
+        self, left: FrozenSet[str], right: FrozenSet[str]
+    ) -> Tuple[Comparison, ...]:
+        """``query.joins_between(left, right)`` as a tuple, derived once per pair.
+
+        The predicates come out in the bound query's ``join_predicates`` order
+        whichever side is called left, so one derivation fills both
+        orientations.
+        """
+        connecting = self._connecting.get((left, right))
+        if connecting is None:
+            connecting = tuple(
+                predicate
+                for predicate, qualifiers in self._join_qualifiers
+                if not qualifiers.isdisjoint(left) and not qualifiers.isdisjoint(right)
+            )
+            self._connecting[(left, right)] = connecting
+            self._connecting[(right, left)] = connecting
+        return connecting
+
     def join_predicates_between(self, outer: PlanNode, inner: PlanNode) -> Tuple[Comparison, ...]:
-        outer_aliases = frozenset(outer.aliases())
-        inner_aliases = frozenset(inner.aliases())
-        return tuple(self.query.joins_between(outer_aliases, inner_aliases))
+        return self.connecting_predicates(self.aliases_of(outer), self.aliases_of(inner))
 
     def make_join(
         self,
@@ -186,20 +240,23 @@ class PlanBuilder:
     ) -> PlanNode:
         """Build and annotate a join node over two annotated inputs.
 
-        ``join_predicates`` lets a caller that already knows the connecting
-        predicates (e.g. the random plan generator's per-query cache) skip
-        the alias-set tree walks; the predicates are a pure function of the
-        two input subtrees, so passing them is an optimization, never a
-        semantic change.
+        ``join_predicates`` lets a caller that already resolved the connecting
+        predicates (the join enumerator does, once per pair, before building
+        every candidate) skip the lookup; the predicates are a pure function
+        of the two input subtrees, so passing them is an optimization, never
+        a semantic change.
         """
+        outer_aliases = self.aliases_of(outer)
+        inner_aliases = self.aliases_of(inner)
         if join_predicates is None:
-            join_predicates = self.join_predicates_between(outer, inner)
+            join_predicates = self.connecting_predicates(outer_aliases, inner_aliases)
         output_rows = self.estimator.join_cardinality(
             outer.estimated_cardinality, inner.estimated_cardinality, join_predicates
         )
 
         if join_type is PopType.MSJOIN:
-            outer, inner = self._prepare_merge_inputs(outer, inner, join_predicates)
+            outer = self._sorted_for_merge(outer, outer_aliases, join_predicates)
+            inner = self._sorted_for_merge(inner, inner_aliases, join_predicates)
             operator_cost = self.cost_model.merge_join_cost(
                 outer.estimated_cardinality,
                 inner.estimated_cardinality,
@@ -215,8 +272,8 @@ class PlanBuilder:
                 bloom_filter=bloom_filter,
             )
         elif join_type is PopType.NLJOIN:
-            inner = self._prepare_nljoin_inner(inner, join_predicates)
-            lookup_cost = self._nljoin_lookup_cost(inner, join_predicates)
+            inner = self._prepare_nljoin_inner(inner, inner_aliases, join_predicates)
+            lookup_cost = self._nljoin_lookup_cost(inner, inner_aliases, join_predicates)
             operator_cost = self.cost_model.nested_loop_join_cost(
                 outer.estimated_cardinality, lookup_cost, output_rows
             )
@@ -227,43 +284,41 @@ class PlanBuilder:
         node.estimated_cardinality = output_rows
         node.estimated_cost = outer.estimated_cost + inner.estimated_cost + operator_cost
         if join_type is PopType.MSJOIN:
-            sorted_key = self._join_key_for(outer, join_predicates)
+            sorted_key = self._join_key_for(outer_aliases, join_predicates)
             if sorted_key is not None:
                 node.properties["sorted_on"] = sorted_key
+        self._remember_aliases(node, outer_aliases | inner_aliases)
         return node
 
-    def _prepare_merge_inputs(
+    def _sorted_for_merge(
         self,
-        outer: PlanNode,
-        inner: PlanNode,
+        node: PlanNode,
+        aliases: FrozenSet[str],
         join_predicates: Tuple[Comparison, ...],
-    ) -> Tuple[PlanNode, PlanNode]:
-        """Insert SORT nodes under a merge join for any unsorted input."""
-        prepared = []
-        for node in (outer, inner):
-            key = self._join_key_for(node, join_predicates)
-            if key is None:
-                prepared.append(node)
-                continue
-            if node.properties.get("sorted_on") == key:
-                prepared.append(node)
-                continue
-            sort_node = sort(node, key)
-            sort_node.estimated_cardinality = node.estimated_cardinality
-            sort_node.estimated_cost = node.estimated_cost + self.cost_model.sort_cost(
-                node.estimated_cardinality
-            )
-            sort_node.properties["sorted_on"] = key
-            prepared.append(sort_node)
-        return prepared[0], prepared[1]
+    ) -> PlanNode:
+        """``node``, under a SORT on its merge-join key unless already sorted on it."""
+        key = self._join_key_for(aliases, join_predicates)
+        if key is None or node.properties.get("sorted_on") == key:
+            return node
+        sort_node = sort(node, key)
+        sort_node.estimated_cardinality = node.estimated_cardinality
+        sort_node.estimated_cost = node.estimated_cost + self.cost_model.sort_cost(
+            node.estimated_cardinality
+        )
+        sort_node.properties["sorted_on"] = key
+        self._remember_aliases(sort_node, aliases)
+        return sort_node
 
     def _prepare_nljoin_inner(
-        self, inner: PlanNode, join_predicates: Tuple[Comparison, ...]
+        self,
+        inner: PlanNode,
+        inner_aliases: FrozenSet[str],
+        join_predicates: Tuple[Comparison, ...],
     ) -> PlanNode:
         """Convert the inner of a nested-loop join into an index lookup if possible."""
         if not inner.is_scan or not join_predicates:
             return inner
-        key = self._join_key_for(inner, join_predicates)
+        key = self._join_key_for(inner_aliases, join_predicates)
         if key is None:
             return inner
         bound = self.query.table_for_alias(inner.table_alias or "")
@@ -277,17 +332,21 @@ class PlanBuilder:
         lookup.estimated_cost = inner.estimated_cost
         lookup.properties["nljoin_lookup"] = True
         lookup.properties["sorted_on"] = key
+        self._remember_aliases(lookup, inner_aliases)
         return lookup
 
     def _nljoin_lookup_cost(
-        self, inner: PlanNode, join_predicates: Tuple[Comparison, ...]
+        self,
+        inner: PlanNode,
+        inner_aliases: FrozenSet[str],
+        join_predicates: Tuple[Comparison, ...],
     ) -> float:
         """Cost of evaluating the inner input once per outer row."""
         if inner.is_scan and inner.properties.get("nljoin_lookup") and inner.table_alias:
             bound = self.query.table_for_alias(inner.table_alias)
-            key = self._join_key_for(inner, join_predicates)
+            key = self._join_key_for(inner_aliases, join_predicates)
             index = bound.schema.index_on(key.column) if key else None
-            if index is not None:
+            if key is not None and index is not None:
                 table_rows = self.estimator.table_cardinality(inner.table_alias)
                 key_stats = self.estimator.column_statistics(key)
                 rows_per_lookup = table_rows / max(1, key_stats.n_distinct or 1)
@@ -297,10 +356,9 @@ class PlanBuilder:
 
     @staticmethod
     def _join_key_for(
-        node: PlanNode, join_predicates: Tuple[Comparison, ...]
+        aliases: FrozenSet[str], join_predicates: Tuple[Comparison, ...]
     ) -> Optional[ColumnRef]:
-        """The column of ``node``'s side participating in the join predicates."""
-        aliases = set(node.aliases())
+        """The column on the ``aliases`` side participating in the join predicates."""
         for predicate in join_predicates:
             for side in (predicate.left, predicate.right):
                 if isinstance(side, ColumnRef) and side.qualifier in aliases:

@@ -230,5 +230,6 @@ def _build_element(
             f"guideline join {element.method} has no connecting join predicate"
         )
     return builder.make_join(
-        PopType(element.method.upper()), outer, inner, bloom_filter=element.bloom_filter
+        PopType(element.method.upper()), outer, inner,
+        bloom_filter=element.bloom_filter, join_predicates=join_predicates,
     )

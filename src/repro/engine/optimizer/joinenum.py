@@ -14,8 +14,9 @@ re-optimization story.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.engine.expressions import Comparison
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.plan.physical import JOIN_TYPES, PlanNode, PopType
 from repro.engine.sql.binder import BoundQuery
@@ -40,14 +41,15 @@ class JoinEnumerator:
         """Find the cheapest plan joining every table of the query.
 
         ``forced_fragments`` are pre-built sub-plans (from guidelines) whose
-        aliases must not be re-planned.
+        aliases must not be re-planned.  A fragment overlapping an earlier one
+        is dropped: a previously honoured guideline already fixed part of its
+        subtree, and the optimizer ignores the conflicting one.
         """
         leaves: List[PlanNode] = []
-        covered: set = set()
+        covered: Set[str] = set()
         for fragment in forced_fragments:
-            aliases = set(fragment.aliases())
-            if aliases & covered:
-                # Overlapping guidelines: keep the first, ignore the rest.
+            aliases = self.builder.aliases_of(fragment)
+            if not aliases.isdisjoint(covered):
                 continue
             covered |= aliases
             leaves.append(fragment)
@@ -66,23 +68,34 @@ class JoinEnumerator:
 
     # ------------------------------------------------------------------
 
-    def _join_candidates(self, outer: PlanNode, inner: PlanNode) -> List[PlanNode]:
-        """All join operators applicable between two annotated inputs."""
-        if not self.builder.join_predicates_between(outer, inner):
-            return []
+    def _join_candidates(
+        self, outer: PlanNode, inner: PlanNode, join_predicates: Tuple[Comparison, ...]
+    ) -> List[PlanNode]:
+        """Every join operator over two annotated inputs, in ``JOIN_TYPES`` order."""
         candidates = []
         for join_type in JOIN_TYPES:
-            candidates.append(self.builder.make_join(join_type, outer, inner))
+            candidates.append(
+                self.builder.make_join(
+                    join_type, outer, inner, join_predicates=join_predicates
+                )
+            )
             if join_type is PopType.HSJOIN and self.consider_bloom_filters:
                 candidates.append(
-                    self.builder.make_join(join_type, outer, inner, bloom_filter=True)
+                    self.builder.make_join(
+                        join_type, outer, inner, bloom_filter=True,
+                        join_predicates=join_predicates,
+                    )
                 )
         return candidates
 
     def _best_join(self, outer: PlanNode, inner: PlanNode) -> Optional[PlanNode]:
-        candidates = self._join_candidates(outer, inner) + self._join_candidates(inner, outer)
-        if not candidates:
+        # The connecting predicates are the same in both orientations:
+        # resolved once per pair, handed to every candidate.
+        join_predicates = self.builder.join_predicates_between(outer, inner)
+        if not join_predicates:
             return None
+        candidates = self._join_candidates(outer, inner, join_predicates)
+        candidates += self._join_candidates(inner, outer, join_predicates)
         return min(candidates, key=lambda node: node.estimated_cost)
 
     # ------------------------------------------------------------------

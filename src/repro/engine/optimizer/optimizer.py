@@ -73,18 +73,11 @@ class Optimizer:
 
         forced_fragments: List[PlanNode] = []
         if guidelines is not None and not guidelines.is_empty:
-            covered: set = set()
+            # Overlapping fragments are dropped by the enumerator.
             for element in guidelines.elements:
                 fragment = build_forced_plan(builder, rewritten, element)
-                if fragment is None:
-                    continue
-                aliases = set(fragment.aliases())
-                if aliases & covered:
-                    # A previously honoured guideline already fixed part of
-                    # this subtree; the optimizer ignores the conflicting one.
-                    continue
-                covered |= aliases
-                forced_fragments.append(fragment)
+                if fragment is not None:
+                    forced_fragments.append(fragment)
 
         enumerator = JoinEnumerator(
             builder, rewritten, consider_bloom_filters=self.consider_bloom_filters

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.config import DbConfig
-from repro.engine.expressions import Comparison
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.cardinality import CardinalityEstimator
 from repro.engine.optimizer.costmodel import CostModel
@@ -24,50 +23,6 @@ from repro.engine.optimizer.rewrite import rewrite_query
 from repro.engine.plan.physical import JOIN_TYPES, PlanNode, PopType, Qgm
 from repro.engine.sql.binder import BoundQuery
 from repro.errors import PlanError
-
-
-class _FragmentCache:
-    """Per-``generate`` reuse of deterministic plan-construction work.
-
-    Profiling the learning sweep shows random-plan *construction* dominated
-    by two pure functions of the bound query that the naive path recomputed
-    for every one of ``count * 10`` attempts: the candidate access paths per
-    alias (estimator + cost model per candidate) and the join predicates
-    connecting two alias sets (tree walks + predicate scans per fragment
-    pair per merge step).  Both are cached here for the duration of one
-    ``generate`` call.
-
-    Access-path nodes are *copied* per pick: plans annotate and execute
-    their nodes in place (``actual_cardinality``), so handing the same node
-    instance to two plans would let one execution bleed into the other.
-    """
-
-    def __init__(self, builder: PlanBuilder):
-        self.builder = builder
-        self._paths_by_alias: Dict[str, List[PlanNode]] = {}
-        self._joins_by_pair: Dict[
-            FrozenSet[FrozenSet[str]], Tuple[Comparison, ...]
-        ] = {}
-
-    def access_paths(self, alias: str) -> List[PlanNode]:
-        paths = self._paths_by_alias.get(alias)
-        if paths is None:
-            paths = self.builder.candidate_access_paths(alias)
-            self._paths_by_alias[alias] = paths
-        return paths
-
-    def joins_between(
-        self, left: FrozenSet[str], right: FrozenSet[str]
-    ) -> Tuple[Comparison, ...]:
-        # joins_between is symmetric (it scans the query's predicate list in
-        # order, independent of side assignment), so one unordered key
-        # serves both orientations.
-        key = frozenset((left, right))
-        joins = self._joins_by_pair.get(key)
-        if joins is None:
-            joins = tuple(self.builder.query.joins_between(left, right))
-            self._joins_by_pair[key] = joins
-        return joins
 
 
 class RandomPlanGenerator:
@@ -78,18 +33,10 @@ class RandomPlanGenerator:
         catalog: Catalog,
         config: Optional[DbConfig] = None,
         seed: int = 1234,
-        reuse_fragments: bool = True,
     ):
         self.catalog = catalog
         self.config = config or catalog.config
         self.seed = seed
-        #: Reuse deterministic per-query construction work (candidate access
-        #: paths, join-predicate lookups) across the attempts of one
-        #: ``generate`` call.  The generated plan set is identical either
-        #: way (the rng draw sequence does not change); the toggle exists so
-        #: the differential test and the micro-benchmark can pin the naive
-        #: path.
-        self.reuse_fragments = reuse_fragments
 
     def generate(self, query: BoundQuery, count: int, query_name: str = "") -> List[Qgm]:
         """Generate up to ``count`` distinct random plans for ``query``."""
@@ -97,7 +44,11 @@ class RandomPlanGenerator:
         estimator = CardinalityEstimator(self.catalog, rewritten)
         cost_model = CostModel(self.catalog, self.config)
         builder = PlanBuilder(self.catalog, rewritten, estimator, cost_model)
-        cache = _FragmentCache(builder) if self.reuse_fragments else None
+        # The candidate access paths are a pure function of the bound query:
+        # built once here, not once per attempt.
+        access_paths = [
+            builder.candidate_access_paths(alias) for alias in rewritten.aliases
+        ]
         # crc32 rather than hash(): str hashes are salted per process
         # (PYTHONHASHSEED), which made the generated plan set -- and therefore
         # what the learning engine discovers -- vary from run to run.
@@ -109,7 +60,7 @@ class RandomPlanGenerator:
         while len(plans) < count and attempts < count * 10:
             attempts += 1
             try:
-                tree = self._random_join_tree(builder, rewritten, rng, cache)
+                tree = self._random_join_tree(builder, access_paths, rng)
             except PlanError:
                 continue
             top = builder.finish_plan(tree)
@@ -129,24 +80,17 @@ class RandomPlanGenerator:
 
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _random_join_tree(
-        self,
         builder: PlanBuilder,
-        query: BoundQuery,
+        access_paths: List[List[PlanNode]],
         rng: random.Random,
-        cache: Optional[_FragmentCache] = None,
     ) -> PlanNode:
-        """Build one random bushy join tree covering every table of the query.
-
-        Alias sets are tracked alongside the fragments so connectivity checks
-        and join-predicate lookups run against cached frozensets instead of
-        walking each fragment subtree every time.
-        """
-        fragments: List[PlanNode] = []
-        alias_sets: List[FrozenSet[str]] = []
-        for alias in query.aliases:
-            fragments.append(self._random_access_path(builder, alias, rng, cache))
-            alias_sets.append(frozenset((alias,)))
+        """Build one random bushy join tree covering every table of the query."""
+        # Copied because plans annotate and execute their nodes in place
+        # (``actual_cardinality``): one node instance in two plans would let
+        # one execution bleed into the other.
+        fragments = [rng.choice(candidates).copy() for candidates in access_paths]
         if not fragments:
             raise PlanError("query has no tables")
 
@@ -154,13 +98,7 @@ class RandomPlanGenerator:
             connectable = []
             for i in range(len(fragments)):
                 for j in range(i + 1, len(fragments)):
-                    if cache is not None:
-                        connected = cache.joins_between(alias_sets[i], alias_sets[j])
-                    else:
-                        connected = builder.join_predicates_between(
-                            fragments[i], fragments[j]
-                        )
-                    if connected:
+                    if builder.join_predicates_between(fragments[i], fragments[j]):
                         connectable.append((i, j))
             if not connectable:
                 # Disconnected graph: fall back to a cross product.
@@ -168,41 +106,14 @@ class RandomPlanGenerator:
             else:
                 i, j = rng.choice(connectable)
             outer, inner = fragments[i], fragments[j]
-            outer_aliases, inner_aliases = alias_sets[i], alias_sets[j]
             if rng.random() < 0.5:
                 outer, inner = inner, outer
-                outer_aliases, inner_aliases = inner_aliases, outer_aliases
             join_type = rng.choice(JOIN_TYPES)
             bloom = join_type is PopType.HSJOIN and rng.random() < 0.4
-            join_predicates = (
-                cache.joins_between(outer_aliases, inner_aliases)
-                if cache is not None
-                else None
-            )
-            joined = builder.make_join(
-                join_type, outer, inner, bloom_filter=bloom,
-                join_predicates=join_predicates,
-            )
+            joined = builder.make_join(join_type, outer, inner, bloom_filter=bloom)
             fragments = [f for k, f in enumerate(fragments) if k not in (i, j)]
-            alias_sets = [s for k, s in enumerate(alias_sets) if k not in (i, j)]
             fragments.append(joined)
-            alias_sets.append(outer_aliases | inner_aliases)
         return fragments[0]
-
-    @staticmethod
-    def _random_access_path(
-        builder: PlanBuilder,
-        alias: str,
-        rng: random.Random,
-        cache: Optional[_FragmentCache] = None,
-    ) -> PlanNode:
-        if cache is not None:
-            # Same rng draw as the naive path (the candidate list has the
-            # same length and order); copied because executions annotate
-            # plan nodes in place.
-            return rng.choice(cache.access_paths(alias)).copy()
-        candidates = builder.candidate_access_paths(alias)
-        return rng.choice(candidates)
 
 
 def _plan_signature(qgm: Qgm) -> str:

@@ -257,3 +257,62 @@ def test_random_plans_agree_with_optimizer_plan_results(seed, mini_db):
     for plan in plans:
         rows = mini_db.execute_plan(plan).rows
         assert Counter(tuple(sorted(row.items())) for row in rows) == reference_counter
+
+
+# ---------------------------------------------------------------------------
+# plan builder: the memo of connecting predicates
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    tables=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+    edges=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(["=", "<", ">="])),
+        max_size=8,
+    ),
+)
+def test_builder_memo_equals_joins_between_for_every_disjoint_pair(
+    tables, edges, mini_db
+):
+    """Over a random bound query -- any table instances, any join predicates,
+    duplicates and same-instance comparisons included -- the builder answers
+    every pair of disjoint alias sets, in both orientations and on a repeated
+    ask, with exactly ``BoundQuery.joins_between``'s predicates in its order."""
+    import itertools
+
+    from repro.engine.optimizer.builder import PlanBuilder
+    from repro.engine.sql.binder import BoundQuery, BoundTable
+
+    catalog = mini_db.catalog
+    names = catalog.table_names
+    assert len(names) == 4
+    bound = [
+        BoundTable(names[table], f"T{position}", catalog.table_schema(names[table]))
+        for position, table in enumerate(tables)
+    ]
+    key = {table.alias: table.schema.columns[0].name for table in bound}
+    query = BoundQuery(
+        sql="",
+        tables=bound,
+        join_predicates=[
+            Comparison(
+                op,
+                ColumnRef(bound[left % len(bound)].alias, key[bound[left % len(bound)].alias]),
+                ColumnRef(bound[right % len(bound)].alias, key[bound[right % len(bound)].alias]),
+            )
+            for left, right, op in edges
+        ],
+    )
+    builder = PlanBuilder(catalog, query)
+    for sides in itertools.product((0, 1, 2), repeat=len(bound)):
+        left = frozenset(t.alias for t, side in zip(bound, sides) if side == 1)
+        right = frozenset(t.alias for t, side in zip(bound, sides) if side == 2)
+        if not left or not right:
+            continue
+        for _ in range(2):
+            assert builder.connecting_predicates(left, right) == tuple(
+                query.joins_between(left, right)
+            )
+            assert builder.connecting_predicates(right, left) == tuple(
+                query.joins_between(right, left)
+            )

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.knowledge_base import CardinalityBounds, KnowledgeBase
 from repro.core.planutils import canonical_label_map, join_tree_root, remap_guideline_document
-from repro.core.transform.sparql_gen import sparql_for_subplan
+from repro.core.transform.sparql_gen import (
+    GeneratedSparql,
+    sparql_for_subplan,
+    variable_maps_for,
+)
 from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_plan, parse_guidelines
 
 SQL = (
@@ -274,3 +278,89 @@ class TestTemplateMatching:
         assert len(matches) == 2
         template_ids = {match.template.template_id for match in matches}
         assert len(template_ids) == 2
+
+
+THREE_WAY = (
+    "SELECT i_category, COUNT(*) FROM sales, item, date_dim "
+    "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk GROUP BY i_category"
+)
+
+
+def deferred_sparql(segment, text_source):
+    """What the matching engine hands ``match``: maps now, text on first read."""
+    node_for_variable, label_variables = variable_maps_for(segment)
+    return GeneratedSparql(
+        text_source=text_source,
+        node_for_variable=node_for_variable,
+        label_variables=label_variables,
+    )
+
+
+def unreadable_sparql(segment):
+    def refuse():
+        raise AssertionError("the SPARQL text was read")
+
+    return deferred_sparql(segment, refuse)
+
+
+class TestIndexBeforeSparql:
+    """``match`` asks the index first and reads ``generated.text`` only when
+    a candidate survives; ``match_brute_force`` always reads it."""
+
+    def test_no_candidate_means_no_text(self, mini_db):
+        kb = KnowledgeBase()
+        make_template(mini_db, kb)  # a 2-table pattern
+        segment = join_tree_root(mini_db.explain(THREE_WAY))
+        assert kb.match(unreadable_sparql(segment), subplan_root=segment) == []
+        assert KnowledgeBase().match(unreadable_sparql(segment), subplan_root=segment) == []
+        assert kb.match_stats == {
+            "queries": 1,
+            "indexed_queries": 1,
+            "candidates_evaluated": 0,
+            "templates_skipped": 1,
+            "index_only_segments": 1,
+        }
+
+    def test_a_candidate_means_the_text_is_read(self, mini_db):
+        kb = KnowledgeBase()
+        _, qgm = make_template(mini_db, kb)
+        segment = join_tree_root(qgm)
+        with pytest.raises(AssertionError, match="SPARQL text was read"):
+            kb.match(unreadable_sparql(segment), subplan_root=segment)
+        assert kb.match_stats["candidates_evaluated"] == 1
+        assert kb.match_stats["index_only_segments"] == 0
+
+    def test_brute_force_reads_the_text_whatever_the_index_says(self, mini_db):
+        kb = KnowledgeBase()
+        make_template(mini_db, kb)
+        segment = join_tree_root(mini_db.explain(THREE_WAY))
+        with pytest.raises(AssertionError, match="SPARQL text was read"):
+            kb.match_brute_force(unreadable_sparql(segment), subplan_root=segment)
+        assert kb.match_stats["indexed_queries"] == 0
+        assert kb.match_stats["index_only_segments"] == 0
+
+    def test_deferred_text_is_written_once_and_matches_like_eager_text(self, mini_db):
+        kb = KnowledgeBase()
+        template, qgm = make_template(mini_db, kb)
+        segment = join_tree_root(qgm)
+        eager = sparql_for_subplan(segment, catalog=mini_db.catalog)
+        reads = []
+
+        def text_source():
+            reads.append(1)
+            return eager.text
+
+        deferred = deferred_sparql(segment, text_source)
+        for _ in range(2):
+            found = kb.match(deferred, subplan_root=segment)
+            expected = kb.match(eager, subplan_root=segment)
+            assert [m.template.template_id for m in found] == [template.template_id]
+            assert [m.label_to_alias for m in found] == [m.label_to_alias for m in expected]
+            assert [m.bindings for m in found] == [m.bindings for m in expected]
+        assert reads == [1]
+
+    def test_exactly_one_of_text_and_text_source(self):
+        with pytest.raises(ValueError):
+            GeneratedSparql()
+        with pytest.raises(ValueError):
+            GeneratedSparql(text="SELECT", text_source=lambda: "SELECT")

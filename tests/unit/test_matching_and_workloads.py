@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.galo import Galo
-from repro.core.knowledge_base import KnowledgeBase
+from repro.core.knowledge_base import KnowledgeBase, SegmentProfile
 from repro.core.matching.engine import MatchingConfig, MatchingEngine
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
+from repro.core.transform.sparql_gen import sparql_for_subplan
 from repro.workloads import (
     build_client_database,
     build_tpcds_database,
@@ -15,6 +16,7 @@ from repro.workloads import (
 )
 from repro.workloads.tpcds.datagen import table_sizes as tpcds_sizes
 from repro.workloads.workload import load_workload
+from tests.prepared_support import MAX_JOINS, WORKLOAD, build_system
 
 FOUR_WAY = (
     "SELECT i_category, o_state, COUNT(*) FROM sales, item, date_dim, outlet "
@@ -91,6 +93,115 @@ class TestMatchingEngine:
         aliases = set(result.guideline_document.aliases())
         assert aliases <= {"SALES", "ITEM", "DATE_DIM", "OUTLET"}
         assert not any(alias.startswith("TABLE_") for alias in aliases)
+
+
+def workload_plans(galo):
+    """The optimizer's plan and three random plans of every workload statement:
+    segments the seeded knowledge base matches, and shapes it has never seen."""
+    plans = []
+    for name, sql in WORKLOAD:
+        plans.append(galo.database.explain(sql, query_name=name))
+        plans.extend(galo.database.random_plans(sql, 3, query_name=name))
+    return plans
+
+
+def eager_sparql(galo, segment):
+    config = galo.matching_engine.config
+    return sparql_for_subplan(
+        segment,
+        catalog=galo.database.catalog,
+        check_row_size=config.check_row_size,
+        cardinality_tolerance=config.cardinality_tolerance,
+    )
+
+
+def eager_match_plan(galo, qgm):
+    """``match_plan`` the long way round: the query text of every segment is
+    written and evaluated against the whole triple store, index unused."""
+    matches, usage_batches, claimed = [], [], set()
+    for segment in reversed(segment_plan(qgm, MAX_JOINS)):
+        aliases = set(segment.aliases())
+        if aliases & claimed:
+            continue
+        found = galo.knowledge_base.match_brute_force(
+            eager_sparql(galo, segment), subplan_root=segment
+        )
+        if not found:
+            continue
+        usage_batches.append(tuple(match.template.name for match in found))
+        matches.append(max(found, key=lambda match: match.template.improvement))
+        claimed |= aliases
+    return matches, tuple(usage_batches)
+
+
+def match_key(match):
+    return (match.template.name, match.label_to_alias, match.subplan_root.operator_id)
+
+
+def usage_by_name(knowledge_base):
+    return {
+        template.name: (
+            knowledge_base.template_usage(template_id).hits,
+            knowledge_base.template_usage(template_id).last_used_tick,
+        )
+        for template_id, template in knowledge_base.templates.items()
+    }
+
+
+class TestIndexBeforeSparql:
+    """The engine hands ``KnowledgeBase.match`` a query whose text is written
+    on first read; nothing a caller can observe depends on when that is."""
+
+    def test_segments_match_like_brute_force_and_count_like_the_index(self):
+        galo = build_system()
+        engine, kb = galo.matching_engine, galo.knowledge_base
+        index_only = segments = 0
+        for qgm in workload_plans(galo):
+            for segment in segment_plan(qgm, MAX_JOINS):
+                eager = eager_sparql(galo, segment)
+                candidates = kb.index.candidates(
+                    SegmentProfile.from_segment_nodes(
+                        list(eager.node_for_variable.values()), eager.cardinality_tolerance
+                    )
+                )
+                before = dict(kb.match_stats)
+                found = kb.match(engine._generated_sparql(segment), subplan_root=segment)
+                assert kb.match_stats == {
+                    "queries": before["queries"] + 1,
+                    "indexed_queries": before["indexed_queries"] + 1,
+                    "candidates_evaluated": before["candidates_evaluated"] + len(candidates),
+                    "templates_skipped": before["templates_skipped"]
+                    + len(kb.templates)
+                    - len(candidates),
+                    "index_only_segments": before["index_only_segments"] + (not candidates),
+                }
+                brute = kb.match_brute_force(eager, subplan_root=segment)
+                assert [m.template.template_id for m in found] == [
+                    m.template.template_id for m in brute
+                ]
+                assert [m.label_to_alias for m in found] == [m.label_to_alias for m in brute]
+                assert [m.bindings for m in found] == [m.bindings for m in brute]
+                segments += 1
+                index_only += not candidates
+        # Both sides of the index's verdict were exercised.
+        assert 0 < index_only < segments
+        assert kb.match_stats["index_only_segments"] == index_only
+        # SPARQL text was looked up only for segments with a candidate.
+        assert engine.sparql_cache_hits + engine.sparql_cache_misses == segments - index_only
+
+    def test_match_plan_and_usage_equal_the_eager_brute_force_flow(self):
+        lazy, eager = build_system(), build_system()
+        for qgm_lazy, qgm_eager in zip(workload_plans(lazy), workload_plans(eager)):
+            matches, batches, _ = lazy.matching_engine._match_plan_recording_usage(qgm_lazy)
+            assert lazy.matching_engine.match_plan(qgm_lazy)[0] == matches
+            expected, expected_batches = eager_match_plan(eager, qgm_eager)
+            # match_plan ran twice on the lazy side: tick the eager side again.
+            eager_match_plan(eager, qgm_eager)
+            assert list(map(match_key, matches)) == list(map(match_key, expected))
+            names = {t.template_id: t.name for t in lazy.knowledge_base.templates.values()}
+            assert tuple(tuple(names[i] for i in batch) for batch in batches) == expected_batches
+        assert any(hits for hits, _ in usage_by_name(lazy.knowledge_base).values())
+        assert usage_by_name(lazy.knowledge_base) == usage_by_name(eager.knowledge_base)
 
 
 class TestWorkloadGenerators:

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.core.matching.segmenter import segment_plan
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder, sargable_column
 from repro.engine.optimizer.cardinality import CardinalityEstimator
+from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_plan
+from repro.engine.optimizer.joinenum import GREEDY_THRESHOLD
+from repro.engine.optimizer.optimizer import Optimizer
 from repro.engine.optimizer.rewrite import rewrite_query
 from repro.engine.plan.physical import PopType
 from repro.engine.sql.binder import bind
 from repro.engine.sql.parser import parse_select
+from repro.workloads import generate_client_queries, generate_tpcds_queries
+from tests.naive_optimizer import naive_optimize, plan_rows
 
 
 def bind_sql(db, sql):
@@ -188,3 +194,118 @@ class TestOptimizer:
         second = mini_db.explain(THREE_WAY)
         assert first.shape_signature() == second.shape_signature()
         assert first.aliases() == second.aliases()
+
+
+# ---------------------------------------------------------------------------
+# The enumerator's alias-set bookkeeping is a pure saving of work: every plan
+# equals the naive oracle's (tests/naive_optimizer.py) node by node.
+# ---------------------------------------------------------------------------
+
+#: Twelve leaves -- still past ``GREEDY_THRESHOLD`` with a two-table forced
+#: fragment, so the greedy heuristic plans it with and around guidelines (a
+#: four-table fragment brings it back under, into the dynamic program).
+TWELVE_WAY = (
+    "SELECT i_category, s_state, COUNT(*) "
+    "FROM store_sales, catalog_sales, web_sales, item, date_dim d1, date_dim d2, "
+    "date_dim d3, customer, customer_address, customer_demographics, store, promotion "
+    "WHERE ss_item_sk = i_item_sk AND cs_item_sk = i_item_sk AND ws_item_sk = i_item_sk "
+    "AND ss_sold_date_sk = d1.d_date_sk AND cs_sold_date_sk = d2.d_date_sk "
+    "AND ws_sold_date_sk = d3.d_date_sk AND ss_customer_sk = c_customer_sk "
+    "AND c_current_addr_sk = ca_address_sk AND ss_cdemo_sk = cd_demo_sk "
+    "AND ss_store_sk = s_store_sk AND ss_promo_sk = p_promo_sk "
+    "AND i_category = 'Music' AND d1.d_year = 2001 GROUP BY i_category, s_state"
+)
+#: Two connected components (sales-item, customer-address) and a lone table.
+DISCONNECTED = (
+    "SELECT i_category, ca_state, COUNT(*) "
+    "FROM store_sales, item, customer, customer_address, promotion "
+    "WHERE ss_item_sk = i_item_sk AND c_current_addr_sk = ca_address_sk "
+    "AND i_category = 'Books' GROUP BY i_category, ca_state"
+)
+
+
+def guideline_documents(database, sql, plans=2, max_joins=3):
+    """Guidelines a knowledge base could recommend for ``sql``.
+
+    A template's guideline is a join-rooted segment of some alternative plan
+    with its table labels mapped onto the query's table instances, so the
+    segments of the query's own random plans are exactly that population:
+    one document per segment, plus one per plan holding all its segments,
+    largest first -- they nest, so every later one overlaps an earlier one.
+    """
+    documents = []
+    for plan in database.random_plans(sql, plans):
+        elements = [
+            guideline_from_plan(segment)
+            for segment in reversed(segment_plan(plan, max_joins=max_joins))
+        ]
+        documents.extend(GuidelineDocument([element]) for element in elements)
+        if len(elements) > 1:
+            documents.append(GuidelineDocument(elements))
+    return documents
+
+
+class TestEnumeratorDifferential:
+    @staticmethod
+    def assert_same_plans(database, statements, bloom=False):
+        optimizer = Optimizer(database.catalog, database.config, consider_bloom_filters=bloom)
+        guided = 0
+        for _, sql in statements:
+            query = bind_sql(database, sql)
+            for document in [None] + guideline_documents(database, sql):
+                expected = naive_optimize(
+                    database, query, guidelines=document, consider_bloom_filters=bloom
+                )
+                actual = optimizer.optimize(query, guidelines=document)
+                assert plan_rows(actual) == plan_rows(expected), sql
+                guided += document is not None
+        return guided
+
+    def test_tpcds_workload_and_generated_pool(self, tiny_tpcds_workload):
+        database = tiny_tpcds_workload.database
+        statements = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
+        assert self.assert_same_plans(database, statements) > len(statements)
+
+    def test_client_workload(self, tiny_client_workload):
+        database = tiny_client_workload.database
+        statements = generate_client_queries(116)
+        assert self.assert_same_plans(database, statements) > len(statements)
+
+    def test_bloom_filter_candidates_keep_their_order(self, tiny_tpcds_workload):
+        self.assert_same_plans(
+            tiny_tpcds_workload.database, generate_tpcds_queries(20), bloom=True
+        )
+
+    def test_greedy_and_disconnected_join_graphs(self, tiny_tpcds_workload):
+        database = tiny_tpcds_workload.database
+        assert len(bind_sql(database, TWELVE_WAY).tables) > GREEDY_THRESHOLD + 2
+        disconnected = database.explain(DISCONNECTED)
+        # The components are stitched with a predicate-less nested loop.
+        assert any(
+            node.is_join and not node.join_predicates for node in disconnected.nodes()
+        )
+        self.assert_same_plans(
+            database, [("twelve-way", TWELVE_WAY), ("disconnected", DISCONNECTED)]
+        )
+
+    def test_overlapping_guidelines_keep_the_first(self, tiny_tpcds_workload):
+        database = tiny_tpcds_workload.database
+        _, sql = tiny_tpcds_workload.queries[0]
+        segments = [
+            segment
+            for plan in database.random_plans(sql, 4)
+            for segment in segment_plan(plan, max_joins=3)
+        ]
+        first, second = next(
+            (a, b)
+            for a in segments
+            for b in segments
+            if a.shape_signature() != b.shape_signature()
+            and set(a.aliases()) & set(b.aliases())
+        )
+        both = GuidelineDocument([guideline_from_plan(first), guideline_from_plan(second)])
+        alone = GuidelineDocument([guideline_from_plan(first)])
+        query = bind_sql(database, sql)
+        assert plan_rows(database.optimizer.optimize(query, guidelines=both)) == plan_rows(
+            database.optimizer.optimize(query, guidelines=alone)
+        )

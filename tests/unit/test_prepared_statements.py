@@ -339,6 +339,11 @@ class TestConcurrentMutation:
         verdict carries the stamp read before it started, which those
         mutations have since advanced past, so it is never replayed; the
         hit-side assertion is what proves that.
+
+        After each round the writer waits (up to the test's deadline) for a
+        reader to report a replayed verdict at the generation it just left,
+        so hits are checked at every generation instead of only where the
+        scheduler happened to fit two requests between two mutations.
         """
         galo = build_system()
         engine = galo.matching_engine
@@ -355,6 +360,8 @@ class TestConcurrentMutation:
             best_at[base + 2 * k - 1] = k
         failures = []
         done = threading.Event()
+        hit_at_current_generation = threading.Event()
+        deadline = time.monotonic() + GUARD_SECONDS
 
         def writer():
             try:
@@ -367,6 +374,10 @@ class TestConcurrentMutation:
                     if previous is not None:
                         kb.evict_template(previous.template_id)
                     previous = added
+                    hit_at_current_generation.clear()
+                    hit_at_current_generation.wait(
+                        timeout=max(0.0, deadline - time.monotonic())
+                    )
             except Exception as exc:  # pragma: no cover - reported below
                 failures.append(repr(exc))
             finally:
@@ -386,11 +397,14 @@ class TestConcurrentMutation:
                     ]
                     rank = max(ranks, default=0)
                     served.append(decision.prepared)
-                    if decision.prepared == "hit" and rank < best_at[generation]:
-                        failures.append(
-                            f"generation {generation}: served rank {rank}, "
-                            f"best was {best_at[generation]} ({decision.prepared})"
-                        )
+                    if decision.prepared == "hit":
+                        if rank < best_at[generation]:
+                            failures.append(
+                                f"generation {generation}: served rank {rank}, "
+                                f"best was {best_at[generation]} ({decision.prepared})"
+                            )
+                        if generation == kb.generation:
+                            hit_at_current_generation.set()
             except Exception as exc:  # pragma: no cover - reported below
                 failures.append(repr(exc))
 
@@ -401,7 +415,6 @@ class TestConcurrentMutation:
             threads.append(threading.Thread(target=writer))
             for thread in threads:
                 thread.start()
-            deadline = time.monotonic() + GUARD_SECONDS
             for thread in threads:
                 thread.join(timeout=max(0.0, deadline - time.monotonic()))
         finally:
