@@ -104,19 +104,18 @@ def test_exp1_workload_memo_speedup(benchmark, settings):
     memo has already seen replays their cold charges instead of recomputing
     them.  This benchmark learns the same workload twice with the
     workload-scoped memo (cold sweep then warm sweep, the measured one) and
-    compares against the per-query memo scope (the pre-workload-memo
-    behaviour) and memo-off; every scope must learn the exact same templates
-    with the exact same improvements.  Acceptance bar: the warm sweep is
-    >= 1.5x faster than the per-query-scope sweep (skipped in tiny mode where
-    the scale is too small for ratios to mean anything).
+    compares against memo-off; both must learn the exact same templates with
+    the exact same improvements.  Acceptance bar: the warm sweep is >= 1.5x
+    faster than the memo-off sweep (skipped in tiny mode where the scale is
+    too small for ratios to mean anything).
     """
     bundle = build_bundle("tpcds", settings)
     database = bundle.workload.database
     queries = bundle.workload.queries[: max(2, settings.learning_query_count // 2)]
 
-    def learn_with(scope, name):
+    def learn_with(use_memo, name):
         config = settings.learning_config()
-        config.memo_scope = scope
+        config.use_workload_memo = use_memo
         galo = Galo(database, knowledge_base=KnowledgeBase(), learning_config=config)
         started = time.perf_counter()
         report = galo.learn(queries, workload_name=name)
@@ -133,218 +132,35 @@ def test_exp1_workload_memo_speedup(benchmark, settings):
         )
 
     # Cold sweep first (fresh database => genuinely cold memo); the warm
-    # sweep is the benchmarked one.  The baselines run last, so any process
-    # warm-up they benefit from biases the ratio *against* the memo.
-    cold_seconds, cold_report = learn_with("workload", "memo-cold")
+    # sweep is the benchmarked one.  The baseline runs last, so any process
+    # warm-up it benefits from biases the ratio *against* the memo.
+    cold_seconds, cold_report = learn_with(True, "memo-cold")
     measured = {}
 
     def warm_learn():
-        seconds, report = learn_with("workload", "memo-warm")
+        seconds, report = learn_with(True, "memo-warm")
         measured["seconds"] = seconds
         return report
 
     warm_report = benchmark.pedantic(warm_learn, rounds=1, iterations=1)
-    query_seconds, query_report = learn_with("query", "memo-query")
-    off_seconds, off_report = learn_with("off", "memo-off")
+    off_seconds, off_report = learn_with(False, "memo-off")
 
     assert (
-        outcome(cold_report)
-        == outcome(warm_report)
-        == outcome(query_report)
-        == outcome(off_report)
-    ), "memo scopes must learn bit-identical outcomes"
+        outcome(cold_report) == outcome(warm_report) == outcome(off_report)
+    ), "memo on and off must learn bit-identical outcomes"
 
     warm_seconds = measured["seconds"]
-    speedup_vs_query = query_seconds / max(warm_seconds, 1e-9)
+    speedup_vs_off = off_seconds / max(warm_seconds, 1e-9)
     benchmark.extra_info["cold_sweep_seconds"] = cold_seconds
     benchmark.extra_info["warm_sweep_seconds"] = warm_seconds
-    benchmark.extra_info["query_scope_seconds"] = query_seconds
     benchmark.extra_info["memo_off_seconds"] = off_seconds
-    benchmark.extra_info["warm_speedup_vs_query_scope"] = speedup_vs_query
-    benchmark.extra_info["warm_speedup_vs_memo_off"] = off_seconds / max(
-        warm_seconds, 1e-9
-    )
+    benchmark.extra_info["warm_speedup_vs_memo_off"] = speedup_vs_off
     benchmark.extra_info["memo_stats"] = dict(database.workload_memo().stats())
     benchmark.extra_info["templates_learned"] = warm_report.template_count
     benchmark.extra_info["tiny_mode"] = bench_tiny_mode()
     if not bench_tiny_mode():
-        assert speedup_vs_query >= 1.5, (
-            f"workload memo warm sweep only {speedup_vs_query:.2f}x the "
-            f"per-query scope"
-        )
-
-
-def test_exp1_columnar_backend_speedup(benchmark, settings):
-    """Learning throughput: numpy column backend vs the plain-list backend.
-
-    Both backends run the identical engine code; only the column
-    representation (typed ndarrays + null masks vs Python lists) differs, so
-    the learned templates and every improvement must be bit-identical.  Each
-    backend pays its own warm-up sweep on a prefix of the workload before the
-    measured sweep, isolating steady-state throughput from one-time costs
-    (imports, typed-view builds, sorted index keys).  Acceptance bar: >= 1.5x
-    at the default bench configuration; in tiny mode only equality is
-    asserted.  Skips entirely when numpy is unavailable (the list fallback's
-    correctness is covered by tier-1).
-    """
-    from repro.engine.columns import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed; list fallback covered by tier-1")
-
-    import dataclasses
-
-    def learn_with(backend):
-        bundle = build_bundle(
-            "tpcds", dataclasses.replace(settings, column_backend=backend)
-        )
-        database = bundle.workload.database
-        queries = bundle.workload.queries[: max(2, settings.learning_query_count // 2)]
-        config = settings.learning_config()
-        warmup = Galo(database, knowledge_base=KnowledgeBase(), learning_config=config)
-        warmup.learn(queries[:2], workload_name=f"columnar-warmup-{backend}")
-        galo = Galo(database, knowledge_base=KnowledgeBase(), learning_config=config)
-        started = time.perf_counter()
-        report = galo.learn(queries, workload_name=f"columnar-{backend}")
-        return time.perf_counter() - started, report
-
-    measured = {}
-
-    def numpy_learn():
-        seconds, report = learn_with("numpy")
-        measured["seconds"] = seconds
-        return report
-
-    report = benchmark.pedantic(numpy_learn, rounds=1, iterations=1)
-    list_seconds, list_report = learn_with("list")
-    speedup = list_seconds / max(measured["seconds"], 1e-9)
-    benchmark.extra_info["column_backend"] = "numpy-vs-list"
-    benchmark.extra_info["numpy_seconds"] = measured["seconds"]
-    benchmark.extra_info["list_seconds"] = list_seconds
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["templates_learned"] = report.template_count
-    benchmark.extra_info["tiny_mode"] = bench_tiny_mode()
-    # Identical learning outcome is non-negotiable regardless of speed.
-    assert report.template_count == list_report.template_count
-    assert sorted(
-        value for record in report.records for value in record.improvements
-    ) == pytest.approx(
-        sorted(value for record in list_report.records for value in record.improvements)
-    )
-    if not bench_tiny_mode():
-        assert speedup >= 1.5, f"numpy backend only {speedup:.2f}x faster"
-
-
-#: Group-by-dominated sweep: single-table scans with the full aggregate
-#: battery over numeric keys (the argsort kernel's home turf).  The cold bar
-#: is measured here, where the group-by operator is the dominant cost.
-GROUPBY_SWEEP_SQLS = [
-    "SELECT ss_item_sk, COUNT(*), SUM(ss_quantity), AVG(ss_sales_price), "
-    "MIN(ss_net_profit), MAX(ss_net_profit) FROM store_sales GROUP BY ss_item_sk",
-    "SELECT ss_sold_date_sk, SUM(ss_sales_price), COUNT(*) FROM store_sales "
-    "GROUP BY ss_sold_date_sk",
-    "SELECT ss_quantity, COUNT(*), SUM(ss_sales_price), AVG(ss_net_profit), "
-    "MIN(ss_net_profit), MAX(ss_net_profit) FROM store_sales GROUP BY ss_quantity",
-]
-
-#: Heavier shapes that ride along for coverage (rows must still be identical)
-#: and join the *warm* measurement, where the memo replays their scans and
-#: joins and the group-by dominates what is recomputed: a two-key grouping
-#: with group counts near the row count, and a join feeding a grouping.
-GROUPBY_WARM_EXTRA_SQLS = [
-    "SELECT ss_item_sk, ss_sold_date_sk, SUM(ss_quantity) FROM store_sales "
-    "GROUP BY ss_item_sk, ss_sold_date_sk",
-    "SELECT d_year, AVG(ss_net_profit) FROM store_sales, date_dim "
-    "WHERE ss_sold_date_sk = d_date_sk GROUP BY d_year",
-]
-
-
-def test_exp1_groupby_kernel_speedup(benchmark, settings):
-    """Group-by-dominated plan sweep: argsort-run kernel vs the per-row loop.
-
-    Two identically seeded databases differing only in
-    ``DbConfig.groupby_kernel`` execute the same optimizer + random plans,
-    cold and again against a warm workload memo (where scans and joins replay
-    from the memo and the group-by operator dominates what is recomputed).
-    Rows must be identical plan-for-plan.  Acceptance bars: >= 1.5x on the
-    cold sweep, >= 1.3x on the memo-warm replay; tiny mode asserts equality
-    only.  Skips without numpy (the kernel cannot engage).
-    """
-    from repro.engine.columns import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed; the group-by kernel cannot engage")
-
-    import dataclasses
-
-    def build(kernel):
-        bundle = build_bundle(
-            "tpcds", dataclasses.replace(settings, groupby_kernel=kernel)
-        )
-        return bundle.workload.database
-
-    def sweep(database, memo, sqls):
-        rows = []
-        seconds = 0.0
-        for sql in sqls:
-            plans = [database.explain(sql)]
-            plans += database.random_plans(sql, settings.random_plans_per_subquery)
-            for qgm in plans:
-                started = time.perf_counter()
-                result = database.execute_plan(qgm, memo=memo)
-                seconds += time.perf_counter() - started
-                rows.append(result.rows)
-        return seconds, rows
-
-    all_sqls = GROUPBY_SWEEP_SQLS + GROUPBY_WARM_EXTRA_SQLS
-    db_on = build(True)
-    db_off = build(False)
-    assert db_on.config.resolved_groupby_kernel()
-    assert not db_off.config.resolved_groupby_kernel()
-
-    measured = {}
-
-    def kernel_cold_sweep():
-        seconds, rows = sweep(db_on, memo=None, sqls=GROUPBY_SWEEP_SQLS)
-        measured["cold_seconds"] = seconds
-        return rows
-
-    # The kernel run goes first: warm-up it pays for (typed views, sorted
-    # index keys, imports) then benefits the loop baseline, biasing the
-    # measured ratio *against* the bars, never for it.
-    on_rows = benchmark.pedantic(kernel_cold_sweep, rounds=1, iterations=1)
-    off_seconds, off_rows = sweep(db_off, memo=None, sqls=GROUPBY_SWEEP_SQLS)
-    assert on_rows == off_rows, "kernel and loop sweeps must return identical rows"
-    # The heavier shapes ride along cold (untimed) for row-level coverage.
-    _, on_extra = sweep(db_on, memo=None, sqls=GROUPBY_WARM_EXTRA_SQLS)
-    _, off_extra = sweep(db_off, memo=None, sqls=GROUPBY_WARM_EXTRA_SQLS)
-    assert on_extra == off_extra
-
-    # Memo-warm replay over the full set: one warming sweep populates each
-    # database's workload memo; the replay then recomputes essentially only
-    # the group-bys (scans and joins come back as memo hits).
-    sweep(db_on, memo=db_on.workload_memo(), sqls=all_sqls)
-    sweep(db_off, memo=db_off.workload_memo(), sqls=all_sqls)
-    on_warm_seconds, on_warm_rows = sweep(db_on, memo=db_on.workload_memo(), sqls=all_sqls)
-    off_warm_seconds, off_warm_rows = sweep(db_off, memo=db_off.workload_memo(), sqls=all_sqls)
-    assert on_warm_rows == off_warm_rows == on_rows + on_extra
-
-    cold_speedup = off_seconds / max(measured["cold_seconds"], 1e-9)
-    warm_speedup = off_warm_seconds / max(on_warm_seconds, 1e-9)
-    benchmark.extra_info["groupby_kernel"] = "on-vs-off"
-    benchmark.extra_info["kernel_cold_seconds"] = measured["cold_seconds"]
-    benchmark.extra_info["loop_cold_seconds"] = off_seconds
-    benchmark.extra_info["cold_speedup"] = cold_speedup
-    benchmark.extra_info["kernel_warm_seconds"] = on_warm_seconds
-    benchmark.extra_info["loop_warm_seconds"] = off_warm_seconds
-    benchmark.extra_info["warm_speedup"] = warm_speedup
-    benchmark.extra_info["tiny_mode"] = bench_tiny_mode()
-    if not bench_tiny_mode():
-        assert cold_speedup >= 1.5, (
-            f"group-by kernel only {cold_speedup:.2f}x on the cold sweep"
-        )
-        assert warm_speedup >= 1.3, (
-            f"group-by kernel only {warm_speedup:.2f}x on the memo-warm replay"
+        assert speedup_vs_off >= 1.5, (
+            f"workload memo warm sweep only {speedup_vs_off:.2f}x memo-off"
         )
 
 

@@ -11,12 +11,12 @@ the resulting ``BENCH_exp1.json`` so the perf trajectory is tracked).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import platform
 import subprocess
 import time
 
+import numpy
 import pytest
 
 from repro.experiments.harness import (
@@ -48,38 +48,9 @@ TINY_SETTINGS = ExperimentSettings(
 )
 
 
-def bench_column_backend() -> str:
-    """Column backend the bench session runs on.
-
-    ``GALO_BENCH_COLUMN_BACKEND`` pins ``"numpy"`` or ``"list"`` (the CI
-    smoke job runs the harness once per value); unset means the engine
-    default (``"auto"``: numpy when importable).
-    """
-    return os.environ.get("GALO_BENCH_COLUMN_BACKEND", "").strip() or "auto"
-
-
-def bench_groupby_kernel() -> bool:
-    """Group-by kernel toggle for the bench session.
-
-    ``GALO_BENCH_GROUPBY_KERNEL=0`` pins the per-row loop (the CI smoke job
-    runs one leg this way); unset/anything else keeps the kernel on.
-    """
-    return os.environ.get("GALO_BENCH_GROUPBY_KERNEL", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
 @pytest.fixture(scope="session")
 def settings() -> ExperimentSettings:
-    chosen = TINY_SETTINGS if bench_tiny_mode() else BENCH_SETTINGS
-    backend = bench_column_backend()
-    if backend != "auto":
-        chosen = dataclasses.replace(chosen, column_backend=backend)
-    if not bench_groupby_kernel():
-        chosen = dataclasses.replace(chosen, groupby_kernel=False)
-    return chosen
+    return TINY_SETTINGS if bench_tiny_mode() else BENCH_SETTINGS
 
 
 def _git_revision() -> str:
@@ -98,21 +69,13 @@ def _git_revision() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def _numpy_version() -> str:
-    try:
-        import numpy
-    except ImportError:
-        return "absent"
-    return numpy.__version__
-
-
 #: Provenance stamped into every BENCH_*.json record: comparing qps across
 #: commits is only meaningful when the records say what produced them.
 BENCH_PROVENANCE = {
     "git_sha": _git_revision(),
     "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     "python_version": platform.python_version(),
-    "numpy_version": _numpy_version(),
+    "numpy_version": numpy.__version__,
     "cpu_count": os.cpu_count(),
 }
 
@@ -120,25 +83,14 @@ BENCH_PROVENANCE = {
 @pytest.fixture(autouse=True)
 def record_engine_config(request):
     """Stamp every benchmark's JSON record with run provenance (git SHA,
-    timestamp, interpreter/numpy versions, core count) plus the resolved
-    column backend and group-by kernel flag, so perf trajectories are
-    comparable per leg and attributable per commit."""
+    timestamp, interpreter/numpy versions, core count), so perf trajectories
+    are attributable per commit."""
     yield
     benchmark = request.node.funcargs.get("benchmark") if hasattr(request.node, "funcargs") else None
     if benchmark is None:
         return
     for key, value in BENCH_PROVENANCE.items():
         benchmark.extra_info.setdefault(key, value)
-    from repro.engine.config import DbConfig
-
-    config = DbConfig(
-        column_backend=bench_column_backend(),
-        groupby_kernel=bench_groupby_kernel(),
-    )
-    if "column_backend" not in benchmark.extra_info:
-        benchmark.extra_info["column_backend"] = config.resolved_column_backend()
-    if "groupby_kernel" not in benchmark.extra_info:
-        benchmark.extra_info["groupby_kernel"] = config.resolved_groupby_kernel()
 
 
 @pytest.fixture(scope="session")

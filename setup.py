@@ -1,10 +1,17 @@
-"""Setuptools shim.
+"""Packaging: the ``repro`` package lives under ``src/`` and requires NumPy.
 
-The project is configured through ``pyproject.toml``; this file exists so that
-legacy editable installs (``pip install -e . --no-use-pep517``) work in offline
-environments whose setuptools predates PEP 660 editable wheels.
+Kept as a plain ``setup.py`` so that legacy editable installs
+(``pip install -e . --no-use-pep517``) work in offline environments whose
+setuptools predates PEP 660 editable wheels.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+)

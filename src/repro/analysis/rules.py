@@ -363,12 +363,13 @@ class DeterminismRule(Rule):
 
 #: Functions that ARE the declared decline-to-oracle / boundary paths --
 #: dict-based probe loops the engine deliberately keeps (PR 6 / ROADMAP
-#: item 2), row-dict materialization at the plan boundary, and list-backend
+#: item 2), row-dict materialization at the plan boundary, and plain-list
 #: fallbacks.  Per-row loops are their whole point.  Entries naming no
 #: function in the analyzed kernels are themselves findings (dead entries).
 GL002_ORACLE_FUNCTIONS = frozenset(
     {
-        # columns.py: list-backend gather/materialization fallbacks
+        # columns.py: gather/materialization of plain-list columns (the
+        # output of declined kernels and of ``Batch.from_rows``)
         "gather",
         "python_values",
         # vectorized.py: row-dict boundaries at the plan edge

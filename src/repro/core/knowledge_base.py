@@ -332,9 +332,6 @@ class KnowledgeBase:
         #: template id -> the template's own triples, so candidate templates
         #: can be evaluated in isolation instead of against the whole graph.
         self._template_graphs: Dict[str, Graph] = {}
-        #: True when ``load`` restored the index from ``template_index.json``
-        #: instead of rebuilding it from the triple store.
-        self.index_loaded_from_cache = False
         self._parsed_queries = LruCache(self.PARSE_CACHE_SIZE)
         #: Matching observability: how much work the index saved.  Guarded by
         #: ``_stats_lock``: parallel re-optimization calls ``match`` from
@@ -1076,9 +1073,6 @@ class KnowledgeBase:
 
     # ------------------------------------------------------------------
 
-    #: On-disk format version of ``template_index.json``.
-    INDEX_FORMAT_VERSION = 1
-
     #: Checkpoint commit-point file: written last by :meth:`save`, carrying a
     #: monotonic version stamp.  Cross-process readers treat a version bump as
     #: "a complete new checkpoint is on disk".
@@ -1127,9 +1121,8 @@ class KnowledgeBase:
         os.replace(temp_path, path)
 
     def save(self, directory: str) -> int:
-        """Persist the knowledge base (N-Triples graph + JSON template registry
-        + the :class:`TemplateIndex` buckets, so ``load`` skips the rebuild
-        scan over the triple store).  Each file is written atomically (temp +
+        """Persist the knowledge base (N-Triples graph, JSON template registry,
+        guard state, version stamp).  Each file is written atomically (temp +
         rename); a successful save clears :attr:`dirty`.
 
         The version file is written last as the cross-process commit point,
@@ -1148,13 +1141,6 @@ class KnowledgeBase:
                 + 1
             )
             self._write_atomic(path / "knowledge_base.nt", self.graph.to_ntriples())
-            self._write_atomic(
-                path / "template_index.json",
-                json.dumps(self._index_payload(), indent=2, sort_keys=True),
-            )
-            # The registry is written before the version file: a crash mid-save
-            # leaves load() failing loudly on the missing/old registry rather
-            # than silently pairing a fresh registry with a stale index.
             registry = {
                 template_id: template.to_dict()
                 for template_id, template in self.templates.items()
@@ -1188,82 +1174,13 @@ class KnowledgeBase:
             self._dirty = False
         return next_version
 
-    def _index_payload(self) -> dict:
-        """Serializable form of the index profiles + per-template subjects."""
-        templates: Dict[str, dict] = {}
-        for template_id in self.templates:
-            profile = self.index.profile(template_id)
-            subgraph = self._template_graphs[template_id]
-            subjects = sorted({triple.subject.value for triple in subgraph})
-            templates[template_id] = {
-                "join_count": profile.join_count,
-                "scan_count": profile.scan_count,
-                "pop_type_counts": profile.pop_type_counts,
-                "bounds_by_type": {
-                    pop_type: [list(bounds) for bounds in ranges]
-                    for pop_type, ranges in profile.bounds_by_type.items()
-                },
-                "subjects": subjects,
-                # Content check: a stale index whose template ids happen to
-                # match the registry is still rejected when the reconstructed
-                # subgraph differs in size.
-                "triple_count": len(subgraph),
-            }
-        return {"version": self.INDEX_FORMAT_VERSION, "templates": templates}
-
-    def _load_index_payload(self, payload: dict) -> bool:
-        """Restore index + template subgraphs from a persisted payload.
-
-        Returns False (leaving the knowledge base untouched) when the payload
-        does not match the loaded registry, so ``load`` can fall back to the
-        full :meth:`rebuild_index` scan.
-        """
-        if payload.get("version") != self.INDEX_FORMAT_VERSION:
-            return False
-        entries = payload.get("templates", {})
-        if set(entries) != set(self.templates):
-            return False
-        subgraphs: Dict[str, Graph] = {}
-        profiles: List[TemplateProfile] = []
-        for template_id, entry in entries.items():
-            subgraph = Graph()
-            for subject_value in entry["subjects"]:
-                for triple in self.graph.triples(IRI(subject_value), None, None):
-                    subgraph.add(triple)
-            if not len(subgraph):
-                return False
-            if len(subgraph) != entry.get("triple_count"):
-                return False
-            subgraphs[template_id] = subgraph
-            profiles.append(
-                TemplateProfile(
-                    template_id=template_id,
-                    join_count=entry["join_count"],
-                    scan_count=entry["scan_count"],
-                    pop_type_counts=dict(entry["pop_type_counts"]),
-                    bounds_by_type={
-                        pop_type: [tuple(bounds) for bounds in ranges]
-                        for pop_type, ranges in entry["bounds_by_type"].items()
-                    },
-                )
-            )
-        with self._write_lock:
-            self.index.clear()
-            self._template_graphs = subgraphs
-            for profile in profiles:
-                self.index.add(profile)
-            self.generation += 1
-        return True
-
     @classmethod
     def load(cls, directory: str) -> "KnowledgeBase":
         """Load a knowledge base previously written by :meth:`save`.
 
-        When the persisted ``template_index.json`` is present and consistent
-        with the registry, the index buckets and per-template subgraphs are
-        restored from it directly (per-subject lookups against the already
-        indexed triple store); otherwise the index is rebuilt by scanning the
-        store's ``inTemplate`` links (:meth:`rebuild_index`).
+        The index buckets and per-template subgraphs are not persisted; they
+        are rebuilt from the store's ``inTemplate`` links
+        (:meth:`rebuild_index`).
         """
         path = Path(directory)
         kb = cls()
@@ -1297,16 +1214,7 @@ class KnowledgeBase:
                 kb._guard_records = {}
                 kb._feature_mean = []
                 kb._feature_count = 0
-        kb.index_loaded_from_cache = False
-        index_path = path / "template_index.json"
-        if index_path.exists():
-            try:
-                payload = json.loads(index_path.read_text(encoding="utf-8"))
-                kb.index_loaded_from_cache = kb._load_index_payload(payload)
-            except (ValueError, KeyError, TypeError, AttributeError):
-                kb.index_loaded_from_cache = False
-        if not kb.index_loaded_from_cache:
-            kb.rebuild_index()
+        kb.rebuild_index()
         return kb
 
 

@@ -39,7 +39,6 @@ from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_
 from repro.engine.plan.explain import explain_summary
 from repro.engine.plan.physical import PlanNode, Qgm
 from repro.engine.sql.binder import BoundQuery
-from repro.errors import LearningError
 from repro.obs.tracing import NULL_SPAN
 
 
@@ -69,14 +68,12 @@ class LearningConfig:
     validate_on_parent: bool = True
     #: Minimum whole-query improvement required by the parent validation.
     parent_improvement_threshold: float = 0.05
-    #: Execution-memo scope for plan evaluation: ``"workload"`` (default)
-    #: shares the database's epoch-invalidated memo across every
-    #: ``learn_query`` of a sweep (sub-queries repeat *across* workload
-    #: queries, not just within one), ``"query"`` uses a fresh memo per
-    #: ``learn_query`` (the pre-workload-memo behaviour), ``"off"`` disables
-    #: memoization.  All three produce bit-identical learning outcomes; the
-    #: scopes only trade memory for speed.
-    memo_scope: str = "workload"
+    #: Evaluate plans through the database's epoch-invalidated workload memo,
+    #: shared across every ``learn_query`` of a sweep (sub-queries repeat
+    #: *across* workload queries, not just within one).  Learning outcomes
+    #: are bit-identical either way (cold-charge rule); disable only to
+    #: benchmark the memo itself.
+    use_workload_memo: bool = True
 
 
 @dataclass
@@ -217,10 +214,10 @@ class LearningEngine:
         # The optimizer's plan, every random plan variant and the
         # parent-validation runs all re-scan (and re-join) the same tables,
         # so structurally identical subtrees execute once and replay their
-        # cold charges into each plan.  The default scope is the database's
-        # workload memo: sub-plans repeat across the queries of a sweep, and
-        # the epoch check guarantees entries never survive a data change.
-        memo = self._memo_for_scope()
+        # cold charges into each plan.  The memo is the database's workload
+        # memo: sub-plans repeat across the queries of a sweep, and the epoch
+        # check guarantees entries never survive a data change.
+        memo = self.database.workload_memo() if self.config.use_workload_memo else None
         parent_context: Optional[_ParentContext] = None
         if self.config.validate_on_parent:
             with span.child("validate_parent"):
@@ -261,20 +258,6 @@ class LearningEngine:
             templates_learned=templates,
             improvements=improvements,
         )
-
-    def _memo_for_scope(self) -> Optional[ExecutionMemo]:
-        scope = self.config.memo_scope
-        if scope == "workload":
-            return self.database.workload_memo()
-        if scope == "query":
-            return ExecutionMemo()
-        if scope == "off":
-            return None
-        raise LearningError(
-            f"unknown memo_scope {scope!r}; expected 'workload', 'query' or 'off'"
-        )
-
-    # ------------------------------------------------------------------
 
     def _analyze_subquery(
         self,

@@ -53,8 +53,6 @@ class MatchingConfig:
     #: them again.  Results are bit-identical either way (cold-charge rule);
     #: disable only to benchmark the memo itself.
     use_workload_memo: bool = True
-    #: Reuse generated SPARQL text across structurally identical segments.
-    cache_segment_sparql: bool = True
     #: Default worker count for ``reoptimize_workload`` (1 = serial).
     parallelism: int = 1
 
@@ -202,8 +200,6 @@ class MatchingEngine:
             check_row_size=self.config.check_row_size,
             cardinality_tolerance=self.config.cardinality_tolerance,
         )
-        if not self.config.cache_segment_sparql:
-            return sparql_for_subplan(segment, **options).text
         key = segment_cache_key(segment, **options)
         text = self._sparql_cache.get(key)
         if text is None:

@@ -5,8 +5,8 @@ holds per column.  It is *sequence-compatible* with the plain Python lists it
 replaces -- ``len``, ``[i]``, iteration and ``append`` all behave identically
 and always yield plain Python values (``None`` for SQL NULL) -- so the row
 engine, the statistics collector and every existing caller keep working
-unchanged.  On top of that, when the ``"numpy"`` backend is active, a column
-exposes a lazily built **typed view** via :meth:`ColumnVector.arrays`:
+unchanged.  On top of that a column exposes a lazily built **typed view** via
+:meth:`ColumnVector.arrays`:
 
 * INTEGER / DATE columns -> ``int64`` array, DECIMAL -> ``float64``,
   VARCHAR (and anything that does not fit its dtype, e.g. out-of-int64-range
@@ -30,25 +30,15 @@ Representation invariant for gathered (executor-internal) columns: a **typed
 (non-object) ndarray never contains NULLs** -- :func:`gather` widens to an
 ``object`` array with embedded ``None`` the moment a NULL is selected.
 Downstream code can therefore treat any numeric ndarray as null-free.
-
-The module imports cleanly without numpy installed: :data:`HAVE_NUMPY` is
-False, every column silently uses the ``"list"`` backend, and
-:func:`resolve_backend` refuses an explicit ``"numpy"`` request loudly.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.types import DataType
-from repro.errors import CatalogError
-
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 #: Typed view of a column: ``(values array, null mask or None)``.  The mask is
 #: ``None`` when the column holds no NULLs.
@@ -62,40 +52,13 @@ _NUMPY_DTYPES = {
 }
 
 
-def resolve_backend(name: str) -> str:
-    """Resolve a ``DbConfig.column_backend`` value to ``"numpy"`` or ``"list"``.
-
-    ``"auto"`` (the default) picks numpy when it is importable and falls back
-    to plain lists otherwise; an explicit ``"numpy"`` without numpy installed
-    is a configuration error, not a silent downgrade.
-    """
-    if name == "auto":
-        return "numpy" if HAVE_NUMPY else "list"
-    if name == "numpy":
-        if not HAVE_NUMPY:
-            raise CatalogError(
-                'column_backend="numpy" requested but numpy is not installed '
-                '(use "auto" or "list")'
-            )
-        return "numpy"
-    if name == "list":
-        return "list"
-    raise CatalogError(f"unknown column_backend {name!r}")
-
-
 class ColumnVector:
     """One table column: a Python value list plus a lazy typed-array view."""
 
-    __slots__ = ("data_type", "backend", "_values", "_typed")
+    __slots__ = ("data_type", "_values", "_typed")
 
-    def __init__(
-        self,
-        data_type: DataType,
-        backend: str = "list",
-        values: Optional[Iterable[Any]] = None,
-    ):
+    def __init__(self, data_type: DataType, values: Optional[Iterable[Any]] = None):
         self.data_type = data_type
-        self.backend = backend
         self._values: List[Any] = list(values) if values is not None else []
         #: Cached ``(array, mask)`` view; None = not built since last append.
         self._typed: Optional[TypedArrays] = None
@@ -112,10 +75,7 @@ class ColumnVector:
         return iter(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnVector({self.data_type.value}, backend={self.backend!r}, "
-            f"n={len(self._values)})"
-        )
+        return f"ColumnVector({self.data_type.value}, n={len(self._values)})"
 
     def __eq__(self, other: Any) -> bool:
         """Value equality against other columns or plain sequences."""
@@ -139,8 +99,8 @@ class ColumnVector:
 
     # -- typed view ----------------------------------------------------------
 
-    def arrays(self) -> Optional[TypedArrays]:
-        """``(typed array, null mask)`` under the numpy backend, else None.
+    def arrays(self) -> TypedArrays:
+        """The ``(typed array, null mask)`` view of this column.
 
         The view is rebuilt lazily after appends.  A column whose values do
         not fit the schema dtype (e.g. integers beyond int64) degrades to an
@@ -148,8 +108,6 @@ class ColumnVector:
         then declines it and the closure path takes over, preserving exact
         Python comparison semantics.
         """
-        if self.backend != "numpy" or np is None:
-            return None
         if self._typed is None:
             self._typed = self._build_typed()
         return self._typed
@@ -204,24 +162,18 @@ def gather(values: Sequence[Any], picks: Sequence[int]) -> Sequence[Any]:
     ``None`` whenever a NULL is selected, keeping the null-free invariant for
     numeric arrays) and a plain list otherwise.
     """
-    if np is not None:
-        if isinstance(values, ColumnVector):
-            pair = values.arrays()
-            if pair is not None:
-                array, mask = pair
-                index = as_index_array(picks)
-                out = array[index]
-                if mask is not None and array.dtype != object:
-                    taken_mask = mask[index]
-                    if taken_mask.any():
-                        out = out.astype(object)
-                        out[taken_mask] = None
-                return out
-            values = values.tolist()
-        elif isinstance(values, np.ndarray):
-            return values[as_index_array(picks)]
-    elif isinstance(values, ColumnVector):
-        values = values.tolist()
+    if isinstance(values, ColumnVector):
+        array, mask = values.arrays()
+        index = as_index_array(picks)
+        out = array[index]
+        if mask is not None and array.dtype != object:
+            taken_mask = mask[index]
+            if taken_mask.any():
+                out = out.astype(object)
+                out[taken_mask] = None
+        return out
+    if isinstance(values, np.ndarray):
+        return values[as_index_array(picks)]
     return [values[p] for p in picks]
 
 
@@ -236,7 +188,7 @@ def python_values(
     """
     if isinstance(values, ColumnVector):
         values = values.tolist()
-    elif np is not None and isinstance(values, np.ndarray):
+    elif isinstance(values, np.ndarray):
         if picks is not None:
             return values[as_index_array(picks)].tolist()
         return values.tolist()
@@ -254,13 +206,8 @@ def numeric_array(values: Sequence[Any]) -> Optional[Any]:
     array; anything else -- object dtype, NULL-bearing, plain lists -- takes
     the element-wise fallback, which is the behavioral oracle.
     """
-    if np is None:
-        return None
     if isinstance(values, ColumnVector):
-        pair = values.arrays()
-        if pair is None:
-            return None
-        array, mask = pair
+        array, mask = values.arrays()
         if array.dtype == object or (mask is not None and mask.any()):
             return None
         return array
@@ -271,7 +218,7 @@ def numeric_array(values: Sequence[Any]) -> Optional[Any]:
 
 def nbytes_of(values: Any) -> int:
     """Estimated payload bytes of one column/positions payload (memo sizing)."""
-    if np is not None and isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
         if values.dtype == object:
             return int(values.size) * 32
         return int(values.nbytes)

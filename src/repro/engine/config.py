@@ -15,7 +15,8 @@ is too optimistic relative to random I/O, reproducing the Figure 7 pattern).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any
 
 
 @dataclass
@@ -41,11 +42,6 @@ class DbConfig:
         Runtime-simulation constants (simulated milliseconds).
     run_spill_page_cost:
         Cost per page spilled to temp by sorts / hash joins at runtime.
-    nljoin_inner_cache:
-        Fraction of repeated inner index lookups that hit cache at runtime.
-    default_cluster_ratio:
-        Cluster ratio assumed by the optimizer for an index when the catalog
-        does not know better (real indexes carry a measured ratio).
     noise_seed / noise_level:
         Parameters of the multiplicative measurement noise added by the
         ``db2batch`` runner (the ranking module must filter this noise out,
@@ -62,23 +58,6 @@ class DbConfig:
     #: runtime metrics and simulated elapsed times; see
     #: :mod:`repro.engine.executor.vectorized`.
     executor: str = "vectorized"
-
-    #: Column storage/execution representation: ``"numpy"`` (typed int64 /
-    #: float64 / object arrays with explicit null masks; predicates, scans,
-    #: joins and sorts run as whole-array kernels), ``"list"`` (plain Python
-    #: lists, element-wise evaluation) or ``"auto"`` (numpy when importable,
-    #: list otherwise -- the default, so the engine runs without numpy).
-    #: Both backends are bit-identical in rows, metrics and ``elapsed_ms``;
-    #: see :mod:`repro.engine.columns`.
-    column_backend: str = "auto"
-
-    #: Vectorized group-by kernel: when True (default) the batch executor
-    #: aggregates over argsort-grouped runs of typed key columns instead of
-    #: the per-row ``setdefault`` loop.  Exists as a knob so the benchmarks
-    #: can measure the kernel against the loop; both paths are bit-identical
-    #: (the kernel declines to the loop for object/NULL/NaN keys and for the
-    #: list column backend).
-    groupby_kernel: bool = True
 
     # --- optimizer cost model (timerons) ---
     opt_seq_page_cost: float = 1.0
@@ -97,43 +76,13 @@ class DbConfig:
     run_hash_build_row_cost: float = 0.0022
     run_hash_probe_row_cost: float = 0.0012
     run_spill_page_cost: float = 0.9
-    run_bloom_probe_row_cost: float = 0.0004
-
-    nljoin_inner_cache: float = 0.35
-    default_cluster_ratio: float = 0.95
 
     noise_seed: int = 7
     noise_level: float = 0.06
 
-    #: When an execution span is active (serving tier traced a request),
-    #: record per-plan-node child spans -- operator timings, row counts,
-    #: memo hit/miss deltas.  Off, the executors still run under the request
-    #: "execute" span but emit no node-level detail.  Has no effect unless
-    #: the caller installed an execution span, so the default is free.
-    trace_execution: bool = True
-
-    # join-number threshold used by GALO when segmenting queries; kept here
-    # because both the engine's explain tooling and GALO read it.
-    max_join_threshold: int = 4
-
-    def with_overrides(self, **kwargs: float) -> "DbConfig":
+    def with_overrides(self, **kwargs: Any) -> "DbConfig":
         """Return a copy of this configuration with ``kwargs`` replaced."""
         return replace(self, **kwargs)
-
-    def resolved_column_backend(self) -> str:
-        """``column_backend`` with ``"auto"`` resolved (``"numpy"``/``"list"``)."""
-        from repro.engine.columns import resolve_backend
-
-        return resolve_backend(self.column_backend)
-
-    def resolved_groupby_kernel(self) -> bool:
-        """Whether the vectorized group-by kernel can actually engage.
-
-        True only when the knob is on *and* the resolved column backend is
-        ``"numpy"`` -- list-backed columns never produce the typed arrays the
-        kernel requires, so it declines to the loop on every expression.
-        """
-        return bool(self.groupby_kernel) and self.resolved_column_backend() == "numpy"
 
 
 DEFAULT_CONFIG = DbConfig()

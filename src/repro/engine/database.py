@@ -225,11 +225,10 @@ class Database:
         :mod:`repro.engine.executor.memo`; ignored by the row engine).
 
         ``span`` (a recording :class:`repro.obs.Span`) activates per-node
-        child spans for this execution when ``DbConfig.trace_execution`` is
-        on; tracing only reads runtime state, so the result is bit-identical
-        either way.
+        child spans for this execution; tracing only reads runtime state, so
+        the result is bit-identical either way.
         """
-        if span is not None and span.recording and self.config.trace_execution:
+        if span is not None and span.recording:
             with execution_tracing(span):
                 return self.executor.execute(qgm, memo=memo)
         return self.executor.execute(qgm, memo=memo)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Tuple
 
-from repro.engine.columns import np
+import numpy as np
 
 #: Traces shorter than this replay through the plain loop: below a few dozen
 #: pages the ndarray round trip costs more than it saves.
@@ -81,10 +81,9 @@ class BufferPool:
         accounting); everything else takes the inlined per-page loop -- the
         oracle the array path is validated against.
         """
-        if np is not None:
-            misses = self._access_many_array(table, pages)
-            if misses is not None:
-                return misses
+        misses = self._access_many_array(table, pages)
+        if misses is not None:
+            return misses
         resident = self._pages
         capacity = self.capacity
         popitem = resident.popitem

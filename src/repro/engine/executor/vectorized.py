@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.catalog import Catalog
 from repro.engine.columns import (
     as_index_array,
     gather,
-    np,
     numeric_array,
     python_values,
 )
@@ -119,13 +120,7 @@ class Batch:
     def take(self, picks: Sequence[int]) -> "Batch":
         """A new batch holding the rows at batch-relative ``picks``."""
         if self.sel is not None:
-            sel = self.sel
-            if np is not None and (
-                isinstance(sel, np.ndarray) or isinstance(picks, np.ndarray)
-            ):
-                return Batch(self.columns, as_index_array(sel)[as_index_array(picks)])
-            # galolint: disable=GL002 -- list-backend decline path (no numpy)
-            return Batch(self.columns, [sel[p] for p in picks])
+            return Batch(self.columns, as_index_array(self.sel)[as_index_array(picks)])
         return Batch(
             {key: gather(values, picks) for key, values in self.columns.items()},
             None,
@@ -148,23 +143,9 @@ class Batch:
 
 def _gather_columns(batch: Batch, picks: Sequence[int]) -> Dict[str, Sequence[Any]]:
     """Materialize every column of ``batch`` at batch-relative ``picks``."""
-    columns: Dict[str, Sequence[Any]] = {}
-    sel = batch.sel
-    if sel is None:
-        for key, values in batch.columns.items():
-            columns[key] = gather(values, picks)
-        return columns
-    if np is not None and (
-        isinstance(sel, np.ndarray) or isinstance(picks, np.ndarray)
-    ):
-        absolute = as_index_array(sel)[as_index_array(picks)]
-        for key, values in batch.columns.items():
-            columns[key] = gather(values, absolute)
-        return columns
-    for key, values in batch.columns.items():
-        # galolint: disable=GL002 -- list-backend decline path (no numpy)
-        columns[key] = [values[sel[p]] for p in picks]
-    return columns
+    if batch.sel is not None:
+        picks = as_index_array(batch.sel)[as_index_array(picks)]
+    return {key: gather(values, picks) for key, values in batch.columns.items()}
 
 
 def _merge_batches(
@@ -181,14 +162,9 @@ def _merge_batches(
 
 def _cross_picks(outer_count: int, inner_count: int) -> Tuple[Sequence[int], Sequence[int]]:
     """Cross-product pick vectors in (outer-major, build-order) row order."""
-    if np is not None:
-        outer_range = np.arange(outer_count, dtype=np.intp)
-        inner_range = np.arange(inner_count, dtype=np.intp)
-        return np.repeat(outer_range, inner_count), np.tile(inner_range, outer_count)
-    inner_range = range(inner_count)
-    outer_picks = [op for op in range(outer_count) for _ in inner_range]
-    inner_picks = list(inner_range) * outer_count
-    return outer_picks, inner_picks
+    outer_range = np.arange(outer_count, dtype=np.intp)
+    inner_range = np.arange(inner_count, dtype=np.intp)
+    return np.repeat(outer_range, inner_count), np.tile(inner_range, outer_count)
 
 
 class _KeyGroups:
@@ -891,8 +867,6 @@ class VectorizedExecutor:
         the grouping is a pure function of the child's batch, exactly like
         the hash-build dict it replaces.
         """
-        if np is None:
-            return None
         aux_key = None
         if memo is not None:
             child_key = self._memo_key(node)
@@ -1586,7 +1560,7 @@ class VectorizedExecutor:
                         f"aggregate {aggregate}({column.key}) references a column "
                         f"missing from the grouped input"
                     )
-        if length and np is not None and self.config.groupby_kernel:
+        if length:
             out_rows = self._grouped_rows_vectorized(node, child_batch, keys, aggregates, memo)
             if out_rows is not None:
                 return Batch.from_rows(out_rows)
@@ -1646,8 +1620,8 @@ class VectorizedExecutor:
         *sequentially* within each run in input order, so float summation
         order (and with it every output bit) matches the row engine's
         ``sum()``.  Returns None to decline to the oracle loop -- object
-        dtype, NULL-bearing or NaN keys, list-backed columns -- and declines
-        per expression the same way without giving up the grouped layout.
+        dtype, NULL-bearing or NaN keys -- and declines per expression the
+        same way without giving up the grouped layout.
         """
         length = batch.length
         child = node.inputs[0]
@@ -1706,11 +1680,11 @@ class VectorizedExecutor:
         """Stable (lex)argsort run structure of the group-key columns.
 
         Returns ``(order, starts, stops)`` in the :class:`_KeyGroups` layout,
-        or None when any key column declines (object dtype, NULLs, NaNs, list
-        backend).  A single key shares the join kernels' aux-cached
-        ``("kgroups", ...)`` grouping; multi-key tuples lexsort with the
-        first key primary and cache per memoized child the same way.  NaN
-        keys decline because the dict path groups them by object identity.
+        or None when any key column declines (object dtype, NULLs, NaNs).  A
+        single key shares the join kernels' aux-cached ``("kgroups", ...)``
+        grouping; multi-key tuples lexsort with the first key primary and
+        cache per memoized child the same way.  NaN keys decline because the
+        dict path groups them by object identity.
         """
         if len(keys) == 1:
             groups = self._key_groups(batch, child, keys[0].key, memo)

@@ -21,7 +21,7 @@ Three evaluation forms exist:
   mask over the backing arrays, which the filter then gathers at the given
   positions.  The mask form is attempted first and silently declines --
   per expression, at runtime -- whenever a referenced column has no typed
-  view (list backend, object dtype, missing column) or an operand is
+  view (plain list, object dtype, missing column) or an operand is
   non-numeric, falling back to the closure form.  Both forms accept exactly
   the same rows in the same order; NULLs are excluded through the columns'
   explicit null masks, mirroring the ``NULL``-rejects-everything rule.
@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.columns import ColumnVector, as_index_array, np
+import numpy as np
+
+from repro.engine.columns import ColumnVector, as_index_array
 
 Row = Dict[str, Any]
 
@@ -307,16 +309,12 @@ class CompiledPredicate:
         Callers must treat the returned array as read-only: IS NULL masks may
         alias a column's own null mask.
         """
-        if self._mask is None or np is None:
+        if self._mask is None:
             return None
         return self._mask(columns)
 
     def filter(self, columns: Columns, positions: Sequence[int]) -> Sequence[int]:
-        if (
-            self._mask is not None
-            and np is not None
-            and len(positions) >= _MIN_MASK_POSITIONS
-        ):
+        if self._mask is not None and len(positions) >= _MIN_MASK_POSITIONS:
             mask = self._mask(columns)
             if mask is not None:
                 index = as_index_array(positions)
@@ -564,12 +562,12 @@ def _typed_view(values: Any) -> Optional[Tuple[Any, Optional[Any]]]:
     """``(array, null mask)`` of a column, or None when it has no typed view.
 
     Accepts the storage-backed :class:`~repro.engine.columns.ColumnVector`
-    (typed view + mask under the numpy backend) and raw non-object ndarrays
-    (executor-gathered columns, null-free by construction).
+    (typed view + mask) and raw non-object ndarrays (executor-gathered
+    columns, null-free by construction).
     """
     if isinstance(values, ColumnVector):
         return values.arrays()
-    if np is not None and isinstance(values, np.ndarray) and values.dtype != object:
+    if isinstance(values, np.ndarray) and values.dtype != object:
         return values, None
     return None
 
@@ -709,12 +707,9 @@ def _compile_mask(predicate: Predicate) -> Optional[MaskFn]:
     """Vectorized mask form of ``predicate`` (None = shape not vectorizable).
 
     Unlike the closure form this can also *decline at runtime* (the returned
-    function yields None) when the columns it meets carry no typed view --
-    list backend, object dtype, missing column -- so one compiled predicate
-    serves every backend.
+    function yields None) when the columns it meets carry no usable typed
+    view -- plain list, object dtype, missing column.
     """
-    if np is None:
-        return None
     if isinstance(predicate, Comparison):
         return _mask_comparison(predicate)
     if isinstance(predicate, Between):
@@ -777,8 +772,6 @@ def conjunction_mask(
     nested-loop join to qualify residual predicates once for the whole inner
     table instead of once per probe value.
     """
-    if np is None or not predicates:
-        return None
     result = None
     for predicate in predicates:
         mask = compile_predicate(predicate).mask(columns)

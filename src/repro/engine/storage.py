@@ -2,12 +2,12 @@
 
 Rows are stored column-wise as :class:`repro.engine.columns.ColumnVector`
 objects: a plain Python value list (the authoritative, sequence-compatible
-representation every existing caller sees) plus, under the ``"numpy"``
-column backend, a lazily built typed ndarray + null-mask view that the
-vectorized executor and predicate compiler consume directly.  Single-column
-hash indexes map a key value to the list of row positions holding it; a
-*cluster ratio* records how well the physical row order follows the index
-order, which the runtime simulator uses to model random-I/O flooding.
+representation every existing caller sees) plus a lazily built typed ndarray
+and null-mask view that the vectorized executor and predicate compiler
+consume directly.  Single-column hash indexes map a key value to the list of
+row positions holding it; a *cluster ratio* records how well the physical row
+order follows the index order, which the runtime simulator uses to model
+random-I/O flooding.
 
 Index builds and the cached sorted-key range probes use ``np.argsort`` /
 ``np.searchsorted`` when the column has a clean numeric typed view; the
@@ -21,7 +21,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.engine.columns import ColumnVector, np
+import numpy as np
+
+from repro.engine.columns import ColumnVector
 from repro.engine.config import DbConfig
 from repro.engine.schema import Index, TableSchema
 from repro.engine.types import coerce_value
@@ -33,9 +35,9 @@ class IndexData:
     """Materialized hash index: key value -> sorted list of row ids.
 
     Range probes use a lazily built sorted key list plus, when the keys are
-    numeric and numpy is active, a ``searchsorted``-ready cache of the keys
-    and their concatenated row ids; both are invalidated whenever rows are
-    inserted (``TableData`` appends to the index entries).
+    numeric, a ``searchsorted``-ready cache of the keys and their concatenated
+    row ids; both are invalidated whenever rows are inserted (``TableData``
+    appends to the index entries).
     """
 
     definition: Index
@@ -67,8 +69,6 @@ class IndexData:
 
     def _build_range_cache(self) -> Optional[tuple]:
         """``searchsorted`` probe cache for numeric keys (None = use bisect)."""
-        if np is None:
-            return None
         keys = self.sorted_keys()
         if not keys or not all(isinstance(key, (int, float)) for key in keys):
             return None
@@ -136,10 +136,8 @@ class TableData:
     def __init__(self, schema: TableSchema, config: Optional[DbConfig] = None):
         self.schema = schema
         self.config = config or DbConfig()
-        self.column_backend = self.config.resolved_column_backend()
         self._columns: Dict[str, ColumnVector] = {
-            column.name: ColumnVector(column.data_type, self.column_backend)
-            for column in schema.columns
+            column.name: ColumnVector(column.data_type) for column in schema.columns
         }
         self._indexes: Dict[str, IndexData] = {}
         self._row_count = 0
@@ -196,10 +194,7 @@ class TableData:
         (``tolist``), per-key row ids ascend (stable sort), and NULL rows form
         the ``None`` entry -- exactly what the element-wise build produces.
         """
-        pair = values.arrays() if isinstance(values, ColumnVector) else None
-        if pair is None:
-            return None
-        array, mask = pair
+        array, mask = values.arrays()
         if array.dtype == object:
             return None
         if mask is not None:

@@ -48,14 +48,6 @@ class ExperimentSettings:
     random_plans_per_subquery: int = 5
     max_variants: int = 2
     improvement_threshold: float = 0.15
-    #: Column storage backend for the built databases: ``None`` keeps the
-    #: engine default (``DbConfig.column_backend = "auto"``); the backend
-    #: benchmarks pin ``"numpy"`` / ``"list"`` explicitly.
-    column_backend: Optional[str] = None
-    #: Vectorized group-by kernel toggle: ``None`` keeps the engine default
-    #: (on); the kernel benchmarks pin True/False to measure the argsort-run
-    #: aggregation against the per-row loop on identical workloads.
-    groupby_kernel: Optional[bool] = None
 
     def learning_config(self) -> LearningConfig:
         return LearningConfig(
@@ -92,22 +84,11 @@ def build_bundle(
     query_count = (
         settings.tpcds_query_count if workload_name.startswith("tpc") else settings.client_query_count
     )
-    config = None
-    if settings.column_backend is not None or settings.groupby_kernel is not None:
-        from repro.engine.config import DbConfig
-
-        overrides = {}
-        if settings.column_backend is not None:
-            overrides["column_backend"] = settings.column_backend
-        if settings.groupby_kernel is not None:
-            overrides["groupby_kernel"] = settings.groupby_kernel
-        config = DbConfig(**overrides)
     workload = load_workload(
         workload_name,
         scale=settings.scale,
         seed=settings.seed,
         query_count=query_count,
-        config=config,
     )
     galo = Galo(
         workload.database,

@@ -5,9 +5,8 @@ step, KB checkpoint, ...); each trace is a tree of :class:`Span` objects timed
 on ``time.perf_counter()``.  Finished traces land in the tracer's
 :class:`~repro.obs.store.TraceStore` as plain JSON-able dicts.
 
-Enabling is a config switch (``ServiceConfig.tracing_enabled`` for the
-serving tier, ``DbConfig.trace_execution`` for executor-level node spans);
-the default is the :data:`NULL_TRACER`, whose spans are one shared no-op
+Enabling is a config switch (``ServiceConfig.tracing_enabled``; a traced
+request also gets executor-level node spans); the default is the :data:`NULL_TRACER`, whose spans are one shared no-op
 singleton -- instrumentation sites never branch on "is tracing on", they just
 talk to whatever span they were handed.
 

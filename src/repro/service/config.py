@@ -92,7 +92,7 @@ class ServiceConfig:
     kb_capacity: Optional[int] = None
     #: Online KB checkpointing: with both fields set, the learner thread
     #: snapshots the knowledge base (``knowledge_base.nt``,
-    #: ``template_index.json``, ``templates.json``) to
+    #: ``templates.json``, ``guard_state.json``, ``checkpoint.json``) to
     #: ``kb_checkpoint_directory`` at most every
     #: ``kb_checkpoint_interval_seconds`` -- atomically (each file written to
     #: a temp name and renamed) and only when the KB mutated since the last

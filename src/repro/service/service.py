@@ -436,7 +436,7 @@ class GaloService:
 
         ``request_id`` is the id returned on the :class:`ServiceResponse`;
         the rendering shows every stage's offset and duration, down to
-        per-operator executor spans when ``DbConfig.trace_execution`` is on.
+        per-operator executor spans.
         """
         if self.trace_store is None:
             return None

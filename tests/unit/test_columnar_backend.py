@@ -1,29 +1,29 @@
-"""NumPy columnar backend: typed columns, vectorized predicates, differential
+"""NumPy-backed columns: typed views, vectorized predicates, differential
 equality, memo byte budgets, KB checkpointing and the metrics exposition.
 
-The contract under test is the same one the vectorized engine carries against
-the row engine: with ``DbConfig.column_backend = "numpy"`` every result --
-rows (values *and* dict key order), per-operator actual cardinalities, every
-``RuntimeMetrics`` counter and the simulated ``elapsed_ms`` -- is
-bit-identical to the ``"list"`` backend and to the row-engine oracle, over
+The contract under test is the one the vectorized engine carries against the
+row engine (which reads the columns' Python value lists, never the typed
+views): every result -- rows (values *and* dict key order), per-operator
+actual cardinalities, every ``RuntimeMetrics`` counter and the simulated
+``elapsed_ms`` -- is bit-identical to the row-engine oracle, over
 optimizer-chosen and randomized plans, including NULL-bearing and string
-columns.  The satellites of the same PR ride along: byte-budgeted memo
-eviction, the knowledge-base checkpoint timer and
-``ServiceMetrics.render_prometheus``.
+columns.  Byte-budgeted memo eviction, the knowledge-base checkpoint timer
+and ``ServiceMetrics.render_prometheus`` are tested here too.
 """
 
 import asyncio
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
-from repro.engine.columns import HAVE_NUMPY, ColumnVector, gather, numeric_array, python_values, resolve_backend
+from repro.engine.columns import ColumnVector, gather, numeric_array, python_values
 from repro.engine.config import DbConfig
 from repro.engine.database import Database
-from repro.engine.executor import ExecutionMemo, Executor, VectorizedExecutor
+from repro.engine.executor import ExecutionMemo
 from repro.engine.executor.memo import MemoEntry
 from repro.engine.expressions import (
     And,
@@ -39,13 +39,10 @@ from repro.engine.expressions import (
 )
 from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
-from repro.errors import CatalogError
 from repro.service import GaloService, ServiceConfig, ServiceMetrics
 
 from tests.conftest import build_mini_database
-from tests.unit.test_vectorized_executor import MINI_SQLS, assert_identical
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from tests.unit.test_vectorized_executor import MINI_SQLS, run_differential
 
 GUARD_SECONDS = 30.0
 
@@ -75,9 +72,9 @@ NULLABLE_SQLS = [
 ]
 
 
-def build_nullable_database(backend: str) -> Database:
+def build_nullable_database() -> Database:
     """Two tables exercising NULL join keys, string keys and NULL predicates."""
-    db = Database(config=DbConfig(column_backend=backend))
+    db = Database()
     db.create_table(
         make_schema(
             "NULLFACT",
@@ -133,75 +130,49 @@ def build_nullable_database(backend: str) -> Database:
 
 
 class TestColumnVector:
-    def test_resolve_backend(self):
-        assert resolve_backend("list") == "list"
-        if HAVE_NUMPY:
-            assert resolve_backend("auto") == "numpy"
-            assert resolve_backend("numpy") == "numpy"
-        else:
-            assert resolve_backend("auto") == "list"
-            with pytest.raises(CatalogError):
-                resolve_backend("numpy")
-        with pytest.raises(CatalogError):
-            resolve_backend("pandas")
-
     def test_sequence_protocol_matches_list(self):
-        column = ColumnVector(DataType.INTEGER, "list", [1, None, 3])
+        column = ColumnVector(DataType.INTEGER, [1, None, 3])
         assert len(column) == 3
         assert column[1] is None
         assert list(column) == [1, None, 3]
         column.append(4)
         assert column == [1, None, 3, 4]
 
-    def test_list_backend_has_no_typed_view(self):
-        assert ColumnVector(DataType.INTEGER, "list", [1, 2]).arrays() is None
-
-    @requires_numpy
     def test_dtypes_and_null_masks(self):
-        import numpy as np
-
-        ints = ColumnVector(DataType.INTEGER, "numpy", [1, None, 3]).arrays()
+        ints = ColumnVector(DataType.INTEGER, [1, None, 3]).arrays()
         assert ints[0].dtype == np.int64
         assert ints[0].tolist() == [1, 0, 3]  # 0 at masked slots
         assert ints[1].tolist() == [False, True, False]
-        dates = ColumnVector(DataType.DATE, "numpy", [10, 20]).arrays()
+        dates = ColumnVector(DataType.DATE, [10, 20]).arrays()
         assert dates[0].dtype == np.int64 and dates[1] is None
-        decs = ColumnVector(DataType.DECIMAL, "numpy", [1.5, None]).arrays()
+        decs = ColumnVector(DataType.DECIMAL, [1.5, None]).arrays()
         assert decs[0].dtype == np.float64
-        strs = ColumnVector(DataType.VARCHAR, "numpy", ["x", None]).arrays()
+        strs = ColumnVector(DataType.VARCHAR, ["x", None]).arrays()
         assert strs[0].dtype == object
         assert strs[0][1] is None and strs[1].tolist() == [False, True]
 
-    @requires_numpy
     def test_append_invalidates_typed_view(self):
-        column = ColumnVector(DataType.INTEGER, "numpy", [1, 2])
+        column = ColumnVector(DataType.INTEGER, [1, 2])
         first, _ = column.arrays()
         column.append(3)
         second, _ = column.arrays()
         assert first is not second
         assert second.tolist() == [1, 2, 3]
 
-    @requires_numpy
     def test_out_of_range_integers_degrade_to_object(self):
-        column = ColumnVector(DataType.INTEGER, "numpy", [1, 2 ** 70])
+        column = ColumnVector(DataType.INTEGER, [1, 2 ** 70])
         array, _ = column.arrays()
         assert array.dtype == object
         assert numeric_array(column) is None
 
-    @requires_numpy
     def test_gather_widens_to_object_only_when_nulls_selected(self):
-        import numpy as np
-
-        column = ColumnVector(DataType.INTEGER, "numpy", [1, None, 3, 4])
+        column = ColumnVector(DataType.INTEGER, [1, None, 3, 4])
         no_nulls = gather(column, np.array([0, 2, 3]))
         assert no_nulls.dtype == np.int64 and no_nulls.tolist() == [1, 3, 4]
         with_null = gather(column, np.array([0, 1]))
         assert with_null.dtype == object and with_null.tolist() == [1, None]
 
-    @requires_numpy
     def test_python_values_yields_plain_scalars(self):
-        import numpy as np
-
         out = python_values(np.array([1, 2, 3]), [2, 0])
         assert out == [3, 1] and all(type(v) is int for v in out)
 
@@ -211,7 +182,6 @@ class TestColumnVector:
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 class TestPredicateMasks:
     REF = ColumnRef("t", "v")
     STR_REF = ColumnRef("t", "s")
@@ -219,10 +189,10 @@ class TestPredicateMasks:
     def columns(self):
         return {
             "t.v": ColumnVector(
-                DataType.INTEGER, "numpy", [5, None, 12, 7, None, 40, 12, 0]
+                DataType.INTEGER, [5, None, 12, 7, None, 40, 12, 0]
             ),
             "t.s": ColumnVector(
-                DataType.VARCHAR, "numpy", ["a", "b", None, "a", "c", None, "b", "a"]
+                DataType.VARCHAR, ["a", "b", None, "a", "c", None, "b", "a"]
             ),
         }
 
@@ -254,8 +224,6 @@ class TestPredicateMasks:
         columns = self.columns()
         compiled = compile_predicate(Comparison(">", self.REF, Literal(3)))
         scrambled = [6, 0, 3, 5, 2]
-        import numpy as np
-
         out = compiled.filter(columns, np.asarray(scrambled * 7))  # above min size
         assert list(out)[: len(scrambled)] == [6, 0, 3, 5, 2]
 
@@ -266,7 +234,9 @@ class TestPredicateMasks:
         assert list(compiled.filter(columns, range(8))) == [0, 3, 7]
 
     def test_list_backend_declines_at_runtime(self):
-        columns = {"t.v": ColumnVector(DataType.INTEGER, "list", [1, 2, 3])}
+        """A plain list column (what a declined kernel hands on) has no typed
+        view: the mask form declines and the closure filters."""
+        columns = {"t.v": [1, 2, 3]}
         compiled = compile_predicate(Comparison(">", self.REF, Literal(1)))
         assert compiled.mask(columns) is None
         assert list(compiled.filter(columns, range(3))) == [1, 2]
@@ -290,74 +260,47 @@ class TestPredicateMasks:
 
 
 # ---------------------------------------------------------------------------
-# Differential: numpy backend vs list backend vs row-engine oracle
+# Differential: row-engine oracle vs vectorized vs vectorized + workload memo
 # ---------------------------------------------------------------------------
 
 
-def run_backend_differential(make_db, sqls, random_plans_per_query=4):
-    """Execute plans through (backend x engine); assert four-way equality.
-
-    The row engine on the list backend is the original oracle; the same rows,
-    cardinalities, metric counters and elapsed_ms must come out of the row
-    engine over numpy storage and the vectorized engine over both backends.
-    """
-    backends = ["list"] + (["numpy"] if HAVE_NUMPY else [])
-    databases = {backend: make_db(backend) for backend in backends}
-    reference_db = databases["list"]
-    checked = 0
-    for sql in sqls:
-        plans = [reference_db.explain(sql)]
-        plans += reference_db.random_plans(sql, random_plans_per_query)
-        for qgm in plans:
-            reference = Executor(reference_db.catalog, reference_db.config).execute(
-                qgm.copy()
-            )
-            for backend, db in databases.items():
-                row_result = Executor(db.catalog, db.config).execute(qgm.copy())
-                assert_identical(reference, row_result, f"row/{backend}: {sql}")
-                vec_result = VectorizedExecutor(db.catalog, db.config).execute(
-                    qgm.copy()
-                )
-                assert_identical(reference, vec_result, f"vectorized/{backend}: {sql}")
-                memo_result = VectorizedExecutor(db.catalog, db.config).execute(
-                    qgm.copy(), memo=db.workload_memo()
-                )
-                assert_identical(reference, memo_result, f"memoized/{backend}: {sql}")
-            checked += 1
+def run_backend_differential(db, sqls, random_plans_per_query=4):
+    """Row-engine oracle vs the vectorized engine, cold and then through the
+    database's workload memo: rows, cardinalities, metric counters and
+    elapsed_ms must be equal both times."""
+    checked = run_differential(db, sqls, random_plans_per_query)
+    run_differential(db, sqls, random_plans_per_query, memo=db.workload_memo())
     return checked
 
 
 class TestBackendDifferential:
     def test_mini_schema_plans_identical(self):
         checked = run_backend_differential(
-            lambda backend: build_mini_database(
-                sales_rows=3000, config=DbConfig(column_backend=backend)
-            ),
-            MINI_SQLS,
+            build_mini_database(sales_rows=3000), MINI_SQLS
         )
         assert checked >= len(MINI_SQLS)
 
     def test_null_and_string_plans_identical(self):
-        checked = run_backend_differential(build_nullable_database, NULLABLE_SQLS)
+        checked = run_backend_differential(build_nullable_database(), NULLABLE_SQLS)
         assert checked >= len(NULLABLE_SQLS)
 
-    @requires_numpy
     def test_result_rows_are_json_serializable(self):
         import json
 
-        db = build_nullable_database("numpy")
+        db = build_nullable_database()
         for sql in NULLABLE_SQLS[:4]:
             result = db.execute_sql(sql)
             json.dumps(result.rows)  # numpy scalars would raise TypeError
 
-    @requires_numpy
     def test_learning_outcome_identical_across_backends(self, mini_queries):
+        """The learner sees the typed views only through the vectorized
+        engine; the row engine over the same columns is the reference."""
         from repro.core.learning.engine import LearningConfig
 
         reports = {}
-        for backend in ("numpy", "list"):
+        for engine in ("row", "vectorized"):
             db = build_mini_database(
-                sales_rows=1500, config=DbConfig(column_backend=backend)
+                sales_rows=1500, config=DbConfig(executor=engine)
             )
             galo = Galo(
                 db,
@@ -366,42 +309,39 @@ class TestBackendDifferential:
                     max_joins=2, random_plans_per_subquery=2, max_variants=1
                 ),
             )
-            reports[backend] = galo.learn(
-                mini_queries[:2], workload_name=f"backend-{backend}"
+            reports[engine] = galo.learn(
+                mini_queries[:2], workload_name=f"engine-{engine}"
             )
         assert (
-            reports["numpy"].template_count == reports["list"].template_count
+            reports["row"].template_count == reports["vectorized"].template_count
         )
         improvements = {
-            backend: sorted(
+            engine: sorted(
                 value for record in report.records for value in record.improvements
             )
-            for backend, report in reports.items()
+            for engine, report in reports.items()
         }
-        assert improvements["numpy"] == improvements["list"]
+        assert improvements["row"] == improvements["vectorized"]
 
 
 class TestIndexRangeBackends:
-    @requires_numpy
     def test_lookup_range_parity_with_duplicates_and_nulls(self):
         values = [5, 3, None, 5, 1, 9, None, 3, 9, 9, None, 0]
-        results = {}
-        for backend in ("numpy", "list"):
-            db = Database(config=DbConfig(column_backend=backend))
-            db.create_table(
-                make_schema(
-                    "T",
-                    [("v", DataType.INTEGER)],
-                    [Index("T_V", "T", "v")],
-                )
+        db = Database()
+        db.create_table(
+            make_schema("T", [("v", DataType.INTEGER)], [Index("T_V", "T", "v")])
+        )
+        db.load_rows("T", [{"v": value} for value in values])
+        index = db.catalog.table_data("T").index("T_V")
+        for low, high in [(3, 9), (None, 4), (4, None), (None, None), (7, 2)]:
+            brute_force = sorted(
+                row_id
+                for row_id, value in enumerate(values)
+                if value is not None
+                and (low is None or value >= low)
+                and (high is None or value <= high)
             )
-            db.load_rows("T", [{"v": value} for value in values])
-            index = db.catalog.table_data("T").index("T_V")
-            results[backend] = [
-                index.lookup_range(low, high)
-                for low, high in [(3, 9), (None, 4), (4, None), (None, None), (7, 2)]
-            ]
-        assert results["numpy"] == results["list"]
+            assert index.lookup_range(low, high) == brute_force, (low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +442,6 @@ class TestMemoByteBudget:
         assert memo.max_bytes == Database.WORKLOAD_MEMO_MAX_BYTES
         assert memo.pinned().max_bytes == Database.WORKLOAD_MEMO_MAX_BYTES
 
-    @requires_numpy
     def test_real_execution_accumulates_bytes(self):
         db = build_mini_database(sales_rows=1000)
         memo = db.workload_memo()
@@ -546,7 +485,6 @@ class TestKbCheckpointing:
             "checkpoint.json",  # version stamp, written last as commit point
             "guard_state.json",
             "knowledge_base.nt",
-            "template_index.json",
             "templates.json",
         ]  # atomic writes leave no .tmp files behind
         evicted_id = next(iter(kb.templates))
@@ -558,7 +496,6 @@ class TestKbCheckpointing:
         kb.save(str(tmp_path))
         restored = KnowledgeBase.load(str(tmp_path))
         assert sorted(restored.templates) == sorted(kb.templates)
-        assert restored.index_loaded_from_cache
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

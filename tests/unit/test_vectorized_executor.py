@@ -11,7 +11,6 @@ full equality.
 
 import pytest
 
-from repro.engine.columns import HAVE_NUMPY
 from repro.engine.config import DbConfig
 from repro.engine.database import Database
 from repro.engine.executor import (
@@ -115,9 +114,9 @@ class TestMiniDifferential:
 
 # ---------------------------------------------------------------------------
 # Group-by kernel differential: every aggregate over typed, NULL-bearing,
-# string and empty inputs, four ways (row/vectorized x numpy/list), cold and
-# memoized.  The argsort-run kernel must be invisible; where it declines
-# (object dtype, NULL keys) the setdefault loop is the oracle either way.
+# string and empty inputs, row engine vs vectorized, cold and memoized.  The
+# argsort-run kernel must be invisible; where it declines (object dtype, NULL
+# keys) the setdefault loop takes over.
 # ---------------------------------------------------------------------------
 
 GROUPBY_SQLS = [
@@ -143,14 +142,9 @@ GROUPBY_SQLS = [
     "SELECT COUNT(*), SUM(g_price) FROM gempty",
 ]
 
-GROUPBY_BACKENDS = ["numpy", "list"] if HAVE_NUMPY else ["list"]
-
-
-def build_groupby_database(backend: str, groupby_kernel: bool = True) -> Database:
+def build_groupby_database() -> Database:
     """One fact table covering every kernel path plus an empty table."""
-    db = Database(
-        config=DbConfig(column_backend=backend, groupby_kernel=groupby_kernel)
-    )
+    db = Database()
     db.create_table(
         make_schema(
             "GFACT",
@@ -195,41 +189,32 @@ def build_groupby_database(backend: str, groupby_kernel: bool = True) -> Databas
 
 
 class TestGroupByDifferential:
-    @pytest.mark.parametrize("backend", GROUPBY_BACKENDS)
-    def test_cold_plans_identical(self, backend):
-        db = build_groupby_database(backend)
+    def test_cold_plans_identical(self):
+        db = build_groupby_database()
         checked = run_differential(db, GROUPBY_SQLS, random_plans_per_query=3)
         assert checked >= len(GROUPBY_SQLS)
 
-    @pytest.mark.parametrize("backend", GROUPBY_BACKENDS)
-    def test_memoized_plans_identical(self, backend):
-        db = build_groupby_database(backend)
+    def test_memoized_plans_identical(self):
+        db = build_groupby_database()
         memo = ExecutionMemo()
         run_differential(db, GROUPBY_SQLS, random_plans_per_query=3, memo=memo)
         assert memo.hits > 0
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_kernel_off_matches_kernel_on(self):
-        on = build_groupby_database("numpy")
-        off = build_groupby_database("numpy", groupby_kernel=False)
-        assert on.config.resolved_groupby_kernel()
-        assert not off.config.resolved_groupby_kernel()
-        for sql in GROUPBY_SQLS:
-            assert_identical(off.execute_sql(sql), on.execute_sql(sql), context=sql)
+    def test_kernel_off_matches_kernel_on(self, monkeypatch):
+        """Forcing every group-by to decline (the loop path on its own) gives
+        the results the kernel gives."""
+        db = build_groupby_database()
+        on = [db.execute_sql(sql) for sql in GROUPBY_SQLS]
+        monkeypatch.setattr(
+            VectorizedExecutor, "_grouped_rows_vectorized", lambda *args: None
+        )
+        for sql, kernel_result in zip(GROUPBY_SQLS, on):
+            assert_identical(db.execute_sql(sql), kernel_result, context=sql)
 
-    def test_kernel_resolution_gates_on_backend(self):
-        assert DbConfig(column_backend="list").resolved_groupby_kernel() is False
-        if HAVE_NUMPY:
-            assert DbConfig(column_backend="numpy").resolved_groupby_kernel()
-            assert not DbConfig(
-                column_backend="numpy", groupby_kernel=False
-            ).resolved_groupby_kernel()
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_kernel_engages_and_declines_where_expected(self, monkeypatch):
         """Guard against the differential passing vacuously: the suite must
         actually drive both the argsort kernel and the decline-to-loop path."""
-        db = build_groupby_database("numpy")
+        db = build_groupby_database()
         outcomes = []
         original = VectorizedExecutor._grouped_rows_vectorized
 
@@ -260,7 +245,7 @@ class TestMissingAggregateColumn:
         return qgm
 
     def test_engines_raise_identically(self):
-        db = build_groupby_database(GROUPBY_BACKENDS[0])
+        db = build_groupby_database()
         messages = []
         for engine_cls in (Executor, VectorizedExecutor):
             engine = engine_cls(db.catalog, db.config)
@@ -273,7 +258,7 @@ class TestMissingAggregateColumn:
     def test_missing_group_key_still_yields_nulls(self):
         """Group *keys* keep the row engine's row.get() NULL-fill semantics;
         only aggregate inputs are strict."""
-        db = build_groupby_database(GROUPBY_BACKENDS[0])
+        db = build_groupby_database()
         qgm = db.explain(self.SQL)
         for node in qgm.nodes():
             if node.properties.get("group_by"):

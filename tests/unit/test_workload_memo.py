@@ -13,8 +13,6 @@ functions of storage, so they survive re-collections mid-sweep.
 
 import pytest
 
-from repro.engine.columns import HAVE_NUMPY
-
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.learning.engine import LearningConfig
@@ -24,7 +22,6 @@ from repro.engine.database import Database
 from repro.engine.executor import ExecutionMemo, Executor, MemoEntry, VectorizedExecutor
 from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
-from repro.errors import LearningError
 
 JOIN_SQLS = [
     "SELECT i_category, COUNT(*) FROM sales, item "
@@ -306,10 +303,7 @@ class TestEpochInvalidation:
         aux_hits_before = memo.aux_hits
         result = engine.execute(mini_db.explain(JOIN_SQLS[1]), memo=memo)
         assert memo.hits > hits_before
-        if HAVE_NUMPY:
-            # Without numpy there are no vectorized kernels consulting the
-            # aux cache; whole-subtree memo hits short-circuit past it.
-            assert memo.aux_hits > aux_hits_before
+        assert memo.aux_hits > aux_hits_before
         reference = Executor(mini_db.catalog, mini_db.config).execute(
             mini_db.explain(JOIN_SQLS[1])
         )
@@ -326,7 +320,7 @@ class TestEpochInvalidation:
 
 class TestLearningMemoScopes:
     @staticmethod
-    def _outcome(database, queries, scope):
+    def _outcome(database, queries, use_memo):
         galo = Galo(
             database,
             knowledge_base=KnowledgeBase(),
@@ -334,10 +328,10 @@ class TestLearningMemoScopes:
                 max_joins=2,
                 random_plans_per_subquery=3,
                 max_variants=2,
-                memo_scope=scope,
+                use_workload_memo=use_memo,
             ),
         )
-        report = galo.learn(queries, workload_name=f"memo-{scope}")
+        report = galo.learn(queries, workload_name=f"memo-{use_memo}")
         names = sorted(
             template.name.split(":", 1)[1]
             for template in galo.knowledge_base.all_templates()
@@ -351,23 +345,12 @@ class TestLearningMemoScopes:
 
     @pytest.mark.slow
     def test_scopes_learn_identically(self, mini_db, mini_queries):
-        """Workload-scoped, per-query and disabled memos must all learn the
-        exact same templates with the exact same improvements."""
-        outcomes = {
-            scope: self._outcome(mini_db, mini_queries, scope)
-            for scope in ("workload", "query", "off")
-        }
-        assert outcomes["workload"] == outcomes["query"] == outcomes["off"]
-        assert outcomes["workload"][0] > 0, "sweep should learn something"
-
-    def test_unknown_scope_rejected(self, mini_db):
-        galo = Galo(
-            mini_db,
-            knowledge_base=KnowledgeBase(),
-            learning_config=LearningConfig(memo_scope="banana"),
-        )
-        with pytest.raises(LearningError):
-            galo.learn_query("SELECT COUNT(*) FROM outlet", query_name="q")
+        """Workload-scoped memo or none (``use_workload_memo``): the learner
+        must find the exact same templates with the exact same improvements."""
+        with_memo = self._outcome(mini_db, mini_queries, True)
+        without_memo = self._outcome(mini_db, mini_queries, False)
+        assert with_memo == without_memo
+        assert with_memo[0] > 0, "sweep should learn something"
 
 
 class TestOnlineTierMeasurement:
