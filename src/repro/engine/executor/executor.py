@@ -152,8 +152,9 @@ def index_qualifying_row_ids(node: PlanNode, index_data, alias: str) -> List[int
         return index_data.lookup_range(range_low, range_high)
     # No sargable predicate: full index scan in key order.
     row_ids = []
-    for key in sorted(index_data.entries.keys(), key=lambda k: (k is None, str(k), k if isinstance(k, (int, float)) else 0)):
-        row_ids.extend(index_data.entries[key])
+    entries = index_data.entries
+    for key in index_data.scan_order():
+        row_ids.extend(entries[key])
     return row_ids
 
 

@@ -35,7 +35,7 @@ from repro.engine.plan.physical import (
     table_scan,
 )
 from repro.engine.schema import Index
-from repro.engine.sql.binder import BoundQuery
+from repro.engine.sql.binder import BoundQuery, BoundTable
 from repro.errors import PlanError
 
 
@@ -230,6 +230,49 @@ class PlanBuilder:
     def join_predicates_between(self, outer: PlanNode, inner: PlanNode) -> Tuple[Comparison, ...]:
         return self.connecting_predicates(self.aliases_of(outer), self.aliases_of(inner))
 
+    def join_cost(
+        self,
+        join_type: PopType,
+        outer: PlanNode,
+        inner: PlanNode,
+        join_predicates: Tuple[Comparison, ...],
+        output_rows: float,
+        bloom_filter: bool = False,
+    ) -> float:
+        """Cumulative cost of joining two annotated inputs, without building anything.
+
+        The join enumerator prices every candidate of a pair through this and
+        ``make_join`` annotates the node it builds through this, so a priced
+        candidate and the built node carry the same float: the same
+        expressions, evaluated in the same order.
+        """
+        outer_rows = outer.estimated_cardinality
+        inner_rows = inner.estimated_cardinality
+        outer_cost = outer.estimated_cost
+        inner_cost = inner.estimated_cost
+        if join_type is PopType.MSJOIN:
+            outer_cost = self._merge_input_cost(
+                outer, self._join_key_for(self.aliases_of(outer), join_predicates)
+            )
+            inner_cost = self._merge_input_cost(
+                inner, self._join_key_for(self.aliases_of(inner), join_predicates)
+            )
+            operator_cost = self.cost_model.merge_join_cost(
+                outer_rows, inner_rows, output_rows, outer_sorted=True, inner_sorted=True
+            )
+        elif join_type is PopType.HSJOIN:
+            operator_cost = self.cost_model.hash_join_cost(
+                outer_rows, inner_rows, output_rows, bloom_filter=bloom_filter
+            )
+        elif join_type is PopType.NLJOIN:
+            resolved = self._nljoin_lookup(inner, self.aliases_of(inner), join_predicates)
+            operator_cost = self.cost_model.nested_loop_join_cost(
+                outer_rows, self._nljoin_lookup_cost(inner, resolved), output_rows
+            )
+        else:
+            raise PlanError(f"{join_type} is not a join operator")
+        return outer_cost + inner_cost + operator_cost
+
     def make_join(
         self,
         join_type: PopType,
@@ -241,8 +284,8 @@ class PlanBuilder:
         """Build and annotate a join node over two annotated inputs.
 
         ``join_predicates`` lets a caller that already resolved the connecting
-        predicates (the join enumerator does, once per pair, before building
-        every candidate) skip the lookup; the predicates are a pure function
+        predicates (the join enumerator does, once per pair, before pricing
+        its candidates) skip the lookup; the predicates are a pure function
         of the two input subtrees, so passing them is an optimization, never
         a semantic change.
         """
@@ -253,42 +296,32 @@ class PlanBuilder:
         output_rows = self.estimator.join_cardinality(
             outer.estimated_cardinality, inner.estimated_cardinality, join_predicates
         )
+        estimated_cost = self.join_cost(
+            join_type, outer, inner, join_predicates, output_rows, bloom_filter
+        )
 
         if join_type is PopType.MSJOIN:
             outer = self._sorted_for_merge(outer, outer_aliases, join_predicates)
             inner = self._sorted_for_merge(inner, inner_aliases, join_predicates)
-            operator_cost = self.cost_model.merge_join_cost(
-                outer.estimated_cardinality,
-                inner.estimated_cardinality,
-                output_rows,
-                outer_sorted=True,
-                inner_sorted=True,
-            )
-        elif join_type is PopType.HSJOIN:
-            operator_cost = self.cost_model.hash_join_cost(
-                outer.estimated_cardinality,
-                inner.estimated_cardinality,
-                output_rows,
-                bloom_filter=bloom_filter,
-            )
         elif join_type is PopType.NLJOIN:
             inner = self._prepare_nljoin_inner(inner, inner_aliases, join_predicates)
-            lookup_cost = self._nljoin_lookup_cost(inner, inner_aliases, join_predicates)
-            operator_cost = self.cost_model.nested_loop_join_cost(
-                outer.estimated_cardinality, lookup_cost, output_rows
-            )
-        else:
-            raise PlanError(f"{join_type} is not a join operator")
 
         node = join(join_type, outer, inner, join_predicates, bloom_filter=bloom_filter)
         node.estimated_cardinality = output_rows
-        node.estimated_cost = outer.estimated_cost + inner.estimated_cost + operator_cost
+        node.estimated_cost = estimated_cost
         if join_type is PopType.MSJOIN:
             sorted_key = self._join_key_for(outer_aliases, join_predicates)
             if sorted_key is not None:
                 node.properties["sorted_on"] = sorted_key
         self._remember_aliases(node, outer_aliases | inner_aliases)
         return node
+
+    def _merge_input_cost(self, node: PlanNode, key: Optional[ColumnRef]) -> float:
+        """Cost of ``node`` as a merge-join input: a SORT on ``key`` is added
+        unless there is no key or the node is already sorted on it."""
+        if key is None or node.properties.get("sorted_on") == key:
+            return node.estimated_cost
+        return node.estimated_cost + self.cost_model.sort_cost(node.estimated_cardinality)
 
     def _sorted_for_merge(
         self,
@@ -302,12 +335,29 @@ class PlanBuilder:
             return node
         sort_node = sort(node, key)
         sort_node.estimated_cardinality = node.estimated_cardinality
-        sort_node.estimated_cost = node.estimated_cost + self.cost_model.sort_cost(
-            node.estimated_cardinality
-        )
+        sort_node.estimated_cost = self._merge_input_cost(node, key)
         sort_node.properties["sorted_on"] = key
         self._remember_aliases(sort_node, aliases)
         return sort_node
+
+    def _nljoin_lookup(
+        self,
+        inner: PlanNode,
+        inner_aliases: FrozenSet[str],
+        join_predicates: Tuple[Comparison, ...],
+    ) -> Optional[Tuple[ColumnRef, BoundTable, Index]]:
+        """The join key, the table and its index on the key when the inner of
+        a nested-loop join is a scan that can be probed once per outer row."""
+        if not inner.is_scan or not join_predicates:
+            return None
+        key = self._join_key_for(inner_aliases, join_predicates)
+        if key is None:
+            return None
+        bound = self.query.table_for_alias(inner.table_alias or "")
+        index = bound.schema.index_on(key.column)
+        if index is None:
+            return None
+        return key, bound, index
 
     def _prepare_nljoin_inner(
         self,
@@ -316,18 +366,11 @@ class PlanBuilder:
         join_predicates: Tuple[Comparison, ...],
     ) -> PlanNode:
         """Convert the inner of a nested-loop join into an index lookup if possible."""
-        if not inner.is_scan or not join_predicates:
+        resolved = self._nljoin_lookup(inner, inner_aliases, join_predicates)
+        if resolved is None:
             return inner
-        key = self._join_key_for(inner_aliases, join_predicates)
-        if key is None:
-            return inner
-        bound = self.query.table_for_alias(inner.table_alias or "")
-        index = bound.schema.index_on(key.column)
-        if index is None:
-            return inner
-        lookup = index_scan(
-            bound.table, inner.table_alias or "", index.name, inner.predicates, fetch=True
-        )
+        key, bound, index = resolved
+        lookup = index_scan(bound.table, bound.alias, index.name, inner.predicates, fetch=True)
         lookup.estimated_cardinality = inner.estimated_cardinality
         lookup.estimated_cost = inner.estimated_cost
         lookup.properties["nljoin_lookup"] = True
@@ -336,23 +379,17 @@ class PlanBuilder:
         return lookup
 
     def _nljoin_lookup_cost(
-        self,
-        inner: PlanNode,
-        inner_aliases: FrozenSet[str],
-        join_predicates: Tuple[Comparison, ...],
+        self, inner: PlanNode, resolved: Optional[Tuple[ColumnRef, BoundTable, Index]]
     ) -> float:
         """Cost of evaluating the inner input once per outer row."""
-        if inner.is_scan and inner.properties.get("nljoin_lookup") and inner.table_alias:
-            bound = self.query.table_for_alias(inner.table_alias)
-            key = self._join_key_for(inner_aliases, join_predicates)
-            index = bound.schema.index_on(key.column) if key else None
-            if key is not None and index is not None:
-                table_rows = self.estimator.table_cardinality(inner.table_alias)
-                key_stats = self.estimator.column_statistics(key)
-                rows_per_lookup = table_rows / max(1, key_stats.n_distinct or 1)
-                return self.cost_model.index_lookup_cost(bound.table, index, rows_per_lookup)
-        # Fallback: the whole inner subtree is re-evaluated for every outer row.
-        return max(inner.estimated_cost, 1e-3)
+        if resolved is None:
+            # The whole inner subtree is re-evaluated for every outer row.
+            return max(inner.estimated_cost, 1e-3)
+        key, bound, index = resolved
+        table_rows = self.estimator.table_cardinality(bound.alias)
+        key_stats = self.estimator.column_statistics(key)
+        rows_per_lookup = table_rows / max(1, key_stats.n_distinct or 1)
+        return self.cost_model.index_lookup_cost(bound.table, index, rows_per_lookup)
 
     @staticmethod
     def _join_key_for(

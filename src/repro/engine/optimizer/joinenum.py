@@ -3,7 +3,9 @@
 For small queries a classic left-deep dynamic program is used; beyond
 ``GREEDY_THRESHOLD`` tables the enumerator falls back to a greedy
 cheapest-next-join heuristic (mirroring how industrial optimizers bound the
-search space for the 30-way joins found in TPC-DS).
+search space for the 30-way joins found in TPC-DS).  Either way candidates
+are priced as plain floats (``PlanBuilder.join_cost``) and only the winner of
+a DP subset, or of a greedy step, is built (``PlanBuilder.make_join``).
 
 Forced sub-plans (from OPTGUIDELINES) enter the DP as pre-built "macro leaves":
 their internal join order and methods are fixed, the optimizer plans around
@@ -14,7 +16,7 @@ re-optimization story.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.engine.expressions import Comparison
 from repro.engine.optimizer.builder import PlanBuilder
@@ -26,6 +28,17 @@ from repro.errors import PlanError
 GREEDY_THRESHOLD = 9
 
 
+class JoinChoice(NamedTuple):
+    """A priced join candidate: everything ``make_join`` needs to build it."""
+
+    cost: float
+    join_type: PopType
+    bloom_filter: bool
+    outer: PlanNode
+    inner: PlanNode
+    join_predicates: Tuple[Comparison, ...]
+
+
 class JoinEnumerator:
     """Enumerates join orders/methods and returns the cheapest annotated plan."""
 
@@ -34,6 +47,14 @@ class JoinEnumerator:
         self.builder = builder
         self.query = query
         self.consider_bloom_filters = consider_bloom_filters
+        #: (operator, bloom filter) of every candidate of one orientation, in
+        #: the order ties are broken: the first of equally cheap ones wins.
+        operators: List[Tuple[PopType, bool]] = []
+        for join_type in JOIN_TYPES:
+            operators.append((join_type, False))
+            if join_type is PopType.HSJOIN and consider_bloom_filters:
+                operators.append((join_type, True))
+        self._operators = tuple(operators)
 
     # ------------------------------------------------------------------
 
@@ -68,40 +89,52 @@ class JoinEnumerator:
 
     # ------------------------------------------------------------------
 
-    def _join_candidates(
-        self, outer: PlanNode, inner: PlanNode, join_predicates: Tuple[Comparison, ...]
-    ) -> List[PlanNode]:
-        """Every join operator over two annotated inputs, in ``JOIN_TYPES`` order."""
-        candidates = []
-        for join_type in JOIN_TYPES:
-            candidates.append(
-                self.builder.make_join(
-                    join_type, outer, inner, join_predicates=join_predicates
-                )
-            )
-            if join_type is PopType.HSJOIN and self.consider_bloom_filters:
-                candidates.append(
-                    self.builder.make_join(
-                        join_type, outer, inner, bloom_filter=True,
-                        join_predicates=join_predicates,
-                    )
-                )
-        return candidates
+    def _cheapest_join(self, left: PlanNode, right: PlanNode) -> Optional[JoinChoice]:
+        """The cheapest join operator over a connected pair, priced but not built.
 
-    def _best_join(self, outer: PlanNode, inner: PlanNode) -> Optional[PlanNode]:
-        # The connecting predicates are the same in both orientations:
-        # resolved once per pair, handed to every candidate.
-        join_predicates = self.builder.join_predicates_between(outer, inner)
+        The first of equally cheap candidates wins, and they are priced with
+        ``left`` as the outer before ``right`` as the outer, within an
+        orientation HSJOIN, bloom-filter HSJOIN when considered, MSJOIN,
+        NLJOIN -- plans depend on that order.  The connecting predicates and
+        the join cardinality are the same in both orientations, so both are
+        resolved once per pair.
+        """
+        builder = self.builder
+        join_predicates = builder.join_predicates_between(left, right)
         if not join_predicates:
             return None
-        candidates = self._join_candidates(outer, inner, join_predicates)
-        candidates += self._join_candidates(inner, outer, join_predicates)
-        return min(candidates, key=lambda node: node.estimated_cost)
+        output_rows = builder.estimator.join_cardinality(
+            left.estimated_cardinality, right.estimated_cardinality, join_predicates
+        )
+        best: Optional[JoinChoice] = None
+        for outer, inner in ((left, right), (right, left)):
+            for join_type, bloom_filter in self._operators:
+                cost = builder.join_cost(
+                    join_type, outer, inner, join_predicates, output_rows, bloom_filter
+                )
+                if best is None or cost < best.cost:
+                    best = JoinChoice(
+                        cost, join_type, bloom_filter, outer, inner, join_predicates
+                    )
+        return best
+
+    def _build(self, choice: JoinChoice) -> PlanNode:
+        return self.builder.make_join(
+            choice.join_type,
+            choice.outer,
+            choice.inner,
+            bloom_filter=choice.bloom_filter,
+            join_predicates=choice.join_predicates,
+        )
 
     # ------------------------------------------------------------------
 
     def _dynamic_programming(self, leaves: List[PlanNode]) -> PlanNode:
-        """Left-deep DP over subsets of leaves (cross products only as a last resort)."""
+        """Left-deep DP over subsets of leaves (cross products only as a last resort).
+
+        Every way of extending a smaller subset by one leaf is priced; only
+        the cheapest one of a subset is built.
+        """
         n = len(leaves)
         best: Dict[FrozenSet[int], PlanNode] = {}
         for i, leaf in enumerate(leaves):
@@ -110,52 +143,46 @@ class JoinEnumerator:
         for size in range(2, n + 1):
             for subset in itertools.combinations(range(n), size):
                 subset_key = frozenset(subset)
-                best_plan: Optional[PlanNode] = None
+                cheapest: Optional[JoinChoice] = None
                 for inner_index in subset:
-                    rest = subset_key - {inner_index}
-                    outer_plan = best.get(rest)
+                    outer_plan = best.get(subset_key - {inner_index})
                     if outer_plan is None:
                         continue
-                    joined = self._best_join(outer_plan, leaves[inner_index])
-                    if joined is None:
+                    choice = self._cheapest_join(outer_plan, leaves[inner_index])
+                    if choice is None:
                         continue
-                    if best_plan is None or joined.estimated_cost < best_plan.estimated_cost:
-                        best_plan = joined
-                if best_plan is not None:
-                    best[subset_key] = best_plan
+                    if cheapest is None or choice.cost < cheapest.cost:
+                        cheapest = choice
+                if cheapest is not None:
+                    best[subset_key] = self._build(cheapest)
 
         full = frozenset(range(n))
         if full in best:
             return best[full]
         # Disconnected query graph: greedily stitch the connected components
         # together with cross products.
-        return self._greedy(leaves, allow_cross_products=True)
+        return self._greedy(leaves)
 
-    def _greedy(self, leaves: List[PlanNode], allow_cross_products: bool = True) -> PlanNode:
+    def _greedy(self, leaves: List[PlanNode]) -> PlanNode:
         """Cheapest-next-join greedy heuristic for very large queries."""
         fragments = list(leaves)
         while len(fragments) > 1:
-            best_pair: Optional[Tuple[int, int]] = None
-            best_plan: Optional[PlanNode] = None
+            cheapest: Optional[JoinChoice] = None
             for i in range(len(fragments)):
                 for j in range(i + 1, len(fragments)):
-                    joined = self._best_join(fragments[i], fragments[j])
-                    if joined is None:
+                    choice = self._cheapest_join(fragments[i], fragments[j])
+                    if choice is None:
                         continue
-                    if best_plan is None or joined.estimated_cost < best_plan.estimated_cost:
-                        best_plan = joined
-                        best_pair = (i, j)
-            if best_plan is None:
-                if not allow_cross_products:
-                    raise PlanError("query graph is disconnected and cross products are disabled")
+                    if cheapest is None or choice.cost < cheapest.cost:
+                        cheapest = choice
+            if cheapest is None:
                 # Cross product between the two smallest fragments.
                 fragments.sort(key=lambda node: node.estimated_cardinality)
                 outer, inner = fragments[0], fragments[1]
-                cross = self.builder.make_join(PopType.NLJOIN, outer, inner)
-                fragments = fragments[2:] + [cross]
-                continue
-            i, j = best_pair  # type: ignore[misc]
-            remaining = [f for k, f in enumerate(fragments) if k not in (i, j)]
-            remaining.append(best_plan)
-            fragments = remaining
+                joined = self.builder.make_join(PopType.NLJOIN, outer, inner)
+            else:
+                outer, inner = cheapest.outer, cheapest.inner
+                joined = self._build(cheapest)
+            fragments = [f for f in fragments if f is not outer and f is not inner]
+            fragments.append(joined)
         return fragments[0]

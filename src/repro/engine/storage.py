@@ -36,13 +36,18 @@ class IndexData:
 
     Range probes use a lazily built sorted key list plus, when the keys are
     numeric, a ``searchsorted``-ready cache of the keys and their concatenated
-    row ids; both are invalidated whenever rows are inserted (``TableData``
-    appends to the index entries).
+    row ids; a full scan uses a lazily built order over every key.  All three
+    are invalidated whenever rows are inserted (``TableData`` appends to the
+    index entries).
     """
 
     definition: Index
     entries: Dict[Any, List[int]] = field(default_factory=dict)
     _sorted_keys: Optional[List[Any]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Every key, ``NULL`` included, in full-index-scan order.
+    _scan_order: Optional[List[Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: ``(keys ndarray, row-id offsets, concatenated row ids)`` aligned with
@@ -57,6 +62,7 @@ class IndexData:
     def invalidate_sorted_keys(self) -> None:
         """Drop the cached key order (called after entries are rebuilt)."""
         self._sorted_keys = None
+        self._scan_order = None
         self._range_cache = None
 
     def sorted_keys(self) -> List[Any]:
@@ -66,6 +72,20 @@ class IndexData:
                 key for key in self.entries if key is not None
             )
         return self._sorted_keys
+
+    def scan_order(self) -> List[Any]:
+        """Every key in the order a full index scan visits them (cached).
+
+        Keys order by their text, numbers among equal texts by value, ``NULL``
+        last -- the order both executors have always scanned in, which is not
+        ``sorted_keys()``'s numeric order.
+        """
+        if self._scan_order is None:
+            self._scan_order = sorted(
+                self.entries,
+                key=lambda k: (k is None, str(k), k if isinstance(k, (int, float)) else 0),
+            )
+        return self._scan_order
 
     def _build_range_cache(self) -> Optional[tuple]:
         """``searchsorted`` probe cache for numeric keys (None = use bisect)."""

@@ -1,15 +1,20 @@
 """The naive plan-construction oracle the optimizer differentials compare against.
 
 ``PlanBuilder`` knows the alias set of every node it builds and derives the
-connecting predicates of a pair of alias sets once; ``JoinEnumerator``
-resolves them once per pair and hands them to every candidate.  The classes
-here do none of that: every alias set is a fresh ``PlanNode.aliases()`` walk,
-every predicate lookup a fresh ``BoundQuery.joins_between`` scan, every
-candidate join built without being told its predicates, and the overlap
-check on forced fragments walks each fragment again -- the way the optimizer
-worked before the bookkeeping existed.  Plans must come out equal node by
-node.
+connecting predicates of a pair of alias sets once; ``JoinEnumerator`` prices
+the candidates of a pair as plain floats and builds one node per DP subset.
+The classes here do none of that: every alias set is a fresh
+``PlanNode.aliases()`` walk, every predicate lookup a fresh
+``BoundQuery.joins_between`` scan, every candidate join of every pair fully
+built -- SORT wrappers, index-lookup leaf and all -- without being told its
+predicates and compared by the cost annotated on the built node, and the
+overlap check on forced fragments walks each fragment again -- the way the
+optimizer worked before the bookkeeping and the pricing existed.  The DP and
+greedy loops live here too, so nothing of the production enumerator's search
+runs on the oracle's side.  Plans must come out equal node by node.
 """
+
+import itertools
 
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.cardinality import CardinalityEstimator
@@ -46,6 +51,53 @@ class NaiveEnumerator(JoinEnumerator):
         if not candidates:
             return None
         return min(candidates, key=lambda node: node.estimated_cost)
+
+
+    def _dynamic_programming(self, leaves):
+        n = len(leaves)
+        best = {frozenset([i]): leaf for i, leaf in enumerate(leaves)}
+        for size in range(2, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                subset_key = frozenset(subset)
+                best_plan = None
+                for inner_index in subset:
+                    outer_plan = best.get(subset_key - {inner_index})
+                    if outer_plan is None:
+                        continue
+                    joined = self._best_join(outer_plan, leaves[inner_index])
+                    if joined is None:
+                        continue
+                    if best_plan is None or joined.estimated_cost < best_plan.estimated_cost:
+                        best_plan = joined
+                if best_plan is not None:
+                    best[subset_key] = best_plan
+        full = frozenset(range(n))
+        if full in best:
+            return best[full]
+        return self._greedy(leaves)
+
+    def _greedy(self, leaves):
+        fragments = list(leaves)
+        while len(fragments) > 1:
+            best_pair = None
+            best_plan = None
+            for i in range(len(fragments)):
+                for j in range(i + 1, len(fragments)):
+                    joined = self._best_join(fragments[i], fragments[j])
+                    if joined is None:
+                        continue
+                    if best_plan is None or joined.estimated_cost < best_plan.estimated_cost:
+                        best_plan = joined
+                        best_pair = (i, j)
+            if best_plan is None:
+                fragments.sort(key=lambda node: node.estimated_cardinality)
+                cross = self.builder.make_join(PopType.NLJOIN, fragments[0], fragments[1])
+                fragments = fragments[2:] + [cross]
+                continue
+            remaining = [f for k, f in enumerate(fragments) if k not in best_pair]
+            remaining.append(best_plan)
+            fragments = remaining
+        return fragments[0]
 
 
 def naive_optimize(database, query, guidelines=None, consider_bloom_filters=False):

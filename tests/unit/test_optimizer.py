@@ -1,5 +1,7 @@
 """Unit tests for the cost-based optimizer, rewrite phase, and join enumeration."""
 
+import itertools
+
 import pytest
 
 from repro.core.matching.segmenter import segment_plan
@@ -10,11 +12,11 @@ from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_
 from repro.engine.optimizer.joinenum import GREEDY_THRESHOLD
 from repro.engine.optimizer.optimizer import Optimizer
 from repro.engine.optimizer.rewrite import rewrite_query
-from repro.engine.plan.physical import PopType
+from repro.engine.plan.physical import JOIN_TYPES, PopType
 from repro.engine.sql.binder import bind
 from repro.engine.sql.parser import parse_select
 from repro.workloads import generate_client_queries, generate_tpcds_queries
-from tests.naive_optimizer import naive_optimize, plan_rows
+from tests.naive_optimizer import NaiveEnumerator, naive_optimize, plan_rows
 
 
 def bind_sql(db, sql):
@@ -197,8 +199,10 @@ class TestOptimizer:
 
 
 # ---------------------------------------------------------------------------
-# The enumerator's alias-set bookkeeping is a pure saving of work: every plan
-# equals the naive oracle's (tests/naive_optimizer.py) node by node.
+# The builder's alias-set bookkeeping and the enumerator's price-then-build
+# are pure savings of work: every plan equals the naive oracle's
+# (tests/naive_optimizer.py: walk every alias set, build every candidate)
+# node by node.
 # ---------------------------------------------------------------------------
 
 #: Twelve leaves -- still past ``GREEDY_THRESHOLD`` with a two-table forced
@@ -309,3 +313,178 @@ class TestEnumeratorDifferential:
         assert plan_rows(database.optimizer.optimize(query, guidelines=both)) == plan_rows(
             database.optimizer.optimize(query, guidelines=alone)
         )
+
+
+# ---------------------------------------------------------------------------
+# Price, then build: the oracle really does build every candidate, and a
+# priced candidate carries exactly the cost its built node is annotated with.
+# ---------------------------------------------------------------------------
+
+#: Six leaves: under ``GREEDY_THRESHOLD``, so the dynamic program plans it.
+SIX_WAY = (
+    "SELECT i_category, s_state, COUNT(*) "
+    "FROM store_sales, item, date_dim, customer, customer_address, store "
+    "WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk "
+    "AND ss_customer_sk = c_customer_sk AND c_current_addr_sk = ca_address_sk "
+    "AND ss_store_sk = s_store_sk AND i_category = 'Music' AND d_year = 2001 "
+    "GROUP BY i_category, s_state"
+)
+
+
+def connected_subsets(query):
+    """Alias subsets of two or more tables the join graph connects -- the DP
+    subsets a left-deep plan exists for (a connected graph always has a
+    vertex whose removal leaves it connected)."""
+    edges = [predicate.referenced_qualifiers() for predicate in query.join_predicates]
+    count = 0
+    for size in range(2, len(query.aliases) + 1):
+        for subset in itertools.combinations(query.aliases, size):
+            reached = {subset[0]}
+            grew = True
+            while grew:
+                grew = False
+                for edge in edges:
+                    if edge <= set(subset) and edge & reached and not edge <= reached:
+                        reached |= edge
+                        grew = True
+            count += reached == set(subset)
+    return count
+
+
+class TestPriceThenBuild:
+    def test_oracle_builds_every_candidate_production_one_per_subset(
+        self, tiny_tpcds_workload, monkeypatch
+    ):
+        database = tiny_tpcds_workload.database
+        query = bind_sql(database, SIX_WAY)
+        built = []
+        make_join = PlanBuilder.make_join
+
+        def counting_make_join(self, *args, **kwargs):
+            built.append(args[0])
+            return make_join(self, *args, **kwargs)
+
+        joined_pairs = []
+        best_join = NaiveEnumerator._best_join
+
+        def counting_best_join(self, outer, inner):
+            joined = best_join(self, outer, inner)
+            joined_pairs.append(joined is not None)
+            return joined
+
+        monkeypatch.setattr(PlanBuilder, "make_join", counting_make_join)
+        monkeypatch.setattr(NaiveEnumerator, "_best_join", counting_best_join)
+
+        expected = naive_optimize(database, query)
+        naive_builds = len(built)
+        del built[:]
+        actual = database.optimizer.optimize(query)
+
+        assert plan_rows(actual) == plan_rows(expected)
+        assert sum(joined_pairs) > len(query.tables)
+        assert naive_builds >= 2 * len(JOIN_TYPES) * sum(joined_pairs)
+        assert len(built) == connected_subsets(rewrite_query(query))
+        assert len(built) < naive_builds / 10
+
+    @staticmethod
+    def reference_cost(builder, node, outer, inner):
+        """``node``'s cost summed from the tree ``make_join`` built -- the
+        inline arithmetic ``make_join`` annotated with before pricing existed."""
+        cost_model = builder.cost_model
+        left, right = node.inputs
+        for wrapped, original in ((left, outer), (right, inner)):
+            if wrapped.pop_type is PopType.SORT and wrapped is not original:
+                assert wrapped.estimated_cost == original.estimated_cost + cost_model.sort_cost(
+                    original.estimated_cardinality
+                )
+        if node.pop_type is PopType.MSJOIN:
+            operator_cost = cost_model.merge_join_cost(
+                left.estimated_cardinality, right.estimated_cardinality,
+                node.estimated_cardinality, outer_sorted=True, inner_sorted=True,
+            )
+        elif node.pop_type is PopType.HSJOIN:
+            operator_cost = cost_model.hash_join_cost(
+                left.estimated_cardinality, right.estimated_cardinality,
+                node.estimated_cardinality,
+                bloom_filter=bool(node.properties.get("bloom_filter")),
+            )
+        else:
+            lookup_cost = max(right.estimated_cost, 1e-3)
+            if right.properties.get("nljoin_lookup"):
+                bound = builder.query.table_for_alias(right.table_alias)
+                key = right.properties["sorted_on"]
+                key_stats = builder.estimator.column_statistics(key)
+                lookup_cost = cost_model.index_lookup_cost(
+                    bound.table,
+                    bound.schema.index_on(key.column),
+                    builder.estimator.table_cardinality(right.table_alias)
+                    / max(1, key_stats.n_distinct or 1),
+                )
+            operator_cost = cost_model.nested_loop_join_cost(
+                left.estimated_cardinality, lookup_cost, node.estimated_cardinality
+            )
+        return left.estimated_cost + right.estimated_cost + operator_cost
+
+    def check_pair(self, builder, outer, inner, seen):
+        predicates = builder.join_predicates_between(outer, inner)
+        output_rows = builder.estimator.join_cardinality(
+            outer.estimated_cardinality, inner.estimated_cardinality, predicates
+        )
+        assert output_rows == builder.estimator.join_cardinality(
+            inner.estimated_cardinality, outer.estimated_cardinality, predicates
+        )
+        for join_type in JOIN_TYPES:
+            for bloom in (False, True):
+                priced = builder.join_cost(
+                    join_type, outer, inner, predicates, output_rows, bloom_filter=bloom
+                )
+                node = builder.make_join(join_type, outer, inner, bloom_filter=bloom)
+                assert priced == node.estimated_cost
+                assert priced == self.reference_cost(builder, node, outer, inner)
+                left, right = node.inputs
+                if not predicates:
+                    seen.add("cross product")
+                elif join_type is PopType.MSJOIN:
+                    seen.add("merge input sorted" if left is outer else "merge input unsorted")
+                elif join_type is PopType.NLJOIN and not inner.is_scan:
+                    assert right is inner
+                    seen.add("nljoin fragment inner")
+                elif join_type is PopType.NLJOIN:
+                    looked_up = bool(right.properties.get("nljoin_lookup"))
+                    seen.add("nljoin index inner" if looked_up else "nljoin scan inner")
+
+    def assert_pricing_equals_annotation(self, database, statements):
+        seen = set()
+        for _, sql in statements:
+            query = rewrite_query(bind_sql(database, sql))
+            builder = PlanBuilder(database.catalog, query)
+            paths = {alias: builder.candidate_access_paths(alias) for alias in query.aliases}
+            fragments = []
+            for a, b in itertools.permutations(query.aliases, 2):
+                for outer, inner in itertools.product(paths[a], paths[b]):
+                    self.check_pair(builder, outer, inner, seen)
+                if builder.join_predicates_between(paths[a][0], paths[b][0]):
+                    fragments.append(builder.make_join(PopType.HSJOIN, paths[a][0], paths[b][-1]))
+            # Joins as inputs, the way the DP and forced fragments hand them over.
+            for fragment in fragments[:4]:
+                for alias in query.aliases:
+                    if alias not in builder.aliases_of(fragment):
+                        self.check_pair(builder, fragment, paths[alias][-1], seen)
+                        self.check_pair(builder, paths[alias][-1], fragment, seen)
+        return seen
+
+    ALL_CASES = {
+        "cross product", "merge input sorted", "merge input unsorted",
+        "nljoin fragment inner", "nljoin index inner", "nljoin scan inner",
+    }
+
+    def test_pricing_equals_annotation_tpcds(self, tiny_tpcds_workload):
+        statements = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
+        seen = self.assert_pricing_equals_annotation(tiny_tpcds_workload.database, statements)
+        assert seen == self.ALL_CASES
+
+    def test_pricing_equals_annotation_client(self, tiny_client_workload):
+        seen = self.assert_pricing_equals_annotation(
+            tiny_client_workload.database, generate_client_queries(116)
+        )
+        assert seen == self.ALL_CASES

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engine.catalog import Catalog
+from repro.engine.executor.executor import index_qualifying_row_ids
+from repro.engine.plan.physical import index_scan
 from repro.engine.schema import Index, make_schema
 from repro.engine.storage import TableData
 from repro.engine.types import DataType
@@ -144,6 +146,24 @@ class TestTableData:
         data.insert_rows([{"i_item_sk": 97, "i_category": "Music"}])
         assert index._sorted_keys is None
         assert index.lookup_range(90, 99) == [5]
+
+    def test_full_index_scan_sees_an_insert_between_two_scans(self):
+        """The full-scan key order is cached on the index; an insert drops it.
+        Keys order by their text (so 10 before 9), ``NULL`` last."""
+        data = TableData(item_schema())
+        data.insert_rows(
+            [{"i_item_sk": value, "i_category": "n"} for value in [9, None, 10, 2, 9]]
+        )
+        data.build_index(item_schema().indexes[0])
+        index = data.index("I_PK")
+        scan = index_scan("ITEM", "i", "I_PK", (), fetch=True)
+        assert index_qualifying_row_ids(scan, index, "i") == [2, 3, 0, 4, 1]
+        cached = index.scan_order()
+        assert cached == [10, 2, 9, None]
+        assert index.scan_order() is cached
+        data.insert_rows([{"i_item_sk": 100, "i_category": "n"}, {"i_item_sk": 2, "i_category": "n"}])
+        assert index.scan_order() == [10, 100, 2, 9, None]
+        assert index_qualifying_row_ids(scan, index, "i") == [2, 5, 3, 6, 0, 4, 1]
 
     def test_range_lookup_matches_brute_force_with_duplicates_and_nulls(self):
         data = TableData(item_schema())
