@@ -8,8 +8,10 @@ For every workload query the engine:
    ranges sampled from the data (:mod:`repro.core.learning.property_ranges`);
 3. lets the optimizer plan each variant and generates competing plans with
    the Random Plan Generator;
-4. benchmarks everything with ``db2batch``, removes measurement noise with
-   K-means clustering and ranks the plans
+4. benchmarks the optimizer's plan with ``db2batch``, then each competing
+   plan only for as long as it can still change the outcome (the running cap
+   of :func:`repro.core.learning.ranking.candidate_cap_ms`), removes
+   measurement noise with K-means clustering and ranks the plans
    (:mod:`repro.core.learning.ranking`);
 5. whenever a competing plan is significantly better than the optimizer's
    pick, abstracts the optimizer's sub-plan into a problem-pattern template
@@ -25,7 +27,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.knowledge_base import CardinalityBounds, KnowledgeBase
 from repro.core.learning.property_ranges import PredicateVariant, generate_variants
-from repro.core.learning.ranking import RankedPlan, rank_measurements
+from repro.core.learning.ranking import (
+    candidate_cap_ms,
+    improvement_bound_ms,
+    rank_measurements,
+    robust_elapsed_ms,
+)
 from repro.core.learning.subquery import SubQuery, generate_subqueries
 from repro.core.planutils import (
     canonical_label_map,
@@ -39,6 +46,7 @@ from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_
 from repro.engine.plan.explain import explain_summary
 from repro.engine.plan.physical import PlanNode, Qgm
 from repro.engine.sql.binder import BoundQuery
+from repro.errors import PlanBudgetExceeded
 from repro.obs.tracing import NULL_SPAN
 
 
@@ -87,6 +95,10 @@ class QueryLearningRecord:
     analyzed_subquery_count: int
     templates_learned: List[str] = field(default_factory=list)
     improvements: List[float] = field(default_factory=list)
+    #: Plans handed to ``db2batch`` (optimizer and competing plans alike) and
+    #: how many of them were stopped because they could no longer win.
+    plans_benchmarked: int = 0
+    plans_aborted: int = 0
 
     @property
     def per_subquery_seconds(self) -> float:
@@ -112,6 +124,14 @@ class LearningReport:
         for record in self.records:
             out.extend(record.templates_learned)
         return out
+
+    @property
+    def plans_benchmarked(self) -> int:
+        return sum(record.plans_benchmarked for record in self.records)
+
+    @property
+    def plans_aborted(self) -> int:
+        return sum(record.plans_aborted for record in self.records)
 
     @property
     def average_improvement(self) -> float:
@@ -141,6 +161,14 @@ class _ParentContext:
     query: BoundQuery
     sql: str
     elapsed_ms: float
+
+
+@dataclass
+class _PlanCounts:
+    """Plans one sub-query's analysis handed to ``db2batch`` / saw stopped."""
+
+    benchmarked: int = 0
+    aborted: int = 0
 
 
 @dataclass
@@ -200,7 +228,12 @@ class LearningEngine:
 
         ``span`` (default: the no-op span) receives one child span per phase
         -- ``bind``, ``generate_subqueries``, ``validate_parent`` and one
-        ``analyze_subquery`` per analyzed sub-query.
+        ``analyze_subquery`` per analyzed sub-query.  Each ``analyze_subquery``
+        span carries ``plans_benchmarked`` / ``plans_aborted`` and, per
+        predicate variant, the children ``optimize``, ``generate``,
+        ``benchmark_optimizer``, ``benchmark_random`` and ``rank``, plus one
+        ``improves_parent`` (attribute ``aborted``) when a rewrite reaches
+        the parent validation.
         """
         started = time.perf_counter()
         with span.child("bind"):
@@ -211,6 +244,7 @@ class LearningEngine:
         analyzed = 0
         templates: List[str] = []
         improvements: List[float] = []
+        plans_benchmarked = plans_aborted = 0
         # The optimizer's plan, every random plan variant and the
         # parent-validation runs all re-scan (and re-join) the same tables,
         # so structurally identical subtrees execute once and replay their
@@ -235,6 +269,7 @@ class LearningEngine:
                     continue
                 self._seen_subqueries.add(key)
             analyzed += 1
+            counts = _PlanCounts()
             with span.child("analyze_subquery") as subquery_span:
                 template_id, improvement = self._analyze_subquery(
                     subquery,
@@ -242,9 +277,15 @@ class LearningEngine:
                     workload_name=workload_name,
                     parent_context=parent_context,
                     memo=memo,
+                    span=subquery_span,
+                    counts=counts,
                 )
+                subquery_span.set("plans_benchmarked", counts.benchmarked)
+                subquery_span.set("plans_aborted", counts.aborted)
                 if template_id is not None:
                     subquery_span.set("template_id", template_id)
+            plans_benchmarked += counts.benchmarked
+            plans_aborted += counts.aborted
             if template_id is not None:
                 templates.append(template_id)
                 improvements.append(improvement)
@@ -257,6 +298,8 @@ class LearningEngine:
             analyzed_subquery_count=analyzed,
             templates_learned=templates,
             improvements=improvements,
+            plans_benchmarked=plans_benchmarked,
+            plans_aborted=plans_aborted,
         )
 
     def _analyze_subquery(
@@ -264,8 +307,10 @@ class LearningEngine:
         subquery: SubQuery,
         query_name: str,
         workload_name: str,
-        parent_context: Optional["_ParentContext"] = None,
-        memo: Optional[ExecutionMemo] = None,
+        parent_context: Optional["_ParentContext"],
+        memo: Optional[ExecutionMemo],
+        span,
+        counts: _PlanCounts,
     ) -> Tuple[Optional[str], float]:
         """Benchmark one sub-query's variants; store a template if a rewrite wins."""
         variants = generate_variants(
@@ -275,7 +320,7 @@ class LearningEngine:
         )
         candidates: List[_RewriteCandidate] = []
         for variant in variants:
-            candidate = self._analyze_variant(variant, subquery, memo=memo)
+            candidate = self._analyze_variant(variant, subquery, memo, span, counts)
             if candidate is not None:
                 candidates.append(candidate)
         if not candidates:
@@ -319,10 +364,13 @@ class LearningEngine:
         guideline_element = remap_guideline_element(concrete_element, labels)
         guideline_xml = GuidelineDocument(elements=[guideline_element]).to_xml()
 
-        if parent_context is not None and not self._improves_parent(
-            concrete_element, parent_context, memo=memo
-        ):
-            return None, 0.0
+        if parent_context is not None:
+            with span.child("improves_parent") as parent_span:
+                improves = self._improves_parent(
+                    concrete_element, parent_context, memo, parent_span
+                )
+            if not improves:
+                return None, 0.0
 
         improvement = representative.improvement
         template = self.knowledge_base.add_template(
@@ -344,17 +392,33 @@ class LearningEngine:
         self,
         guideline_element,
         parent_context: "_ParentContext",
-        memo: Optional[ExecutionMemo] = None,
+        memo: Optional[ExecutionMemo],
+        span,
     ) -> bool:
         """Apply the concrete (un-abstracted) guideline to the parent workload
-        query and keep the rewrite only if the whole query gets faster."""
+        query and keep the rewrite only if the whole query gets faster.
+
+        The guided plan runs under the time above which it no longer improves
+        on the parent by ``parent_improvement_threshold``; there is no noise
+        here, so running past it is the answer "no".
+        """
+        if parent_context.elapsed_ms <= 0:
+            return False
         document = GuidelineDocument(elements=[guideline_element])
         guided_qgm = self.database.optimizer.optimize(
             parent_context.query, guidelines=document
         )
-        guided_run = self.database.execute_plan(guided_qgm, memo=memo)
-        if parent_context.elapsed_ms <= 0:
+        budget_ms = improvement_bound_ms(
+            parent_context.elapsed_ms, self.config.parent_improvement_threshold
+        )
+        try:
+            guided_run = self.database.execute_plan(
+                guided_qgm, memo=memo, budget_ms=budget_ms
+            )
+        except PlanBudgetExceeded:
+            span.set("aborted", True)
             return False
+        span.set("aborted", False)
         improvement = (
             parent_context.elapsed_ms - guided_run.elapsed_ms
         ) / parent_context.elapsed_ms
@@ -364,24 +428,54 @@ class LearningEngine:
         self,
         variant: PredicateVariant,
         subquery: SubQuery,
-        memo: Optional[ExecutionMemo] = None,
+        memo: Optional[ExecutionMemo],
+        span,
+        counts: _PlanCounts,
     ) -> Optional[_RewriteCandidate]:
-        """Benchmark the optimizer's plan against random plans for one variant."""
-        optimizer_qgm = self.database.optimizer.optimize(
-            variant.query, query_name=f"learn:{subquery.sql[:40]}"
-        )
-        random_qgms = self.database.random_plan_generator.generate(
-            variant.query, self.config.random_plans_per_subquery
-        )
+        """Benchmark the optimizer's plan against random plans for one variant.
+
+        The optimizer's plan always runs to the end (its time is what the
+        improvement is measured against).  Each random plan, in the
+        generator's order, runs under the cap set by the optimizer's plan and
+        the best random plan completed so far; one stopped there could not
+        have changed the ranking's decision (``candidate_cap_ms``), so it is
+        simply left out of the measurements.
+        """
+        with span.child("optimize"):
+            optimizer_qgm = self.database.optimizer.optimize(
+                variant.query, query_name=f"learn:{subquery.sql[:40]}"
+            )
+        with span.child("generate"):
+            random_qgms = self.database.random_plan_generator.generate(
+                variant.query, self.config.random_plans_per_subquery
+            )
         batch = Db2Batch(
             self.database.catalog,
             self.database.config,
             runs=self.config.runs_per_plan,
             executor=self.database.executor,
         )
-        measurements = [batch.benchmark(optimizer_qgm, memo=memo)]
-        measurements += [batch.benchmark(qgm, memo=memo) for qgm in random_qgms]
-        ranked = rank_measurements(measurements)
+        with span.child("benchmark_optimizer"):
+            optimizer_measurement = batch.benchmark(optimizer_qgm, memo=memo)
+        optimizer_ms = robust_elapsed_ms(optimizer_measurement)
+        measurements = [optimizer_measurement]
+        best_random_ms: Optional[float] = None
+        with span.child("benchmark_random"):
+            for qgm in random_qgms:
+                cap_ms = candidate_cap_ms(
+                    optimizer_ms, best_random_ms, self.config.improvement_threshold
+                )
+                measurement = batch.benchmark_within(qgm, cap_ms, memo=memo)
+                if measurement is None:
+                    counts.aborted += 1
+                    continue
+                measurements.append(measurement)
+                random_ms = robust_elapsed_ms(measurement)
+                if best_random_ms is None or random_ms < best_random_ms:
+                    best_random_ms = random_ms
+        counts.benchmarked += 1 + len(random_qgms)
+        with span.child("rank"):
+            ranked = rank_measurements(measurements)
 
         optimizer_ranked = next(
             plan for plan in ranked if plan.measurement.qgm is optimizer_qgm

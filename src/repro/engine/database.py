@@ -219,19 +219,25 @@ class Database:
         self.executor = make_executor(self.catalog, self.config)
 
     def execute_plan(
-        self, qgm: Qgm, memo: Optional[ExecutionMemo] = None, span=None
+        self,
+        qgm: Qgm,
+        memo: Optional[ExecutionMemo] = None,
+        span=None,
+        budget_ms: Optional[float] = None,
     ) -> ExecutionResult:
         """Execute a plan; ``memo`` shares scan subtrees across plans (see
         :mod:`repro.engine.executor.memo`; ignored by the row engine).
 
         ``span`` (a recording :class:`repro.obs.Span`) activates per-node
         child spans for this execution; tracing only reads runtime state, so
-        the result is bit-identical either way.
+        the result is bit-identical either way.  ``budget_ms`` stops the plan
+        with :class:`~repro.errors.PlanBudgetExceeded` as soon as its
+        simulated ``elapsed_ms`` is certain to end above it.
         """
         if span is not None and span.recording:
             with execution_tracing(span):
-                return self.executor.execute(qgm, memo=memo)
-        return self.executor.execute(qgm, memo=memo)
+                return self.executor.execute(qgm, memo=memo, budget_ms=budget_ms)
+        return self.executor.execute(qgm, memo=memo, budget_ms=budget_ms)
 
     def execute_sql(
         self,
@@ -261,7 +267,7 @@ class Database:
 
     def benchmark_plan(self, qgm: Qgm, runs: int = 5) -> BatchMeasurement:
         """Benchmark a plan the way the paper uses ``db2batch``."""
-        batch = Db2Batch(self.catalog, self.config, runs=runs)
+        batch = Db2Batch(self.catalog, self.config, runs=runs, executor=self.executor)
         return batch.benchmark(qgm)
 
 

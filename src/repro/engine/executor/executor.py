@@ -24,6 +24,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.config import DbConfig
 from repro.engine.executor.bufferpool import BufferPool
 from repro.engine.executor.metrics import (
+    ExecutionBudget,
     RuntimeMetrics,
     record_node_metric_deltas,
     snapshot_metrics,
@@ -167,13 +168,20 @@ class Executor:
 
     # ------------------------------------------------------------------
 
-    def execute(self, qgm: Qgm, memo=None) -> ExecutionResult:
+    def execute(
+        self, qgm: Qgm, memo=None, budget_ms: Optional[float] = None
+    ) -> ExecutionResult:
         """Execute ``qgm``; annotates every node's ``actual_cardinality``.
 
         ``memo`` is accepted for interface parity with the vectorized engine
-        and ignored: the row engine always executes cold.
+        and ignored: the row engine always executes cold.  ``budget_ms``
+        raises :class:`~repro.errors.PlanBudgetExceeded` exactly when the
+        plan's ``elapsed_ms`` is above it, as early as that is certain (see
+        :class:`~repro.engine.executor.metrics.ExecutionBudget`).
         """
         metrics = RuntimeMetrics()
+        if budget_ms is not None:
+            metrics.budget = ExecutionBudget(budget_ms, qgm, self.config)
         buffer_pool = BufferPool(self.config.buffer_pool_pages)
         rows = self._execute_node(qgm.root, metrics, buffer_pool)
         metrics.rows_returned = len(rows)
@@ -212,10 +220,18 @@ class Executor:
         parent = current_execution_span()
         if parent is None:
             rows = handler(node, metrics, pool)
+            self._node_finished(node, len(rows), metrics, pool)
         else:
             rows = self._execute_node_traced(node, handler, metrics, pool, parent)
-        node.actual_cardinality = len(rows)
         return rows
+
+    def _node_finished(
+        self, node: PlanNode, row_count: int, metrics: RuntimeMetrics, pool: BufferPool
+    ) -> None:
+        """Annotate the node's actual cardinality, then enforce the budget."""
+        node.actual_cardinality = row_count
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
 
     def _execute_node_traced(
         self,
@@ -231,12 +247,15 @@ class Executor:
         and untraced execution stay bit-identical.  The handler runs with
         this node's span installed as the thread's execution span, so its
         recursive ``_execute_node`` calls parent under it; metric deltas are
-        therefore per *subtree*, matching the span's own wall time.
+        therefore per *subtree*, matching the span's own wall time.  The
+        budget is enforced inside the span, so it is this node's span that an
+        abort marks.
         """
         before = snapshot_metrics(metrics)
         with parent.child(node.pop_type.name.lower()) as span:
             with execution_tracing(span):
                 rows = handler(node, metrics, pool)
+                self._node_finished(node, len(rows), metrics, pool)
             span.set("operator_id", node.operator_id)
             if node.table:
                 span.set("table", node.table)
@@ -449,8 +468,12 @@ class Executor:
             )
 
         inner_rows = self._execute_node(inner_node, metrics, pool)
-        # Re-scanning the inner for every outer row: charge the CPU for it.
+        # Re-scanning the inner for every outer row: charge the CPU for it --
+        # known from the input sizes, so the budget can stop the plan before
+        # the rows are produced.
         metrics.cpu_operations += len(outer_rows) * max(1, len(inner_rows))
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
         inner_by_key: Dict[Tuple, List[Row]] = {}
         if keys:
             for inner_row in inner_rows:
@@ -489,12 +512,16 @@ class Executor:
         lookup_on_index = index_data.definition.column == inner_key.column
         inner_matched = 0
 
+        # One lookup per outer row with a key: charged before any is made,
+        # so the budget can stop the plan ahead of the probing.
+        keyed = ((outer_row, outer_row.get(outer_key.key)) for outer_row in outer_rows)
+        probes = [(outer_row, value) for outer_row, value in keyed if value is not None]
+        metrics.index_lookups += len(probes)
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
+
         output: List[Row] = []
-        for outer_row in outer_rows:
-            value = outer_row.get(outer_key.key)
-            if value is None:
-                continue
-            metrics.index_lookups += 1
+        for outer_row, value in probes:
             if lookup_on_index:
                 row_ids = index_data.lookup(value)
             else:

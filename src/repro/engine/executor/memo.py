@@ -47,6 +47,17 @@ Auxiliary join-side structures (hash-build tables, merge-sort orders,
 nested-loop key maps) are cached in ``aux`` keyed by the memoized child's
 subtree key; they are pure functions of the child's batch, so reuse is safe
 whenever the child itself is memoizable.
+
+Interrupted plans
+-----------------
+The learning tier stops most candidate plans before they finish (``execute(...,
+budget_ms=...)`` raises :class:`~repro.errors.PlanBudgetExceeded`).  The rule
+above survives that without a rollback: a handler stores its entry as the
+last thing it does, and the budget is enforced only between operators or
+before an operator has produced anything, so an entry exists only for a
+subtree that ran to completion -- with its complete deltas and trace -- and
+every ``aux`` structure was built from a completed child.  An interrupted
+plan leaves complete subtrees or nothing.
 """
 
 from __future__ import annotations

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.config import DbConfig
+from repro.engine.executor.bufferpool import BufferPool
+from repro.engine.plan.physical import PlanNode, PopType, Qgm
+from repro.errors import PlanBudgetExceeded
+from repro.obs.tracing import current_execution_span
 
 
 @dataclass
@@ -32,30 +36,49 @@ class RuntimeMetrics:
     index_lookups: int = 0
     cpu_operations: int = 0
     sort_heap_high_water_mark: int = 0
+    #: Simulated-time budget of this one execution (None = run to the end).
+    #: Not a counter: it rides here because the metrics object is the one
+    #: piece of state every operator handler already receives and that no two
+    #: executions share (the executor itself is shared across threads).
+    budget: Optional["ExecutionBudget"] = field(default=None, compare=False, repr=False)
 
     def merge(self, other: "RuntimeMetrics") -> None:
         """Accumulate another metrics object into this one."""
-        for name in self.__dataclass_fields__:
-            if name == "sort_heap_high_water_mark":
-                self.sort_heap_high_water_mark = max(
-                    self.sort_heap_high_water_mark, other.sort_heap_high_water_mark
-                )
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in METRIC_DELTA_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.sort_heap_high_water_mark = max(
+            self.sort_heap_high_water_mark, other.sort_heap_high_water_mark
+        )
 
-    def elapsed_ms(self, config: DbConfig) -> float:
-        """Simulated elapsed milliseconds from the runtime cost constants."""
+    def elapsed_ms(
+        self,
+        config: DbConfig,
+        physical_reads: Optional[int] = None,
+        pending_bloom_rows: int = 0,
+    ) -> float:
+        """Simulated elapsed milliseconds from the runtime cost constants.
+
+        The two optional arguments turn the same formula into a lower bound
+        on the finished plan's time while the plan is still running (see
+        :class:`ExecutionBudget`): ``physical_reads`` overrides the counter
+        of that name, which lives on the buffer pool until the end, and
+        ``pending_bloom_rows`` is granted the bloom-filter rebate up front.
+        """
+        if physical_reads is None:
+            physical_reads = self.physical_reads
         io_time = (
             self.sequential_pages * config.run_seq_page_cost
             + self.random_pages * config.run_rand_page_cost
-            + self.physical_reads * config.run_rand_page_cost * 0.1
+            + physical_reads * config.run_rand_page_cost * 0.1
         )
         cpu_time = (
             self.cpu_operations * config.run_cpu_row_cost
             + self.rows_processed * config.run_cpu_row_cost
             + self.hash_build_rows * config.run_hash_build_row_cost
             + self.hash_probe_rows * config.run_hash_probe_row_cost
-            - self.bloom_filtered_rows * config.run_hash_probe_row_cost * 0.6
+            - (self.bloom_filtered_rows + pending_bloom_rows)
+            * config.run_hash_probe_row_cost
+            * 0.6
         )
         sort_time = (
             self.sort_rows * config.run_sort_row_cost
@@ -65,16 +88,80 @@ class RuntimeMetrics:
         return max(0.0, io_time + cpu_time + sort_time + lookup_time)
 
     def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {
+            name: getattr(self, name)
+            for name in METRIC_DELTA_FIELDS + ("sort_heap_high_water_mark",)
+        }
 
 
 #: Summable counter fields, in declaration order.  ``sort_heap_high_water_mark``
-#: is a running max, not a sum, so its delta is meaningless and excluded.
+#: is a running max, not a sum, so its delta is meaningless and excluded;
+#: ``budget`` is not a counter at all.
 METRIC_DELTA_FIELDS: Tuple[str, ...] = tuple(
     name
     for name in RuntimeMetrics.__dataclass_fields__
-    if name != "sort_heap_high_water_mark"
+    if name not in ("sort_heap_high_water_mark", "budget")
 )
+
+
+class ExecutionBudget:
+    """Simulated-time limit of one plan execution.
+
+    The executors call :meth:`check` whenever a plan node has finished.  It
+    compares a *lower bound* on the finished plan's ``elapsed_ms`` with the
+    limit and raises :class:`PlanBudgetExceeded` once the bound is above it,
+    so a plan is stopped early only if running it to the end would have
+    produced a time above the limit as well.  Checked after the root, the
+    bound is the exact time: a budgeted execution raises if and only if the
+    plan's ``elapsed_ms`` is above the limit.
+
+    Why a bound and not simply the partial time: every term of
+    :meth:`RuntimeMetrics.elapsed_ms` grows with its counter except the
+    bloom-filter rebate, which *lowers* the time by 0.6 probe costs for every
+    outer row a bloom hash join filters out.  A bloom join filters at most
+    its outer input, so each bloom join that has not finished is granted the
+    rebate for all of its outer rows in advance; while one of them does not
+    know its outer row count yet the rebate is unbounded and nothing is
+    decided.  "Finished" is read off ``actual_cardinality``, which the
+    executors set when a node returns and the memo restores for the nodes a
+    hit skips; the constructor clears it on the nodes consulted, because
+    plan copies carry the annotations of an earlier run.
+    """
+
+    __slots__ = ("limit_ms", "_config", "_bloom_joins")
+
+    def __init__(self, limit_ms: float, qgm: Qgm, config: DbConfig):
+        self.limit_ms = limit_ms
+        self._config = config
+        self._bloom_joins: List[PlanNode] = [
+            node
+            for node in qgm.nodes()
+            if node.pop_type is PopType.HSJOIN and node.properties.get("bloom_filter")
+        ]
+        for join in self._bloom_joins:
+            join.actual_cardinality = None
+            join.inputs[0].actual_cardinality = None
+
+    def check(self, metrics: RuntimeMetrics, pool: BufferPool) -> None:
+        """Stop the plan (raise) if it is certain to end above the limit."""
+        pending_bloom_rows = 0
+        for join in self._bloom_joins:
+            if join.actual_cardinality is None:
+                outer_rows = join.inputs[0].actual_cardinality
+                if outer_rows is None:
+                    return
+                pending_bloom_rows += int(outer_rows)
+        elapsed = metrics.elapsed_ms(
+            self._config, pool.physical_reads, pending_bloom_rows
+        )
+        if elapsed > self.limit_ms:
+            # Under execution tracing, mark the node span being executed.
+            span = current_execution_span()
+            if span is not None:
+                span.set("aborted", True)
+                span.set("elapsed_ms", elapsed)
+                span.set("budget_ms", self.limit_ms)
+            raise PlanBudgetExceeded(elapsed, self.limit_ms)
 
 _snapshot_getter = operator.attrgetter(*METRIC_DELTA_FIELDS)
 

@@ -49,6 +49,7 @@ from repro.engine.executor.executor import (
 )
 from repro.engine.executor.memo import ExecutionMemo, MemoEntry
 from repro.engine.executor.metrics import (
+    ExecutionBudget,
     RuntimeMetrics,
     record_node_metric_deltas,
     snapshot_metrics,
@@ -346,8 +347,20 @@ class VectorizedExecutor:
 
     # ------------------------------------------------------------------
 
-    def execute(self, qgm: Qgm, memo: Optional[ExecutionMemo] = None) -> ExecutionResult:
-        """Execute ``qgm``; annotates every node's ``actual_cardinality``."""
+    def execute(
+        self,
+        qgm: Qgm,
+        memo: Optional[ExecutionMemo] = None,
+        budget_ms: Optional[float] = None,
+    ) -> ExecutionResult:
+        """Execute ``qgm``; annotates every node's ``actual_cardinality``.
+
+        ``budget_ms`` raises :class:`~repro.errors.PlanBudgetExceeded` exactly
+        when the plan's ``elapsed_ms`` is above it, as early as that is
+        certain (see :class:`~repro.engine.executor.metrics.ExecutionBudget`).
+        The budget is state of this one call: the executor is shared by the
+        learner and the serving threads.
+        """
         if memo is not None and memo.epoch is not None:
             # Epoch-managed (workload-scoped) memo: pin this execution to the
             # memo's current dict snapshot so a concurrent data change --
@@ -355,6 +368,8 @@ class VectorizedExecutor:
             # view nor receive stale entries stored by it afterwards.
             memo = memo.pinned()
         metrics = RuntimeMetrics()
+        if budget_ms is not None:
+            metrics.budget = ExecutionBudget(budget_ms, qgm, self.config)
         pool = BufferPool(self.config.buffer_pool_pages)
         batch = self._execute_node(qgm.root, metrics, pool, memo)
         metrics.rows_returned = batch.length
@@ -389,12 +404,25 @@ class VectorizedExecutor:
         parent = current_execution_span()
         if parent is None:
             batch = handler(node, metrics, pool, memo)
+            self._node_finished(node, batch.length, metrics, pool)
         else:
             batch = self._execute_node_traced(
                 node, handler, metrics, pool, memo, parent
             )
-        node.actual_cardinality = batch.length
         return batch
+
+    def _node_finished(
+        self, node: PlanNode, row_count: int, metrics: RuntimeMetrics, pool: BufferPool
+    ) -> None:
+        """Annotate the node's actual cardinality, then enforce the budget.
+
+        Handlers store their memo entry before they return, so by the time a
+        budget stops the plan here every stored entry describes a subtree
+        that ran to completion.
+        """
+        node.actual_cardinality = row_count
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
 
     def _execute_node_traced(
         self,
@@ -412,7 +440,8 @@ class VectorizedExecutor:
         bit-identical.  The handler runs with this node's span installed as
         the thread's execution span, so recursive ``_execute_node`` calls
         parent under it; metric and memo-counter deltas are therefore per
-        *subtree*, matching the span's own wall time.
+        *subtree*, matching the span's own wall time.  The budget is enforced
+        inside the span, so it is this node's span that an abort marks.
         """
         before = snapshot_metrics(metrics)
         # ``memo.counters`` is the one dict shared by every pinned() view, so
@@ -424,6 +453,7 @@ class VectorizedExecutor:
         with parent.child(node.pop_type.name.lower()) as span:
             with execution_tracing(span):
                 batch = handler(node, metrics, pool, memo)
+                self._node_finished(node, batch.length, metrics, pool)
             span.set("operator_id", node.operator_id)
             if node.table:
                 span.set("table", node.table)
@@ -1120,9 +1150,13 @@ class VectorizedExecutor:
             )
 
         inner_batch = self._execute_node(inner_node, metrics, pool, memo)
-        # Re-scanning the inner for every outer row: charge the CPU for it.
+        # Re-scanning the inner for every outer row: charge the CPU for it --
+        # known from the input sizes, so the budget can stop the plan before
+        # the rows are produced.
         rescan_cpu = outer_batch.length * max(1, inner_batch.length)
         metrics.cpu_operations += rescan_cpu
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
         outer_picks: Sequence[int] = []
         inner_picks: Sequence[int] = []
         vectorized_done = False
@@ -1303,17 +1337,19 @@ class VectorizedExecutor:
 
         probe = numeric_array(outer_values) if not residual_pairs else None
         if probe is not None:
+            # One lookup per probe row: charged before any is made, so the
+            # budget can stop the plan ahead of the probing.
+            lookups = len(probe)
+            metrics.index_lookups += lookups
+            if metrics.budget is not None:
+                metrics.budget.check(metrics, pool)
             # Vectorized probing: resolve each *distinct* key once, then
             # expand lookups, page traces and surviving rows back to probe
             # order -- emission and page-access sequence are exactly the
             # per-row loop's (probe order, ascending row ids per value).
-            (
-                lookups,
-                processed,
-                trace_pages,
-                outer_picks,
-                inner_row_ids,
-            ) = self._nljoin_vector_probe(probe, resolve_value)
+            processed, trace_pages, outer_picks, inner_row_ids = (
+                self._nljoin_vector_probe(probe, resolve_value)
+            )
             inner_matched = len(inner_row_ids)
         else:
             inner_matched = 0
@@ -1340,11 +1376,11 @@ class VectorizedExecutor:
                         inner_matched += 1
                         outer_picks.append(op)
                         inner_row_ids.append(row_id)
+            metrics.index_lookups += lookups
         # One batched access reproduces the per-row access sequence exactly
         # (the loop touches nothing else in the pool between rows).
         if len(trace_pages):
             metrics.random_pages += pool.access_many(table, trace_pages)
-        metrics.index_lookups += lookups
         metrics.rows_processed += processed
         inner_node.actual_cardinality = inner_matched
 
@@ -1372,14 +1408,14 @@ class VectorizedExecutor:
 
         ``probe`` is a null-free numeric key array; ``resolve_value`` returns
         the cached ``(row count, pages, survivors)`` for one key.  Returns
-        ``(lookups, processed, trace_pages, outer_picks, inner_row_ids)``
+        ``(processed, trace_pages, outer_picks, inner_row_ids)``
         where the trace and the emitted (outer position, inner row id) pairs
         are ordered exactly as the per-row loop orders them: by outer
         position, then by the value's page/survivor order.
         """
         empty = np.zeros(0, dtype=np.intp)
         if not len(probe):
-            return 0, 0, empty, empty, empty
+            return 0, empty, empty, empty
         unique, inverse = np.unique(probe, return_inverse=True)
         count = len(unique)
         row_counts = np.empty(count, dtype=np.intp)
@@ -1396,7 +1432,6 @@ class VectorizedExecutor:
             survivor_chunks.append(survivors)
             page_counts[position] = len(pages)
             survivor_counts[position] = len(survivors)
-        lookups = len(probe)
         processed = int(row_counts[inverse].sum())
 
         def expand(chunks, counts):
@@ -1418,7 +1453,7 @@ class VectorizedExecutor:
         outer_picks = np.repeat(
             np.arange(len(probe), dtype=np.intp), per_probe_survivors
         )
-        return lookups, processed, trace_pages, outer_picks, inner_row_ids
+        return processed, trace_pages, outer_picks, inner_row_ids
 
     @staticmethod
     def _index_lookup_accessor(

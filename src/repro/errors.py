@@ -29,6 +29,24 @@ class GuidelineError(EngineError):
     """An OPTGUIDELINES document is malformed."""
 
 
+class PlanBudgetExceeded(EngineError):
+    """A plan ran past the simulated-time budget of its execution.
+
+    Raised by the executors at the first node boundary where the partial
+    simulated ``elapsed_ms`` is above the ``budget_ms`` the caller passed to
+    ``execute``; every term of the runtime model only grows, so the finished
+    plan would have been above the budget too.  Only callers that pass a
+    budget can see it, and they catch it themselves.
+    """
+
+    def __init__(self, elapsed_ms: float, budget_ms: float):
+        super().__init__(
+            f"plan stopped at {elapsed_ms:.3f} simulated ms, budget {budget_ms:.3f} ms"
+        )
+        self.elapsed_ms = elapsed_ms
+        self.budget_ms = budget_ms
+
+
 class RdfError(ReproError):
     """Base class for RDF / SPARQL errors."""
 
@@ -39,15 +57,3 @@ class SparqlSyntaxError(RdfError):
 
 class SparqlEvaluationError(RdfError):
     """A SPARQL query failed during evaluation."""
-
-
-class GaloError(ReproError):
-    """Base class for errors raised by the GALO core."""
-
-
-class LearningError(GaloError):
-    """The offline learning engine could not process a workload query."""
-
-
-class MatchingError(GaloError):
-    """The online matching engine failed while re-optimizing a query."""

@@ -97,7 +97,9 @@ def find_sample_patterns(
     """
     patterns: List[SamplePattern] = []
     seen_structures = set()
-    batch = Db2Batch(database.catalog, database.config, runs=runs_per_plan)
+    batch = Db2Batch(
+        database.catalog, database.config, runs=runs_per_plan, executor=database.executor
+    )
     for query_name, sql in queries:
         if len(patterns) >= count:
             break
@@ -146,7 +148,12 @@ class ExpertModel:
 
     def __init__(self, database: Database, runs_per_plan: int = 5):
         self.database = database
-        self.batch = Db2Batch(database.catalog, database.config, runs=runs_per_plan)
+        self.batch = Db2Batch(
+            database.catalog,
+            database.config,
+            runs=runs_per_plan,
+            executor=database.executor,
+        )
 
     def analyze(
         self, pattern: SamplePattern, pattern_index: int, min_improvement: float = 0.05

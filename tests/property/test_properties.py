@@ -6,9 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.learning.ranking import kmeans_two_clusters
+from repro.core.learning.ranking import (
+    candidate_cap_ms,
+    kmeans_two_clusters,
+    robust_elapsed_ms,
+)
 from repro.engine.executor import bufferpool
 from repro.engine.executor.bufferpool import BufferPool
+from repro.engine.executor.db2batch import Db2Batch
+from repro.engine.executor.executor import ExecutionResult
+from repro.engine.executor.metrics import RuntimeMetrics
 from repro.engine.expressions import Between, ColumnRef, Comparison, InList, Literal
 from repro.engine.statistics import collect_column_statistics
 from repro.rdf.graph import Graph, Triple
@@ -214,6 +221,53 @@ def test_kmeans_assignments_cover_all_points(values):
     one_values = [v for v, a in zip(values, assignments) if a == 1]
     if zero_values and one_values:
         assert max(zero_values) <= max(one_values)
+
+
+# ---------------------------------------------------------------------------
+# db2batch: the inequality the incumbent bound's exactness rests on
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    base=st.floats(1e-3, 1e6),
+    noise_seed=st.integers(0, 2**31 - 1),
+    runs=st.integers(1, 9),
+    interference_probability=st.floats(0.0, 1.0),
+    cap_ratio=st.floats(0.2, 5.0),
+)
+def test_noise_filtered_time_is_at_least_base_times_smallest_factor(
+    base, noise_seed, runs, interference_probability, cap_ratio, mini_db
+):
+    """Whatever subset of the samples the K-means step keeps, their mean is
+    no lower than the smallest sample, ``base x min(factor)`` -- so a base
+    above ``cap / min(factor)`` (what ``benchmark_within`` stops a plan at)
+    puts the noise-filtered time above the cap."""
+    qgm = mini_db.explain("SELECT COUNT(*) FROM outlet")
+    batch = Db2Batch(
+        mini_db.catalog,
+        mini_db.config.with_overrides(noise_seed=noise_seed),
+        runs=runs,
+        interference_probability=interference_probability,
+        executor=mini_db.executor,
+    )
+    factors = batch.noise_factors(qgm)
+    smallest = min(
+        scale * batch.interference_factor if spiked else scale
+        for scale, spiked in factors
+    )
+    measurement = batch._measurement(
+        qgm, ExecutionResult(metrics=RuntimeMetrics(), elapsed_ms=base), factors
+    )
+    robust = robust_elapsed_ms(measurement)
+    # A mean of floats can round a few ulps below its smallest term; the cap
+    # carries nine orders of magnitude more head-room than that.
+    assert robust >= base * smallest * (1.0 - 1e-12)
+    # The consequence, with the cap exactly as the learning tier builds it:
+    # the margin in the cap absorbs that rounding.
+    cap_ms = candidate_cap_ms(base * cap_ratio, None, 0.15)
+    if base > cap_ms / smallest:
+        assert robust > 1.02 * 0.85 * (base * cap_ratio)
 
 
 # ---------------------------------------------------------------------------

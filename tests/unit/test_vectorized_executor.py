@@ -310,6 +310,20 @@ class TestEngineSelection:
         vec_result = mini_db.execute_sql(MINI_SQLS[3])
         assert_identical(row_result, vec_result)
 
+    def test_benchmarking_reuses_the_database_executor(self, mini_db, monkeypatch):
+        """``benchmark_plan`` and the expert model measure on the database's
+        executor instead of building a fresh one per call."""
+        from repro.engine.executor import db2batch
+        from repro.experiments.expert import ExpertModel
+
+        def no_new_executor(*args, **kwargs):
+            raise AssertionError("built a second executor")
+
+        monkeypatch.setattr(db2batch, "make_executor", no_new_executor)
+        measurement = mini_db.benchmark_plan(mini_db.explain(MINI_SQLS[3]), runs=3)
+        assert len(measurement.run_elapsed_ms) == 3
+        assert ExpertModel(mini_db).batch.executor is mini_db.executor
+
 
 class TestBatch:
     def test_from_rows_and_to_rows_round_trip(self):

@@ -11,8 +11,16 @@ memo entries, gathered aux columns and join build/sort caches are pure
 functions of storage, so they survive re-collections mid-sweep.
 """
 
+import ast
+import dataclasses
+import math
+import pathlib
+import sys
+import threading
+
 import pytest
 
+import repro
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.learning.engine import LearningConfig
@@ -22,6 +30,8 @@ from repro.engine.database import Database
 from repro.engine.executor import ExecutionMemo, Executor, MemoEntry, VectorizedExecutor
 from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
+from repro.errors import PlanBudgetExceeded
+from repro.obs.tracing import Tracer, current_execution_span
 
 JOIN_SQLS = [
     "SELECT i_category, COUNT(*) FROM sales, item "
@@ -373,3 +383,169 @@ class TestOnlineTierMeasurement:
         assert [r.reoptimized_elapsed_ms for r in on] == [
             r.reoptimized_elapsed_ms for r in off
         ]
+
+
+# ---------------------------------------------------------------------------
+# budgeted execution: an interrupted plan must be as invisible as the memo
+# ---------------------------------------------------------------------------
+
+BLOOM_SQL = (
+    "SELECT i_category, COUNT(*) FROM sales, item "
+    "WHERE s_item_sk = i_item_sk AND i_price < 3 GROUP BY i_category"
+)
+#: SALES probes a bloom filter built from the handful of cheap items: nearly
+#: every probe row is filtered, and each filtered row *lowers* elapsed_ms.
+BLOOM_GUIDELINE = (
+    '<OPTGUIDELINES><HSJOIN BLOOMFILTER="TRUE">'
+    '<TBSCAN TABID="SALES"/><TBSCAN TABID="ITEM"/></HSJOIN></OPTGUIDELINES>'
+)
+
+
+def _plans(db):
+    """Optimizer and random plans of the join queries (bloom joins included)."""
+    plans = [db.explain(BLOOM_SQL, guidelines=BLOOM_GUIDELINE)]
+    for sql in JOIN_SQLS:
+        plans.append(db.explain(sql))
+        plans += db.random_plans(sql, 4)
+    assert any(node.properties.get("bloom_filter") for plan in plans for node in plan.nodes())
+    return plans
+
+
+class TestBudgetedExecution:
+    def test_budget_trips_exactly_above_elapsed_on_both_engines(self, mini_db):
+        """``execute(budget_ms=b)`` raises if and only if the plan's
+        ``elapsed_ms`` is above ``b`` -- wherever along the way it notices."""
+        engines = (
+            Executor(mini_db.catalog, mini_db.config),
+            VectorizedExecutor(mini_db.catalog, mini_db.config),
+        )
+        for qgm in _plans(mini_db):
+            cold = engines[0].execute(qgm.copy())
+            for engine in engines:
+                at_limit = engine.execute(qgm.copy(), budget_ms=cold.elapsed_ms)
+                assert_identical(cold, at_limit, context=type(engine).__name__)
+                just_below = math.nextafter(cold.elapsed_ms, 0.0)
+                with pytest.raises(PlanBudgetExceeded) as raised:
+                    engine.execute(qgm.copy(), budget_ms=just_below)
+                assert raised.value.budget_ms == just_below
+                assert raised.value.elapsed_ms > just_below
+
+    def test_interrupted_plan_leaves_a_consistent_memo(self, mini_db):
+        """Abort a plan at several depths through a fresh memo, then run it to
+        the end through that memo: rows, elapsed, cardinalities and metrics
+        equal a memo-less cold run, so whatever the abort stored was complete."""
+        engine = VectorizedExecutor(mini_db.catalog, mini_db.config)
+        stored = 0
+        for qgm in _plans(mini_db):
+            cold = engine.execute(qgm.copy())
+            for share in (0.0, 0.2, 0.5, 0.8, 0.999):
+                memo = ExecutionMemo()
+                with pytest.raises(PlanBudgetExceeded):
+                    engine.execute(
+                        qgm.copy(), memo=memo, budget_ms=cold.elapsed_ms * share
+                    )
+                stored += len(memo.entries)
+                through_memo = engine.execute(qgm.copy(), memo=memo)
+                assert_identical(cold, through_memo, context=f"share {share}")
+        assert stored > 0, "no abort ever happened above a completed subtree"
+
+    def test_bloom_rebate_is_not_mistaken_for_an_overrun(self, mini_db):
+        """The one term of ``elapsed_ms`` that falls: after both scans the
+        partial time is above the finished plan's, so a budget between the two
+        must let the plan finish."""
+        qgm = mini_db.explain(BLOOM_SQL, guidelines=BLOOM_GUIDELINE)
+        cold = Executor(mini_db.catalog, mini_db.config).execute(qgm.copy())
+        assert cold.metrics.bloom_filtered_rows > 1000
+        scans_only = dataclasses.replace(
+            cold.metrics, hash_build_rows=0, hash_probe_rows=0, bloom_filtered_rows=0
+        ).elapsed_ms(mini_db.config)
+        budget_ms = (cold.elapsed_ms + scans_only) / 2
+        assert cold.elapsed_ms < budget_ms < scans_only
+        for engine_class in (Executor, VectorizedExecutor):
+            engine = engine_class(mini_db.catalog, mini_db.config)
+            assert_identical(cold, engine.execute(qgm.copy(), budget_ms=budget_ms))
+
+    def test_traced_abort_closes_every_span_and_marks_the_node(self, mini_db):
+        qgm = mini_db.explain(JOIN_SQLS[2])
+        cold = mini_db.execute_plan(qgm.copy())
+        budget_ms = cold.elapsed_ms * 0.5
+        tracer = Tracer()
+        root = tracer.start_trace("budgeted")
+        with pytest.raises(PlanBudgetExceeded):
+            mini_db.execute_plan(
+                qgm.copy(), memo=ExecutionMemo(), span=root, budget_ms=budget_ms
+            )
+        assert current_execution_span() is None
+        assert len(tracer.store) == 0  # nothing finalized before the root ends
+        root.end()
+        spans = tracer.store.traces()[0]["spans"]
+        # Every node span that was opened was closed and recorded (an open
+        # span never reaches the store), down to the aborting one.
+        marked = [span for span in spans if span["attributes"].get("aborted")]
+        assert len(marked) == 1
+        attributes = marked[0]["attributes"]
+        assert attributes["budget_ms"] == budget_ms
+        assert budget_ms < attributes["elapsed_ms"] <= cold.elapsed_ms
+        by_id = {span["span_id"]: span for span in spans}
+        ancestor = by_id.get(marked[0]["parent_id"])
+        while ancestor is not None and ancestor["parent_id"] is not None:
+            assert ancestor["attributes"]["error"] == "PlanBudgetExceeded"
+            ancestor = by_id.get(ancestor["parent_id"])
+        # The same executor, untraced and unbudgeted, is unaffected.
+        assert_identical(cold, mini_db.execute_plan(qgm.copy()))
+
+    def test_budget_is_private_to_one_execution(self, mini_db):
+        """The learner's budgeted runs and the serving threads' plain ones go
+        through the one shared ``Database.executor`` at the same time."""
+        plans = [mini_db.explain(sql) for sql in JOIN_SQLS]
+        cold = [mini_db.execute_plan(qgm.copy()) for qgm in plans]
+        stop = threading.Event()
+        trips = []
+
+        def budgeted():
+            while not stop.is_set():
+                for qgm in plans:
+                    try:
+                        mini_db.executor.execute(qgm.copy(), budget_ms=0.0)
+                    except PlanBudgetExceeded:
+                        trips.append(1)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        learner = threading.Thread(target=budgeted)
+        learner.start()
+        try:
+            for _ in range(5):
+                for qgm, reference in zip(plans, cold):
+                    assert_identical(reference, mini_db.executor.execute(qgm.copy()))
+        finally:
+            stop.set()
+            learner.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not learner.is_alive()
+        assert trips
+
+    def test_only_the_learning_tier_passes_a_budget(self):
+        """``PlanBudgetExceeded`` can only reach a caller that asked for a
+        budget.  The two that do catch it themselves, so the serving tier's
+        catch-all handlers never see it; ``execute_plan`` only hands it on."""
+        source_root = pathlib.Path(repro.__file__).parent
+        passing = {}
+        for path in source_root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if any(
+                keyword.arg == "budget_ms"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                for keyword in node.keywords
+            ):
+                passing[str(path.relative_to(source_root))] = path.read_text(
+                    encoding="utf-8"
+                )
+        assert sorted(passing) == [
+            "core/learning/engine.py",
+            "engine/database.py",
+            "engine/executor/db2batch.py",
+        ]
+        for name in ("core/learning/engine.py", "engine/executor/db2batch.py"):
+            assert "except PlanBudgetExceeded" in passing[name]
