@@ -369,9 +369,14 @@ class DeterminismRule(Rule):
 GL002_ORACLE_FUNCTIONS = frozenset(
     {
         # columns.py: gather/materialization of plain-list columns (the
-        # output of declined kernels and of ``Batch.from_rows``)
+        # output of declined kernels and of ``Batch.from_rows``), and the one
+        # place a column's Python values become its typed array
         "gather",
         "python_values",
+        "ColumnVector._build_typed",
+        # statistics.py: the value loop RUNSTATS declines to (object columns,
+        # plain sequences, NaN) -- also the definition the array kernel equals
+        "_collect_from_values",
         # vectorized.py: row-dict boundaries at the plan edge
         "Batch.from_rows",
         "Batch.to_rows",
@@ -390,7 +395,11 @@ GL002_ORACLE_FUNCTIONS = frozenset(
 
 #: Identifiers that mark an iterable as row-sized.
 _ROW_SCALE_NAMES = frozenset(
-    {"rows", "row_ids", "survivors", "trace", "picks", "matches", "pages"}
+    {
+        "rows", "row_ids", "survivors", "trace", "picks", "matches", "pages",
+        # one column's values, NULLs included / removed
+        "values", "non_null",
+    }
 )
 _ROW_SCALE_ATTRS = frozenset({"length", "row_count", "rows", "row_ids"})
 
@@ -430,6 +439,7 @@ class HotPathLoopRule(Rule):
         "repro/engine/executor/vectorized.py",
         "repro/engine/columns.py",
         "repro/engine/executor/bufferpool.py",
+        "repro/engine/statistics.py",
     )
 
     def __init__(self) -> None:

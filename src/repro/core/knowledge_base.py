@@ -33,7 +33,7 @@ from repro.engine.plan.physical import PlanNode
 from repro.rdf.graph import Graph
 from repro.rdf.sparql.evaluator import SparqlEngine
 from repro.rdf.sparql.parser import parse_sparql
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import IRI, Literal, Node
 
 #: Slack added to index-side bound comparisons so that the 4-decimal rounding
 #: applied when cardinalities are serialized into SPARQL text can never make
@@ -602,22 +602,26 @@ class KnowledgeBase:
         """Recompute subgraphs and the index from ``graph`` + ``templates``.
 
         Used after ``load``: the persisted form is the flat triple store plus
-        the JSON registry, from which the per-template partition is recovered
-        by following each template's ``inTemplate`` triples.
+        the JSON registry.  A node belongs to the template its ``inTemplate``
+        triple names, so one pass over the store hands every triple to the
+        subgraph of its subject's template.
         """
         with self._write_lock:
             self.index.clear()
             self._template_graphs.clear()
+            by_resource: Dict[Node, Graph] = {
+                voc.TEMPLATE[template_id]: Graph() for template_id in self.templates
+            }
+            by_subject = dict(by_resource)
+            for link in self.graph.triples(None, voc.IN_TEMPLATE, None):
+                if link.object in by_resource:
+                    by_subject[link.subject] = by_resource[link.object]
+            for triple in self.graph:
+                subgraph = by_subject.get(triple.subject)
+                if subgraph is not None:
+                    subgraph.add(triple)
             for template_id, template in self.templates.items():
-                template_resource = voc.TEMPLATE[template_id]
-                subjects = [template_resource] + [
-                    triple.subject
-                    for triple in self.graph.triples(None, voc.IN_TEMPLATE, template_resource)
-                ]
-                subgraph = Graph()
-                for subject in subjects:
-                    for triple in self.graph.triples(subject, None, None):
-                        subgraph.add(triple)
+                subgraph = by_resource[voc.TEMPLATE[template_id]]
                 self._template_graphs[template_id] = subgraph
                 self.index.add(self._profile_from_subgraph(template, subgraph))
             self.generation += 1

@@ -50,10 +50,14 @@ class Catalog:
     # -- DML / stats -------------------------------------------------------
 
     def load_rows(self, table: str, rows: Iterable[dict]) -> int:
-        """Insert rows and refresh the table's statistics (RUNSTATS)."""
-        data = self.table_data(table)
-        added = data.insert_rows(rows)
-        self.runstats(table)
+        """Insert rows and refresh the table's statistics (RUNSTATS).
+
+        A batch that adds no row changes nothing the statistics describe, so
+        they are left alone.
+        """
+        added = self.table_data(table).insert_rows(rows)
+        if added:
+            self.runstats(table)
         return added
 
     def runstats(self, table: str) -> TableStatistics:

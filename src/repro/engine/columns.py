@@ -4,8 +4,8 @@
 holds per column.  It is *sequence-compatible* with the plain Python lists it
 replaces -- ``len``, ``[i]``, iteration and ``append`` all behave identically
 and always yield plain Python values (``None`` for SQL NULL) -- so the row
-engine, the statistics collector and every existing caller keep working
-unchanged.  On top of that a column exposes a lazily built **typed view** via
+engine and every existing caller keep working unchanged.  On top of that a
+column exposes a lazily built **typed view** via
 :meth:`ColumnVector.arrays`:
 
 * INTEGER / DATE columns -> ``int64`` array, DECIMAL -> ``float64``,
@@ -17,10 +17,11 @@ unchanged.  On top of that a column exposes a lazily built **typed view** via
   string columns too).
 
 The typed view is what the vectorized predicate path
-(:func:`repro.engine.expressions.compile_predicate`) and the batch executor's
-gather/join/sort/group-by kernels consume.  It is a cache over the
-authoritative Python value list: appends invalidate it, the next vectorized
-access rebuilds it.  Loads happen once, scans happen thousands of times per
+(:func:`repro.engine.expressions.compile_predicate`), the batch executor's
+gather/join/sort/group-by kernels and RUNSTATS
+(:func:`repro.engine.statistics.collect_column_statistics`) consume.  It is a
+cache over the authoritative Python value list: appends invalidate it, the
+next vectorized access rebuilds it.  Loads happen once, scans happen thousands of times per
 learning sweep, so the rebuild cost is amortized away.  Lifetime tracks
 *storage*, not statistics: RUNSTATS reads columns but never mutates them, so
 a stats-only epoch bump (see ``Database.invalidate_plan_cache``) leaves

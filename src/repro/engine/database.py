@@ -91,7 +91,8 @@ class Database:
 
     def load_rows(self, table: str, rows: Iterable[dict]) -> int:
         added = self.catalog.load_rows(table, rows)
-        self.invalidate_plan_cache()
+        if added:
+            self.invalidate_plan_cache()
         return added
 
     def runstats(self, table: str) -> TableStatistics:

@@ -140,15 +140,6 @@ class IndexData:
         row_ids.sort()
         return row_ids
 
-    @property
-    def key_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def leaf_pages(self) -> int:
-        total = sum(len(ids) for ids in self.entries.values())
-        return max(1, total // 256)
-
 
 class TableData:
     """Column-wise storage for one table plus its indexes."""
@@ -171,22 +162,26 @@ class TableData:
         row id) pairs are appended, so a bulk load of N batches stays O(N
         rows) instead of the O(N^2) a per-batch full rebuild costs.  New row
         ids are strictly larger than every existing one, so appending keeps
-        each entry's row-id list sorted.  Appending also invalidates each
-        touched column's typed-array view; it is rebuilt on the next
-        vectorized access.
+        each entry's row-id list sorted.  The batch is coerced column by
+        column before any column grows (a value that cannot be coerced leaves
+        the table as it was) and appended with one ``extend`` per column,
+        which also invalidates that column's typed-array view once; the view
+        is rebuilt on the next vectorized access.
         """
+        batch = list(rows)
+        if not batch:
+            return 0
+        coerced = []
+        for column in self.schema.columns:
+            name, data_type = column.name, column.data_type
+            coerced.append([coerce_value(row.get(name), data_type) for row in batch])
+        for column, values in zip(self.schema.columns, coerced):
+            self._columns[column.name].extend(values)
         first_new_row = self._row_count
-        added = 0
-        for row in rows:
-            for column in self.schema.columns:
-                value = coerce_value(row.get(column.name), column.data_type)
-                self._columns[column.name].append(value)
-            self._row_count += 1
-            added += 1
-        if added:
-            for index_data in self._indexes.values():
-                self._append_to_index(index_data, first_new_row)
-        return added
+        self._row_count += len(batch)
+        for index_data in self._indexes.values():
+            self._append_to_index(index_data, first_new_row)
+        return len(batch)
 
     def _append_to_index(self, index_data: IndexData, first_new_row: int) -> None:
         """Index the rows from ``first_new_row`` on (cached key order drops)."""

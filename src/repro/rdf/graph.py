@@ -8,6 +8,7 @@ grepping plan files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -41,14 +42,18 @@ class Graph:
     # -- mutation -----------------------------------------------------------
 
     def add(self, triple: Triple) -> None:
-        if not isinstance(triple.predicate, IRI):
+        subject, predicate, obj = triple.subject, triple.predicate, triple.object
+        if not isinstance(predicate, IRI):
             raise RdfError("triple predicates must be IRIs")
-        if triple in self._triples:
-            return
+        # One set operation, not a membership test and then an insert: hashing
+        # a triple hashes its three terms in Python and is most of an add.
+        known = len(self._triples)
         self._triples.add(triple)
-        self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple.object)
-        self._pos.setdefault(triple.predicate, {}).setdefault(triple.object, set()).add(triple.subject)
-        self._osp.setdefault(triple.object, {}).setdefault(triple.subject, set()).add(triple.predicate)
+        if len(self._triples) == known:
+            return
+        self._spo.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
+        self._pos.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
+        self._osp.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
 
     def add_triple(self, subject: Node, predicate: IRI, obj: Node) -> None:
         self.add(Triple(subject, predicate, obj))
@@ -142,6 +147,9 @@ class Graph:
     def from_ntriples(cls, text: str) -> "Graph":
         """Parse N-Triples text produced by :meth:`to_ntriples`."""
         graph = cls()
+        # IRIs repeat (a few dozen predicates, one subject per node): building
+        # each once per parse also lets the indexes find them by identity.
+        iris: Dict[str, IRI] = {}
         # Split on '\n' only: escaped literals never contain a raw newline, but
         # they may contain other Unicode line-boundary characters that
         # str.splitlines() would wrongly split on.
@@ -149,85 +157,60 @@ class Graph:
             line = raw_line.strip()
             if not line or line.startswith("#"):
                 continue
-            graph.add(_parse_ntriple_line(line, line_number))
+            match = _NTRIPLE_LINE.fullmatch(line)
+            if match is None:
+                problem = (
+                    "expected '<subject> <predicate> <object> .'"
+                    if line.endswith(".")
+                    else "missing terminating '.'"
+                )
+                raise RdfError(f"line {line_number}: {problem}")
+            groups = match.groups()
+            try:
+                triple = Triple(
+                    _term(iris, *groups[0:4]),
+                    _term(iris, groups[4], None, None, None),
+                    _term(iris, *groups[5:9]),
+                )
+            except ValueError as exc:  # a typed literal that is not a number
+                raise RdfError(f"line {line_number}: {exc}") from None
+            graph.add(triple)
         return graph
 
 
-def _parse_ntriple_line(line: str, line_number: int) -> Triple:
-    if not line.endswith("."):
-        raise RdfError(f"line {line_number}: missing terminating '.'")
-    body = line[:-1].strip()
-    terms: List[Node] = []
-    index = 0
-    while index < len(body) and len(terms) < 3:
-        while index < len(body) and body[index].isspace():
-            index += 1
-        if index >= len(body):
-            break
-        char = body[index]
-        if char == "<":
-            end = body.index(">", index)
-            terms.append(IRI(body[index + 1:end]))
-            index = end + 1
-        elif char == "_":
-            end = index
-            while end < len(body) and not body[end].isspace():
-                end += 1
-            terms.append(BlankNode(body[index + 2:end]))
-            index = end
-        elif char == '"':
-            end = index + 1
-            while end < len(body):
-                if body[end] == '"' and not _is_escaped(body, end):
-                    break
-                end += 1
-            raw = _unescape(body[index + 1:end])
-            index = end + 1
-            # Optional ^^<datatype> marker distinguishes numeric literals from
-            # strings that merely look numeric (e.g. "007").
-            if body[index:index + 2] == "^^":
-                datatype_end = body.index(">", index)
-                datatype = body[index + 3:datatype_end]
-                index = datatype_end + 1
-                if datatype.endswith("integer"):
-                    terms.append(Literal(int(raw)))
-                else:
-                    terms.append(Literal(float(raw)))
-            else:
-                terms.append(Literal(raw))
-        else:
-            raise RdfError(f"line {line_number}: unexpected character {char!r}")
-    if len(terms) != 3:
-        raise RdfError(f"line {line_number}: expected 3 terms, found {len(terms)}")
-    subject, predicate, obj = terms
-    if not isinstance(predicate, IRI):
-        raise RdfError(f"line {line_number}: predicate must be an IRI")
-    return Triple(subject, predicate, obj)
+#: One term: ``<iri>``, ``_:label`` or ``"text"`` with an optional
+#: ``^^<datatype>``; four groups.  The string body is runs of ordinary
+#: characters separated by backslash pairs, so it ends at the first quote an
+#: even number of backslashes precedes and matches without backtracking.
+_TERM = r'<([^>]*)>|_:(\S*)|"([^"\\]*(?:\\.[^"\\]*)*)"(?:\^\^<([^>]*)>)?'
+_NTRIPLE_LINE = re.compile(
+    rf"(?:{_TERM})\s*<([^>]*)>\s*(?:{_TERM})\s*\.", re.DOTALL
+)
+_ESCAPE = re.compile(r'\\([nrt"\\])')
+_ESCAPED = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def _is_escaped(text: str, position: int) -> bool:
-    """True when the character at ``position`` is preceded by an odd number of backslashes."""
-    backslashes = 0
-    index = position - 1
-    while index >= 0 and text[index] == "\\":
-        backslashes += 1
-        index -= 1
-    return backslashes % 2 == 1
-
-
-def _unescape(raw: str) -> str:
-    """Decode the escape sequences produced by :meth:`Literal.n3`."""
-    out = []
-    index = 0
-    replacements = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-    while index < len(raw):
-        char = raw[index]
-        if char == "\\" and index + 1 < len(raw) and raw[index + 1] in replacements:
-            out.append(replacements[raw[index + 1]])
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
-
-
+def _term(
+    iris: Dict[str, IRI],
+    iri: Optional[str],
+    label: Optional[str],
+    text: Optional[str],
+    datatype: Optional[str],
+) -> Node:
+    """The term one ``_TERM`` match stands for (ValueError: bad number)."""
+    if iri is not None:
+        term = iris.get(iri)
+        if term is None:
+            term = iris[iri] = IRI(iri)
+        return term
+    if label is not None:
+        return BlankNode(label)
+    assert text is not None
+    if datatype is None:
+        # Decode the escape sequences produced by :meth:`Literal.n3`.
+        if "\\" in text:
+            text = _ESCAPE.sub(lambda match: _ESCAPED[match.group(1)], text)
+        return Literal(text)
+    # The ^^<datatype> marker distinguishes numeric literals from strings
+    # that merely look numeric (e.g. "007").
+    return Literal(int(text) if datatype.endswith("integer") else float(text))

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -17,9 +18,12 @@ from repro.engine.executor.db2batch import Db2Batch
 from repro.engine.executor.executor import ExecutionResult
 from repro.engine.executor.metrics import RuntimeMetrics
 from repro.engine.expressions import Between, ColumnRef, Comparison, InList, Literal
+from repro.engine.columns import ColumnVector
 from repro.engine.statistics import collect_column_statistics
+from repro.engine.types import DataType
 from repro.rdf.graph import Graph, Triple
-from repro.rdf.terms import IRI, Literal as RdfLiteral
+from repro.rdf.terms import IRI, BlankNode, Literal as RdfLiteral
+from tests.naive_statistics import assert_equals_value_loop
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -94,6 +98,58 @@ def test_frequent_value_selectivities_sum_below_one(values):
     stats = collect_column_statistics("c", values)
     total = sum(stats.selectivity_equals(value) for value, _ in stats.frequent_values)
     assert total <= 1.0 + 1e-9
+
+
+#: Per column type, the kinds of value a column of it may be filled from.
+#: Narrow domains make repeats and count ties (more than ten values tied at
+#: the tenth-largest count included); the others are what a typed array
+#: cannot carry exactly or carries at the edge of its range.
+_COLUMN_VALUES = {
+    DataType.INTEGER: [
+        st.integers(-12, 12),
+        st.integers(-(2 ** 63), 2 ** 63 - 1),
+        st.integers(2 ** 53, 2 ** 53 + 40),
+        st.integers(-(2 ** 70), 2 ** 70),
+        st.booleans(),
+    ],
+    DataType.DATE: [st.integers(17000, 17030), st.integers(-40000, 40000)],
+    DataType.DECIMAL: [
+        st.integers(-12, 12).map(lambda value: value / 4),
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.sampled_from([math.nan, math.inf, -math.inf, float("nan"), 0.5]),
+        st.integers(-5, 5),
+        st.integers(2 ** 53, 2 ** 53 + 40),
+    ],
+    DataType.VARCHAR: [st.text(alphabet="ab1", max_size=2), st.integers(0, 11)],
+}
+
+
+@st.composite
+def _raw_columns(draw):
+    """A column type and raw values for it: NULLs and one or more value kinds."""
+    data_type = draw(st.sampled_from(sorted(_COLUMN_VALUES, key=lambda t: t.value)))
+    kinds = draw(
+        st.lists(st.sampled_from(_COLUMN_VALUES[data_type]), min_size=1, max_size=2)
+    )
+    nullable = draw(st.booleans())
+    elements = st.one_of(*kinds, *([st.none()] if nullable else []))
+    return data_type, draw(st.lists(elements, max_size=80))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(column=_raw_columns(), appended=st.integers(0, 5))
+def test_column_statistics_equal_the_value_loop(column, appended):
+    """Whatever a ``ColumnVector`` holds, RUNSTATS on it -- array kernel or
+    declined to the loop -- is the pre-kernel loop's result, types included,
+    and stays so when an append has invalidated the typed view."""
+    data_type, values = column
+    vector = ColumnVector(data_type, values)
+    assert_equals_value_loop(collect_column_statistics("c", vector), values)
+    vector.extend(values[:appended])
+    assert_equals_value_loop(
+        collect_column_statistics("c", vector), values + values[:appended]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +230,48 @@ def test_access_sequential_matches_per_page_oracle(capacity, runs):
 _iris = st.text(alphabet="abcdefghij", min_size=1, max_size=6).map(
     lambda s: IRI(f"http://x/{s}")
 )
-_literals = st.one_of(
-    st.integers(-1000, 1000).map(RdfLiteral),
+_blank_nodes = st.text(alphabet="abc123", min_size=1, max_size=4).map(BlankNode)
+#: Everything the N-Triples escaping and the line pattern must get right:
+#: quotes and (runs of, trailing) backslashes, the three escaped controls,
+#: line-boundary characters that are *not* escaped, and the syntax of the
+#: format itself inside a string.
+_HAZARDS = ["\\", '"', "\n", "\r", "\t", "\u2028", "\x85", ">", '" .', "^^<", "n", " ", "."]
+_strings = st.one_of(
     st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-            max_size=12).map(RdfLiteral),
+            max_size=12),
+    st.lists(st.sampled_from(_HAZARDS), max_size=8).map("".join),
 )
-_triples = st.tuples(_iris, _iris, st.one_of(_iris, _literals)).map(
-    lambda t: Triple(t[0], t[1], t[2])
-)
+_literals = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=False),
+    _strings,
+).map(RdfLiteral)
+_triples = st.tuples(
+    st.one_of(_iris, _blank_nodes), _iris, st.one_of(_iris, _blank_nodes, _literals)
+).map(lambda t: Triple(t[0], t[1], t[2]))
 
 
-@DEFAULT_SETTINGS
+def _typed(graph):
+    """The graph's triples with each literal's Python type (1 == 1.0 == True)."""
+    return {
+        (triple, type(triple.object.value) if isinstance(triple.object, RdfLiteral) else None)
+        for triple in graph
+    }
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(triples=st.lists(_triples, max_size=40))
 def test_ntriples_round_trip(triples):
     graph = Graph(triples)
-    parsed = Graph.from_ntriples(graph.to_ntriples())
-    assert len(parsed) == len(graph)
-    assert parsed.to_ntriples() == graph.to_ntriples()
+    text = graph.to_ntriples()
+    parsed = Graph.from_ntriples(text)
+    assert _typed(parsed) == _typed(graph)
+    assert parsed.to_ntriples() == text
+    # The indexes are filled, not just the triple set.
+    for triple in triples[:5]:
+        assert triple.object in parsed.objects(triple.subject, triple.predicate)
+        assert triple.subject in parsed.subjects(triple.predicate, triple.object)
 
 
 @DEFAULT_SETTINGS

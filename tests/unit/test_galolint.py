@@ -223,6 +223,27 @@ class TestGL002HotPathLoops:
         )
         assert report.findings == []
 
+    def test_runstats_value_loop_only_in_its_declared_fallback(self, tmp_path):
+        """A loop over a column's values fires in the statistics kernel and
+        is fine in the value-loop fallback RUNSTATS declines to."""
+        report = lint(
+            tmp_path,
+            {"repro/engine/statistics.py": """
+                def collect_column_statistics(column, values):
+                    counts = {}
+                    for value in values:
+                        counts[value] = counts.get(value, 0) + 1
+                    return counts
+
+                def _collect_from_values(column, values):
+                    non_null = [value for value in values if value is not None]
+                    return sorted(float(value) for value in non_null)
+            """},
+            [HotPathLoopRule()],
+        )
+        assert rule_ids(report) == ["GL002"]
+        assert "collect_column_statistics" in report.findings[0].message
+
     def test_dead_allowlist_entry_detected(self, tmp_path):
         """With all kernel files present, unmatched allowlist entries fail."""
         stub = "def only_function():\n    return 0\n"
@@ -232,6 +253,7 @@ class TestGL002HotPathLoops:
                 "repro/engine/executor/vectorized.py": stub,
                 "repro/engine/columns.py": stub,
                 "repro/engine/executor/bufferpool.py": stub,
+                "repro/engine/statistics.py": stub,
             },
             [HotPathLoopRule()],
         )

@@ -161,6 +161,25 @@ class TestInvalidation:
         reinsert_sales(galo.database)
         self.check(galo)
 
+    def test_empty_load_invalidates_nothing(self):
+        """A batch that adds no row moves no epoch: prepared entries stay
+        current and the workload memo keeps its entries."""
+        galo = self.warmed()
+        database = galo.database
+        memo = database.workload_memo()
+        database.execute_plan(database.explain(WORKLOAD[0][1]), memo=memo)
+        statistics = database.catalog.statistics("SALES")
+        epochs = (database.storage_epoch, database.stats_epoch)
+        resets, hits = memo.resets, memo.hits
+        assert database.load_rows("SALES", []) == 0
+        assert database.load_rows("SALES", iter(())) == 0
+        assert (database.storage_epoch, database.stats_epoch) == epochs
+        assert database.catalog.statistics("SALES") is statistics
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+        assert database.workload_memo() is memo and memo.resets == resets
+        database.execute_plan(database.explain(WORKLOAD[0][1]), memo=memo)
+        assert memo.hits > hits
+
     def test_adopt_knowledge_base(self):
         galo = self.warmed()
         replacement = KnowledgeBase()

@@ -130,9 +130,34 @@ class TestNTriples:
         assert len(Graph.from_ntriples(text)) == 1
 
     def test_missing_dot_rejected(self):
-        with pytest.raises(RdfError):
+        with pytest.raises(RdfError, match="line 1: missing terminating"):
             Graph.from_ntriples('<http://a> <http://p> "x"')
 
     def test_wrong_term_count_rejected(self):
-        with pytest.raises(RdfError):
+        with pytest.raises(RdfError, match="line 1"):
             Graph.from_ntriples("<http://a> <http://p> .")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '<http://a> <http://p> "x" <http://extra> .',
+            '<http://a> "p" <http://b> .',
+            "<http://a> <http://p> <http://unterminated .",
+            '<http://a> <http://p> "unterminated .',
+            '<http://a> <http://p> "ends in a backslash\\" .',
+            '<http://a> <http://p> "x"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+            '<http://a> <http://p> "1.5.2"^^<http://www.w3.org/2001/XMLSchema#double> .',
+            "http://a <http://p> <http://b> .",
+        ],
+    )
+    def test_malformed_line_reports_its_number(self, line):
+        text = '# header\n<http://a> <http://p> "fine" .\n\n' + line + "\n"
+        with pytest.raises(RdfError, match="line 4: "):
+            Graph.from_ntriples(text)
+
+    def test_terms_need_no_space_between_them(self):
+        parsed = Graph.from_ntriples('_:n1<http://p>"x".\n<http://a>\t<http://p>  _:n2  .')
+        assert set(parsed) == {
+            Triple(BlankNode("n1"), IRI("http://p"), Literal("x")),
+            Triple(IRI("http://a"), IRI("http://p"), BlankNode("n2")),
+        }

@@ -1,7 +1,11 @@
 """Unit tests for repro.engine.statistics."""
 
+import random
+
 import pytest
 
+from repro.engine import statistics
+from repro.engine.columns import ColumnVector
 from repro.engine.statistics import (
     ColumnStatistics,
     collect_column_statistics,
@@ -11,6 +15,9 @@ from repro.engine.statistics import (
 from repro.engine.schema import make_schema
 from repro.engine.storage import TableData
 from repro.engine.types import DataType
+from repro.workloads.workload import load_workload
+from tests import naive_statistics
+from tests.naive_statistics import assert_equals_value_loop
 
 
 class TestCollectColumnStatistics:
@@ -113,6 +120,92 @@ class TestTableStatistics:
         stats = collect_table_statistics(schema, data)
         fallback = stats.column("nonexistent")
         assert fallback.n_rows == 10
+
+
+def assert_table_equals_value_loop(schema, data, collected=None) -> None:
+    collected = collected or collect_table_statistics(schema, data)
+    expected = naive_statistics.collect_table_statistics(schema, data)
+    assert collected == expected
+    for name, column in collected.columns.items():
+        assert_equals_value_loop(column, data.column_values(name).tolist())
+
+
+class TestArrayKernelEqualsValueLoop:
+    """RUNSTATS on the typed arrays against ``tests/naive_statistics.py``."""
+
+    @pytest.mark.parametrize("scale", [0.1, 0.2])
+    @pytest.mark.parametrize("workload", ["tpcds", "client"])
+    def test_every_workload_table_before_and_after_an_append(self, workload, scale):
+        """Every column of both populations, as built and after re-inserting
+        a 2 % sample of each table's own rows (the benchmark's churn step)."""
+        database = load_workload(workload, scale=scale, seed=42, query_count=1).database
+        rng = random.Random(7)
+        for table in database.tables:
+            schema = database.catalog.table_schema(table)
+            data = database.catalog.table_data(table)
+            assert_table_equals_value_loop(schema, data)
+            row_ids = rng.sample(range(data.row_count), max(1, data.row_count // 50))
+            database.load_rows(table, list(data.rows(row_ids)))
+            assert_table_equals_value_loop(
+                schema, data, collected=database.catalog.statistics(table)
+            )
+
+    def test_only_object_columns_take_the_value_loop(self, monkeypatch):
+        """The differential above is not vacuous: on the pinned population the
+        loop runs for the VARCHAR columns and for nothing else."""
+        database = load_workload("tpcds", scale=0.1, seed=42, query_count=1).database
+        looped = []
+        value_loop = statistics._collect_from_values
+
+        def recording(column, values):
+            looped.append(column)
+            return value_loop(column, values)
+
+        monkeypatch.setattr(statistics, "_collect_from_values", recording)
+        expected = []
+        for table in database.tables:
+            schema = database.catalog.table_schema(table)
+            collect_table_statistics(schema, database.catalog.table_data(table))
+            expected += [
+                column.name
+                for column in schema.columns
+                if column.data_type is DataType.VARCHAR
+            ]
+        assert expected and looped == expected
+
+    @pytest.mark.parametrize(
+        "data_type, values",
+        [
+            (DataType.INTEGER, []),
+            (DataType.INTEGER, [None, None]),
+            (DataType.INTEGER, [5]),
+            (DataType.INTEGER, [3, None, -7, 3, -7, -7, None]),
+            # Fourteen values tied at the tenth-largest count: text order of
+            # the values, not numeric order, decides which ten are kept.
+            (DataType.INTEGER, [9, 9, 9] + list(range(95, 109)) * 2 + [1]),
+            (DataType.DATE, [18000 + day % 25 for day in range(200)]),
+            (DataType.INTEGER, [2 ** 53 + 1, 2 ** 53 + 3, -(2 ** 53) - 1]),
+            (DataType.INTEGER, [2 ** 63 - 1, -(2 ** 63), 2 ** 53 + 1]),
+            (DataType.INTEGER, [1, 2 ** 63, 2, 2]),  # beyond int64: object array
+            (DataType.INTEGER, [True, 2, False, 1]),  # bools are not ints
+            (DataType.DECIMAL, [0.0, -0.0, 1.5, -0.0]),
+            (DataType.DECIMAL, [-0.0, 0.0, -1.5, 0.0, None]),
+            (DataType.DECIMAL, [-0.0, -0.0]),
+            (DataType.DECIMAL, [1.5, float("nan"), 1.5, float("nan")]),
+            (DataType.DECIMAL, [float("inf"), -float("inf"), 1e308, 5e-324]),
+            (DataType.DECIMAL, [1, 2, 2, 3.0]),  # Python ints stay ints
+            (DataType.DECIMAL, [2 ** 53 + 1, 1.0]),
+            (DataType.VARCHAR, ["b", None, "a", "b"]),
+            (DataType.VARCHAR, ["10", 9, "9"]),
+        ],
+    )
+    def test_named_edge_cases(self, data_type, values):
+        column = ColumnVector(data_type, values)
+        assert_equals_value_loop(collect_column_statistics("c", column), values)
+        column.extend(values[:3])
+        assert_equals_value_loop(
+            collect_column_statistics("c", column), values + values[:3]
+        )
 
 
 class TestJoinSelectivity:

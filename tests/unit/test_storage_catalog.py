@@ -104,6 +104,57 @@ class TestTableData:
             "I_PK"
         ).lookup_range(5, 25)
 
+    def test_one_batch_equals_row_by_row(self):
+        """The column-wise append stores what a row-at-a-time load stores:
+        coerced values (every type, NULLs, absent keys), row ids, index
+        entries in the same key order with the same row-id lists."""
+        schema = make_schema(
+            "T",
+            [
+                ("k", DataType.INTEGER),
+                ("price", DataType.DECIMAL),
+                ("day", DataType.DATE),
+                ("label", DataType.VARCHAR),
+            ],
+            [Index("T_K", "T", "k"), Index("T_DAY", "T", "day")],
+        )
+        rows = [
+            {"k": "7", "price": 3, "day": "1970-01-11", "label": 12},
+            {"k": 2, "price": None, "day": 10},
+            {"k": None, "price": 1.5, "day": None, "label": "x", "ignored": 1},
+            {"k": 7, "price": -0.0, "day": 3, "label": None},
+            {"k": 2 ** 70, "price": 2.25, "day": 10, "label": "x"},
+        ] * 3
+        batch, single = TableData(schema), TableData(schema)
+        for data in (batch, single):
+            for index in schema.indexes:
+                data.build_index(index)
+        assert batch.insert_rows(iter(rows)) == len(rows)
+        for row in rows:
+            assert single.insert_rows([row]) == 1
+        assert batch.row_count == single.row_count == len(rows)
+        assert list(batch.rows()) == list(single.rows())
+        assert [
+            [type(value) for value in row.values()] for row in batch.rows()
+        ] == [[type(value) for value in row.values()] for row in single.rows()]
+        assert batch.row(0) == {"k": 7, "price": 3.0, "day": 10, "label": "12"}
+        for name in ("T_K", "T_DAY"):
+            assert list(batch.index(name).entries.items()) == list(
+                single.index(name).entries.items()
+            )
+        assert batch.index("T_DAY").lookup(10) == [0, 1, 4, 5, 6, 9, 10, 11, 14]
+
+    def test_uncoercible_batch_leaves_the_table_unchanged(self):
+        schema = item_schema()
+        data = TableData(schema)
+        data.build_index(schema.indexes[0])
+        data.insert_rows(sample_rows(3))
+        with pytest.raises(ValueError):
+            data.insert_rows(sample_rows(2) + [{"i_item_sk": "not a number"}])
+        assert data.row_count == 3
+        assert [len(column) for column in data.column_arrays().values()] == [3, 3]
+        assert sorted(data.index("I_PK").entries) == [0, 1, 2]
+
     def test_sorted_keys_cache_invalidated_by_incremental_insert(self):
         schema = item_schema()
         data = TableData(schema)

@@ -194,9 +194,23 @@ class TestTemplateIndexStructure:
         assert kb.index.profile(candidates[0]).join_count == len(two_way.joins())
 
     def test_rebuild_matches_incremental_index(self, mini_db, tmp_path):
+        """``load(save(kb))``: equal registry, equal per-template subgraphs,
+        equal index profiles and candidates for every probe segment, equal
+        matches -- with a template whose literals need every escape."""
         kb = randomized_knowledge_base(mini_db, plans_per_query=3)
+        add_template_from_root(
+            kb,
+            mini_db,
+            join_tree_root(mini_db.explain(QUERIES[0])),
+            name='q "7" \\ tab\t line\nbreak\r \u2028 > ^^<x> " . \\',
+        )
         kb.save(str(tmp_path))
         loaded = KnowledgeBase.load(str(tmp_path))
+        assert loaded.templates == kb.templates
+        assert set(loaded.graph) == set(kb.graph)
+        assert set(loaded._template_graphs) == set(kb.templates)
+        for template_id, subgraph in kb._template_graphs.items():
+            assert set(loaded._template_graphs[template_id]) == set(subgraph)
         assert len(loaded.index) == len(kb.index)
         for template_id in kb.templates:
             original = kb.index.profile(template_id)
@@ -204,10 +218,22 @@ class TestTemplateIndexStructure:
             assert rebuilt.join_count == original.join_count
             assert rebuilt.scan_count == original.scan_count
             assert rebuilt.pop_type_counts == original.pop_type_counts
-            for pop_type, ranges in original.bounds_by_type.items():
-                assert sorted(rebuilt.bounds_by_type[pop_type]) == pytest.approx(
-                    sorted(ranges)
+            assert {
+                pop_type: sorted(ranges)
+                for pop_type, ranges in rebuilt.bounds_by_type.items()
+            } == {
+                pop_type: sorted(ranges)
+                for pop_type, ranges in original.bounds_by_type.items()
+            }
+        for sql in QUERIES:
+            for segment in segment_plan(mini_db.explain(sql), max_joins=3):
+                profile = SegmentProfile.from_segment_nodes(list(segment.walk()))
+                assert sorted(loaded.index.candidates(profile)) == sorted(
+                    kb.index.candidates(profile)
                 )
+                indexed, brute = match_both_ways(loaded, mini_db, segment)
+                assert_equivalent(indexed, brute)
+                assert_equivalent(indexed, match_both_ways(kb, mini_db, segment)[0])
 
     def test_match_statistics_track_index_savings(self, mini_db):
         kb = randomized_knowledge_base(mini_db, plans_per_query=3)

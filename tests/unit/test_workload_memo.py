@@ -162,7 +162,7 @@ class TestMemoByteAccounting:
         for table in mini_db.tables:
             mini_db.runstats(table)
         assert_bytes_consistent(mini_db.workload_memo(), "after RUNSTATS")
-        mini_db.load_rows("ITEM", [])
+        mini_db.invalidate_plan_cache()
         refreshed = mini_db.workload_memo()
         assert refreshed.entry_bytes == 0
         assert_bytes_consistent(refreshed, "after storage epoch reset")
