@@ -3,13 +3,10 @@
 Paper reference points: ~4.3 ms per rewrite at join-number 15 and ~34 ms at 32,
 growing roughly linearly and staying marginal relative to query runtimes.
 
-Besides the paper's join-count buckets, this module sweeps the two scaling
-axes the indexed matching subsystem adds:
-
-* **knowledge-base size** -- indexed vs brute-force matching throughput as the
-  template count grows (the index must keep matching sublinear in KB size);
-* **parallelism** -- ``reoptimize_workload(parallelism=N)`` throughput, with a
-  result-equality check against the serial path.
+Besides the paper's join-count buckets, this module sweeps the scaling axis
+the indexed matching subsystem adds: **knowledge-base size** -- indexed vs
+brute-force matching throughput as the template count grows (the index must
+keep matching sublinear in KB size).
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ def test_fig11_single_bucket_match(benchmark, tpcds_bundle, plans_by_join_count,
 
 
 # ---------------------------------------------------------------------------
-# KB size x parallelism sweep (indexed matching subsystem)
+# KB size sweep (indexed matching subsystem)
 # ---------------------------------------------------------------------------
 
 MAX_JOINS = 3
@@ -168,7 +165,7 @@ def test_fig11_kb_size_sweep_indexed_vs_brute(benchmark, sweep_workload, kb_size
 
 @pytest.mark.parametrize("kb_size", [50])
 def test_fig11_online_measurement_vectorized_memo(benchmark, sweep_workload, kb_size):
-    """Plan-measurement throughput of the online tier (``execute_plans=True``).
+    """Plan-measurement throughput of the online tier (``execute=True``).
 
     PR 4 routes the baseline-vs-reoptimized measurement through the
     vectorized engine *and* the workload-scoped execution memo: the two sides
@@ -216,40 +213,3 @@ def test_fig11_online_measurement_vectorized_memo(benchmark, sweep_workload, kb_
             f"vectorized online-tier measurement through the memo should be "
             f"faster than without it, got {speedup:.2f}x"
         )
-
-
-@pytest.mark.parametrize("parallelism", [1, 2, 4])
-@pytest.mark.parametrize("kb_size", [100])
-def test_fig11_parallel_workload_reoptimization(
-    benchmark, sweep_workload, kb_size, parallelism
-):
-    """Batched re-optimization throughput across thread-pool sizes.
-
-    Results must be bit-identical to the serial path whatever the pool size;
-    throughput is reported per configuration so the KB-size x parallelism
-    grid can be assembled from the benchmark JSON.
-    """
-    database, queries, _ = sweep_workload
-    kb = _synthetic_knowledge_base(database, queries, kb_size)
-    engine = MatchingEngine(database, kb, MatchingConfig(max_joins=MAX_JOINS))
-    serial = engine.reoptimize_workload(queries, execute=False, parallelism=1)
-
-    results = benchmark.pedantic(
-        lambda: engine.reoptimize_workload(
-            queries, execute=False, parallelism=parallelism
-        ),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    assert [r.query_name for r in results] == [r.query_name for r in serial]
-    assert [r.matched_template_ids for r in results] == [
-        r.matched_template_ids for r in serial
-    ]
-    assert [r.guideline_document.to_xml() for r in results] == [
-        r.guideline_document.to_xml() for r in serial
-    ]
-    seconds = benchmark.stats.stats.mean
-    benchmark.extra_info["kb_templates"] = len(kb)
-    benchmark.extra_info["parallelism"] = parallelism
-    benchmark.extra_info["queries_per_second"] = round(len(queries) / seconds, 2)

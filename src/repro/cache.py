@@ -4,8 +4,7 @@ Shared by the hot-path caches the online tier leans on: optimized plans
 (``Database.explain``), generated SPARQL text (``MatchingEngine``) and parsed
 SPARQL ASTs (``KnowledgeBase``).  Values are returned by reference -- callers
 that hand out mutable cached objects must copy *outside* the lock (deep
-copies under a shared lock would serialize the parallel re-optimization
-path).
+copies under a shared lock would serialize the serving threads).
 """
 
 from __future__ import annotations

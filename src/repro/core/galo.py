@@ -78,7 +78,7 @@ class Galo:
     # -- online ---------------------------------------------------------------
 
     def reoptimize(
-        self, sql: str, query_name: str = "", execute: Optional[bool] = None
+        self, sql: str, query_name: str = "", execute: bool = True
     ) -> QueryReoptimization:
         """Online phase: re-optimize one query using the knowledge base."""
         return self.matching_engine.reoptimize(sql, query_name=query_name, execute=execute)
@@ -86,13 +86,10 @@ class Galo:
     def reoptimize_workload(
         self,
         queries: Sequence[Union[str, Tuple[str, str]]],
-        execute: Optional[bool] = None,
-        parallelism: Optional[int] = None,
+        execute: bool = True,
     ) -> List[QueryReoptimization]:
-        """Re-optimize a whole workload, optionally with a thread pool."""
-        return self.matching_engine.reoptimize_workload(
-            queries, execute=execute, parallelism=parallelism
-        )
+        """Re-optimize a whole workload, one query after the other."""
+        return self.matching_engine.reoptimize_workload(queries, execute=execute)
 
     # -- online serving --------------------------------------------------------
 

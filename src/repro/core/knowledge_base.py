@@ -11,10 +11,17 @@ table and column names are replaced by canonical symbol labels
 identifiers, and per-node cardinalities become ``hasLowerCardinality`` /
 ``hasHigherCardinality`` ranges established over the predicate property ranges
 sampled during learning.
+
+Each template's triples live in that template's own graph and nowhere else:
+indexed matching evaluates one candidate's graph at a time, and a checkpoint is
+the sorted lines of all of them.  The single RDF graph the paper queries is
+:attr:`KnowledgeBase.graph`, their union, assembled when asked for and read
+only by the verification path (``match(use_index=False)``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -30,7 +37,7 @@ from repro.core import vocabulary as voc
 from repro.core.transform.sparql_gen import GeneratedSparql
 from repro.engine.catalog import Catalog
 from repro.engine.plan.physical import PlanNode
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, format_ntriples, parse_ntriples
 from repro.rdf.sparql.evaluator import SparqlEngine
 from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.terms import IRI, Literal, Node
@@ -323,19 +330,18 @@ class KnowledgeBase:
     PARSE_CACHE_SIZE = 512
 
     def __init__(self) -> None:
-        self.graph = Graph()
         self.templates: Dict[str, ProblemPatternTemplate] = {}
-        #: Pre-filtering index over the templates; kept in lockstep with
-        #: ``templates`` / ``graph`` by ``add_template``, ``evict_template``
-        #: and ``load``.
+        #: Pre-filtering index over the templates; entries come and go with
+        #: the templates through ``_register`` and ``evict_template``.
         self.index = TemplateIndex()
-        #: template id -> the template's own triples, so candidate templates
-        #: can be evaluated in isolation instead of against the whole graph.
+        #: template id -> the template's own triples: the only place a triple
+        #: is stored.  A registered graph is never edited, only replaced
+        #: (``_replace_literal``), so readers need no lock.
         self._template_graphs: Dict[str, Graph] = {}
         self._parsed_queries = LruCache(self.PARSE_CACHE_SIZE)
         #: Matching observability: how much work the index saved.  Guarded by
-        #: ``_stats_lock``: parallel re-optimization calls ``match`` from
-        #: worker threads.  Counts SPARQL work actually performed: a verdict
+        #: ``_stats_lock``: the serving tier calls ``match`` from several
+        #: threads.  Counts SPARQL work actually performed: a verdict
         #: served from the prepared-statement lane replays its usage ticks
         #: (:meth:`replay_usage`) but adds nothing here.  ``queries`` /
         #: ``indexed_queries`` count ``match`` calls (all / through the
@@ -409,6 +415,17 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self.templates)
 
+    @property
+    def graph(self) -> Graph:
+        """The paper's one RDF graph: a new union of the per-template graphs
+        on every call.  Read by the verification path
+        (``match(use_index=False)``) and by tests only; adding to it changes
+        nothing."""
+        union = Graph()
+        for subgraph in list(self._template_graphs.values()):
+            union.update(subgraph)
+        return union
+
     def __contains__(self, template_id: str) -> bool:
         return template_id in self.templates
 
@@ -462,14 +479,16 @@ class KnowledgeBase:
             },
         )
         with self._write_lock:
-            self.templates[template_id] = template
-            self._add_template_triples(
+            self._register(
                 template,
-                problem_root,
-                cardinality_bounds,
-                catalog,
-                fpages_widening,
-                row_size_slack,
+                self._template_triples(
+                    template,
+                    problem_root,
+                    cardinality_bounds,
+                    catalog,
+                    fpages_widening,
+                    row_size_slack,
+                ),
             )
             self._usage[template_id] = TemplateUsage(last_used_tick=self._usage_tick)
             self.lifecycle_stats["added"] += 1
@@ -477,19 +496,17 @@ class KnowledgeBase:
             self.generation += 1
         return template
 
-    def _add_template_triples(
-        self,
+    @staticmethod
+    def _template_triples(
         template: ProblemPatternTemplate,
         problem_root: PlanNode,
         cardinality_bounds: Dict[int, CardinalityBounds],
         catalog: Optional[Catalog],
         fpages_widening: float,
         row_size_slack: int,
-    ) -> None:
+    ) -> Graph:
+        """The RDF form of ``template`` over ``problem_root``, as its own graph."""
         template_resource = voc.TEMPLATE[template.template_id]
-        # Triples are collected in a per-template subgraph first so indexed
-        # matching can evaluate one candidate template in isolation; the global
-        # graph (what ``save`` persists) is the union of the subgraphs.
         graph = Graph()
         graph.add_triple(template_resource, voc.HAS_TEMPLATE_ID, Literal(template.template_id))
         graph.add_triple(template_resource, voc.HAS_SOURCE_WORKLOAD, Literal(template.source_workload))
@@ -554,15 +571,41 @@ class KnowledgeBase:
                     resources[child.operator_id], voc.HAS_OUTPUT_STREAM, resource
                 )
 
-        self._register_template_graph(template, graph)
+        return graph
 
-    def _register_template_graph(
-        self, template: ProblemPatternTemplate, subgraph: Graph
-    ) -> None:
-        """Merge a template's subgraph into the store and index the template."""
+    def _register(self, template: ProblemPatternTemplate, subgraph: Graph) -> None:
+        """Make ``template`` with its triples part of the knowledge base.
+
+        The one way in (a learned template, a loaded one, a copied one).
+        Caller holds ``_write_lock``.  The index entry goes last: a lock-free
+        ``match`` that is offered the template then finds its graph and its
+        registry entry (``evict_template`` takes them away in reverse).
+        """
+        self.templates[template.template_id] = template
         self._template_graphs[template.template_id] = subgraph
-        self.graph.update(subgraph)
         self.index.add(self._profile_from_subgraph(template, subgraph))
+
+    def copy_templates_from(self, other: "KnowledgeBase") -> None:
+        """Register every template of ``other`` here under the same id.
+
+        The triples are shared, not copied (a registered graph is never
+        edited); the registry entries are copies, so a later
+        ``update_template`` on one side does not reach the other.
+        """
+        with other._write_lock:
+            entries = [
+                (
+                    ProblemPatternTemplate.from_dict(template.to_dict()),
+                    other._template_graphs[template_id],
+                )
+                for template_id, template in other.templates.items()
+            ]
+        with self._write_lock:
+            for template, subgraph in entries:
+                self._register(template, subgraph)
+            self.lifecycle_stats["added"] += len(entries)
+            self._dirty = True
+            self.generation += 1
 
     def _profile_from_subgraph(
         self, template: ProblemPatternTemplate, subgraph: Graph
@@ -599,31 +642,18 @@ class KnowledgeBase:
         )
 
     def rebuild_index(self) -> None:
-        """Recompute subgraphs and the index from ``graph`` + ``templates``.
+        """Recompute every index entry from the templates' graphs.
 
-        Used after ``load``: the persisted form is the flat triple store plus
-        the JSON registry.  A node belongs to the template its ``inTemplate``
-        triple names, so one pass over the store hands every triple to the
-        subgraph of its subject's template.
+        What incremental maintenance must equal; the tests compare against it.
         """
         with self._write_lock:
             self.index.clear()
-            self._template_graphs.clear()
-            by_resource: Dict[Node, Graph] = {
-                voc.TEMPLATE[template_id]: Graph() for template_id in self.templates
-            }
-            by_subject = dict(by_resource)
-            for link in self.graph.triples(None, voc.IN_TEMPLATE, None):
-                if link.object in by_resource:
-                    by_subject[link.subject] = by_resource[link.object]
-            for triple in self.graph:
-                subgraph = by_subject.get(triple.subject)
-                if subgraph is not None:
-                    subgraph.add(triple)
             for template_id, template in self.templates.items():
-                subgraph = by_resource[voc.TEMPLATE[template_id]]
-                self._template_graphs[template_id] = subgraph
-                self.index.add(self._profile_from_subgraph(template, subgraph))
+                self.index.add(
+                    self._profile_from_subgraph(
+                        template, self._template_graphs[template_id]
+                    )
+                )
             self.generation += 1
 
     # ------------------------------------------------------------------
@@ -633,28 +663,22 @@ class KnowledgeBase:
     def evict_template(self, template_id: str) -> bool:
         """Remove one template as a first-class online operation.
 
-        The index entry, the per-template subgraph, the registry entry and the
-        template's triples in the global store are all dropped incrementally
-        (no rebuild), in an order that keeps concurrent indexed matching safe:
-        the index stops offering the template before its subgraph goes away,
-        and ``match`` treats a missing subgraph/registry entry as a non-match.
-        Returns True when the template existed.
+        The index entry, the template's graph (and with it every triple of
+        the template) and the registry entry are dropped in an order that
+        keeps concurrent indexed matching safe: the index stops offering the
+        template before its graph goes away, and ``match`` treats a missing
+        graph / registry entry as a non-match.  Returns True when the
+        template existed.
         """
         with self._write_lock:
             if template_id not in self.templates:
                 return False
             self.index.remove(template_id)
-            subgraph = self._template_graphs.pop(template_id, None)
+            self._template_graphs.pop(template_id, None)
             self.templates.pop(template_id)
             self._usage.pop(template_id, None)
             with self._stats_lock:
                 self._guard_records.pop(template_id, None)
-            if subgraph is not None:
-                # Template subjects are anonymized per template (uuid-suffixed
-                # resources), so no triple is shared with another template and
-                # removing the subgraph's triples cannot corrupt a neighbour.
-                for triple in list(subgraph):
-                    self.graph.remove(triple)
             self.lifecycle_stats["evicted"] += 1
             self._dirty = True
             self.generation += 1
@@ -701,27 +725,20 @@ class KnowledgeBase:
             return template
 
     def _replace_literal(self, template_id, subject, predicate, value) -> None:
-        """Swap the object of (subject, predicate, *) in the store and subgraph.
+        """Swap the object of (subject, predicate, *) in the template's graph.
 
-        The per-template subgraph is replaced copy-on-write -- a concurrent
-        indexed ``match`` keeps reading the old (complete) subgraph and the
-        swap of the dict entry is atomic -- matching the contract that lets
-        readers skip ``_write_lock``.  The global store is edited in place;
-        it is only read by ``match_brute_force`` (a verification path) and
-        ``save`` (which takes the write lock).
+        The graph is replaced, not edited -- a concurrent ``match`` keeps
+        reading the old (complete) one and the swap of the dict entry is
+        atomic -- which is the contract that lets readers skip
+        ``_write_lock``.
         """
-        for triple in list(self.graph.triples(subject, predicate, None)):
-            self.graph.remove(triple)
-        self.graph.add_triple(subject, predicate, Literal(value))
-        old_subgraph = self._template_graphs.get(template_id)
-        if old_subgraph is not None:
-            replacement = Graph(
-                triple
-                for triple in old_subgraph
-                if not (triple.subject == subject and triple.predicate == predicate)
-            )
-            replacement.add_triple(subject, predicate, Literal(value))
-            self._template_graphs[template_id] = replacement
+        replacement = Graph(
+            triple
+            for triple in self._template_graphs[template_id]
+            if not (triple.subject == subject and triple.predicate == predicate)
+        )
+        replacement.add_triple(subject, predicate, Literal(value))
+        self._template_graphs[template_id] = replacement
 
     def note_template_used(self, template_id: str) -> None:
         """Record one online hit for ``template_id`` (recency + frequency)."""
@@ -923,9 +940,9 @@ class KnowledgeBase:
         """Evict templates until at most ``capacity`` remain.
 
         Returns the evicted template ids (possibly empty).  Eviction follows
-        :meth:`eviction_order`; the index, subgraphs, registry and triple
-        store stay consistent throughout, so matching and persistence keep
-        working mid-eviction.
+        :meth:`eviction_order`; the index, graphs and registry stay
+        consistent throughout, so matching and persistence keep working
+        mid-eviction.
         """
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
@@ -962,10 +979,10 @@ class KnowledgeBase:
 
         With ``use_index`` (the default) the :class:`TemplateIndex` pre-filters
         the templates and the SPARQL query-by-example is evaluated against each
-        surviving candidate's own subgraph; otherwise the query runs against
-        the whole triple store.  Both paths return the same matches -- one per
-        matched template, with a deterministically chosen solution -- sorted by
-        template name.
+        surviving candidate's own graph; otherwise the query runs against
+        :attr:`graph`, the union of them all, as the paper's does.  Both paths
+        return the same matches -- one per matched template, with a
+        deterministically chosen solution -- sorted by template name.
         """
         segment_nodes = list(generated.node_for_variable.values())
 
@@ -991,9 +1008,7 @@ class KnowledgeBase:
                 subgraph = self._template_graphs.get(template_id)
                 if subgraph is None:
                     # Evicted between the candidates() snapshot and here; the
-                    # template is gone, so it simply no longer matches.  (The
-                    # global graph is mid-mutation during an eviction and must
-                    # not be read as a fallback.)
+                    # template is gone, so it simply no longer matches.
                     continue
                 solutions.extend(SparqlEngine(subgraph).query(query_ast))
         else:
@@ -1060,7 +1075,7 @@ class KnowledgeBase:
     def match_brute_force(
         self, generated: GeneratedSparql, subplan_root: Optional[PlanNode] = None
     ) -> List[TemplateMatch]:
-        """``match`` with the index disabled (full scan of the triple store)."""
+        """``match`` with the index disabled (one query over the whole graph)."""
         return self.match(generated, subplan_root=subplan_root, use_index=False)
 
     def _parsed_query(self, text: str):
@@ -1144,7 +1159,12 @@ class KnowledgeBase:
                 max(self.checkpoint_version, self.checkpoint_version_on_disk(directory))
                 + 1
             )
-            self._write_atomic(path / "knowledge_base.nt", self.graph.to_ntriples())
+            self._write_atomic(
+                path / "knowledge_base.nt",
+                format_ntriples(
+                    itertools.chain.from_iterable(self._template_graphs.values())
+                ),
+            )
             registry = {
                 template_id: template.to_dict()
                 for template_id, template in self.templates.items()
@@ -1182,9 +1202,12 @@ class KnowledgeBase:
     def load(cls, directory: str) -> "KnowledgeBase":
         """Load a knowledge base previously written by :meth:`save`.
 
-        The index buckets and per-template subgraphs are not persisted; they
-        are rebuilt from the store's ``inTemplate`` links
-        (:meth:`rebuild_index`).
+        The registry says which templates exist; a node belongs to the
+        template its ``inTemplate`` triple names, and each triple of the file
+        goes straight to the graph of its subject's template.  Triples of a
+        template the registry does not list are dropped; a listed template
+        without triples is registered with none and matches nothing.  Index
+        entries are computed from the graphs, never read from disk.
         """
         path = Path(directory)
         kb = cls()
@@ -1193,12 +1216,28 @@ class KnowledgeBase:
         # checkpoint_version_on_disk() after load can detect the race (see
         # Galo.maybe_reload_knowledge_base) and retry.
         kb.checkpoint_version = cls.checkpoint_version_on_disk(directory)
-        kb.graph = Graph.from_ntriples((path / "knowledge_base.nt").read_text(encoding="utf-8"))
+        triples = list(
+            parse_ntriples((path / "knowledge_base.nt").read_text(encoding="utf-8"))
+        )
         registry = json.loads((path / "templates.json").read_text(encoding="utf-8"))
-        kb.templates = {
-            template_id: ProblemPatternTemplate.from_dict(payload)
-            for template_id, payload in registry.items()
+        templates = [
+            ProblemPatternTemplate.from_dict(payload) for payload in registry.values()
+        ]
+        by_resource: Dict[Node, Graph] = {
+            voc.TEMPLATE[template.template_id]: Graph() for template in templates
         }
+        by_subject = dict(by_resource)
+        for triple in triples:
+            if triple.predicate == voc.IN_TEMPLATE and triple.object in by_resource:
+                by_subject[triple.subject] = by_resource[triple.object]
+        for triple in triples:
+            subgraph = by_subject.get(triple.subject)
+            if subgraph is not None:
+                subgraph.add(triple)
+        with kb._write_lock:
+            for template in templates:
+                kb._register(template, by_resource[voc.TEMPLATE[template.template_id]])
+            kb.generation += 1
         guard_path = path / cls.GUARD_STATE_FILE
         if guard_path.exists():
             try:
@@ -1218,7 +1257,6 @@ class KnowledgeBase:
                 kb._guard_records = {}
                 kb._feature_mean = []
                 kb._feature_count = 0
-        kb.rebuild_index()
         return kb
 
 

@@ -28,6 +28,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.core.knowledge_base import CardinalityBounds, KnowledgeBase
 from repro.core.learning.property_ranges import PredicateVariant, generate_variants
 from repro.core.learning.ranking import (
+    BOUNDS_WIDENING,
+    PARENT_IMPROVEMENT_THRESHOLD,
     candidate_cap_ms,
     improvement_bound_ms,
     rank_measurements,
@@ -64,18 +66,6 @@ class LearningConfig:
     runs_per_plan: int = 5
     #: Minimum relative improvement for a rewrite to enter the knowledge base.
     improvement_threshold: float = 0.15
-    #: Multiplicative widening applied to learned cardinality bounds.
-    bounds_widening: float = 2.0
-    #: Merge structurally identical sub-queries across queries.
-    merge_duplicate_subqueries: bool = True
-    #: Validate each candidate rewrite on the workload query it came from
-    #: (apply the guideline to the parent query, execute both, and keep the
-    #: template only if the whole query improves).  This is what keeps matched
-    #: queries from regressing, the paper's "performance for every one of the
-    #: matched queries was improved".
-    validate_on_parent: bool = True
-    #: Minimum whole-query improvement required by the parent validation.
-    parent_improvement_threshold: float = 0.05
     #: Evaluate plans through the database's epoch-invalidated workload memo,
     #: shared across every ``learn_query`` of a sweep (sub-queries repeat
     #: *across* workload queries, not just within one).  Learning outcomes
@@ -252,22 +242,23 @@ class LearningEngine:
         # memo: sub-plans repeat across the queries of a sweep, and the epoch
         # check guarantees entries never survive a data change.
         memo = self.database.workload_memo() if self.config.use_workload_memo else None
-        parent_context: Optional[_ParentContext] = None
-        if self.config.validate_on_parent:
-            with span.child("validate_parent"):
-                parent_qgm = self.database.optimizer.optimize(
-                    bound, query_name=query_name
-                )
-                parent_run = self.database.execute_plan(parent_qgm, memo=memo)
-            parent_context = _ParentContext(
-                query=bound, sql=sql, elapsed_ms=parent_run.elapsed_ms
-            )
+        # Every candidate rewrite is validated on the workload query it came
+        # from (the guideline applied to the parent query must make the whole
+        # query faster): this is what keeps matched queries from regressing,
+        # the paper's "performance for every one of the matched queries was
+        # improved".
+        with span.child("validate_parent"):
+            parent_qgm = self.database.optimizer.optimize(bound, query_name=query_name)
+            parent_run = self.database.execute_plan(parent_qgm, memo=memo)
+        parent_context = _ParentContext(
+            query=bound, sql=sql, elapsed_ms=parent_run.elapsed_ms
+        )
         for subquery in subqueries:
-            if self.config.merge_duplicate_subqueries:
-                key = subquery.structure_key()
-                if key in self._seen_subqueries:
-                    continue
-                self._seen_subqueries.add(key)
+            # Structurally identical sub-queries are analyzed once per sweep.
+            key = subquery.structure_key()
+            if key in self._seen_subqueries:
+                continue
+            self._seen_subqueries.add(key)
             analyzed += 1
             counts = _PlanCounts()
             with span.child("analyze_subquery") as subquery_span:
@@ -307,7 +298,7 @@ class LearningEngine:
         subquery: SubQuery,
         query_name: str,
         workload_name: str,
-        parent_context: Optional["_ParentContext"],
+        parent_context: "_ParentContext",
         memo: Optional[ExecutionMemo],
         span,
         counts: _PlanCounts,
@@ -355,7 +346,7 @@ class LearningEngine:
                         min(existing.lower, cardinality), max(existing.upper, cardinality)
                     )
         bounds = {
-            operator_id: value.widened(self.config.bounds_widening)
+            operator_id: value.widened(BOUNDS_WIDENING)
             for operator_id, value in bounds.items()
         }
 
@@ -364,13 +355,12 @@ class LearningEngine:
         guideline_element = remap_guideline_element(concrete_element, labels)
         guideline_xml = GuidelineDocument(elements=[guideline_element]).to_xml()
 
-        if parent_context is not None:
-            with span.child("improves_parent") as parent_span:
-                improves = self._improves_parent(
-                    concrete_element, parent_context, memo, parent_span
-                )
-            if not improves:
-                return None, 0.0
+        with span.child("improves_parent") as parent_span:
+            improves = self._improves_parent(
+                concrete_element, parent_context, memo, parent_span
+            )
+        if not improves:
+            return None, 0.0
 
         improvement = representative.improvement
         template = self.knowledge_base.add_template(
@@ -399,7 +389,7 @@ class LearningEngine:
         query and keep the rewrite only if the whole query gets faster.
 
         The guided plan runs under the time above which it no longer improves
-        on the parent by ``parent_improvement_threshold``; there is no noise
+        on the parent by ``PARENT_IMPROVEMENT_THRESHOLD``; there is no noise
         here, so running past it is the answer "no".
         """
         if parent_context.elapsed_ms <= 0:
@@ -409,7 +399,7 @@ class LearningEngine:
             parent_context.query, guidelines=document
         )
         budget_ms = improvement_bound_ms(
-            parent_context.elapsed_ms, self.config.parent_improvement_threshold
+            parent_context.elapsed_ms, PARENT_IMPROVEMENT_THRESHOLD
         )
         try:
             guided_run = self.database.execute_plan(
@@ -422,7 +412,7 @@ class LearningEngine:
         improvement = (
             parent_context.elapsed_ms - guided_run.elapsed_ms
         ) / parent_context.elapsed_ms
-        return improvement >= self.config.parent_improvement_threshold
+        return improvement >= PARENT_IMPROVEMENT_THRESHOLD
 
     def _analyze_variant(
         self,

@@ -23,6 +23,13 @@ from repro.engine.executor.db2batch import BatchMeasurement
 #: Runner-up plans within this relative distance of the best are ties.
 TIE_TOLERANCE = 0.02
 
+#: Minimum whole-query improvement a rewrite must show on the workload query
+#: it came from to be kept (the learning engine's parent validation).
+PARENT_IMPROVEMENT_THRESHOLD = 0.05
+
+#: Multiplicative widening applied to learned cardinality bounds.
+BOUNDS_WIDENING = 2.0
+
 #: Relative head-room on every bound derived here.  The bounds are compared
 #: with times that went through a handful of float operations (noise factors,
 #: cluster means, the improvement ratio); a margin far above one ulp and far

@@ -11,7 +11,6 @@ submitted with the query to the optimizer for re-optimization.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,8 +42,6 @@ class MatchingConfig:
     cardinality_tolerance: float = 1.0
     #: Whether FPages / row-size checks are included in the generated SPARQL.
     check_row_size: bool = True
-    #: Execute the original and re-optimized plans to measure the gain.
-    execute_plans: bool = True
     #: Consult the knowledge base's template index before running SPARQL.
     use_index: bool = True
     #: Measure plans through the database's workload-scoped execution memo:
@@ -53,8 +50,6 @@ class MatchingConfig:
     #: them again.  Results are bit-identical either way (cold-charge rule);
     #: disable only to benchmark the memo itself.
     use_workload_memo: bool = True
-    #: Default worker count for ``reoptimize_workload`` (1 = serial).
-    parallelism: int = 1
 
 
 @dataclass
@@ -264,8 +259,8 @@ class MatchingEngine:
     def execution_memo(self):
         """The memo plan measurements run through (None when disabled).
 
-        The online tier's measurement path (``execute_plans=True`` and the
-        serving layer's single execution per request) shares the same
+        The online tier's measurement path (``reoptimize(execute=True)`` and
+        the serving layer's single execution per request) shares the same
         workload-scoped memo as the learning tier, so steered-vs-baseline
         comparisons stop re-executing subtrees the sweep has already paid for.
         """
@@ -274,40 +269,28 @@ class MatchingEngine:
         return self.database.workload_memo()
 
     def reoptimize(
-        self,
-        sql: str,
-        query_name: str = "",
-        execute: Optional[bool] = None,
+        self, sql: str, query_name: str = "", execute: bool = True
     ) -> QueryReoptimization:
-        """Run the full online pipeline for one query."""
-        execute = self.config.execute_plans if execute is None else execute
-        original_qgm = self.database.explain(sql, query_name=query_name)
-        matches, match_time_ms = self.match_plan(original_qgm)
-        guideline_document = self.build_guidelines(matches)
-        if guideline_document.is_empty:
-            reoptimized_qgm = original_qgm
-        else:
-            reoptimized_qgm = self.database.explain(
-                sql, guidelines=guideline_document, query_name=f"{query_name} (re-optimized)"
-            )
-
+        """Run the full online pipeline for one query: :meth:`steer`, then
+        (with ``execute``) both plans, to measure the gain."""
+        decision = self.steer(sql, query_name=query_name)
         result = QueryReoptimization(
             query_name=query_name,
             sql=sql,
-            original_qgm=original_qgm,
-            reoptimized_qgm=reoptimized_qgm,
-            guideline_document=guideline_document,
-            matches=matches,
-            match_time_ms=match_time_ms,
+            original_qgm=decision.baseline_qgm,
+            reoptimized_qgm=decision.qgm,
+            guideline_document=decision.guideline_document,
+            matches=decision.matches,
+            match_time_ms=decision.match_time_ms,
         )
         if execute:
             memo = self.execution_memo()
-            original_run = self.database.execute_plan(original_qgm, memo=memo)
+            original_run = self.database.execute_plan(decision.baseline_qgm, memo=memo)
             result.original_elapsed_ms = original_run.elapsed_ms
-            if guideline_document.is_empty:
+            if decision.qgm is decision.baseline_qgm:
                 result.reoptimized_elapsed_ms = original_run.elapsed_ms
             else:
-                reoptimized_run = self.database.execute_plan(reoptimized_qgm, memo=memo)
+                reoptimized_run = self.database.execute_plan(decision.qgm, memo=memo)
                 # Runtimes here are *simulated* milliseconds (they stand in for
                 # the minutes-to-hours runtimes of the paper's queries), while
                 # the matching time is real wall-clock.  The paper reports the
@@ -457,35 +440,15 @@ class MatchingEngine:
     def reoptimize_workload(
         self,
         queries: Sequence[Union[str, Tuple[str, str]]],
-        execute: Optional[bool] = None,
-        parallelism: Optional[int] = None,
+        execute: bool = True,
     ) -> List[QueryReoptimization]:
-        """Re-optimize a whole workload (list of SQL strings or (name, sql) pairs).
-
-        With ``parallelism > 1`` the queries are processed by a thread pool.
-        Matching is read-only over the knowledge base and every worker gets its
-        own plan objects, so the per-query results -- and, because results are
-        collected in submission order, the returned list -- are identical to
-        the serial path.
-        """
-        parallelism = self.config.parallelism if parallelism is None else parallelism
-        named: List[Tuple[str, str]] = []
+        """Re-optimize a whole workload (list of SQL strings or (name, sql)
+        pairs), one query after the other; results are in submission order."""
+        results: List[QueryReoptimization] = []
         for position, entry in enumerate(queries, start=1):
             if isinstance(entry, tuple):
-                named.append(entry)
+                query_name, sql = entry
             else:
-                named.append((f"Q{position}", entry))
-        if parallelism <= 1 or len(named) <= 1:
-            return [
-                self.reoptimize(sql, query_name=query_name, execute=execute)
-                for query_name, sql in named
-            ]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(
-                pool.map(
-                    lambda entry: self.reoptimize(
-                        entry[1], query_name=entry[0], execute=execute
-                    ),
-                    named,
-                )
-            )
+                query_name, sql = f"Q{position}", entry
+            results.append(self.reoptimize(sql, query_name=query_name, execute=execute))
+        return results

@@ -189,7 +189,7 @@ class Database:
         if cached is not None:
             # The copy happens outside the cache lock: cached plans are never
             # mutated after insertion, and O(plan) copies under a shared lock
-            # would serialize parallel re-optimization workers.
+            # would serialize the serving threads.
             clone = cached.copy()
             clone.query_name = query_name
             return clone

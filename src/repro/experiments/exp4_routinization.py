@@ -67,9 +67,8 @@ def _inflate_knowledge_base(
     originals = base.all_templates()
     if not originals:
         return inflated
-    # Re-add the originals first.
-    inflated.graph.update(base.graph)
-    inflated.templates.update(base.templates)
+    # The learned templates first: they are what the workload can match.
+    inflated.copy_templates_from(base)
     clone_index = 0
     while len(inflated) < target_size:
         source = originals[clone_index % len(originals)]

@@ -4,6 +4,12 @@ The store keeps three hash indexes (SPO, POS, OSP) so that any triple pattern
 with at least one constant position is answered without scanning the whole
 graph -- the same reason the paper picks a triple store (Jena TDB) over
 grepping plan files.
+
+A graph only grows (the knowledge base replaces a template's whole graph
+rather than edit it).  :func:`parse_ntriples` / :func:`format_ntriples` read
+and write any collection of triples, so a checkpoint goes to and from the
+knowledge base's per-template graphs without their union, the flat graph,
+ever being built; that one is derived on demand, for verification only.
 """
 
 from __future__ import annotations
@@ -62,14 +68,6 @@ class Graph:
         """Add every triple of ``other`` into this graph."""
         for triple in other:
             self.add(triple)
-
-    def remove(self, triple: Triple) -> None:
-        if triple not in self._triples:
-            return
-        self._triples.discard(triple)
-        self._spo[triple.subject][triple.predicate].discard(triple.object)
-        self._pos[triple.predicate][triple.object].discard(triple.subject)
-        self._osp[triple.object][triple.subject].discard(triple.predicate)
 
     # -- access --------------------------------------------------------------
 
@@ -140,42 +138,51 @@ class Graph:
 
     def to_ntriples(self) -> str:
         """Serialize the graph as sorted N-Triples text."""
-        lines = sorted(triple.n3() for triple in self._triples)
-        return "\n".join(lines) + ("\n" if lines else "")
+        return format_ntriples(self._triples)
 
     @classmethod
     def from_ntriples(cls, text: str) -> "Graph":
         """Parse N-Triples text produced by :meth:`to_ntriples`."""
-        graph = cls()
-        # IRIs repeat (a few dozen predicates, one subject per node): building
-        # each once per parse also lets the indexes find them by identity.
-        iris: Dict[str, IRI] = {}
-        # Split on '\n' only: escaped literals never contain a raw newline, but
-        # they may contain other Unicode line-boundary characters that
-        # str.splitlines() would wrongly split on.
-        for line_number, raw_line in enumerate(text.split("\n"), start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _NTRIPLE_LINE.fullmatch(line)
-            if match is None:
-                problem = (
-                    "expected '<subject> <predicate> <object> .'"
-                    if line.endswith(".")
-                    else "missing terminating '.'"
-                )
-                raise RdfError(f"line {line_number}: {problem}")
-            groups = match.groups()
-            try:
-                triple = Triple(
-                    _term(iris, *groups[0:4]),
-                    _term(iris, groups[4], None, None, None),
-                    _term(iris, *groups[5:9]),
-                )
-            except ValueError as exc:  # a typed literal that is not a number
-                raise RdfError(f"line {line_number}: {exc}") from None
-            graph.add(triple)
-        return graph
+        return cls(parse_ntriples(text))
+
+
+def format_ntriples(triples: Iterable[Triple]) -> str:
+    """Sorted N-Triples text of ``triples``, one line each."""
+    lines = sorted(triple.n3() for triple in triples)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_ntriples(text: str) -> Iterator[Triple]:
+    """The triples of N-Triples text, in line order (:class:`RdfError` with
+    the line number for a malformed line)."""
+    # IRIs repeat (a few dozen predicates, one subject per node): building
+    # each once per parse also lets the indexes find them by identity.
+    iris: Dict[str, IRI] = {}
+    # Split on '\n' only: escaped literals never contain a raw newline, but
+    # they may contain other Unicode line-boundary characters that
+    # str.splitlines() would wrongly split on.
+    for line_number, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _NTRIPLE_LINE.fullmatch(line)
+        if match is None:
+            problem = (
+                "expected '<subject> <predicate> <object> .'"
+                if line.endswith(".")
+                else "missing terminating '.'"
+            )
+            raise RdfError(f"line {line_number}: {problem}")
+        groups = match.groups()
+        try:
+            triple = Triple(
+                _term(iris, *groups[0:4]),
+                _term(iris, groups[4], None, None, None),
+                _term(iris, *groups[5:9]),
+            )
+        except ValueError as exc:  # a typed literal that is not a number
+            raise RdfError(f"line {line_number}: {exc}") from None
+        yield triple
 
 
 #: One term: ``<iri>``, ``_:label`` or ``"text"`` with an optional

@@ -162,7 +162,6 @@ class TestLearningEngine:
                 max_joins=2,
                 random_plans_per_subquery=5,
                 max_variants=2,
-                validate_on_parent=True,
             ),
         )
         record = engine.learn_query(FOUR_WAY, query_name="q4", workload_name="unit")

@@ -1,16 +1,12 @@
-"""Batched / parallel workload re-optimization must be a pure speedup.
+"""``reoptimize_workload``: one query after the other, in submission order.
 
-``reoptimize_workload(parallelism=N)`` distributes queries over a thread pool;
-matching is read-only over the knowledge base and each worker plans against
-its own QGM copies, so the outcome -- query names, matched template ids,
-remapped guideline documents, chosen plans, and list order -- must be
-identical to the serial path.
+Pinned here: the list's order, the positional names of unnamed queries, and
+that a second pass is served from the caches.  ``KnowledgeBase.match`` from
+several threads is covered by the service and prepared-interleaving suites.
 """
 
 import pytest
 
-from repro.core.galo import Galo
-from repro.core.knowledge_base import KnowledgeBase
 from repro.core.matching.engine import MatchingConfig, MatchingEngine
 from test_template_index import randomized_knowledge_base
 
@@ -67,43 +63,17 @@ def outcome(results):
     ]
 
 
-class TestParallelWorkloadReoptimization:
-    @pytest.mark.parametrize("parallelism", [2, 4, 8])
-    def test_parallel_equals_serial(self, matching_engine, parallelism):
-        serial = matching_engine.reoptimize_workload(WORKLOAD, execute=True, parallelism=1)
-        parallel = matching_engine.reoptimize_workload(
-            WORKLOAD, execute=True, parallelism=parallelism
-        )
-        assert outcome(parallel) == outcome(serial)
-
-    def test_parallel_without_execution(self, matching_engine):
-        serial = matching_engine.reoptimize_workload(WORKLOAD, execute=False)
-        parallel = matching_engine.reoptimize_workload(
-            WORKLOAD, execute=False, parallelism=4
-        )
-        assert outcome(parallel) == outcome(serial)
-        assert all(result.original_elapsed_ms is None for result in parallel)
-
+class TestWorkloadReoptimization:
     def test_order_follows_submission_order(self, matching_engine):
-        results = matching_engine.reoptimize_workload(
-            WORKLOAD, execute=False, parallelism=4
-        )
+        results = matching_engine.reoptimize_workload(WORKLOAD, execute=False)
         assert [result.query_name for result in results] == [name for name, _ in WORKLOAD]
+        assert all(result.original_elapsed_ms is None for result in results)
 
     def test_unnamed_queries_get_positional_names(self, matching_engine):
         results = matching_engine.reoptimize_workload(
-            [sql for _, sql in WORKLOAD[:3]], execute=False, parallelism=2
+            [sql for _, sql in WORKLOAD[:3]], execute=False
         )
         assert [result.query_name for result in results] == ["Q1", "Q2", "Q3"]
-
-    def test_config_parallelism_default(self, mini_db):
-        engine = MatchingEngine(
-            mini_db,
-            KnowledgeBase(),
-            MatchingConfig(max_joins=3, parallelism=4, execute_plans=False),
-        )
-        results = engine.reoptimize_workload(WORKLOAD)
-        assert [result.query_name for result in results] == [name for name, _ in WORKLOAD]
 
     def test_repeated_batches_hit_caches(self, mini_db):
         """Second pass over the same workload reuses plans and SPARQL text."""
@@ -114,16 +84,8 @@ class TestParallelWorkloadReoptimization:
         first = engine.reoptimize_workload(WORKLOAD, execute=False)
         hits_before = mini_db.explain_cache_hits
         sparql_misses_before = engine.sparql_cache_misses
-        second = engine.reoptimize_workload(WORKLOAD, execute=False, parallelism=4)
+        second = engine.reoptimize_workload(WORKLOAD, execute=False)
         assert outcome(second) == outcome(first)
         assert mini_db.explain_cache_hits > hits_before
         assert engine.sparql_cache_misses == sparql_misses_before
         assert engine.sparql_cache_hits > 0
-
-
-class TestGaloFacadeParallelism:
-    def test_galo_reoptimize_workload_parallelism(self, mini_db):
-        galo = Galo(mini_db, matching_config=MatchingConfig(max_joins=3))
-        serial = galo.reoptimize_workload(WORKLOAD, execute=False)
-        parallel = galo.reoptimize_workload(WORKLOAD, execute=False, parallelism=3)
-        assert outcome(parallel) == outcome(serial)

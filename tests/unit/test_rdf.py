@@ -87,13 +87,6 @@ class TestGraph:
         assert graph.value(NS.c, NS.name) is None
         assert graph.subjects(NS.knows) == sorted([NS.a, NS.b], key=term_sort_key)
 
-    def test_remove(self):
-        graph = self.make_graph()
-        graph.remove(Triple(NS.a, NS.knows, NS.b))
-        assert len(graph) == 2
-        graph.remove(Triple(NS.a, NS.knows, NS.b))  # idempotent
-        assert len(graph) == 2
-
     def test_update_merges_graphs(self):
         graph = self.make_graph()
         other = Graph()
