@@ -202,6 +202,16 @@ def _build_key_groups(array: Any) -> _KeyGroups:
     return _KeyGroups(unique, starts, stops, order)
 
 
+def _listed_runs(
+    runs: Optional[List[Tuple[Any, int, int]]], vector: Optional[Tuple]
+) -> List[Tuple[Any, int, int]]:
+    """A merge input's runs as ``(value, start, end)`` tuples, listed from its
+    run arrays when it carries only those."""
+    if runs is not None:
+        return runs
+    return list(zip(*(part.tolist() for part in vector)))
+
+
 def _vector_merge_join(
     order_outer: Any, outer_runs: Tuple, order_inner: Any, inner_runs: Tuple
 ) -> Tuple[Any, Any, int]:
@@ -954,11 +964,15 @@ class VectorizedExecutor:
         child: PlanNode,
         column_key: str,
         memo: Optional[ExecutionMemo],
-    ) -> Tuple[Sequence[int], Sequence[Any], List[Tuple[Any, int, int]], Optional[Tuple]]:
+    ) -> Tuple[Sequence[int], Sequence[Any], Optional[List[Tuple[Any, int, int]]], Optional[Tuple]]:
         """One merge-join input: (stable sort order, sorted key values, equal
-        runs as ``(value, start, end)`` over the sorted values, and -- for
-        null-free numeric keys -- the same runs as ``(values, starts, stops)``
-        arrays for the vectorized merge kernel, else None).
+        runs as ``(value, start, end)`` over the sorted values, and the same
+        runs as ``(values, starts, stops)`` arrays for the vectorized merge
+        kernel).  A null-free numeric key has the arrays and no list (None):
+        the kernel reads none, and a tuple per distinct key of every merge
+        input would be half the containers a learning sweep allocates.  Any
+        other key has the list and no arrays.  :func:`_listed_runs` serves
+        the block-wise loop either way.
 
         Sort key mirrors the row engine: ``(is-NULL, value-or-0)``, so NULLs
         sort last.  Cached per memoized subtree + key column.
@@ -982,14 +996,7 @@ class VectorizedExecutor:
             order = groups.order
             sorted_array = array[order]
             vector = (groups.unique, groups.starts, groups.stops)
-            runs = list(
-                zip(
-                    groups.unique.tolist(),
-                    groups.starts.tolist(),
-                    groups.stops.tolist(),
-                )
-            )
-            result = (order, sorted_array, runs, vector)
+            result = (order, sorted_array, None, vector)
             if aux_key is not None:
                 memo.aux_store(aux_key, result)
             return result
@@ -1075,6 +1082,8 @@ class VectorizedExecutor:
         # iteration per matched run pair, plus one per candidate row pair.
         # NULL keys sort last on both sides; once a side reaches its NULL run
         # the loop drains that side one row per iteration and terminates.
+        runs_outer = _listed_runs(runs_outer, vector_outer)
+        runs_inner = _listed_runs(runs_inner, vector_inner)
         outer_picks: List[int] = []
         inner_picks: List[int] = []
         cpu = 0

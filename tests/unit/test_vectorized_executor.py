@@ -20,9 +20,15 @@ from repro.engine.executor import (
     VectorizedExecutor,
     make_executor,
 )
+from repro.engine.executor import vectorized
 from repro.engine.executor.vectorized import _merge_batches
 from repro.engine.expressions import ColumnRef
+from repro.engine.optimizer.builder import PlanBuilder
+from repro.engine.optimizer.rewrite import rewrite_query
+from repro.engine.plan.physical import PopType, Qgm
 from repro.engine.schema import Index, make_schema
+from repro.engine.sql.binder import bind
+from repro.engine.sql.parser import parse_select
 from repro.engine.types import DataType
 from repro.errors import PlanError
 
@@ -227,6 +233,56 @@ class TestGroupByDifferential:
         run_differential(db, GROUPBY_SQLS, random_plans_per_query=0)
         assert any(outcomes), "the vectorized kernel never engaged"
         assert not all(outcomes), "NULL/string keys should decline to the loop"
+
+
+class TestMergeJoinInputs:
+    """A null-free numeric merge key carries only its run arrays; the
+    block-wise loop lists them when the other side (NULL-bearing here) has no
+    arrays for the kernel.  Both routes must equal the row engine."""
+
+    SQLS = {
+        "kernel": "SELECT g_id, d_name FROM gfact, gdim WHERE g_kind = d_key",
+        "loop": "SELECT g_id, d_name FROM gfact, gdim WHERE g_nkey = d_key",
+    }
+
+    @staticmethod
+    def _merge_plan(db, sql):
+        query = rewrite_query(bind(parse_select(sql), db.catalog, sql))
+        builder = PlanBuilder(db.catalog, query)
+        joined = builder.make_join(
+            PopType.MSJOIN,
+            builder.forced_access_path("GFACT", "TBSCAN"),
+            builder.forced_access_path("GDIM", "TBSCAN"),
+        )
+        return Qgm(builder.finish_plan(joined), sql=sql)
+
+    def test_kernel_and_loop_match_row_engine(self, monkeypatch):
+        db = build_groupby_database()
+        db.create_table(
+            make_schema(
+                "GDIM", [("d_key", DataType.INTEGER), ("d_name", DataType.VARCHAR)], []
+            )
+        )
+        db.load_rows("GDIM", [{"d_key": i % 4, "d_name": f"n{i}"} for i in range(7)])
+        listed = []
+        original = vectorized._listed_runs
+
+        def spy(runs, vector):
+            listed.append(runs is None)
+            return original(runs, vector)
+
+        monkeypatch.setattr(vectorized, "_listed_runs", spy)
+        row_engine = Executor(db.catalog, db.config)
+        vec_engine = VectorizedExecutor(db.catalog, db.config)
+        for route, sql in self.SQLS.items():
+            del listed[:]
+            reference = row_engine.execute(self._merge_plan(db, sql))
+            assert reference.row_count > 0
+            for memo in (None, ExecutionMemo()):
+                candidate = vec_engine.execute(self._merge_plan(db, sql), memo=memo)
+                assert_identical(reference, candidate, context=route)
+            # gfact's NULL-bearing key comes with its list, gdim's key without.
+            assert listed == ([] if route == "kernel" else [False, True] * 2)
 
 
 class TestMissingAggregateColumn:
