@@ -8,8 +8,9 @@ only ever enforced at runtime / in differential suites):
   persistence -- the exact PR 3 bug class, where frozenset iteration order
   leaked PYTHONHASHSEED into sub-query SQL and changed what got learned.
 - GL002 hot-path loops: no Python per-row loops in the vectorized kernels
-  (``vectorized.py`` / ``columns.py`` / ``bufferpool.py``) outside the
-  declared decline-to-oracle allowlist.
+  (``vectorized.py`` / ``columns.py`` / ``bufferpool.py`` /
+  ``statistics.py`` / ``storage.py``) outside the declared decline-to-oracle
+  allowlist.
 - GL003 counter discipline: every ``metrics.increment("name")`` literal and
   every ``PROMETHEUS_HELP`` family key must exist in the declared counter
   registry, and every declared counter must actually be incremented
@@ -386,10 +387,11 @@ GL002_ORACLE_FUNCTIONS = frozenset(
         "VectorizedExecutor._hash_build",
         "VectorizedExecutor._execute_nested_loop_join",
         "VectorizedExecutor._nljoin_key_map",
-        "VectorizedExecutor._nljoin_index_lookup",
         "VectorizedExecutor._execute_group_by",
-        # bufferpool.py: the per-page LRU oracle the array replay is pinned to
+        # bufferpool.py: the per-page LRU oracle the summary replay is pinned to
         "BufferPool.access_many",
+        # storage.py: none -- object-dtype keys build through the same NumPy
+        # calls as typed ones; the dict-of-lists loop is tests/naive_index.py
     }
 )
 
@@ -440,6 +442,7 @@ class HotPathLoopRule(Rule):
         "repro/engine/columns.py",
         "repro/engine/executor/bufferpool.py",
         "repro/engine/statistics.py",
+        "repro/engine/storage.py",
     )
 
     def __init__(self) -> None:

@@ -394,7 +394,18 @@ class MatchingEngine:
                     matches=matches,
                     usage_batches=usage_batches,
                 )
-                self.prepared.publish(sql, entry)
+                # ``KnowledgeBase.match`` reads without the write lock, so a
+                # match that overlapped a mutation can mix two states.  Such
+                # a verdict still answers this request (as ``steer()`` would)
+                # but is published only if the stamp it carries is still the
+                # current one -- a second reader holding the same stamp must
+                # never be handed it as a hit.
+                if entry.is_current(
+                    self.database.stats_epoch,
+                    self.knowledge_base,
+                    knowledge_base.generation,
+                ):
+                    self.prepared.publish(sql, entry)
             else:
                 started = time.perf_counter()
                 knowledge_base.replay_usage(entry.usage_batches)

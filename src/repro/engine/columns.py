@@ -18,14 +18,17 @@ column exposes a lazily built **typed view** via
 
 The typed view is what the vectorized predicate path
 (:func:`repro.engine.expressions.compile_predicate`), the batch executor's
-gather/join/sort/group-by kernels and RUNSTATS
-(:func:`repro.engine.statistics.collect_column_statistics`) consume.  It is a
+gather/join/sort/group-by kernels, RUNSTATS
+(:func:`repro.engine.statistics.collect_column_statistics`) and the index
+build (:class:`repro.engine.storage.IndexData`: one stable ``argsort`` of the
+view, ``object`` dtype included) consume.  It is a
 cache over the authoritative Python value list: appends invalidate it, the
 next vectorized access rebuilds it.  Loads happen once, scans happen thousands of times per
 learning sweep, so the rebuild cost is amortized away.  Lifetime tracks
 *storage*, not statistics: RUNSTATS reads columns but never mutates them, so
 a stats-only epoch bump (see ``Database.invalidate_plan_cache``) leaves
-typed views -- like index sort caches and memoized gathers -- intact.
+typed views -- like the index arrays built from them and memoized gathers --
+intact.
 
 Representation invariant for gathered (executor-internal) columns: a **typed
 (non-object) ndarray never contains NULLs** -- :func:`gather` widens to an
@@ -154,6 +157,13 @@ def as_index_array(picks: Sequence[int]) -> Any:
     if isinstance(picks, range):
         return np.arange(picks.start, picks.stop, picks.step, dtype=np.intp)
     return np.asarray(picks, dtype=np.intp)
+
+
+def expand_slices(starts: Any, counts: Any) -> Any:
+    """Positions ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total, dtype=np.intp)
 
 
 def gather(values: Sequence[Any], picks: Sequence[int]) -> Sequence[Any]:

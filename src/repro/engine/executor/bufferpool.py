@@ -6,29 +6,58 @@ when the working set exceeds the pool, pages are evicted and re-read -- the
 "flooding" problem behind the paper's Figure 4 pattern.  Logical and physical
 read counts feed the simulated elapsed time.
 
-Page-access *traces* (what the vectorized executor and the memo's trace
-replay feed through :meth:`BufferPool.access_many`) are replayed with array
-ops whenever no eviction can occur: if the resident set plus the trace's
-distinct pages fit the capacity, the per-access outcome is fully determined
-by last-occurrence order and set membership, so the per-page LRU loop is
-skipped.  Traces that may evict fall back to the loop, which is the oracle
-(:meth:`access` is its per-page form); the differential property tests in
-``tests/property`` pin the two paths together.
+A per-row page-access sequence is a :class:`PageTrace`: an immutable page
+array that also carries its *summary* -- its distinct pages in last-use order
+-- computed the first time a pool asks for it and kept for as long as the
+trace lives (the executing plan, then every memo entry the trace is composed
+into, until the memo resets with the storage epoch).  When the resident set
+plus those distinct pages fit the capacity no eviction can occur, the outcome
+of every access is determined by set membership and last-use order, and
+:meth:`BufferPool.access_many` moves one dict entry per *distinct* page
+instead of one per access -- what a memo hit replaying a few thousand
+accesses over a few dozen pages into a fresh pool costs.  Short traces, traces
+that may evict and plain page sequences take the per-page loop, which is the
+oracle (:meth:`BufferPool.access` is its one-page form); the differential
+property tests in ``tests/property`` pin the two paths together.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 #: Traces shorter than this replay through the plain loop: below a few dozen
-#: pages the ndarray round trip costs more than it saves.
-_VECTOR_MIN_PAGES = 32
+#: accesses the summary costs more than it saves.
+_SUMMARY_MIN_ACCESSES = 32
 
 #: Sentinel distinguishing "not resident" from the stored value (None).
 _ABSENT = object()
+
+
+class PageTrace:
+    """An immutable sequence of page numbers, in access order."""
+
+    __slots__ = ("pages", "_last_use_order")
+
+    def __init__(self, pages: Any):
+        self.pages = pages
+        self._last_use_order: Optional[List[int]] = None
+
+    def __len__(self) -> int:
+        return len(self.pages)
+
+    def last_use_order(self) -> List[int]:
+        """The distinct pages, ordered by their last access (computed once)."""
+        order = self._last_use_order
+        if order is None:
+            # ``unique`` over the reversed trace: ``first_seen[j]`` is where
+            # ``distinct[j]`` first occurs from the end, so descending
+            # ``first_seen`` is ascending last use.
+            distinct, first_seen = np.unique(self.pages[::-1], return_index=True)
+            order = self._last_use_order = distinct[np.argsort(-first_seen)].tolist()
+        return order
 
 
 class BufferPool:
@@ -70,26 +99,43 @@ class BufferPool:
             self.logical_reads += count
             self.physical_reads += count
             return count
+        # A run of distinct pages is its own last-use order: the loop already
+        # costs one dict move per page.
         return self.access_many(table, range(first_page, first_page + count))
 
     def access_many(self, table: str, pages) -> int:
         """Touch ``pages`` in order; returns the number of misses.
 
-        Semantically identical to calling :meth:`access` per page.  Traces
-        that provably cannot evict replay through :meth:`_access_many_array`
-        (hit/miss counts and the final LRU order from last-occurrence
-        accounting); everything else takes the inlined per-page loop -- the
-        oracle the array path is validated against.
+        Semantically identical to calling :meth:`access` per page.  A
+        :class:`PageTrace` whose distinct pages fit beside the resident set
+        cannot evict: each distinct non-resident page misses exactly once
+        (its first touch), every other access hits, and the final LRU order
+        is the untouched residents (original relative order) followed by the
+        touched pages in last-use order -- a pop + reinsert per distinct
+        page.  Everything else takes the per-page loop, the oracle the
+        summary path is validated against.
         """
-        misses = self._access_many_array(table, pages)
-        if misses is not None:
-            return misses
         resident = self._pages
+        misses = 0
+        if isinstance(pages, PageTrace):
+            touched = len(pages)
+            if touched >= _SUMMARY_MIN_ACCESSES:
+                distinct = pages.last_use_order()
+                if len(resident) + len(distinct) <= self.capacity:
+                    pop = resident.pop
+                    for page in distinct:
+                        key = (table, page)
+                        if pop(key, _ABSENT) is _ABSENT:
+                            misses += 1
+                        resident[key] = None
+                    self.logical_reads += touched
+                    self.physical_reads += misses
+                    return misses
+            pages = pages.pages.tolist()
         capacity = self.capacity
         popitem = resident.popitem
         move_to_end = resident.move_to_end
         touched = 0
-        misses = 0
         for page in pages:
             key = (table, page)
             touched += 1
@@ -101,46 +147,6 @@ class BufferPool:
                 if len(resident) > capacity:
                     popitem(last=False)
         self.logical_reads += touched
-        self.physical_reads += misses
-        return misses
-
-    def _access_many_array(self, table: str, pages) -> "int | None":
-        """Replay a trace with array ops when no eviction is possible.
-
-        Decline (return None) unless ``len(resident) + len(distinct pages)``
-        fits the capacity: under that bound the oracle never evicts, so each
-        distinct non-resident page misses exactly once (its first touch),
-        every other access hits, and the final LRU order is the untouched
-        residents (original relative order) followed by the touched pages in
-        last-occurrence order -- a pop + reinsert per *distinct* page instead
-        of a bookkeeping step per *access*.
-        """
-        try:
-            count = len(pages)
-        except TypeError:
-            return None
-        if count < _VECTOR_MIN_PAGES:
-            return None
-        array = pages if isinstance(pages, np.ndarray) else np.asarray(pages)
-        if array.dtype == object:
-            return None
-        # ``unique`` over the reversed trace: ``reversed_first[j]`` is the
-        # first occurrence of ``distinct[j]`` in the reversed trace, i.e. its
-        # *last* occurrence in the forward trace (negated rank).
-        distinct, reversed_first = np.unique(array[::-1], return_index=True)
-        resident = self._pages
-        if len(resident) + distinct.size > self.capacity:
-            return None
-        pop = resident.pop
-        misses = 0
-        # Ascending last-occurrence order = descending first-occurrence
-        # position in the reversed trace.
-        for page in distinct[np.argsort(-reversed_first, kind="stable")].tolist():
-            key = (table, page)
-            if pop(key, _ABSENT) is _ABSENT:
-                misses += 1
-            resident[key] = None
-        self.logical_reads += count
         self.physical_reads += misses
         return misses
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.catalog import Catalog
 from repro.engine.config import DbConfig
 from repro.engine.executor.bufferpool import BufferPool
@@ -118,8 +120,8 @@ def equi_join_keys(
     return keys
 
 
-def index_qualifying_row_ids(node: PlanNode, index_data, alias: str) -> List[int]:
-    """Row ids an index scan qualifies, in index-key order.
+def index_qualifying_row_ids(node: PlanNode, index_data, alias: str) -> Any:
+    """Row ids an index scan qualifies, as an array in the scan's visit order.
 
     Shared by the row and vectorized engines so both resolve sargable
     predicates -- equality, IN lists, ranges -- identically.
@@ -145,18 +147,12 @@ def index_qualifying_row_ids(node: PlanNode, index_data, alias: str) -> List[int
             equality_values = list(predicate.values)
 
     if equality_values is not None:
-        row_ids: List[int] = []
-        for value in equality_values:
-            row_ids.extend(index_data.lookup(value))
-        return row_ids
+        found = [index_data.lookup(value) for value in equality_values]
+        return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
     if range_low is not None or range_high is not None:
         return index_data.lookup_range(range_low, range_high)
-    # No sargable predicate: full index scan in key order.
-    row_ids = []
-    entries = index_data.entries
-    for key in index_data.scan_order():
-        row_ids.extend(entries[key])
-    return row_ids
+    # No sargable predicate: full index scan.
+    return index_data.scan()
 
 
 class Executor:
@@ -307,7 +303,7 @@ class Executor:
         row_ids = self._index_qualifying_row_ids(node, index_data, alias)
         rows_per_page = self._rows_per_page(data)
         output: List[Row] = []
-        for row_id in row_ids:
+        for row_id in row_ids.tolist():
             metrics.rows_processed += 1
             metrics.index_lookups += 1
             page = row_id // rows_per_page
@@ -319,10 +315,8 @@ class Executor:
                 output.append(row)
         return output
 
-    def _index_qualifying_row_ids(
-        self, node: PlanNode, index_data, alias: str
-    ) -> List[int]:
-        """Row ids the index scan qualifies, in index-key order."""
+    def _index_qualifying_row_ids(self, node: PlanNode, index_data, alias: str) -> Any:
+        """Row ids the index scan qualifies, in the scan's visit order."""
         return index_qualifying_row_ids(node, index_data, alias)
 
     # -- joins ----------------------------------------------------------------
@@ -523,7 +517,7 @@ class Executor:
         output: List[Row] = []
         for outer_row, value in probes:
             if lookup_on_index:
-                row_ids = index_data.lookup(value)
+                row_ids = index_data.lookup(value).tolist()
             else:
                 row_ids = [
                     row_id

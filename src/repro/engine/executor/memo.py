@@ -37,7 +37,13 @@ its scans were computed or reused.  Each memo entry therefore records
 * ``traces`` -- the exact buffer-pool page access sequence, replayed through
   the consuming plan's *own* (cold) :class:`BufferPool` so logical/physical
   reads and random-page flooding are recomputed against that plan's pool
-  state, never copied from another plan's.
+  state, never copied from another plan's.  A per-row (``rand``) sequence is
+  one immutable :class:`~repro.engine.executor.bufferpool.PageTrace`; a join
+  entry's traces are its children's trace objects plus its own, shared by
+  reference.  The trace carries the summary its replays need (distinct pages
+  in last-use order, computed by the first one), so that summary is shared
+  by every entry the trace is composed into and lives exactly as long as
+  they do -- no cache beside the memo, nothing to invalidate.
 
 The result: simulated ``elapsed_ms``, per-operator actual cardinalities and
 result rows are bit-identical to executing every plan from scratch.
@@ -69,9 +75,16 @@ from repro.engine.executor.bufferpool import BufferPool
 from repro.engine.executor.metrics import RuntimeMetrics
 
 #: A page-access replay step: ``("seq", table, first_page, page_count)`` for a
-#: sequential run (misses are not random I/O), or ``("rand", table, pages)``
-#: for per-row accesses whose misses count as random pages.
+#: sequential run (misses are not random I/O), or ``("rand", table, trace)``
+#: for per-row accesses whose misses count as random pages.  ``trace`` is a
+#: :class:`~repro.engine.executor.bufferpool.PageTrace`: entries composed from
+#: one another share it by reference, and with it the summary (distinct pages
+#: in last-use order) its first replay computes -- the summary lives and dies
+#: with the trace, so with the entries holding it.
 Trace = Tuple[Any, ...]
+
+#: What one access of a ``rand`` trace is charged against ``max_bytes``.
+TRACE_BYTES_PER_ACCESS = 32
 
 
 @dataclass
@@ -104,7 +117,8 @@ class MemoEntry:
         other entry over that table -- charging each the full column payload
         would let one table's scans blow the whole byte budget -- so entries
         with a ``positions`` vector are charged for the positions (ndarray
-        ``nbytes``, or a per-element estimate for lists) plus their traces.
+        ``nbytes``, or a per-element estimate for lists) plus their traces
+        (:data:`TRACE_BYTES_PER_ACCESS` an access, shared or not).
         Materialized join outputs (``positions is None``) own their gathered
         column arrays and are charged for them in full.
         """
@@ -116,7 +130,7 @@ class MemoEntry:
                 total += nbytes_of(values)
         for trace in self.traces:
             if trace[0] == "rand":
-                total += nbytes_of(trace[2])
+                total += TRACE_BYTES_PER_ACCESS * len(trace[2])
         return total
 
     def replay(self, metrics: RuntimeMetrics, pool: BufferPool) -> None:

@@ -36,12 +36,13 @@ import numpy as np
 from repro.engine.catalog import Catalog
 from repro.engine.columns import (
     as_index_array,
+    expand_slices,
     gather,
     numeric_array,
     python_values,
 )
 from repro.engine.config import DbConfig
-from repro.engine.executor.bufferpool import BufferPool
+from repro.engine.executor.bufferpool import BufferPool, PageTrace
 from repro.engine.executor.executor import (
     ExecutionResult,
     equi_join_keys,
@@ -56,7 +57,8 @@ from repro.engine.executor.metrics import (
 )
 from repro.engine.expressions import ColumnRef, conjunction_mask, filter_positions
 from repro.engine.plan.physical import PlanNode, PopType, Qgm
-from repro.engine.storage import TableData
+from repro.engine.schema import Index
+from repro.engine.storage import IndexData, TableData
 from repro.errors import PlanError
 from repro.obs.tracing import current_execution_span, execution_tracing
 
@@ -147,6 +149,11 @@ def _gather_columns(batch: Batch, picks: Sequence[int]) -> Dict[str, Sequence[An
     if batch.sel is not None:
         picks = as_index_array(batch.sel)[as_index_array(picks)]
     return {key: gather(values, picks) for key, values in batch.columns.items()}
+
+
+def _as_array(values: Sequence[Any]) -> Any:
+    """``values`` as an ndarray (a plain list becomes an object array)."""
+    return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
 
 
 def _merge_batches(
@@ -294,12 +301,10 @@ def _probe_key_groups(groups: _KeyGroups, probe: Any) -> Tuple[Any, Any, Any]:
     found = groups.unique[slots_clipped] == probe
     matched = np.flatnonzero(found)
     group_ids = slots_clipped[matched]
-    sizes = groups.stops[group_ids] - groups.starts[group_ids]
-    total = int(sizes.sum())
+    starts = groups.starts[group_ids]
+    sizes = groups.stops[group_ids] - starts
     outer_picks = np.repeat(matched, sizes)
-    ends = np.cumsum(sizes)
-    within = np.arange(total, dtype=np.intp) - np.repeat(ends - sizes, sizes)
-    inner_picks = groups.order[np.repeat(groups.starts[group_ids], sizes) + within]
+    inner_picks = groups.order[expand_slices(starts, sizes)]
     return found, outer_picks, inner_picks
 
 
@@ -733,10 +738,8 @@ class VectorizedExecutor:
         count = len(row_ids)
         metrics.rows_processed += count
         metrics.index_lookups += count
-        rows_per_page = self._rows_per_page(data)
-        # galolint: disable=GL002 -- page-trace derivation; order must stay probe order
-        pages = [row_id // rows_per_page for row_id in row_ids]
-        metrics.random_pages += pool.access_many(table, pages)
+        trace = PageTrace(row_ids // self._rows_per_page(data))
+        metrics.random_pages += pool.access_many(table, trace)
         columns = self._qualified_columns(data, alias)
         positions = filter_positions(node.predicates, columns, row_ids)
         if key is not None:
@@ -746,7 +749,7 @@ class VectorizedExecutor:
                     columns=columns,
                     positions=positions,
                     deltas=(("rows_processed", count), ("index_lookups", count)),
-                    traces=(("rand", table, pages),),
+                    traces=(("rand", table, trace),),
                 ),
             )
         return Batch(columns, positions)
@@ -1254,153 +1257,89 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo] = None,
         memo_key=None,
     ) -> Batch:
-        """Inner side evaluated as one index lookup per outer row."""
+        """Inner side evaluated as one index lookup per outer row.
+
+        Every outer key probes the index in one call; the matches, their page
+        trace and the rows that survive the inner predicates and the residual
+        equi-keys are expanded by index arithmetic in probe order -- outer
+        position, then ascending row id: the row engine's loop order.
+        """
         data = self._table_for(inner_node)
         alias = inner_node.table_alias or inner_node.table or ""
         table = inner_node.table or ""
-        index_data = data.index(inner_node.index_name)
-        rows_per_page = self._rows_per_page(data)
         outer_key, inner_key = keys[0]
-        lookup_on_index = index_data.definition.column == inner_key.column
+        index_data = data.index(inner_node.index_name)
+        if index_data.definition.column != inner_key.column:
+            # The plan's index is on another column (no plan of the four
+            # bench workloads): the same form over the join key's column,
+            # built for this call unless the table has an index there too.
+            index_data = data.index_on(inner_key.column) or IndexData(
+                Index("", table, inner_key.column), data
+            )
         inner_columns = self._qualified_columns(data, alias)
+
         outer_values = self._column_of(outer_batch, node.outer, outer_key.key, memo)
-        predicates = inner_node.predicates
-        match_column = (
-            None if lookup_on_index else data.column_values(inner_key.column)
-        )
-
-        residual_pairs = []
-        for residual_outer, residual_inner in keys[1:]:
-            residual_pairs.append(
-                (
-                    self._index_lookup_accessor(outer_batch, inner_columns, residual_outer.key),
-                    self._index_lookup_accessor(outer_batch, inner_columns, residual_inner.key),
-                )
-            )
-
-        # Per-distinct-value cache of (row ids, their pages, predicate
-        # survivors): all three depend only on the inner scan's identity and
-        # the probe value, never on the probing plan.  Join keys repeat both
-        # within one execution (duplicate outer values) and across the plans
-        # of a learning sweep, so the cache lives in the memo's aux store when
-        # one is active and falls back to call-local otherwise.
-        value_cache: Dict[Any, Tuple] = {}
-        if memo is not None:
-            cache_key = (
-                "nlixv",
-                table,
-                inner_node.table_alias,
-                inner_node.index_name,
-                predicates,
-                inner_key.column,
-            )
-            cached_values = memo.aux_lookup(cache_key)
-            if cached_values is None:
-                memo.aux_store(cache_key, value_cache)
-            else:
-                value_cache = cached_values
-
-        match_array = numeric_array(match_column) if match_column is not None else None
-
-        # One qualification mask over the whole inner table replaces the
-        # per-probe-value filter_positions call when every residual predicate
-        # vectorizes.  Built lazily on the first value-cache *miss*: with the
-        # memo-shared cache warm (a learning sweep re-probing the same inner
-        # scan across thousands of candidate plans) no execution should pay
-        # full-table predicate work it will never consume.
-        survivor_mask_box: List[Any] = []
-
-        def survivor_mask():
-            if not survivor_mask_box:
-                survivor_mask_box.append(conjunction_mask(predicates, inner_columns))
-            return survivor_mask_box[0]
-
-        def resolve_value(value) -> Tuple:
-            """(row count, pages, survivors) for one probe value (cached)."""
-            cached = value_cache.get(value)
-            if cached is not None:
-                return cached
-            if lookup_on_index:
-                row_ids = index_data.lookup(value)
-            elif match_array is not None:
-                row_ids = np.flatnonzero(match_array == value).tolist()
-            else:
-                row_ids = [
-                    row_id
-                    for row_id in range(data.row_count)
-                    if match_column[row_id] == value
-                ]
-            if row_ids:
-                pages: Sequence[int] = [row_id // rows_per_page for row_id in row_ids]
-                mask = survivor_mask()
-                if mask is not None:
-                    ids = np.asarray(row_ids, dtype=np.intp)
-                    survivors: Sequence[int] = ids[mask[ids]]
-                else:
-                    survivors = filter_positions(predicates, inner_columns, row_ids)
-            else:
-                pages = survivors = ()
-            cached = (len(row_ids), pages, survivors)
-            value_cache[value] = cached
-            return cached
-
-        probe = numeric_array(outer_values) if not residual_pairs else None
-        if probe is not None:
-            # One lookup per probe row: charged before any is made, so the
-            # budget can stop the plan ahead of the probing.
-            lookups = len(probe)
-            metrics.index_lookups += lookups
-            if metrics.budget is not None:
-                metrics.budget.check(metrics, pool)
-            # Vectorized probing: resolve each *distinct* key once, then
-            # expand lookups, page traces and surviving rows back to probe
-            # order -- emission and page-access sequence are exactly the
-            # per-row loop's (probe order, ascending row ids per value).
-            processed, trace_pages, outer_picks, inner_row_ids = (
-                self._nljoin_vector_probe(probe, resolve_value)
-            )
-            inner_matched = len(inner_row_ids)
+        probe = numeric_array(outer_values)
+        if probe is None:
+            # NULL-bearing or non-numeric outer keys: a NULL makes no lookup.
+            outer_values = _as_array(outer_values)
+            outer_rows = np.flatnonzero(outer_values != None)  # noqa: E711
+            probe = np.asarray(outer_values[outer_rows].tolist())
         else:
-            inner_matched = 0
-            lookups = 0
-            processed = 0
-            trace_pages: List[int] = []
-            outer_picks: List[int] = []
-            inner_row_ids: List[int] = []
-            for op in range(outer_batch.length):
-                value = outer_values[op]
-                if value is None:
-                    continue
-                lookups += 1
-                row_count, pages, survivors = resolve_value(value)
-                if not row_count:
-                    continue
-                processed += row_count
-                trace_pages.extend(pages)
-                for row_id in survivors:
-                    if all(
-                        outer_access(op, row_id) == inner_access(op, row_id)
-                        for outer_access, inner_access in residual_pairs
-                    ):
-                        inner_matched += 1
-                        outer_picks.append(op)
-                        inner_row_ids.append(row_id)
-            metrics.index_lookups += lookups
-        # One batched access reproduces the per-row access sequence exactly
-        # (the loop touches nothing else in the pool between rows).
-        if len(trace_pages):
-            metrics.random_pages += pool.access_many(table, trace_pages)
+            outer_rows = np.arange(len(probe), dtype=np.intp)
+        # One lookup per outer row with a key: charged before any is made, so
+        # the budget can stop the plan ahead of the probing.
+        lookups = len(probe)
+        metrics.index_lookups += lookups
+        if metrics.budget is not None:
+            metrics.budget.check(metrics, pool)
+        counts, row_ids = index_data.probe(probe)
+        outer_picks = np.repeat(outer_rows, counts)
+        processed = len(row_ids)
         metrics.rows_processed += processed
-        inner_node.actual_cardinality = inner_matched
+        # One batched access reproduces the per-row access sequence exactly
+        # (the lookups touch nothing else in the pool between rows), and it
+        # replays as one "rand" run of the join's entry.
+        own_traces: Tuple = ()
+        if processed:
+            trace = PageTrace(row_ids // self._rows_per_page(data))
+            metrics.random_pages += pool.access_many(table, trace)
+            own_traces = (("rand", table, trace),)
+
+        predicates = inner_node.predicates
+        keep = np.ones(processed, dtype=bool)
+        if predicates and processed:
+            mask = conjunction_mask(predicates, inner_columns)
+            if mask is None:
+                # Not vectorizable: the closure path, once per touched row.
+                touched = np.zeros(data.row_count, dtype=bool)
+                touched[row_ids] = True
+                survivors = filter_positions(predicates, inner_columns, np.flatnonzero(touched))
+                mask = np.zeros_like(touched)
+                mask[as_index_array(survivors)] = True
+            keep = mask[row_ids]
+
+        def candidate_column(column_key: str) -> Any:
+            """One column of the candidate rows (inner side wins collisions)."""
+            if column_key in inner_columns:
+                return _as_array(gather(inner_columns[column_key], row_ids))
+            if column_key in outer_batch.columns:
+                return _as_array(gather(outer_batch.column(column_key), outer_picks))
+            return np.full(processed, None, dtype=object)
+
+        for residual_outer, residual_inner in keys[1:]:
+            # ``==`` as the row engine compares the merged row: NULL = NULL.
+            keep = keep & (
+                candidate_column(residual_outer.key) == candidate_column(residual_inner.key)
+            )
+        outer_picks = outer_picks[keep]
+        inner_row_ids = row_ids[keep]
+        inner_node.actual_cardinality = len(inner_row_ids)
 
         columns = _gather_columns(outer_batch, outer_picks)
         for key_name, values in inner_columns.items():
             columns[key_name] = gather(values, inner_row_ids)
         result = Batch(columns, None, len(outer_picks))
-        # The per-outer-row page accesses replay as one "rand" run: the
-        # concatenated page list drives the consuming plan's LRU through the
-        # exact same sequence the loop above produced.
-        own_traces = (("rand", table, trace_pages),) if len(trace_pages) else ()
         self._store_join_entry(
             memo,
             memo_key,
@@ -1410,72 +1349,6 @@ class VectorizedExecutor:
             own_traces,
         )
         return result
-
-    @staticmethod
-    def _nljoin_vector_probe(probe, resolve_value):
-        """Expand per-distinct-value lookup outcomes back to probe order.
-
-        ``probe`` is a null-free numeric key array; ``resolve_value`` returns
-        the cached ``(row count, pages, survivors)`` for one key.  Returns
-        ``(processed, trace_pages, outer_picks, inner_row_ids)``
-        where the trace and the emitted (outer position, inner row id) pairs
-        are ordered exactly as the per-row loop orders them: by outer
-        position, then by the value's page/survivor order.
-        """
-        empty = np.zeros(0, dtype=np.intp)
-        if not len(probe):
-            return 0, empty, empty, empty
-        unique, inverse = np.unique(probe, return_inverse=True)
-        count = len(unique)
-        row_counts = np.empty(count, dtype=np.intp)
-        page_chunks: List[Any] = []
-        survivor_chunks: List[Any] = []
-        page_counts = np.empty(count, dtype=np.intp)
-        survivor_counts = np.empty(count, dtype=np.intp)
-        for position, value in enumerate(unique.tolist()):
-            row_count, pages, survivors = resolve_value(value)
-            row_counts[position] = row_count
-            pages = np.asarray(pages, dtype=np.intp)
-            survivors = np.asarray(survivors, dtype=np.intp)
-            page_chunks.append(pages)
-            survivor_chunks.append(survivors)
-            page_counts[position] = len(pages)
-            survivor_counts[position] = len(survivors)
-        processed = int(row_counts[inverse].sum())
-
-        def expand(chunks, counts):
-            """Concatenate per-value chunks in probe order (repeats included)."""
-            concat = np.concatenate(chunks) if chunks else empty
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            per_probe = counts[inverse]
-            total = int(per_probe.sum())
-            if not total:
-                return empty, per_probe
-            ends = np.cumsum(per_probe)
-            within = np.arange(total, dtype=np.intp) - np.repeat(
-                ends - per_probe, per_probe
-            )
-            return concat[np.repeat(offsets[inverse], per_probe) + within], per_probe
-
-        trace_pages, _ = expand(page_chunks, page_counts)
-        inner_row_ids, per_probe_survivors = expand(survivor_chunks, survivor_counts)
-        outer_picks = np.repeat(
-            np.arange(len(probe), dtype=np.intp), per_probe_survivors
-        )
-        return processed, trace_pages, outer_picks, inner_row_ids
-
-    @staticmethod
-    def _index_lookup_accessor(
-        outer_batch: Batch, inner_columns: Dict[str, Sequence[Any]], column_key: str
-    ) -> Callable[[int, int], Any]:
-        """Merged-row lookup where the inner side is addressed by table row id."""
-        if column_key in inner_columns:
-            values = inner_columns[column_key]
-            return lambda op, row_id: values[row_id]
-        if column_key in outer_batch.columns:
-            values = outer_batch.column(column_key)
-            return lambda op, row_id: values[op]
-        return lambda op, row_id: None
 
     # -- other operators ---------------------------------------------------------
 

@@ -4,141 +4,180 @@ Rows are stored column-wise as :class:`repro.engine.columns.ColumnVector`
 objects: a plain Python value list (the authoritative, sequence-compatible
 representation every existing caller sees) plus a lazily built typed ndarray
 and null-mask view that the vectorized executor and predicate compiler
-consume directly.  Single-column hash indexes map a key value to the list of
-row positions holding it; a *cluster ratio* records how well the physical row
-order follows the index order, which the runtime simulator uses to model
+consume directly.  An index's *cluster ratio* records how well the physical
+row order follows the index order, which the runtime simulator uses to model
 random-I/O flooding.
 
-Index builds and the cached sorted-key range probes use ``np.argsort`` /
-``np.searchsorted`` when the column has a clean numeric typed view; the
-bisect-over-Python-lists path remains both the fallback and the behavioral
-oracle -- entries, key order and returned row ids are identical.
+A single-column index has one form (:class:`IndexData`): the sorted distinct
+non-``NULL`` keys, an offsets array, and every row id concatenated key by key
+(ascending within a key), plus the ``NULL`` rows.  One stable ``argsort`` over
+the column's typed view builds it; equality, IN-list, range, full-scan and
+whole-column probes are ``searchsorted`` calls and slices of those arrays and
+return row-id *arrays*.  Nothing is maintained per row: an insert only grows
+the columns, and the index rebuilds itself on the first read that finds the
+table longer than what it was built from -- N batches with no read between
+them cost one build, not N.  VARCHAR keys and integers beyond int64 keep the
+same arrays with ``object`` dtype (Python comparisons inside the same NumPy
+calls); that is the one declared degrade.  ``tests/naive_index.py`` keeps the
+dict-of-lists index as the ``==`` oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.columns import ColumnVector
+from repro.engine.columns import ColumnVector, expand_slices
 from repro.engine.config import DbConfig
 from repro.engine.schema import Index, TableSchema
 from repro.engine.types import coerce_value
 from repro.errors import CatalogError
 
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False  # handed out by every lookup that misses
 
-@dataclass
+#: What typed (int64 / float64) keys compare with; anything else matches no
+#: key (``searchsorted`` would silently compare the keys' *text* with it).
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+class _BuiltIndex:
+    """The arrays of one index build; never mutated, replaced as a whole."""
+
+    __slots__ = ("keys", "offsets", "row_ids", "null_rows", "row_count", "scan")
+
+    def __init__(self, keys, offsets, row_ids, null_rows, row_count):
+        self.keys = keys
+        self.offsets = offsets
+        self.row_ids = row_ids
+        self.null_rows = null_rows
+        #: Rows of the column this build covers (its staleness stamp).
+        self.row_count = row_count
+        #: Every row id in full-scan order; derived on the first full scan.
+        self.scan: Optional[Any] = None
+
+
+def _build_index(column: ColumnVector, row_count: int) -> _BuiltIndex:
+    """Group ``column``'s first ``row_count`` rows by key with one stable
+    ``argsort``.
+
+    Stability keeps each key's row ids ascending.  An ``object`` typed view
+    (strings, integers beyond int64) sorts and compares as Python values
+    inside the same calls.
+    """
+    array, mask = column.arrays()
+    array = array[:row_count]
+    if mask is None:
+        present, null_rows = None, _NO_ROWS
+    else:
+        mask = mask[:row_count]
+        present, null_rows = np.flatnonzero(~mask), np.flatnonzero(mask)
+    keyed = array if present is None else array[present]
+    order = np.argsort(keyed, kind="stable")
+    ordered = keyed[order]
+    starts = _NO_ROWS
+    if len(ordered):
+        changes = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        starts = np.concatenate(([0], changes)).astype(np.intp)
+    return _BuiltIndex(
+        keys=ordered[starts],
+        offsets=np.append(starts, len(ordered)),
+        row_ids=order if present is None else present[order],
+        null_rows=null_rows,
+        row_count=len(array),
+    )
+
+
 class IndexData:
-    """Materialized hash index: key value -> sorted list of row ids.
+    """A single-column index: sorted keys + offsets + concatenated row ids.
 
-    Range probes use a lazily built sorted key list plus, when the keys are
-    numeric, a ``searchsorted``-ready cache of the keys and their concatenated
-    row ids; a full scan uses a lazily built order over every key.  All three
-    are invalidated whenever rows are inserted (``TableData`` appends to the
-    index entries).
+    Every method returns row ids as an ``intp`` array the caller must not
+    write to (``lookup`` and ``scan`` hand out views of the index's own
+    arrays).  The arrays are rebuilt lazily, on the first call after the
+    table has grown; views handed out before stay valid (and stale).
+    Numbers of different types compare as NumPy compares them (in float64:
+    exact below 2**53), ``object`` keys as Python does.
     """
 
-    definition: Index
-    entries: Dict[Any, List[int]] = field(default_factory=dict)
-    _sorted_keys: Optional[List[Any]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Every key, ``NULL`` included, in full-index-scan order.
-    _scan_order: Optional[List[Any]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: ``(keys ndarray, row-id offsets, concatenated row ids)`` aligned with
-    #: ``sorted_keys()``; built lazily for numeric keys, None otherwise.
-    _range_cache: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("definition", "_table", "_built")
 
-    def lookup(self, value: Any) -> List[int]:
-        return self.entries.get(value, [])
+    def __init__(self, definition: Index, table: "TableData"):
+        self.definition = definition
+        self._table = table
+        self._built: Optional[_BuiltIndex] = None
 
-    def invalidate_sorted_keys(self) -> None:
-        """Drop the cached key order (called after entries are rebuilt)."""
-        self._sorted_keys = None
-        self._scan_order = None
-        self._range_cache = None
+    def _arrays(self) -> _BuiltIndex:
+        built = self._built
+        row_count = self._table.row_count
+        if built is None or built.row_count != row_count:
+            column = self._table.column_values(self.definition.column)
+            built = self._built = _build_index(column, row_count)
+        return built
 
-    def sorted_keys(self) -> List[Any]:
-        """Non-``NULL`` key values in ascending order (cached)."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(
-                key for key in self.entries if key is not None
-            )
-        return self._sorted_keys
-
-    def scan_order(self) -> List[Any]:
-        """Every key in the order a full index scan visits them (cached).
-
-        Keys order by their text, numbers among equal texts by value, ``NULL``
-        last -- the order both executors have always scanned in, which is not
-        ``sorted_keys()``'s numeric order.
-        """
-        if self._scan_order is None:
-            self._scan_order = sorted(
-                self.entries,
-                key=lambda k: (k is None, str(k), k if isinstance(k, (int, float)) else 0),
-            )
-        return self._scan_order
-
-    def _build_range_cache(self) -> Optional[tuple]:
-        """``searchsorted`` probe cache for numeric keys (None = use bisect)."""
-        keys = self.sorted_keys()
-        if not keys or not all(isinstance(key, (int, float)) for key in keys):
-            return None
+    def lookup(self, value: Any) -> Any:
+        """Row ids whose key equals ``value``, ascending (``None``: the NULL rows)."""
+        built = self._arrays()
+        if value is None:
+            return built.null_rows
+        keys = built.keys
+        if keys.dtype != object and not isinstance(value, _NUMBERS):
+            return _NO_ROWS
         try:
-            keys_array = np.asarray(keys)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        if keys_array.dtype == object:
-            return None
-        entries = self.entries
-        counts = np.fromiter(
-            (len(entries[key]) for key in keys), dtype=np.intp, count=len(keys)
-        )
-        offsets = np.zeros(len(keys) + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        row_ids = np.fromiter(
-            (row_id for key in keys for row_id in entries[key]),
-            dtype=np.intp,
-            count=int(offsets[-1]),
-        )
-        return keys_array, offsets, row_ids
+            slot = int(keys.searchsorted(value))
+        except TypeError:  # object keys that do not order against ``value``
+            return _NO_ROWS
+        if slot == len(keys) or keys[slot] != value:
+            return _NO_ROWS
+        return built.row_ids[built.offsets[slot] : built.offsets[slot + 1]]
 
-    def lookup_range(self, low: Any, high: Any) -> List[int]:
-        """Return row ids whose key falls in ``[low, high]`` (inclusive)."""
-        keys = self.sorted_keys()
-        if self._range_cache is None:
-            self._range_cache = self._build_range_cache() or ()
-        cache = self._range_cache
-        if cache:
-            keys_array, offsets, all_row_ids = cache
+    def probe(self, values: Any) -> Tuple[Any, Any]:
+        """Look up a whole array of non-``NULL`` values with two ``searchsorted``.
+
+        Returns ``(counts, row_ids)``: ``counts[i]`` rows match ``values[i]``
+        and ``row_ids`` lists them value after value, ascending within one --
+        ``np.concatenate([lookup(v) for v in values])`` without the loop.
+        """
+        built = self._arrays()
+        keys = built.keys
+        if keys.dtype == object or values.dtype.kind in "biufO":
             try:
-                start = 0 if low is None else int(np.searchsorted(keys_array, low, side="left"))
-                stop = (
-                    len(keys)
-                    if high is None
-                    else int(np.searchsorted(keys_array, high, side="right"))
-                )
-            except (TypeError, ValueError):
-                start = 0 if low is None else bisect_left(keys, low)
-                stop = len(keys) if high is None else bisect_right(keys, high)
-            selected = all_row_ids[offsets[start] : offsets[stop]]
-            return np.sort(selected).tolist()
-        start = 0 if low is None else bisect_left(keys, low)
-        stop = len(keys) if high is None else bisect_right(keys, high)
-        row_ids: List[int] = []
-        entries = self.entries
-        for key in keys[start:stop]:
-            row_ids.extend(entries[key])
-        row_ids.sort()
-        return row_ids
+                starts = built.offsets[keys.searchsorted(values, side="left")]
+                stops = built.offsets[keys.searchsorted(values, side="right")]
+            except TypeError:  # keys and values of types that do not order
+                pass
+            else:
+                counts = stops - starts
+                return counts, built.row_ids[expand_slices(starts, counts)]
+        return np.zeros(len(values), dtype=np.intp), _NO_ROWS
+
+    def lookup_range(self, low: Any, high: Any) -> Any:
+        """Row ids whose key is in ``[low, high]``, ascending (``None`` = open)."""
+        built = self._arrays()
+        keys = built.keys
+        start = 0 if low is None else int(keys.searchsorted(low, side="left"))
+        stop = len(keys) if high is None else int(keys.searchsorted(high, side="right"))
+        return np.sort(built.row_ids[built.offsets[start] : built.offsets[max(start, stop)]])
+
+    def scan(self) -> Any:
+        """Every row id in the order a full index scan visits them.
+
+        Keys order by their *text* (so 10 before 9, the order both executors
+        have always scanned in -- not the key array's numeric order), each
+        key's rows ascending, ``NULL`` rows last.
+        """
+        built = self._arrays()
+        if built.scan is None:
+            texts = list(map(str, built.keys.tolist()))
+            by_text = np.asarray(
+                sorted(range(len(texts)), key=texts.__getitem__), dtype=np.intp
+            )
+            starts = built.offsets[:-1][by_text]
+            counts = built.offsets[1:][by_text] - starts
+            built.scan = np.concatenate(
+                (built.row_ids[expand_slices(starts, counts)], built.null_rows)
+            )
+        return built.scan
 
 
 class TableData:
@@ -158,15 +197,13 @@ class TableData:
     def insert_rows(self, rows: Iterable[Dict[str, Any]]) -> int:
         """Append ``rows`` (dicts keyed by column name); returns rows added.
 
-        Indexes are maintained incrementally: only the new rows' (value ->
-        row id) pairs are appended, so a bulk load of N batches stays O(N
-        rows) instead of the O(N^2) a per-batch full rebuild costs.  New row
-        ids are strictly larger than every existing one, so appending keeps
-        each entry's row-id list sorted.  The batch is coerced column by
-        column before any column grows (a value that cannot be coerced leaves
-        the table as it was) and appended with one ``extend`` per column,
-        which also invalidates that column's typed-array view once; the view
-        is rebuilt on the next vectorized access.
+        The batch is coerced column by column before any column grows (a
+        value that cannot be coerced leaves the table as it was) and appended
+        with one ``extend`` per column, which also invalidates that column's
+        typed-array view once; the view is rebuilt on the next vectorized
+        access.  Indexes are not touched: each notices on its next read that
+        the table has grown and rebuilds then, so a bulk load of N batches
+        costs one index build, not N.
         """
         batch = list(rows)
         if not batch:
@@ -177,61 +214,8 @@ class TableData:
             coerced.append([coerce_value(row.get(name), data_type) for row in batch])
         for column, values in zip(self.schema.columns, coerced):
             self._columns[column.name].extend(values)
-        first_new_row = self._row_count
         self._row_count += len(batch)
-        for index_data in self._indexes.values():
-            self._append_to_index(index_data, first_new_row)
         return len(batch)
-
-    def _append_to_index(self, index_data: IndexData, first_new_row: int) -> None:
-        """Index the rows from ``first_new_row`` on (cached key order drops)."""
-        values = self._columns[index_data.definition.column]
-        entries = index_data.entries
-        for row_id in range(first_new_row, self._row_count):
-            entries.setdefault(values[row_id], []).append(row_id)
-        index_data.invalidate_sorted_keys()
-
-    def _fill_index(self, index_data: IndexData) -> None:
-        index_data.invalidate_sorted_keys()
-        values = self._columns[index_data.definition.column]
-        entries = self._grouped_entries(values)
-        if entries is None:
-            entries = {}
-            for row_id, value in enumerate(values):
-                entries.setdefault(value, []).append(row_id)
-        index_data.entries = entries
-
-    @staticmethod
-    def _grouped_entries(values: ColumnVector) -> Optional[Dict[Any, List[int]]]:
-        """Value -> ascending row ids via ``argsort`` grouping (None = loop).
-
-        Only taken for numeric typed columns: keys come out as Python scalars
-        (``tolist``), per-key row ids ascend (stable sort), and NULL rows form
-        the ``None`` entry -- exactly what the element-wise build produces.
-        """
-        array, mask = values.arrays()
-        if array.dtype == object:
-            return None
-        if mask is not None:
-            non_null = np.flatnonzero(~mask)
-            keyed = array[non_null]
-        else:
-            non_null = None
-            keyed = array
-        order = np.argsort(keyed, kind="stable")
-        sorted_ids = non_null[order] if non_null is not None else order
-        sorted_vals = keyed[order]
-        entries: Dict[Any, List[int]] = {}
-        if len(sorted_vals):
-            boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-            starts = np.concatenate(([0], boundaries))
-            stops = np.concatenate((boundaries, [len(sorted_vals)]))
-            keys = sorted_vals[starts].tolist()
-            for key, start, stop in zip(keys, starts, stops):
-                entries[key] = sorted_ids[start:stop].tolist()
-        if mask is not None:
-            entries[None] = np.flatnonzero(mask).tolist()
-        return entries
 
     def build_index(self, definition: Index) -> IndexData:
         if definition.column not in self._columns:
@@ -239,8 +223,7 @@ class TableData:
                 f"cannot index missing column {definition.column!r} "
                 f"on table {self.schema.name!r}"
             )
-        index_data = IndexData(definition=definition)
-        self._fill_index(index_data)
+        index_data = IndexData(definition, self)
         self._indexes[definition.name] = index_data
         return index_data
 
@@ -281,13 +264,8 @@ class TableData:
         }
 
     def rows(self, row_ids: Optional[Sequence[int]] = None) -> Iterator[Dict[str, Any]]:
-        """Yield rows as dicts, either all of them or the given ``row_ids``."""
-        if row_ids is None:
-            for row_id in range(self._row_count):
-                yield self.row(row_id)
-        else:
-            for row_id in row_ids:
-                yield self.row(row_id)
+        """Rows as dicts, either all of them or the given ``row_ids``."""
+        return map(self.row, range(self._row_count) if row_ids is None else row_ids)
 
     def index(self, index_name: str) -> IndexData:
         try:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,16 +14,19 @@ from repro.core.learning.ranking import (
     robust_elapsed_ms,
 )
 from repro.engine.executor import bufferpool
-from repro.engine.executor.bufferpool import BufferPool
+from repro.engine.executor.bufferpool import BufferPool, PageTrace
 from repro.engine.executor.db2batch import Db2Batch
 from repro.engine.executor.executor import ExecutionResult
 from repro.engine.executor.metrics import RuntimeMetrics
 from repro.engine.expressions import Between, ColumnRef, Comparison, InList, Literal
 from repro.engine.columns import ColumnVector
+from repro.engine.schema import Index, make_schema
 from repro.engine.statistics import collect_column_statistics
-from repro.engine.types import DataType
+from repro.engine.storage import TableData
+from repro.engine.types import DataType, coerce_value
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.terms import IRI, BlankNode, Literal as RdfLiteral
+from tests.naive_index import assert_equals_dict_index
 from tests.naive_statistics import assert_equals_value_loop
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -153,6 +157,96 @@ def test_column_statistics_equal_the_value_loop(column, appended):
 
 
 # ---------------------------------------------------------------------------
+# storage: the array index vs the dict-of-lists oracle
+# ---------------------------------------------------------------------------
+
+_SMALL_NUMBERS = [
+    st.integers(-14, 14),
+    st.integers(-14, 14).map(float),
+    st.sampled_from([2.5, -0.5, 13.25]),
+]
+#: Per key type: the kinds of value a column is filled from, what it is
+#: probed with beyond its own values (absent keys, NULL, an equal number of
+#: the other numeric type, a value of another type) and its range bounds.
+#: Numbers of different types meet only where float64 is exact.
+_INDEX_KEYS = {
+    "integer": (
+        DataType.INTEGER,
+        [st.integers(-12, 12), st.integers(-(2 ** 63), 2 ** 63 - 1)],
+        _SMALL_NUMBERS + [st.sampled_from([None, "x", 2 ** 63 - 1, 2 ** 70])],
+        _SMALL_NUMBERS + [st.sampled_from([-(2 ** 62), 2 ** 62, 2 ** 70])],
+    ),
+    "beyond int64": (
+        DataType.INTEGER,
+        [st.integers(-12, 12), st.sampled_from([2 ** 70, -(2 ** 65), 2 ** 70 + 1])],
+        _SMALL_NUMBERS + [st.sampled_from([None, "x", 2 ** 70, float(2 ** 70), 2 ** 71])],
+        _SMALL_NUMBERS + [st.sampled_from([2 ** 70, -(2 ** 66), 1e30])],
+    ),
+    "date": (
+        DataType.DATE,
+        [st.integers(17000, 17012), st.sampled_from(["2016-07-20", "2016-07-24"])],
+        [st.integers(16998, 17014), st.sampled_from([None, 17003.0, 17003.5, "x"])],
+        [st.integers(16998, 17014), st.sampled_from([17003.5, 0.0])],
+    ),
+    "decimal": (
+        DataType.DECIMAL,
+        [
+            st.integers(-12, 12).map(lambda value: value / 4),
+            st.sampled_from([0.0, -0.0, 1.0, 1e10, -1e-5, 7]),
+        ],
+        _SMALL_NUMBERS + [st.sampled_from([None, "x", 0, -0.0, 10 ** 10])],
+        _SMALL_NUMBERS + [st.sampled_from([0, -0.0, 10 ** 10])],
+    ),
+    "varchar": (
+        DataType.VARCHAR,
+        [st.text(alphabet="ab1", max_size=2), st.integers(0, 11)],
+        [st.text(alphabet="ab1", max_size=2), st.sampled_from([None, 5, 2.5, "10"])],
+        [st.text(alphabet="ab19", max_size=2)],
+    ),
+}
+
+
+@st.composite
+def _indexed_columns(draw):
+    data_type, kinds, probes, bounds = _INDEX_KEYS[draw(st.sampled_from(sorted(_INDEX_KEYS)))]
+    values = draw(st.lists(st.one_of(st.none(), *kinds), max_size=60))
+    stored = [coerce_value(value, data_type) for value in values]
+    present = [st.sampled_from(stored)] if stored else []
+    return (
+        data_type,
+        values,
+        draw(st.lists(st.one_of(*present, *probes), max_size=12)),
+        draw(st.lists(st.one_of(*present, *bounds).filter(lambda b: b is not None), max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    column=_indexed_columns(),
+    cuts=st.lists(st.integers(0, 60), max_size=3),
+    read_between=st.booleans(),
+)
+def test_index_equals_the_dict_of_lists(column, cuts, read_between):
+    """Whatever an indexed column holds -- duplicates, NULLs, floats, dates,
+    strings, an integer beyond int64 -- and however it was loaded (one batch
+    or several, the index read between them or not), every read of the array
+    index returns the dict-of-lists index's row ids in its order."""
+    data_type, values, probes, bounds = column
+    schema = make_schema("T", [("k", data_type)], [Index("T_K", "T", "k")])
+    data = TableData(schema)
+    index = data.build_index(schema.indexes[0])
+    edges = [0] + sorted(cuts) + [len(values)]
+    for start, stop in zip(edges, edges[1:]):
+        data.insert_rows({"k": value} for value in values[start:stop])
+        if read_between:
+            index.lookup(None)
+    stored = data.column_values("k").tolist()
+    if data_type is DataType.VARCHAR:
+        bounds = [bound for bound in bounds if isinstance(bound, str)]
+    assert_equals_dict_index(index, stored, list(probes) + stored[:5], bounds)
+
+
+# ---------------------------------------------------------------------------
 # buffer pool: trace replay vs the per-page LRU oracle
 # ---------------------------------------------------------------------------
 
@@ -176,24 +270,50 @@ def _assert_pools_identical(candidate, oracle):
 
 
 @DEFAULT_SETTINGS
-@given(capacity=st.integers(1, 48), ops=_trace_ops)
-def test_access_many_matches_per_page_oracle(capacity, ops):
-    """Batch trace replay is per-access LRU, observably: same misses, same
-    counters, same final recency order -- with the array fast path offered on
-    every trace (threshold forced to zero), so eviction-free replays exercise
-    it and eviction-prone ones exercise the decline-to-loop rule."""
-    candidate = BufferPool(capacity_pages=capacity)
-    oracle = BufferPool(capacity_pages=capacity)
-    original_threshold = bufferpool._VECTOR_MIN_PAGES
-    bufferpool._VECTOR_MIN_PAGES = 0
+@given(
+    capacities=st.lists(st.integers(1, 48), min_size=1, max_size=3),
+    ops=_trace_ops,
+)
+def test_access_many_matches_per_page_oracle(capacities, ops):
+    """Trace replay is per-access LRU, observably: same misses, same counters,
+    same final recency order.  Each trace is *one* object replayed into pools
+    of several capacities, each holding whatever the traces before it left
+    resident, with the summary path offered on every replay (threshold forced
+    to zero): replays that cannot evict take it, the others decline to the
+    loop -- and a trace's summary is computed once, however often and into
+    whatever pool it is replayed."""
+    traces = [
+        (table, PageTrace(np.asarray(pages, dtype=np.intp))) for table, pages in ops
+    ]
+    unique_calls = []
+    numpy_unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        unique_calls.append(args)
+        return numpy_unique(*args, **kwargs)
+
+    original_threshold = bufferpool._SUMMARY_MIN_ACCESSES
+    bufferpool._SUMMARY_MIN_ACCESSES = 0
+    np.unique = counting_unique
     try:
-        for table, pages in ops:
-            misses = candidate.access_many(table, pages)
-            expected = sum(not oracle.access(table, page) for page in pages)
-            assert misses == expected
-            _assert_pools_identical(candidate, oracle)
+        for capacity in capacities:
+            candidate = BufferPool(capacity_pages=capacity)
+            oracle = BufferPool(capacity_pages=capacity)
+            for table, trace in traces:
+                pages = trace.pages.tolist()
+                misses = candidate.access_many(table, trace)
+                assert misses == sum(not oracle.access(table, page) for page in pages)
+                _assert_pools_identical(candidate, oracle)
+            # A plain page sequence is the loop itself.
+            for table, trace in traces:
+                pages = trace.pages.tolist()
+                misses = candidate.access_many(table, pages)
+                assert misses == sum(not oracle.access(table, page) for page in pages)
+                _assert_pools_identical(candidate, oracle)
     finally:
-        bufferpool._VECTOR_MIN_PAGES = original_threshold
+        np.unique = numpy_unique
+        bufferpool._SUMMARY_MIN_ACCESSES = original_threshold
+    assert len(unique_calls) == len(traces)
 
 
 @DEFAULT_SETTINGS

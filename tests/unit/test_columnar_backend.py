@@ -341,7 +341,7 @@ class TestIndexRangeBackends:
                 and (low is None or value >= low)
                 and (high is None or value <= high)
             )
-            assert index.lookup_range(low, high) == brute_force, (low, high)
+            assert index.lookup_range(low, high).tolist() == brute_force, (low, high)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ SETTER_ROOTS = ["src", "tests", "bench", "benchmarks", "examples"]
 NEVER_SET = {
     "DbConfig": {
         "page_size_rows",
-        "buffer_pool_pages",
         "sort_heap_pages",
         "opt_seq_page_cost",
         "opt_rand_page_cost",

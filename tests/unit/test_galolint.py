@@ -254,6 +254,7 @@ class TestGL002HotPathLoops:
                 "repro/engine/columns.py": stub,
                 "repro/engine/executor/bufferpool.py": stub,
                 "repro/engine/statistics.py": stub,
+                "repro/engine/storage.py": stub,
             },
             [HotPathLoopRule()],
         )

@@ -355,9 +355,11 @@ class TestConcurrentMutation:
         without the write lock, so one that overlaps two mutations can mix
         their states (candidates listed before an add, evaluated after the
         following evict) -- exactly as the uncached ``steer()`` can.  Such a
-        verdict carries the stamp read before it started, which those
-        mutations have since advanced past, so it is never replayed; the
-        hit-side assertion is what proves that.
+        verdict answers the request that computed it and is then dropped:
+        ``steer_prepared`` re-reads the stamp after matching and publishes
+        only if nothing moved (the interleaving is pinned single-threaded in
+        ``test_a_verdict_computed_across_a_mutation_is_not_published``), so
+        no later reader can be handed it; the hit-side assertion checks that.
 
         After each round the writer waits (up to the test's deadline) for a
         reader to report a replayed verdict at the generation it just left,
@@ -445,6 +447,58 @@ class TestConcurrentMutation:
         # Quiescent again: the lane agrees with the oracle on the final KB.
         final = engine.steer_prepared(sql, query_name=name)
         assert [m.template.name for m in final.matches] == [f"rank-{rounds:03d}"]
+        assert_lane_equals_oracle(galo)
+
+
+    def test_a_verdict_computed_across_a_mutation_is_not_published(self):
+        """The flake above, single-threaded: reader A reads generation g, at
+        which ``rank-001`` is the best match; between A's candidate listing
+        and its evaluation the KB gains ``rank-002`` and loses ``rank-001``,
+        so A computes a verdict steered by neither.  A is answered with it
+        (uncached ``steer()`` would compute the same), but a second reader
+        that also read g must not be served it as a hit."""
+        galo = build_system()
+        engine = galo.matching_engine
+        kb = galo.knowledge_base
+        name, sql = WORKLOAD[0]
+        segment = segment_plan(galo.database.explain(sql), max_joins=MAX_JOINS)[-1]
+
+        def add_rank(k):
+            return abstract_template_from_plan(
+                kb, segment, name=f"rank-{k:03d}", improvement=10.0 + k,
+                catalog=galo.database.catalog,
+            )
+
+        first = add_rank(1)
+        generation = kb.generation
+        candidates = kb.index.candidates
+        mutated = []
+
+        def candidates_then_mutate(profile):
+            listed = candidates(profile)
+            if first.template_id in listed and not mutated:
+                mutated.append(add_rank(2))
+                kb.evict_template(first.template_id)
+            return listed
+
+        kb.index.candidates = candidates_then_mutate
+        try:
+            decision = engine.steer_prepared(sql, query_name=name)
+        finally:
+            del kb.index.candidates
+        assert mutated and kb.generation == generation + 2
+        assert decision.prepared == "miss"
+        assert not any(
+            match.template.name.startswith("rank-") for match in decision.matches
+        )
+        _, outcome = engine.prepared.lookup(
+            sql, galo.database.stats_epoch, kb, generation
+        )
+        assert outcome != "hit"
+        # Quiescent: the next request recomputes at the current generation.
+        assert [m.template.name for m in engine.steer_prepared(sql).matches] == [
+            "rank-002"
+        ]
         assert_lane_equals_oracle(galo)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import storage
 from repro.engine.catalog import Catalog
 from repro.engine.executor.executor import index_qualifying_row_ids
 from repro.engine.plan.physical import index_scan
@@ -9,6 +10,7 @@ from repro.engine.schema import Index, make_schema
 from repro.engine.storage import TableData
 from repro.engine.types import DataType
 from repro.errors import CatalogError
+from tests.naive_index import assert_equals_dict_index
 
 
 def item_schema():
@@ -51,63 +53,86 @@ class TestTableData:
         data.insert_rows(sample_rows(20))
         data.build_index(item_schema().indexes[0])
         index = data.index("I_PK")
-        assert index.lookup(7) == [7]
-        assert index.lookup(999) == []
+        assert index.lookup(7).tolist() == [7]
+        assert index.lookup(999).tolist() == []
 
     def test_index_rebuilt_after_insert(self):
         schema = item_schema()
         data = TableData(schema)
         data.build_index(schema.indexes[0])
         data.insert_rows(sample_rows(5))
-        assert data.index("I_PK").lookup(4) == [4]
+        assert data.index("I_PK").lookup(4).tolist() == [4]
 
-    def test_bulk_insert_appends_incrementally(self):
+    def test_bulk_insert_builds_each_index_once(self, monkeypatch):
         """Regression: per-batch full index rebuilds made bulk loads
-        quadratic.  Batches must only append the new row ids, leaving
-        existing entry lists in place (and sorted)."""
+        quadratic.  Batches with no read between them cost one build of each
+        index, at the first read; reads with no insert between them share it;
+        a read between two batches sees the first batch's rows."""
+        built = []
+        build_index = storage._build_index
+
+        def counting_build(column, row_count):
+            built.append(row_count)
+            return build_index(column, row_count)
+
+        monkeypatch.setattr(storage, "_build_index", counting_build)
         schema = make_schema(
             "ITEM",
             [("i_item_sk", DataType.INTEGER), ("i_category", DataType.VARCHAR)],
-            [Index("I_CAT", "ITEM", "i_category")],
+            [Index("I_CAT", "ITEM", "i_category"), Index("I_PK", "ITEM", "i_item_sk")],
         )
         data = TableData(schema)
-        data.build_index(schema.indexes[0])
-        data.insert_rows(sample_rows(10))
-        index = data.index("I_CAT")
-        music_ids = index.lookup("Music")
-        assert music_ids == [0, 2, 4, 6, 8]
-        # The second batch extends the *same* list objects instead of
-        # rebuilding the entries dict from scratch.
-        entries_before = index.entries
+        for definition in schema.indexes:
+            data.build_index(definition)
+        rows = sample_rows(60)
+        for start in range(0, 60, 10):
+            data.insert_rows(rows[start : start + 10])
+        assert built == []
+        by_category = data.index("I_CAT")
+        assert by_category.lookup("Music").tolist() == list(range(0, 60, 2))
+        assert by_category.lookup_range("A", "C").tolist() == list(range(1, 60, 2))
+        assert by_category.scan().tolist() == list(range(1, 60, 2)) + list(range(0, 60, 2))
+        assert data.index("I_PK").lookup(59).tolist() == [59]
+        assert built == [60, 60]
         data.insert_rows(
-            [{"i_item_sk": 10 + i, "i_category": "Music"} for i in range(3)]
+            [{"i_item_sk": 60 + i, "i_category": "Music"} for i in range(3)]
         )
-        assert index.entries is entries_before
-        assert index.lookup("Music") is music_ids
-        assert music_ids == [0, 2, 4, 6, 8, 10, 11, 12]
-        assert all(a < b for a, b in zip(music_ids, music_ids[1:]))
+        music_ids = by_category.lookup("Music").tolist()
+        assert music_ids == list(range(0, 60, 2)) + [60, 61, 62]
+        assert built == [60, 60, 63]
+        data.insert_rows([{"i_item_sk": 63, "i_category": "Music"}])
+        data.insert_rows([{"i_item_sk": 64, "i_category": "Books"}])
+        assert by_category.lookup("Books").tolist()[-1] == 64
+        assert built == [60, 60, 63, 65]
 
     def test_incremental_insert_matches_full_rebuild(self):
-        """Many small batches must produce exactly the index one bulk load
-        builds (same keys, same sorted row-id lists, same range lookups)."""
+        """Seven small batches must produce exactly the index one bulk load
+        builds: both equal the dict-of-lists oracle over the same rows, read
+        between the batches or not."""
         schema = item_schema()
-        incremental = TableData(schema)
-        incremental.build_index(schema.indexes[0])
         rows = sample_rows(60)
-        for start in range(0, 60, 7):
-            incremental.insert_rows(rows[start : start + 7])
         bulk = TableData(schema)
         bulk.build_index(schema.indexes[0])
         bulk.insert_rows(rows)
-        assert incremental.index("I_PK").entries == bulk.index("I_PK").entries
-        assert incremental.index("I_PK").lookup_range(5, 25) == bulk.index(
-            "I_PK"
-        ).lookup_range(5, 25)
+        for read_between in (False, True):
+            incremental = TableData(schema)
+            index = incremental.build_index(schema.indexes[0])
+            for start in range(0, 60, 9):
+                incremental.insert_rows(rows[start : start + 9])
+                if read_between:
+                    assert index.lookup(start).tolist() == [start]
+            for data in (incremental, bulk):
+                assert_equals_dict_index(
+                    data.index("I_PK"),
+                    data.column_values("i_item_sk").tolist(),
+                    probes=[0, 8, 9, 59, 60, None, 7.0, "7"],
+                    bounds=[5, 25, 24.5, 70],
+                )
 
     def test_one_batch_equals_row_by_row(self):
         """The column-wise append stores what a row-at-a-time load stores:
-        coerced values (every type, NULLs, absent keys), row ids, index
-        entries in the same key order with the same row-id lists."""
+        coerced values (every type, NULLs, absent keys), row ids, and indexes
+        that answer every read with the same row ids."""
         schema = make_schema(
             "T",
             [
@@ -138,11 +163,15 @@ class TestTableData:
             [type(value) for value in row.values()] for row in batch.rows()
         ] == [[type(value) for value in row.values()] for row in single.rows()]
         assert batch.row(0) == {"k": 7, "price": 3.0, "day": 10, "label": "12"}
-        for name in ("T_K", "T_DAY"):
-            assert list(batch.index(name).entries.items()) == list(
-                single.index(name).entries.items()
-            )
-        assert batch.index("T_DAY").lookup(10) == [0, 1, 4, 5, 6, 9, 10, 11, 14]
+        for name, column in (("T_K", "k"), ("T_DAY", "day")):
+            for data in (batch, single):
+                assert_equals_dict_index(
+                    data.index(name),
+                    data.column_values(column).tolist(),
+                    probes=[7, 2, 3, 10, None, 2 ** 70, 11],
+                    bounds=[2, 7, 2 ** 70, 10],
+                )
+        assert batch.index("T_DAY").lookup(10).tolist() == [0, 1, 4, 5, 6, 9, 10, 11, 14]
 
     def test_uncoercible_batch_leaves_the_table_unchanged(self):
         schema = item_schema()
@@ -153,54 +182,33 @@ class TestTableData:
             data.insert_rows(sample_rows(2) + [{"i_item_sk": "not a number"}])
         assert data.row_count == 3
         assert [len(column) for column in data.column_arrays().values()] == [3, 3]
-        assert sorted(data.index("I_PK").entries) == [0, 1, 2]
+        assert data.index("I_PK").scan().tolist() == [0, 1, 2]
 
-    def test_sorted_keys_cache_invalidated_by_incremental_insert(self):
+    def test_range_lookup_sees_an_insert_between_two_reads(self):
         schema = item_schema()
         data = TableData(schema)
         data.build_index(schema.indexes[0])
         data.insert_rows(sample_rows(10))
         index = data.index("I_PK")
-        assert index.lookup_range(0, 100) == list(range(10))
+        assert index.lookup_range(0, 100).tolist() == list(range(10))
+        earlier = index.lookup(3)
         data.insert_rows([{"i_item_sk": 50, "i_category": "Music"}])
-        # The cached sorted-key list must have been dropped: the new key is
-        # visible to range probes immediately.
-        assert index.lookup_range(40, 60) == [10]
+        # The index rebuilds on the next read: the new key is visible to
+        # range probes immediately; arrays handed out before are untouched.
+        assert index.lookup_range(40, 60).tolist() == [10]
+        assert earlier.tolist() == [3]
 
     def test_index_range_lookup(self):
         data = TableData(item_schema())
         data.insert_rows(sample_rows(20))
         data.build_index(item_schema().indexes[0])
-        assert data.index("I_PK").lookup_range(5, 8) == [5, 6, 7, 8]
-        assert data.index("I_PK").lookup_range(None, 2) == [0, 1, 2]
-        assert data.index("I_PK").lookup_range(18, None) == [18, 19]
-
-    def test_range_lookup_uses_cached_sorted_keys(self):
-        data = TableData(item_schema())
-        data.insert_rows(sample_rows(10))
-        data.build_index(item_schema().indexes[0])
-        index = data.index("I_PK")
-        assert index._sorted_keys is None
-        index.lookup_range(2, 4)
-        assert index._sorted_keys == sorted(k for k in index.entries if k is not None)
-        # Cached list is reused across probes.
-        cached = index._sorted_keys
-        index.lookup_range(5, 7)
-        assert index._sorted_keys is cached
-
-    def test_sorted_keys_invalidated_on_insert(self):
-        data = TableData(item_schema())
-        data.insert_rows(sample_rows(5))
-        data.build_index(item_schema().indexes[0])
-        index = data.index("I_PK")
-        assert index.lookup_range(0, 99) == list(range(5))
-        data.insert_rows([{"i_item_sk": 97, "i_category": "Music"}])
-        assert index._sorted_keys is None
-        assert index.lookup_range(90, 99) == [5]
+        assert data.index("I_PK").lookup_range(5, 8).tolist() == [5, 6, 7, 8]
+        assert data.index("I_PK").lookup_range(None, 2).tolist() == [0, 1, 2]
+        assert data.index("I_PK").lookup_range(18, None).tolist() == [18, 19]
 
     def test_full_index_scan_sees_an_insert_between_two_scans(self):
-        """The full-scan key order is cached on the index; an insert drops it.
-        Keys order by their text (so 10 before 9), ``NULL`` last."""
+        """Keys order by their text (so 10 before 9), ``NULL`` last; the scan
+        order is derived once per build and an insert starts a new build."""
         data = TableData(item_schema())
         data.insert_rows(
             [{"i_item_sk": value, "i_category": "n"} for value in [9, None, 10, 2, 9]]
@@ -208,33 +216,26 @@ class TestTableData:
         data.build_index(item_schema().indexes[0])
         index = data.index("I_PK")
         scan = index_scan("ITEM", "i", "I_PK", (), fetch=True)
-        assert index_qualifying_row_ids(scan, index, "i") == [2, 3, 0, 4, 1]
-        cached = index.scan_order()
-        assert cached == [10, 2, 9, None]
-        assert index.scan_order() is cached
+        assert index_qualifying_row_ids(scan, index, "i").tolist() == [2, 3, 0, 4, 1]
+        assert index.scan() is index.scan()
         data.insert_rows([{"i_item_sk": 100, "i_category": "n"}, {"i_item_sk": 2, "i_category": "n"}])
-        assert index.scan_order() == [10, 100, 2, 9, None]
-        assert index_qualifying_row_ids(scan, index, "i") == [2, 5, 3, 6, 0, 4, 1]
+        assert index_qualifying_row_ids(scan, index, "i").tolist() == [2, 5, 3, 6, 0, 4, 1]
 
     def test_range_lookup_matches_brute_force_with_duplicates_and_nulls(self):
         data = TableData(item_schema())
-        rows = [
-            {"i_item_sk": value, "i_category": "n"}
-            for value in [5, 3, None, 5, 1, 9, None, 3]
-        ]
-        data.insert_rows(rows)
+        keys = [5, 3, None, 5, 1, 9, None, 3]
+        data.insert_rows({"i_item_sk": value, "i_category": "n"} for value in keys)
         data.build_index(item_schema().indexes[0])
         index = data.index("I_PK")
         for low, high in [(3, 5), (None, 4), (4, None), (None, None), (6, 2)]:
-            brute = sorted(
+            brute = [
                 row_id
-                for key, ids in index.entries.items()
+                for row_id, key in enumerate(keys)
                 if key is not None
                 and (low is None or key >= low)
                 and (high is None or key <= high)
-                for row_id in ids
-            )
-            assert index.lookup_range(low, high) == brute, (low, high)
+            ]
+            assert index.lookup_range(low, high).tolist() == brute, (low, high)
 
     def test_index_on_column_helper(self):
         data = TableData(item_schema())
@@ -317,7 +318,7 @@ class TestCatalog:
         catalog.create_table(item_schema())
         catalog.load_rows("ITEM", sample_rows(10))
         catalog.create_index(Index("I_CAT", "ITEM", "i_category", cluster_ratio=0.5))
-        assert catalog.table_data("ITEM").index("I_CAT").lookup("Music")
+        assert len(catalog.table_data("ITEM").index("I_CAT").lookup("Music")) == 5
 
     def test_table_names_sorted(self):
         catalog = Catalog()

@@ -22,15 +22,15 @@ from repro.engine.executor import (
 )
 from repro.engine.executor import vectorized
 from repro.engine.executor.vectorized import _merge_batches
-from repro.engine.expressions import ColumnRef
+from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.rewrite import rewrite_query
-from repro.engine.plan.physical import PopType, Qgm
+from repro.engine.plan.physical import PopType, Qgm, index_scan, join, table_scan
 from repro.engine.schema import Index, make_schema
 from repro.engine.sql.binder import bind
 from repro.engine.sql.parser import parse_select
 from repro.engine.types import DataType
-from repro.errors import PlanError
+from repro.errors import PlanBudgetExceeded, PlanError
 
 MINI_SQLS = [
     "SELECT i_item_sk FROM item WHERE i_category = 'Jewelry'",
@@ -116,6 +116,192 @@ class TestMiniDifferential:
             mini_db.explain(MINI_SQLS[4])
         )
         assert_identical(reference, result)
+
+
+# ---------------------------------------------------------------------------
+# Index-lookup nested-loop join: one whole-column probe of the index form vs
+# the row engine's lookup per outer row.  Hand-built plans reach the cases the
+# optimizer rarely or never produces.
+# ---------------------------------------------------------------------------
+
+
+def _lookup_join_db(pool_pages=3):
+    db = Database(DbConfig(buffer_pool_pages=pool_pages))
+    db.create_table(
+        make_schema(
+            "PROBE",
+            [
+                ("p_id", DataType.INTEGER),
+                ("p_key", DataType.INTEGER),
+                ("p_nkey", DataType.INTEGER),
+                ("p_fkey", DataType.DECIMAL),
+                ("p_tag", DataType.INTEGER),
+            ],
+        )
+    )
+    db.create_table(
+        make_schema(
+            "BUILD",
+            [
+                ("b_key", DataType.INTEGER),
+                ("b_tag", DataType.INTEGER),
+                ("b_label", DataType.VARCHAR),
+                ("b_val", DataType.INTEGER),
+            ],
+            [
+                Index("B_KEY", "BUILD", "b_key", cluster_ratio=0.2),
+                Index("B_TAG", "BUILD", "b_tag", cluster_ratio=0.2),
+            ],
+        )
+    )
+    # Outer keys repeat (i % 40), miss the index (>= 30 has no BUILD row) and,
+    # in p_nkey, are NULL every seventh row; p_fkey holds the same keys as
+    # floats plus halves no integer equals.
+    db.load_rows(
+        "PROBE",
+        [
+            {
+                "p_id": i,
+                "p_key": i % 40,
+                "p_nkey": None if i % 7 == 0 else (i * 3) % 40,
+                "p_fkey": (i % 40) / 2,
+                "p_tag": i % 3,
+            }
+            for i in range(120)
+        ],
+    )
+    # Scattered duplicates: key k sits on rows k, k + 30, ...; NULL keys and
+    # NULL tags are in the table and must never match a non-NULL probe.
+    db.load_rows(
+        "BUILD",
+        [
+            {
+                "b_key": None if i % 50 == 49 else i % 30,
+                "b_tag": None if i % 11 == 0 else i % 3,
+                "b_label": ["x", "y", None][i % 3],
+                "b_val": (i * 37) % 900,
+            }
+            for i in range(900)
+        ],
+    )
+    return db
+
+
+def _lookup_join(outer_key, inner_key="b_key", index="B_KEY", extra=(), inner_predicates=(),
+                 outer_predicates=()):
+    lookup = index_scan("BUILD", "b", index, tuple(inner_predicates))
+    lookup.properties["nljoin_lookup"] = True
+    predicates = [Comparison("=", ColumnRef("p", outer_key), ColumnRef("b", inner_key))]
+    predicates += [
+        Comparison("=", ColumnRef("p", left), ColumnRef("b", right)) for left, right in extra
+    ]
+    outer = table_scan("PROBE", "p", tuple(outer_predicates))
+    return Qgm(join(PopType.NLJOIN, outer, lookup, tuple(predicates)))
+
+
+LOOKUP_JOINS = {
+    "duplicated and absent outer keys": dict(outer_key="p_key"),
+    "NULL-bearing outer key": dict(outer_key="p_nkey"),
+    "residual second equi-key": dict(outer_key="p_key", extra=[("p_tag", "b_tag")]),
+    "residual key with NULLs on both sides": dict(
+        outer_key="p_key", extra=[("p_nkey", "b_tag")]
+    ),
+    "vectorizable inner predicate": dict(
+        outer_key="p_key",
+        inner_predicates=[Comparison(">=", ColumnRef("b", "b_val"), Literal(200))],
+    ),
+    "non-vectorizable inner predicate": dict(
+        outer_key="p_nkey",
+        inner_predicates=[
+            Comparison("=", ColumnRef("b", "b_label"), Literal("x")),
+            Comparison("<", ColumnRef("b", "b_val"), Literal(700)),
+        ],
+    ),
+    "join key is not the index's column": dict(
+        outer_key="p_key", index="B_TAG", extra=[("p_tag", "b_tag")]
+    ),
+    "join key has no index at all": dict(
+        outer_key="p_key", inner_key="b_val", index="B_TAG"
+    ),
+    "float probe over integer keys": dict(outer_key="p_fkey"),
+    "no outer row": dict(
+        outer_key="p_key",
+        outer_predicates=[Comparison("<", ColumnRef("p", "p_id"), Literal(0))],
+    ),
+    "no match": dict(
+        outer_key="p_key",
+        outer_predicates=[Comparison(">=", ColumnRef("p", "p_key"), Literal(30))],
+    ),
+}
+
+
+class TestIndexLookupJoin:
+    @pytest.mark.parametrize("pool_pages", [3, 64])
+    @pytest.mark.parametrize("case", sorted(LOOKUP_JOINS))
+    def test_equals_row_engine_cold_and_memoized(self, case, pool_pages):
+        """Three pool pages under the inner's six: the join's trace evicts
+        (per-page loop); sixty-four: it cannot (summary replay)."""
+        db = _lookup_join_db(pool_pages)
+        qgm = _lookup_join(**LOOKUP_JOINS[case])
+        reference = Executor(db.catalog, db.config).execute(qgm.copy())
+        engine = VectorizedExecutor(db.catalog, db.config)
+        assert_identical(reference, engine.execute(qgm.copy()), context=case)
+        memo = ExecutionMemo()
+        assert_identical(reference, engine.execute(qgm.copy(), memo=memo), context=case)
+        hits = memo.hits
+        assert_identical(reference, engine.execute(qgm.copy(), memo=memo), context=case)
+        assert memo.hits == hits + 1, "the second run is one hit on the join's entry"
+        if case not in ("no outer row", "no match"):
+            assert reference.row_count > 0
+            assert (reference.metrics.random_pages > 6) == (pool_pages == 3)
+
+    def test_join_trace_is_shared_with_the_entries_composed_from_it(self):
+        """A join above the lookup join copies its traces by reference: the
+        page array and its summary exist once."""
+        db = _lookup_join_db()
+        below = _lookup_join("p_key").root.inputs[0]
+        above = join(
+            PopType.HSJOIN,
+            below,
+            table_scan("PROBE", "q"),
+            (Comparison("=", ColumnRef("p", "p_id"), ColumnRef("q", "p_id")),),
+        )
+        memo = ExecutionMemo()
+        VectorizedExecutor(db.catalog, db.config).execute(Qgm(above), memo=memo)
+        traces = [
+            trace[2]
+            for key, entry in memo.entries.items()
+            if key[0] in ("NJ", "HJ")
+            for trace in entry.traces
+            if trace[0] == "rand"
+        ]
+        assert len(traces) == 2 and traces[0] is traces[1]
+
+    def test_budget_stops_the_join_before_the_first_probe(self):
+        """The lookups are charged, and the budget checked, before any is
+        made: both engines stop at the same simulated time -- the outer scan
+        plus the lookups, no inner row processed -- and the memo holds the
+        outer scan's entry and none for the join."""
+        db = _lookup_join_db()
+        qgm = _lookup_join("p_key")
+        row_engine = Executor(db.catalog, db.config)
+        outer_ms = row_engine.execute(Qgm(table_scan("PROBE", "p"))).elapsed_ms
+        lookups_ms = 120 * db.config.run_rand_page_cost * 0.05
+        budget_ms = outer_ms + lookups_ms / 2
+        assert row_engine.execute(qgm.copy()).elapsed_ms > outer_ms + lookups_ms
+        memo = ExecutionMemo()
+        stops = []
+        for execute in (
+            lambda plan: row_engine.execute(plan, budget_ms=budget_ms),
+            lambda plan: VectorizedExecutor(db.catalog, db.config).execute(
+                plan, memo=memo, budget_ms=budget_ms
+            ),
+        ):
+            with pytest.raises(PlanBudgetExceeded) as stopped:
+                execute(qgm.copy())
+            stops.append(stopped.value.elapsed_ms)
+        assert stops[0] == stops[1] == pytest.approx(outer_ms + lookups_ms)
+        assert [key[0] for key in memo.entries] == ["TB"]
 
 
 # ---------------------------------------------------------------------------
