@@ -1,10 +1,10 @@
 """A small thread-safe LRU cache.
 
 Shared by the hot-path caches the online tier leans on: optimized plans
-(``Database.explain``), generated SPARQL text (``MatchingEngine``) and parsed
-SPARQL ASTs (``KnowledgeBase``).  Values are returned by reference -- callers
-that hand out mutable cached objects must copy *outside* the lock (deep
-copies under a shared lock would serialize the serving threads).
+(``Database.explain``) and prepared statements (``PreparedStatements``).
+Values are returned by reference -- callers that hand out mutable cached
+objects must copy *outside* the lock (deep copies under a shared lock would
+serialize the serving threads).
 """
 
 from __future__ import annotations

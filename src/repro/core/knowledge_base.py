@@ -31,19 +31,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache import LruCache
-
 from repro.core import vocabulary as voc
 from repro.core.transform.sparql_gen import GeneratedSparql
 from repro.engine.catalog import Catalog
 from repro.engine.plan.physical import PlanNode
 from repro.rdf.graph import Graph, format_ntriples, parse_ntriples
 from repro.rdf.sparql.evaluator import SparqlEngine
-from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.terms import IRI, Literal, Node
 
 #: Slack added to index-side bound comparisons so that the 4-decimal rounding
-#: applied when cardinalities are serialized into SPARQL text can never make
+#: applied to the cardinalities a matching query compares with can never make
 #: the pre-filter stricter than the SPARQL FILTERs it stands in for.
 _BOUND_EPSILON = 1e-6
 
@@ -326,9 +323,6 @@ class TemplateGuardRecord:
 class KnowledgeBase:
     """RDF-backed store of problem-pattern templates (the paper's Fuseki/TDB)."""
 
-    #: Upper bound on the number of parsed SPARQL queries kept around.
-    PARSE_CACHE_SIZE = 512
-
     def __init__(self) -> None:
         self.templates: Dict[str, ProblemPatternTemplate] = {}
         #: Pre-filtering index over the templates; entries come and go with
@@ -338,7 +332,6 @@ class KnowledgeBase:
         #: is stored.  A registered graph is never edited, only replaced
         #: (``_replace_literal``), so readers need no lock.
         self._template_graphs: Dict[str, Graph] = {}
-        self._parsed_queries = LruCache(self.PARSE_CACHE_SIZE)
         #: Matching observability: how much work the index saved.  Guarded by
         #: ``_stats_lock``: the serving tier calls ``match`` from several
         #: threads.  Counts SPARQL work actually performed: a verdict
@@ -349,8 +342,8 @@ class KnowledgeBase:
         #: templates of every indexed call into those SPARQL then evaluated
         #: and those the index discarded; ``index_only_segments`` counts the
         #: indexed calls the index answered alone -- no candidate left, so no
-        #: query text was written or parsed ("index discarded" as opposed to
-        #: "SPARQL rejected").
+        #: query was built ("index discarded" as opposed to "SPARQL
+        #: rejected").
         self.match_stats = {
             "queries": 0,
             "indexed_queries": 0,
@@ -987,9 +980,9 @@ class KnowledgeBase:
         segment_nodes = list(generated.node_for_variable.values())
 
         if use_index:
-            # Index before SPARQL: ``generated.text`` may be produced on first
-            # read, and the index is conservative, so a segment it leaves no
-            # candidate for is answered without writing or parsing a query.
+            # Index before SPARQL: ``generated.query`` is built on first read,
+            # and the index is conservative, so a segment it leaves no
+            # candidate for is answered without building a query.
             profile = SegmentProfile.from_segment_nodes(
                 segment_nodes, generated.cardinality_tolerance
             )
@@ -1002,7 +995,7 @@ class KnowledgeBase:
                 self.match_stats["index_only_segments"] += not candidate_ids
             if not candidate_ids:
                 return []
-            query_ast = self._parsed_query(generated.text)
+            query_ast = generated.query
             solutions: List[dict] = []
             for template_id in candidate_ids:
                 subgraph = self._template_graphs.get(template_id)
@@ -1014,7 +1007,7 @@ class KnowledgeBase:
         else:
             with self._stats_lock:
                 self.match_stats["queries"] += 1
-            solutions = SparqlEngine(self.graph).query(self._parsed_query(generated.text))
+            solutions = SparqlEngine(self.graph).query(generated.query)
 
         segment_joins = sum(1 for node in segment_nodes if node.is_join)
         segment_scans = sum(1 for node in segment_nodes if node.is_scan)
@@ -1077,18 +1070,6 @@ class KnowledgeBase:
     ) -> List[TemplateMatch]:
         """``match`` with the index disabled (one query over the whole graph)."""
         return self.match(generated, subplan_root=subplan_root, use_index=False)
-
-    def _parsed_query(self, text: str):
-        """Parse SPARQL text once; repeated segments hit the AST cache.
-
-        The evaluator never mutates a query AST, so one parsed object is
-        safely shared across concurrent matching workers.
-        """
-        parsed = self._parsed_queries.get(text)
-        if parsed is None:
-            parsed = parse_sparql(text)
-            self._parsed_queries.put(text, parsed)
-        return parsed
 
     # ------------------------------------------------------------------
 

@@ -11,31 +11,48 @@ paper describes:
   template's lower/upper bounds compared against the incoming plan's concrete
   cardinalities, FPages and row sizes);
 * *relationship handlers* connect nodes through ``hasOutputStream``.
+
+The query is built as a :class:`~repro.rdf.sparql.ast.SelectQuery` -- the form
+the knowledge base evaluates -- and only on first read, so a segment the
+knowledge base's index rejects outright has nothing built for it.  Its text
+(:attr:`GeneratedSparql.text`) is a rendering of that AST, produced on demand
+for whoever wants to look at the query; nothing on the matching path writes or
+parses text.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core import vocabulary as voc
 from repro.engine.catalog import Catalog
 from repro.engine.plan.physical import PlanNode
-
-#: Prefix declarations emitted at the top of every generated query.
-_PREFIXES = (
-    f"PREFIX predURI: <{voc.PROP.base}>\n"
-    f"PREFIX kbURI: <{voc.KBPROP.base}>\n"
+from repro.rdf.sparql.ast import (
+    FilterClause,
+    FilterComparison,
+    SelectQuery,
+    StrCall,
+    TriplePattern,
+    WhereElement,
 )
+from repro.rdf.sparql.parser import parse_sparql
+from repro.rdf.sparql.render import render_sparql
+from repro.rdf.terms import IRI, Literal, Variable
+
+#: Prefix declarations of every generated query (its text abbreviates with them).
+_PREFIXES = {"predURI": voc.PROP.base, "kbURI": voc.KBPROP.base}
 
 
 class GeneratedSparql:
-    """A generated SPARQL query plus the mapping from variables to plan nodes.
+    """A matching query plus the mapping from its variables to plan nodes.
 
-    The variable maps are a cheap walk of the sub-plan; the query text is the
-    expensive part and only an evaluator needs it.  A caller may therefore
-    pass ``text_source`` -- a zero-argument callable -- instead of ``text``:
-    it runs on the first read of :attr:`text`, so a segment the knowledge
-    base's index rejects outright never has its query written or parsed.
+    The variable maps are a cheap walk of the sub-plan; the query is the
+    expensive part and only an evaluator needs it, so it comes from
+    ``query_source`` -- a zero-argument callable -- on the first read of
+    :attr:`query`.  A hand-written query is given as ``text`` (or, to defer
+    writing it, ``text_source``) and parsed on that first read instead.
+    :attr:`text` of a built query is its rendering.
     """
 
     def __init__(
@@ -46,11 +63,16 @@ class GeneratedSparql:
         template_variable: str = "template",
         cardinality_tolerance: float = 1.0,
         text_source: Optional[Callable[[], str]] = None,
+        query_source: Optional[Callable[[], SelectQuery]] = None,
     ):
-        if (text is None) == (text_source is None):
-            raise ValueError("GeneratedSparql needs exactly one of text / text_source")
+        if sum(source is not None for source in (text, text_source, query_source)) != 1:
+            raise ValueError(
+                "GeneratedSparql needs exactly one of text / text_source / query_source"
+            )
         self._text = text
         self._text_source = text_source
+        self._query: Optional[SelectQuery] = None
+        self._query_source = query_source
         #: variable name (without '?') -> the plan node it represents
         self.node_for_variable = node_for_variable if node_for_variable is not None else {}
         #: variable name of the table-label variable -> scan node it describes
@@ -61,22 +83,28 @@ class GeneratedSparql:
         self.cardinality_tolerance = cardinality_tolerance
 
     @property
+    def query(self) -> SelectQuery:
+        """The query as the evaluator takes it, built (or parsed) once."""
+        if self._query is None:
+            if self._query_source is not None:
+                self._query = self._query_source()
+            else:
+                self._query = parse_sparql(self.text)
+        return self._query
+
+    @property
+    def query_built(self) -> bool:
+        """Whether :attr:`query` has been read."""
+        return self._query is not None
+
+    @property
     def text(self) -> str:
         if self._text is None:
-            assert self._text_source is not None
-            self._text = self._text_source()
+            if self._text_source is not None:
+                self._text = self._text_source()
+            else:
+                self._text = render_sparql(self.query)
         return self._text
-
-
-class _InternalHandles:
-    """Sequential ``?ih<N>`` allocator (the paper's internal handlers)."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-
-    def next(self) -> str:
-        self._counter += 1
-        return f"ih{self._counter}"
 
 
 def _result_handler(node: PlanNode) -> str:
@@ -91,18 +119,20 @@ def _label_handler(node: PlanNode) -> str:
     return f"label_{node.table_alias or node.operator_id}"
 
 
-def _format_value(value: float) -> str:
+def _bound_literal(value: float) -> Literal:
+    """The number a cardinality FILTER compares with: whole when ``value`` is
+    (to 1e-9), else rounded to the four decimals the text shows -- so the
+    query and its rendering cannot disagree."""
     if abs(value - round(value)) < 1e-9:
-        return str(int(round(value)))
-    return f"{value:.4f}"
+        return Literal(int(round(value)))
+    return Literal(float(f"{value:.4f}"))
 
 
 def variable_maps_for(root: PlanNode) -> Tuple[Dict[str, PlanNode], Dict[str, PlanNode]]:
-    """Rebuild the variable -> node mappings a generated query uses.
+    """The variable -> node mappings of the query generated for ``root``.
 
     Variable names are a pure function of the sub-plan (operator ids and table
-    instances), so a cached SPARQL text can be re-attached to a structurally
-    identical segment by recomputing only these maps.
+    instances).
     """
     node_for_variable: Dict[str, PlanNode] = {}
     label_variables: Dict[str, PlanNode] = {}
@@ -111,36 +141,6 @@ def variable_maps_for(root: PlanNode) -> Tuple[Dict[str, PlanNode], Dict[str, Pl
         if node.is_scan:
             label_variables[_label_handler(node)] = node
     return node_for_variable, label_variables
-
-
-def segment_cache_key(
-    root: PlanNode,
-    catalog: Optional[Catalog] = None,
-    check_row_size: bool = True,
-    cardinality_tolerance: float = 1.0,
-) -> Tuple:
-    """Hashable key identifying the SPARQL text ``sparql_for_subplan`` emits.
-
-    Two sub-plans with equal keys generate byte-identical queries: the key
-    covers everything the text depends on -- operator ids and types, tree
-    shape, cardinalities, and (for scans) the catalog statistics the FILTER
-    values embed -- so cached text stays correct across RUNSTATS refreshes.
-    """
-    parts = []
-    for node in root.walk():
-        entry: Tuple = (
-            node.display_type,
-            node.operator_id,
-            node.table_alias or "",
-            len(node.inputs),
-            float(node.estimated_cardinality),
-        )
-        if node.is_scan and node.table and catalog is not None and catalog.has_table(node.table):
-            stats = catalog.statistics(node.table)
-            schema = catalog.table_schema(node.table)
-            entry += (stats.pages, schema.row_width)
-        parts.append(entry)
-    return (tuple(parts), bool(check_row_size), float(cardinality_tolerance))
 
 
 def sparql_for_subplan(
@@ -155,76 +155,76 @@ def sparql_for_subplan(
     compared with the template bounds (1.0 = exact containment as in the
     paper; larger values loosen the match).
     """
-    handles = _InternalHandles()
-    nodes = list(root.walk())
     node_for_variable, label_variables = variable_maps_for(root)
-    where: List[str] = []
-
-    for node in nodes:
-        variable = _result_handler(node)
-        where.append(f" ?{variable} predURI:hasPopType '{node.display_type}' .")
-        where.append(f" ?{variable} kbURI:inTemplate ?template .")
-
-        cardinality = float(node.estimated_cardinality) * cardinality_tolerance
-        low_handle = handles.next()
-        where.append(f" ?{variable} predURI:hasLowerCardinality ?{low_handle} .")
-        where.append(f"   FILTER ( ?{low_handle} <= {_format_value(cardinality)}) .")
-        high_handle = handles.next()
-        where.append(f" ?{variable} predURI:hasHigherCardinality ?{high_handle} .")
-        where.append(
-            f"   FILTER ( ?{high_handle} >= {_format_value(float(node.estimated_cardinality) / cardinality_tolerance)}) ."
-        )
-
-        if node.is_scan and node.table and catalog is not None and catalog.has_table(node.table):
-            stats = catalog.statistics(node.table)
-            schema = catalog.table_schema(node.table)
-            fpages_low = handles.next()
-            where.append(f" ?{variable} predURI:hasLowerFPages ?{fpages_low} .")
-            where.append(f"   FILTER ( ?{fpages_low} <= {stats.pages}) .")
-            fpages_high = handles.next()
-            where.append(f" ?{variable} predURI:hasHigherFPages ?{fpages_high} .")
-            where.append(f"   FILTER ( ?{fpages_high} >= {stats.pages}) .")
-            if check_row_size:
-                row_low = handles.next()
-                where.append(f" ?{variable} predURI:hasLowerRowSize ?{row_low} .")
-                where.append(f"   FILTER ( ?{row_low} <= {schema.row_width}) .")
-                row_high = handles.next()
-                where.append(f" ?{variable} predURI:hasHigherRowSize ?{row_high} .")
-                where.append(f"   FILTER ( ?{row_high} >= {schema.row_width}) .")
-
-        if node.is_scan:
-            where.append(f" ?{variable} kbURI:hasTableLabel ?{_label_handler(node)} .")
-
-    # Relationship handlers: one hasOutputStream edge per child -> parent link.
-    for node in nodes:
-        parent_variable = _result_handler(node)
-        for child in node.inputs:
-            child_variable = _result_handler(child)
-            where.append(
-                f" ?{child_variable} predURI:hasOutputStream ?{parent_variable} ."
-            )
-
-    # Uniqueness of template resources bound to distinct plan nodes.
-    variables = [_result_handler(node) for node in nodes]
-    for i in range(len(variables)):
-        for j in range(i + 1, len(variables)):
-            where.append(
-                f"   FILTER (STR(?{variables[i]}) != STR(?{variables[j]})) ."
-            )
-
-    select_variables = ["?template"] + [f"?{name}" for name in node_for_variable]
-    select_variables += [f"?{name}" for name in label_variables]
-    text = (
-        _PREFIXES
-        + "SELECT "
-        + " ".join(select_variables)
-        + "\nWHERE {\n"
-        + "\n".join(where)
-        + "\n}"
-    )
+    selected = [*node_for_variable, *label_variables]
     return GeneratedSparql(
-        text=text,
+        query_source=lambda: _segment_query(
+            root, catalog, check_row_size, cardinality_tolerance, selected
+        ),
         node_for_variable=node_for_variable,
         label_variables=label_variables,
         cardinality_tolerance=cardinality_tolerance,
+    )
+
+
+def _segment_query(
+    root: PlanNode,
+    catalog: Optional[Catalog],
+    check_row_size: bool,
+    cardinality_tolerance: float,
+    selected: List[str],
+) -> SelectQuery:
+    """The query-by-example for ``root``; ``selected`` names the result and
+    label handlers it returns beside ``?template``."""
+    template = Variable("template")
+    #: Sequential ``?ih<N>`` (the paper's internal handlers).
+    handles: Iterator[int] = itertools.count(1)
+    where: List[WhereElement] = []
+
+    def bound(variable: Variable, predicate: IRI, op: str, value: Literal) -> None:
+        handle = Variable(f"ih{next(handles)}")
+        where.append(TriplePattern(variable, predicate, handle))
+        where.append(FilterClause(FilterComparison(op, handle, value)))
+
+    nodes = list(root.walk())
+    variables = [Variable(_result_handler(node)) for node in nodes]
+    for node, variable in zip(nodes, variables):
+        where.append(TriplePattern(variable, voc.HAS_POP_TYPE, Literal(node.display_type)))
+        where.append(TriplePattern(variable, voc.IN_TEMPLATE, template))
+
+        cardinality = float(node.estimated_cardinality)
+        bound(variable, voc.HAS_LOWER_CARDINALITY, "<=",
+              _bound_literal(cardinality * cardinality_tolerance))
+        bound(variable, voc.HAS_HIGHER_CARDINALITY, ">=",
+              _bound_literal(cardinality / cardinality_tolerance))
+
+        if node.is_scan and node.table and catalog is not None and catalog.has_table(node.table):
+            pages = Literal(catalog.statistics(node.table).pages)
+            bound(variable, voc.HAS_LOWER_FPAGES, "<=", pages)
+            bound(variable, voc.HAS_HIGHER_FPAGES, ">=", pages)
+            if check_row_size:
+                row_width = Literal(catalog.table_schema(node.table).row_width)
+                bound(variable, voc.HAS_LOWER_ROW_SIZE, "<=", row_width)
+                bound(variable, voc.HAS_HIGHER_ROW_SIZE, ">=", row_width)
+
+        if node.is_scan:
+            where.append(
+                TriplePattern(variable, voc.HAS_TABLE_LABEL, Variable(_label_handler(node)))
+            )
+
+    # Relationship handlers: one hasOutputStream edge per child -> parent link.
+    for node, variable in zip(nodes, variables):
+        for child in node.inputs:
+            where.append(
+                TriplePattern(Variable(_result_handler(child)), voc.HAS_OUTPUT_STREAM, variable)
+            )
+
+    # Uniqueness of template resources bound to distinct plan nodes.
+    for first, second in itertools.combinations(variables, 2):
+        where.append(FilterClause(FilterComparison("!=", StrCall(first), StrCall(second))))
+
+    return SelectQuery(
+        variables=[template] + [Variable(name) for name in selected],
+        where=where,
+        prefixes=dict(_PREFIXES),
     )

@@ -60,7 +60,8 @@ class Database:
         # Plan cache for ``explain``: re-optimizing a workload plans every
         # query at least once and matched queries twice, and batch/parallel
         # re-optimization replans recurring statements constantly.  Keyed by
-        # (sql, guideline xml); invalidated whenever DDL or statistics change.
+        # (sql, guideline xml, statistics epoch); cleared whenever DDL or
+        # statistics change.
         self._explain_cache = LruCache(self.EXPLAIN_CACHE_SIZE)
         # Two invalidation epochs, split by what an event can actually stale:
         # the *storage* epoch moves on DDL and data loads (anything that
@@ -182,9 +183,12 @@ class Database:
         Plans are cached per (sql, guidelines); a hit returns a fresh deep
         copy, so callers may annotate the returned QGM (the executor fills in
         actual cardinalities) without corrupting the cached plan or racing
-        with other threads.
+        with other threads.  The key carries the statistics epoch read before
+        optimizing: a plan computed while RUNSTATS (or DDL, or a load) went by
+        is stored under the epoch it started in, where no later call looks,
+        instead of being put back after the invalidation cleared the cache.
         """
-        key = (sql, _guideline_cache_key(guidelines))
+        key = (sql, _guideline_cache_key(guidelines), self._stats_epoch)
         cached = self._explain_cache.get(key)
         if cached is not None:
             # The copy happens outside the cache lock: cached plans are never

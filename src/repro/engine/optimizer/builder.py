@@ -7,11 +7,20 @@ and cumulative cost.  Keeping this in one place guarantees that a plan forced
 through a guideline, a plan drawn by the Random Plan Generator and a plan found
 by dynamic programming are all costed identically -- which the paper relies on
 when it re-optimizes a query "through the optimizer again".
+
+A join is resolved, priced and built in three steps that share their terms:
+``join_pair`` resolves two inputs once (connecting predicates, join
+cardinality, and per input its key, its cost as a merge input and its cost as
+a nested loop's inner), ``price_join`` sums one operator over two resolved
+inputs, and ``make_join`` builds the node and annotates it through that same
+``price_join`` -- so the join enumerator's priced candidate and the node later
+built for it carry the same float, and every candidate of a pair reuses what
+was resolved for the first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.expressions import (
@@ -52,16 +61,49 @@ def sargable_column(predicate: Predicate) -> Optional[ColumnRef]:
     return None
 
 
+class JoinInput(NamedTuple):
+    """One input of a join and the terms its cost enters a join's cost with.
+
+    Resolved once per pair of inputs (:meth:`PlanBuilder.join_pair`): a
+    pair's candidate joins -- every operator, both orientations -- use each
+    input as the outer and as the inner and differ only in which terms they
+    sum (:meth:`PlanBuilder.price_join`).
+    """
+
+    node: PlanNode
+    aliases: FrozenSet[str]
+    #: The input's column in the connecting predicates; None without any.
+    key: Optional[ColumnRef]
+    #: Cumulative cost as a merge-join input: the node's, plus a SORT on
+    #: ``key`` unless there is no key or the node is already sorted on it.
+    merge_cost: float
+    #: The table and its index on ``key`` when the node is a scan a nested
+    #: loop can probe once per outer row.
+    lookup: Optional[Tuple[BoundTable, Index]]
+    #: Cost of one evaluation as the inner of a nested-loop join.
+    lookup_cost: float
+
+
+class JoinPair(NamedTuple):
+    """Two inputs resolved for joining: what all their candidate joins share."""
+
+    left: JoinInput
+    right: JoinInput
+    join_predicates: Tuple[Comparison, ...]
+    output_rows: float
+
+
 class PlanBuilder:
     """Builds cost-annotated plan nodes for one bound query.
 
     A builder lives for one ``optimize`` / ``generate`` call and keeps the
     alias-set bookkeeping of that call: the qualifier set of every join
     predicate, the connecting predicates of every pair of alias sets asked
-    for, and the alias set of every node it has built or been handed.  All
-    three are pure functions of the bound query and of subtrees the builder
-    never mutates, so they are derived once instead of once per candidate
-    join; they die with the builder.
+    for, the alias set of every node it has built or been handed, and every
+    node resolved as a join input on a key.  All four are pure functions of
+    the bound query and of subtrees the builder never mutates, so they are
+    derived once instead of once per candidate join; they die with the
+    builder.
     """
 
     def __init__(
@@ -86,6 +128,10 @@ class PlanBuilder:
         #: ``id(node)`` -> (node, alias set of its subtree).  The entry holds
         #: the node, so its id cannot be recycled while the entry exists.
         self._alias_sets: Dict[int, Tuple[PlanNode, FrozenSet[str]]] = {}
+        #: (``id(node)``, join key) -> the node resolved as a join input on
+        #: that key (it holds the node too): a leaf meets the same key in
+        #: every subset the dynamic program extends by it.
+        self._join_inputs: Dict[Tuple[int, Optional[ColumnRef]], JoinInput] = {}
 
     # ------------------------------------------------------------------
     # access paths
@@ -230,6 +276,93 @@ class PlanBuilder:
     def join_predicates_between(self, outer: PlanNode, inner: PlanNode) -> Tuple[Comparison, ...]:
         return self.connecting_predicates(self.aliases_of(outer), self.aliases_of(inner))
 
+    def join_pair(self, left: PlanNode, right: PlanNode) -> JoinPair:
+        """Resolve two annotated inputs for joining, in either orientation."""
+        left_aliases = self.aliases_of(left)
+        right_aliases = self.aliases_of(right)
+        join_predicates = self.connecting_predicates(left_aliases, right_aliases)
+        output_rows = self.estimator.join_cardinality(
+            left.estimated_cardinality, right.estimated_cardinality, join_predicates
+        )
+        return JoinPair(
+            self._join_input(left, left_aliases, join_predicates),
+            self._join_input(right, right_aliases, join_predicates),
+            join_predicates,
+            output_rows,
+        )
+
+    def _join_input(
+        self,
+        node: PlanNode,
+        aliases: FrozenSet[str],
+        join_predicates: Tuple[Comparison, ...],
+    ) -> JoinInput:
+        key = self._join_key_for(aliases, join_predicates)
+        known = self._join_inputs.get((id(node), key))
+        if known is not None:
+            return known
+        merge_cost = node.estimated_cost
+        if key is not None and node.properties.get("sorted_on") != key:
+            merge_cost += self.cost_model.sort_cost(node.estimated_cardinality)
+        # Unless its index can be probed, the whole subtree is re-evaluated
+        # for every outer row of a nested loop.
+        lookup: Optional[Tuple[BoundTable, Index]] = None
+        lookup_cost = max(node.estimated_cost, 1e-3)
+        if key is not None and node.pop_type.is_scan:
+            bound = self.query.table_for_alias(node.table_alias or "")
+            index = bound.schema.index_on(key.column)
+            if index is not None:
+                lookup = (bound, index)
+                table_rows = self.estimator.table_cardinality(bound.alias)
+                key_stats = self.estimator.column_statistics(key)
+                rows_per_lookup = table_rows / max(1, key_stats.n_distinct or 1)
+                lookup_cost = self.cost_model.index_lookup_cost(
+                    bound.table, index, rows_per_lookup
+                )
+        resolved = JoinInput(node, aliases, key, merge_cost, lookup, lookup_cost)
+        self._join_inputs[(id(node), key)] = resolved
+        return resolved
+
+    def price_join(
+        self,
+        join_type: PopType,
+        outer: JoinInput,
+        inner: JoinInput,
+        output_rows: float,
+        bloom_filter: bool = False,
+    ) -> float:
+        """Cumulative cost of one join over two resolved inputs, nothing built.
+
+        The one place a join's cost is summed: the join enumerator prices a
+        pair's candidates through this and ``make_join`` annotates the node it
+        builds through this, from inputs resolved by the same ``join_pair``,
+        so a priced candidate and the built node carry the same float.  Every
+        sum is ``outer' + inner' + operator`` with ``outer'`` and ``inner'``
+        no less than the inputs' own costs (a merge input only adds a SORT)
+        and ``operator >= 0`` -- the premise of the enumerator's bound.
+        """
+        outer_node = outer.node
+        inner_node = inner.node
+        outer_rows = outer_node.estimated_cardinality
+        inner_rows = inner_node.estimated_cardinality
+        if join_type is PopType.HSJOIN:
+            return outer_node.estimated_cost + inner_node.estimated_cost + (
+                self.cost_model.hash_join_cost(
+                    outer_rows, inner_rows, output_rows, bloom_filter=bloom_filter
+                )
+            )
+        if join_type is PopType.MSJOIN:
+            return outer.merge_cost + inner.merge_cost + self.cost_model.merge_join_cost(
+                outer_rows, inner_rows, output_rows, outer_sorted=True, inner_sorted=True
+            )
+        if join_type is PopType.NLJOIN:
+            return outer_node.estimated_cost + inner_node.estimated_cost + (
+                self.cost_model.nested_loop_join_cost(
+                    outer_rows, inner.lookup_cost, output_rows
+                )
+            )
+        raise PlanError(f"{join_type} is not a join operator")
+
     def join_cost(
         self,
         join_type: PopType,
@@ -239,39 +372,15 @@ class PlanBuilder:
         output_rows: float,
         bloom_filter: bool = False,
     ) -> float:
-        """Cumulative cost of joining two annotated inputs, without building anything.
-
-        The join enumerator prices every candidate of a pair through this and
-        ``make_join`` annotates the node it builds through this, so a priced
-        candidate and the built node carry the same float: the same
-        expressions, evaluated in the same order.
-        """
-        outer_rows = outer.estimated_cardinality
-        inner_rows = inner.estimated_cardinality
-        outer_cost = outer.estimated_cost
-        inner_cost = inner.estimated_cost
-        if join_type is PopType.MSJOIN:
-            outer_cost = self._merge_input_cost(
-                outer, self._join_key_for(self.aliases_of(outer), join_predicates)
-            )
-            inner_cost = self._merge_input_cost(
-                inner, self._join_key_for(self.aliases_of(inner), join_predicates)
-            )
-            operator_cost = self.cost_model.merge_join_cost(
-                outer_rows, inner_rows, output_rows, outer_sorted=True, inner_sorted=True
-            )
-        elif join_type is PopType.HSJOIN:
-            operator_cost = self.cost_model.hash_join_cost(
-                outer_rows, inner_rows, output_rows, bloom_filter=bloom_filter
-            )
-        elif join_type is PopType.NLJOIN:
-            resolved = self._nljoin_lookup(inner, self.aliases_of(inner), join_predicates)
-            operator_cost = self.cost_model.nested_loop_join_cost(
-                outer_rows, self._nljoin_lookup_cost(inner, resolved), output_rows
-            )
-        else:
-            raise PlanError(f"{join_type} is not a join operator")
-        return outer_cost + inner_cost + operator_cost
+        """:meth:`price_join` for a caller holding the two nodes and what
+        connects them, not their resolved inputs."""
+        return self.price_join(
+            join_type,
+            self._join_input(outer, self.aliases_of(outer), join_predicates),
+            self._join_input(inner, self.aliases_of(inner), join_predicates),
+            output_rows,
+            bloom_filter,
+        )
 
     def make_join(
         self,
@@ -279,117 +388,66 @@ class PlanBuilder:
         outer: PlanNode,
         inner: PlanNode,
         bloom_filter: bool = False,
-        join_predicates: Optional[Tuple[Comparison, ...]] = None,
+        pair: Optional[JoinPair] = None,
     ) -> PlanNode:
         """Build and annotate a join node over two annotated inputs.
 
-        ``join_predicates`` lets a caller that already resolved the connecting
-        predicates (the join enumerator does, once per pair, before pricing
-        its candidates) skip the lookup; the predicates are a pure function
-        of the two input subtrees, so passing them is an optimization, never
-        a semantic change.
+        ``pair`` lets a caller that already resolved the two inputs (the join
+        enumerator does, once per pair, before pricing its candidates) skip
+        resolving them again; it is a pure function of the two subtrees, so
+        passing it is an optimization, never a semantic change.
         """
-        outer_aliases = self.aliases_of(outer)
-        inner_aliases = self.aliases_of(inner)
-        if join_predicates is None:
-            join_predicates = self.connecting_predicates(outer_aliases, inner_aliases)
-        output_rows = self.estimator.join_cardinality(
-            outer.estimated_cardinality, inner.estimated_cardinality, join_predicates
-        )
-        estimated_cost = self.join_cost(
-            join_type, outer, inner, join_predicates, output_rows, bloom_filter
+        if pair is None:
+            pair = self.join_pair(outer, inner)
+        if pair.left.node is outer:
+            outer_input, inner_input = pair.left, pair.right
+        else:
+            outer_input, inner_input = pair.right, pair.left
+        estimated_cost = self.price_join(
+            join_type, outer_input, inner_input, pair.output_rows, bloom_filter
         )
 
         if join_type is PopType.MSJOIN:
-            outer = self._sorted_for_merge(outer, outer_aliases, join_predicates)
-            inner = self._sorted_for_merge(inner, inner_aliases, join_predicates)
+            outer = self._sorted_for_merge(outer_input)
+            inner = self._sorted_for_merge(inner_input)
         elif join_type is PopType.NLJOIN:
-            inner = self._prepare_nljoin_inner(inner, inner_aliases, join_predicates)
+            inner = self._nljoin_inner(inner_input)
 
-        node = join(join_type, outer, inner, join_predicates, bloom_filter=bloom_filter)
-        node.estimated_cardinality = output_rows
+        node = join(join_type, outer, inner, pair.join_predicates, bloom_filter=bloom_filter)
+        node.estimated_cardinality = pair.output_rows
         node.estimated_cost = estimated_cost
-        if join_type is PopType.MSJOIN:
-            sorted_key = self._join_key_for(outer_aliases, join_predicates)
-            if sorted_key is not None:
-                node.properties["sorted_on"] = sorted_key
-        self._remember_aliases(node, outer_aliases | inner_aliases)
+        if join_type is PopType.MSJOIN and outer_input.key is not None:
+            node.properties["sorted_on"] = outer_input.key
+        self._remember_aliases(node, outer_input.aliases | inner_input.aliases)
         return node
 
-    def _merge_input_cost(self, node: PlanNode, key: Optional[ColumnRef]) -> float:
-        """Cost of ``node`` as a merge-join input: a SORT on ``key`` is added
-        unless there is no key or the node is already sorted on it."""
-        if key is None or node.properties.get("sorted_on") == key:
-            return node.estimated_cost
-        return node.estimated_cost + self.cost_model.sort_cost(node.estimated_cardinality)
-
-    def _sorted_for_merge(
-        self,
-        node: PlanNode,
-        aliases: FrozenSet[str],
-        join_predicates: Tuple[Comparison, ...],
-    ) -> PlanNode:
-        """``node``, under a SORT on its merge-join key unless already sorted on it."""
-        key = self._join_key_for(aliases, join_predicates)
+    def _sorted_for_merge(self, merge_input: JoinInput) -> PlanNode:
+        """The input's node, under a SORT on its merge-join key unless already
+        sorted on it."""
+        node, key = merge_input.node, merge_input.key
         if key is None or node.properties.get("sorted_on") == key:
             return node
         sort_node = sort(node, key)
         sort_node.estimated_cardinality = node.estimated_cardinality
-        sort_node.estimated_cost = self._merge_input_cost(node, key)
+        sort_node.estimated_cost = merge_input.merge_cost
         sort_node.properties["sorted_on"] = key
-        self._remember_aliases(sort_node, aliases)
+        self._remember_aliases(sort_node, merge_input.aliases)
         return sort_node
 
-    def _nljoin_lookup(
-        self,
-        inner: PlanNode,
-        inner_aliases: FrozenSet[str],
-        join_predicates: Tuple[Comparison, ...],
-    ) -> Optional[Tuple[ColumnRef, BoundTable, Index]]:
-        """The join key, the table and its index on the key when the inner of
-        a nested-loop join is a scan that can be probed once per outer row."""
-        if not inner.is_scan or not join_predicates:
-            return None
-        key = self._join_key_for(inner_aliases, join_predicates)
-        if key is None:
-            return None
-        bound = self.query.table_for_alias(inner.table_alias or "")
-        index = bound.schema.index_on(key.column)
-        if index is None:
-            return None
-        return key, bound, index
-
-    def _prepare_nljoin_inner(
-        self,
-        inner: PlanNode,
-        inner_aliases: FrozenSet[str],
-        join_predicates: Tuple[Comparison, ...],
-    ) -> PlanNode:
-        """Convert the inner of a nested-loop join into an index lookup if possible."""
-        resolved = self._nljoin_lookup(inner, inner_aliases, join_predicates)
-        if resolved is None:
-            return inner
-        key, bound, index = resolved
+    def _nljoin_inner(self, inner_input: JoinInput) -> PlanNode:
+        """The inner of a nested-loop join: an index lookup when its scan can
+        be probed once per outer row, the node itself otherwise."""
+        if inner_input.lookup is None:
+            return inner_input.node
+        inner = inner_input.node
+        bound, index = inner_input.lookup
         lookup = index_scan(bound.table, bound.alias, index.name, inner.predicates, fetch=True)
         lookup.estimated_cardinality = inner.estimated_cardinality
         lookup.estimated_cost = inner.estimated_cost
         lookup.properties["nljoin_lookup"] = True
-        lookup.properties["sorted_on"] = key
-        self._remember_aliases(lookup, inner_aliases)
+        lookup.properties["sorted_on"] = inner_input.key
+        self._remember_aliases(lookup, inner_input.aliases)
         return lookup
-
-    def _nljoin_lookup_cost(
-        self, inner: PlanNode, resolved: Optional[Tuple[ColumnRef, BoundTable, Index]]
-    ) -> float:
-        """Cost of evaluating the inner input once per outer row."""
-        if resolved is None:
-            # The whole inner subtree is re-evaluated for every outer row.
-            return max(inner.estimated_cost, 1e-3)
-        key, bound, index = resolved
-        table_rows = self.estimator.table_cardinality(bound.alias)
-        key_stats = self.estimator.column_statistics(key)
-        rows_per_lookup = table_rows / max(1, key_stats.n_distinct or 1)
-        return self.cost_model.index_lookup_cost(bound.table, index, rows_per_lookup)
 
     @staticmethod
     def _join_key_for(

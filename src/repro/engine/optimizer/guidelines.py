@@ -224,12 +224,12 @@ def _build_element(
         return builder.forced_access_path(alias, element.method, element.index)
     outer = _build_element(builder, query, element.outer)
     inner = _build_element(builder, query, element.inner)
-    join_predicates = builder.join_predicates_between(outer, inner)
-    if not join_predicates:
+    pair = builder.join_pair(outer, inner)
+    if not pair.join_predicates:
         raise GuidelineError(
             f"guideline join {element.method} has no connecting join predicate"
         )
     return builder.make_join(
         PopType(element.method.upper()), outer, inner,
-        bloom_filter=element.bloom_filter, join_predicates=join_predicates,
+        bloom_filter=element.bloom_filter, pair=pair,
     )

@@ -3,9 +3,14 @@
 For small queries a classic left-deep dynamic program is used; beyond
 ``GREEDY_THRESHOLD`` tables the enumerator falls back to a greedy
 cheapest-next-join heuristic (mirroring how industrial optimizers bound the
-search space for the 30-way joins found in TPC-DS).  Either way candidates
-are priced as plain floats (``PlanBuilder.join_cost``) and only the winner of
-a DP subset, or of a greedy step, is built (``PlanBuilder.make_join``).
+search space for the 30-way joins found in TPC-DS).  Either way a pair of
+inputs is resolved once (``PlanBuilder.join_pair``), its candidates are priced
+as plain floats (``PlanBuilder.price_join``) and only the winner of a DP
+subset, or of a greedy step, is built (``PlanBuilder.make_join``).  The
+dynamic program skips what cannot win -- the repeat of a two-leaf subset's one
+pair, and an extension whose inputs alone cost no less than the incumbent --
+which changes no plan: ``tests/naive_optimizer.py`` prices and builds
+everything and must return the same plans, node by node.
 
 Forced sub-plans (from OPTGUIDELINES) enter the DP as pre-built "macro leaves":
 their internal join order and methods are fixed, the optimizer plans around
@@ -16,10 +21,9 @@ re-optimization story.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set
 
-from repro.engine.expressions import Comparison
-from repro.engine.optimizer.builder import PlanBuilder
+from repro.engine.optimizer.builder import JoinPair, PlanBuilder
 from repro.engine.plan.physical import JOIN_TYPES, PlanNode, PopType
 from repro.engine.sql.binder import BoundQuery
 from repro.errors import PlanError
@@ -36,7 +40,7 @@ class JoinChoice(NamedTuple):
     bloom_filter: bool
     outer: PlanNode
     inner: PlanNode
-    join_predicates: Tuple[Comparison, ...]
+    pair: JoinPair
 
 
 class JoinEnumerator:
@@ -95,26 +99,23 @@ class JoinEnumerator:
         The first of equally cheap candidates wins, and they are priced with
         ``left`` as the outer before ``right`` as the outer, within an
         orientation HSJOIN, bloom-filter HSJOIN when considered, MSJOIN,
-        NLJOIN -- plans depend on that order.  The connecting predicates and
-        the join cardinality are the same in both orientations, so both are
-        resolved once per pair.
+        NLJOIN -- plans depend on that order.  Everything the candidates
+        share is resolved once per pair (``PlanBuilder.join_pair``): the
+        connecting predicates, the join cardinality, and what each input
+        costs as a merge input and as a nested loop's inner.
         """
         builder = self.builder
-        join_predicates = builder.join_predicates_between(left, right)
-        if not join_predicates:
+        pair = builder.join_pair(left, right)
+        if not pair.join_predicates:
             return None
-        output_rows = builder.estimator.join_cardinality(
-            left.estimated_cardinality, right.estimated_cardinality, join_predicates
-        )
+        output_rows = pair.output_rows
         best: Optional[JoinChoice] = None
-        for outer, inner in ((left, right), (right, left)):
+        for outer, inner in ((pair.left, pair.right), (pair.right, pair.left)):
             for join_type, bloom_filter in self._operators:
-                cost = builder.join_cost(
-                    join_type, outer, inner, join_predicates, output_rows, bloom_filter
-                )
+                cost = builder.price_join(join_type, outer, inner, output_rows, bloom_filter)
                 if best is None or cost < best.cost:
                     best = JoinChoice(
-                        cost, join_type, bloom_filter, outer, inner, join_predicates
+                        cost, join_type, bloom_filter, outer.node, inner.node, pair
                     )
         return best
 
@@ -124,7 +125,7 @@ class JoinEnumerator:
             choice.outer,
             choice.inner,
             bloom_filter=choice.bloom_filter,
-            join_predicates=choice.join_predicates,
+            pair=choice.pair,
         )
 
     # ------------------------------------------------------------------
@@ -132,8 +133,20 @@ class JoinEnumerator:
     def _dynamic_programming(self, leaves: List[PlanNode]) -> PlanNode:
         """Left-deep DP over subsets of leaves (cross products only as a last resort).
 
-        Every way of extending a smaller subset by one leaf is priced; only
-        the cheapest one of a subset is built.
+        A subset's plan is the cheapest way of extending a smaller subset's
+        plan by one leaf; only that one is built.  Two kinds of extension are
+        not even priced, neither of which can change the outcome:
+
+        * the second extension of a two-leaf subset -- it is the first one's
+          pair handed over the other way round, so it prices the same six
+          candidates and can tie the incumbent, never beat it;
+        * an extension whose two inputs already cost, summed, no less than
+          the subset's incumbent.  Every candidate costs ``outer' + inner' +
+          operator`` with ``outer' >= outer.estimated_cost``, ``inner' >=
+          inner.estimated_cost`` and ``operator >= 0``
+          (``PlanBuilder.price_join``), float addition is monotone, and the
+          first of equally cheap candidates wins, so none of its candidates
+          could replace the incumbent.  Exact, not a heuristic.
         """
         n = len(leaves)
         best: Dict[FrozenSet[int], PlanNode] = {}
@@ -144,11 +157,17 @@ class JoinEnumerator:
             for subset in itertools.combinations(range(n), size):
                 subset_key = frozenset(subset)
                 cheapest: Optional[JoinChoice] = None
-                for inner_index in subset:
+                for inner_index in subset[:1] if size == 2 else subset:
                     outer_plan = best.get(subset_key - {inner_index})
                     if outer_plan is None:
                         continue
-                    choice = self._cheapest_join(outer_plan, leaves[inner_index])
+                    leaf = leaves[inner_index]
+                    if (
+                        cheapest is not None
+                        and outer_plan.estimated_cost + leaf.estimated_cost >= cheapest.cost
+                    ):
+                        continue
+                    choice = self._cheapest_join(outer_plan, leaf)
                     if choice is None:
                         continue
                     if cheapest is None or choice.cost < cheapest.cost:

@@ -62,26 +62,29 @@ class TableSchema:
     indexes: List[Index] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen = set()
+        # Resolved once: the binder asks for columns by name several times
+        # per reference, and nothing changes ``columns`` after construction.
+        self._columns_by_name: Dict[str, Column] = {}
         for column in self.columns:
-            if column.name in seen:
+            if column.name in self._columns_by_name:
                 raise CatalogError(
                     f"duplicate column {column.name!r} in table {self.name!r}"
                 )
-            seen.add(column.name)
+            self._columns_by_name[column.name] = column
+        self._row_width = sum(column.width for column in self.columns) or 1
 
     @property
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
 
     def column(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise CatalogError(f"table {self.name!r} has no column {name!r}")
+        column = self._columns_by_name.get(name)
+        if column is None:
+            raise CatalogError(f"table {self.name!r} has no column {name!r}")
+        return column
 
     def has_column(self, name: str) -> bool:
-        return any(column.name == name for column in self.columns)
+        return name in self._columns_by_name
 
     def index_on(self, column_name: str) -> Optional[Index]:
         """Return an index whose key is ``column_name``, if one exists."""
@@ -108,7 +111,7 @@ class TableSchema:
     @property
     def row_width(self) -> int:
         """Approximate row width in bytes (used for page-count estimates)."""
-        return sum(column.width for column in self.columns) or 1
+        return self._row_width
 
 
 def make_schema(

@@ -3,13 +3,15 @@
 The subset covers everything the paper's matching engine emits (Figure 6):
 basic graph patterns with prefixed predicates, numeric and string FILTERs,
 the ``STR()`` function, property paths (``predicate+``), ``DISTINCT`` and
-``LIMIT``.
+``LIMIT``.  The matching engine builds these objects directly
+(:mod:`repro.core.transform.sparql_gen`); :mod:`repro.rdf.sparql.parser` reads
+them from text and :mod:`repro.rdf.sparql.render` writes them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.rdf.terms import IRI, Literal, TermOrVariable, Variable
 
@@ -31,7 +33,7 @@ class TriplePattern:
     object: TermOrVariable
 
     def variables(self) -> List[Variable]:
-        out = []
+        out: List[Variable] = []
         for term in (self.subject, self.predicate, self.object):
             if isinstance(term, Variable):
                 out.append(term)
@@ -60,7 +62,7 @@ class FilterComparison:
     right: FilterOperand
 
     def variables(self) -> List[Variable]:
-        out = []
+        out: List[Variable] = []
         for operand in (self.left, self.right):
             if isinstance(operand, Variable):
                 out.append(operand)
@@ -101,14 +103,14 @@ WhereElement = Union[TriplePattern, FilterClause]
 
 @dataclass
 class SelectQuery:
-    """A parsed SELECT query."""
+    """A SELECT query."""
 
     variables: List[Variable] = field(default_factory=list)
     select_all: bool = False
     distinct: bool = False
     where: List[WhereElement] = field(default_factory=list)
     limit: Optional[int] = None
-    prefixes: dict = field(default_factory=dict)
+    prefixes: Dict[str, str] = field(default_factory=dict)
 
     @property
     def patterns(self) -> List[TriplePattern]:

@@ -203,32 +203,38 @@ class SparqlEngine:
 
 
 def _order_patterns(patterns: Sequence[TriplePattern]) -> List[TriplePattern]:
-    """Greedy join ordering: prefer patterns with bound terms / bound variables."""
-    remaining = list(patterns)
-    ordered: List[TriplePattern] = []
-    bound_variables: Set[str] = set()
+    """Greedy join ordering: prefer patterns with bound terms / bound variables.
 
-    def score(pattern: TriplePattern) -> int:
-        # A variable that is already bound is the strongest join signal: it
-        # keeps the search walking outward from nodes it has pinned down
-        # instead of opening a fresh cross product on an unseen variable.
-        value = 0
+    A pattern scores 3 per constant term, 1 for a property path and 4 per
+    occurrence of a variable an earlier pattern binds; the first pattern with
+    the highest score runs next.  A variable that is already bound is the
+    strongest join signal: it keeps the search walking outward from nodes it
+    has pinned down instead of opening a fresh cross product on an unseen
+    variable.  Each pattern is scored once and the scores are kept up to date
+    as variables become bound.
+    """
+    scores: List[float] = []
+    #: variable name -> the pattern of each of its occurrences, until bound.
+    unbound: Dict[str, List[int]] = {}
+    for index, pattern in enumerate(patterns):
+        score = 0
         for term in (pattern.subject, pattern.predicate, pattern.object):
             if isinstance(term, Variable):
-                if term.name in bound_variables:
-                    value += 4
+                unbound.setdefault(term.name, []).append(index)
             elif isinstance(term, PropertyPath):
-                value += 1
+                score += 1
             else:
-                value += 3
-        return value
-
-    while remaining:
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        for variable in best.variables():
-            bound_variables.add(variable.name)
+                score += 3
+        scores.append(score)
+    ordered: List[TriplePattern] = []
+    for _ in patterns:
+        index = scores.index(max(scores))
+        # Taken: no later increment brings it back.
+        scores[index] = float("-inf")
+        ordered.append(patterns[index])
+        for variable in patterns[index].variables():
+            for occurrence in unbound.pop(variable.name, ()):
+                scores[occurrence] += 4
     return ordered
 
 

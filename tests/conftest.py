@@ -194,3 +194,27 @@ def tiny_client_workload():
     from repro.workloads.workload import load_workload
 
     return load_workload("client", scale=0.15, query_count=20)
+
+
+def learn_first_queries(workload, queries=6, max_joins=3):
+    """A GALO over ``workload``'s database that learned its first few queries."""
+    from repro.core.galo import Galo
+    from repro.core.learning.engine import LearningConfig
+    from repro.core.matching.engine import MatchingConfig
+
+    galo = Galo(
+        workload.database,
+        learning_config=LearningConfig(
+            max_joins=max_joins, random_plans_per_subquery=4, max_variants=2
+        ),
+        matching_config=MatchingConfig(max_joins=max_joins),
+    )
+    galo.learn(workload.queries[:queries], workload_name=workload.name)
+    assert len(galo.knowledge_base) > 0
+    return galo
+
+
+@pytest.fixture(scope="session")
+def tiny_tpcds_galo(tiny_tpcds_workload):
+    """Shared by the tests that steer by, or force, learned TPC-DS guidelines."""
+    return learn_first_queries(tiny_tpcds_workload)

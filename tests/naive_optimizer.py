@@ -1,17 +1,20 @@
 """The naive plan-construction oracle the optimizer differentials compare against.
 
-``PlanBuilder`` knows the alias set of every node it builds and derives the
-connecting predicates of a pair of alias sets once; ``JoinEnumerator`` prices
-the candidates of a pair as plain floats and builds one node per DP subset.
-The classes here do none of that: every alias set is a fresh
-``PlanNode.aliases()`` walk, every predicate lookup a fresh
-``BoundQuery.joins_between`` scan, every candidate join of every pair fully
-built -- SORT wrappers, index-lookup leaf and all -- without being told its
-predicates and compared by the cost annotated on the built node, and the
-overlap check on forced fragments walks each fragment again -- the way the
-optimizer worked before the bookkeeping and the pricing existed.  The DP and
-greedy loops live here too, so nothing of the production enumerator's search
-runs on the oracle's side.  Plans must come out equal node by node.
+``PlanBuilder`` knows the alias set of every node it builds, derives the
+connecting predicates of a pair of alias sets once and resolves a node as a
+join input once per key; ``JoinEnumerator`` resolves a pair of inputs once,
+prices its candidates as plain floats, builds one node per DP subset and
+skips the extensions that cannot win.  The classes here do none of that:
+every alias set is a fresh ``PlanNode.aliases()`` walk, every predicate lookup
+a fresh ``BoundQuery.joins_between`` scan, every input resolved afresh, every
+extension of every subset tried, every candidate join of every pair fully
+built -- SORT wrappers, index-lookup leaf and all -- without being handed
+anything resolved earlier and compared by the cost annotated on the built
+node, and the overlap check on forced fragments walks each fragment again --
+the way the optimizer worked before the bookkeeping, the pricing and the
+bound existed.  The DP and greedy loops live here too, so nothing of the
+production enumerator's search runs on the oracle's side.  Plans must come
+out equal node by node.
 """
 
 import itertools
@@ -31,6 +34,10 @@ class NaiveBuilder(PlanBuilder):
 
     def connecting_predicates(self, left, right):
         return tuple(self.query.joins_between(left, right))
+
+    def _join_input(self, node, aliases, join_predicates):
+        self._join_inputs.clear()
+        return super()._join_input(node, aliases, join_predicates)
 
 
 class NaiveEnumerator(JoinEnumerator):

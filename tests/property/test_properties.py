@@ -25,8 +25,21 @@ from repro.engine.statistics import collect_column_statistics
 from repro.engine.storage import TableData
 from repro.engine.types import DataType, coerce_value
 from repro.rdf.graph import Graph, Triple
-from repro.rdf.terms import IRI, BlankNode, Literal as RdfLiteral
+from repro.rdf.sparql.ast import (
+    FilterClause,
+    FilterComparison,
+    FilterLogical,
+    PropertyPath,
+    SelectQuery,
+    StrCall,
+    TriplePattern,
+)
+from repro.rdf.sparql.evaluator import _order_patterns
+from repro.rdf.sparql.parser import parse_sparql
+from repro.rdf.sparql.render import render_sparql
+from repro.rdf.terms import IRI, BlankNode, Literal as RdfLiteral, Variable
 from tests.naive_index import assert_equals_dict_index
+from tests.naive_sparql import naive_order_patterns
 from tests.naive_statistics import assert_equals_value_loop
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -406,6 +419,94 @@ def test_pattern_queries_consistent_with_full_scan(triples):
 
 
 # ---------------------------------------------------------------------------
+# SPARQL: pattern ordering and the text round trip
+# ---------------------------------------------------------------------------
+
+_NS = "http://galo/qep/property/"
+_variables = st.sampled_from("abcde").map(Variable)
+_predicates = st.sampled_from(["hasPopType", "hasOutputStream", "x-y_1"]).map(
+    lambda name: IRI(_NS + name)
+)
+_constants = st.one_of(
+    _predicates,
+    st.sampled_from(["HSJOIN", "it's", ""]).map(RdfLiteral),
+    st.integers(-5, 5).map(RdfLiteral),
+)
+#: Repeated variables inside one pattern, property paths and patterns without
+#: any variable all occur.
+_patterns = st.builds(
+    TriplePattern,
+    st.one_of(_variables, _constants),
+    st.one_of(_variables, _predicates, _predicates.map(PropertyPath)),
+    st.one_of(_variables, _constants),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(_patterns, max_size=12))
+def test_pattern_order_equals_the_rescoring_oracle(patterns):
+    ordered = _order_patterns(patterns)
+    expected = naive_order_patterns(patterns)
+    assert len(ordered) == len(expected)
+    assert all(a is b for a, b in zip(ordered, expected))
+
+
+_numbers = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0, 1e6).map(lambda value: float(f"{value:.4f}")),
+)
+_operands = st.one_of(
+    _variables,
+    _variables.map(StrCall),
+    _numbers.map(RdfLiteral),
+    st.sampled_from(["HSJOIN", "it's", 'say "x"', ""]).map(RdfLiteral),
+)
+_comparisons = st.builds(
+    FilterComparison, st.sampled_from(["<=", ">=", "!=", "=", "<", ">"]), _operands, _operands
+)
+_expressions = st.recursive(
+    _comparisons,
+    lambda inner: st.one_of(
+        st.builds(
+            FilterLogical,
+            st.sampled_from(["&&", "||"]),
+            st.lists(inner, min_size=2, max_size=3).map(tuple),
+        ),
+        st.builds(FilterLogical, st.just("!"), st.tuples(inner)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variables=st.lists(_variables, min_size=1, max_size=4),
+    select_all=st.booleans(),
+    distinct=st.booleans(),
+    where=st.lists(st.one_of(_patterns, _expressions.map(FilterClause)), max_size=10),
+    limit=st.one_of(st.none(), st.integers(0, 50)),
+    prefixed=st.booleans(),
+)
+def test_sparql_text_round_trip(variables, select_all, distinct, where, limit, prefixed):
+    query = SelectQuery(
+        variables=[] if select_all else variables,
+        select_all=select_all,
+        distinct=distinct,
+        where=where,
+        limit=limit,
+        prefixes={"p": _NS} if prefixed else {},
+    )
+    text = render_sparql(query)
+    parsed = parse_sparql(text)
+    assert parsed == query
+    # ``Literal(1) == Literal(1.0)``: the repr tells them apart.
+    assert repr(parsed) == repr(query)
+    assert render_sparql(parsed) == text
+    assert ("p:hasPopType" in text) == (prefixed and _NS + "hasPopType" in repr(where))
+
+
+# ---------------------------------------------------------------------------
 # K-means ranking
 # ---------------------------------------------------------------------------
 
@@ -517,6 +618,44 @@ def test_random_plans_agree_with_optimizer_plan_results(seed, mini_db):
 # ---------------------------------------------------------------------------
 # plan builder: the memo of connecting predicates
 # ---------------------------------------------------------------------------
+
+_rows = st.floats(0, 1e12)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    outer_rows=_rows,
+    inner_rows=_rows,
+    output_rows=_rows,
+    rows_per_lookup=st.floats(0, 1e9),
+    inner_cost=st.floats(0, 1e15),
+    cluster_ratio=st.floats(0, 1),
+    bloom_filter=st.booleans(),
+)
+def test_no_join_operator_cost_is_negative(
+    outer_rows, inner_rows, output_rows, rows_per_lookup, inner_cost, cluster_ratio,
+    bloom_filter, mini_db,
+):
+    """The one premise of the join enumerator's bound: whatever the rows (and
+    so the pages, on either side of the sort heap) and the cluster ratio, an
+    operator's own cost and the SORT a merge input adds are >= 0 (and not
+    NaN), so no candidate costs less than its two inputs together."""
+    from repro.engine.optimizer.costmodel import CostModel
+
+    cost_model = CostModel(mini_db.catalog)
+    index = Index("ANY", "SALES", "s_item_sk", cluster_ratio=cluster_ratio)
+    lookup_cost = cost_model.index_lookup_cost("SALES", index, rows_per_lookup)
+    assert lookup_cost >= 0
+    assert cost_model.sort_cost(outer_rows) >= 0
+    assert cost_model.hash_join_cost(
+        outer_rows, inner_rows, output_rows, bloom_filter=bloom_filter
+    ) >= 0
+    assert cost_model.merge_join_cost(
+        outer_rows, inner_rows, output_rows, outer_sorted=True, inner_sorted=True
+    ) >= 0
+    for per_outer_row in (lookup_cost, max(inner_cost, 1e-3)):
+        assert cost_model.nested_loop_join_cost(outer_rows, per_outer_row, output_rows) >= 0
+
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(

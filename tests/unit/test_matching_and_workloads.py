@@ -7,6 +7,7 @@ from repro.core.knowledge_base import KnowledgeBase, SegmentProfile
 from repro.core.matching.engine import MatchingConfig, MatchingEngine
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
+from repro.core.transform import sparql_gen
 from repro.core.transform.sparql_gen import sparql_for_subplan
 from repro.workloads import (
     build_client_database,
@@ -106,6 +107,7 @@ def workload_plans(galo):
 
 
 def eager_sparql(galo, segment):
+    """The matching query of one segment, as ``match_plan`` asks for it."""
     config = galo.matching_engine.config
     return sparql_for_subplan(
         segment,
@@ -149,13 +151,21 @@ def usage_by_name(knowledge_base):
 
 
 class TestIndexBeforeSparql:
-    """The engine hands ``KnowledgeBase.match`` a query whose text is written
-    on first read; nothing a caller can observe depends on when that is."""
+    """The engine hands ``KnowledgeBase.match`` a query that is built on
+    first read; nothing a caller can observe depends on when that is."""
 
-    def test_segments_match_like_brute_force_and_count_like_the_index(self):
+    def test_segments_match_like_brute_force_and_count_like_the_index(self, monkeypatch):
         galo = build_system()
         engine, kb = galo.matching_engine, galo.knowledge_base
-        index_only = segments = 0
+        built = []
+        segment_query = sparql_gen._segment_query
+
+        def counting_segment_query(root, *args):
+            built.append(root)
+            return segment_query(root, *args)
+
+        monkeypatch.setattr(sparql_gen, "_segment_query", counting_segment_query)
+        index_only = segments = built_for_indexed_matches = 0
         for qgm in workload_plans(galo):
             for segment in segment_plan(qgm, MAX_JOINS):
                 eager = eager_sparql(galo, segment)
@@ -165,7 +175,11 @@ class TestIndexBeforeSparql:
                     )
                 )
                 before = dict(kb.match_stats)
-                found = kb.match(engine._generated_sparql(segment), subplan_root=segment)
+                built_before = len(built)
+                found = kb.match(eager_sparql(galo, segment), subplan_root=segment)
+                # A query is built for a segment iff the index left a candidate.
+                assert built[built_before:] == ([segment] if candidates else [])
+                built_for_indexed_matches += len(built) - built_before
                 assert kb.match_stats == {
                     "queries": before["queries"] + 1,
                     "indexed_queries": before["indexed_queries"] + 1,
@@ -186,8 +200,18 @@ class TestIndexBeforeSparql:
         # Both sides of the index's verdict were exercised.
         assert 0 < index_only < segments
         assert kb.match_stats["index_only_segments"] == index_only
-        # SPARQL text was looked up only for segments with a candidate.
-        assert engine.sparql_cache_hits + engine.sparql_cache_misses == segments - index_only
+        # Queries were built only for segments with a candidate (and one per
+        # segment for the brute-force side, which always evaluates).
+        assert built_for_indexed_matches == segments - index_only
+        assert len(built) == built_for_indexed_matches + segments
+        # ``match_plan`` counts the queries it builds the same way.
+        before = dict(kb.match_stats)
+        engine.match_plan(workload_plans(galo)[0])
+        asked = kb.match_stats["queries"] - before["queries"]
+        answered_by_index = kb.match_stats["index_only_segments"] - before["index_only_segments"]
+        built_by_match_plan = len(built) - built_for_indexed_matches - segments
+        assert engine.sparql_cache_misses == built_by_match_plan == asked - answered_by_index
+        assert engine.sparql_cache_misses > 0 and engine.sparql_cache_hits == 0
 
     def test_match_plan_and_usage_equal_the_eager_brute_force_flow(self):
         lazy, eager = build_system(), build_system()

@@ -1,7 +1,7 @@
 """``reoptimize_workload``: one query after the other, in submission order.
 
 Pinned here: the list's order, the positional names of unnamed queries, and
-that a second pass is served from the caches.  ``KnowledgeBase.match`` from
+that a second pass is served from the explain cache and the prepared lane.  ``KnowledgeBase.match`` from
 several threads is covered by the service and prepared-interleaving suites.
 """
 
@@ -76,16 +76,30 @@ class TestWorkloadReoptimization:
         assert [result.query_name for result in results] == ["Q1", "Q2", "Q3"]
 
     def test_repeated_batches_hit_caches(self, mini_db):
-        """Second pass over the same workload reuses plans and SPARQL text."""
+        """A second pass over the same workload reuses its plans: the explain
+        cache answers ``reoptimize``, the prepared lane ``steer_prepared``."""
         engine = MatchingEngine(
             mini_db, randomized_knowledge_base(mini_db, plans_per_query=2),
             MatchingConfig(max_joins=3),
         )
         first = engine.reoptimize_workload(WORKLOAD, execute=False)
         hits_before = mini_db.explain_cache_hits
-        sparql_misses_before = engine.sparql_cache_misses
+        misses_before = mini_db.explain_cache_misses
         second = engine.reoptimize_workload(WORKLOAD, execute=False)
         assert outcome(second) == outcome(first)
         assert mini_db.explain_cache_hits > hits_before
-        assert engine.sparql_cache_misses == sparql_misses_before
-        assert engine.sparql_cache_hits > 0
+        assert mini_db.explain_cache_misses == misses_before
+
+        served = [engine.steer_prepared(sql, query_name=name) for name, sql in WORKLOAD]
+        hits_before = mini_db.explain_cache_hits
+        queries_before = engine.knowledge_base.match_stats["queries"]
+        again = [engine.steer_prepared(sql, query_name=name) for name, sql in WORKLOAD]
+        assert [decision.prepared for decision in again] == ["hit"] * len(WORKLOAD)
+        assert {decision.prepared for decision in served} == {"miss"}
+        assert [decision.matched_template_ids for decision in again] == [
+            result.matched_template_ids for result in first
+        ]
+        # A hit neither plans nor matches.
+        assert mini_db.explain_cache_hits == hits_before
+        assert mini_db.explain_cache_misses == misses_before
+        assert engine.knowledge_base.match_stats["queries"] == queries_before

@@ -4,18 +4,26 @@ import itertools
 
 import pytest
 
+from bench.config import POPULATION_SEED
+from bench.inputs import distinct_pool
 from repro.core.matching.segmenter import segment_plan
+from repro.core.planutils import remap_guideline_document
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder, sargable_column
 from repro.engine.optimizer.cardinality import CardinalityEstimator
-from repro.engine.optimizer.guidelines import GuidelineDocument, guideline_from_plan
-from repro.engine.optimizer.joinenum import GREEDY_THRESHOLD
+from repro.engine.optimizer.guidelines import (
+    GuidelineDocument,
+    guideline_from_plan,
+    parse_guidelines,
+)
+from repro.engine.optimizer.joinenum import GREEDY_THRESHOLD, JoinEnumerator
 from repro.engine.optimizer.optimizer import Optimizer
 from repro.engine.optimizer.rewrite import rewrite_query
 from repro.engine.plan.physical import JOIN_TYPES, PopType
 from repro.engine.sql.binder import bind
 from repro.engine.sql.parser import parse_select
 from repro.workloads import generate_client_queries, generate_tpcds_queries
+from tests.conftest import learn_first_queries
 from tests.naive_optimizer import NaiveEnumerator, naive_optimize, plan_rows
 
 
@@ -249,36 +257,183 @@ def guideline_documents(database, sql, plans=2, max_joins=3):
     return documents
 
 
+def learned_guideline_documents(galo):
+    """The guideline of every template ``galo`` learned, its canonical labels
+    mapped back onto the table instances of the plan it was learned from."""
+    documents = []
+    for template in galo.knowledge_base.all_templates():
+        aliases = {label: alias for alias, label in template.canonical_labels.items()}
+        documents.append(
+            (
+                frozenset(aliases.values()),
+                remap_guideline_document(parse_guidelines(template.guideline_xml), aliases),
+            )
+        )
+    return documents
+
+
+@pytest.fixture(scope="module")
+def tpcds_learned(tiny_tpcds_galo):
+    return learned_guideline_documents(tiny_tpcds_galo)
+
+
+@pytest.fixture(scope="module")
+def client_learned(tiny_client_workload):
+    return learned_guideline_documents(learn_first_queries(tiny_client_workload))
+
+
+class ExtensionCount:
+    """Join pairs the oracle's search prices against those production's does.
+
+    The greedy loops price the same pairs on both sides, so the difference is
+    what the dynamic program skipped: one extension per two-leaf subset, and
+    whatever its bound excluded.
+    """
+
+    def __init__(self, monkeypatch):
+        self.oracle = self.production = self.two_leaf_repeats = 0
+        best_join = NaiveEnumerator._best_join
+        cheapest_join = JoinEnumerator._cheapest_join
+        dynamic_programming = JoinEnumerator._dynamic_programming
+
+        def counting_best_join(enumerator, outer, inner):
+            self.oracle += 1
+            return best_join(enumerator, outer, inner)
+
+        def counting_cheapest_join(enumerator, left, right):
+            self.production += 1
+            return cheapest_join(enumerator, left, right)
+
+        def counting_dynamic_programming(enumerator, leaves):
+            self.two_leaf_repeats += len(leaves) * (len(leaves) - 1) // 2
+            return dynamic_programming(enumerator, leaves)
+
+        monkeypatch.setattr(NaiveEnumerator, "_best_join", counting_best_join)
+        monkeypatch.setattr(JoinEnumerator, "_cheapest_join", counting_cheapest_join)
+        monkeypatch.setattr(JoinEnumerator, "_dynamic_programming", counting_dynamic_programming)
+
+    @property
+    def bounded(self):
+        return self.oracle - self.production - self.two_leaf_repeats
+
+
 class TestEnumeratorDifferential:
     @staticmethod
-    def assert_same_plans(database, statements, bloom=False):
+    def assert_same_plans(database, statements, bloom=False, learned=(), plans=2):
+        """Production's plan equals the oracle's, unguided, under every
+        guideline drawn from ``plans`` of the statement's own random plans, and
+        under every learned guideline naming only table instances it has."""
         optimizer = Optimizer(database.catalog, database.config, consider_bloom_filters=bloom)
-        guided = 0
+        guided = forced_by_learned = 0
         for _, sql in statements:
             query = bind_sql(database, sql)
-            for document in [None] + guideline_documents(database, sql):
+            own = [None] + guideline_documents(database, sql, plans=plans)
+            applicable = [doc for aliases, doc in learned if aliases <= set(query.aliases)]
+            unguided = None
+            for position, document in enumerate(own + applicable):
                 expected = naive_optimize(
                     database, query, guidelines=document, consider_bloom_filters=bloom
                 )
-                actual = optimizer.optimize(query, guidelines=document)
-                assert plan_rows(actual) == plan_rows(expected), sql
+                actual = plan_rows(optimizer.optimize(query, guidelines=document))
+                assert actual == plan_rows(expected), sql
                 guided += document is not None
+                if document is None:
+                    unguided = actual
+                forced_by_learned += position >= len(own) and actual != unguided
+        # Learned guidelines reached the enumerator as forced fragments.
+        assert forced_by_learned > 0 or not learned
         return guided
 
-    def test_tpcds_workload_and_generated_pool(self, tiny_tpcds_workload):
-        database = tiny_tpcds_workload.database
-        statements = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
-        assert self.assert_same_plans(database, statements) > len(statements)
+    def assert_same_plans_skipping_extensions(
+        self, database, statements, learned, bloom, monkeypatch
+    ):
+        count = ExtensionCount(monkeypatch)
+        # With bloom filters every pair has two more candidates to build.
+        guided = self.assert_same_plans(
+            database, statements, bloom=bloom, learned=learned, plans=1 if bloom else 2
+        )
+        assert guided > len(statements) + len(learned)
+        # The bound is exercised, not vacuous.
+        assert count.two_leaf_repeats > 0 and count.bounded > 0
 
-    def test_client_workload(self, tiny_client_workload):
-        database = tiny_client_workload.database
-        statements = generate_client_queries(116)
-        assert self.assert_same_plans(database, statements) > len(statements)
+    def test_tpcds_workload_and_generated_pool(
+        self, tiny_tpcds_workload, tpcds_learned, monkeypatch
+    ):
+        statements = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
+        self.assert_same_plans_skipping_extensions(
+            tiny_tpcds_workload.database, statements, tpcds_learned, False, monkeypatch
+        )
+
+    def test_tpcds_workload_and_generated_pool_with_bloom_filters(
+        self, tiny_tpcds_workload, tpcds_learned, monkeypatch
+    ):
+        statements = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
+        self.assert_same_plans_skipping_extensions(
+            tiny_tpcds_workload.database, statements, tpcds_learned, True, monkeypatch
+        )
+
+    def test_statements_served_by_the_benchmark(self, tiny_tpcds_workload, tpcds_learned):
+        """``bench``'s serve-distinct pool, unguided and under learned guidelines."""
+        database = tiny_tpcds_workload.database
+        optimizer = database.optimizer
+        for _, sql in distinct_pool(223, POPULATION_SEED):
+            query = bind_sql(database, sql)
+            for document in [None] + [
+                doc for aliases, doc in tpcds_learned if aliases <= set(query.aliases)
+            ]:
+                assert plan_rows(optimizer.optimize(query, guidelines=document)) == plan_rows(
+                    naive_optimize(database, query, guidelines=document)
+                ), sql
+
+    def test_client_workload(self, tiny_client_workload, client_learned, monkeypatch):
+        self.assert_same_plans_skipping_extensions(
+            tiny_client_workload.database, generate_client_queries(116), client_learned,
+            False, monkeypatch,
+        )
+
+    def test_client_workload_with_bloom_filters(
+        self, tiny_client_workload, client_learned, monkeypatch
+    ):
+        self.assert_same_plans_skipping_extensions(
+            tiny_client_workload.database, generate_client_queries(116), client_learned,
+            True, monkeypatch,
+        )
 
     def test_bloom_filter_candidates_keep_their_order(self, tiny_tpcds_workload):
         self.assert_same_plans(
             tiny_tpcds_workload.database, generate_tpcds_queries(20), bloom=True
         )
+
+    def test_the_first_of_two_equally_cheap_extensions_wins(self, tiny_tpcds_workload):
+        """Both date dimensions extend the other one's join with the fact table
+        at exactly the same cost; the one tried first -- D1 as the last leaf --
+        is the plan, as it was before any extension went unpriced."""
+        database = tiny_tpcds_workload.database
+        sql = (
+            "SELECT COUNT(*) FROM store_sales, date_dim d1, date_dim d2 "
+            "WHERE ss_sold_date_sk = d1.d_date_sk AND ss_sold_date_sk = d2.d_date_sk"
+        )
+        query = rewrite_query(bind_sql(database, sql))
+        assert query.aliases == ["STORE_SALES", "D1", "D2"]
+        builder = PlanBuilder(database.catalog, query)
+        enumerator = JoinEnumerator(builder, query)
+        sales, d1, d2 = (builder.best_access_path(alias) for alias in query.aliases)
+        with_d1_last = enumerator._cheapest_join(
+            enumerator._build(enumerator._cheapest_join(d2, sales)), d1
+        )
+        with_d2_last = enumerator._cheapest_join(
+            enumerator._build(enumerator._cheapest_join(d1, sales)), d2
+        )
+        assert with_d1_last.cost == with_d2_last.cost
+
+        plan = database.optimizer.optimize(bind_sql(database, sql))
+        assert plan_rows(plan) == plan_rows(naive_optimize(database, bind_sql(database, sql)))
+        top = next(node for node in plan.root.walk() if node.is_join)
+        assert top.estimated_cost == with_d1_last.cost
+        assert sorted(with_d1_last.inner.aliases()) == ["D2", "STORE_SALES"]
+        assert [sorted(child.aliases()) for child in top.inputs] == [
+            ["D1"], ["D2", "STORE_SALES"],
+        ]
 
     def test_greedy_and_disconnected_join_graphs(self, tiny_tpcds_workload):
         database = tiny_tpcds_workload.database

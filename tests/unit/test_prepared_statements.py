@@ -18,6 +18,7 @@ from repro.core.matching.segmenter import segment_plan
 from repro.service import GaloService, ServiceConfig
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
+from tests.naive_optimizer import plan_rows
 from tests.prepared_support import (
     MAX_JOINS,
     WORKLOAD,
@@ -499,6 +500,84 @@ class TestConcurrentMutation:
         assert [m.template.name for m in engine.steer_prepared(sql).matches] == [
             "rank-002"
         ]
+        assert_lane_equals_oracle(galo)
+
+
+    def test_a_plan_optimized_across_runstats_is_not_put_back(self):
+        """``Database.explain`` optimizes, then caches.  RUNSTATS going by in
+        between clears the cache first; the plan computed from the statistics
+        it replaced must not be put back behind it, where every later
+        ``explain`` -- and the next prepared-lane miss -- would take it as
+        the baseline.  The caller still gets what it computed."""
+        galo = build_system()
+        database = galo.database
+        name, sql = WORKLOAD[0]
+        # Seeding the knowledge base explained the statement: start uncached.
+        database.runstats("ITEM")
+        optimize_sql = database.optimizer.optimize_sql
+        moved = []
+
+        def optimize_then_refresh_statistics(*args, **kwargs):
+            qgm = optimize_sql(*args, **kwargs)
+            if not moved:
+                moved.append(database.stats_epoch)
+                reinsert_sales(database, count=400)
+                database.runstats("SALES")
+            return qgm
+
+        database.optimizer.optimize_sql = optimize_then_refresh_statistics
+        try:
+            stale = database.explain(sql, query_name=name)
+        finally:
+            del database.optimizer.optimize_sql
+        assert moved and database.stats_epoch > moved[0]
+        hits = database.explain_cache_hits
+        served = database.explain(sql, query_name=name)
+        fresh = optimize_sql(sql, query_name=name)
+        # Nothing computed before the invalidation answers after it.
+        assert database.explain_cache_hits == hits
+        assert plan_rows(served) == plan_rows(fresh) != plan_rows(stale)
+        assert database.explain(sql).total_cost == fresh.total_cost
+        assert database.explain_cache_hits == hits + 1
+        assert_lane_equals_oracle(galo)
+
+    def test_a_steered_plan_built_across_runstats_stays_with_its_stale_entry(self):
+        """``steer_prepared`` stores the steered master into the entry it
+        computed (``entry.plans.setdefault``) without looking at the stamp
+        again.  It need not: a master built while the statistics moved lands
+        in an entry stamped before the move, which ``lookup`` never returns
+        under the stamp that follows."""
+        galo = build_system()
+        engine, database, kb = galo.matching_engine, galo.database, galo.knowledge_base
+        name, sql = next(
+            (name, sql) for name, sql in WORKLOAD if engine.steer(sql, query_name=name).steered
+        )
+        explain = database.explain
+        moved = []
+
+        def explain_then_refresh_statistics(sql, guidelines=None, query_name=""):
+            qgm = explain(sql, guidelines=guidelines, query_name=query_name)
+            if guidelines is not None and not moved:
+                moved.append(database.stats_epoch)
+                reinsert_sales(database, count=400)
+                database.runstats("SALES")
+            return qgm
+
+        database.explain = explain_then_refresh_statistics
+        try:
+            decision = engine.steer_prepared(sql, query_name=name)
+        finally:
+            del database.explain
+        assert decision.steered and moved and database.stats_epoch > moved[0]
+        # The entry was published before the steered plan was built, and holds it.
+        published, outcome = engine.prepared.lookup(sql, moved[0], kb, kb.generation)
+        assert outcome == "hit" and any(master for _, master in published.plans.values())
+        assert engine.prepared.lookup(sql, database.stats_epoch, kb, kb.generation) == (
+            None, "stale",
+        )
+        again = engine.steer_prepared(sql, query_name=name)
+        assert again.prepared == "stale"
+        assert current_entry(galo, sql) is not published
         assert_lane_equals_oracle(galo)
 
 

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.core import vocabulary as voc
+from repro.core.matching.segmenter import segment_plan
+from repro.core.transform import sparql_gen
 from repro.core.transform.rdf_mapper import qgm_to_rdf, rdf_node_index, subplan_to_rdf
 from repro.core.transform.sparql_gen import sparql_for_subplan
 from repro.core.planutils import join_tree_root
+from repro.rdf.sparql.ast import TriplePattern
+from repro.rdf.sparql import evaluator
+from repro.rdf.sparql.evaluator import _order_patterns
 from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.terms import Literal
+from repro.workloads import generate_client_queries, generate_tpcds_queries
+from tests.naive_sparql import naive_order_patterns
 
 SQL = (
     "SELECT i_category, COUNT(*) FROM sales, item, date_dim "
@@ -120,3 +127,111 @@ class TestSparqlGeneration:
         without_rows = sparql_for_subplan(segment, catalog=mini_db.catalog, check_row_size=False)
         assert "hasLowerRowSize" in with_rows.text
         assert "hasLowerRowSize" not in without_rows.text
+
+
+# ---------------------------------------------------------------------------
+# The matching query is built as an AST; its text is a rendering of it.  Over
+# every plan segment of the three statement pools the two cannot disagree.
+# ---------------------------------------------------------------------------
+
+MAX_JOINS = 3
+
+
+def pool_segments(workload, statements):
+    database = workload.database
+    return [
+        (database.catalog, segment)
+        for _, sql in statements
+        for segment in segment_plan(database.explain(sql), MAX_JOINS)
+    ]
+
+
+@pytest.fixture(scope="module")
+def segments(tiny_tpcds_workload, tiny_client_workload):
+    """Segments of the TPC-DS workload, a generated pool and the client workload."""
+    tpcds = generate_tpcds_queries(99) + generate_tpcds_queries(60, seed=1042)
+    found = pool_segments(tiny_tpcds_workload, tpcds)
+    found += pool_segments(tiny_client_workload, generate_client_queries(116))
+    assert len(found) > 500
+    return found
+
+
+class TestGeneratedQueryAndItsText:
+    @pytest.mark.parametrize("cardinality_tolerance", [1.0, 1.5])
+    @pytest.mark.parametrize("check_row_size", [True, False])
+    def test_text_parses_back_to_the_query(self, segments, cardinality_tolerance, check_row_size):
+        decimals = 0
+        for catalog, segment in segments:
+            generated = sparql_for_subplan(
+                segment,
+                catalog=catalog,
+                check_row_size=check_row_size,
+                cardinality_tolerance=cardinality_tolerance,
+            )
+            assert not generated.query_built
+            parsed = parse_sparql(generated.text)
+            assert parsed == generated.query
+            # ``Literal(7) == Literal(7.0)``: the repr tells them apart.
+            assert repr(parsed) == repr(generated.query)
+
+            lines = generated.text.split("\n")
+            assert [line.split()[:2] for line in lines[:2]] == [
+                ["PREFIX", "predURI:"], ["PREFIX", "kbURI:"],
+            ]
+            assert lines[2].startswith("SELECT ?template ?pop_")
+            assert (lines[3], lines[-1]) == ("WHERE {", "}")
+            # One clause per line, prefixed names, no full IRI.
+            clauses = lines[4:-1]
+            assert len(clauses) == len(generated.query.where)
+            for clause, element in zip(clauses, generated.query.where):
+                assert clause.endswith(" .") and "<http" not in clause
+                if isinstance(element, TriplePattern):
+                    assert clause.split()[1].split(":")[0] in ("predURI", "kbURI")
+                else:
+                    assert clause.startswith("   FILTER (")
+            # A bound that is not whole is stated to four decimals, in both.
+            for element in generated.query.filters:
+                value = element.expression.right
+                if isinstance(value, Literal) and isinstance(value.value, float):
+                    decimals += 1
+                    assert f" {value.value:.4f}) ." in generated.text
+                    assert float(f"{value.value:.4f}") == value.value
+        assert decimals > 0
+
+    def test_pattern_order_equals_the_rescoring_oracle(self, segments):
+        for catalog, segment in segments:
+            patterns = sparql_for_subplan(segment, catalog=catalog).query.patterns
+            ordered = _order_patterns(patterns)
+            expected = naive_order_patterns(patterns)
+            assert len(ordered) == len(expected)
+            assert all(a is b for a, b in zip(ordered, expected))
+
+    def test_steering_writes_and_parses_no_text(self, tiny_tpcds_galo, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("SPARQL text on the request path")
+
+        monkeypatch.setattr(sparql_gen, "render_sparql", refuse)
+        for module in (sparql_gen, evaluator):
+            monkeypatch.setattr(module, "parse_sparql", refuse)
+        decisions = [
+            tiny_tpcds_galo.matching_engine.steer(sql, query_name=name)
+            for name, sql in generate_tpcds_queries(99)
+        ]
+        assert any(decision.steered for decision in decisions)
+        assert tiny_tpcds_galo.matching_engine.sparql_cache_misses > 0
+
+    def test_match_equals_brute_force(self, tiny_tpcds_galo, tiny_tpcds_workload):
+        knowledge_base = tiny_tpcds_galo.knowledge_base
+        matched = 0
+        for cardinality_tolerance in (1.0, 1.5):
+            for catalog, segment in pool_segments(tiny_tpcds_workload, generate_tpcds_queries(99)):
+                generated = sparql_for_subplan(
+                    segment, catalog=catalog, cardinality_tolerance=cardinality_tolerance
+                )
+                found = knowledge_base.match(generated, subplan_root=segment)
+                brute = knowledge_base.match_brute_force(generated, subplan_root=segment)
+                assert [(m.template.template_id, m.label_to_alias, m.bindings) for m in found] == [
+                    (m.template.template_id, m.label_to_alias, m.bindings) for m in brute
+                ]
+                matched += bool(found)
+        assert matched > 0
