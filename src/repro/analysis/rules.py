@@ -372,11 +372,10 @@ class DeterminismRule(Rule):
 #: function in the analyzed kernels are themselves findings (dead entries).
 GL002_ORACLE_FUNCTIONS = frozenset(
     {
-        # columns.py: gather/materialization of plain-list columns (the
-        # output of declined kernels and of ``Batch.from_rows``), and the one
-        # place a column's Python values become its typed array
+        # columns.py: gather of plain-list columns (the output of declined
+        # kernels and of ``Batch.from_rows``), and the one place a column's
+        # Python values become its typed array
         "gather",
-        "python_values",
         "ColumnVector._build_typed",
         # statistics.py: the value loop RUNSTATS declines to (object columns,
         # plain sequences, NaN) -- also the definition the array kernel equals
@@ -418,6 +417,39 @@ def _allowlisted(qualname: str) -> bool:
     )
 
 
+#: The executor file whose operators may not copy every column of a batch.
+_LATE_MATERIALIZATION_PATH = "repro/engine/executor/vectorized.py"
+_COLUMN_SET_ATTRS = frozenset({"columns", "sources"})
+_COLUMN_COPY_CALLS = frozenset({"gather", "python_values"})
+
+
+def _is_column_set(node: ast.AST) -> bool:
+    """``<mapping>.items()`` / ``.values()``, or a batch's / entry's
+    ``columns`` / ``sources``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr in ("items", "values")
+    return isinstance(node, ast.Attribute) and node.attr in _COLUMN_SET_ATTRS
+
+
+def _all_columns_copy(node: ast.AST) -> bool:
+    """A loop or comprehension over a column set that gathers each of them."""
+    if isinstance(node, ast.For):
+        iterables, body = [node.iter], node.body
+    elif isinstance(node, ast.DictComp):
+        iterables, body = [gen.iter for gen in node.generators], [node.key, node.value]
+    elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+        iterables, body = [gen.iter for gen in node.generators], [node.elt]
+    else:
+        return False
+    return any(
+        _is_column_set(child) for iterable in iterables for child in ast.walk(iterable)
+    ) and any(
+        isinstance(child, ast.Call) and attribute_chain(child.func) in _COLUMN_COPY_CALLS
+        for statement in body
+        for child in ast.walk(statement)
+    )
+
+
 def _mentions_row_scale(node: ast.AST) -> bool:
     for child in ast.walk(node):
         if isinstance(child, ast.Name) and child.id in _ROW_SCALE_NAMES:
@@ -432,7 +464,8 @@ def _mentions_row_scale(node: ast.AST) -> bool:
 
 @register_rule
 class HotPathLoopRule(Rule):
-    """GL002: per-row Python loops may not creep back into vectorized kernels."""
+    """GL002: per-row Python loops may not creep back into vectorized kernels,
+    nor may an operator copy every column of a batch to pass a few on."""
 
     rule_id = "GL002"
     title = "Python per-row loop on the vectorized hot path"
@@ -460,8 +493,23 @@ class HotPathLoopRule(Rule):
             self.any_module = (ctx.relpath, 1)
         self.seen_paths.add(ctx.relpath)
         findings: List[Finding] = []
+        late_materialization = ctx.relpath == _LATE_MATERIALIZATION_PATH
         for qualname, scope in iter_scopes(ctx.tree):
             self.seen_qualnames.add(qualname)
+            if late_materialization and not qualname.startswith("Batch."):
+                # Oracle functions included: a declared per-row loop is no
+                # licence to gather the columns nobody reads.
+                for node in walk_scope(scope):
+                    if _all_columns_copy(node):
+                        findings.append(
+                            ctx.finding(
+                                self,
+                                node,
+                                f"every column of a batch gathered in {qualname}",
+                                hint="carry positions (Batch.joined / take); a column"
+                                " is gathered by Batch.column when an operator reads it",
+                            )
+                        )
             if _allowlisted(qualname) or qualname == "<module>":
                 continue
             for node in walk_scope(scope):

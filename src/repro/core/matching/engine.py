@@ -312,6 +312,7 @@ class MatchingEngine:
                     sql,
                     guidelines=guideline_document,
                     query_name=f"{query_name} (steered)",
+                    bound=baseline_qgm.query,
                 )
                 if steer_span.recording:
                     steer_span.set(
@@ -409,7 +410,10 @@ class MatchingEngine:
             with span.child("steer") as steer_span:
                 if steered_master is None:
                     steered_master = self.database.explain(
-                        sql, guidelines=guideline_document, query_name=steered_name
+                        sql,
+                        guidelines=guideline_document,
+                        query_name=steered_name,
+                        bound=master.query,
                     )
                 qgm = steered_master.copy()
                 qgm.query_name = steered_name

@@ -188,24 +188,16 @@ def gather(values: Sequence[Any], picks: Sequence[int]) -> Sequence[Any]:
     return [values[p] for p in picks]
 
 
-def python_values(
-    values: Sequence[Any], picks: Optional[Sequence[int]] = None
-) -> List[Any]:
-    """``values`` (optionally gathered at ``picks``) as plain Python objects.
+def python_values(values: Sequence[Any]) -> List[Any]:
+    """``values`` as plain Python objects.
 
     Used at representation boundaries -- result-row materialization, group-by
     keys/aggregates -- where numpy scalars must not leak into row dicts (JSON
     serialization in the serving tier, exact type parity with the row engine).
     """
-    if isinstance(values, ColumnVector):
-        values = values.tolist()
-    elif isinstance(values, np.ndarray):
-        if picks is not None:
-            return values[as_index_array(picks)].tolist()
+    if isinstance(values, np.ndarray):
         return values.tolist()
-    if picks is None:
-        return list(values)
-    return [values[p] for p in picks]
+    return list(values)
 
 
 def numeric_array(values: Sequence[Any]) -> Optional[Any]:

@@ -177,8 +177,13 @@ class Database:
         sql: str,
         guidelines: Union[GuidelineDocument, str, None] = None,
         query_name: str = "",
+        bound: Optional[BoundQuery] = None,
     ) -> Qgm:
         """Optimize ``sql`` (optionally with guidelines) and return the QGM.
+
+        ``bound`` is ``sql`` already bound (``Qgm.query`` of an earlier plan
+        of the same statement): a miss then plans it without parsing and
+        binding the text again.
 
         Plans are cached per (sql, guidelines); a hit returns a fresh deep
         copy, so callers may annotate the returned QGM (the executor fills in
@@ -197,7 +202,11 @@ class Database:
             clone = cached.copy()
             clone.query_name = query_name
             return clone
-        qgm = self.optimizer.optimize_sql(sql, guidelines=guidelines, query_name=query_name)
+        qgm = self.optimizer.optimize(
+            bound if bound is not None else self.bind(sql),
+            guidelines=guidelines,
+            query_name=query_name,
+        )
         self._explain_cache.put(key, qgm.copy())
         return qgm
 

@@ -200,7 +200,7 @@ class Executor:
         self, node: PlanNode, metrics: RuntimeMetrics, pool: BufferPool
     ) -> List[Row]:
         handler = {
-            PopType.RETURN: self._execute_passthrough,
+            PopType.RETURN: self._execute_return,
             PopType.FILTER: self._execute_filter,
             PopType.SORT: self._execute_sort,
             PopType.GRPBY: self._execute_group_by,
@@ -545,12 +545,16 @@ class Executor:
 
     # -- other operators ---------------------------------------------------------
 
-    def _execute_passthrough(
+    def _execute_return(
         self, node: PlanNode, metrics: RuntimeMetrics, pool: BufferPool
     ) -> List[Row]:
         if not node.inputs:
             return []
-        return self._execute_node(node.inputs[0], metrics, pool)
+        rows = self._execute_node(node.inputs[0], metrics, pool)
+        output = node.properties.get("output")
+        if output is None:
+            return rows
+        return [{key: row.get(key) for key in output} for row in rows]
 
     def _execute_filter(
         self, node: PlanNode, metrics: RuntimeMetrics, pool: BufferPool

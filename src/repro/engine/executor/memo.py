@@ -5,7 +5,7 @@ plan variant of one sub-query; those candidate plans re-scan and re-filter the
 same tables over and over.  An :class:`ExecutionMemo` caches the *data*
 outcome of structurally identical scan / FILTER / SORT subtrees -- their
 qualifying position vectors over the table's backing columns -- and of whole
-join subtrees (materialized output batches whose page-access traces are
+join subtrees (one position vector per input table; page-access traces
 recorded compositionally from their children's), so each subtree is evaluated
 once per memo scope instead of once per plan.
 
@@ -83,20 +83,30 @@ from repro.engine.executor.metrics import RuntimeMetrics
 #: with the trace, so with the entries holding it.
 Trace = Tuple[Any, ...]
 
+#: One input table of an output batch: ``"<alias>.<column>"`` -> the table's
+#: backing array (shared, read-only), plus the positions of the batch's rows
+#: within those arrays, in output order (``None`` = the arrays are themselves
+#: aligned with the batch, e.g. a GRPBY output).
+Source = Tuple[Dict[str, Sequence[Any]], Optional[Sequence[int]]]
+
 #: What one access of a ``rand`` trace is charged against ``max_bytes``.
 TRACE_BYTES_PER_ACCESS = 32
 
 
 @dataclass
 class MemoEntry:
-    """Cached outcome of one scan/FILTER/SORT/join subtree execution."""
+    """Cached outcome of one scan/FILTER/SORT/join subtree execution.
 
-    #: ``"<alias>.<column>"`` -> backing value array (shared, read-only).
-    columns: Dict[str, Sequence[Any]]
-    #: Qualifying positions into the backing arrays, in output order; ``None``
-    #: for a materialized batch (join output), whose rows are ``length`` and
-    #: whose arrays are themselves aligned.
-    positions: Optional[Sequence[int]]
+    What an entry owns of the data is position vectors, never a column copy:
+    the output batch is rebuilt from ``sources`` on every hit, and the columns
+    a consuming plan reads are gathered into that plan's batch.
+    """
+
+    #: The output batch's sources, one per input table (see
+    #: :class:`repro.engine.executor.vectorized.Batch`).
+    sources: Tuple[Source, ...]
+    #: Row count of the output batch.
+    length: int
     #: Pool-independent metric increments, as (counter name, amount) pairs.
     #: ``sort_heap_high_water_mark`` is merged with ``max`` instead of ``+``.
     deltas: Tuple[Tuple[str, int], ...]
@@ -105,29 +115,28 @@ class MemoEntry:
     #: ``actual_cardinality`` for every subtree node below the root, in
     #: pre-order, so a hit can annotate operators it did not execute.
     child_cardinalities: Tuple[int, ...] = ()
-    #: Row count of a materialized batch (used only when ``positions`` is None).
-    length: int = 0
     #: Estimated payload bytes (filled on first ``ExecutionMemo.store``).
     nbytes: int = 0
 
     def estimated_bytes(self) -> int:
         """Estimated bytes this entry *owns*.
 
-        Scan/filter/sort entries share the table's backing columns with every
-        other entry over that table -- charging each the full column payload
-        would let one table's scans blow the whole byte budget -- so entries
-        with a ``positions`` vector are charged for the positions (ndarray
-        ``nbytes``, or a per-element estimate for lists) plus their traces
-        (:data:`TRACE_BYTES_PER_ACCESS` an access, shared or not).
-        Materialized join outputs (``positions is None``) own their gathered
-        column arrays and are charged for them in full.
+        Entries share a table's backing columns with every other entry over
+        that table -- charging each the full column payload would let one
+        table's scans blow the whole byte budget -- so an entry is charged for
+        its position vectors (ndarray ``nbytes``, or a per-element estimate
+        for lists), one per input table, plus its traces
+        (:data:`TRACE_BYTES_PER_ACCESS` an access, shared or not).  A source
+        without positions has arrays of the batch's own (no executor stores
+        one today) and is charged for them in full.
         """
         total = 256  # struct overhead: deltas, cardinalities, dict slot
-        if self.positions is not None:
-            total += nbytes_of(self.positions)
-        else:
-            for values in self.columns.values():
-                total += nbytes_of(values)
+        for columns, positions in self.sources:
+            if positions is not None:
+                total += nbytes_of(positions)
+            else:
+                for values in columns.values():
+                    total += nbytes_of(values)
         for trace in self.traces:
             if trace[0] == "rand":
                 total += TRACE_BYTES_PER_ACCESS * len(trace[2])
@@ -164,7 +173,7 @@ class ExecutionMemo:
     process must not grow the memo without bound.  ``max_bytes`` additionally
     bounds the *estimated payload bytes* of the result-entry cache (see
     :meth:`MemoEntry.estimated_bytes`): entry counts alone let a handful of
-    huge materialized join outputs outweigh thousands of scan entries.  An
+    huge join outputs outweigh thousands of scan entries.  An
     entry larger than the whole budget is simply not cached (storing it would
     evict everything else for one tenant).  Byte accounting is best-effort
     under the same lock-free concurrency rules as the entry cap.  Join

@@ -1,13 +1,14 @@
 """Vectorized batch executor.
 
-Operators exchange :class:`Batch` objects -- a mapping of qualified column
-names to backing value arrays plus a *position vector* selecting the live rows
--- instead of lists of per-row dicts.  Scans filter directly over the table's
-storage columns (zero-copy), predicates are compiled once per plan into
-column-wise closures (:func:`repro.engine.expressions.compile_predicate`),
-hash joins build key -> position maps from column arrays, and sort/group-by
-reorder position vectors with column-wise key extraction.  Result rows are
-only materialized as dicts once, at the plan root.
+Operators exchange :class:`Batch` objects -- per input table, its backing
+value arrays plus a *position vector* selecting the live rows -- instead of
+lists of per-row dicts.  Scans filter directly over the table's storage
+columns (zero-copy), predicates are compiled once per plan into column-wise
+closures (:func:`repro.engine.expressions.compile_predicate`), joins compose
+their inputs' position vectors and gather only the key columns they read,
+and sort/group-by reorder position vectors with column-wise key extraction.
+RETURN reduces the batch to the statement's select list; result rows are only
+materialized as dicts once, at the plan root.
 
 Equivalence contract
 --------------------
@@ -48,7 +49,7 @@ from repro.engine.executor.executor import (
     equi_join_keys,
     index_qualifying_row_ids,
 )
-from repro.engine.executor.memo import ExecutionMemo, MemoEntry
+from repro.engine.executor.memo import ExecutionMemo, MemoEntry, Source
 from repro.engine.executor.metrics import (
     ExecutionBudget,
     RuntimeMetrics,
@@ -64,46 +65,75 @@ from repro.obs.tracing import current_execution_span, execution_tracing
 
 
 class Batch:
-    """Columns plus a position vector: the unit of data flow between operators.
+    """Position vectors over backing columns: the unit of data flow.
 
-    ``columns`` maps ``"<alias>.<column>"`` to a full backing array.  When
-    ``sel`` is set, the batch's rows are ``columns[*][sel[0]], ...`` -- scans
-    and filters share the table's storage arrays and only narrow ``sel``.
-    When ``sel`` is ``None`` the arrays are themselves aligned (materialized
-    join / aggregate outputs).  Batches are immutable by convention: backing
-    arrays and position vectors are shared freely and must not be mutated.
+    ``sources`` holds one ``(columns, positions)`` pair per input table: a
+    scan's pair is the table's storage arrays and its qualifying row ids,
+    FILTER / SORT narrow or reorder the positions, and a join's output is
+    its inputs' pairs with each position vector taken at the join's picks --
+    no operator copies a column to pass it on (late materialization).
+    :meth:`column` gathers one column on its first read and keeps the array
+    for the life of this batch, so a column costs something only when an
+    operator reads it.  Batches are immutable by convention: backing arrays
+    and position vectors are shared freely and must not be mutated.
     """
 
-    __slots__ = ("columns", "sel", "length")
+    __slots__ = ("sources", "length", "_gathered")
 
-    def __init__(
-        self,
-        columns: Dict[str, Sequence[Any]],
-        sel: Optional[Sequence[int]] = None,
-        length: Optional[int] = None,
-    ):
-        self.columns = columns
-        self.sel = sel
-        if sel is not None:
-            self.length = len(sel)
-        elif length is not None:
-            self.length = length
-        else:
-            self.length = len(next(iter(columns.values()))) if columns else 0
+    def __init__(self, sources: Tuple[Source, ...], length: int):
+        self.sources = sources
+        self.length = length
+        self._gathered: Dict[str, Sequence[Any]] = {}
+
+    @classmethod
+    def over(cls, columns: Dict[str, Sequence[Any]], positions: Sequence[int]) -> "Batch":
+        """The rows of ``columns`` at ``positions`` (one table's scan)."""
+        return cls(((columns, positions),), len(positions))
 
     @classmethod
     def from_rows(cls, rows: List[Dict[str, Any]]) -> "Batch":
         if not rows:
-            return cls({}, None, 0)
+            return cls((), 0)
         columns: Dict[str, List[Any]] = {key: [] for key in rows[0]}
         for row in rows:
             for key, values in columns.items():
                 values.append(row.get(key))
-        return cls(columns, None, len(rows))
+        return cls(((columns, None),), len(rows))
 
-    def positions(self) -> Sequence[int]:
-        """Positions of the live rows within the backing arrays."""
-        return self.sel if self.sel is not None else range(self.length)
+    @classmethod
+    def joined(
+        cls,
+        outer: "Batch",
+        outer_picks: Sequence[int],
+        inner: "Batch",
+        inner_picks: Sequence[int],
+    ) -> "Batch":
+        """Join output: outer sources then inner sources (inner wins collisions)."""
+        return cls(
+            outer.sources_at(outer_picks) + inner.sources_at(inner_picks), len(outer_picks)
+        )
+
+    def sources_at(self, picks: Sequence[int]) -> Tuple[Source, ...]:
+        """``sources`` narrowed to the rows at batch-relative ``picks``."""
+        picks = as_index_array(picks)
+        return tuple(
+            (columns, picks if positions is None else as_index_array(positions)[picks])
+            for columns, positions in self.sources
+        )
+
+    def _source_of(self, key: str) -> Optional[Source]:
+        """The source carrying ``key`` (the last one: inner wins collisions)."""
+        for source in reversed(self.sources):
+            if key in source[0]:
+                return source
+        return None
+
+    def __contains__(self, key: str) -> bool:
+        return self._source_of(key) is not None
+
+    def keys(self) -> List[str]:
+        """Column keys in source order (a key two sources carry is listed once)."""
+        return list(dict.fromkeys(key for columns, _ in self.sources for key in columns))
 
     def column(self, key: str) -> Sequence[Any]:
         """Values of one column aligned with the batch (missing -> NULLs).
@@ -111,24 +141,41 @@ class Batch:
         Typed backing columns gather through ndarray fancy indexing (an
         ndarray comes back; numeric dtype implies null-free, ``object`` dtype
         embeds ``None``); everything else falls back to the element-wise
-        Python gather.
+        Python gather.  Gathered on the first read, kept for this batch.
         """
-        values = self.columns.get(key)
+        values = self._gathered.get(key)
         if values is None:
-            return [None] * self.length
-        if self.sel is None:
-            return values
-        return gather(values, self.sel)
+            source = self._source_of(key)
+            if source is None:
+                values = [None] * self.length
+            elif source[1] is None:
+                values = source[0][key]
+            else:
+                values = gather(source[0][key], source[1])
+            self._gathered[key] = values
+        return values
 
     def take(self, picks: Sequence[int]) -> "Batch":
         """A new batch holding the rows at batch-relative ``picks``."""
-        if self.sel is not None:
-            return Batch(self.columns, as_index_array(self.sel)[as_index_array(picks)])
-        return Batch(
-            {key: gather(values, picks) for key, values in self.columns.items()},
-            None,
-            len(picks),
-        )
+        return Batch(self.sources_at(picks), len(picks))
+
+    def project(self, keys: Sequence[str]) -> "Batch":
+        """The same rows reduced to ``keys``, in that order (a select list).
+
+        Nothing is gathered here -- a plan whose rows nobody reads pays
+        nothing for its select list -- and what this batch gathered already
+        is shared, the rows being the same.
+        """
+        sources: List[Source] = []
+        for key in keys:
+            source = self._source_of(key)
+            if source is None:
+                sources.append(({key: [None] * self.length}, None))
+            else:
+                sources.append(({key: source[0][key]}, source[1]))
+        projected = Batch(tuple(sources), self.length)
+        projected._gathered = self._gathered
+        return projected
 
     def to_rows(self) -> List[Dict[str, Any]]:
         """Materialize per-row dicts (same key order as the row engine).
@@ -137,35 +184,16 @@ class Batch:
         Python object (numpy scalars are converted), so result rows are
         type-identical to the row engine's and JSON-serializable.
         """
-        if not self.columns:
+        keys = self.keys()
+        if not keys:
             return [{} for _ in range(self.length)]
-        keys = list(self.columns)
-        gathered = [python_values(self.columns[key], self.sel) for key in keys]
+        gathered = [python_values(self.column(key)) for key in keys]
         return [dict(zip(keys, values)) for values in zip(*gathered)]
-
-
-def _gather_columns(batch: Batch, picks: Sequence[int]) -> Dict[str, Sequence[Any]]:
-    """Materialize every column of ``batch`` at batch-relative ``picks``."""
-    if batch.sel is not None:
-        picks = as_index_array(batch.sel)[as_index_array(picks)]
-    return {key: gather(values, picks) for key, values in batch.columns.items()}
 
 
 def _as_array(values: Sequence[Any]) -> Any:
     """``values`` as an ndarray (a plain list becomes an object array)."""
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-
-
-def _merge_batches(
-    outer: Batch,
-    outer_picks: Sequence[int],
-    inner: Batch,
-    inner_picks: Sequence[int],
-) -> Batch:
-    """Join output: outer columns then inner columns (inner wins collisions)."""
-    columns = _gather_columns(outer, outer_picks)
-    columns.update(_gather_columns(inner, inner_picks))
-    return Batch(columns, None, len(outer_picks))
 
 
 def _cross_picks(outer_count: int, inner_count: int) -> Tuple[Sequence[int], Sequence[int]]:
@@ -348,7 +376,7 @@ class VectorizedExecutor:
         self.catalog = catalog
         self.config = config or catalog.config
         self._handlers: Dict[PopType, Callable] = {
-            PopType.RETURN: self._execute_passthrough,
+            PopType.RETURN: self._execute_return,
             PopType.FILTER: self._execute_filter,
             PopType.SORT: self._execute_sort,
             PopType.GRPBY: self._execute_group_by,
@@ -573,14 +601,7 @@ class VectorizedExecutor:
             )
         return None
 
-    @staticmethod
-    def _entry_batch(entry: MemoEntry) -> Batch:
-        """Rebuild the output batch a memo entry recorded."""
-        if entry.positions is None:
-            return Batch(entry.columns, None, entry.length)
-        return Batch(entry.columns, entry.positions)
-
-    def _join_memo_hit(
+    def _memo_hit(
         self,
         key,
         node: PlanNode,
@@ -588,7 +609,11 @@ class VectorizedExecutor:
         pool: BufferPool,
         memo: Optional[ExecutionMemo],
     ) -> Optional[Batch]:
-        """Replay a memoized join subtree (None = miss, execute cold)."""
+        """Replay a memoized subtree (None = miss, execute cold).
+
+        The batch is built anew over the entry's position vectors, so what a
+        consuming plan gathers lives with that plan's batch, not in the memo.
+        """
         if key is None:
             return None
         entry = memo.lookup(key)
@@ -596,7 +621,7 @@ class VectorizedExecutor:
             return None
         entry.replay(metrics, pool)
         self._annotate_subtree(node, entry)
-        return self._entry_batch(entry)
+        return Batch(entry.sources, entry.length)
 
     def _store_join_entry(
         self,
@@ -612,9 +637,9 @@ class VectorizedExecutor:
         A join entry is compositional: its deltas and page-access trace are
         the outer child's, then the inner child's, then the join's own -- the
         exact cold execution order -- so a hit replays the whole subtree's
-        charges through the consuming plan's own cold buffer pool.  Entries
-        are self-contained copies (no references to the child entries), so a
-        later eviction of a child never corrupts the join entry.
+        charges through the consuming plan's own cold buffer pool.  What it
+        owns of the data is one position vector per input table; it refers to
+        no child entry, so a later eviction of a child never corrupts it.
         """
         if memo is None or key is None:
             return
@@ -632,17 +657,32 @@ class VectorizedExecutor:
                 return
             inner_deltas = inner_entry.deltas
             inner_traces = inner_entry.traces
-        memo.store(
+        self._store(
+            memo,
             key,
-            MemoEntry(
-                columns=result.columns,
-                positions=result.sel,
-                length=result.length,
-                deltas=outer_entry.deltas + inner_deltas + tuple(own_deltas),
-                traces=outer_entry.traces + inner_traces + tuple(own_traces),
-                child_cardinalities=self._subtree_cardinalities(node),
-            ),
+            node,
+            result,
+            outer_entry.deltas + inner_deltas + tuple(own_deltas),
+            outer_entry.traces + inner_traces + tuple(own_traces),
         )
+
+    def _store(
+        self, memo: ExecutionMemo, key, node: PlanNode, batch: Batch, deltas, traces
+    ) -> None:
+        """Store ``node``'s finished subtree: its output's position vectors
+        and the cold charges a hit replays."""
+        cardinalities = self._subtree_cardinalities(node)
+        memo.store(key, MemoEntry(batch.sources, batch.length, deltas, traces, cardinalities))
+
+    def _store_over_child(
+        self, memo: Optional[ExecutionMemo], key, node: PlanNode, batch: Batch, own_deltas
+    ) -> None:
+        """Store a FILTER / SORT: its child's charges, then its own."""
+        child_entry = memo.peek(key[1]) if key is not None else None
+        if child_entry is not None:
+            self._store(
+                memo, key, node, batch, child_entry.deltas + own_deltas, child_entry.traces
+            )
 
     @staticmethod
     def _annotate_subtree(node: PlanNode, entry: MemoEntry) -> None:
@@ -687,32 +727,22 @@ class VectorizedExecutor:
         # _memo_key maps an index-less IXSCAN to the same "TB" key this
         # handler serves via the fallback path, so the shapes always agree.
         key = self._memo_key(node) if memo is not None else None
-        if key is not None:
-            entry = memo.lookup(key)
-            if entry is not None:
-                entry.replay(metrics, pool)
-                return Batch(entry.columns, entry.positions)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
+        if hit is not None:
+            return hit
         page_count = data.page_count
         row_count = data.row_count
         metrics.sequential_pages += page_count
         pool.access_sequential(table, 0, page_count)
         metrics.rows_processed += row_count
         columns = self._qualified_columns(data, alias)
-        positions = filter_positions(node.predicates, columns, range(row_count))
+        batch = Batch.over(
+            columns, filter_positions(node.predicates, columns, range(row_count))
+        )
         if key is not None:
-            memo.store(
-                key,
-                MemoEntry(
-                    columns=columns,
-                    positions=positions,
-                    deltas=(
-                        ("sequential_pages", page_count),
-                        ("rows_processed", row_count),
-                    ),
-                    traces=(("seq", table, 0, page_count),),
-                ),
-            )
-        return Batch(columns, positions)
+            deltas = (("sequential_pages", page_count), ("rows_processed", row_count))
+            self._store(memo, key, node, batch, deltas, (("seq", table, 0, page_count),))
+        return batch
 
     def _execute_index_scan(
         self,
@@ -728,11 +758,9 @@ class VectorizedExecutor:
             return self._execute_table_scan(node, metrics, pool, memo)
         table = node.table or ""
         key = self._memo_key(node) if memo is not None else None
-        if key is not None:
-            entry = memo.lookup(key)
-            if entry is not None:
-                entry.replay(metrics, pool)
-                return Batch(entry.columns, entry.positions)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
+        if hit is not None:
+            return hit
 
         row_ids = index_qualifying_row_ids(node, index_data, alias)
         count = len(row_ids)
@@ -741,18 +769,11 @@ class VectorizedExecutor:
         trace = PageTrace(row_ids // self._rows_per_page(data))
         metrics.random_pages += pool.access_many(table, trace)
         columns = self._qualified_columns(data, alias)
-        positions = filter_positions(node.predicates, columns, row_ids)
+        batch = Batch.over(columns, filter_positions(node.predicates, columns, row_ids))
         if key is not None:
-            memo.store(
-                key,
-                MemoEntry(
-                    columns=columns,
-                    positions=positions,
-                    deltas=(("rows_processed", count), ("index_lookups", count)),
-                    traces=(("rand", table, trace),),
-                ),
-            )
-        return Batch(columns, positions)
+            deltas = (("rows_processed", count), ("index_lookups", count))
+            self._store(memo, key, node, batch, deltas, (("rand", table, trace),))
+        return batch
 
     def _column_of(
         self,
@@ -788,7 +809,7 @@ class VectorizedExecutor:
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
         key = self._memo_key(node) if memo is not None else None
-        hit = self._join_memo_hit(key, node, metrics, pool, memo)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
         outer_batch = self._execute_node(node.outer, metrics, pool, memo)
@@ -813,7 +834,7 @@ class VectorizedExecutor:
             metrics.cpu_operations += cross_cpu
             own_deltas.append(("cpu_operations", cross_cpu))
             outer_picks, inner_picks = _cross_picks(outer_batch.length, inner_batch.length)
-            result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+            result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
             self._store_join_entry(memo, key, node, result, own_deltas)
             return result
 
@@ -842,7 +863,7 @@ class VectorizedExecutor:
                 metrics.bloom_filtered_rows += bloomed
                 own_deltas.append(("hash_probe_rows", probed))
                 own_deltas.append(("bloom_filtered_rows", bloomed))
-                result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+                result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
                 self._store_join_entry(memo, key, node, result, own_deltas)
                 return result
 
@@ -891,7 +912,7 @@ class VectorizedExecutor:
         metrics.bloom_filtered_rows += bloomed
         own_deltas.append(("hash_probe_rows", probed))
         own_deltas.append(("bloom_filtered_rows", bloomed))
-        result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+        result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
         self._store_join_entry(memo, key, node, result, own_deltas)
         return result
 
@@ -1028,10 +1049,10 @@ class VectorizedExecutor:
         outer_batch: Batch, inner_batch: Batch, column_key: str
     ) -> Callable[[int, int], Any]:
         """Value lookup over the merged row (inner side wins key collisions)."""
-        if column_key in inner_batch.columns:
+        if column_key in inner_batch:
             values = inner_batch.column(column_key)
             return lambda op, ip: values[ip]
-        if column_key in outer_batch.columns:
+        if column_key in outer_batch:
             values = outer_batch.column(column_key)
             return lambda op, ip: values[op]
         return lambda op, ip: None
@@ -1045,7 +1066,7 @@ class VectorizedExecutor:
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
         key = self._memo_key(node) if memo is not None else None
-        hit = self._join_memo_hit(key, node, metrics, pool, memo)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
         outer_batch = self._execute_node(node.outer, metrics, pool, memo)
@@ -1075,7 +1096,7 @@ class VectorizedExecutor:
                 order_outer, vector_outer, order_inner, vector_inner
             )
             metrics.cpu_operations += cpu
-            result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+            result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
             self._store_join_entry(memo, key, node, result, [("cpu_operations", cpu)])
             return result
 
@@ -1131,7 +1152,7 @@ class VectorizedExecutor:
                 block_outer += 1
                 block_inner += 1
         metrics.cpu_operations += cpu
-        result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+        result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
         self._store_join_entry(memo, key, node, result, [("cpu_operations", cpu)])
         return result
 
@@ -1144,7 +1165,7 @@ class VectorizedExecutor:
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
         key = self._memo_key(node) if memo is not None else None
-        hit = self._join_memo_hit(key, node, metrics, pool, memo)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
         outer_batch = self._execute_node(node.outer, metrics, pool, memo)
@@ -1212,7 +1233,7 @@ class VectorizedExecutor:
                             inner_picks.append(ip)
         else:
             outer_picks, inner_picks = _cross_picks(outer_batch.length, inner_batch.length)
-        result = _merge_batches(outer_batch, outer_picks, inner_batch, inner_picks)
+        result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
         self._store_join_entry(memo, key, node, result, [("cpu_operations", rescan_cpu)])
         return result
 
@@ -1323,7 +1344,7 @@ class VectorizedExecutor:
             """One column of the candidate rows (inner side wins collisions)."""
             if column_key in inner_columns:
                 return _as_array(gather(inner_columns[column_key], row_ids))
-            if column_key in outer_batch.columns:
+            if column_key in outer_batch:
                 return _as_array(gather(outer_batch.column(column_key), outer_picks))
             return np.full(processed, None, dtype=object)
 
@@ -1336,10 +1357,10 @@ class VectorizedExecutor:
         inner_row_ids = row_ids[keep]
         inner_node.actual_cardinality = len(inner_row_ids)
 
-        columns = _gather_columns(outer_batch, outer_picks)
-        for key_name, values in inner_columns.items():
-            columns[key_name] = gather(values, inner_row_ids)
-        result = Batch(columns, None, len(outer_picks))
+        result = Batch(
+            outer_batch.sources_at(outer_picks) + ((inner_columns, inner_row_ids),),
+            len(inner_row_ids),
+        )
         self._store_join_entry(
             memo,
             memo_key,
@@ -1352,7 +1373,7 @@ class VectorizedExecutor:
 
     # -- other operators ---------------------------------------------------------
 
-    def _execute_passthrough(
+    def _execute_return(
         self,
         node: PlanNode,
         metrics: RuntimeMetrics,
@@ -1360,8 +1381,10 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         if not node.inputs:
-            return Batch({}, None, 0)
-        return self._execute_node(node.inputs[0], metrics, pool, memo)
+            return Batch((), 0)
+        batch = self._execute_node(node.inputs[0], metrics, pool, memo)
+        output = node.properties.get("output")
+        return batch if output is None else batch.project(output)
 
     def _execute_filter(
         self,
@@ -1371,32 +1394,24 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         key = self._memo_key(node) if memo is not None else None
-        if key is not None:
-            entry = memo.lookup(key)
-            if entry is not None:
-                entry.replay(metrics, pool)
-                self._annotate_subtree(node, entry)
-                return Batch(entry.columns, entry.positions)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
+        if hit is not None:
+            return hit
         child_batch = self._execute_node(node.inputs[0], metrics, pool, memo)
         metrics.cpu_operations += child_batch.length
-        positions = filter_positions(
-            node.predicates, child_batch.columns, child_batch.positions()
+        # Only the columns the predicates read are gathered.
+        columns = {
+            ref.key: child_batch.column(ref.key)
+            for predicate in node.predicates
+            for ref in predicate.referenced_columns()
+        }
+        result = child_batch.take(
+            filter_positions(node.predicates, columns, range(child_batch.length))
         )
-        if key is not None:
-            child_entry = memo.peek(key[1])
-            if child_entry is not None:
-                memo.store(
-                    key,
-                    MemoEntry(
-                        columns=child_batch.columns,
-                        positions=positions,
-                        deltas=child_entry.deltas
-                        + (("cpu_operations", child_batch.length),),
-                        traces=child_entry.traces,
-                        child_cardinalities=self._subtree_cardinalities(node),
-                    ),
-                )
-        return Batch(child_batch.columns, positions)
+        self._store_over_child(
+            memo, key, node, result, (("cpu_operations", child_batch.length),)
+        )
+        return result
 
     def _execute_sort(
         self,
@@ -1406,12 +1421,9 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         key = self._memo_key(node) if memo is not None else None
-        if key is not None:
-            entry = memo.lookup(key)
-            if entry is not None:
-                entry.replay(metrics, pool)
-                self._annotate_subtree(node, entry)
-                return Batch(entry.columns, entry.positions)
+        hit = self._memo_hit(key, node, metrics, pool, memo)
+        if hit is not None:
+            return hit
         child_batch = self._execute_node(node.inputs[0], metrics, pool, memo)
         length = child_batch.length
         metrics.sort_rows += length
@@ -1436,25 +1448,10 @@ class VectorizedExecutor:
                     range(length), key=lambda p: (values[p] is None, values[p] or 0)
                 )
             result = child_batch.take(order)
-        if key is not None:
-            child_entry = memo.peek(key[1])
-            if child_entry is not None:
-                deltas = child_entry.deltas + (
-                    ("sort_rows", length),
-                    ("sort_heap_high_water_mark", pages),
-                )
-                if spilled:
-                    deltas += (("spill_pages", spilled),)
-                memo.store(
-                    key,
-                    MemoEntry(
-                        columns=result.columns,
-                        positions=result.positions(),
-                        deltas=deltas,
-                        traces=child_entry.traces,
-                        child_cardinalities=self._subtree_cardinalities(node),
-                    ),
-                )
+        deltas = (("sort_rows", length), ("sort_heap_high_water_mark", pages))
+        if spilled:
+            deltas += (("spill_pages", spilled),)
+        self._store_over_child(memo, key, node, result, deltas)
         return result
 
     def _execute_group_by(
@@ -1464,7 +1461,8 @@ class VectorizedExecutor:
         pool: BufferPool,
         memo: Optional[ExecutionMemo],
     ) -> Batch:
-        child_batch = self._execute_node(node.inputs[0], metrics, pool, memo)
+        child = node.inputs[0]
+        child_batch = self._execute_node(child, metrics, pool, memo)
         length = child_batch.length
         metrics.cpu_operations += length
         keys: Tuple[ColumnRef, ...] = tuple(node.properties.get("group_by") or ())
@@ -1472,7 +1470,7 @@ class VectorizedExecutor:
 
         if length:
             for aggregate, column in aggregates:
-                if column is not None and column.key not in child_batch.columns:
+                if column is not None and column.key not in child_batch:
                     raise PlanError(
                         f"aggregate {aggregate}({column.key}) references a column "
                         f"missing from the grouped input"
@@ -1482,9 +1480,17 @@ class VectorizedExecutor:
             if out_rows is not None:
                 return Batch.from_rows(out_rows)
 
+        # The loop oracle.  Keys and aggregate inputs flow into result-row
+        # dicts, which must be type-identical to the row engine's (and
+        # serializable): numpy scalars are converted per column, not per row.
+        # A missing *key* column reads as NULLs, as the row engine's
+        # ``row.get`` does; a missing aggregate column was rejected above.
         groups: Dict[Tuple, List[int]] = {}
         if keys:
-            key_columns = [self._python_column(child_batch, key.key) for key in keys]
+            key_columns = [
+                python_values(self._column_of(child_batch, child, key.key, memo))
+                for key in keys
+            ]
             if len(key_columns) == 1:
                 column = key_columns[0]
                 for position in range(length):
@@ -1501,7 +1507,9 @@ class VectorizedExecutor:
             (
                 aggregate,
                 column,
-                self._python_column(child_batch, column.key) if column is not None else None,
+                python_values(self._column_of(child_batch, child, column.key, memo))
+                if column is not None
+                else None,
             )
             for aggregate, column in aggregates
         ]
@@ -1716,22 +1724,6 @@ class VectorizedExecutor:
             self._aggregate_values(aggregate, column, pyvals, order[start:stop])
             for start, stop in zip(starts.tolist(), stops.tolist())
         ]
-
-    @staticmethod
-    def _python_column(batch: Batch, key: str) -> List[Any]:
-        """One batch column as plain Python values (representation boundary).
-
-        Group-by keys and aggregate inputs flow into result-row dicts, which
-        must be type-identical to the row engine's output (and serializable),
-        so numpy scalars are converted here rather than per emitted row.
-        Missing *key* columns yield NULLs, matching the row engine's
-        ``row.get``; missing *aggregate* columns are rejected upfront in
-        :meth:`_execute_group_by` (both engines raise ``PlanError``).
-        """
-        values = batch.columns.get(key)
-        if values is None:
-            return [None] * batch.length
-        return python_values(values, batch.sel)
 
     @staticmethod
     def _aggregate_values(

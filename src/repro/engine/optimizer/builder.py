@@ -465,7 +465,9 @@ class PlanBuilder:
     # ------------------------------------------------------------------
 
     def finish_plan(self, node: PlanNode) -> PlanNode:
-        """Add GRPBY / SORT operators required by the query on top of ``node``."""
+        """The plan top over join tree ``node``: the GRPBY / SORT operators the
+        query requires under a RETURN that emits the statement's select list
+        (``SELECT *`` and aggregates emit whatever reaches RETURN)."""
         result = node
         if self.query.has_aggregation:
             keys = tuple(self.query.group_by)
@@ -491,4 +493,14 @@ class PlanBuilder:
                 )
                 sort_node.properties["sorted_on"] = key
                 result = sort_node
-        return result
+        root = PlanNode(
+            pop_type=PopType.RETURN,
+            inputs=[result],
+            estimated_cardinality=result.estimated_cardinality,
+            estimated_cost=result.estimated_cost,
+        )
+        if not (self.query.select_star or self.query.has_aggregation):
+            root.properties["output"] = tuple(
+                item.column.key for item in self.query.select_items
+            )
+        return root

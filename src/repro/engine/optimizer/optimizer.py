@@ -23,7 +23,7 @@ from repro.engine.optimizer.guidelines import (
 )
 from repro.engine.optimizer.joinenum import JoinEnumerator
 from repro.engine.optimizer.rewrite import rewrite_query
-from repro.engine.plan.physical import PlanNode, PopType, Qgm
+from repro.engine.plan.physical import PlanNode, Qgm
 from repro.engine.sql.binder import BoundQuery, bind
 from repro.engine.sql.parser import parse_select
 
@@ -45,16 +45,6 @@ class Optimizer:
     def bind_sql(self, sql: str) -> BoundQuery:
         """Parse and bind a SQL string against the catalog."""
         return bind(parse_select(sql), self.catalog, sql)
-
-    def optimize_sql(
-        self,
-        sql: str,
-        guidelines: Union[GuidelineDocument, str, None] = None,
-        query_name: str = "",
-    ) -> Qgm:
-        """Parse, bind and optimize ``sql``; ``guidelines`` may be XML text."""
-        query = self.bind_sql(sql)
-        return self.optimize(query, guidelines=guidelines, query_name=query_name)
 
     def optimize(
         self,
@@ -83,11 +73,6 @@ class Optimizer:
             builder, rewritten, consider_bloom_filters=self.consider_bloom_filters
         )
         join_tree = enumerator.enumerate(forced_fragments)
-        top = builder.finish_plan(join_tree)
-        root = PlanNode(
-            pop_type=PopType.RETURN,
-            inputs=[top],
-            estimated_cardinality=top.estimated_cardinality,
-            estimated_cost=top.estimated_cost,
+        return Qgm(
+            builder.finish_plan(join_tree), sql=query.sql, query_name=query_name, query=query
         )
-        return Qgm(root, sql=query.sql, query_name=query_name)

@@ -63,14 +63,7 @@ class RandomPlanGenerator:
                 tree = self._random_join_tree(builder, access_paths, rng)
             except PlanError:
                 continue
-            top = builder.finish_plan(tree)
-            root = PlanNode(
-                pop_type=PopType.RETURN,
-                inputs=[top],
-                estimated_cardinality=top.estimated_cardinality,
-                estimated_cost=top.estimated_cost,
-            )
-            qgm = Qgm(root, sql=query.sql, query_name=query_name)
+            qgm = Qgm(builder.finish_plan(tree), sql=query.sql, query_name=query_name)
             signature = _plan_signature(qgm)
             if signature in signatures:
                 continue

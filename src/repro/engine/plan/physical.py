@@ -12,10 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.expressions import ColumnRef, Comparison, Predicate
 from repro.errors import PlanError
+
+if TYPE_CHECKING:
+    from repro.engine.sql.binder import BoundQuery
 
 
 class PopType(Enum):
@@ -116,9 +119,13 @@ class PlanNode:
 
     def walk(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
-        yield self
-        for child in self.inputs:
-            yield from child.walk()
+        # An explicit stack: nested generators cost one frame per level for
+        # every node yielded, and everything that lists a plan sits on this.
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.inputs))
 
     def scans(self) -> List["PlanNode"]:
         return [node for node in self.walk() if node.is_scan]
@@ -176,9 +183,21 @@ class PlanNode:
 
 
 class Qgm:
-    """A complete query execution plan: a RETURN-rooted LOLEPOP tree."""
+    """A complete query execution plan: a RETURN-rooted LOLEPOP tree.
 
-    def __init__(self, root: PlanNode, sql: str = "", query_name: str = ""):
+    ``query`` is the bound statement the optimizer planned this for (None for
+    a plan built some other way): re-planning the statement under guidelines
+    passes it back to :meth:`repro.engine.database.Database.explain`, so a
+    request is parsed and bound once.
+    """
+
+    def __init__(
+        self,
+        root: PlanNode,
+        sql: str = "",
+        query_name: str = "",
+        query: Optional["BoundQuery"] = None,
+    ):
         if root.pop_type is not PopType.RETURN:
             root = PlanNode(pop_type=PopType.RETURN, inputs=[root],
                             estimated_cardinality=root.estimated_cardinality,
@@ -186,6 +205,7 @@ class Qgm:
         self.root = root
         self.sql = sql
         self.query_name = query_name
+        self.query = query
         self.assign_operator_ids()
 
     # -- numbering -------------------------------------------------------------
@@ -228,7 +248,9 @@ class Qgm:
         return self.root.estimated_cardinality
 
     def copy(self) -> "Qgm":
-        return Qgm(self.root.copy(), sql=self.sql, query_name=self.query_name)
+        return Qgm(
+            self.root.copy(), sql=self.sql, query_name=self.query_name, query=self.query
+        )
 
     def shape_signature(self) -> str:
         return self.root.shape_signature()

@@ -88,6 +88,9 @@ class ServiceResponse:
     query_name: str
     sql: str
     status: str
+    #: One dict per result row, keyed ``"<ALIAS>.<column>"`` in select-list
+    #: order; ``SELECT *`` carries every column of the joined tables in plan
+    #: order, an aggregate its group keys then ``"SUM(<ALIAS>.<column>)"``...
     rows: List[dict] = field(default_factory=list)
     elapsed_ms: float = 0.0
     wall_ms: float = 0.0

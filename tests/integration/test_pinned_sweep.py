@@ -10,6 +10,12 @@ executors produced for the winning and the optimizer's plan.  An engine
 change that moves any plan's simulated time by one bit anywhere it matters
 moves the digest.  A PR that means to change what is learned re-records it
 and says so.
+
+The same round is the memory gate.  What the workload memo holds after it is
+counted by the program, not measured on the host, and repeats exactly: a
+change that goes back to storing column copies in join entries fills the
+memo's byte budget and evicts (134 194 032 bytes, 342 evictions at 3fe9f60)
+and fails here, before any benchmark runs.
 """
 
 import hashlib
@@ -24,6 +30,12 @@ pytestmark = pytest.mark.slow
 #: Recorded at 5ee9601 (PR 20's re-anchor), unchanged by the array index.
 LEARNED_TEMPLATES = 43
 LEARNED_SHA256 = "bd22d419d940a7c0f41d9e376d5a9d4d691f40c219664155f778f4a141308145"
+
+#: Recorded with join entries owning position vectors only: 78 487 712
+#: estimated bytes (16.1 MB of positions, the rest trace accounting) and no
+#: eviction.  Bounds, not values: a change may shrink either.
+MEMO_ENTRY_BYTES_BOUND = 90_000_000
+MEMO_BYTE_EVICTIONS_BOUND = 0
 
 
 def test_pinned_sweep_learns_the_recorded_templates():
@@ -41,3 +53,6 @@ def test_pinned_sweep_learns_the_recorded_templates():
     )
     assert len(learned) == LEARNED_TEMPLATES
     assert hashlib.sha256(repr(learned).encode()).hexdigest() == LEARNED_SHA256
+    memo = population.database.workload_memo().stats()
+    assert memo["entry_bytes"] <= MEMO_ENTRY_BYTES_BOUND
+    assert memo["byte_evictions"] <= MEMO_BYTE_EVICTIONS_BOUND

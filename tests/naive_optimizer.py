@@ -130,13 +130,7 @@ def naive_optimize(database, query, guidelines=None, consider_bloom_filters=Fals
     enumerator = NaiveEnumerator(
         builder, rewritten, consider_bloom_filters=consider_bloom_filters
     )
-    top = builder.finish_plan(enumerator.enumerate(forced_fragments))
-    root = PlanNode(
-        pop_type=PopType.RETURN,
-        inputs=[top],
-        estimated_cardinality=top.estimated_cardinality,
-        estimated_cost=top.estimated_cost,
-    )
+    root = builder.finish_plan(enumerator.enumerate(forced_fragments))
     return Qgm(root, sql=query.sql)
 
 

@@ -173,7 +173,7 @@ class TestColumnVector:
         assert with_null.dtype == object and with_null.tolist() == [1, None]
 
     def test_python_values_yields_plain_scalars(self):
-        out = python_values(np.array([1, 2, 3]), [2, 0])
+        out = python_values(gather(np.array([1, 2, 3]), [2, 0]))
         assert out == [3, 1] and all(type(v) is int for v in out)
 
 
@@ -350,13 +350,12 @@ class TestIndexRangeBackends:
 
 
 def make_entry(row_count: int) -> MemoEntry:
-    """A materialized entry owning ~32 bytes per row (list estimate)."""
+    """An entry owning a position vector of ~32 bytes per row (list estimate)."""
     return MemoEntry(
-        columns={"t.a": list(range(row_count))},
-        positions=None,
+        sources=(({}, list(range(row_count))),),
+        length=row_count,
         deltas=(),
         traces=(),
-        length=row_count,
     )
 
 
@@ -372,15 +371,16 @@ class TestMemoByteBudget:
     def test_shared_backing_columns_are_not_charged(self):
         shared = list(range(100_000))
         scan_entry = MemoEntry(
-            columns={"t.a": shared},
-            positions=list(range(50)),
+            sources=(({"t.a": shared}, list(range(50))),),
+            length=50,
             deltas=(),
             traces=(),
         )
-        materialized = MemoEntry(
-            columns={"t.a": shared}, positions=None, deltas=(), traces=(), length=100_000
+        # A source without positions has arrays of its own: charged in full.
+        owning = MemoEntry(
+            sources=(({"t.a": shared}, None),), length=100_000, deltas=(), traces=()
         )
-        assert scan_entry.estimated_bytes() < materialized.estimated_bytes()
+        assert scan_entry.estimated_bytes() < owning.estimated_bytes()
         assert scan_entry.estimated_bytes() < 16_384
 
     def test_byte_budget_evicts_fifo(self):

@@ -244,6 +244,47 @@ class TestGL002HotPathLoops:
         assert rule_ids(report) == ["GL002"]
         assert "collect_column_statistics" in report.findings[0].message
 
+    VECTORIZED = "repro/engine/executor/vectorized.py"
+
+    def test_fires_on_an_operator_gathering_every_column(self, tmp_path):
+        """The two forms the join outputs were built from before batches
+        carried positions -- in a declared per-row oracle function too."""
+        report = lint(
+            tmp_path,
+            {self.VECTORIZED: """
+                def _gather_columns(batch, picks):
+                    return {key: gather(values, picks) for key, values in batch.columns.items()}
+
+                class VectorizedExecutor:
+                    def _execute_hash_join(self, outer_batch, inner_columns, inner_row_ids):
+                        columns = {}
+                        for key_name, values in inner_columns.items():
+                            columns[key_name] = gather(values, inner_row_ids)
+                        return columns
+            """},
+            [HotPathLoopRule()],
+        )
+        assert rule_ids(report) == ["GL002", "GL002"]
+        assert all("every column of a batch" in f.message for f in report.findings)
+
+    def test_clean_twin_batch_itself_and_loops_that_copy_nothing(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {self.VECTORIZED: """
+                class Batch:
+                    def to_rows(self):
+                        return [python_values(self.column(key)) for key in self.sources]
+
+                def _qualified_columns(data, prefix):
+                    return {prefix + name: values for name, values in data.items()}
+
+                def _key_column(batch, key, picks):
+                    return gather(batch.column(key), picks)
+            """},
+            [HotPathLoopRule()],
+        )
+        assert report.findings == []
+
     def test_dead_allowlist_entry_detected(self, tmp_path):
         """With all kernel files present, unmatched allowlist entries fail."""
         stub = "def only_function():\n    return 0\n"

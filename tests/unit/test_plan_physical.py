@@ -97,6 +97,49 @@ class TestPlanNodeBasics:
         assert group_by(base, (), ()).pop_type is PopType.GRPBY
 
 
+def recursive_walk(node):
+    """Pre-order as the nested generators listed it: the node, then each
+    input's subtree in input order."""
+    yield node
+    for child in node.inputs:
+        yield from recursive_walk(child)
+
+
+class TestWalkOrder:
+    SQL = (
+        "SELECT i_category, o_state, COUNT(*) FROM sales, item, date_dim, outlet "
+        "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk AND s_outlet_sk = o_outlet_sk "
+        "AND i_category = 'Music' GROUP BY i_category, o_state ORDER BY o_state"
+    )
+
+    def test_walk_yields_the_recursive_pre_order(self, mini_db):
+        """Bushy and deep trees alike, from every node of each plan."""
+        plans = [mini_db.explain(self.SQL)] + mini_db.random_plans(self.SQL, 12)
+        shapes = set()
+        for qgm in plans:
+            shapes.add(qgm.shape_signature())
+            for start in recursive_walk(qgm.root):
+                walked = list(start.walk())
+                assert len(walked) == len(list(recursive_walk(start)))
+                assert all(a is b for a, b in zip(walked, recursive_walk(start)))
+            # What sits on walk(): operator ids, scans and aliases in plan order.
+            assert [node.operator_id for node in qgm.nodes()] == list(
+                range(1, len(qgm.nodes()) + 1)
+            )
+            assert qgm.aliases() == [
+                node.table_alias for node in recursive_walk(qgm.root) if node.is_scan
+            ]
+        assert len(shapes) > 6
+
+    def test_walk_of_a_leaf_and_of_a_unary_chain(self):
+        leaf = table_scan("SALES", "S")
+        assert list(leaf.walk()) == [leaf]
+        top = sort(filter_node(leaf, ()), ColumnRef("S", "s_price"))
+        assert [node.pop_type for node in top.walk()] == [
+            PopType.SORT, PopType.FILTER, PopType.TBSCAN,
+        ]
+
+
 class TestQgm:
     def test_return_wrapping_and_ids(self):
         qgm = Qgm(small_plan(), sql="SELECT 1", query_name="test")

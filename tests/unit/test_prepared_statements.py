@@ -12,6 +12,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.prepared import PreparedStatements
 from repro.core.matching.segmenter import segment_plan
@@ -90,6 +92,62 @@ class TestEqualsUncachedSteer:
         galo.matching_engine.prepared.clear()
         assert len(galo.matching_engine.prepared) == 0
         assert assert_lane_equals_oracle(galo) == ["miss"] * len(WORKLOAD)
+
+
+class TestBindOncePerRequest:
+    """A request's statement is parsed and bound once, however many of its
+    plans miss the explain cache: the steered re-plan is handed the bound
+    query the baseline plan was built from."""
+
+    @staticmethod
+    def binds_of(galo, call):
+        """``bind_sql`` calls per workload statement, explain cache emptied first."""
+        optimizer = galo.database.optimizer
+        bind_sql = optimizer.bind_sql
+        counts = []
+        for name, sql in WORKLOAD:
+            galo.database.runstats("ITEM")  # cached plans go
+            seen = []
+            optimizer.bind_sql = lambda text: seen.append(text) or bind_sql(text)
+            try:
+                decision = call(sql, query_name=name)
+            finally:
+                del optimizer.bind_sql
+            counts.append((decision.steered, len(seen)))
+        return counts
+
+    def test_steer_and_the_prepared_miss_path(self):
+        galo = build_system()
+        engine = galo.matching_engine
+        for call in (engine.steer, engine.steer_prepared):
+            counts = self.binds_of(galo, call)
+            assert any(steered for steered, _ in counts)
+            assert [binds for _, binds in counts] == [1] * len(WORKLOAD)
+
+    def test_a_cached_baseline_lends_its_bound_query_to_the_steered_miss(self):
+        galo = build_system()
+        engine, database = galo.matching_engine, galo.database
+        name, sql = next(
+            (name, sql) for name, sql in WORKLOAD if engine.steer(sql, query_name=name).steered
+        )
+        database.runstats("ITEM")
+        baseline = database.explain(sql, query_name=name)
+        assert baseline.query is database.explain(sql).query is not None  # a hit
+        optimizer = database.optimizer
+        optimizer.bind_sql = lambda text: pytest.fail("bound again")
+        try:
+            decision = engine.steer(sql, query_name=name)
+        finally:
+            del optimizer.bind_sql
+        assert decision.steered and decision.qgm.query is baseline.query
+
+    def test_explain_of_text_alone_still_binds(self):
+        galo = build_system()
+        name, sql = WORKLOAD[0]
+        galo.database.runstats("ITEM")
+        assert plan_rows(galo.database.explain(sql)) == plan_rows(
+            galo.database.explain(sql, bound=galo.database.bind(sql))
+        )
 
 
 class TestInvalidation:
@@ -514,26 +572,26 @@ class TestConcurrentMutation:
         name, sql = WORKLOAD[0]
         # Seeding the knowledge base explained the statement: start uncached.
         database.runstats("ITEM")
-        optimize_sql = database.optimizer.optimize_sql
+        optimize = database.optimizer.optimize
         moved = []
 
         def optimize_then_refresh_statistics(*args, **kwargs):
-            qgm = optimize_sql(*args, **kwargs)
+            qgm = optimize(*args, **kwargs)
             if not moved:
                 moved.append(database.stats_epoch)
                 reinsert_sales(database, count=400)
                 database.runstats("SALES")
             return qgm
 
-        database.optimizer.optimize_sql = optimize_then_refresh_statistics
+        database.optimizer.optimize = optimize_then_refresh_statistics
         try:
             stale = database.explain(sql, query_name=name)
         finally:
-            del database.optimizer.optimize_sql
+            del database.optimizer.optimize
         assert moved and database.stats_epoch > moved[0]
         hits = database.explain_cache_hits
         served = database.explain(sql, query_name=name)
-        fresh = optimize_sql(sql, query_name=name)
+        fresh = database.optimizer.optimize(database.bind(sql), query_name=name)
         # Nothing computed before the invalidation answers after it.
         assert database.explain_cache_hits == hits
         assert plan_rows(served) == plan_rows(fresh) != plan_rows(stale)
@@ -555,8 +613,8 @@ class TestConcurrentMutation:
         explain = database.explain
         moved = []
 
-        def explain_then_refresh_statistics(sql, guidelines=None, query_name=""):
-            qgm = explain(sql, guidelines=guidelines, query_name=query_name)
+        def explain_then_refresh_statistics(sql, guidelines=None, **kwargs):
+            qgm = explain(sql, guidelines=guidelines, **kwargs)
             if guidelines is not None and not moved:
                 moved.append(database.stats_epoch)
                 reinsert_sales(database, count=400)

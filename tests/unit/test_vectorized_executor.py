@@ -21,7 +21,6 @@ from repro.engine.executor import (
     make_executor,
 )
 from repro.engine.executor import vectorized
-from repro.engine.executor.vectorized import _merge_batches
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.rewrite import rewrite_query
@@ -580,23 +579,23 @@ class TestBatch:
 
     def test_selection_vector_column_and_take(self):
         backing = {"T.c": [10, 20, 30, 40]}
-        batch = Batch(backing, sel=[3, 1])
+        batch = Batch.over(backing, [3, 1])
         assert batch.column("T.c") == [40, 20]
         taken = batch.take([1])
         assert taken.to_rows() == [{"T.c": 20}]
 
     def test_missing_column_yields_nulls(self):
-        batch = Batch({"T.c": [1, 2]}, sel=[0, 1])
+        batch = Batch.over({"T.c": [1, 2]}, [0, 1])
         assert batch.column("T.missing") == [None, None]
 
     def test_merge_inner_wins_collisions(self):
-        outer = Batch({"A.x": [1, 2]}, sel=[0, 1])
-        inner = Batch({"A.x": [9], "B.y": [7]}, sel=[0])
-        merged = _merge_batches(outer, [0, 1], inner, [0, 0])
+        outer = Batch.over({"A.x": [1, 2]}, [0, 1])
+        inner = Batch.over({"A.x": [9], "B.y": [7]}, [0])
+        merged = Batch.joined(outer, [0, 1], inner, [0, 0])
         assert merged.to_rows() == [{"A.x": 9, "B.y": 7}, {"A.x": 9, "B.y": 7}]
 
     def test_empty_batch(self):
-        batch = Batch({}, None, 0)
+        batch = Batch((), 0)
         assert batch.to_rows() == []
         assert batch.length == 0
 

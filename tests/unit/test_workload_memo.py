@@ -72,7 +72,7 @@ class TestWorkloadMemoAccessor:
 
     def test_entry_cap_evicts_oldest_first(self):
         memo = ExecutionMemo(max_entries=2)
-        entry = MemoEntry(columns={}, positions=[], deltas=(), traces=())
+        entry = MemoEntry(sources=(({}, []),), length=0, deltas=(), traces=())
         memo.store("a", entry)
         memo.store("b", entry)
         memo.store("c", entry)
@@ -88,7 +88,9 @@ class TestWorkloadMemoAccessor:
 
 def _entry_of(size):
     """A MemoEntry whose estimated payload scales with ``size`` positions."""
-    return MemoEntry(columns={}, positions=list(range(size)), deltas=(), traces=())
+    return MemoEntry(
+        sources=(({}, list(range(size))),), length=size, deltas=(), traces=()
+    )
 
 
 def assert_bytes_consistent(memo, context=""):
@@ -260,7 +262,7 @@ class TestEpochInvalidation:
         refreshed = db.workload_memo()
         assert refreshed is shared and not shared.entries
         # The in-flight run stores into its pinned (orphaned) snapshot...
-        pin.store("stale", MemoEntry(columns={}, positions=[], deltas=(), traces=()))
+        pin.store("stale", MemoEntry(sources=(({}, []),), length=0, deltas=(), traces=()))
         assert pin.peek("stale") is not None
         # ...which is invisible to the new epoch's cache.
         assert "stale" not in shared.entries
