@@ -2,9 +2,8 @@
 
 Shared by the hot-path caches the online tier leans on: optimized plans
 (``Database.explain``) and prepared statements (``PreparedStatements``).
-Values are returned by reference -- callers that hand out mutable cached
-objects must copy *outside* the lock (deep copies under a shared lock would
-serialize the serving threads).
+Values are returned by reference: what the two caches hold (plans and
+verdicts over them) is read-only once stored.
 """
 
 from __future__ import annotations
@@ -33,6 +32,11 @@ class LruCache:
                 return self._data[key]
             self.misses += 1
             return None
+
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value, or None, moving neither the LRU order nor a count."""
+        with self._lock:
+            return self._data.get(key)
 
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:

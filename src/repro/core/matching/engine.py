@@ -328,6 +328,18 @@ class MatchingEngine:
             match_time_ms=match_time_ms,
         )
 
+    def is_prepared(self, sql: str) -> bool:
+        """Whether :meth:`steer_prepared` would replay ``sql``'s verdict now.
+
+        A peek under the current stamp: no counter, usage tick or LRU order
+        moves.  A mutation between the peek and the call makes that call a
+        ``"stale"`` miss, which is still answered correctly.
+        """
+        knowledge_base = self.knowledge_base
+        return self.prepared.peek(
+            sql, self.database.stats_epoch, knowledge_base, knowledge_base.generation
+        )
+
     def steer_prepared(
         self, sql: str, query_name: str = "", span=NULL_SPAN, match_filter=None
     ) -> SteeringDecision:
@@ -342,7 +354,9 @@ class MatchingEngine:
         the cached raw matches (probe counters advance, and the steered plan
         is looked up by the ids it *allowed*); the usage ticks the match
         recorded are replayed into the knowledge base; and the plans handed
-        out are fresh copies of the entry's masters.
+        out are :meth:`~repro.engine.plan.physical.Qgm.renamed` views of the
+        entry's read-only masters, so the memo keys and row constructor a
+        master derives on its first execution serve every later hit.
         """
         # The stamp is read before any work an entry would stand in for: an
         # entry built while the learner thread mutates the KB (or a reload
@@ -358,8 +372,7 @@ class MatchingEngine:
                 master = self.database.explain(sql, query_name=query_name)
             else:
                 master = entry.baseline
-            baseline_qgm = master.copy()
-            baseline_qgm.query_name = query_name
+            baseline_qgm = master.renamed(query_name)
             if plan_span.recording:
                 plan_span.set("operators", len(baseline_qgm.nodes()))
         with span.child("match") as match_span:
@@ -415,8 +428,7 @@ class MatchingEngine:
                         query_name=steered_name,
                         bound=master.query,
                     )
-                qgm = steered_master.copy()
-                qgm.query_name = steered_name
+                qgm = steered_master.renamed(steered_name)
                 if steer_span.recording:
                     steer_span.set("templates", list(allowed))
         if cached is None:

@@ -17,8 +17,10 @@ advances it).  Nothing else invalidates, and nothing needs a hook.
 
 What is deliberately *not* in an entry: the guard's screening (quarantine
 blocks and probes advance per request) and the usage ticks the match recorded
-(replayed per request from ``usage_batches``).  Plans held here are masters:
-the executor annotates the ``Qgm`` it runs, so callers hand out copies.
+(replayed per request from ``usage_batches``).  Plans held here are masters,
+and read-only like every planned ``Qgm``: executing one writes nothing into
+it, so callers hand out :meth:`~repro.engine.plan.physical.Qgm.renamed`
+views of the same nodes and any number of threads run them at once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class PreparedStatement:
     stats_epoch: int
     knowledge_base: "KnowledgeBase"
     generation: int
-    #: The optimizer's plan (master copy; the match verdict's
+    #: The optimizer's plan (the master; the match verdict's
     #: ``subplan_root`` nodes live in it).
     baseline: "Qgm"
     #: ``match_plan``'s result, before any guard screening.
@@ -103,6 +105,19 @@ class PreparedStatements:
         if not entry.is_current(stats_epoch, knowledge_base, generation):
             return None, "stale"
         return entry, "hit"
+
+    def peek(
+        self,
+        sql: str,
+        stats_epoch: int,
+        knowledge_base: "KnowledgeBase",
+        generation: int,
+    ) -> bool:
+        """Whether :meth:`lookup` would answer ``"hit"`` now; moves nothing."""
+        entry: Optional[PreparedStatement] = self._entries.peek(sql)
+        return entry is not None and entry.is_current(
+            stats_epoch, knowledge_base, generation
+        )
 
     def publish(self, sql: str, entry: PreparedStatement) -> None:
         """Install a fully built entry (replacing any older one for ``sql``)."""

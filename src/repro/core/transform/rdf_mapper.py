@@ -1,7 +1,7 @@
 """QGM -> RDF translation (half of the transformation engine).
 
 Every LOLEPOP of a plan becomes an RDF resource under ``http://galo/qep/pop/``
-carrying its type, estimated (and, when available, actual) cardinality, cost,
+carrying its type, estimated (and, when given, actual) cardinality, cost,
 base-table attributes, and ``hasOutputStream`` / ``hasOuterInputStream`` /
 ``hasInnerInputStream`` edges -- exactly the representation the paper shows in
 Section 3.1.
@@ -27,6 +27,7 @@ def _add_node_triples(
     node: PlanNode,
     resource: IRI,
     catalog: Optional[Catalog],
+    actuals: Optional[Dict[int, int]],
 ) -> None:
     graph.add_triple(resource, voc.HAS_POP_TYPE, Literal(node.display_type))
     graph.add_triple(resource, voc.HAS_OPERATOR_ID, Literal(node.operator_id))
@@ -36,10 +37,9 @@ def _add_node_triples(
     graph.add_triple(
         resource, voc.HAS_ESTIMATE_COST, Literal(round(float(node.estimated_cost), 4))
     )
-    if node.actual_cardinality is not None:
-        graph.add_triple(
-            resource, voc.HAS_ACTUAL_CARDINALITY, Literal(int(node.actual_cardinality))
-        )
+    actual = actuals.get(node.operator_id) if actuals is not None else None
+    if actual is not None:
+        graph.add_triple(resource, voc.HAS_ACTUAL_CARDINALITY, Literal(int(actual)))
     if node.properties.get("bloom_filter"):
         graph.add_triple(resource, voc.HAS_BLOOM_FILTER, Literal("true"))
     if node.is_scan and node.table:
@@ -60,16 +60,19 @@ def subplan_to_rdf(
     root: PlanNode,
     catalog: Optional[Catalog] = None,
     resource_prefix: str = "",
+    actuals: Optional[Dict[int, int]] = None,
 ) -> Graph:
     """Translate the subtree rooted at ``root`` into an RDF graph.
 
     ``resource_prefix`` namespaces the generated LOLEPOP resources so several
-    plans can live in one graph without colliding.
+    plans can live in one graph without colliding.  ``actuals`` is an
+    execution's :attr:`~repro.engine.executor.executor.ExecutionResult.actual_cardinalities`:
+    given, every operator it covers carries its actual cardinality too.
     """
     graph = Graph()
     for node in root.walk():
         resource = _pop_iri(resource_prefix, node)
-        _add_node_triples(graph, node, resource, catalog)
+        _add_node_triples(graph, node, resource, catalog, actuals)
         for position, child in enumerate(node.inputs):
             child_resource = _pop_iri(resource_prefix, child)
             graph.add_triple(child_resource, voc.HAS_OUTPUT_STREAM, resource)
@@ -79,9 +82,14 @@ def subplan_to_rdf(
     return graph
 
 
-def qgm_to_rdf(qgm: Qgm, catalog: Optional[Catalog] = None, resource_prefix: str = "") -> Graph:
-    """Translate a whole QGM into an RDF graph."""
-    return subplan_to_rdf(qgm.root, catalog, resource_prefix)
+def qgm_to_rdf(
+    qgm: Qgm,
+    catalog: Optional[Catalog] = None,
+    resource_prefix: str = "",
+    actuals: Optional[Dict[int, int]] = None,
+) -> Graph:
+    """Translate a whole QGM into an RDF graph (``actuals`` as above)."""
+    return subplan_to_rdf(qgm.root, catalog, resource_prefix, actuals)
 
 
 def rdf_node_index(root: PlanNode, resource_prefix: str = "") -> Dict[int, IRI]:

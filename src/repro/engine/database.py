@@ -185,29 +185,24 @@ class Database:
         of the same statement): a miss then plans it without parsing and
         binding the text again.
 
-        Plans are cached per (sql, guidelines); a hit returns a fresh deep
-        copy, so callers may annotate the returned QGM (the executor fills in
-        actual cardinalities) without corrupting the cached plan or racing
-        with other threads.  The key carries the statistics epoch read before
-        optimizing: a plan computed while RUNSTATS (or DDL, or a load) went by
-        is stored under the epoch it started in, where no later call looks,
-        instead of being put back after the invalidation cleared the cache.
+        Plans are cached per (sql, guidelines) and are read-only: the cache
+        keeps the plan it planned and a hit hands out a
+        :meth:`~repro.engine.plan.physical.Qgm.renamed` view of it, no copy.
+        The key carries the statistics epoch read before optimizing: a plan
+        computed while RUNSTATS (or DDL, or a load) went by is stored under
+        the epoch it started in, where no later call looks, instead of being
+        put back after the invalidation cleared the cache.
         """
         key = (sql, _guideline_cache_key(guidelines), self._stats_epoch)
         cached = self._explain_cache.get(key)
         if cached is not None:
-            # The copy happens outside the cache lock: cached plans are never
-            # mutated after insertion, and O(plan) copies under a shared lock
-            # would serialize the serving threads.
-            clone = cached.copy()
-            clone.query_name = query_name
-            return clone
+            return cached.renamed(query_name)
         qgm = self.optimizer.optimize(
             bound if bound is not None else self.bind(sql),
             guidelines=guidelines,
             query_name=query_name,
         )
-        self._explain_cache.put(key, qgm.copy())
+        self._explain_cache.put(key, qgm)
         return qgm
 
     def random_plans(self, sql: str, count: int, query_name: str = "") -> List[Qgm]:

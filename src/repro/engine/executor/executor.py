@@ -167,11 +167,12 @@ class Executor:
     def execute(
         self, qgm: Qgm, memo=None, budget_ms: Optional[float] = None
     ) -> ExecutionResult:
-        """Execute ``qgm``; annotates every node's ``actual_cardinality``.
+        """Execute ``qgm``, recording every node's row count by operator id.
 
-        ``memo`` is accepted for interface parity with the vectorized engine
-        and ignored: the row engine always executes cold.  ``budget_ms``
-        raises :class:`~repro.errors.PlanBudgetExceeded` exactly when the
+        The plan is only read, never written.  ``memo`` is accepted for
+        interface parity with the vectorized engine and ignored: the row
+        engine always executes cold.  ``budget_ms`` raises
+        :class:`~repro.errors.PlanBudgetExceeded` exactly when the
         plan's ``elapsed_ms`` is above it, as early as that is certain (see
         :class:`~repro.engine.executor.metrics.ExecutionBudget`).
         """
@@ -184,14 +185,11 @@ class Executor:
         metrics.logical_reads = buffer_pool.logical_reads
         metrics.physical_reads = buffer_pool.physical_reads
         elapsed = metrics.elapsed_ms(self.config)
-        cardinalities = {
-            node.operator_id: int(node.actual_cardinality or 0) for node in qgm.nodes()
-        }
         return ExecutionResult(
             rows=rows,
             metrics=metrics,
             elapsed_ms=elapsed,
-            actual_cardinalities=cardinalities,
+            actual_cardinalities=metrics.actual_cardinalities,
         )
 
     # ------------------------------------------------------------------
@@ -224,8 +222,8 @@ class Executor:
     def _node_finished(
         self, node: PlanNode, row_count: int, metrics: RuntimeMetrics, pool: BufferPool
     ) -> None:
-        """Annotate the node's actual cardinality, then enforce the budget."""
-        node.actual_cardinality = row_count
+        """Record the node's actual cardinality, then enforce the budget."""
+        metrics.actual_cardinalities[node.operator_id] = row_count
         if metrics.budget is not None:
             metrics.budget.check(metrics, pool)
 
@@ -484,8 +482,6 @@ class Executor:
                 merged = dict(outer_row)
                 merged.update(inner_row)
                 output.append(merged)
-        if inner_node.actual_cardinality is None:
-            inner_node.actual_cardinality = len(inner_rows)
         return output
 
     def _nljoin_index_lookup(
@@ -540,7 +536,7 @@ class Executor:
                 ):
                     inner_matched += 1
                     output.append(candidate)
-        inner_node.actual_cardinality = inner_matched
+        metrics.actual_cardinalities[inner_node.operator_id] = inner_matched
         return output
 
     # -- other operators ---------------------------------------------------------

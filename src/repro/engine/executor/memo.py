@@ -112,8 +112,8 @@ class MemoEntry:
     deltas: Tuple[Tuple[str, int], ...]
     #: Buffer-pool access sequence to replay into the consuming plan's pool.
     traces: Tuple[Trace, ...]
-    #: ``actual_cardinality`` for every subtree node below the root, in
-    #: pre-order, so a hit can annotate operators it did not execute.
+    #: The actual cardinality of every subtree node below the root, in
+    #: pre-order, so a hit can record operators it did not execute.
     child_cardinalities: Tuple[int, ...] = ()
     #: Estimated payload bytes (filled on first ``ExecutionMemo.store``).
     nbytes: int = 0

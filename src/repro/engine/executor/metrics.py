@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.config import DbConfig
 from repro.engine.executor.bufferpool import BufferPool
-from repro.engine.plan.physical import PlanNode, PopType, Qgm
+from repro.engine.plan.physical import PopType, Qgm
 from repro.errors import PlanBudgetExceeded
 from repro.obs.tracing import current_execution_span
 
@@ -41,6 +41,12 @@ class RuntimeMetrics:
     #: piece of state every operator handler already receives and that no two
     #: executions share (the executor itself is shared across threads).
     budget: Optional["ExecutionBudget"] = field(default=None, compare=False, repr=False)
+    #: Operator id -> rows the operator produced in this execution.  Not a
+    #: counter either, and here for the same reason: plans are read-only and
+    #: shared across threads, so what a run observes is recorded per run.
+    actual_cardinalities: Dict[int, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def merge(self, other: "RuntimeMetrics") -> None:
         """Accumulate another metrics object into this one."""
@@ -96,11 +102,11 @@ class RuntimeMetrics:
 
 #: Summable counter fields, in declaration order.  ``sort_heap_high_water_mark``
 #: is a running max, not a sum, so its delta is meaningless and excluded;
-#: ``budget`` is not a counter at all.
+#: ``budget`` and ``actual_cardinalities`` are not counters at all.
 METRIC_DELTA_FIELDS: Tuple[str, ...] = tuple(
     name
     for name in RuntimeMetrics.__dataclass_fields__
-    if name not in ("sort_heap_high_water_mark", "budget")
+    if name not in ("sort_heap_high_water_mark", "budget", "actual_cardinalities")
 )
 
 
@@ -122,10 +128,10 @@ class ExecutionBudget:
     its outer input, so each bloom join that has not finished is granted the
     rebate for all of its outer rows in advance; while one of them does not
     know its outer row count yet the rebate is unbounded and nothing is
-    decided.  "Finished" is read off ``actual_cardinality``, which the
-    executors set when a node returns and the memo restores for the nodes a
-    hit skips; the constructor clears it on the nodes consulted, because
-    plan copies carry the annotations of an earlier run.
+    decided.  "Finished" is read off the execution's
+    :attr:`RuntimeMetrics.actual_cardinalities`, which the executors fill as
+    nodes return and the memo for the nodes a hit skips; the plan itself is
+    never written.
     """
 
     __slots__ = ("limit_ms", "_config", "_bloom_joins")
@@ -133,24 +139,23 @@ class ExecutionBudget:
     def __init__(self, limit_ms: float, qgm: Qgm, config: DbConfig):
         self.limit_ms = limit_ms
         self._config = config
-        self._bloom_joins: List[PlanNode] = [
-            node
-            for node in qgm.nodes()
+        #: (join, outer input) operator ids of every bloom hash join.
+        self._bloom_joins: List[Tuple[int, int]] = [
+            (node.operator_id, node.inputs[0].operator_id)
+            for node in qgm.root.walk()
             if node.pop_type is PopType.HSJOIN and node.properties.get("bloom_filter")
         ]
-        for join in self._bloom_joins:
-            join.actual_cardinality = None
-            join.inputs[0].actual_cardinality = None
 
     def check(self, metrics: RuntimeMetrics, pool: BufferPool) -> None:
         """Stop the plan (raise) if it is certain to end above the limit."""
         pending_bloom_rows = 0
-        for join in self._bloom_joins:
-            if join.actual_cardinality is None:
-                outer_rows = join.inputs[0].actual_cardinality
+        actuals = metrics.actual_cardinalities
+        for join_id, outer_id in self._bloom_joins:
+            if join_id not in actuals:
+                outer_rows = actuals.get(outer_id)
                 if outer_rows is None:
                     return
-                pending_bloom_rows += int(outer_rows)
+                pending_bloom_rows += outer_rows
         elapsed = metrics.elapsed_ms(
             self._config, pool.physical_reads, pending_bloom_rows
         )

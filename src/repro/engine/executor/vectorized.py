@@ -177,18 +177,53 @@ class Batch:
         projected._gathered = self._gathered
         return projected
 
-    def to_rows(self) -> List[Dict[str, Any]]:
+    def to_rows(self, plan_root: Optional[PlanNode] = None) -> List[Dict[str, Any]]:
         """Materialize per-row dicts (same key order as the row engine).
 
         This is a representation boundary: every value comes out as a plain
         Python object (numpy scalars are converted), so result rows are
-        type-identical to the row engine's and JSON-serializable.
+        type-identical to the row engine's and JSON-serializable.  Rows are
+        built by :func:`row_constructor`; given the plan's root, the
+        constructor is compiled once for that plan and kept on it, beside
+        its memo keys.
         """
-        keys = self.keys()
+        keys = tuple(self.keys())
         if not keys:
             return [{} for _ in range(self.length)]
-        gathered = [python_values(self.column(key)) for key in keys]
-        return [dict(zip(keys, values)) for values in zip(*gathered)]
+        if plan_root is None:
+            make = row_constructor(keys)
+        else:
+            cached = plan_root.__dict__.get("_row_constructor")
+            if cached is None or cached[0] != keys:
+                cached = (keys, row_constructor(keys))
+                plan_root.__dict__["_row_constructor"] = cached
+            make = cached[1]
+        return list(map(make, *(python_values(self.column(key)) for key in keys)))
+
+
+def row_constructor_source(keys: Sequence[str]) -> str:
+    """Source of :func:`row_constructor` for ``keys``: a lambda returning a
+    dict display, each key written as its ``repr()``."""
+    parameters = ", ".join(f"v{position}" for position in range(len(keys)))
+    items = ", ".join(f"{key!r}: v{position}" for position, key in enumerate(keys))
+    return f"lambda {parameters}: {{{items}}}"
+
+
+def row_constructor(keys: Sequence[str]) -> Callable[..., Dict[str, Any]]:
+    """A function building one result row from its values, in ``keys`` order.
+
+    For ``("A.x", "B.y")`` it is ``lambda v0, v1: {'A.x': v0, 'B.y': v1}``,
+    generated and compiled the way :func:`collections.namedtuple` and
+    :mod:`dataclasses` build their methods: ``repr()`` quotes every key, so
+    any string is a safe key.  The rows equal ``dict(zip(keys, values))``,
+    key order and repeated keys included, at a fraction of the cost.
+    """
+    return eval(row_constructor_source(keys), {"__builtins__": {}})  # noqa: S307
+
+
+def _below(node: PlanNode) -> List[PlanNode]:
+    """Every node under ``node``, in pre-order (what a memo entry covers)."""
+    return [child for inp in node.inputs for child in inp.walk()]
 
 
 def _as_array(values: Sequence[Any]) -> Any:
@@ -396,11 +431,14 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo] = None,
         budget_ms: Optional[float] = None,
     ) -> ExecutionResult:
-        """Execute ``qgm``; annotates every node's ``actual_cardinality``.
+        """Execute ``qgm``, recording every node's row count by operator id.
 
-        ``budget_ms`` raises :class:`~repro.errors.PlanBudgetExceeded` exactly
-        when the plan's ``elapsed_ms`` is above it, as early as that is
-        certain (see :class:`~repro.engine.executor.metrics.ExecutionBudget`).
+        The plan is only read, never written (the memo keys and the row
+        constructor it derives are cached on its nodes, idempotently), so one
+        plan may run on several threads at once.  ``budget_ms`` raises
+        :class:`~repro.errors.PlanBudgetExceeded` exactly when the plan's
+        ``elapsed_ms`` is above it, as early as that is certain (see
+        :class:`~repro.engine.executor.metrics.ExecutionBudget`).
         The budget is state of this one call: the executor is shared by the
         learner and the serving threads.
         """
@@ -419,17 +457,14 @@ class VectorizedExecutor:
         metrics.logical_reads = pool.logical_reads
         metrics.physical_reads = pool.physical_reads
         elapsed = metrics.elapsed_ms(self.config)
-        cardinalities = {
-            node.operator_id: int(node.actual_cardinality or 0) for node in qgm.nodes()
-        }
         # Rows are materialized lazily: plan measurement (the learning tier's
         # dominant workload) ranks on metrics alone and never reads them.
         return ExecutionResult(
-            rows_factory=batch.to_rows,
+            rows_factory=lambda: batch.to_rows(qgm.root),
             row_count=batch.length,
             metrics=metrics,
             elapsed_ms=elapsed,
-            actual_cardinalities=cardinalities,
+            actual_cardinalities=metrics.actual_cardinalities,
         )
 
     # ------------------------------------------------------------------
@@ -457,13 +492,13 @@ class VectorizedExecutor:
     def _node_finished(
         self, node: PlanNode, row_count: int, metrics: RuntimeMetrics, pool: BufferPool
     ) -> None:
-        """Annotate the node's actual cardinality, then enforce the budget.
+        """Record the node's actual cardinality, then enforce the budget.
 
         Handlers store their memo entry before they return, so by the time a
         budget stops the plan here every stored entry describes a subtree
         that ran to completion.
         """
-        node.actual_cardinality = row_count
+        metrics.actual_cardinalities[node.operator_id] = row_count
         if metrics.budget is not None:
             metrics.budget.check(metrics, pool)
 
@@ -620,7 +655,7 @@ class VectorizedExecutor:
         if entry is None:
             return None
         entry.replay(metrics, pool)
-        self._annotate_subtree(node, entry)
+        self._restore_subtree(node, entry, metrics.actual_cardinalities)
         return Batch(entry.sources, entry.length)
 
     def _store_join_entry(
@@ -629,6 +664,7 @@ class VectorizedExecutor:
         key,
         node: PlanNode,
         result: Batch,
+        metrics: RuntimeMetrics,
         own_deltas,
         own_traces=(),
     ) -> None:
@@ -662,42 +698,34 @@ class VectorizedExecutor:
             key,
             node,
             result,
+            metrics,
             outer_entry.deltas + inner_deltas + tuple(own_deltas),
             outer_entry.traces + inner_traces + tuple(own_traces),
         )
 
     def _store(
-        self, memo: ExecutionMemo, key, node: PlanNode, batch: Batch, deltas, traces
+        self, memo: ExecutionMemo, key, node: PlanNode, batch: Batch, metrics, deltas, traces
     ) -> None:
-        """Store ``node``'s finished subtree: its output's position vectors
-        and the cold charges a hit replays."""
-        cardinalities = self._subtree_cardinalities(node)
+        """Store ``node``'s finished subtree: its output's position vectors,
+        the cold charges a hit replays and the cardinalities it restores."""
+        actuals = metrics.actual_cardinalities
+        cardinalities = tuple(actuals[child.operator_id] for child in _below(node))
         memo.store(key, MemoEntry(batch.sources, batch.length, deltas, traces, cardinalities))
 
     def _store_over_child(
-        self, memo: Optional[ExecutionMemo], key, node: PlanNode, batch: Batch, own_deltas
+        self, memo: Optional[ExecutionMemo], key, node: PlanNode, batch: Batch, metrics, own_deltas
     ) -> None:
         """Store a FILTER / SORT: its child's charges, then its own."""
         child_entry = memo.peek(key[1]) if key is not None else None
         if child_entry is not None:
-            self._store(
-                memo, key, node, batch, child_entry.deltas + own_deltas, child_entry.traces
-            )
+            deltas = child_entry.deltas + own_deltas
+            self._store(memo, key, node, batch, metrics, deltas, child_entry.traces)
 
     @staticmethod
-    def _annotate_subtree(node: PlanNode, entry: MemoEntry) -> None:
-        """On a memo hit, restore the cardinalities of the skipped children."""
-        children = [child for inp in node.inputs for child in inp.walk()]
-        for child, cardinality in zip(children, entry.child_cardinalities):
-            child.actual_cardinality = cardinality
-
-    @staticmethod
-    def _subtree_cardinalities(node: PlanNode) -> Tuple[int, ...]:
-        return tuple(
-            child.actual_cardinality
-            for inp in node.inputs
-            for child in inp.walk()
-        )
+    def _restore_subtree(node: PlanNode, entry: MemoEntry, actuals: Dict[int, int]) -> None:
+        """On a memo hit, record the cardinalities of the skipped children."""
+        for child, cardinality in zip(_below(node), entry.child_cardinalities):
+            actuals[child.operator_id] = cardinality
 
     # -- leaf operators -----------------------------------------------------
 
@@ -741,7 +769,9 @@ class VectorizedExecutor:
         )
         if key is not None:
             deltas = (("sequential_pages", page_count), ("rows_processed", row_count))
-            self._store(memo, key, node, batch, deltas, (("seq", table, 0, page_count),))
+            self._store(
+                memo, key, node, batch, metrics, deltas, (("seq", table, 0, page_count),)
+            )
         return batch
 
     def _execute_index_scan(
@@ -772,7 +802,7 @@ class VectorizedExecutor:
         batch = Batch.over(columns, filter_positions(node.predicates, columns, row_ids))
         if key is not None:
             deltas = (("rows_processed", count), ("index_lookups", count))
-            self._store(memo, key, node, batch, deltas, (("rand", table, trace),))
+            self._store(memo, key, node, batch, metrics, deltas, (("rand", table, trace),))
         return batch
 
     def _column_of(
@@ -835,7 +865,7 @@ class VectorizedExecutor:
             own_deltas.append(("cpu_operations", cross_cpu))
             outer_picks, inner_picks = _cross_picks(outer_batch.length, inner_batch.length)
             result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-            self._store_join_entry(memo, key, node, result, own_deltas)
+            self._store_join_entry(memo, key, node, result, metrics, own_deltas)
             return result
 
         bloom_on = bool(node.properties.get("bloom_filter"))
@@ -864,7 +894,7 @@ class VectorizedExecutor:
                 own_deltas.append(("hash_probe_rows", probed))
                 own_deltas.append(("bloom_filtered_rows", bloomed))
                 result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-                self._store_join_entry(memo, key, node, result, own_deltas)
+                self._store_join_entry(memo, key, node, result, metrics, own_deltas)
                 return result
 
         hash_table = self._hash_build(inner_batch, node.inner, keys, memo)
@@ -913,7 +943,7 @@ class VectorizedExecutor:
         own_deltas.append(("hash_probe_rows", probed))
         own_deltas.append(("bloom_filtered_rows", bloomed))
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-        self._store_join_entry(memo, key, node, result, own_deltas)
+        self._store_join_entry(memo, key, node, result, metrics, own_deltas)
         return result
 
     def _key_groups(
@@ -1097,7 +1127,7 @@ class VectorizedExecutor:
             )
             metrics.cpu_operations += cpu
             result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-            self._store_join_entry(memo, key, node, result, [("cpu_operations", cpu)])
+            self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", cpu)])
             return result
 
         # Block-wise replay of the row engine's merge loop.  The row engine
@@ -1153,7 +1183,7 @@ class VectorizedExecutor:
                 block_inner += 1
         metrics.cpu_operations += cpu
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-        self._store_join_entry(memo, key, node, result, [("cpu_operations", cpu)])
+        self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", cpu)])
         return result
 
     def _execute_nested_loop_join(
@@ -1234,7 +1264,7 @@ class VectorizedExecutor:
         else:
             outer_picks, inner_picks = _cross_picks(outer_batch.length, inner_batch.length)
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-        self._store_join_entry(memo, key, node, result, [("cpu_operations", rescan_cpu)])
+        self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", rescan_cpu)])
         return result
 
     def _nljoin_key_map(
@@ -1355,7 +1385,7 @@ class VectorizedExecutor:
             )
         outer_picks = outer_picks[keep]
         inner_row_ids = row_ids[keep]
-        inner_node.actual_cardinality = len(inner_row_ids)
+        metrics.actual_cardinalities[inner_node.operator_id] = len(inner_row_ids)
 
         result = Batch(
             outer_batch.sources_at(outer_picks) + ((inner_columns, inner_row_ids),),
@@ -1366,6 +1396,7 @@ class VectorizedExecutor:
             memo_key,
             node,
             result,
+            metrics,
             [("index_lookups", lookups), ("rows_processed", processed)],
             own_traces,
         )
@@ -1409,7 +1440,7 @@ class VectorizedExecutor:
             filter_positions(node.predicates, columns, range(child_batch.length))
         )
         self._store_over_child(
-            memo, key, node, result, (("cpu_operations", child_batch.length),)
+            memo, key, node, result, metrics, (("cpu_operations", child_batch.length),)
         )
         return result
 
@@ -1451,7 +1482,7 @@ class VectorizedExecutor:
         deltas = (("sort_rows", length), ("sort_heap_high_water_mark", pages))
         if spilled:
             deltas += (("spill_pages", spilled),)
-        self._store_over_child(memo, key, node, result, deltas)
+        self._store_over_child(memo, key, node, result, metrics, deltas)
         return result
 
     def _execute_group_by(

@@ -80,9 +80,9 @@ class RandomPlanGenerator:
         rng: random.Random,
     ) -> PlanNode:
         """Build one random bushy join tree covering every table of the query."""
-        # Copied because plans annotate and execute their nodes in place
-        # (``actual_cardinality``): one node instance in two plans would let
-        # one execution bleed into the other.
+        # Copied for their operator ids: each plan numbers its own nodes, and
+        # an execution records what it observed by operator id, so a leaf
+        # instance shared by two plans would carry the other plan's number.
         fragments = [rng.choice(candidates).copy() for candidates in access_paths]
         if not fragments:
             raise PlanError("query has no tables")

@@ -69,10 +69,11 @@ class PlanNode:
     join_predicates:
         Equi-join predicates applied at a join operator.
     estimated_cardinality / estimated_cost:
-        The optimizer's annotations (cost is cumulative, in timerons).
-    actual_cardinality:
-        Filled in after execution, enabling the estimated-vs-actual analysis
-        the learning engine performs.
+        The optimizer's annotations (cost is cumulative, in timerons).  What
+        an execution observed is not kept here: a planned node is read-only,
+        and its actual cardinality lives in the execution's
+        :attr:`~repro.engine.executor.executor.ExecutionResult.actual_cardinalities`,
+        keyed by ``operator_id``.
     properties:
         Free-form extras: ``bloom_filter`` (hash joins), ``sorted_on`` (the
         column a SORT orders by), ``fetch`` (index scan fetches data pages),
@@ -88,7 +89,6 @@ class PlanNode:
     join_predicates: Tuple[Comparison, ...] = ()
     estimated_cardinality: float = 0.0
     estimated_cost: float = 0.0
-    actual_cardinality: Optional[float] = None
     operator_id: int = 0
     properties: Dict[str, Any] = field(default_factory=dict)
 
@@ -155,7 +155,6 @@ class PlanNode:
             join_predicates=self.join_predicates,
             estimated_cardinality=self.estimated_cardinality,
             estimated_cost=self.estimated_cost,
-            actual_cardinality=self.actual_cardinality,
             operator_id=self.operator_id,
             properties=dict(self.properties),
         )
@@ -189,6 +188,11 @@ class Qgm:
     a plan built some other way): re-planning the statement under guidelines
     passes it back to :meth:`repro.engine.database.Database.explain`, so a
     request is parsed and bound once.
+
+    A plan is read-only once the optimizer has numbered it: executing it
+    writes nothing into its nodes, so one plan is shared by the plan cache,
+    the prepared-statement lane and every thread that runs it.  Callers that
+    want their own ``query_name`` take a :meth:`renamed` view.
     """
 
     def __init__(
@@ -247,10 +251,15 @@ class Qgm:
     def estimated_cardinality(self) -> float:
         return self.root.estimated_cardinality
 
-    def copy(self) -> "Qgm":
-        return Qgm(
-            self.root.copy(), sql=self.sql, query_name=self.query_name, query=self.query
-        )
+    def renamed(self, query_name: str) -> "Qgm":
+        """This plan under another ``query_name``: the same numbered nodes,
+        no copy and no renumbering walk."""
+        view = Qgm.__new__(Qgm)
+        view.root = self.root
+        view.sql = self.sql
+        view.query_name = query_name
+        view.query = self.query
+        return view
 
     def shape_signature(self) -> str:
         return self.root.shape_signature()

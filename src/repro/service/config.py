@@ -12,8 +12,10 @@ class ServiceConfig:
 
     Admission control / backpressure
     --------------------------------
-    ``max_workers`` bounds how many queries execute concurrently (one thread
-    each; matching + execution are synchronous CPU work).  ``max_pending``
+    ``max_workers`` bounds how many prepared-lane misses execute concurrently
+    (one thread each; parse, optimize, match + cold execution are synchronous
+    CPU work).  A prepared hit takes no worker: it is served in place on the
+    event-loop thread, one at a time.  ``max_pending``
     bounds the total number of admitted-but-unfinished requests (running plus
     waiting for a worker); a submission arriving beyond that is rejected
     immediately with a ``"rejected"`` response instead of queueing without
@@ -29,7 +31,7 @@ class ServiceConfig:
     candidates are dropped (and counted) rather than blocking serving.
     """
 
-    #: Serving worker threads (concurrent query executions).
+    #: Threads that serve prepared-lane misses (hits run on the event loop).
     max_workers: int = 4
     #: Admission cap: running + queued requests before submissions are rejected.
     max_pending: int = 64

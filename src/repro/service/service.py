@@ -6,8 +6,12 @@
    (:meth:`repro.core.matching.engine.MatchingEngine.steer_prepared`: a
    repeated statement replays its cached verdict instead of re-matching) and
    plans the steered (or baseline) QGM;
-2. executes that plan exactly once on the vectorized engine, in a bounded
-   worker pool, and returns rows + runtime metrics as soon as they are ready;
+2. executes that plan exactly once on the vectorized engine and returns rows
+   + runtime metrics as soon as they are ready.  A statement the prepared
+   lane answers under the current stamp (a *hit*) is served in place on the
+   event-loop thread -- plans are read-only, so that is a replay and one
+   memoized execution; everything else (misses and stale entries: parse,
+   optimize, match, cold execution) runs in a bounded worker pool;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
    which enqueues mis-estimated or regressed statements onto a background
    learning queue drained by a dedicated learner thread -- the paper's offline
@@ -19,8 +23,8 @@
 
 Admission control is load-shedding, not unbounded queueing: at most
 ``ServiceConfig.max_pending`` requests may be in flight (running plus waiting
-for one of the ``max_workers`` serving threads); submissions beyond that are
-answered immediately with a ``"rejected"`` response.
+for one of the ``max_workers`` threads that serve misses); submissions beyond
+that are answered immediately with a ``"rejected"`` response.
 
 .. code-block:: python
 
@@ -316,10 +320,18 @@ class GaloService:
                 "request", request_id=request_id,
                 attributes={"query_name": query_name}, start=admitted_at,
             )
-        future = self._loop.run_in_executor(
-            self._serve_pool, self._serve_sync, sql, query_name,
-            request_id, request_span, admitted_at,
-        )
+        arguments = (sql, query_name, request_id, request_span, admitted_at)
+        steering = self.config.steering_enabled and len(self.galo.knowledge_base)
+        if steering and self.galo.matching_engine.is_prepared(sql):
+            # A current prepared hit is a read-only replay plus one memoized
+            # execution: served right here, on the event-loop thread, it
+            # skips the hop to a pool thread and back, and the GIL hand-off
+            # to the other serve threads.  Misses (parse, optimize, match,
+            # cold execution) keep the pool, where they overlap.
+            response, learning_task = self._serve_sync(*arguments)
+            self._serve_finished(learning_task)
+            return response
+        future = self._loop.run_in_executor(self._serve_pool, self._serve_sync, *arguments)
         # Completion bookkeeping rides on the future, not on this coroutine:
         # if the caller abandons the await (e.g. breaks out of a stream), the
         # worker thread still finishes the query, and _pending must only drop
@@ -330,14 +342,19 @@ class GaloService:
         return response
 
     def _finish_serve(self, future: "asyncio.Future") -> None:
-        """Done-callback (event-loop thread) for every serve execution."""
+        """Done-callback (event-loop thread) for every pool execution."""
+        learning_task = None
+        # _serve_sync answers its own errors; a future that failed or was
+        # cancelled anyway still releases its admission slot.
+        if not future.cancelled() and future.exception() is None:
+            _, learning_task = future.result()
+        self._serve_finished(learning_task)
+
+    def _serve_finished(self, learning_task: Optional[LearningTask]) -> None:
+        """Bookkeeping after every served request (event-loop thread)."""
         self._pending -= 1
         if self._pending == 0 and self._idle_event is not None:
             self._idle_event.set()
-        try:
-            _, learning_task = future.result()
-        except Exception:  # pragma: no cover - _serve_sync catches internally
-            return
         if learning_task is not None:
             self._enqueue_learning(learning_task)
         if self.guard is not None:
@@ -464,12 +481,14 @@ class GaloService:
         request_span=NULL_SPAN,
         admitted_at: Optional[float] = None,
     ) -> Tuple[ServiceResponse, Optional[LearningTask]]:
-        """Plan, (maybe) steer, execute once, observe.  Runs on a worker thread.
+        """Plan, (maybe) steer, execute once, observe.
 
-        ``request_span`` is the request trace's root (the no-op span when
-        tracing is off), opened on the event loop at admission time; the gap
-        between ``admitted_at`` and this thread picking the work up is the
-        ``queue_wait`` stage.  The root span ends here, on every path.
+        Runs on a pool thread, or on the event-loop thread for a prepared
+        hit (see :meth:`submit`).  ``request_span`` is the request trace's
+        root (the no-op span when tracing is off), opened on the event loop
+        at admission time; the gap between ``admitted_at`` and the work being
+        picked up is the ``queue_wait`` stage (near zero for a hit served in
+        place).  The root span ends here, on every path.
         """
         started = time.perf_counter()
         if request_span.recording and admitted_at is not None:

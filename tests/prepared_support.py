@@ -7,6 +7,8 @@ a genuinely different plan -- and the comparison key under which
 ``steer_prepared`` must equal a fresh ``steer()``.
 """
 
+import dataclasses
+
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.engine import MatchingConfig
@@ -126,4 +128,28 @@ def usage_snapshot(knowledge_base):
             for template_id in sorted(knowledge_base.templates)
         },
         knowledge_base.eviction_order(),
+    )
+
+
+def plan_snapshot(qgm):
+    """Everything a plan is made of, node by node in pre-order.
+
+    Each node contributes its identity, its input count, every dataclass
+    field and a copy of its properties, so replacing, renumbering or
+    annotating a node changes the snapshot.  The caches the executor keeps
+    on a node (memo keys, the row constructor) are not fields and are left
+    out: deriving them is not a change to the plan.
+    """
+    return (
+        qgm.root,
+        qgm.sql,
+        [
+            (id(node), len(node.inputs))
+            + tuple(
+                dict(node.properties) if field.name == "properties" else getattr(node, field.name)
+                for field in dataclasses.fields(node)
+                if field.name != "inputs"
+            )
+            for node in qgm.root.walk()
+        ],
     )

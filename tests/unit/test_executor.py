@@ -55,7 +55,7 @@ class TestScanExecution:
         result = mini_db.execute_plan(qgm)
         assert result.actual_cardinalities[1] == result.row_count
         for node in qgm.nodes():
-            assert node.actual_cardinality is not None
+            assert node.operator_id in result.actual_cardinalities
 
 
 class TestJoinCorrectness:

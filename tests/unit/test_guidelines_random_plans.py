@@ -198,7 +198,7 @@ class TestFragmentCacheDifferential:
             assert len(plans) > 0
             assert [plan_rows(p) for p in naive_plans] == [plan_rows(p) for p in plans]
 
-    def test_cached_plans_are_independently_mutable(self, mini_db):
+    def test_cached_plans_are_independently_numbered(self, mini_db):
         """Access-path nodes are built once and copied per pick, never shared."""
         from repro.engine.optimizer.random_plans import RandomPlanGenerator
         from repro.engine.sql.binder import bind
@@ -209,6 +209,13 @@ class TestFragmentCacheDifferential:
         plans = RandomPlanGenerator(mini_db.catalog).generate(query, 6)
         scans = [node for plan in plans for node in plan.nodes() if node.is_scan]
         assert len(scans) == len(set(map(id, scans)))
-        # Executor-style in-place annotation on one plan must not leak.
-        scans[0].actual_cardinality = 123456
-        assert all(node.actual_cardinality != 123456 for node in scans[1:])
+        # Every plan numbers its own nodes: an execution's actuals, keyed by
+        # operator id, cover exactly that plan's operators.
+        for plan in plans:
+            assert [node.operator_id for node in plan.nodes()] == list(
+                range(1, len(plan.nodes()) + 1)
+            )
+            result = mini_db.execute_plan(plan)
+            assert sorted(result.actual_cardinalities) == [
+                node.operator_id for node in plan.nodes()
+            ]

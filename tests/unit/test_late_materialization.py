@@ -47,12 +47,12 @@ def assert_rows_equal_the_row_engine(database, statements, random_plans=1):
         for shape in statement_shapes(database, sql):
             plans = [database.explain(shape)] + database.random_plans(shape, random_plans)
             for qgm in plans:
-                expected = ordered(row_engine.execute(qgm.copy()).rows)
-                cold = vec_engine.execute(qgm.copy())
+                expected = ordered(row_engine.execute(qgm).rows)
+                cold = vec_engine.execute(qgm)
                 assert ordered(cold.rows) == expected, shape
                 # Filling the memo, then replaying from it.
-                assert ordered(vec_engine.execute(qgm.copy(), memo=memo).rows) == expected, shape
-                assert ordered(vec_engine.execute(qgm.copy(), memo=memo).rows) == expected, shape
+                assert ordered(vec_engine.execute(qgm, memo=memo).rows) == expected, shape
+                assert ordered(vec_engine.execute(qgm, memo=memo).rows) == expected, shape
                 output = qgm.root.properties.get("output")
                 if output is not None and expected:
                     assert list(dict(expected[0])) == list(dict.fromkeys(output)), shape
@@ -122,12 +122,12 @@ def execute_cold_then_replayed(database, sql, qgm):
     """``qgm`` without a memo, and again with every subtree replayed."""
     engine = VectorizedExecutor(database.catalog, database.config)
     memo = ExecutionMemo()
-    engine.execute(qgm.copy(), memo=memo)
+    engine.execute(qgm, memo=memo)
     hits = memo.hits
-    replayed = engine.execute(qgm.copy(), memo=memo)
+    replayed = engine.execute(qgm, memo=memo)
     # The top join came back as one entry: nothing below it was looked up.
     assert memo.hits == hits + 1, sql
-    return engine.execute(qgm.copy()), replayed, memo
+    return engine.execute(qgm), replayed, memo
 
 
 class TestJoinMemoEntries:

@@ -158,11 +158,13 @@ class TestQgm:
         assert qgm.join_count == 1
         assert len(qgm.scans()) == 2
 
-    def test_copy_preserves_structure(self):
-        qgm = Qgm(small_plan(), sql="q")
-        clone = qgm.copy()
-        assert clone.shape_signature() == qgm.shape_signature()
-        assert clone.root is not qgm.root
+    def test_renamed_view_shares_the_numbered_plan(self):
+        qgm = Qgm(small_plan(), sql="q", query_name="first")
+        numbering = [node.operator_id for node in qgm.nodes()]
+        view = qgm.renamed("second")
+        assert (view.query_name, qgm.query_name) == ("second", "first")
+        assert view.root is qgm.root and view.sql == "q"
+        assert [node.operator_id for node in view.nodes()] == numbering
 
 
 class TestExplain:

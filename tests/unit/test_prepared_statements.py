@@ -27,6 +27,7 @@ from tests.prepared_support import (
     assert_lane_equals_oracle,
     build_system,
     plan_key,
+    plan_snapshot,
     usage_snapshot,
 )
 
@@ -370,16 +371,15 @@ class TestMastersAndCapacity:
         entry = current_entry(galo, sql)
         (steered_master,) = [plan for _, plan in entry.plans.values()]
 
-        def annotations(qgm):
-            return [(node.operator_id, dict(vars(node))) for node in qgm.nodes()]
-
-        masters_before = annotations(entry.baseline), annotations(steered_master)
+        masters_before = plan_snapshot(entry.baseline), plan_snapshot(steered_master)
         for decision in (first, engine.steer_prepared(sql, query_name=name)):
+            # Views of the masters: their own names over the same nodes.
             assert decision.qgm is not steered_master
-            assert decision.baseline_qgm is not entry.baseline
+            assert decision.qgm.root is steered_master.root
+            assert decision.baseline_qgm.root is entry.baseline.root
             galo.database.execute_plan(decision.qgm)
             galo.database.execute_plan(decision.baseline_qgm)
-        assert (annotations(entry.baseline), annotations(steered_master)) == masters_before
+        assert (plan_snapshot(entry.baseline), plan_snapshot(steered_master)) == masters_before
 
     def test_capacity_bound_holds_after_300_distinct_statements(self):
         galo = build_system()

@@ -1,0 +1,209 @@
+"""Plans are read-only once planned.
+
+The plan cache, the prepared-statement lane and every serving thread share
+one planned ``Qgm``; nothing copies it.  That is only sound if nothing that
+consumes a plan writes into it: executing it (cold, through memo hits, or
+stopped by a budget), steering through it, judging its outcome.  Each test
+takes :func:`plan_snapshot` of a plan before and after and requires the two
+equal, and the shared-master test runs one plan on two threads at once.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.engine.executor.executor import Executor
+from repro.engine.executor.memo import ExecutionMemo
+from repro.engine.executor.vectorized import VectorizedExecutor
+from repro.errors import PlanBudgetExceeded
+from repro.service.feedback import FeedbackMonitor
+from repro.service.guard import SteeringGuard
+from repro.service.metrics import ServiceMetrics
+from tests.prepared_support import WORKLOAD, build_system, plan_snapshot
+
+
+@pytest.fixture(scope="module")
+def system():
+    return build_system()
+
+
+def candidate_plans(database):
+    """Every workload statement's plan plus its random alternatives (some
+    with bloom-filter hash joins, which the budget reads)."""
+    plans = []
+    for name, sql in WORKLOAD:
+        plans.append(database.explain(sql, query_name=name))
+        plans.extend(database.random_plans(sql, 4, query_name=name))
+    assert any(
+        node.properties.get("bloom_filter") for plan in plans for node in plan.nodes()
+    )
+    return plans
+
+
+def engines(database):
+    return (
+        Executor(database.catalog, database.config),
+        VectorizedExecutor(database.catalog, database.config),
+    )
+
+
+def ordered(rows):
+    return [tuple(row.items()) for row in rows]
+
+
+class TestExecutionLeavesPlansAlone:
+    def test_cold(self, system):
+        database = system.database
+        for plan in candidate_plans(database):
+            before = plan_snapshot(plan)
+            for engine in engines(database):
+                result = engine.execute(plan)
+                result.rows
+                assert sorted(result.actual_cardinalities) == sorted(
+                    node.operator_id for node in plan.nodes()
+                )
+            assert plan_snapshot(plan) == before
+
+    def test_memo_hit(self, system):
+        database = system.database
+        memo = ExecutionMemo()
+        engine = VectorizedExecutor(database.catalog, database.config)
+        plans = candidate_plans(database)
+        for plan in plans:
+            engine.execute(plan, memo=memo)
+        hits = memo.hits
+        for plan in plans:
+            before = plan_snapshot(plan)
+            replayed = engine.execute(plan, memo=memo)
+            replayed.rows
+            assert plan_snapshot(plan) == before
+            assert replayed.actual_cardinalities == engine.execute(plan).actual_cardinalities
+        assert memo.hits > hits
+
+    def test_budget_abort(self, system):
+        database = system.database
+        memo = ExecutionMemo()
+        aborted = 0
+        for plan in candidate_plans(database):
+            before = plan_snapshot(plan)
+            for engine in engines(database):
+                elapsed_ms = engine.execute(plan).elapsed_ms
+                if elapsed_ms <= 0:
+                    continue
+                with pytest.raises(PlanBudgetExceeded):
+                    engine.execute(plan, memo=memo, budget_ms=elapsed_ms / 2)
+                aborted += 1
+                # A budget as high as the plan's time lets it finish.
+                assert engine.execute(plan, memo=memo, budget_ms=elapsed_ms).elapsed_ms == (
+                    elapsed_ms
+                )
+            assert plan_snapshot(plan) == before
+        assert aborted
+
+
+class TestServingLeavesPlansAlone:
+    def test_steer_prepared_miss_and_hit(self):
+        galo = build_system()
+        engine = galo.matching_engine
+        database = galo.database
+        memo = database.workload_memo()
+        for name, sql in WORKLOAD:
+            baseline = database.explain(sql, query_name=name)
+            before = plan_snapshot(baseline)
+            miss = engine.steer_prepared(sql, query_name=name)
+            assert miss.prepared == "miss"
+            assert miss.baseline_qgm.root is baseline.root
+            steered_before = plan_snapshot(miss.qgm)
+            for _ in range(2):
+                hit = engine.steer_prepared(sql, query_name=name)
+                assert hit.prepared == "hit"
+                assert hit.qgm.root is miss.qgm.root
+                database.execute_plan(hit.qgm, memo=memo).rows
+                database.execute_plan(hit.baseline_qgm, memo=memo).rows
+            assert plan_snapshot(baseline) == before
+            assert plan_snapshot(miss.qgm) == steered_before
+
+    def test_feedback_and_guard(self):
+        galo = build_system()
+        database = galo.database
+        knowledge_base = galo.knowledge_base
+        monitor = FeedbackMonitor(q_error_threshold=1.0)
+        guard = SteeringGuard(metrics=ServiceMetrics())
+        for name, sql in WORKLOAD:
+            decision = galo.matching_engine.steer_prepared(sql, query_name=name)
+            plans = (decision.qgm, decision.baseline_qgm)
+            before = [plan_snapshot(plan) for plan in plans]
+            result = database.execute_plan(decision.qgm)
+            observation = monitor.observe(
+                sql=sql, query_name=name, qgm=decision.qgm, result=result,
+                matched=bool(decision.matches), steered=decision.steered,
+            )
+            guard.screen(knowledge_base, decision.matches)
+            guard.observe(
+                knowledge_base, sql=sql, elapsed_ms=result.elapsed_ms,
+                steered=decision.steered, template_ids=decision.matched_template_ids,
+            )
+            guard.observe_workload(
+                knowledge_base, sql=sql, query_name=name, qgm=decision.qgm,
+                max_q_error=observation.max_q_error,
+            )
+            assert [plan_snapshot(plan) for plan in plans] == before
+
+
+class TestSharedMaster:
+    ROUNDS = 200
+
+    def test_two_threads_run_one_prepared_master(self):
+        """Both threads execute the same prepared master (each through its
+        own renamed view) at once, with a thread switch possible between
+        almost any two bytecodes.  Every other round re-plans, so half the
+        rounds race on deriving the master's memo keys and row constructor
+        and half replay what an earlier round derived; the shared memo
+        races too.  Each thread's rows, ``elapsed_ms`` and actuals must be
+        the uncached oracle's: ``steer()`` planned, the row executor run."""
+        galo = build_system()
+        engine = galo.matching_engine
+        database = galo.database
+        row_engine = Executor(database.catalog, database.config)
+        expected = {}
+        for name, sql in WORKLOAD:
+            result = row_engine.execute(engine.steer(sql, query_name=name).qgm)
+            expected[sql] = (
+                ordered(result.rows), result.elapsed_ms, result.actual_cardinalities
+            )
+        failures = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_number in range(self.ROUNDS):
+                name, sql = WORKLOAD[round_number % len(WORKLOAD)]
+                if round_number % 2 == 0:
+                    engine.prepared.clear()
+                    database.invalidate_plan_cache(stats_only=True)
+                master = engine.steer_prepared(sql, query_name=name).qgm
+                memo = database.workload_memo()
+                barrier = threading.Barrier(2)
+                outcomes = [None, None]
+
+                def serve(slot, _master=master, _memo=memo, _barrier=barrier,
+                          _outcomes=outcomes):
+                    view = _master.renamed(f"thread-{slot}")
+                    _barrier.wait()
+                    result = database.execute_plan(view, memo=_memo)
+                    _outcomes[slot] = (
+                        ordered(result.rows),
+                        result.elapsed_ms,
+                        result.actual_cardinalities,
+                    )
+
+                threads = [threading.Thread(target=serve, args=(slot,)) for slot in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                if outcomes != [expected[sql], expected[sql]]:
+                    failures.append(f"round {round_number} ({name})")
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures, failures[:5]

@@ -68,10 +68,16 @@ class TestQgmToRdf:
 
     def test_actual_cardinality_included_after_execution(self, mini_db):
         qgm = mini_db.explain(SQL)
-        mini_db.execute_plan(qgm)
-        graph = qgm_to_rdf(qgm)
+        result = mini_db.execute_plan(qgm)
+        assert qgm_to_rdf(qgm).value(
+            rdf_node_index(qgm.root)[1], voc.HAS_ACTUAL_CARDINALITY
+        ) is None
+        graph = qgm_to_rdf(qgm, actuals=result.actual_cardinalities)
         index = rdf_node_index(qgm.root)
-        assert graph.value(index[1], voc.HAS_ACTUAL_CARDINALITY) is not None
+        for node in qgm.nodes():
+            assert graph.value(index[node.operator_id], voc.HAS_ACTUAL_CARDINALITY) == (
+                Literal(result.actual_cardinalities[node.operator_id])
+            )
 
     def test_resource_prefix_separates_plans(self, mini_db):
         qgm = mini_db.explain(SQL)

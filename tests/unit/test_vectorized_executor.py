@@ -74,8 +74,8 @@ def run_differential(db, sqls, random_plans_per_query, memo=None):
         plans = [db.explain(sql)]
         plans += db.random_plans(sql, random_plans_per_query)
         for qgm in plans:
-            reference = row_engine.execute(qgm.copy())
-            candidate = vec_engine.execute(qgm.copy(), memo=memo)
+            reference = row_engine.execute(qgm)
+            candidate = vec_engine.execute(qgm, memo=memo)
             assert_identical(reference, candidate, context=sql)
             plans_checked += 1
     return plans_checked
@@ -94,11 +94,11 @@ class TestMiniDifferential:
         assert memo.hits > 0
         assert memo.stats()["entries"] > 0
 
-    def test_annotates_plan_nodes(self, mini_db):
+    def test_records_every_plan_node(self, mini_db):
         qgm = mini_db.explain(MINI_SQLS[3])
         result = VectorizedExecutor(mini_db.catalog, mini_db.config).execute(qgm)
         for node in qgm.nodes():
-            assert node.actual_cardinality is not None
+            assert node.operator_id in result.actual_cardinalities
         assert result.actual_cardinalities[1] == result.row_count
 
     def test_memo_hit_annotates_skipped_subtrees(self, mini_db):
@@ -110,7 +110,7 @@ class TestMiniDifferential:
         result = engine.execute(second, memo=memo)
         assert memo.hits > 0
         for node in second.nodes():
-            assert node.actual_cardinality is not None
+            assert node.operator_id in result.actual_cardinalities
         reference = Executor(mini_db.catalog, mini_db.config).execute(
             mini_db.explain(MINI_SQLS[4])
         )
@@ -242,13 +242,13 @@ class TestIndexLookupJoin:
         (per-page loop); sixty-four: it cannot (summary replay)."""
         db = _lookup_join_db(pool_pages)
         qgm = _lookup_join(**LOOKUP_JOINS[case])
-        reference = Executor(db.catalog, db.config).execute(qgm.copy())
+        reference = Executor(db.catalog, db.config).execute(qgm)
         engine = VectorizedExecutor(db.catalog, db.config)
-        assert_identical(reference, engine.execute(qgm.copy()), context=case)
+        assert_identical(reference, engine.execute(qgm), context=case)
         memo = ExecutionMemo()
-        assert_identical(reference, engine.execute(qgm.copy(), memo=memo), context=case)
+        assert_identical(reference, engine.execute(qgm, memo=memo), context=case)
         hits = memo.hits
-        assert_identical(reference, engine.execute(qgm.copy(), memo=memo), context=case)
+        assert_identical(reference, engine.execute(qgm, memo=memo), context=case)
         assert memo.hits == hits + 1, "the second run is one hit on the join's entry"
         if case not in ("no outer row", "no match"):
             assert reference.row_count > 0
@@ -287,7 +287,7 @@ class TestIndexLookupJoin:
         outer_ms = row_engine.execute(Qgm(table_scan("PROBE", "p"))).elapsed_ms
         lookups_ms = 120 * db.config.run_rand_page_cost * 0.05
         budget_ms = outer_ms + lookups_ms / 2
-        assert row_engine.execute(qgm.copy()).elapsed_ms > outer_ms + lookups_ms
+        assert row_engine.execute(qgm).elapsed_ms > outer_ms + lookups_ms
         memo = ExecutionMemo()
         stops = []
         for execute in (
@@ -297,7 +297,7 @@ class TestIndexLookupJoin:
             ),
         ):
             with pytest.raises(PlanBudgetExceeded) as stopped:
-                execute(qgm.copy())
+                execute(qgm)
             stops.append(stopped.value.elapsed_ms)
         assert stops[0] == stops[1] == pytest.approx(outer_ms + lookups_ms)
         assert [key[0] for key in memo.entries] == ["TB"]
@@ -504,8 +504,8 @@ class TestMissingAggregateColumn:
         for node in qgm.nodes():
             if node.properties.get("group_by"):
                 node.properties["group_by"] = [ColumnRef("GFACT", "g_ghost")]
-        reference = Executor(db.catalog, db.config).execute(qgm.copy())
-        candidate = VectorizedExecutor(db.catalog, db.config).execute(qgm.copy())
+        reference = Executor(db.catalog, db.config).execute(qgm)
+        candidate = VectorizedExecutor(db.catalog, db.config).execute(qgm)
         assert_identical(reference, candidate)
         # Every row grouped under the one all-NULL ghost key.
         assert len(reference.rows) == 1

@@ -192,8 +192,8 @@ class TestJoinSubtreeMemo:
                 plans = [mini_db.explain(sql)]
                 plans += mini_db.random_plans(sql, 4)
                 for qgm in plans:
-                    reference = row_engine.execute(qgm.copy())
-                    candidate = vec_engine.execute(qgm.copy(), memo=memo)
+                    reference = row_engine.execute(qgm)
+                    candidate = vec_engine.execute(qgm, memo=memo)
                     assert_identical(reference, candidate, context=f"{sweep}:{sql}")
         # The second sweep re-sees every plan: the memo must be sharing join
         # subtrees across sweeps, not merely across the plans of one query.
@@ -207,7 +207,7 @@ class TestJoinSubtreeMemo:
         second = mini_db.explain(JOIN_SQLS[2])
         result = engine.execute(second, memo=memo)
         for node in second.nodes():
-            assert node.actual_cardinality is not None
+            assert node.operator_id in result.actual_cardinalities
         reference = Executor(mini_db.catalog, mini_db.config).execute(
             mini_db.explain(JOIN_SQLS[2])
         )
@@ -422,13 +422,13 @@ class TestBudgetedExecution:
             VectorizedExecutor(mini_db.catalog, mini_db.config),
         )
         for qgm in _plans(mini_db):
-            cold = engines[0].execute(qgm.copy())
+            cold = engines[0].execute(qgm)
             for engine in engines:
-                at_limit = engine.execute(qgm.copy(), budget_ms=cold.elapsed_ms)
+                at_limit = engine.execute(qgm, budget_ms=cold.elapsed_ms)
                 assert_identical(cold, at_limit, context=type(engine).__name__)
                 just_below = math.nextafter(cold.elapsed_ms, 0.0)
                 with pytest.raises(PlanBudgetExceeded) as raised:
-                    engine.execute(qgm.copy(), budget_ms=just_below)
+                    engine.execute(qgm, budget_ms=just_below)
                 assert raised.value.budget_ms == just_below
                 assert raised.value.elapsed_ms > just_below
 
@@ -439,15 +439,15 @@ class TestBudgetedExecution:
         engine = VectorizedExecutor(mini_db.catalog, mini_db.config)
         stored = 0
         for qgm in _plans(mini_db):
-            cold = engine.execute(qgm.copy())
+            cold = engine.execute(qgm)
             for share in (0.0, 0.2, 0.5, 0.8, 0.999):
                 memo = ExecutionMemo()
                 with pytest.raises(PlanBudgetExceeded):
                     engine.execute(
-                        qgm.copy(), memo=memo, budget_ms=cold.elapsed_ms * share
+                        qgm, memo=memo, budget_ms=cold.elapsed_ms * share
                     )
                 stored += len(memo.entries)
-                through_memo = engine.execute(qgm.copy(), memo=memo)
+                through_memo = engine.execute(qgm, memo=memo)
                 assert_identical(cold, through_memo, context=f"share {share}")
         assert stored > 0, "no abort ever happened above a completed subtree"
 
@@ -456,7 +456,7 @@ class TestBudgetedExecution:
         partial time is above the finished plan's, so a budget between the two
         must let the plan finish."""
         qgm = mini_db.explain(BLOOM_SQL, guidelines=BLOOM_GUIDELINE)
-        cold = Executor(mini_db.catalog, mini_db.config).execute(qgm.copy())
+        cold = Executor(mini_db.catalog, mini_db.config).execute(qgm)
         assert cold.metrics.bloom_filtered_rows > 1000
         scans_only = dataclasses.replace(
             cold.metrics, hash_build_rows=0, hash_probe_rows=0, bloom_filtered_rows=0
@@ -465,17 +465,17 @@ class TestBudgetedExecution:
         assert cold.elapsed_ms < budget_ms < scans_only
         for engine_class in (Executor, VectorizedExecutor):
             engine = engine_class(mini_db.catalog, mini_db.config)
-            assert_identical(cold, engine.execute(qgm.copy(), budget_ms=budget_ms))
+            assert_identical(cold, engine.execute(qgm, budget_ms=budget_ms))
 
     def test_traced_abort_closes_every_span_and_marks_the_node(self, mini_db):
         qgm = mini_db.explain(JOIN_SQLS[2])
-        cold = mini_db.execute_plan(qgm.copy())
+        cold = mini_db.execute_plan(qgm)
         budget_ms = cold.elapsed_ms * 0.5
         tracer = Tracer()
         root = tracer.start_trace("budgeted")
         with pytest.raises(PlanBudgetExceeded):
             mini_db.execute_plan(
-                qgm.copy(), memo=ExecutionMemo(), span=root, budget_ms=budget_ms
+                qgm, memo=ExecutionMemo(), span=root, budget_ms=budget_ms
             )
         assert current_execution_span() is None
         assert len(tracer.store) == 0  # nothing finalized before the root ends
@@ -494,13 +494,13 @@ class TestBudgetedExecution:
             assert ancestor["attributes"]["error"] == "PlanBudgetExceeded"
             ancestor = by_id.get(ancestor["parent_id"])
         # The same executor, untraced and unbudgeted, is unaffected.
-        assert_identical(cold, mini_db.execute_plan(qgm.copy()))
+        assert_identical(cold, mini_db.execute_plan(qgm))
 
     def test_budget_is_private_to_one_execution(self, mini_db):
         """The learner's budgeted runs and the serving threads' plain ones go
         through the one shared ``Database.executor`` at the same time."""
         plans = [mini_db.explain(sql) for sql in JOIN_SQLS]
-        cold = [mini_db.execute_plan(qgm.copy()) for qgm in plans]
+        cold = [mini_db.execute_plan(qgm) for qgm in plans]
         stop = threading.Event()
         trips = []
 
@@ -508,7 +508,7 @@ class TestBudgetedExecution:
             while not stop.is_set():
                 for qgm in plans:
                     try:
-                        mini_db.executor.execute(qgm.copy(), budget_ms=0.0)
+                        mini_db.executor.execute(qgm, budget_ms=0.0)
                     except PlanBudgetExceeded:
                         trips.append(1)
 
@@ -519,7 +519,7 @@ class TestBudgetedExecution:
         try:
             for _ in range(5):
                 for qgm, reference in zip(plans, cold):
-                    assert_identical(reference, mini_db.executor.execute(qgm.copy()))
+                    assert_identical(reference, mini_db.executor.execute(qgm))
         finally:
             stop.set()
             learner.join(timeout=30)
