@@ -45,7 +45,7 @@ def publish_checkpoint(directory: str, query_count: int) -> int:
     """
     galo = MiniGaloFactory()()
     kb = KnowledgeBase()
-    if KnowledgeBase.checkpoint_exists(directory):
+    if KnowledgeBase.checkpoint_version_on_disk(directory) > 0:
         kb = KnowledgeBase.load(directory)
     count = 0
     for name, sql in mini_star_queries()[:query_count]:

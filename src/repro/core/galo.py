@@ -153,42 +153,26 @@ class Galo:
         return self.adopt_knowledge_base(KnowledgeBase.load(directory))
 
     def maybe_reload_knowledge_base(
-        self, directory: str, force: bool = False, retries: int = 3
+        self, directory: str, force: bool = False
     ) -> Optional[int]:
         """Hot-reload the KB from ``directory`` if a newer checkpoint landed.
 
         The serving-tier entry point for checkpoint propagation: compares the
-        on-disk version stamp (written last by :meth:`KnowledgeBase.save`, so
-        a bumped stamp means a complete checkpoint) against the live replica's
-        and swaps via :meth:`adopt_knowledge_base` on a bump -- serving never
-        pauses.  A load racing a concurrent save is detected by re-reading the
-        stamp after the load and retried up to ``retries`` times; the last
-        attempt is adopted regardless (every individual file is atomic, and
-        the next poll reconciles the version).  ``force`` loads any existing
-        checkpoint even without a version bump (fresh-worker bootstrap,
-        including legacy unversioned checkpoints).  Returns the adopted
+        version the checkpoint's ``CURRENT`` pointer names against the live
+        replica's and swaps via :meth:`adopt_knowledge_base` on a bump --
+        serving never pauses.  ``force`` loads the current checkpoint even
+        without a bump (fresh-worker bootstrap).  A version directory is
+        never rewritten, so a load reads one save's state.  No checkpoint,
+        or a version directory a newer save pruned mid-read, returns None;
+        the next poll adopts the newer version.  Returns the adopted
         version, or None when nothing was (re)loaded.
         """
         disk_version = KnowledgeBase.checkpoint_version_on_disk(directory)
         if not force and disk_version <= self.knowledge_base.checkpoint_version:
             return None
-        if not KnowledgeBase.checkpoint_exists(directory):
-            return None
-        loaded: Optional[KnowledgeBase] = None
-        for _ in range(max(1, retries)):
-            try:
-                loaded = KnowledgeBase.load(directory)
-            except (OSError, ValueError, KeyError):
-                # Mid-save torn read (e.g. registry renamed between our stat
-                # and read); the files settle within one save.
-                loaded = None
-                continue
-            if (
-                KnowledgeBase.checkpoint_version_on_disk(directory)
-                == loaded.checkpoint_version
-            ):
-                break
-        if loaded is None:
+        try:
+            loaded = KnowledgeBase.load(directory)
+        except OSError:
             return None
         self.adopt_knowledge_base(loaded)
         return loaded.checkpoint_version

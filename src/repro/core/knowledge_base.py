@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
+import shutil
 import threading
 import uuid
 from collections import Counter
@@ -43,6 +45,9 @@ from repro.rdf.terms import IRI, Literal, Node
 #: applied to the cardinalities a matching query compares with can never make
 #: the pre-filter stricter than the SPARQL FILTERs it stands in for.
 _BOUND_EPSILON = 1e-6
+
+#: A version directory's name inside a checkpoint directory.
+_VERSION_NAME = re.compile(r"v([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -1073,86 +1078,73 @@ class KnowledgeBase:
 
     # ------------------------------------------------------------------
 
-    #: Checkpoint commit-point file: written last by :meth:`save`, carrying a
-    #: monotonic version stamp.  Cross-process readers treat a version bump as
-    #: "a complete new checkpoint is on disk".
+    #: The one-line pointer naming the committed version directory ``v{N}/``
+    #: of a checkpoint directory.  Replacing it is a save's only commit point.
+    CURRENT_FILE = "CURRENT"
+
+    #: A version directory's stamp: its version and template count.
     CHECKPOINT_VERSION_FILE = "checkpoint.json"
 
     #: Steering-guard state (win/loss ledger, quarantine flags, learned
-    #: feature population).  Written before the version file so a committed
-    #: checkpoint always carries a consistent guard snapshot; absent in
-    #: checkpoints from older versions, which load with an empty ledger.
+    #: feature population), saved in the same version as the templates it
+    #: describes.
     GUARD_STATE_FILE = "guard_state.json"
 
     @staticmethod
     def checkpoint_version_on_disk(directory: str) -> int:
-        """Version stamp of the checkpoint in ``directory`` (0 = none/legacy).
+        """Version the ``CURRENT`` pointer in ``directory`` names (0 = none).
 
         Cheap enough to poll: one small-file read, no graph parsing.
         """
-        path = Path(directory) / KnowledgeBase.CHECKPOINT_VERSION_FILE
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            pointer = Path(directory) / KnowledgeBase.CURRENT_FILE
+            return _version_of(pointer.read_text(encoding="utf-8").strip())
+        except OSError:
             return 0
-        try:
-            return int(payload.get("version", 0))
-        except (TypeError, ValueError):
-            return 0
-
-    @staticmethod
-    def checkpoint_exists(directory: str) -> bool:
-        """True when ``directory`` holds a loadable checkpoint (any version)."""
-        path = Path(directory)
-        return (path / "templates.json").exists() and (
-            path / "knowledge_base.nt"
-        ).exists()
 
     @staticmethod
     def _write_atomic(path: Path, text: str) -> None:
         """Write ``text`` to ``path`` via a temp file + atomic rename.
 
-        A crash (or a concurrent reader racing an online checkpoint) never
-        observes a half-written file: each file is either its previous
-        version or the complete new one.
+        A crash never leaves a half-written file under ``path``'s name: it
+        holds either its previous content or the complete new one.
         """
         temp_path = path.with_name(path.name + ".tmp")
         temp_path.write_text(text, encoding="utf-8")
         os.replace(temp_path, path)
 
     def save(self, directory: str) -> int:
-        """Persist the knowledge base (N-Triples graph, JSON template registry,
-        guard state, version stamp).  Each file is written atomically (temp +
-        rename); a successful save clears :attr:`dirty`.
+        """Publish the knowledge base as version directory ``v{N}/``.
 
-        The version file is written last as the cross-process commit point,
-        stamped ``max(own version, version on disk) + 1`` so the stamp stays
-        monotonic even when a restarted learner publishes over an older
-        process's checkpoints.  Returns the published version.
+        The four files (N-Triples graph, JSON template registry, guard state,
+        version stamp) are written into a private ``v{N}.tmp/``, which is
+        renamed to ``v{N}/``; replacing the ``CURRENT`` pointer then commits
+        it.  A version directory is never rewritten, so a reader that follows
+        the pointer reads one save's files and no other's.  ``N`` is one past
+        every version this KB, the pointer or a directory on disk has used,
+        and leftover ``*.tmp`` directories are removed first: a crash at any
+        step leaves the previous version current and the next save
+        unblocked.  After the commit every version but the new one and its
+        predecessor is deleted.  A successful save clears :attr:`dirty`.
+        One writer per directory at a time.  Returns the published version.
         """
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
+        root = Path(directory)
+        root.mkdir(parents=True, exist_ok=True)
         # Under the write lock: an online learner adding or evicting templates
         # mid-save would otherwise leave the checkpoint files mutually
         # inconsistent.
         with self._write_lock:
-            next_version = (
-                max(self.checkpoint_version, self.checkpoint_version_on_disk(directory))
-                + 1
-            )
-            self._write_atomic(
-                path / "knowledge_base.nt",
-                format_ntriples(
-                    itertools.chain.from_iterable(self._template_graphs.values())
-                ),
+            for leftover in root.glob("v*.tmp"):
+                shutil.rmtree(leftover)
+            previous = self.checkpoint_version_on_disk(directory)
+            version = 1 + max(
+                [self.checkpoint_version, previous]
+                + [_version_of(entry.name) for entry in root.iterdir()]
             )
             registry = {
                 template_id: template.to_dict()
                 for template_id, template in self.templates.items()
             }
-            self._write_atomic(
-                path / "templates.json", json.dumps(registry, indent=2, sort_keys=True)
-            )
             with self._stats_lock:
                 guard_payload = {
                     "records": {
@@ -1163,25 +1155,41 @@ class KnowledgeBase:
                     "feature_count": self._feature_count,
                     "feature_mean": list(self._feature_mean),
                 }
-            self._write_atomic(
-                path / self.GUARD_STATE_FILE,
-                json.dumps(guard_payload, indent=2, sort_keys=True),
-            )
-            self._write_atomic(
-                path / self.CHECKPOINT_VERSION_FILE,
-                json.dumps(
-                    {"version": next_version, "templates": len(self.templates)},
+            files = {
+                "knowledge_base.nt": format_ntriples(
+                    itertools.chain.from_iterable(self._template_graphs.values())
+                ),
+                "templates.json": json.dumps(registry, indent=2, sort_keys=True),
+                self.GUARD_STATE_FILE: json.dumps(guard_payload, indent=2, sort_keys=True),
+                self.CHECKPOINT_VERSION_FILE: json.dumps(
+                    {"version": version, "templates": len(self.templates)},
                     indent=2,
                     sort_keys=True,
                 ),
-            )
-            self.checkpoint_version = next_version
+            }
+            staging = root / f"v{version}.tmp"
+            staging.mkdir()
+            for name, text in files.items():
+                self._write_atomic(staging / name, text)
+            os.rename(staging, root / f"v{version}")
+            self._write_atomic(root / self.CURRENT_FILE, f"v{version}\n")
+            self.checkpoint_version = version
             self._dirty = False
-        return next_version
+            # The predecessor stays: a reader that followed the old pointer
+            # may still be reading it.
+            for entry in root.iterdir():
+                if _version_of(entry.name) not in (0, previous, version):
+                    shutil.rmtree(entry, ignore_errors=True)
+        return version
 
     @classmethod
     def load(cls, directory: str) -> "KnowledgeBase":
-        """Load a knowledge base previously written by :meth:`save`.
+        """Load the version directory the ``CURRENT`` pointer names.
+
+        The pointer is read once, then only files under that version's
+        directory, so the result is exactly what one :meth:`save` wrote.  No
+        pointer, or a version directory a newer save pruned mid-read, raises
+        :class:`OSError`.
 
         The registry says which templates exist; a node belongs to the
         template its ``inTemplate`` triple names, and each triple of the file
@@ -1190,13 +1198,11 @@ class KnowledgeBase:
         without triples is registered with none and matches nothing.  Index
         entries are computed from the graphs, never read from disk.
         """
-        path = Path(directory)
         kb = cls()
-        # Version stamp first, data files after: a concurrent save() that
-        # lands mid-load bumps the on-disk version, so a caller re-reading
-        # checkpoint_version_on_disk() after load can detect the race (see
-        # Galo.maybe_reload_knowledge_base) and retry.
         kb.checkpoint_version = cls.checkpoint_version_on_disk(directory)
+        # Version 0 (no pointer) names a directory no save creates, so the
+        # first read raises FileNotFoundError.
+        path = Path(directory) / f"v{kb.checkpoint_version}"
         triples = list(
             parse_ntriples((path / "knowledge_base.nt").read_text(encoding="utf-8"))
         )
@@ -1219,26 +1225,23 @@ class KnowledgeBase:
             for template in templates:
                 kb._register(template, by_resource[voc.TEMPLATE[template.template_id]])
             kb.generation += 1
-        guard_path = path / cls.GUARD_STATE_FILE
-        if guard_path.exists():
-            try:
-                guard_payload = json.loads(guard_path.read_text(encoding="utf-8"))
-                kb._guard_records = {
-                    template_id: TemplateGuardRecord.from_dict(entry)
-                    for template_id, entry in guard_payload.get("records", {}).items()
-                    if template_id in kb.templates
-                }
-                kb._feature_count = int(guard_payload.get("feature_count", 0))
-                kb._feature_mean = [
-                    float(value) for value in guard_payload.get("feature_mean", [])
-                ]
-            except (ValueError, KeyError, TypeError, AttributeError):
-                # A torn or legacy guard file never blocks a load: the ledger
-                # is advisory state the guard rebuilds from live traffic.
-                kb._guard_records = {}
-                kb._feature_mean = []
-                kb._feature_count = 0
+        guard_payload = json.loads(
+            (path / cls.GUARD_STATE_FILE).read_text(encoding="utf-8")
+        )
+        kb._guard_records = {
+            template_id: TemplateGuardRecord.from_dict(entry)
+            for template_id, entry in guard_payload["records"].items()
+            if template_id in kb.templates
+        }
+        kb._feature_count = int(guard_payload["feature_count"])
+        kb._feature_mean = [float(value) for value in guard_payload["feature_mean"]]
         return kb
+
+
+def _version_of(name: str) -> int:
+    """``N`` for a version directory name ``v{N}``, 0 for any other name."""
+    found = _VERSION_NAME.fullmatch(name)
+    return int(found.group(1)) if found else 0
 
 
 def _solution_sort_key(solution: dict) -> Tuple[Tuple[str, str], ...]:

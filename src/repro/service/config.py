@@ -93,12 +93,12 @@ class ServiceConfig:
     #: of :meth:`repro.core.knowledge_base.KnowledgeBase.eviction_order`.
     kb_capacity: Optional[int] = None
     #: Online KB checkpointing: with both fields set, the learner thread
-    #: snapshots the knowledge base (``knowledge_base.nt``,
-    #: ``templates.json``, ``guard_state.json``, ``checkpoint.json``) to
-    #: ``kb_checkpoint_directory`` at most every
-    #: ``kb_checkpoint_interval_seconds`` -- atomically (each file written to
-    #: a temp name and renamed) and only when the KB mutated since the last
-    #: save, so a quiet service does no disk work.  ``None`` disables.
+    #: publishes the knowledge base to ``kb_checkpoint_directory`` at most
+    #: every ``kb_checkpoint_interval_seconds`` -- as a new version directory
+    #: committed by one pointer rename (see
+    #: :meth:`repro.core.knowledge_base.KnowledgeBase.save`) and only when
+    #: the KB mutated since the last save, so a quiet service does no disk
+    #: work.  ``None`` disables.
     kb_checkpoint_interval_seconds: Optional[float] = None
     kb_checkpoint_directory: Optional[str] = None
     #: Workload name recorded on templates learned online.

@@ -761,14 +761,14 @@ class GaloService:
     def _checkpoint_kb_sync(self, force: bool = False) -> None:
         """Snapshot the KB to disk if due and dirty (learner thread only).
 
-        Atomicity comes from :meth:`KnowledgeBase.save` (per-file temp +
-        rename, registry last as the commit point); this method adds the
-        interval pacing and the dirty check, so a quiet service performs no
-        disk writes.  ``force`` (shutdown) skips the interval, not the dirty
-        check.  The timer advances only when a snapshot is actually
-        attempted: an idle (clean-KB) wake-up must not restart the interval,
-        or a KB dirtied just after it would wait up to two intervals for its
-        first snapshot.
+        Atomicity comes from :meth:`KnowledgeBase.save` (a new version
+        directory, committed by replacing the ``CURRENT`` pointer); this
+        method adds the interval pacing and the dirty check, so a quiet
+        service performs no disk writes.  ``force`` (shutdown) skips the
+        interval, not the dirty check.  The timer advances only when a
+        snapshot is actually attempted: an idle (clean-KB) wake-up must not
+        restart the interval, or a KB dirtied just after it would wait up to
+        two intervals for its first snapshot.
         """
         directory = self.config.kb_checkpoint_directory
         interval = self.config.kb_checkpoint_interval_seconds

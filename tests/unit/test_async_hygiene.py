@@ -101,7 +101,7 @@ class TestShardBootstrapOffLoop:
         """_shard_serve: the startup checkpoint load must not block the loop."""
         reload_threads = []
 
-        def recording_reload(self, directory, force=False, retries=3):
+        def recording_reload(self, directory, force=False):
             reload_threads.append((threading.current_thread(), directory, force))
             return None
 

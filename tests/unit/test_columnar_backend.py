@@ -481,12 +481,15 @@ class TestKbCheckpointing:
         assert kb.dirty
         kb.save(str(tmp_path))
         assert not kb.dirty
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "checkpoint.json",  # version stamp, written last as commit point
+        # One version directory behind the pointer that commits it; atomic
+        # writes leave no .tmp files behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["CURRENT", "v1"]
+        assert sorted(p.name for p in (tmp_path / "v1").iterdir()) == [
+            "checkpoint.json",
             "guard_state.json",
             "knowledge_base.nt",
             "templates.json",
-        ]  # atomic writes leave no .tmp files behind
+        ]
         evicted_id = next(iter(kb.templates))
         kb.evict_template(evicted_id)
         assert kb.dirty
@@ -518,14 +521,15 @@ class TestKbCheckpointing:
         async def scenario():
             async with service:
                 deadline = asyncio.get_running_loop().time() + GUARD_SECONDS / 2
-                while not (directory / "templates.json").exists():
+                while not (directory / "CURRENT").exists():
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.02)
                 assert not galo.knowledge_base.dirty
-                first_mtime = os.stat(directory / "templates.json").st_mtime_ns
+                first_mtime = os.stat(directory / "CURRENT").st_mtime_ns
                 # A clean KB must not be rewritten by later timer ticks.
                 await asyncio.sleep(0.2)
-                assert os.stat(directory / "templates.json").st_mtime_ns == first_mtime
+                assert os.stat(directory / "CURRENT").st_mtime_ns == first_mtime
+                assert sorted(p.name for p in directory.iterdir()) == ["CURRENT", "v1"]
             return service.metrics.count("kb_checkpoints")
 
         checkpoints = run_guarded(scenario())
@@ -595,7 +599,7 @@ class TestKbCheckpointing:
 
         run_guarded(scenario())
         # The hour-long timer never fired; the shutdown checkpoint did.
-        assert (directory / "templates.json").exists()
+        assert KnowledgeBase.checkpoint_version_on_disk(str(directory)) == 1
         assert not galo.knowledge_base.dirty
 
 

@@ -1,20 +1,28 @@
 """Checkpoint versioning: the propagation protocol under sharded serving.
 
 A designated learner publishes knowledge-base checkpoints; follower shards
-poll the version stamp and hot-reload when it bumps.  These tests pin the
-single-process pieces that protocol rests on: monotonic version assignment
-on save, the stamp being the commit point, and ``maybe_reload`` semantics
-(no-op / bump / force).
+poll the ``CURRENT`` pointer and hot-reload when it names a newer version.
+These tests pin the single-process pieces that protocol rests on: monotonic
+version assignment on save, the pointer replace being the only commit point
+(crash at any step of a save), pruning to two versions, ``maybe_reload``
+semantics (no-op / bump / force / pruned mid-read), and a reload racing
+saves -- interleaved deterministically and on two threads -- adopting only
+a knowledge base that one save wrote.
 """
 
 import json
 import os
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core import vocabulary as voc
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
+from repro.rdf.terms import Literal
+from tests.prepared_support import build_system
 
 
 def seeded_kb(db, queries, name_prefix="ckpt"):
@@ -64,10 +72,16 @@ class TestCheckpointVersion:
     def test_version_on_disk_handles_missing_and_garbage(self, tmp_path):
         directory = str(tmp_path)
         assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
-        stamp = os.path.join(directory, KnowledgeBase.CHECKPOINT_VERSION_FILE)
-        with open(stamp, "w", encoding="utf-8") as handle:
-            handle.write("not json {")
-        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
+        pointer = tmp_path / KnowledgeBase.CURRENT_FILE
+        for garbage in ("not a version {", "v", "v-1", "3", "v3.tmp", ""):
+            pointer.write_text(garbage, encoding="utf-8")
+            assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
+        pointer.write_text("v12\n", encoding="utf-8")
+        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 12
+
+    def test_load_without_a_checkpoint_raises(self, tmp_path):
+        with pytest.raises(OSError):
+            KnowledgeBase.load(str(tmp_path))
 
     def test_load_adopts_disk_version(self, kb, tmp_path):
         directory = str(tmp_path)
@@ -77,14 +91,20 @@ class TestCheckpointVersion:
         assert loaded.checkpoint_version == 2
         assert len(loaded) == len(kb)
 
-    def test_checkpoint_exists(self, kb, tmp_path):
-        assert not KnowledgeBase.checkpoint_exists(str(tmp_path))
+    def test_save_writes_one_version_directory_and_the_pointer(self, kb, tmp_path):
         kb.save(str(tmp_path))
-        assert KnowledgeBase.checkpoint_exists(str(tmp_path))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["CURRENT", "v1"]
+        assert (tmp_path / "CURRENT").read_text(encoding="utf-8") == "v1\n"
+        assert sorted(path.name for path in (tmp_path / "v1").iterdir()) == [
+            "checkpoint.json",
+            "guard_state.json",
+            "knowledge_base.nt",
+            "templates.json",
+        ]
 
     def test_stamp_records_template_count(self, kb, tmp_path):
         kb.save(str(tmp_path))
-        stamp = os.path.join(str(tmp_path), KnowledgeBase.CHECKPOINT_VERSION_FILE)
+        stamp = os.path.join(str(tmp_path), "v1", KnowledgeBase.CHECKPOINT_VERSION_FILE)
         with open(stamp, encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["version"] == 1
@@ -138,3 +158,250 @@ class TestMaybeReload:
         galo = Galo(mini_db, knowledge_base=kb)
         galo.save_knowledge_base(directory)
         assert galo.maybe_reload_knowledge_base(directory, force=True) == 1
+
+
+# ---------------------------------------------------------------------------
+# A reload racing saves
+# ---------------------------------------------------------------------------
+
+
+def published_state(kb):
+    """Template id -> registry ``improvement``: what a save of ``kb`` holds."""
+    return {
+        template_id: template.improvement for template_id, template in kb.templates.items()
+    }
+
+
+def assert_published_whole(kb, published):
+    """``kb`` is what one save wrote: registry and triples agree template by
+    template, and both equal the writer's state at ``kb``'s version."""
+    for template_id, template in kb.templates.items():
+        literals = [
+            triple.object
+            for triple in kb._template_graphs[template_id]
+            if triple.predicate == voc.HAS_IMPROVEMENT
+        ]
+        assert literals == [Literal(round(template.improvement, 4))], template_id
+    assert published_state(kb) == published[kb.checkpoint_version]
+
+
+class ChurningWriter:
+    """The learner side of the race.
+
+    Each :meth:`step` updates three templates' ``improvement``, evicts three
+    more and saves, recording the state each version was saved from.  Below
+    six templates it starts over from a copy of ``seed``.
+    """
+
+    def __init__(self, seed, directory):
+        self.seed = seed
+        self.directory = directory
+        self.kb = self._fresh()
+        self.steps = 0
+        self.published = {}
+
+    def _fresh(self):
+        kb = KnowledgeBase()
+        kb.copy_templates_from(self.seed)
+        return kb
+
+    def publish(self):
+        state = published_state(self.kb)
+        self.published[self.kb.save(self.directory)] = state
+
+    def step(self):
+        self.steps += 1
+        if len(self.kb) < 6:
+            self.kb = self._fresh()
+        template_ids = sorted(self.kb.templates)
+        for template_id in template_ids[:3]:
+            self.kb.update_template(template_id, improvement=round(0.9 + self.steps / 100, 4))
+        for template_id in template_ids[3:6]:
+            assert self.kb.evict_template(template_id)
+        self.publish()
+
+
+def after_each_graph_read(monkeypatch, action):
+    """Run ``action`` after every read of a ``knowledge_base.nt``; returns
+    the list of directories those reads were from."""
+    directories = []
+    real_read_text = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        text = real_read_text(self, *args, **kwargs)
+        if self.name == "knowledge_base.nt":
+            directories.append(self.parent)
+            action()
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    return directories
+
+
+@pytest.fixture(scope="module")
+def system():
+    return build_system()
+
+
+class TestReloadRacingSave:
+    def test_reload_adopts_what_one_save_wrote(self, system, tmp_path, monkeypatch):
+        """Every read of the graph file lets the learner update three
+        templates, evict three more and save.  The follower still adopts one
+        save's registry, triples and version, read from that version's
+        directory."""
+        directory = str(tmp_path)
+        writer = ChurningWriter(system.knowledge_base, directory)
+        writer.publish()
+        follower = Galo(system.database)
+        reads = after_each_graph_read(monkeypatch, writer.step)
+        version = follower.maybe_reload_knowledge_base(directory, force=True)
+        monkeypatch.undo()
+        assert writer.steps > 0
+        assert version == follower.knowledge_base.checkpoint_version
+        assert_published_whole(follower.knowledge_base, writer.published)
+        assert reads == [tmp_path / f"v{version}"]
+
+    def test_reader_of_a_pruned_version_retries_on_the_next_poll(
+        self, system, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path)
+        writer = ChurningWriter(system.knowledge_base, directory)
+        writer.publish()
+        follower = Galo(system.database)
+
+        def two_saves():
+            writer.step()
+            writer.step()  # prunes v1, the version being read
+
+        after_each_graph_read(monkeypatch, two_saves)
+        assert follower.maybe_reload_knowledge_base(directory) is None
+        monkeypatch.undo()
+        assert follower.knowledge_base.checkpoint_version == 0
+        assert follower.maybe_reload_knowledge_base(directory) == 3
+        assert_published_whole(follower.knowledge_base, writer.published)
+
+
+class TestReloadSoak:
+    """A writer thread churns and saves while a reader thread force-reloads.
+
+    CI's slow job runs it 200 times with a 1 us switch interval
+    (``tests/race_soak.py``)."""
+
+    SAVES = 10
+
+    def test_every_adopted_kb_is_one_save(self, system, tmp_path):
+        directory = str(tmp_path)
+        writer = ChurningWriter(system.knowledge_base, directory)
+        writer.publish()
+        follower = Galo(system.database)
+        written = threading.Event()
+        adopted, errors = [], []
+
+        def write():
+            try:
+                for _ in range(self.SAVES):
+                    writer.step()
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                written.set()
+
+        def read():
+            try:
+                while True:
+                    last = written.is_set()
+                    if follower.maybe_reload_knowledge_base(directory, force=True):
+                        adopted.append(follower.knowledge_base)
+                    if last:
+                        return
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write), threading.Thread(target=read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert adopted[-1].checkpoint_version == self.SAVES + 1
+        for kb in adopted:
+            assert_published_whole(kb, writer.published)
+
+
+# ---------------------------------------------------------------------------
+# Crashes and pruning
+# ---------------------------------------------------------------------------
+
+
+def version_files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestCrashMatrix:
+    @pytest.mark.parametrize(
+        "call, nth",
+        [
+            ("replace", 1),  # first file inside v2.tmp/
+            ("replace", 4),  # last file inside v2.tmp/
+            ("rename", 1),  # v2.tmp/ -> v2/
+            ("replace", 5),  # the CURRENT pointer: v2/ is left an orphan
+        ],
+        ids=["tmp-first-file", "tmp-last-file", "directory-rename", "pointer-replace"],
+    )
+    def test_crash_leaves_the_previous_version_current(
+        self, kb, tmp_path, monkeypatch, call, nth
+    ):
+        directory = str(tmp_path)
+        kb.save(directory)
+        before = version_files(tmp_path / "v1")
+        template_id = sorted(kb.templates)[0]
+        original = kb.template(template_id).improvement
+        kb.update_template(template_id, improvement=0.77)
+
+        calls = []
+        real = getattr(os, call)
+
+        def crashing(source, target):
+            calls.append(target)
+            if len(calls) == nth:
+                raise OSError("injected crash")
+            return real(source, target)
+
+        monkeypatch.setattr(os, call, crashing)
+        with pytest.raises(OSError, match="injected crash"):
+            kb.save(directory)
+        monkeypatch.undo()
+
+        assert kb.dirty
+        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 1
+        previous = KnowledgeBase.load(directory)
+        assert previous.checkpoint_version == 1
+        assert previous.template(template_id).improvement == original
+        assert version_files(tmp_path / "v1") == before
+
+        orphaned = (tmp_path / "v2").is_dir()
+        assert orphaned == (call == "replace" and nth == 5)
+        version = kb.save(directory)
+        assert version == (3 if orphaned else 2)
+        assert not kb.dirty
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "CURRENT",
+            "v1",
+            f"v{version}",
+        ]
+        current = KnowledgeBase.load(directory)
+        assert current.checkpoint_version == version
+        assert current.template(template_id).improvement == 0.77
+
+
+class TestPruning:
+    def test_five_saves_keep_the_newest_two_versions(self, kb, tmp_path):
+        for _ in range(5):
+            kb.save(str(tmp_path))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "CURRENT",
+            "v4",
+            "v5",
+        ]
+        assert KnowledgeBase.load(str(tmp_path)).checkpoint_version == 5

@@ -56,7 +56,7 @@ class TestGraphIsAView:
 class TestLoadAndSave:
     def test_load_adds_each_triple_once(self, mini_db, tmp_path, monkeypatch):
         populated_kb(mini_db).save(str(tmp_path))
-        text = (tmp_path / "knowledge_base.nt").read_text(encoding="utf-8")
+        text = (tmp_path / "v1" / "knowledge_base.nt").read_text(encoding="utf-8")
         in_file = len(list(parse_ntriples(text)))
         assert in_file > 100
 
@@ -101,47 +101,50 @@ class TestLoadAndSave:
             assert len(kb.index) == len(kb._template_graphs) == len(kb)
 
             first, second = tmp_path / f"a{step}", tmp_path / f"b{step}"
-            kb.save(str(first))
-            loaded = KnowledgeBase.load(str(first))
-            loaded.save(str(second))
+            first = first / f"v{kb.save(str(first))}"
+            loaded = KnowledgeBase.load(str(first.parent))
+            second = second / f"v{loaded.save(str(second))}"
             for name in ("knowledge_base.nt", "templates.json"):
                 assert (first / name).read_bytes() == (second / name).read_bytes(), name
             assert set(loaded.graph) == set(kb.graph) == union_of_subgraphs(loaded)
         indexed, brute = matched_ids(kb, mini_db)
         assert indexed == brute == matched_ids(loaded, mini_db)[0]
 
-    def test_torn_checkpoint_loads_what_the_registry_says(self, mini_db, tmp_path):
-        """The two files of a checkpoint are replaced one after the other, so a
-        reader can pair an ``.nt`` with the registry of a neighbouring version:
-        triples of a template the registry does not list (orphans), and a
-        listed template with no triples."""
+    def test_hand_built_version_loads_what_the_registry_says(self, mini_db, tmp_path):
+        """``save`` never pairs one version's graph with another's registry,
+        but ``load`` tolerates a version directory built by hand that does:
+        triples of a template the registry does not list (orphans) are
+        dropped, and a listed template with no triples is registered with
+        none."""
         kb = populated_kb(mini_db)
         orphan, hollow = sorted(kb.templates)[:2]
         kb.save(str(tmp_path))
-        registry = json.loads((tmp_path / "templates.json").read_text(encoding="utf-8"))
+        registry = json.loads((tmp_path / "v1" / "templates.json").read_text(encoding="utf-8"))
         del registry[orphan]
         kb.evict_template(hollow)
         kb.save(str(tmp_path))
-        # The torn pair: an .nt with the orphan's triples and none of the
-        # hollow one's, beside a registry listing the hollow one only.
-        (tmp_path / "templates.json").write_text(
+        # The hand-built pair in v2/: its own graph, with the orphan's triples
+        # and none of the hollow one's, beside a registry listing the hollow
+        # one only.
+        (tmp_path / "v2" / "templates.json").write_text(
             json.dumps(registry, indent=2, sort_keys=True), encoding="utf-8"
         )
-        torn_nt = (tmp_path / "knowledge_base.nt").read_text(encoding="utf-8")
-        assert orphan in torn_nt and hollow not in torn_nt
+        built_nt = (tmp_path / "v2" / "knowledge_base.nt").read_text(encoding="utf-8")
+        assert orphan in built_nt and hollow not in built_nt
         kb.evict_template(orphan)  # ``kb`` is now the templates both files hold
 
-        torn = KnowledgeBase.load(str(tmp_path))
-        assert set(torn.templates) == set(registry) == set(kb.templates) | {hollow}
-        assert len(torn.index) == len(torn._template_graphs) == len(torn)
-        assert len(torn._template_graphs[hollow]) == 0
-        assert set(torn.graph) == set(kb.graph)
-        indexed, brute = matched_ids(torn, mini_db)
+        built = KnowledgeBase.load(str(tmp_path))
+        assert built.checkpoint_version == 2
+        assert set(built.templates) == set(registry) == set(kb.templates) | {hollow}
+        assert len(built.index) == len(built._template_graphs) == len(built)
+        assert len(built._template_graphs[hollow]) == 0
+        assert set(built.graph) == set(kb.graph)
+        indexed, brute = matched_ids(built, mini_db)
         assert indexed == brute == matched_ids(kb, mini_db)[0]
         assert any(indexed)
 
-        torn.save(str(tmp_path / "resaved"))
-        resaved_nt = (tmp_path / "resaved" / "knowledge_base.nt").read_text(encoding="utf-8")
+        resaved = tmp_path / "resaved" / f"v{built.save(str(tmp_path / 'resaved'))}"
+        resaved_nt = (resaved / "knowledge_base.nt").read_text(encoding="utf-8")
         assert orphan not in resaved_nt
         assert set(parse_ntriples(resaved_nt)) == set(kb.graph)
 

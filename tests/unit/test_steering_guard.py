@@ -5,9 +5,8 @@ The contract under test, per the robustness issue: a template whose steered
 executions keep regressing past the optimizer baseline is quarantined (its
 matches stop steering) while deterministic probes keep judging it; probation
 wins re-arm it with a fresh ledger; chronic losers evict first; guard state
-survives knowledge-base checkpoints (including legacy checkpoints without a
-guard file); and drift onset switches background learning from FIFO to
-frequency x benefit priority.
+survives knowledge-base checkpoints; and drift onset switches background
+learning from FIFO to frequency x benefit priority.
 """
 
 import pytest
@@ -312,7 +311,7 @@ class TestGuardPersistence:
         kb.quarantine_template(ids[0])
         kb.record_learned_features([2.0, 3.0, 5.0, 1.0, 0.0, 0.5])
         kb.save(str(tmp_path))
-        assert (tmp_path / "guard_state.json").exists()
+        assert (tmp_path / "v1" / "guard_state.json").exists()
 
         restored = KnowledgeBase.load(str(tmp_path))
         assert restored.quarantined_template_ids() == [ids[0]]
@@ -337,15 +336,6 @@ class TestGuardPersistence:
         assert not kb.dirty
         assert kb.rearm_template(tid)
         assert kb.dirty
-
-    def test_legacy_checkpoint_without_guard_file_loads(self, mini_db, tmp_path):
-        kb = kb_with_templates(mini_db)
-        kb.save(str(tmp_path))
-        (tmp_path / "guard_state.json").unlink()
-        restored = KnowledgeBase.load(str(tmp_path))
-        assert sorted(restored.templates) == sorted(kb.templates)
-        assert restored.quarantined_template_ids() == []
-        assert restored.learned_feature_population() == (0, [])
 
     def test_stale_guard_entries_are_dropped_on_load(self, mini_db, tmp_path):
         kb = kb_with_templates(mini_db)
