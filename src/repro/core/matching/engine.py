@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
-from repro.core.matching.prepared import PreparedStatement, PreparedStatements
+from repro.core.matching.prepared import (
+    AllowedIds,
+    PreparedStatement,
+    PreparedStatements,
+    Stamp,
+)
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import remap_guideline_document
 from repro.core.transform.sparql_gen import sparql_for_subplan
@@ -133,6 +138,14 @@ class SteeringDecision:
     #: ``"miss"`` / ``"stale"`` (verdict computed; stale = an entry existed
     #: under an older stamp).  Empty from the uncached :meth:`steer`.
     prepared: str = ""
+    #: The entry a hit was answered from (None otherwise): its ``outcomes``
+    #: slot for ``allowed`` replays or keeps this plan's execution.
+    entry: Optional[PreparedStatement] = None
+
+    @property
+    def allowed(self) -> AllowedIds:
+        """The template ids the plan was steered by (the entry's plan key)."""
+        return tuple(self.matched_template_ids)
 
     @property
     def steered(self) -> bool:
@@ -328,6 +341,11 @@ class MatchingEngine:
             match_time_ms=match_time_ms,
         )
 
+    def stamp(self) -> Stamp:
+        """The current prepared-lane stamp (the KB object is read once)."""
+        knowledge_base = self.knowledge_base
+        return self.database.stats_epoch, knowledge_base, knowledge_base.generation
+
     def is_prepared(self, sql: str) -> bool:
         """Whether :meth:`steer_prepared` would replay ``sql``'s verdict now.
 
@@ -335,10 +353,7 @@ class MatchingEngine:
         moves.  A mutation between the peek and the call makes that call a
         ``"stale"`` miss, which is still answered correctly.
         """
-        knowledge_base = self.knowledge_base
-        return self.prepared.peek(
-            sql, self.database.stats_epoch, knowledge_base, knowledge_base.generation
-        )
+        return self.prepared.peek(sql, *self.stamp())
 
     def steer_prepared(
         self, sql: str, query_name: str = "", span=NULL_SPAN, match_filter=None
@@ -356,14 +371,14 @@ class MatchingEngine:
         recorded are replayed into the knowledge base; and the plans handed
         out are :meth:`~repro.engine.plan.physical.Qgm.renamed` views of the
         entry's read-only masters, so the memo keys and row constructor a
-        master derives on its first execution serve every later hit.
+        master derives on its first execution serve every later hit.  A
+        hit's decision carries its entry (``decision.entry``), whose
+        ``outcomes`` let the caller replay the execution as well.
         """
         # The stamp is read before any work an entry would stand in for: an
         # entry built while the learner thread mutates the KB (or a reload
         # swaps it) then carries the older stamp and is stale by construction.
-        knowledge_base = self.knowledge_base
-        stats_epoch = self.database.stats_epoch
-        generation = knowledge_base.generation
+        stats_epoch, knowledge_base, generation = self.stamp()
         entry, outcome = self.prepared.lookup(
             sql, stats_epoch, knowledge_base, generation
         )
@@ -394,11 +409,7 @@ class MatchingEngine:
                 # but is published only if the stamp it carries is still the
                 # current one -- a second reader holding the same stamp must
                 # never be handed it as a hit.
-                if entry.is_current(
-                    self.database.stats_epoch,
-                    self.knowledge_base,
-                    knowledge_base.generation,
-                ):
+                if entry.is_current(*self.stamp()):
                     self.prepared.publish(sql, entry)
             else:
                 started = time.perf_counter()
@@ -442,6 +453,7 @@ class MatchingEngine:
             guideline_document=guideline_document,
             match_time_ms=match_time_ms,
             prepared=outcome,
+            entry=entry if outcome == "hit" else None,
         )
 
     def reoptimize_workload(

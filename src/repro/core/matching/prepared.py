@@ -21,22 +21,63 @@ blocks and probes advance per request) and the usage ticks the match recorded
 and read-only like every planned ``Qgm``: executing one writes nothing into
 it, so callers hand out :meth:`~repro.engine.plan.physical.Qgm.renamed`
 views of the same nodes and any number of threads run them at once.
+
+An entry also holds *outcomes*: beside each plan it hands out, the result of
+one unbudgeted execution of that plan (:class:`PlanOutcome`), valid under the
+same stamp.  The memo's cold-charge rule makes rows, metrics and
+``elapsed_ms`` a pure function of (plan, table data); the plan is read-only
+and every data load advances ``stats_epoch``, so a later hit under the same
+stamp replays the outcome -- fresh rows from the stored batch -- instead of
+executing again.  An outcome is published only if the stamp is still the
+entry's after the execution that produced it
+(:meth:`PreparedStatement.keep_outcome`), and only hits store one: a
+statement served once leaves no outcome behind.  The lane therefore holds at
+most ``CAPACITY`` entries times the plans each hands out (one per allowed
+template set; almost always one) outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache import LruCache
+from repro.engine.executor.executor import ExecutionResult
 
 if TYPE_CHECKING:
     from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
+    from repro.engine.executor.metrics import RuntimeMetrics
+    from repro.engine.executor.vectorized import Batch
     from repro.engine.optimizer.guidelines import GuidelineDocument
     from repro.engine.plan.physical import Qgm
 
 #: Template ids the guard let through for one request, in match order.
 AllowedIds = Tuple[str, ...]
+
+#: (stats epoch, knowledge base, its generation): what an entry is valid for.
+Stamp = Tuple[int, "KnowledgeBase", int]
+
+
+class PlanOutcome(NamedTuple):
+    """One unbudgeted execution of a plan an entry hands out."""
+
+    #: The plan's output batch; every replay builds its own rows from it.
+    batch: "Batch"
+    #: Shared by every replay, as are its ``actual_cardinalities``.
+    metrics: "RuntimeMetrics"
+    elapsed_ms: float
+    #: ``ExecutionResult.max_q_error`` of the plan, computed once.
+    max_q_error: float
+
+    def replay(self, qgm: "Qgm") -> ExecutionResult:
+        """The execution's result again, for ``qgm`` (a view of the plan)."""
+        return ExecutionResult(
+            metrics=self.metrics,
+            elapsed_ms=self.elapsed_ms,
+            actual_cardinalities=self.metrics.actual_cardinalities,
+            batch=self.batch,
+            plan_root=qgm.root,
+        )
 
 
 @dataclass
@@ -61,6 +102,9 @@ class PreparedStatement:
     plans: Dict[AllowedIds, Tuple["GuidelineDocument", Optional["Qgm"]]] = field(
         default_factory=dict
     )
+    #: allowed ids -> the outcome of executing that plan (the steered one,
+    #: or the baseline when the document is empty); see :meth:`keep_outcome`.
+    outcomes: Dict[AllowedIds, PlanOutcome] = field(default_factory=dict)
 
     def is_current(
         self, stats_epoch: int, knowledge_base: "KnowledgeBase", generation: int
@@ -69,6 +113,28 @@ class PreparedStatement:
             self.stats_epoch == stats_epoch
             and self.knowledge_base is knowledge_base
             and self.generation == generation
+        )
+
+    def keep_outcome(
+        self, allowed: AllowedIds, qgm: "Qgm", result: ExecutionResult, stamp: Stamp
+    ) -> Optional[PlanOutcome]:
+        """Store ``result`` -- an unbudgeted execution of ``qgm``, the plan
+        ``plans[allowed]`` hands out -- for later hits to replay.
+
+        ``stamp`` is read *after* the execution: a load or RUNSTATS that
+        overlapped it advanced the epoch, so the result is kept only if this
+        entry is still current (a stale entry is never looked up again).
+        Two threads storing at once compute equal outcomes; the first wins.
+        Returns the outcome kept, or None (stale, or a row-engine result,
+        which has no batch to replay).
+        """
+        if result.batch is None or not self.is_current(*stamp):
+            return None
+        return self.outcomes.setdefault(
+            allowed,
+            PlanOutcome(
+                result.batch, result.metrics, result.elapsed_ms, result.max_q_error(qgm)
+            ),
         )
 
 

@@ -41,13 +41,20 @@ from repro.obs.tracing import current_execution_span, execution_tracing
 class ExecutionResult:
     """Rows produced plus the runtime metrics and simulated elapsed time.
 
-    ``rows`` may be given eagerly (a list of dicts) or lazily via
-    ``rows_factory``: the learning tier executes thousands of candidate plans
-    per sweep and ranks them purely on metrics/elapsed time, so materializing
-    one dict per result row at every plan root is wasted work there.  The
-    factory runs at most once, on first access; every consumer that does read
-    ``rows`` (the serving tier, the differential tests) sees exactly the rows
-    an eager construction would have produced.
+    ``rows`` may be given eagerly (a list of dicts, the row engine) or as the
+    output ``batch`` of the vectorized engine, materialized on first access
+    with the row constructor of ``plan_root``: the learning tier executes
+    thousands of candidate plans per sweep and ranks them purely on
+    metrics/elapsed time, so building one dict per result row at every plan
+    root is wasted work there.  Every consumer that does read ``rows`` (the
+    serving tier, the differential tests) sees exactly the rows an eager
+    construction would have produced, as a list of its own.
+
+    A prepared hit's result is a replay (see
+    :class:`repro.core.matching.prepared.PlanOutcome`): a new result over the
+    batch, ``metrics`` and ``actual_cardinalities`` of the one execution the
+    prepared entry stored, which every replay of it shares -- so a result is
+    read-only; only its ``rows`` belong to the caller.
     """
 
     def __init__(
@@ -56,14 +63,16 @@ class ExecutionResult:
         metrics: Optional[RuntimeMetrics] = None,
         elapsed_ms: float = 0.0,
         actual_cardinalities: Optional[Dict[int, int]] = None,
-        rows_factory=None,
-        row_count: Optional[int] = None,
+        batch=None,
+        plan_root: Optional[PlanNode] = None,
     ):
-        if rows is None and rows_factory is None:
+        if rows is None and batch is None:
             rows = []
         self._rows = rows
-        self._rows_factory = rows_factory
-        self._row_count = len(rows) if rows is not None else int(row_count or 0)
+        #: The vectorized engine's output batch (None from the row engine).
+        self.batch = batch
+        self._plan_root = plan_root
+        self._row_count = len(rows) if rows is not None else batch.length
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.elapsed_ms = elapsed_ms
         self.actual_cardinalities = actual_cardinalities or {}
@@ -71,8 +80,7 @@ class ExecutionResult:
     @property
     def rows(self) -> List[Row]:
         if self._rows is None:
-            self._rows = self._rows_factory()
-            self._rows_factory = None
+            self._rows = self.batch.to_rows(self._plan_root)
         return self._rows
 
     @property

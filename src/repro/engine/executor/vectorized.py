@@ -460,8 +460,8 @@ class VectorizedExecutor:
         # Rows are materialized lazily: plan measurement (the learning tier's
         # dominant workload) ranks on metrics alone and never reads them.
         return ExecutionResult(
-            rows_factory=lambda: batch.to_rows(qgm.root),
-            row_count=batch.length,
+            batch=batch,
+            plan_root=qgm.root,
             metrics=metrics,
             elapsed_ms=elapsed,
             actual_cardinalities=metrics.actual_cardinalities,

@@ -140,8 +140,10 @@ _TIMELINE_ATTRS = (
     "elapsed_ms",
     "matches",
     "steered",
-    # Prepared-statement lane: hit = verdict replayed, miss/stale = computed.
+    # Prepared-statement lane: hit = verdict replayed, miss/stale = computed;
+    # replayed = the execution too (an ``execute`` span with no operators).
     "prepared",
+    "replayed",
     "memo_hits",
     "memo_misses",
     "table",

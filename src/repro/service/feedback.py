@@ -109,10 +109,14 @@ class FeedbackMonitor:
         result: ExecutionResult,
         matched: bool,
         steered: bool,
+        max_q_error: Optional[float] = None,
     ) -> QueryObservation:
         """Digest one served query; ``observation.task`` is set when the query
-        should be enqueued for background learning (at most once per SQL)."""
-        max_q_error = result.max_q_error(qgm)
+        should be enqueued for background learning (at most once per SQL).
+        ``max_q_error`` is ``result.max_q_error(qgm)`` when the caller has it
+        already (a replayed prepared hit)."""
+        if max_q_error is None:
+            max_q_error = result.max_q_error(qgm)
         sql_hash = sql_fingerprint(sql)
         observation = QueryObservation(
             sql_hash=sql_hash,

@@ -9,9 +9,11 @@
 2. executes that plan exactly once on the vectorized engine and returns rows
    + runtime metrics as soon as they are ready.  A statement the prepared
    lane answers under the current stamp (a *hit*) is served in place on the
-   event-loop thread -- plans are read-only, so that is a replay and one
-   memoized execution; everything else (misses and stale entries: parse,
-   optimize, match, cold execution) runs in a bounded worker pool;
+   event-loop thread -- plans are read-only and the entry keeps each plan's
+   outcome, so that is a replay of the verdict and of the execution (after
+   the first hit executes and stores it); everything else (misses and stale
+   entries: parse, optimize, match, cold execution) runs in a bounded worker
+   pool;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
    which enqueues mis-estimated or regressed statements onto a background
    learning queue drained by a dedicated learner thread -- the paper's offline
@@ -323,11 +325,11 @@ class GaloService:
         arguments = (sql, query_name, request_id, request_span, admitted_at)
         steering = self.config.steering_enabled and len(self.galo.knowledge_base)
         if steering and self.galo.matching_engine.is_prepared(sql):
-            # A current prepared hit is a read-only replay plus one memoized
-            # execution: served right here, on the event-loop thread, it
-            # skips the hop to a pool thread and back, and the GIL hand-off
-            # to the other serve threads.  Misses (parse, optimize, match,
-            # cold execution) keep the pool, where they overlap.
+            # A current prepared hit replays its verdict and (from its second
+            # hit on) its execution: served right here, on the event-loop
+            # thread, it skips the hop to a pool thread and back, and the GIL
+            # hand-off to the other serve threads.  Misses (parse, optimize,
+            # match, cold execution) keep the pool, where they overlap.
             response, learning_task = self._serve_sync(*arguments)
             self._serve_finished(learning_task)
             return response
@@ -481,10 +483,14 @@ class GaloService:
         request_span=NULL_SPAN,
         admitted_at: Optional[float] = None,
     ) -> Tuple[ServiceResponse, Optional[LearningTask]]:
-        """Plan, (maybe) steer, execute once, observe.
+        """Plan, (maybe) steer, execute once (or replay), observe.
 
-        Runs on a pool thread, or on the event-loop thread for a prepared
-        hit (see :meth:`submit`).  ``request_span`` is the request trace's
+        A prepared hit whose entry keeps an outcome for its plan replays it
+        (:class:`~repro.core.matching.prepared.PlanOutcome`): fresh rows
+        from the stored batch, the stored metrics, ``elapsed_ms`` and max
+        q-error; the executor is not entered.  A hit without one executes
+        and keeps it.  Runs on a pool thread, or on the event-loop thread
+        for a prepared hit (see :meth:`submit`).  ``request_span`` is the request trace's
         root (the no-op span when tracing is off), opened on the event loop
         at admission time; the gap between ``admitted_at`` and the work being
         picked up is the ``queue_wait`` stage (near zero for a hit served in
@@ -496,18 +502,21 @@ class GaloService:
         trace_id = request_span.trace_id
         database = self.galo.database
         try:
-            # Serving executes each plan exactly once, through the vectorized
+            # Serving executes a plan once per request (unless a hit replays
+            # it, below), through the vectorized
             # engine and the workload-scoped memo: recurring statements (the
             # normal case for served traffic) replay their subtrees' cold
             # charges instead of recomputing them, and the memo's epoch check
             # drops entries the moment the data changes.
-            memo = self.galo.matching_engine.execution_memo()
+            engine = self.galo.matching_engine
+            memo = engine.execution_memo()
             # The KB reference is captured once per request: a sharded
             # hot-reload swaps the object mid-flight, and the guard must
             # screen against and record into the same KB the match used.
             knowledge_base = self.galo.knowledge_base
             guard = self.guard
             screen: Optional[GuardScreen] = None
+            entry = None
             if self.config.steering_enabled and len(knowledge_base):
                 match_filter = None
                 if guard is not None:
@@ -516,10 +525,11 @@ class GaloService:
                         screen = guard.screen(_kb, matches)
                         return screen.allowed
 
-                decision = self.galo.matching_engine.steer_prepared(
+                decision = engine.steer_prepared(
                     sql, query_name=query_name, span=request_span,
                     match_filter=match_filter,
                 )
+                entry = decision.entry
                 if decision.prepared == "hit":
                     self.metrics.increment("prepared_hits")
                 else:
@@ -541,10 +551,21 @@ class GaloService:
                 steered = False
                 matched_ids = []
                 match_time_ms = 0.0
+            # A hit replays the execution its entry keeps for this plan, or
+            # executes and keeps it; a miss executes and keeps nothing.
+            outcome = None if entry is None else entry.outcomes.get(decision.allowed)
             with request_span.child("execute") as execute_span:
-                result = database.execute_plan(qgm, memo=memo, span=execute_span)
+                if outcome is None:
+                    result = database.execute_plan(qgm, memo=memo, span=execute_span)
+                else:
+                    result = outcome.replay(qgm)
+                    execute_span.set("replayed", True)
                 execute_span.set("rows", result.row_count)
                 execute_span.set("elapsed_ms", result.elapsed_ms)
+            if entry is not None and outcome is None:
+                outcome = entry.keep_outcome(
+                    decision.allowed, qgm, result, engine.stamp()
+                )
         except Exception as exc:  # noqa: BLE001 - served errors become responses
             self.metrics.increment("failed")
             wall_ms = (time.perf_counter() - started) * 1000.0
@@ -564,8 +585,11 @@ class GaloService:
         wall_ms = (time.perf_counter() - started) * 1000.0
 
         learning_task: Optional[LearningTask] = None
-        max_q_error = 1.0
         with request_span.child("feedback") as feedback_span:
+            if outcome is None:
+                max_q_error = result.max_q_error(qgm)
+            else:
+                max_q_error = outcome.max_q_error
             if self.config.learning_enabled:
                 observation = self.feedback.observe(
                     sql=sql,
@@ -574,13 +598,11 @@ class GaloService:
                     result=result,
                     matched=bool(matched_ids),
                     steered=steered,
+                    max_q_error=max_q_error,
                 )
                 learning_task = observation.task
-                max_q_error = observation.max_q_error
                 if learning_task is not None:
                     feedback_span.set("reason", learning_task.reason)
-            else:
-                max_q_error = result.max_q_error(qgm)
             feedback_span.set("max_q_error", max_q_error)
             if guard is not None:
                 # Ledger first (win/loss vs the optimizer baseline, plus any

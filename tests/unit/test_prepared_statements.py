@@ -8,6 +8,7 @@ first and repeated calls and across every event that changes the verdict.
 """
 
 import asyncio
+import copy
 import sys
 import threading
 import time
@@ -17,6 +18,8 @@ import pytest
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.prepared import PreparedStatements
 from repro.core.matching.segmenter import segment_plan
+from repro.engine.executor.executor import Executor
+from repro.engine.executor.vectorized import VectorizedExecutor
 from repro.service import GaloService, ServiceConfig
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
@@ -709,3 +712,238 @@ class TestServiceObservability:
             assert cold.elapsed_ms == warm.elapsed_ms
             assert cold.matched_template_ids == warm.matched_template_ids
             assert cold.steered == warm.steered
+
+
+def serve_serially(galo, requests, **config):
+    """Serve ``requests`` one after another on a fresh service over ``galo``
+    (the prepared lane lives on the engine, so it persists across calls)."""
+    config.setdefault("learning_enabled", False)
+    service = GaloService(galo, ServiceConfig(max_workers=2, **config))
+
+    async def scenario():
+        async with service:
+            return [await service.submit(sql, query_name=name) for name, sql in requests]
+
+    return run(scenario())
+
+
+def count_executions(monkeypatch):
+    """Count entries into ``VectorizedExecutor.execute`` from now on."""
+    calls = []
+    execute = VectorizedExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorizedExecutor, "execute", counting)
+    return calls
+
+
+def response_key(response):
+    return (
+        [tuple(row.items()) for row in response.rows],
+        response.elapsed_ms,
+        response.steered,
+        list(response.matched_template_ids),
+        response.max_q_error,
+    )
+
+
+def oracle_key(galo, response):
+    """What a fresh ``steer()`` (restricted to the templates the response
+    used) executed on the row engine answers for ``response``'s statement."""
+    used = set(response.matched_template_ids)
+    decision = galo.matching_engine.steer(
+        response.sql,
+        match_filter=lambda matches: [
+            match for match in matches if match.template.template_id in used
+        ],
+    )
+    database = galo.database
+    result = Executor(database.catalog, database.config).execute(decision.qgm)
+    return (
+        [tuple(row.items()) for row in result.rows],
+        result.elapsed_ms,
+        decision.steered,
+        decision.matched_template_ids,
+        result.max_q_error(decision.qgm),
+    )
+
+
+def assert_responses_equal_oracle(galo, responses):
+    for response in responses:
+        assert response.ok, response.error
+        assert response_key(response) == oracle_key(galo, response), response.query_name
+
+
+def warm_to_replay(galo):
+    """Serve the workload three times: the miss, the hit that executes and
+    stores its outcome, and a hit that replays it."""
+    for _ in range(3):
+        serve_serially(galo, WORKLOAD)
+
+
+class TestExecutionReplay:
+    """A hit replays the execution its entry keeps for its plan."""
+
+    def test_the_second_hit_on_replays_without_entering_the_executor(self, monkeypatch):
+        galo = build_system()
+        calls = count_executions(monkeypatch)
+        executed = []
+        for _ in range(4):
+            before = len(calls)
+            responses = serve_serially(galo, WORKLOAD)
+            executed.append(len(calls) - before)
+            assert_responses_equal_oracle(galo, responses)
+        # Miss (stores nothing), hit (executes and stores), then replays.
+        assert executed == [len(WORKLOAD), len(WORKLOAD), 0, 0]
+        for _, sql in WORKLOAD:
+            assert len(current_entry(galo, sql).outcomes) == 1
+
+    def test_a_statement_served_once_keeps_no_outcome(self):
+        galo = build_system()
+        serve_serially(galo, WORKLOAD)
+        assert all(not current_entry(galo, sql).outcomes for _, sql in WORKLOAD)
+
+    def test_replayed_rows_belong_to_their_response(self):
+        galo = build_system()
+        warm_to_replay(galo)
+        name, sql = WORKLOAD[1]
+        first, second = serve_serially(galo, [(name, sql)] * 2)
+        assert first.rows and first.rows == second.rows
+        assert first.rows is not second.rows
+        assert all(a is not b for a, b in zip(first.rows, second.rows))
+        expected = response_key(second)
+        first.rows[0].clear()
+        first.rows.append({"extra": 1})
+        second.rows.pop()
+        (third,) = serve_serially(galo, [(name, sql)])
+        assert response_key(third) == expected
+
+    def test_replays_leave_the_stored_outcome_unchanged(self, monkeypatch):
+        """Learning and the guard on: feedback, the guard ledger and the drift
+        window read a replayed result's shared metrics and actuals, and must
+        write nothing into them."""
+        galo = build_system()
+        config = dict(learning_enabled=True, guard_enabled=True, q_error_threshold=1e9)
+        serve_serially(galo, WORKLOAD * 2, **config)
+        outcomes = [
+            outcome for _, sql in WORKLOAD
+            for outcome in current_entry(galo, sql).outcomes.values()
+        ]
+        assert len(outcomes) == len(WORKLOAD)
+        snapshot = [
+            (
+                copy.deepcopy(outcome.metrics),
+                dict(outcome.metrics.actual_cardinalities),
+                outcome.elapsed_ms,
+                outcome.max_q_error,
+            )
+            for outcome in outcomes
+        ]
+        calls = count_executions(monkeypatch)
+        responses = serve_serially(galo, WORKLOAD * 3, **config)
+        assert not calls
+        assert_responses_equal_oracle(galo, responses)
+        assert [
+            (
+                outcome.metrics,
+                outcome.metrics.actual_cardinalities,
+                outcome.elapsed_ms,
+                outcome.max_q_error,
+            )
+            for outcome in outcomes
+        ] == snapshot
+
+    def test_each_allowed_set_keeps_its_own_outcome(self):
+        """A guard probe or block changes the plan a hit runs; the outcome
+        is kept per allowed template set, beside that set's plan."""
+        galo = build_system()
+        engine = galo.matching_engine
+        name, sql = next(
+            (name, sql) for name, sql in WORKLOAD if engine.steer(sql).steered
+        )
+        warm_to_replay(galo)
+        galo.quarantine_template(engine.steer_prepared(sql).matched_template_ids[0])
+        responses = serve_serially(
+            galo, [(name, sql)] * 3, guard_probe_interval=1_000_000
+        )
+        assert_responses_equal_oracle(galo, responses)
+        assert not any(response.steered for response in responses)
+        assert len(current_entry(galo, sql).outcomes) == 2
+
+
+class TestOutcomeStaleness:
+    """Every event that changes a stamp makes the next request execute."""
+
+    @staticmethod
+    def hot_reload(galo, tmp_path):
+        galo.save_knowledge_base(str(tmp_path))
+        assert galo.maybe_reload_knowledge_base(str(tmp_path), force=True)
+
+    EVENTS = {
+        "load_rows": lambda galo, _: reinsert_sales(galo.database, count=40),
+        "runstats": lambda galo, _: galo.database.runstats("SALES"),
+        "kb_mutation": lambda galo, _: galo.knowledge_base.update_template(
+            galo.knowledge_base.all_templates()[0].template_id, improvement=0.5
+        ),
+        "enforce_kb_capacity": lambda galo, _: galo.enforce_kb_capacity(
+            len(galo.knowledge_base) - 2
+        ),
+        "hot_reload": lambda galo, tmp_path: TestOutcomeStaleness.hot_reload(
+            galo, tmp_path
+        ),
+    }
+
+    @pytest.mark.parametrize("event", sorted(EVENTS))
+    def test_the_next_request_executes(self, event, monkeypatch, tmp_path):
+        galo = build_system()
+        warm_to_replay(galo)
+        replayed = serve_serially(galo, WORKLOAD)
+        self.EVENTS[event](galo, tmp_path)
+        calls = count_executions(monkeypatch)
+        responses = serve_serially(galo, WORKLOAD)
+        assert len(calls) == len(WORKLOAD)
+        assert_responses_equal_oracle(galo, responses)
+        if event == "load_rows":
+            # The reinserted sales rows are counted and summed (the oracle
+            # reads the new data too; this shows the data moved at all).
+            assert any(
+                after.rows != before.rows for before, after in zip(replayed, responses)
+            )
+        # The lane settles again: one hit executes and stores, then replays.
+        serve_serially(galo, WORKLOAD)
+        before = len(calls)
+        assert_responses_equal_oracle(galo, serve_serially(galo, WORKLOAD))
+        assert len(calls) == before
+
+    def test_an_outcome_computed_across_runstats_is_never_replayed(self, monkeypatch):
+        """RUNSTATS lands while a hit executes: the stamp the hit would store
+        its outcome under is no longer current, so the outcome is dropped and
+        the next request recomputes instead of replaying it."""
+        galo = build_system()
+        database = galo.database
+        name, sql = WORKLOAD[0]
+        serve_serially(galo, [(name, sql)])
+        entry = current_entry(galo, sql)
+        assert entry is not None and not entry.outcomes
+        execute_plan = database.execute_plan
+        moved = []
+
+        def execute_plan_across_runstats(*args, **kwargs):
+            if not moved:
+                moved.append(database.stats_epoch)
+                database.runstats("SALES")
+            return execute_plan(*args, **kwargs)
+
+        monkeypatch.setattr(database, "execute_plan", execute_plan_across_runstats)
+        (hit,) = serve_serially(galo, [(name, sql)])
+        monkeypatch.undo()
+        assert moved and database.stats_epoch > moved[0]
+        assert hit.ok and not entry.outcomes
+        assert current_entry(galo, sql) is None
+        calls = count_executions(monkeypatch)
+        again = serve_serially(galo, [(name, sql)] * 3)
+        assert len(calls) == 2
+        assert_responses_equal_oracle(galo, again)

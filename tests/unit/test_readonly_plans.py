@@ -5,7 +5,9 @@ one planned ``Qgm``; nothing copies it.  That is only sound if nothing that
 consumes a plan writes into it: executing it (cold, through memo hits, or
 stopped by a budget), steering through it, judging its outcome.  Each test
 takes :func:`plan_snapshot` of a plan before and after and requires the two
-equal, and the shared-master test runs one plan on two threads at once.
+equal.  The shared-master test runs one plan on two threads at once, and the
+shared-outcome test has one thread store a prepared entry's outcome while
+another replays it.
 """
 
 import sys
@@ -17,6 +19,7 @@ from repro.engine.executor.executor import Executor
 from repro.engine.executor.memo import ExecutionMemo
 from repro.engine.executor.vectorized import VectorizedExecutor
 from repro.errors import PlanBudgetExceeded
+from repro.service import GaloService, ServiceConfig
 from repro.service.feedback import FeedbackMonitor
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
@@ -203,6 +206,67 @@ class TestSharedMaster:
                 for thread in threads:
                     thread.join(timeout=60)
                 if outcomes != [expected[sql], expected[sql]]:
+                    failures.append(f"round {round_number} ({name})")
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures, failures[:5]
+
+
+class TestSharedOutcome:
+    ROUNDS = 100
+    REQUESTS = 3
+
+    def test_one_thread_stores_an_outcome_while_another_replays_it(self):
+        """Two serving threads send one statement ``REQUESTS`` times each, at
+        once, right after its miss: the first hits race to execute and store
+        the entry's outcome while later hits replay it, with a thread switch
+        possible between almost any two bytecodes.  Every response must be
+        the uncached oracle's (``steer()`` planned, the row executor run),
+        and the entry must end up holding exactly one outcome."""
+        galo = build_system()
+        engine = galo.matching_engine
+        database = galo.database
+        row_engine = Executor(database.catalog, database.config)
+        expected = {}
+        for name, sql in WORKLOAD:
+            decision = engine.steer(sql, query_name=name)
+            result = row_engine.execute(decision.qgm)
+            expected[sql] = (
+                ordered(result.rows), result.elapsed_ms, result.max_q_error(decision.qgm)
+            )
+        service = GaloService(
+            galo, ServiceConfig(learning_enabled=False, guard_enabled=False)
+        )
+        failures = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_number in range(self.ROUNDS):
+                name, sql = WORKLOAD[round_number % len(WORKLOAD)]
+                engine.prepared.clear()
+                service._serve_sync(sql, name)
+                barrier = threading.Barrier(2)
+                served = [[], []]
+
+                def serve(slot, _barrier=barrier, _served=served, _sql=sql, _name=name):
+                    _barrier.wait()
+                    for _ in range(self.REQUESTS):
+                        response, _ = service._serve_sync(_sql, _name)
+                        _served[slot].append(
+                            (ordered(response.rows), response.elapsed_ms,
+                             response.max_q_error)
+                        )
+
+                threads = [threading.Thread(target=serve, args=(slot,)) for slot in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                kb = galo.knowledge_base
+                entry, _ = engine.prepared.lookup(
+                    sql, database.stats_epoch, kb, kb.generation
+                )
+                if served != [[expected[sql]] * self.REQUESTS] * 2 or len(entry.outcomes) != 1:
                     failures.append(f"round {round_number} ({name})")
         finally:
             sys.setswitchinterval(switch_interval)

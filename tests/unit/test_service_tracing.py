@@ -16,6 +16,7 @@ from repro.core.galo import Galo
 from repro.core.learning.engine import LearningConfig
 from repro.service import GaloService, ServiceConfig
 from tests.conftest import build_mini_database
+from tests.prepared_support import WORKLOAD, build_system
 
 GUARD_SECONDS = 120
 
@@ -208,6 +209,48 @@ class TestTracedRequests:
         assert service.trace_store is None
         assert service.explain_request("req-0") is None
         assert service.slow_queries() == []
+
+
+class TestReplayedHitTraces:
+    def test_a_traced_hit_replays_its_execution(self):
+        """Tracing on, a statement's third request replays the execution its
+        second one stored: the ``execute`` span says so, carries the rows and
+        ``elapsed_ms``, has no operator children, and the response equals the
+        miss's and the executing hit's."""
+        galo = build_system()
+        name, sql = WORKLOAD[0]
+        service = GaloService(
+            galo,
+            ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=True),
+        )
+
+        async def scenario():
+            async with service:
+                return [await service.submit(sql, query_name=name) for _ in range(3)]
+
+        responses = run(scenario())
+        assert all(response.ok for response in responses)
+        assert len({repr(response_fingerprint(r)) for r in responses}) == 1
+
+        def execute_span(response):
+            trace = service.trace_store.get(request_id=response.request_id)
+            execute = next(s for s in trace["spans"] if s["name"] == "execute")
+            children = [
+                s["name"] for s in trace["spans"] if s["parent_id"] == execute["span_id"]
+            ]
+            return execute["attributes"], children
+
+        for response in responses[:2]:
+            attributes, children = execute_span(response)
+            assert "replayed" not in attributes
+            assert "return" in children
+        attributes, children = execute_span(responses[2])
+        assert attributes["replayed"] is True
+        assert attributes["rows"] == len(responses[2].rows)
+        assert attributes["elapsed_ms"] == responses[2].elapsed_ms
+        assert children == []
+        assert "replayed=True" in service.explain_request(responses[2].request_id)
+        assert "replayed" not in service.explain_request(responses[1].request_id)
 
 
 class TestBackgroundPlaneTraces:
