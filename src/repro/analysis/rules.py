@@ -9,8 +9,7 @@ only ever enforced at runtime / in differential suites):
   leaked PYTHONHASHSEED into sub-query SQL and changed what got learned.
 - GL002 hot-path loops: no Python per-row loops in the vectorized kernels
   (``vectorized.py`` / ``columns.py`` / ``bufferpool.py`` /
-  ``statistics.py`` / ``storage.py``) outside the declared decline-to-oracle
-  allowlist.
+  ``statistics.py`` / ``storage.py``) outside the declared allowlist.
 - GL003 counter discipline: every ``metrics.increment("name")`` literal and
   every ``PROMETHEUS_HELP`` family key must exist in the declared counter
   registry, and every declared counter must actually be incremented
@@ -365,35 +364,29 @@ class DeterminismRule(Rule):
 # GL002: no Python per-row loops in the vectorized kernels
 # ---------------------------------------------------------------------------
 
-#: Functions that ARE the declared decline-to-oracle / boundary paths --
-#: dict-based probe loops the engine deliberately keeps (PR 6 / ROADMAP
-#: item 2), row-dict materialization at the plan boundary, and plain-list
-#: fallbacks.  Per-row loops are their whole point.  Entries naming no
+#: Functions whose per-row loops are their whole point: the places a
+#: column's Python values become arrays and back (the typed view, result-row
+#: dicts at the plan edge, the gather of a plain-list column), and the value
+#: loop and per-page LRU the array kernels are pinned to.  The executor keeps
+#: no dict-probe or row-loop fallback: joins, SORT and GROUP BY read one key
+#: grouping (``columns.KeyGroups``) for every key type.  Entries naming no
 #: function in the analyzed kernels are themselves findings (dead entries).
 GL002_ORACLE_FUNCTIONS = frozenset(
     {
-        # columns.py: gather of plain-list columns (the output of declined
-        # kernels and of ``Batch.from_rows``), and the one place a column's
-        # Python values become its typed array
+        # columns.py: gather of plain-list columns (``Batch`` accepts them;
+        # no operator builds one), and the one place a column's Python values
+        # become its typed array
         "gather",
         "ColumnVector._build_typed",
         # statistics.py: the value loop RUNSTATS declines to (object columns,
         # plain sequences, NaN) -- also the definition the array kernel equals
         "_collect_from_values",
-        # vectorized.py: row-dict boundaries at the plan edge
-        "Batch.from_rows",
+        # vectorized.py: result-row dicts at the plan edge
         "Batch.to_rows",
-        # vectorized.py: the declared dict-probe join paths and the group-by
-        # loop oracle the run-kernel declines to (NULL/NaN/object keys)
-        "VectorizedExecutor._execute_hash_join",
-        "VectorizedExecutor._hash_build",
-        "VectorizedExecutor._execute_nested_loop_join",
-        "VectorizedExecutor._nljoin_key_map",
-        "VectorizedExecutor._execute_group_by",
         # bufferpool.py: the per-page LRU oracle the summary replay is pinned to
         "BufferPool.access_many",
-        # storage.py: none -- object-dtype keys build through the same NumPy
-        # calls as typed ones; the dict-of-lists loop is tests/naive_index.py
+        # storage.py: none -- an index is a KeyGroups; the dict-of-lists loop
+        # is tests/naive_index.py
     }
 )
 
@@ -471,7 +464,7 @@ class HotPathLoopRule(Rule):
     title = "Python per-row loop on the vectorized hot path"
     hint = (
         "vectorize (masks/argsort/searchsorted/reduceat) or move the loop into"
-        " a declared decline-to-oracle function (GL002_ORACLE_FUNCTIONS)"
+        " a function declared in GL002_ORACLE_FUNCTIONS"
     )
     paths = (
         "repro/engine/executor/vectorized.py",

@@ -18,10 +18,13 @@ column exposes a lazily built **typed view** via
 
 The typed view is what the vectorized predicate path
 (:func:`repro.engine.expressions.compile_predicate`), the batch executor's
-gather/join/sort/group-by kernels, RUNSTATS
-(:func:`repro.engine.statistics.collect_column_statistics`) and the index
-build (:class:`repro.engine.storage.IndexData`: one stable ``argsort`` of the
-view, ``object`` dtype included) consume.  It is a
+gather kernels, RUNSTATS
+(:func:`repro.engine.statistics.collect_column_statistics`) and
+:class:`KeyGroups` consume.  ``KeyGroups`` is the engine's one key grouping
+-- one stable ``argsort`` of a column's values, ``object`` dtype included --
+and serves both an index (:class:`repro.engine.storage.IndexData`) and every
+keyed operator of the vectorized executor: joins, SORT and GROUP BY.  The
+typed view is a
 cache over the authoritative Python value list: appends invalidate it, the
 next vectorized access rebuilds it.  Loads happen once, scans happen thousands of times per
 learning sweep, so the rebuild cost is amortized away.  Lifetime tracks
@@ -33,7 +36,8 @@ intact.
 Representation invariant for gathered (executor-internal) columns: a **typed
 (non-object) ndarray never contains NULLs** -- :func:`gather` widens to an
 ``object`` array with embedded ``None`` the moment a NULL is selected.
-Downstream code can therefore treat any numeric ndarray as null-free.
+:func:`null_split` therefore finds a column's NULLs by dtype alone: none in a
+numeric ndarray, the embedded ``None`` in an ``object`` one.
 """
 
 from __future__ import annotations
@@ -200,23 +204,116 @@ def python_values(values: Sequence[Any]) -> List[Any]:
     return list(values)
 
 
-def numeric_array(values: Sequence[Any]) -> Optional[Any]:
-    """``values`` as a null-free numeric ndarray, or None.
+def null_split(values: Sequence[Any]) -> TypedArrays:
+    """A gathered executor column as ``(array, null mask or None)``.
 
-    Accepts gathered executor columns (where a typed ndarray is null-free by
-    construction) and ``ColumnVector`` storage columns (checked against their
-    mask).  The join/sort kernels vectorize exactly when this returns an
-    array; anything else -- object dtype, NULL-bearing, plain lists -- takes
-    the element-wise fallback, which is the behavioral oracle.
+    A typed ndarray is null-free by construction; an ``object`` array (or a
+    plain list, which becomes one) carries its NULLs as embedded ``None``.
     """
-    if isinstance(values, ColumnVector):
-        array, mask = values.arrays()
-        if array.dtype == object or (mask is not None and mask.any()):
-            return None
-        return array
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values
-    return None
+    array = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if array.dtype != object:
+        return array, None
+    mask = array == None  # noqa: E711 -- elementwise on an object array
+    return array, (mask if mask.any() else None)
+
+
+#: The empty row-id array (read-only: shared by every grouping and lookup).
+NO_ROWS = np.zeros(0, dtype=np.intp)
+NO_ROWS.flags.writeable = False
+
+
+class KeyGroups:
+    """One column grouped by key: the engine's one key grouping.
+
+    ``keys`` are the sorted distinct non-``NULL`` values, ``row_ids`` every
+    non-``NULL`` row concatenated key by key (ascending within a key, so
+    ``row_ids[offsets[k]:offsets[k + 1]]`` are the rows of ``keys[k]``), and
+    ``null_rows`` the ``NULL`` rows, ascending.  One stable ``argsort`` over
+    the typed values builds it; VARCHAR keys and integers beyond int64 use
+    the same calls on ``object`` arrays (Python comparisons).
+
+    The same arrays read as *runs*: ``order`` is ``row_ids`` then
+    ``null_rows``, and run ``k`` is ``order[bounds[k]:bounds[k + 1]]`` -- one
+    run per key, then the ``NULL`` rows as run ``len(keys)`` (empty without
+    NULLs).  ``order`` is the row engine's stable ``(is NULL, value)`` sort.
+
+    An index (:class:`repro.engine.storage.IndexData`) is one of these over a
+    table column; the executor builds one per keyed operator input and reads
+    it in one of three ways:
+
+    * **as probes** -- :meth:`find` maps a whole array of values to runs.  A
+      hash join drops the ``NULL`` run; a nested-loop join over a scanned
+      inner probes it with the outer ``NULL`` rows (the row engine's tuple
+      equality: ``NULL`` matches ``NULL``).
+    * **as an order** -- SORT emits ``order``; a merge join walks both inputs'
+      runs in it, draining a ``NULL`` run as the row engine's loop does.
+    * **as runs** -- GROUP BY aggregates run by run, ``NULL`` one more group.
+
+    Several key columns group as one through :meth:`codes` (see the
+    executor's ``_combine``).  The arrays are shared (memo, index) and must
+    not be written to.
+    """
+
+    __slots__ = ("keys", "offsets", "row_ids", "null_rows", "order", "bounds")
+
+    def __init__(self, array: Any, mask: Optional[Any] = None):
+        if mask is None:
+            present, null_rows = None, NO_ROWS
+        else:
+            present, null_rows = np.flatnonzero(~mask), np.flatnonzero(mask)
+        keyed = array if present is None else array[present]
+        sort = np.argsort(keyed, kind="stable")
+        ordered = keyed[sort]
+        count = len(ordered)
+        row_ids = sort if present is None else present[sort]
+        self.order = np.concatenate((row_ids, null_rows)) if len(null_rows) else row_ids
+        changes = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        self.bounds = np.concatenate(
+            ([0] if count else [], changes, [count, len(self.order)])
+        ).astype(np.intp, copy=False)
+        self.keys = ordered[self.bounds[:-2]]
+        self.offsets = self.bounds[:-1]
+        self.row_ids = self.order[:count]
+        self.null_rows = self.order[count:]
+
+    def find(self, values: Any) -> Any:
+        """The slot of each value's key -- ``keys[slot] == value`` -- or -1
+        where no key equals it.  ``values`` hold no ``NULL``.
+
+        Numbers of different types compare as NumPy compares them (in
+        float64: exact below 2**53), ``object`` keys as Python does; values
+        that do not order against the keys match none.
+        """
+        keys = self.keys
+        if len(keys) and (keys.dtype == object or values.dtype.kind in "biufO"):
+            try:
+                slots = np.minimum(keys.searchsorted(values), len(keys) - 1)
+                return np.where(keys[slots] == values, slots, -1)
+            except TypeError:  # keys and values of types that do not order
+                pass
+        return np.full(len(values), -1, dtype=np.intp)
+
+    def take_runs(self, slots: Any) -> Tuple[Any, Any, Any]:
+        """The rows of run ``slots[i]`` for each ``i`` (-1: none).
+
+        Returns ``(hits, sizes, rows)``: the ``i`` with a run, ascending, the
+        sizes of their runs, and those runs' rows one run after another -- a
+        probe's matches in probe order, then run order.
+        ``take_runs(find(values))`` looks a whole array up at once.
+        """
+        hits = np.flatnonzero(slots >= 0)
+        runs = slots[hits]
+        starts = self.bounds[runs]
+        sizes = self.bounds[runs + 1] - starts
+        return hits, sizes, self.order[expand_slices(starts, sizes)]
+
+    def codes(self) -> Any:
+        """Each row's run (``NULL`` rows: ``len(keys)``): equal keys, equal codes."""
+        codes = np.empty(len(self.order), dtype=np.intp)
+        codes[self.order] = np.repeat(
+            np.arange(len(self.bounds) - 1, dtype=np.intp), np.diff(self.bounds)
+        )
+        return codes
 
 
 def nbytes_of(values: Any) -> int:

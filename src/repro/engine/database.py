@@ -66,11 +66,11 @@ class Database:
         # Two invalidation epochs, split by what an event can actually stale:
         # the *storage* epoch moves on DDL and data loads (anything that
         # changes positions, column values or page layouts) and keys the
-        # workload execution memo -- entries, gathered aux columns, join
-        # build/sort caches are pure functions of storage.  The *statistics*
+        # workload execution memo -- entries, gathered aux columns, key
+        # groupings are pure functions of storage.  The *statistics*
         # epoch additionally moves on RUNSTATS, which changes only the cost
         # model's inputs: cached plans must go, but ColumnVector typed views,
-        # index sort caches and every memo payload stay valid and are kept.
+        # index groupings and every memo payload stay valid and are kept.
         self._storage_epoch = 0
         self._stats_epoch = 0
         self._workload_memo = ExecutionMemo(
@@ -112,7 +112,7 @@ class Database:
         execution memo: cached subtree results are only ever valid against
         the exact table data they were computed from.  A stats-only bump
         deliberately leaves the memo -- and with it the gathered aux columns,
-        join build/sort caches and typed views it holds -- untouched.
+        key groupings and typed views it holds -- untouched.
         """
         self._explain_cache.clear()
         self._stats_epoch += 1

@@ -128,6 +128,12 @@ def equi_join_keys(
     return keys
 
 
+def _sort_key(row: Row, column: ColumnRef) -> Tuple[bool, Any]:
+    """The order SORT and MSJOIN put rows in (stably): NULLs last."""
+    value = row.get(column.key)
+    return (value is None, value if value is not None else 0)
+
+
 def index_qualifying_row_ids(node: PlanNode, index_data, alias: str) -> Any:
     """Row ids an index scan qualifies, as an array in the scan's visit order.
 
@@ -401,12 +407,8 @@ class Executor:
             raise PlanError("MSJOIN requires at least one equi-join predicate")
         outer_key, inner_key = keys[0]
 
-        def sort_key(row: Row, column: ColumnRef):
-            value = row.get(column.key)
-            return (value is None, value if value is not None else 0)
-
-        outer_sorted = sorted(outer_rows, key=lambda row: sort_key(row, outer_key))
-        inner_sorted = sorted(inner_rows, key=lambda row: sort_key(row, inner_key))
+        outer_sorted = sorted(outer_rows, key=lambda row: _sort_key(row, outer_key))
+        inner_sorted = sorted(inner_rows, key=lambda row: _sort_key(row, inner_key))
 
         output: List[Row] = []
         i = j = 0
@@ -579,9 +581,7 @@ class Executor:
         key: Optional[ColumnRef] = node.properties.get("sorted_on")
         if key is None:
             return rows
-        return sorted(
-            rows, key=lambda row: (row.get(key.key) is None, row.get(key.key) or 0)
-        )
+        return sorted(rows, key=lambda row: _sort_key(row, key))
 
     def _execute_group_by(
         self, node: PlanNode, metrics: RuntimeMetrics, pool: BufferPool

@@ -19,7 +19,7 @@ queries, not just within one.  The instance is stamped with the database's
 *storage epoch* and lazily swapped for a fresh one whenever DDL or data
 loads bump that epoch.  RUNSTATS deliberately does not: it bumps only the
 statistics epoch (cost model inputs / plan cache), while every memo payload
--- result entries, gathered aux columns, join build and sort caches -- is a
+-- result entries, gathered aux columns, key groupings -- is a
 pure function of storage and stays valid.  Entries therefore never outlive
 the table data they were computed from, and survive re-collections.  Entries
 are immutable once stored and the dicts are only ever replaced wholesale on
@@ -48,10 +48,10 @@ its scans were computed or reused.  Each memo entry therefore records
 The result: simulated ``elapsed_ms``, per-operator actual cardinalities and
 result rows are bit-identical to executing every plan from scratch.
 
-Auxiliary join-side structures (hash-build tables, merge-sort orders,
-nested-loop key maps) are cached in ``aux`` keyed by the memoized child's
-subtree key; they are pure functions of the child's batch, so reuse is safe
-whenever the child itself is memoizable.
+Auxiliary structures -- gathered columns and the key groupings joins and
+GROUP BY read -- are cached in ``aux`` keyed by the memoized child's subtree
+key; they are pure functions of the child's batch, so reuse is safe whenever
+the child itself is memoizable.
 
 Interrupted plans
 -----------------
@@ -182,7 +182,7 @@ class ExecutionMemo:
     """
 
     entries: Dict[Hashable, MemoEntry] = field(default_factory=dict)
-    #: (kind, child subtree key, ...) -> cached hash table / sort order / ...
+    #: (kind, child subtree key, column(s)) -> gathered column / key grouping
     aux: Dict[Hashable, Any] = field(default_factory=dict)
     #: Storage epoch this memo's entries were computed at (None = unmanaged).
     epoch: Optional[int] = None

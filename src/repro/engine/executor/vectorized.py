@@ -6,9 +6,31 @@ lists of per-row dicts.  Scans filter directly over the table's storage
 columns (zero-copy), predicates are compiled once per plan into column-wise
 closures (:func:`repro.engine.expressions.compile_predicate`), joins compose
 their inputs' position vectors and gather only the key columns they read,
-and sort/group-by reorder position vectors with column-wise key extraction.
+and sort/group-by reorder position vectors by a grouping of their key columns.
 RETURN reduces the batch to the statement's select list; result rows are only
 materialized as dicts once, at the plan root.
+
+Keyed operators
+---------------
+Joins, SORT and GROUP BY read one key grouping,
+:class:`~repro.engine.columns.KeyGroups` -- the form an index has too -- for
+every key type: numeric, VARCHAR, integers beyond int64, NULL-bearing.  Each
+reads it with the row engine's NULL rule:
+
+* HSJOIN probes the inner's grouping with every outer key at once; a NULL
+  key matches nothing and is neither probed nor bloom-filtered.
+* NLJOIN over a scanned inner probes the same way, but NULL matches NULL
+  (the row engine keys its inner rows by value tuple).  An index-lookup
+  inner probes the index; a NULL outer key makes no lookup.
+* MSJOIN pairs both inputs' runs in key order and charges what the row
+  engine's merge loop charges, the drain of a NULL run included.
+* SORT emits the grouping's order: stable on ``(is NULL, value)``.
+* GROUP BY aggregates over its runs, NULL one more group, emitted in
+  first-occurrence order.
+
+Several key columns become one integer code per row (``_combine``); MSJOIN
+merges on its first key and checks the others on each candidate pair.  No
+operator has a dict-probe or row-loop fallback.
 
 Equivalence contract
 --------------------
@@ -17,9 +39,10 @@ This engine is charge-identical to the row-at-a-time engine in
 order), per-operator actual cardinalities, every :class:`RuntimeMetrics`
 counter, buffer-pool hit sequences, and therefore the simulated
 ``elapsed_ms`` are bit-identical for every plan.  The differential test suite
-(``tests/unit/test_vectorized_executor.py``) asserts this over randomized
-TPC-DS and client plans; the row engine stays available via
-``DbConfig.executor = "row"`` as the oracle.
+(``tests/unit/test_vectorized_executor.py``, with its key pool, and
+``tests/property/test_key_grouping.py``) asserts this over randomized
+TPC-DS and client plans and every key type; the row engine stays available
+via ``DbConfig.executor = "row"`` as the oracle.
 
 Pass an :class:`~repro.engine.executor.memo.ExecutionMemo` to :meth:`execute`
 to share structurally identical scan/FILTER/SORT subtrees across the many
@@ -36,10 +59,11 @@ import numpy as np
 
 from repro.engine.catalog import Catalog
 from repro.engine.columns import (
+    NO_ROWS,
+    KeyGroups,
     as_index_array,
-    expand_slices,
     gather,
-    numeric_array,
+    null_split,
     python_values,
 )
 from repro.engine.config import DbConfig
@@ -89,16 +113,6 @@ class Batch:
     def over(cls, columns: Dict[str, Sequence[Any]], positions: Sequence[int]) -> "Batch":
         """The rows of ``columns`` at ``positions`` (one table's scan)."""
         return cls(((columns, positions),), len(positions))
-
-    @classmethod
-    def from_rows(cls, rows: List[Dict[str, Any]]) -> "Batch":
-        if not rows:
-            return cls((), 0)
-        columns: Dict[str, List[Any]] = {key: [] for key in rows[0]}
-        for row in rows:
-            for key, values in columns.items():
-                values.append(row.get(key))
-        return cls(((columns, None),), len(rows))
 
     @classmethod
     def joined(
@@ -238,137 +252,82 @@ def _cross_picks(outer_count: int, inner_count: int) -> Tuple[Sequence[int], Seq
     return np.repeat(outer_range, inner_count), np.tile(inner_range, outer_count)
 
 
-class _KeyGroups:
-    """Sorted grouping of a null-free numeric key column.
+def _key_slots(
+    groups: KeyGroups, values: Sequence[Any], nulls_match: bool
+) -> Tuple[Any, Optional[Any]]:
+    """Each probing row's run in ``groups`` (-1: none), and the probing
+    column's NULL mask.  A NULL probes the NULL run when ``nulls_match``,
+    nothing otherwise."""
+    array, mask = null_split(values)
+    if mask is None:
+        return groups.find(array), None
+    slots = np.full(len(array), len(groups.keys) if nulls_match else -1, dtype=np.intp)
+    present = np.flatnonzero(~mask)
+    slots[present] = groups.find(array[present])
+    return slots, mask
 
-    The vectorized analogue of the ``key -> [positions]`` build dict: a
-    stable argsort of the key column, unique keys with their ``[start, stop)``
-    slices into the sort order.  Within one key, ``order[start:stop]`` lists
-    the column's positions in ascending (= build/insertion) order, so probe
-    emission reproduces the dict path's match order exactly.
+
+def _combine(groups: Sequence[KeyGroups], slots: Sequence[Any]) -> Tuple[KeyGroups, Any]:
+    """Several key columns grouped as one, and probing rows' runs in it.
+
+    A row's code is its run in every column, mixed-radix (a column has
+    ``len(keys) + 1`` runs, the NULL run included), grouped again after each column
+    so the codes stay dense: equal codes are equal key tuples, NULL being a
+    value -- the row engine's tuple keys.  ``slots[k]`` are the probing rows'
+    runs in ``groups[k]``; they combine the same way, -1 (no match) wherever
+    one column's is.  One column comes back as it is.
     """
-
-    __slots__ = ("unique", "starts", "stops", "order")
-
-    def __init__(self, unique, starts, stops, order):
-        self.unique = unique
-        self.starts = starts
-        self.stops = stops
-        self.order = order
-
-
-def _build_key_groups(array: Any) -> _KeyGroups:
-    """Group a null-free numeric key array (see :class:`_KeyGroups`)."""
-    order = np.argsort(array, kind="stable")
-    sorted_values = array[order]
-    if len(sorted_values):
-        boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(sorted_values)]))
-        unique = sorted_values[starts]
-    else:
-        unique = sorted_values
-        starts = stops = np.zeros(0, dtype=np.intp)
-    return _KeyGroups(unique, starts, stops, order)
+    combined, probe = groups[0], slots[0]
+    for column, column_slots in zip(groups[1:], slots[1:]):
+        radix = len(column.keys) + 1
+        codes = np.where((probe < 0) | (column_slots < 0), -1, probe * radix + column_slots)
+        combined = KeyGroups(combined.codes() * radix + column.codes())
+        probe = combined.find(codes)
+    return combined, probe
 
 
-def _listed_runs(
-    runs: Optional[List[Tuple[Any, int, int]]], vector: Optional[Tuple]
-) -> List[Tuple[Any, int, int]]:
-    """A merge input's runs as ``(value, start, end)`` tuples, listed from its
-    run arrays when it carries only those."""
-    if runs is not None:
-        return runs
-    return list(zip(*(part.tolist() for part in vector)))
+def _merge_join(outer: KeyGroups, inner: KeyGroups) -> Tuple[Any, Any, int]:
+    """The row engine's merge loop over two key groupings, whole-array.
 
-
-def _vector_merge_join(
-    order_outer: Any, outer_runs: Tuple, order_inner: Any, inner_runs: Tuple
-) -> Tuple[Any, Any, int]:
-    """The run-merge loop as whole-array operations (no residual predicates).
-
-    Returns ``(outer_picks, inner_picks, cpu)`` bit-identical to the Python
-    two-pointer loop over equal-value runs: matched run pairs emit their
-    cross product in (outer sort order, inner sort order), the CPU charge is
-    one per matched pair plus the pair's row product plus the length of every
-    run the loop skipped.  The loop never reaches runs whose value exceeds
-    the other side's maximum -- mirrored here by the ``< last value`` guards.
-    Both key columns are null-free (numeric fast path), so the loop's
-    NULL-run drain never fires.
+    Returns ``(outer_picks, inner_picks, cpu)`` bit-identical to the loop:
+    runs of equal keys pair up in key order and emit their cross product in
+    (outer order, inner order).  The loop charges one CPU operation per
+    iteration: one per matched run pair, one per candidate row pair, one per
+    row it steps past.  It steps past an unmatched run whose key is below the
+    other side's last key, never one above -- the other side runs out first.
+    Then it drains a NULL run row by row: the inner's if the inner's keys ran
+    out first; else the outer's, as long as the inner has rows left.
     """
-    out_values, out_starts, out_stops = outer_runs
-    in_values, in_starts, in_stops = inner_runs
-    empty = np.zeros(0, dtype=np.intp)
-    if len(out_values) == 0 or len(in_values) == 0:
-        return empty, empty, 0
-    slots = np.searchsorted(in_values, out_values)
-    clipped = np.minimum(slots, len(in_values) - 1)
-    matched = in_values[clipped] == out_values
-    matched_outer = np.flatnonzero(matched)
-    matched_inner = clipped[matched_outer]
-    outer_lengths = out_stops - out_starts
-    inner_lengths = in_stops - in_starts
-    block_outer_lengths = outer_lengths[matched_outer]
-    block_inner_lengths = inner_lengths[matched_inner]
-    cpu = int(len(matched_outer))
-    cpu += int((block_outer_lengths * block_inner_lengths).sum())
-    skipped_outer = (~matched) & (out_values < in_values[-1])
-    cpu += int(outer_lengths[skipped_outer].sum())
-    inner_matched = np.zeros(len(in_values), dtype=bool)
-    inner_matched[matched_inner] = True
-    skipped_inner = (~inner_matched) & (in_values < out_values[-1])
-    cpu += int(inner_lengths[skipped_inner].sum())
-    if not len(matched_outer):
-        return empty, empty, cpu
-
-    # Outer emission: per matched block, each outer position repeated by the
-    # inner block's length, blocks concatenated in run (= value) order.
-    outer_counts = np.cumsum(block_outer_lengths)
-    outer_total = int(outer_counts[-1])
-    outer_within = np.arange(outer_total, dtype=np.intp) - np.repeat(
-        outer_counts - block_outer_lengths, block_outer_lengths
-    )
-    outer_elements = order_outer[
-        np.repeat(out_starts[matched_outer], block_outer_lengths) + outer_within
-    ]
-    outer_picks = np.repeat(
-        outer_elements, np.repeat(block_inner_lengths, block_outer_lengths)
-    )
-    # Inner emission: per matched block, the inner block tiled once per outer
-    # element -- position within the pair cross product modulo the block.
-    pair_counts = block_outer_lengths * block_inner_lengths
-    pair_ends = np.cumsum(pair_counts)
-    total = int(pair_ends[-1])
-    within = np.arange(total, dtype=np.intp) - np.repeat(
-        pair_ends - pair_counts, pair_counts
-    )
-    inner_index = np.repeat(in_starts[matched_inner], pair_counts) + (
-        within % np.repeat(block_inner_lengths, pair_counts)
-    )
-    inner_picks = order_inner[inner_index]
+    out_keys, in_keys = outer.keys, inner.keys
+    out_sizes, in_sizes = np.diff(outer.offsets), np.diff(inner.offsets)
+    slots = inner.find(out_keys)  # each outer key's run in the inner
+    hits, sizes, inner_picks = inner.take_runs(np.repeat(slots, out_sizes))
+    outer_picks = np.repeat(outer.row_ids[hits], sizes)
+    cpu = len(inner_picks)
+    if len(out_keys) and len(in_keys):
+        matched = slots >= 0
+        inner_unmatched = np.ones(len(in_keys), dtype=bool)
+        inner_unmatched[slots[matched]] = False
+        cpu += int(np.count_nonzero(matched))
+        cpu += int(out_sizes[~matched & (out_keys < in_keys[-1])].sum())
+        cpu += int(in_sizes[inner_unmatched & (in_keys < out_keys[-1])].sum())
+    if len(out_keys) and (not len(in_keys) or out_keys[-1] > in_keys[-1]):
+        cpu += len(inner.null_rows)  # the inner's keys ran out first
+    elif len(out_keys) and out_keys[-1] == in_keys[-1]:
+        cpu += len(outer.null_rows) if len(inner.null_rows) else 0  # both at once
+    elif len(inner.order):
+        cpu += len(outer.null_rows)  # the outer's keys ran out first
     return outer_picks, inner_picks, cpu
 
 
-def _probe_key_groups(groups: _KeyGroups, probe: Any) -> Tuple[Any, Any, Any]:
-    """Match ``probe`` values against ``groups``.
-
-    Returns ``(found, outer_picks, inner_picks)``: a boolean per probe value,
-    and the emitted pick pairs ordered by probe position then build order --
-    bit-identical to probing the hash dict row by row.
-    """
-    if len(groups.unique) == 0 or len(probe) == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return np.zeros(len(probe), dtype=bool), empty, empty
-    slots = np.searchsorted(groups.unique, probe)
-    slots_clipped = np.minimum(slots, len(groups.unique) - 1)
-    found = groups.unique[slots_clipped] == probe
-    matched = np.flatnonzero(found)
-    group_ids = slots_clipped[matched]
-    starts = groups.starts[group_ids]
-    sizes = groups.stops[group_ids] - starts
-    outer_picks = np.repeat(matched, sizes)
-    inner_picks = groups.order[expand_slices(starts, sizes)]
-    return found, outer_picks, inner_picks
+def _residual_equal(batch: Batch, keys: Sequence[Tuple[ColumnRef, ColumnRef]]) -> Any:
+    """Which rows of a join's candidate batch hold every residual equi-key:
+    ``==`` on the merged row, as the row engine compares it -- NULL equals
+    NULL, and a column both sides carry reads the inner's value."""
+    keep = np.ones(batch.length, dtype=bool)
+    for outer_key, inner_key in keys:
+        keep &= _as_array(batch.column(outer_key.key)) == _as_array(batch.column(inner_key.key))
+    return keep
 
 
 class SubtreeKey:
@@ -561,7 +520,7 @@ class VectorizedExecutor:
 
         Cached on the node (plans are never structurally mutated after
         planning): the key is consulted by every handler that touches the
-        node -- join build/sort caches, column gathers, entry stores -- and
+        node -- key groupings, column gathers, entry stores -- and
         recomputing the nested tuple each time is pure overhead.  The cached
         object is a :class:`SubtreeKey`, so its hash is computed exactly once
         as well.
@@ -830,6 +789,68 @@ class VectorizedExecutor:
 
     # -- joins ----------------------------------------------------------------
 
+    def _grouping(
+        self,
+        batch: Batch,
+        node: PlanNode,
+        column_keys: Tuple[str, ...],
+        memo: Optional[ExecutionMemo],
+    ) -> KeyGroups:
+        """The :class:`KeyGroups` of ``node``'s output on ``column_keys``
+        (several columns :func:`_combine` into one grouping).
+
+        Cached in the memo's aux store per memoized subtree + columns: the
+        grouping is a pure function of the subtree's batch.
+        """
+        aux_key = None
+        if memo is not None:
+            child_key = self._memo_key(node)
+            if child_key is not None:
+                aux_key = ("groups", child_key, column_keys)
+                cached = memo.aux_lookup(aux_key)
+                if cached is not None:
+                    return cached
+        if len(column_keys) == 1:
+            values = self._column_of(batch, node, column_keys[0], memo)
+            groups = KeyGroups(*null_split(values))
+        else:
+            columns = [self._grouping(batch, node, (key,), memo) for key in column_keys]
+            groups = _combine(columns, [NO_ROWS] * len(columns))[0]
+        if aux_key is not None:
+            memo.aux_store(aux_key, groups)
+        return groups
+
+    def _probe(
+        self,
+        node: PlanNode,
+        outer_batch: Batch,
+        inner_batch: Batch,
+        keys: List[Tuple[ColumnRef, ColumnRef]],
+        memo: Optional[ExecutionMemo],
+        nulls_match: bool,
+    ) -> Tuple[Any, Any, int, int]:
+        """Every outer row probes the inner's grouping of the join keys at once.
+
+        Returns ``(outer_picks, inner_picks, matched, keyed)``: the pairs in
+        outer order then inner order (the row engine's loop order), how many
+        outer rows matched, and how many have no NULL key.  NULL keys match
+        nothing, or each other when ``nulls_match``.
+        """
+        groups, slots = [], []
+        nulls = None
+        for outer_key, inner_key in keys:
+            column = self._grouping(inner_batch, node.inner, (inner_key.key,), memo)
+            values = self._column_of(outer_batch, node.outer, outer_key.key, memo)
+            column_slots, mask = _key_slots(column, values, nulls_match)
+            groups.append(column)
+            slots.append(column_slots)
+            if mask is not None:
+                nulls = mask if nulls is None else nulls | mask
+        grouping, probe = _combine(groups, slots)
+        hits, sizes, inner_picks = grouping.take_runs(probe)
+        keyed = len(probe) - (0 if nulls is None else int(np.count_nonzero(nulls)))
+        return np.repeat(hits, sizes), inner_picks, int(np.count_nonzero(sizes)), keyed
+
     def _execute_hash_join(
         self,
         node: PlanNode,
@@ -868,76 +889,15 @@ class VectorizedExecutor:
             self._store_join_entry(memo, key, node, result, metrics, own_deltas)
             return result
 
-        bloom_on = bool(node.properties.get("bloom_filter"))
-        if len(keys) == 1:
-            # Vectorized path: null-free numeric keys on both sides probe a
-            # sorted grouping with searchsorted instead of a dict per row.
-            groups = self._key_groups(inner_batch, node.inner, keys[0][1].key, memo)
-            probe = (
-                numeric_array(
-                    self._column_of(outer_batch, node.outer, keys[0][0].key, memo)
-                )
-                if groups is not None
-                else None
-            )
-            if groups is not None and probe is not None:
-                found, outer_picks, inner_picks = _probe_key_groups(groups, probe)
-                matched = int(found.sum())
-                if bloom_on:
-                    probed = matched
-                    bloomed = len(probe) - matched
-                else:
-                    probed = len(probe)
-                    bloomed = 0
-                metrics.hash_probe_rows += probed
-                metrics.bloom_filtered_rows += bloomed
-                own_deltas.append(("hash_probe_rows", probed))
-                own_deltas.append(("bloom_filtered_rows", bloomed))
-                result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-                self._store_join_entry(memo, key, node, result, metrics, own_deltas)
-                return result
-
-        hash_table = self._hash_build(inner_batch, node.inner, keys, memo)
-        outer_picks: List[int] = []
-        inner_picks: List[int] = []
-        probed = 0
-        bloomed = 0
-        get = hash_table.get
-        if len(keys) == 1:
-            outer_values = self._column_of(outer_batch, node.outer, keys[0][0].key, memo)
-            for op in range(outer_batch.length):
-                value = outer_values[op]
-                if value is None:
-                    continue
-                matches = get(value)
-                if matches is None:
-                    if bloom_on:
-                        bloomed += 1
-                    else:
-                        probed += 1
-                    continue
-                probed += 1
-                for ip in matches:
-                    outer_picks.append(op)
-                    inner_picks.append(ip)
+        # An outer row with a NULL key is neither probed nor bloom-filtered;
+        # one whose key the build lacks is probed, or filtered by the bloom.
+        outer_picks, inner_picks, matched, keyed = self._probe(
+            node, outer_batch, inner_batch, keys, memo, nulls_match=False
+        )
+        if node.properties.get("bloom_filter"):
+            probed, bloomed = matched, keyed - matched
         else:
-            outer_cols = [
-                self._column_of(outer_batch, node.outer, ok.key, memo) for ok, _ in keys
-            ]
-            for op, value in enumerate(zip(*outer_cols)):
-                if any(part is None for part in value):
-                    continue
-                matches = get(value)
-                if matches is None:
-                    if bloom_on:
-                        bloomed += 1
-                    else:
-                        probed += 1
-                    continue
-                probed += 1
-                for ip in matches:
-                    outer_picks.append(op)
-                    inner_picks.append(ip)
+            probed, bloomed = keyed, 0
         metrics.hash_probe_rows += probed
         metrics.bloom_filtered_rows += bloomed
         own_deltas.append(("hash_probe_rows", probed))
@@ -945,147 +905,6 @@ class VectorizedExecutor:
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
         self._store_join_entry(memo, key, node, result, metrics, own_deltas)
         return result
-
-    def _key_groups(
-        self,
-        batch: Batch,
-        node: PlanNode,
-        column_key: str,
-        memo: Optional[ExecutionMemo],
-    ) -> Optional[_KeyGroups]:
-        """Sorted key grouping of one join side (None = not vectorizable).
-
-        Only null-free numeric key columns group this way (NULL or object
-        columns keep the dict path, whose element-wise semantics are the
-        oracle).  Cached in the memo's aux store per memoized child + key:
-        the grouping is a pure function of the child's batch, exactly like
-        the hash-build dict it replaces.
-        """
-        aux_key = None
-        if memo is not None:
-            child_key = self._memo_key(node)
-            if child_key is not None:
-                aux_key = ("kgroups", child_key, column_key)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
-        array = numeric_array(self._column_of(batch, node, column_key, memo))
-        if array is None:
-            return None
-        groups = _build_key_groups(array)
-        if aux_key is not None:
-            memo.aux_store(aux_key, groups)
-        return groups
-
-    def _hash_build(
-        self,
-        inner_batch: Batch,
-        inner_node: PlanNode,
-        keys: List[Tuple[ColumnRef, ColumnRef]],
-        memo: Optional[ExecutionMemo],
-    ) -> Dict[Any, List[int]]:
-        """Key -> inner batch positions, skipping NULL keys (build order)."""
-        key_names = tuple(inner_key.key for _, inner_key in keys)
-        aux_key = None
-        if memo is not None:
-            child_key = self._memo_key(inner_node)
-            if child_key is not None:
-                aux_key = ("hsbuild", child_key, key_names)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
-        hash_table: Dict[Any, List[int]] = {}
-        if len(key_names) == 1:
-            values = inner_batch.column(key_names[0])
-            for ip in range(inner_batch.length):
-                value = values[ip]
-                if value is None:
-                    continue
-                hash_table.setdefault(value, []).append(ip)
-        else:
-            columns = [inner_batch.column(name) for name in key_names]
-            for ip, value in enumerate(zip(*columns)):
-                if any(part is None for part in value):
-                    continue
-                hash_table.setdefault(value, []).append(ip)
-        if aux_key is not None:
-            memo.aux_store(aux_key, hash_table)
-        return hash_table
-
-    def _merge_input(
-        self,
-        batch: Batch,
-        child: PlanNode,
-        column_key: str,
-        memo: Optional[ExecutionMemo],
-    ) -> Tuple[Sequence[int], Sequence[Any], Optional[List[Tuple[Any, int, int]]], Optional[Tuple]]:
-        """One merge-join input: (stable sort order, sorted key values, equal
-        runs as ``(value, start, end)`` over the sorted values, and the same
-        runs as ``(values, starts, stops)`` arrays for the vectorized merge
-        kernel).  A null-free numeric key has the arrays and no list (None):
-        the kernel reads none, and a tuple per distinct key of every merge
-        input would be half the containers a learning sweep allocates.  Any
-        other key has the list and no arrays.  :func:`_listed_runs` serves
-        the block-wise loop either way.
-
-        Sort key mirrors the row engine: ``(is-NULL, value-or-0)``, so NULLs
-        sort last.  Cached per memoized subtree + key column.
-        """
-        aux_key = None
-        if memo is not None:
-            child_key = self._memo_key(child)
-            if child_key is not None:
-                aux_key = ("msort", child_key, column_key)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
-        values = self._column_of(batch, child, column_key, memo)
-        array = numeric_array(values)
-        if array is not None:
-            # Null-free numeric keys reuse the join kernels' run grouping:
-            # with no NULLs the (is-NULL, value) sort key degenerates to the
-            # value itself, so the stable argsort order is identical to the
-            # Python sort and the groups are exactly the equal-value runs.
-            groups = _build_key_groups(array)
-            order = groups.order
-            sorted_array = array[order]
-            vector = (groups.unique, groups.starts, groups.stops)
-            result = (order, sorted_array, None, vector)
-            if aux_key is not None:
-                memo.aux_store(aux_key, result)
-            return result
-        order = sorted(
-            range(len(values)),
-            key=lambda p: (values[p] is None, values[p] if values[p] is not None else 0),
-        )
-        sorted_values = [values[p] for p in order]
-        runs: List[Tuple[Any, int, int]] = []
-        start = 0
-        count = len(sorted_values)
-        while start < count:
-            value = sorted_values[start]
-            stop = start + 1
-            while stop < count and sorted_values[stop] == value:
-                stop += 1
-            runs.append((value, start, stop))
-            start = stop
-        result = (order, sorted_values, runs, None)
-        if aux_key is not None:
-            memo.aux_store(aux_key, result)
-        return result
-
-    @staticmethod
-    def _merged_accessor(
-        outer_batch: Batch, inner_batch: Batch, column_key: str
-    ) -> Callable[[int, int], Any]:
-        """Value lookup over the merged row (inner side wins key collisions)."""
-        if column_key in inner_batch:
-            values = inner_batch.column(column_key)
-            return lambda op, ip: values[ip]
-        if column_key in outer_batch:
-            values = outer_batch.column(column_key)
-            return lambda op, ip: values[op]
-        return lambda op, ip: None
 
     def _execute_merge_join(
         self,
@@ -1105,84 +924,15 @@ class VectorizedExecutor:
         if not keys:
             raise PlanError("MSJOIN requires at least one equi-join predicate")
         outer_key, inner_key = keys[0]
-
-        order_outer, sorted_outer, runs_outer, vector_outer = self._merge_input(
-            outer_batch, node.outer, outer_key.key, memo
+        outer_picks, inner_picks, cpu = _merge_join(
+            self._grouping(outer_batch, node.outer, (outer_key.key,), memo),
+            self._grouping(inner_batch, node.inner, (inner_key.key,), memo),
         )
-        order_inner, sorted_inner, runs_inner, vector_inner = self._merge_input(
-            inner_batch, node.inner, inner_key.key, memo
-        )
-
-        residual_pairs = [
-            (
-                self._merged_accessor(outer_batch, inner_batch, ok.key),
-                self._merged_accessor(outer_batch, inner_batch, ik.key),
-            )
-            for ok, ik in keys[1:]
-        ]
-
-        if vector_outer is not None and vector_inner is not None and not residual_pairs:
-            outer_picks, inner_picks, cpu = _vector_merge_join(
-                order_outer, vector_outer, order_inner, vector_inner
-            )
-            metrics.cpu_operations += cpu
-            result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
-            self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", cpu)])
-            return result
-
-        # Block-wise replay of the row engine's merge loop.  The row engine
-        # charges one CPU operation per while-iteration: a single-row advance
-        # per non-matching row (so a skipped run of length L costs L), one
-        # iteration per matched run pair, plus one per candidate row pair.
-        # NULL keys sort last on both sides; once a side reaches its NULL run
-        # the loop drains that side one row per iteration and terminates.
-        runs_outer = _listed_runs(runs_outer, vector_outer)
-        runs_inner = _listed_runs(runs_inner, vector_inner)
-        outer_picks: List[int] = []
-        inner_picks: List[int] = []
-        cpu = 0
-        n, m = len(sorted_outer), len(sorted_inner)
-        block_outer = block_inner = 0
-        while block_outer < len(runs_outer) and block_inner < len(runs_inner):
-            left_value, i_start, i_end = runs_outer[block_outer]
-            right_value, j_start, j_end = runs_inner[block_inner]
-            if left_value is None:
-                cpu += n - i_start
-                break
-            if right_value is None:
-                cpu += m - j_start
-                break
-            if left_value < right_value:
-                cpu += i_end - i_start
-                block_outer += 1
-            elif left_value > right_value:
-                cpu += j_end - j_start
-                block_inner += 1
-            else:
-                cpu += 1
-                if residual_pairs:
-                    for oi in range(i_start, i_end):
-                        op = order_outer[oi]
-                        for ji in range(j_start, j_end):
-                            cpu += 1
-                            ip = order_inner[ji]
-                            if all(
-                                outer_access(op, ip) == inner_access(op, ip)
-                                for outer_access, inner_access in residual_pairs
-                            ):
-                                outer_picks.append(op)
-                                inner_picks.append(ip)
-                else:
-                    cpu += (i_end - i_start) * (j_end - j_start)
-                    inner_block = order_inner[j_start:j_end]
-                    for oi in range(i_start, i_end):
-                        op = order_outer[oi]
-                        outer_picks.extend([op] * len(inner_block))
-                        inner_picks.extend(inner_block)
-                block_outer += 1
-                block_inner += 1
         metrics.cpu_operations += cpu
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
+        if len(keys) > 1:
+            # Every candidate pair was charged; the residual keys filter them.
+            result = result.take(np.flatnonzero(_residual_equal(result, keys[1:])))
         self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", cpu)])
         return result
 
@@ -1220,82 +970,16 @@ class VectorizedExecutor:
         metrics.cpu_operations += rescan_cpu
         if metrics.budget is not None:
             metrics.budget.check(metrics, pool)
-        outer_picks: Sequence[int] = []
-        inner_picks: Sequence[int] = []
-        vectorized_done = False
         if keys:
-            if len(keys) == 1:
-                # Null-free numeric keys on both sides behave identically in
-                # the NULL-matches-NULL key map (there are no NULLs), so the
-                # hash join's grouping kernel applies unchanged.
-                groups = self._key_groups(inner_batch, inner_node, keys[0][1].key, memo)
-                probe = (
-                    numeric_array(
-                        self._column_of(outer_batch, node.outer, keys[0][0].key, memo)
-                    )
-                    if groups is not None
-                    else None
-                )
-                if groups is not None and probe is not None:
-                    _, outer_picks, inner_picks = _probe_key_groups(groups, probe)
-                    vectorized_done = True
-            if not vectorized_done:
-                outer_picks = []
-                inner_picks = []
-                inner_map = self._nljoin_key_map(inner_batch, inner_node, keys, memo)
-                get = inner_map.get
-                if len(keys) == 1:
-                    outer_values = self._column_of(
-                        outer_batch, node.outer, keys[0][0].key, memo
-                    )
-                    for op in range(outer_batch.length):
-                        for ip in get(outer_values[op], ()):
-                            outer_picks.append(op)
-                            inner_picks.append(ip)
-                else:
-                    outer_cols = [
-                        self._column_of(outer_batch, node.outer, ok.key, memo)
-                        for ok, _ in keys
-                    ]
-                    for op, value in enumerate(zip(*outer_cols)):
-                        for ip in get(value, ()):
-                            outer_picks.append(op)
-                            inner_picks.append(ip)
+            # The row engine keys its inner rows by value tuple: NULL = NULL.
+            outer_picks, inner_picks, _, _ = self._probe(
+                node, outer_batch, inner_batch, keys, memo, nulls_match=True
+            )
         else:
             outer_picks, inner_picks = _cross_picks(outer_batch.length, inner_batch.length)
         result = Batch.joined(outer_batch, outer_picks, inner_batch, inner_picks)
         self._store_join_entry(memo, key, node, result, metrics, [("cpu_operations", rescan_cpu)])
         return result
-
-    def _nljoin_key_map(
-        self,
-        inner_batch: Batch,
-        inner_node: PlanNode,
-        keys: List[Tuple[ColumnRef, ColumnRef]],
-        memo: Optional[ExecutionMemo],
-    ) -> Dict[Any, List[int]]:
-        """Key -> inner positions; NULL keys participate (row-engine parity)."""
-        key_names = tuple(inner_key.key for _, inner_key in keys)
-        aux_key = None
-        if memo is not None:
-            child_key = self._memo_key(inner_node)
-            if child_key is not None:
-                aux_key = ("nlmap", child_key, key_names)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
-        inner_map: Dict[Any, List[int]] = {}
-        if len(key_names) == 1:
-            values = inner_batch.column(key_names[0])
-            for ip in range(inner_batch.length):
-                inner_map.setdefault(values[ip], []).append(ip)
-        else:
-            columns = [inner_batch.column(name) for name in key_names]
-            for ip, value in enumerate(zip(*columns)):
-                inner_map.setdefault(value, []).append(ip)
-        if aux_key is not None:
-            memo.aux_store(aux_key, inner_map)
-        return inner_map
 
     def _nljoin_index_lookup(
         self,
@@ -1329,15 +1013,12 @@ class VectorizedExecutor:
             )
         inner_columns = self._qualified_columns(data, alias)
 
-        outer_values = self._column_of(outer_batch, node.outer, outer_key.key, memo)
-        probe = numeric_array(outer_values)
-        if probe is None:
-            # NULL-bearing or non-numeric outer keys: a NULL makes no lookup.
-            outer_values = _as_array(outer_values)
-            outer_rows = np.flatnonzero(outer_values != None)  # noqa: E711
-            probe = np.asarray(outer_values[outer_rows].tolist())
-        else:
-            outer_rows = np.arange(len(probe), dtype=np.intp)
+        # A NULL outer key makes no lookup.
+        probe, nulls = null_split(self._column_of(outer_batch, node.outer, outer_key.key, memo))
+        outer_rows = np.arange(len(probe), dtype=np.intp)
+        if nulls is not None:
+            outer_rows = np.flatnonzero(~nulls)
+            probe = probe[outer_rows]
         # One lookup per outer row with a key: charged before any is made, so
         # the budget can stop the plan ahead of the probing.
         lookups = len(probe)
@@ -1345,7 +1026,6 @@ class VectorizedExecutor:
         if metrics.budget is not None:
             metrics.budget.check(metrics, pool)
         counts, row_ids = index_data.probe(probe)
-        outer_picks = np.repeat(outer_rows, counts)
         processed = len(row_ids)
         metrics.rows_processed += processed
         # One batched access reproduces the per-row access sequence exactly
@@ -1357,8 +1037,13 @@ class VectorizedExecutor:
             metrics.random_pages += pool.access_many(table, trace)
             own_traces = (("rand", table, trace),)
 
+        candidates = Batch(
+            outer_batch.sources_at(np.repeat(outer_rows, counts))
+            + ((inner_columns, row_ids),),
+            processed,
+        )
         predicates = inner_node.predicates
-        keep = np.ones(processed, dtype=bool)
+        keep = _residual_equal(candidates, keys[1:])
         if predicates and processed:
             mask = conjunction_mask(predicates, inner_columns)
             if mask is None:
@@ -1368,29 +1053,9 @@ class VectorizedExecutor:
                 survivors = filter_positions(predicates, inner_columns, np.flatnonzero(touched))
                 mask = np.zeros_like(touched)
                 mask[as_index_array(survivors)] = True
-            keep = mask[row_ids]
-
-        def candidate_column(column_key: str) -> Any:
-            """One column of the candidate rows (inner side wins collisions)."""
-            if column_key in inner_columns:
-                return _as_array(gather(inner_columns[column_key], row_ids))
-            if column_key in outer_batch:
-                return _as_array(gather(outer_batch.column(column_key), outer_picks))
-            return np.full(processed, None, dtype=object)
-
-        for residual_outer, residual_inner in keys[1:]:
-            # ``==`` as the row engine compares the merged row: NULL = NULL.
-            keep = keep & (
-                candidate_column(residual_outer.key) == candidate_column(residual_inner.key)
-            )
-        outer_picks = outer_picks[keep]
-        inner_row_ids = row_ids[keep]
-        metrics.actual_cardinalities[inner_node.operator_id] = len(inner_row_ids)
-
-        result = Batch(
-            outer_batch.sources_at(outer_picks) + ((inner_columns, inner_row_ids),),
-            len(inner_row_ids),
-        )
+            keep &= mask[row_ids]
+        result = candidates if keep.all() else candidates.take(np.flatnonzero(keep))
+        metrics.actual_cardinalities[inner_node.operator_id] = result.length
         self._store_join_entry(
             memo,
             memo_key,
@@ -1468,17 +1133,10 @@ class VectorizedExecutor:
         if sort_key is None:
             result = child_batch
         else:
+            # The grouping's order is the row engine's stable sort on
+            # ``(is NULL, value)``: keys ascending, NULLs last.
             values = child_batch.column(sort_key.key)
-            array = numeric_array(values)
-            if array is not None:
-                # Null-free numeric column: `(is-NULL, value or 0)` reduces
-                # to plain value order (0 maps to 0), stable either way.
-                order: Sequence[int] = np.argsort(array, kind="stable")
-            else:
-                order = sorted(
-                    range(length), key=lambda p: (values[p] is None, values[p] or 0)
-                )
-            result = child_batch.take(order)
+            result = child_batch.take(KeyGroups(*null_split(values)).order)
         deltas = (("sort_rows", length), ("sort_heap_high_water_mark", pages))
         if spilled:
             deltas += (("spill_pages", spilled),)
@@ -1492,6 +1150,14 @@ class VectorizedExecutor:
         pool: BufferPool,
         memo: Optional[ExecutionMemo],
     ) -> Batch:
+        """Aggregate over the runs of the group keys' grouping.
+
+        Groups leave in first-occurrence order, as the row engine's dict
+        inserts them: a run's first row is its earliest (the grouping's sort
+        is stable).  A NULL key is one more group; a missing key column reads
+        as NULLs, as the row engine's ``row.get`` does.  The output is a batch
+        over one array per key and per aggregate.
+        """
         child = node.inputs[0]
         child_batch = self._execute_node(child, metrics, pool, memo)
         length = child_batch.length
@@ -1506,278 +1172,63 @@ class VectorizedExecutor:
                         f"aggregate {aggregate}({column.key}) references a column "
                         f"missing from the grouped input"
                     )
-        if length:
-            out_rows = self._grouped_rows_vectorized(node, child_batch, keys, aggregates, memo)
-            if out_rows is not None:
-                return Batch.from_rows(out_rows)
-
-        # The loop oracle.  Keys and aggregate inputs flow into result-row
-        # dicts, which must be type-identical to the row engine's (and
-        # serializable): numpy scalars are converted per column, not per row.
-        # A missing *key* column reads as NULLs, as the row engine's
-        # ``row.get`` does; a missing aggregate column was rejected above.
-        groups: Dict[Tuple, List[int]] = {}
+        columns: Dict[str, Sequence[Any]] = {}
         if keys:
-            key_columns = [
-                python_values(self._column_of(child_batch, child, key.key, memo))
-                for key in keys
-            ]
-            if len(key_columns) == 1:
-                column = key_columns[0]
-                for position in range(length):
-                    groups.setdefault((column[position],), []).append(position)
-            else:
-                for position, group_key in enumerate(zip(*key_columns)):
-                    groups.setdefault(group_key, []).append(position)
-        elif length:
-            groups[()] = list(range(length))
-        if not groups and not keys:
-            groups[()] = []
-
-        aggregate_columns = [
-            (
-                aggregate,
-                column,
-                python_values(self._column_of(child_batch, child, column.key, memo))
-                if column is not None
-                else None,
-            )
-            for aggregate, column in aggregates
-        ]
-        out_rows: List[Dict[str, Any]] = []
-        for group_key, members in groups.items():
-            out_row: Dict[str, Any] = {}
-            for key, value in zip(keys, group_key):
-                out_row[key.key] = value
-            for aggregate, column, values in aggregate_columns:
-                target = column.key if column is not None else "*"
-                out_row[f"{aggregate}({target})"] = self._aggregate_values(
-                    aggregate, column, values, members
-                )
-            out_rows.append(out_row)
-        return Batch.from_rows(out_rows)
-
-    def _grouped_rows_vectorized(
-        self,
-        node: PlanNode,
-        batch: Batch,
-        keys: Tuple[ColumnRef, ...],
-        aggregates: Tuple,
-        memo: Optional[ExecutionMemo],
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Group-by kernel: aggregate over argsort-grouped runs of typed keys.
-
-        The vectorized analogue of the ``key tuple -> [positions]`` dict: a
-        stable (lex)argsort of the key columns turns each distinct key tuple
-        into one ``[start, stop)`` run (the join kernels' :class:`_KeyGroups`
-        layout), emitted in first-occurrence order -- exactly the dict path's
-        insertion order, because within a run the stable sort keeps positions
-        ascending.  COUNT/MIN/MAX reduce whole runs; SUM/AVG add
-        *sequentially* within each run in input order, so float summation
-        order (and with it every output bit) matches the row engine's
-        ``sum()``.  Returns None to decline to the oracle loop -- object
-        dtype, NULL-bearing or NaN keys -- and declines per expression the
-        same way without giving up the grouped layout.
-        """
-        length = batch.length
-        child = node.inputs[0]
-        if keys:
-            runs = self._group_runs(batch, child, keys, memo)
-            if runs is None:
-                return None
-            order, run_starts, run_stops = runs
-            # First-occurrence emission: ``order[start]`` is each run's
-            # earliest input position (stable sort), so sorting runs by it
-            # reproduces the dict path's insertion order.
-            emit = np.argsort(order[run_starts], kind="stable")
-            starts = run_starts[emit]
-            stops = run_stops[emit]
-            firsts = order[starts]
-            key_values = []
+            groups = self._grouping(child_batch, child, tuple(key.key for key in keys), memo)
+            order, sizes = groups.order, np.diff(groups.bounds)
+            runs = np.flatnonzero(sizes)  # the NULL run may be empty
+            emit = runs[np.argsort(order[groups.bounds[runs]])]
+            starts, sizes = groups.bounds[emit], sizes[emit]
             for key in keys:
-                array = numeric_array(self._column_of(batch, child, key.key, memo))
-                if array is None:
-                    return None
-                key_values.append(array[firsts].tolist())
+                values = _as_array(self._column_of(child_batch, child, key.key, memo))
+                columns[key.key] = values[order[starts]]
         else:
+            # One group of every row -- of none, on an empty input.
             order = None
-            run_starts = starts = np.zeros(1, dtype=np.intp)
-            run_stops = stops = np.full(1, length, dtype=np.intp)
-            emit = np.zeros(1, dtype=np.intp)
-            key_values = []
-        sizes = (stops - starts).tolist()
-
-        agg_columns: List[Tuple[str, List[Any]]] = []
+            starts, sizes = np.zeros(1, dtype=np.intp), np.full(1, length, dtype=np.intp)
         for aggregate, column in aggregates:
+            values = None
+            if column is not None:
+                values = self._column_of(child_batch, child, column.key, memo)
             target = column.key if column is not None else "*"
-            values = self._run_aggregate(
-                aggregate, column, batch, child, memo,
-                order, run_starts, emit, starts, stops, sizes, length,
-            )
-            agg_columns.append((f"{aggregate}({target})", values))
+            aggregated = np.empty(len(starts), dtype=object)
+            aggregated[:] = _run_aggregate(aggregate, values, order, starts, sizes)
+            columns[f"{aggregate}({target})"] = aggregated
+        return Batch(((columns, None),), len(starts))
 
-        out_rows: List[Dict[str, Any]] = []
-        for g in range(len(sizes)):
-            out_row: Dict[str, Any] = {}
-            for key, values in zip(keys, key_values):
-                out_row[key.key] = values[g]
-            for name, values in agg_columns:
-                out_row[name] = values[g]
-            out_rows.append(out_row)
-        return out_rows
 
-    def _group_runs(
-        self,
-        batch: Batch,
-        child: PlanNode,
-        keys: Tuple[ColumnRef, ...],
-        memo: Optional[ExecutionMemo],
-    ) -> Optional[Tuple[Any, Any, Any]]:
-        """Stable (lex)argsort run structure of the group-key columns.
+def _run_aggregate(
+    aggregate: str, values: Optional[Sequence[Any]], order: Optional[Any], starts: Any, sizes: Any
+) -> List[Any]:
+    """One aggregate over each run ``order[starts[g]:starts[g] + sizes[g]]``.
 
-        Returns ``(order, starts, stops)`` in the :class:`_KeyGroups` layout,
-        or None when any key column declines (object dtype, NULLs, NaNs).  A
-        single key shares the join kernels' aux-cached ``("kgroups", ...)``
-        grouping; multi-key tuples lexsort with the first key primary and
-        cache per memoized child the same way.  NaN keys decline because the
-        dict path groups them by object identity.
-        """
-        if len(keys) == 1:
-            groups = self._key_groups(batch, child, keys[0].key, memo)
-            if groups is None:
-                return None
-            unique = groups.unique
-            if unique.dtype.kind == "f" and len(unique) and np.isnan(unique[-1]):
-                return None
-            return groups.order, groups.starts, groups.stops
-        key_names = tuple(key.key for key in keys)
-        aux_key = None
-        if memo is not None:
-            child_key = self._memo_key(child)
-            if child_key is not None:
-                aux_key = ("ggroups", child_key, key_names)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
-        arrays = []
-        for key in keys:
-            array = numeric_array(self._column_of(batch, child, key.key, memo))
-            if array is None or (array.dtype.kind == "f" and np.isnan(array).any()):
-                return None
-            arrays.append(array)
-        order = np.lexsort(tuple(reversed(arrays)))
-        count = len(order)
-        diff = np.zeros(max(0, count - 1), dtype=bool)
-        for array in arrays:
-            sorted_vals = array[order]
-            diff |= sorted_vals[1:] != sorted_vals[:-1]
-        boundaries = np.flatnonzero(diff) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [count]))
-        runs = (order, starts, stops)
-        if aux_key is not None:
-            memo.aux_store(aux_key, runs)
-        return runs
-
-    def _run_aggregate(
-        self,
-        aggregate: str,
-        column: Optional[ColumnRef],
-        batch: Batch,
-        child: PlanNode,
-        memo: Optional[ExecutionMemo],
-        order: Optional[Any],
-        run_starts: Any,
-        emit: Any,
-        starts: Any,
-        stops: Any,
-        sizes: List[int],
-        length: int,
-    ) -> List[Any]:
-        """One aggregate expression evaluated per emitted run (Python scalars).
-
-        ``run_starts`` is in sorted-run order (what ``reduceat`` needs),
-        ``starts``/``stops``/``sizes`` are permuted to emission order
-        (arbitrary-order slicing is fine), ``emit`` maps the former to the
-        latter.  A typed null-free column reduces vectorized; anything else
-        declines to :meth:`_aggregate_values` over the run's members, which
-        is the oracle.
-        """
-        if column is None:
-            # COUNT(*) counts members; any other aggregate without a column
-            # is NULL (the oracle's behavior).
-            return list(sizes) if aggregate == "COUNT" else [None] * len(sizes)
-        values = self._column_of(batch, child, column.key, memo)
-        array = numeric_array(values)
-        if array is None:
-            return self._python_run_aggregate(
-                aggregate, column, values, order, starts, stops, length
-            )
-        if aggregate == "COUNT":
-            # Typed non-object arrays are null-free by construction.
-            return list(sizes)
-        sorted_vals = array if order is None else array[order]
-        if aggregate in ("SUM", "AVG"):
-            out: List[Any] = []
-            for start, stop, size in zip(starts.tolist(), stops.tolist(), sizes):
-                # ``tolist`` + built-in ``sum`` adds the run's values left to
-                # right as Python objects: bit-identical float rounding to
-                # the row engine, arbitrary-precision integer sums.
-                total = sum(sorted_vals[start:stop].tolist())
-                out.append(total if aggregate == "SUM" else total / size)
-            return out
-        if aggregate in ("MIN", "MAX"):
-            if sorted_vals.dtype.kind == "f" and np.isnan(sorted_vals).any():
-                # Python min/max over NaNs is position-dependent; the loop
-                # is the oracle.
-                return self._python_run_aggregate(
-                    aggregate, column, values, order, starts, stops, length
-                )
-            ufunc = np.minimum if aggregate == "MIN" else np.maximum
-            return ufunc.reduceat(sorted_vals, run_starts)[emit].tolist()
+    NULLs are skipped: COUNT counts the rest, an aggregate of none is NULL.
+    Each run's values reach the built-in ``sum`` / ``min`` / ``max`` as a
+    list of Python values in input order, as the row engine's do, so every
+    output bit matches (float rounding, integers beyond int64, which of two
+    equal values MIN keeps).  ``values`` None is ``COUNT(*)`` (any other
+    aggregate of it is NULL).
+    """
+    if values is None:
+        return sizes.tolist() if aggregate == "COUNT" else [None] * len(sizes)
+    array, mask = null_split(values)
+    ordered = array if order is None else array[order]
+    counts = sizes
+    if mask is not None:
+        present = ~mask if order is None else ~mask[order]
+        ordered = ordered[present]
+        before = np.concatenate(([0], np.cumsum(present)))
+        starts, counts = before[starts], before[starts + sizes] - before[starts]
+    if aggregate == "COUNT":
+        return counts.tolist()
+    reduce = {"SUM": sum, "AVG": sum, "MIN": min, "MAX": max}.get(aggregate)
+    if reduce is None:
         raise PlanError(f"unsupported aggregate {aggregate!r}")
-
-    def _python_run_aggregate(
-        self,
-        aggregate: str,
-        column: Optional[ColumnRef],
-        values: Sequence[Any],
-        order: Optional[Any],
-        starts: Any,
-        stops: Any,
-        length: int,
-    ) -> List[Any]:
-        """Declined aggregate expression: the oracle loop per emitted run."""
-        pyvals = python_values(values)
-        if order is None:
-            return [self._aggregate_values(aggregate, column, pyvals, range(length))]
+    listed = ordered.tolist()
+    spans = zip(starts.tolist(), counts.tolist())
+    if aggregate == "AVG":
         return [
-            self._aggregate_values(aggregate, column, pyvals, order[start:stop])
-            for start, stop in zip(starts.tolist(), stops.tolist())
+            sum(listed[start : start + count]) / count if count else None
+            for start, count in spans
         ]
-
-    @staticmethod
-    def _aggregate_values(
-        aggregate: str,
-        column: Optional[ColumnRef],
-        values: Optional[Sequence[Any]],
-        members: List[int],
-    ) -> Any:
-        if aggregate == "COUNT":
-            if column is None:
-                return len(members)
-            return sum(1 for position in members if values[position] is not None)
-        if column is None:
-            return None
-        present = [values[position] for position in members if values[position] is not None]
-        if not present:
-            return None
-        if aggregate == "SUM":
-            return sum(present)
-        if aggregate == "AVG":
-            return sum(present) / len(present)
-        if aggregate == "MIN":
-            return min(present)
-        if aggregate == "MAX":
-            return max(present)
-        raise PlanError(f"unsupported aggregate {aggregate!r}")
+    return [reduce(listed[start : start + count]) if count else None for start, count in spans]

@@ -8,18 +8,18 @@ consume directly.  An index's *cluster ratio* records how well the physical
 row order follows the index order, which the runtime simulator uses to model
 random-I/O flooding.
 
-A single-column index has one form (:class:`IndexData`): the sorted distinct
-non-``NULL`` keys, an offsets array, and every row id concatenated key by key
-(ascending within a key), plus the ``NULL`` rows.  One stable ``argsort`` over
-the column's typed view builds it; equality, IN-list, range, full-scan and
-whole-column probes are ``searchsorted`` calls and slices of those arrays and
-return row-id *arrays*.  Nothing is maintained per row: an insert only grows
-the columns, and the index rebuilds itself on the first read that finds the
-table longer than what it was built from -- N batches with no read between
-them cost one build, not N.  VARCHAR keys and integers beyond int64 keep the
-same arrays with ``object`` dtype (Python comparisons inside the same NumPy
-calls); that is the one declared degrade.  ``tests/naive_index.py`` keeps the
-dict-of-lists index as the ``==`` oracle.
+A single-column index (:class:`IndexData`) is the column's
+:class:`~repro.engine.columns.KeyGroups` -- the one key grouping the engine
+has, which the executor's joins, SORT and GROUP BY build over their inputs
+too: the sorted distinct non-``NULL`` keys, an offsets array, every row id
+concatenated key by key (ascending within a key), plus the ``NULL`` rows.
+Equality, IN-list, range, full-scan and whole-column probes are
+``searchsorted`` calls and slices of those arrays and return row-id
+*arrays*.  Nothing is maintained per row: an insert only grows the columns,
+and the index rebuilds itself on the first read that finds the table longer
+than what it was built from -- N batches with no read between them cost one
+build, not N.  ``tests/naive_index.py`` keeps the dict-of-lists index as the
+``==`` oracle.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.columns import ColumnVector, expand_slices
+from repro.engine.columns import NO_ROWS, ColumnVector, KeyGroups, expand_slices
 from repro.engine.config import DbConfig
 from repro.engine.schema import Index, TableSchema
 from repro.engine.types import coerce_value
 from repro.errors import CatalogError
-
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-_NO_ROWS.flags.writeable = False  # handed out by every lookup that misses
 
 #: What typed (int64 / float64) keys compare with; anything else matches no
 #: key (``searchsorted`` would silently compare the keys' *text* with it).
@@ -43,15 +40,12 @@ _NUMBERS = (int, float, np.integer, np.floating)
 
 
 class _BuiltIndex:
-    """The arrays of one index build; never mutated, replaced as a whole."""
+    """One index build: the column's grouping and the rows it covers."""
 
-    __slots__ = ("keys", "offsets", "row_ids", "null_rows", "row_count", "scan")
+    __slots__ = ("groups", "row_count", "scan")
 
-    def __init__(self, keys, offsets, row_ids, null_rows, row_count):
-        self.keys = keys
-        self.offsets = offsets
-        self.row_ids = row_ids
-        self.null_rows = null_rows
+    def __init__(self, groups: KeyGroups, row_count: int):
+        self.groups = groups
         #: Rows of the column this build covers (its staleness stamp).
         self.row_count = row_count
         #: Every row id in full-scan order; derived on the first full scan.
@@ -59,42 +53,20 @@ class _BuiltIndex:
 
 
 def _build_index(column: ColumnVector, row_count: int) -> _BuiltIndex:
-    """Group ``column``'s first ``row_count`` rows by key with one stable
-    ``argsort``.
-
-    Stability keeps each key's row ids ascending.  An ``object`` typed view
-    (strings, integers beyond int64) sorts and compares as Python values
-    inside the same calls.
-    """
+    """Group ``column``'s first ``row_count`` rows by key."""
     array, mask = column.arrays()
-    array = array[:row_count]
-    if mask is None:
-        present, null_rows = None, _NO_ROWS
-    else:
-        mask = mask[:row_count]
-        present, null_rows = np.flatnonzero(~mask), np.flatnonzero(mask)
-    keyed = array if present is None else array[present]
-    order = np.argsort(keyed, kind="stable")
-    ordered = keyed[order]
-    starts = _NO_ROWS
-    if len(ordered):
-        changes = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        starts = np.concatenate(([0], changes)).astype(np.intp)
     return _BuiltIndex(
-        keys=ordered[starts],
-        offsets=np.append(starts, len(ordered)),
-        row_ids=order if present is None else present[order],
-        null_rows=null_rows,
-        row_count=len(array),
+        KeyGroups(array[:row_count], None if mask is None else mask[:row_count]),
+        row_count,
     )
 
 
 class IndexData:
-    """A single-column index: sorted keys + offsets + concatenated row ids.
+    """A single-column index: the column's :class:`KeyGroups`, kept current.
 
     Every method returns row ids as an ``intp`` array the caller must not
     write to (``lookup`` and ``scan`` hand out views of the index's own
-    arrays).  The arrays are rebuilt lazily, on the first call after the
+    arrays).  The grouping is rebuilt lazily, on the first call after the
     table has grown; views handed out before stay valid (and stale).
     Numbers of different types compare as NumPy compares them (in float64:
     exact below 2**53), ``object`` keys as Python does.
@@ -117,47 +89,40 @@ class IndexData:
 
     def lookup(self, value: Any) -> Any:
         """Row ids whose key equals ``value``, ascending (``None``: the NULL rows)."""
-        built = self._arrays()
+        groups = self._arrays().groups
         if value is None:
-            return built.null_rows
-        keys = built.keys
+            return groups.null_rows
+        keys = groups.keys
         if keys.dtype != object and not isinstance(value, _NUMBERS):
-            return _NO_ROWS
+            return NO_ROWS
         try:
             slot = int(keys.searchsorted(value))
         except TypeError:  # object keys that do not order against ``value``
-            return _NO_ROWS
+            return NO_ROWS
         if slot == len(keys) or keys[slot] != value:
-            return _NO_ROWS
-        return built.row_ids[built.offsets[slot] : built.offsets[slot + 1]]
+            return NO_ROWS
+        return groups.row_ids[groups.offsets[slot] : groups.offsets[slot + 1]]
 
     def probe(self, values: Any) -> Tuple[Any, Any]:
-        """Look up a whole array of non-``NULL`` values with two ``searchsorted``.
+        """Look up a whole array of non-``NULL`` values.
 
         Returns ``(counts, row_ids)``: ``counts[i]`` rows match ``values[i]``
         and ``row_ids`` lists them value after value, ascending within one --
         ``np.concatenate([lookup(v) for v in values])`` without the loop.
         """
-        built = self._arrays()
-        keys = built.keys
-        if keys.dtype == object or values.dtype.kind in "biufO":
-            try:
-                starts = built.offsets[keys.searchsorted(values, side="left")]
-                stops = built.offsets[keys.searchsorted(values, side="right")]
-            except TypeError:  # keys and values of types that do not order
-                pass
-            else:
-                counts = stops - starts
-                return counts, built.row_ids[expand_slices(starts, counts)]
-        return np.zeros(len(values), dtype=np.intp), _NO_ROWS
+        groups = self._arrays().groups
+        hits, sizes, row_ids = groups.take_runs(groups.find(values))
+        counts = np.zeros(len(values), dtype=np.intp)
+        counts[hits] = sizes
+        return counts, row_ids
 
     def lookup_range(self, low: Any, high: Any) -> Any:
         """Row ids whose key is in ``[low, high]``, ascending (``None`` = open)."""
-        built = self._arrays()
-        keys = built.keys
+        groups = self._arrays().groups
+        keys = groups.keys
         start = 0 if low is None else int(keys.searchsorted(low, side="left"))
         stop = len(keys) if high is None else int(keys.searchsorted(high, side="right"))
-        return np.sort(built.row_ids[built.offsets[start] : built.offsets[max(start, stop)]])
+        return np.sort(groups.row_ids[groups.offsets[start] : groups.offsets[max(start, stop)]])
 
     def scan(self) -> Any:
         """Every row id in the order a full index scan visits them.
@@ -168,14 +133,15 @@ class IndexData:
         """
         built = self._arrays()
         if built.scan is None:
-            texts = list(map(str, built.keys.tolist()))
+            groups = built.groups
+            texts = list(map(str, groups.keys.tolist()))
             by_text = np.asarray(
                 sorted(range(len(texts)), key=texts.__getitem__), dtype=np.intp
             )
-            starts = built.offsets[:-1][by_text]
-            counts = built.offsets[1:][by_text] - starts
+            starts = groups.offsets[:-1][by_text]
+            counts = groups.offsets[1:][by_text] - starts
             built.scan = np.concatenate(
-                (built.row_ids[expand_slices(starts, counts)], built.null_rows)
+                (groups.row_ids[expand_slices(starts, counts)], groups.null_rows)
             )
         return built.scan
 

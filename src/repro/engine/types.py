@@ -9,6 +9,7 @@ round-tripping through SQL literals of the form ``'YYYY-MM-DD'``.
 from __future__ import annotations
 
 import datetime
+import math
 from enum import Enum
 from typing import Any, Optional
 
@@ -45,14 +46,18 @@ def coerce_value(value: Any, data_type: DataType) -> Optional[Any]:
 
     ``None`` is passed through (SQL NULL).  Strings that look like dates are
     converted to ordinals for DATE columns so that literals written in SQL text
-    compare correctly against stored values.
+    compare correctly against stored values.  A value the type cannot hold --
+    NaN included, for DECIMAL -- raises ``ValueError``.
     """
     if value is None:
         return None
     if data_type is DataType.INTEGER:
         return int(value)
     if data_type is DataType.DECIMAL:
-        return float(value)
+        number = float(value)
+        if math.isnan(number):  # DB2's DECIMAL holds no NaN
+            raise ValueError(f"could not convert {value!r} to DECIMAL: NaN")
+        return number
     if data_type is DataType.DATE:
         if isinstance(value, str):
             return date_to_ordinal(value)

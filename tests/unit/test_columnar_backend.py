@@ -20,7 +20,7 @@ import pytest
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
-from repro.engine.columns import ColumnVector, gather, numeric_array, python_values
+from repro.engine.columns import ColumnVector, KeyGroups, gather, python_values
 from repro.engine.config import DbConfig
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionMemo
@@ -163,7 +163,7 @@ class TestColumnVector:
         column = ColumnVector(DataType.INTEGER, [1, 2 ** 70])
         array, _ = column.arrays()
         assert array.dtype == object
-        assert numeric_array(column) is None
+        assert KeyGroups(array).keys.tolist() == [1, 2 ** 70]
 
     def test_gather_widens_to_object_only_when_nulls_selected(self):
         column = ColumnVector(DataType.INTEGER, [1, None, 3, 4])

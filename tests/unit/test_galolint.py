@@ -176,7 +176,7 @@ class TestGL002HotPathLoops:
         assert rule_ids(report) == ["GL002"]
 
     def test_clean_twin_allowlisted_oracle(self, tmp_path):
-        """The same loop inside a declared decline-to-oracle function is fine."""
+        """The same loop inside a function the allowlist declares is fine."""
         report = lint(
             tmp_path,
             {self.PATH: """
@@ -266,6 +266,40 @@ class TestGL002HotPathLoops:
         )
         assert rule_ids(report) == ["GL002", "GL002"]
         assert all("every column of a batch" in f.message for f in report.findings)
+
+    def test_fires_on_a_dict_probe_join(self, tmp_path):
+        """The executor's joins are no decline path: a per-row probe of a
+        key -> rows dict in one is a finding."""
+        report = lint(
+            tmp_path,
+            {self.VECTORIZED: """
+                class VectorizedExecutor:
+                    def _execute_hash_join(self, outer_batch, outer_values, hash_table):
+                        outer_picks, inner_picks = [], []
+                        for op in range(outer_batch.length):
+                            for ip in hash_table.get(outer_values[op], ()):
+                                outer_picks.append(op)
+                                inner_picks.append(ip)
+                        return outer_picks, inner_picks
+            """},
+            [HotPathLoopRule()],
+        )
+        assert rule_ids(report) == ["GL002"]
+        assert "VectorizedExecutor._execute_hash_join" in report.findings[0].message
+
+    def test_clean_twin_join_probing_a_key_grouping(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {self.VECTORIZED: """
+                class VectorizedExecutor:
+                    def _execute_hash_join(self, outer_values, groups):
+                        counts, inner_picks = groups.take_runs(groups.find(outer_values))
+                        outer_picks = np.repeat(np.arange(len(counts)), counts)
+                        return outer_picks, inner_picks
+            """},
+            [HotPathLoopRule()],
+        )
+        assert report.findings == []
 
     def test_clean_twin_batch_itself_and_loops_that_copy_nothing(self, tmp_path):
         report = lint(

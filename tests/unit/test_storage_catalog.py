@@ -295,6 +295,28 @@ class TestCatalog:
         assert stats.cardinality == 30
         assert stats.column("i_item_sk").n_distinct == 30
 
+    def test_load_rows_rejects_nan_decimals_and_leaves_the_table_unchanged(self):
+        """DB2's DECIMAL holds no NaN: a NaN is an uncoercible value."""
+        from repro.engine.database import Database
+
+        db = Database()
+        db.create_table(
+            make_schema(
+                "T",
+                [("t_id", DataType.INTEGER), ("t_x", DataType.DECIMAL)],
+                [Index("T_X", "T", "t_x")],
+            )
+        )
+        db.load_rows("T", [{"t_id": 0, "t_x": 1.5}, {"t_id": 1, "t_x": None}])
+        epoch = db.data_epoch
+        for nan in (float("nan"), "NaN"):
+            with pytest.raises(ValueError):
+                db.load_rows("T", [{"t_id": 2, "t_x": 2.5}, {"t_id": 3, "t_x": nan}])
+        data = db.catalog.table_data("T")
+        assert list(data.rows()) == [{"t_id": 0, "t_x": 1.5}, {"t_id": 1, "t_x": None}]
+        assert data.index("T_X").scan().tolist() == [0, 1]
+        assert db.data_epoch == epoch
+
     def test_runstats_reflects_new_data(self):
         catalog = Catalog()
         catalog.create_table(item_schema())

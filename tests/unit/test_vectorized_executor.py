@@ -9,6 +9,7 @@ schema here; scaled TPC-DS + client workloads in the slow tier) and assert
 full equality.
 """
 
+import numpy as np
 import pytest
 
 from repro.engine.config import DbConfig
@@ -20,11 +21,18 @@ from repro.engine.executor import (
     VectorizedExecutor,
     make_executor,
 )
-from repro.engine.executor import vectorized
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.rewrite import rewrite_query
-from repro.engine.plan.physical import PopType, Qgm, index_scan, join, table_scan
+from repro.engine.plan.physical import (
+    PopType,
+    Qgm,
+    group_by,
+    index_scan,
+    join,
+    sort,
+    table_scan,
+)
 from repro.engine.schema import Index, make_schema
 from repro.engine.sql.binder import bind
 from repro.engine.sql.parser import parse_select
@@ -54,8 +62,12 @@ MINI_SQLS = [
 
 
 def assert_identical(reference, candidate, context=""):
-    """Full ExecutionResult equality: rows, elapsed, cardinalities, metrics."""
+    """Full ExecutionResult equality: rows (with key order and value types),
+    elapsed, cardinalities, metrics."""
     assert candidate.rows == reference.rows, f"rows differ: {context}"
+    assert [[(key, type(value)) for key, value in row.items()] for row in candidate.rows] == [
+        [(key, type(value)) for key, value in row.items()] for row in reference.rows
+    ], f"row keys or value types differ: {context}"
     assert candidate.elapsed_ms == reference.elapsed_ms, f"elapsed differs: {context}"
     assert (
         candidate.actual_cardinalities == reference.actual_cardinalities
@@ -304,10 +316,8 @@ class TestIndexLookupJoin:
 
 
 # ---------------------------------------------------------------------------
-# Group-by kernel differential: every aggregate over typed, NULL-bearing,
-# string and empty inputs, row engine vs vectorized, cold and memoized.  The
-# argsort-run kernel must be invisible; where it declines (object dtype, NULL
-# keys) the setdefault loop takes over.
+# Group-by differential: every aggregate over typed, NULL-bearing, string and
+# empty inputs, row engine vs vectorized, cold and memoized.
 # ---------------------------------------------------------------------------
 
 GROUPBY_SQLS = [
@@ -318,11 +328,11 @@ GROUPBY_SQLS = [
     "SELECT g_kind, SUM(g_price), AVG(g_price) FROM gfact GROUP BY g_kind",
     # NULL-bearing aggregate input: COUNT skips NULLs, SUM ignores them.
     "SELECT g_kind, COUNT(g_val), SUM(g_val) FROM gfact GROUP BY g_kind",
-    # String key with NULL groups (kernel declines, loop path).
+    # String key with a NULL group.
     "SELECT g_code, COUNT(*) FROM gfact GROUP BY g_code",
-    # NULL-bearing numeric key (kernel declines).
+    # NULL-bearing numeric key.
     "SELECT g_nkey, AVG(g_dval) FROM gfact GROUP BY g_nkey",
-    # Multi-key: all-numeric (kernel) and mixed numeric/string (declines).
+    # Multi-key: all-numeric and mixed numeric/string.
     "SELECT g_kind, g_flag, SUM(g_dval) FROM gfact GROUP BY g_kind, g_flag",
     "SELECT g_kind, g_code, SUM(g_dval) FROM gfact GROUP BY g_kind, g_code",
     "SELECT g_kind, COUNT(*) FROM gfact GROUP BY g_kind ORDER BY g_kind",
@@ -391,43 +401,14 @@ class TestGroupByDifferential:
         run_differential(db, GROUPBY_SQLS, random_plans_per_query=3, memo=memo)
         assert memo.hits > 0
 
-    def test_kernel_off_matches_kernel_on(self, monkeypatch):
-        """Forcing every group-by to decline (the loop path on its own) gives
-        the results the kernel gives."""
-        db = build_groupby_database()
-        on = [db.execute_sql(sql) for sql in GROUPBY_SQLS]
-        monkeypatch.setattr(
-            VectorizedExecutor, "_grouped_rows_vectorized", lambda *args: None
-        )
-        for sql, kernel_result in zip(GROUPBY_SQLS, on):
-            assert_identical(db.execute_sql(sql), kernel_result, context=sql)
-
-    def test_kernel_engages_and_declines_where_expected(self, monkeypatch):
-        """Guard against the differential passing vacuously: the suite must
-        actually drive both the argsort kernel and the decline-to-loop path."""
-        db = build_groupby_database()
-        outcomes = []
-        original = VectorizedExecutor._grouped_rows_vectorized
-
-        def spy(self, *args, **kwargs):
-            rows = original(self, *args, **kwargs)
-            outcomes.append(rows is not None)
-            return rows
-
-        monkeypatch.setattr(VectorizedExecutor, "_grouped_rows_vectorized", spy)
-        run_differential(db, GROUPBY_SQLS, random_plans_per_query=0)
-        assert any(outcomes), "the vectorized kernel never engaged"
-        assert not all(outcomes), "NULL/string keys should decline to the loop"
-
 
 class TestMergeJoinInputs:
-    """A null-free numeric merge key carries only its run arrays; the
-    block-wise loop lists them when the other side (NULL-bearing here) has no
-    arrays for the kernel.  Both routes must equal the row engine."""
+    """A null-free and a NULL-bearing merge key over forced table scans: the
+    NULL run drains as the row engine's loop drains it."""
 
     SQLS = {
-        "kernel": "SELECT g_id, d_name FROM gfact, gdim WHERE g_kind = d_key",
-        "loop": "SELECT g_id, d_name FROM gfact, gdim WHERE g_nkey = d_key",
+        "null-free": "SELECT g_id, d_name FROM gfact, gdim WHERE g_kind = d_key",
+        "NULL-bearing": "SELECT g_id, d_name FROM gfact, gdim WHERE g_nkey = d_key",
     }
 
     @staticmethod
@@ -441,7 +422,7 @@ class TestMergeJoinInputs:
         )
         return Qgm(builder.finish_plan(joined), sql=sql)
 
-    def test_kernel_and_loop_match_row_engine(self, monkeypatch):
+    def test_match_row_engine(self):
         db = build_groupby_database()
         db.create_table(
             make_schema(
@@ -449,25 +430,183 @@ class TestMergeJoinInputs:
             )
         )
         db.load_rows("GDIM", [{"d_key": i % 4, "d_name": f"n{i}"} for i in range(7)])
-        listed = []
-        original = vectorized._listed_runs
-
-        def spy(runs, vector):
-            listed.append(runs is None)
-            return original(runs, vector)
-
-        monkeypatch.setattr(vectorized, "_listed_runs", spy)
         row_engine = Executor(db.catalog, db.config)
         vec_engine = VectorizedExecutor(db.catalog, db.config)
         for route, sql in self.SQLS.items():
-            del listed[:]
             reference = row_engine.execute(self._merge_plan(db, sql))
             assert reference.row_count > 0
             for memo in (None, ExecutionMemo()):
                 candidate = vec_engine.execute(self._merge_plan(db, sql), memo=memo)
                 assert_identical(reference, candidate, context=route)
-            # gfact's NULL-bearing key comes with its list, gdim's key without.
-            assert listed == ([] if route == "kernel" else [False, True] * 2)
+
+
+# ---------------------------------------------------------------------------
+# Key pool: every key type through every keyed operator.  Joins, SORT and
+# GROUP BY all read one grouping (``KeyGroups``), each with its own NULL rule;
+# each must equal the row engine cold, memoized, and on a memo hit.
+# ---------------------------------------------------------------------------
+
+BIG = 2**70
+
+#: Key columns of both pool tables: VARCHAR with '' and NULL, NULL-bearing
+#: INTEGER, INTEGER with NULLs in KL only (``h``: both tables' largest key is
+#: 4; ``t``: KL's is 4, KR's 7), INTEGER beyond int64 (an ``object`` column,
+#: NULLs included), and the two halves of a two-column key (the second one
+#: VARCHAR with NULLs).  KR's row ``i`` holds KL's values for ``3 * i``.
+POOL_COLUMNS = {
+    "s": (DataType.VARCHAR, lambda i: ["b", "", "a", None, "c", "a", "", "d"][i % 8]),
+    "n": (DataType.INTEGER, lambda i: None if i % 5 == 0 else (i * 7) % 9),
+    "h": (DataType.INTEGER, lambda i: None if i % 3 == 1 else (i // 3) % 5),
+    "t": (DataType.INTEGER, lambda i: None if i % 3 == 1 else (i // 12) % 8),
+    "big": (DataType.INTEGER, lambda i: None if i % 6 == 1 else (i % 3) * BIG + i % 4),
+    "a": (DataType.INTEGER, lambda i: i % 4),
+    "b": (DataType.VARCHAR, lambda i: ["x", "", None][i % 3]),
+}
+
+
+def build_key_pool_database() -> Database:
+    db = Database(DbConfig(buffer_pool_pages=4))
+    for table, prefix, count, stride in (("KL", "l", 60, 1), ("KR", "r", 45, 3)):
+        indexes = [
+            Index(f"{prefix.upper()}_{name.upper()}", table, f"{prefix}_{name}", cluster_ratio=0.3)
+            for name in POOL_COLUMNS
+        ]
+        db.create_table(
+            make_schema(
+                table,
+                [(f"{prefix}_id", DataType.INTEGER), (f"{prefix}_d", DataType.DECIMAL)]
+                + [(f"{prefix}_{name}", kind) for name, (kind, _) in POOL_COLUMNS.items()],
+                indexes,
+            )
+        )
+        db.load_rows(
+            table,
+            [
+                {
+                    f"{prefix}_id": i,
+                    f"{prefix}_d": None if i % 7 == 3 else (i * 13) % 17 + 0.1,
+                    **{
+                        f"{prefix}_{name}": value(i * stride)
+                        for name, (_, value) in POOL_COLUMNS.items()
+                    },
+                }
+                for i in range(count)
+            ],
+        )
+    return db
+
+
+#: Join keys: one column each, and the two-column key.
+POOL_JOIN_KEYS = {
+    "varchar": ("s",),
+    "null int": ("n",),
+    "outer NULLs, same last key": ("h",),
+    "outer NULLs, smaller last key": ("t",),
+    "big int": ("big",),
+    "two columns": ("a", "b"),
+}
+
+
+def _pool_join(pop_type, names, bloom=False, lookup=False):
+    predicates = tuple(
+        Comparison("=", ColumnRef("l", f"l_{name}"), ColumnRef("r", f"r_{name}"))
+        for name in names
+    )
+    inner = table_scan("KR", "r")
+    if lookup:
+        inner = index_scan("KR", "r", f"R_{names[0].upper()}")
+        inner.properties["nljoin_lookup"] = True
+    return join(pop_type, table_scan("KL", "l"), inner, predicates, bloom_filter=bloom)
+
+
+POOL_OPERATORS = {
+    "HSJOIN": lambda names: _pool_join(PopType.HSJOIN, names),
+    "HSJOIN bloom": lambda names: _pool_join(PopType.HSJOIN, names, bloom=True),
+    "MSJOIN": lambda names: _pool_join(PopType.MSJOIN, names),
+    "NLJOIN scanned inner": lambda names: _pool_join(PopType.NLJOIN, names),
+    "NLJOIN index lookup": lambda names: _pool_join(PopType.NLJOIN, names, lookup=True),
+    "SORT": lambda names: sort(table_scan("KL", "l"), ColumnRef("l", f"l_{names[-1]}")),
+    "GROUP BY": lambda names: group_by(
+        table_scan("KL", "l"),
+        tuple(ColumnRef("l", f"l_{name}") for name in names),
+        (
+            ("COUNT", None),
+            ("COUNT", ColumnRef("l", "l_d")),
+            ("SUM", ColumnRef("l", "l_d")),
+            ("AVG", ColumnRef("l", "l_n")),
+            ("MIN", ColumnRef("l", "l_s")),
+            ("MAX", ColumnRef("l", "l_big")),
+        ),
+    ),
+}
+
+#: The same keys through SQL: optimizer and random plans (any join method,
+#: any access path), ORDER BY over a VARCHAR column holding '' included.
+POOL_SQLS = [
+    "SELECT l_id, l_s FROM kl ORDER BY l_s",
+    "SELECT l_id, r_id FROM kl, kr WHERE l_s = r_s",
+    "SELECT l_id, r_id, r_big FROM kl, kr WHERE l_n = r_n",
+    "SELECT l_id, r_id FROM kl, kr WHERE l_big = r_big",
+    "SELECT l_id, r_id FROM kl, kr WHERE l_a = r_a AND l_b = r_b",
+    "SELECT l_s, COUNT(*), SUM(l_d), MIN(l_n), MAX(l_s) FROM kl GROUP BY l_s",
+    "SELECT l_a, l_b, COUNT(l_n), AVG(l_d) FROM kl GROUP BY l_a, l_b",
+    "SELECT l_big, COUNT(*), MAX(l_big) FROM kl GROUP BY l_big ORDER BY l_big",
+    "SELECT l_n, r_s, COUNT(*) FROM kl, kr WHERE l_s = r_s GROUP BY l_n, r_s ORDER BY r_s",
+]
+
+
+@pytest.fixture(scope="module")
+def key_pool_db():
+    return build_key_pool_database()
+
+
+class TestKeyPool:
+    @pytest.mark.parametrize("keys", sorted(POOL_JOIN_KEYS))
+    @pytest.mark.parametrize("operator", sorted(POOL_OPERATORS))
+    def test_equals_row_engine_cold_and_memoized(self, key_pool_db, operator, keys):
+        db = key_pool_db
+        qgm = Qgm(POOL_OPERATORS[operator](POOL_JOIN_KEYS[keys]))
+        context = f"{operator} on {keys}"
+        reference = Executor(db.catalog, db.config).execute(qgm)
+        assert reference.row_count > 0, context
+        engine = VectorizedExecutor(db.catalog, db.config)
+        assert_identical(reference, engine.execute(qgm), context)
+        memo = ExecutionMemo()
+        for _ in range(2):  # computed and stored, then replayed
+            assert_identical(reference, engine.execute(qgm, memo=memo), context)
+
+    def test_one_memo_across_the_pool(self, key_pool_db):
+        """Every operator over every key shares one memo, as a learning sweep
+        does: one input's grouping serves the joins, SORT and GROUP BY that
+        read the same column."""
+        db = key_pool_db
+        row_engine = Executor(db.catalog, db.config)
+        engine = VectorizedExecutor(db.catalog, db.config)
+        memo = ExecutionMemo()
+        for operator, build in sorted(POOL_OPERATORS.items()):
+            for keys, names in sorted(POOL_JOIN_KEYS.items()):
+                qgm = Qgm(build(names))
+                assert_identical(
+                    row_engine.execute(qgm), engine.execute(qgm, memo=memo), f"{operator} on {keys}"
+                )
+        assert memo.aux_hits > 0
+
+    def test_sql_plans_identical(self, key_pool_db):
+        checked = run_differential(key_pool_db, POOL_SQLS, random_plans_per_query=6)
+        checked += run_differential(
+            key_pool_db, POOL_SQLS, random_plans_per_query=6, memo=ExecutionMemo()
+        )
+        assert checked >= 2 * len(POOL_SQLS)
+
+    def test_order_by_varchar_with_empty_string(self, key_pool_db):
+        """'' sorts first, NULLs last, ties in input order -- in both engines."""
+        result = key_pool_db.execute_sql("SELECT l_id, l_s FROM kl ORDER BY l_s")
+        values = [row["KL.l_s"] for row in result.rows]
+        non_null = [value for value in values if value is not None]
+        assert non_null == sorted(non_null) and non_null[0] == ""
+        assert values[len(non_null) :] == [None] * (len(values) - len(non_null))
+        ids = [row["KL.l_id"] for row in result.rows]
+        assert ids[: values.count("")] == sorted(ids[: values.count("")])
 
 
 class TestMissingAggregateColumn:
@@ -567,15 +706,9 @@ class TestEngineSelection:
 
 
 class TestBatch:
-    def test_from_rows_and_to_rows_round_trip(self):
-        rows = [{"A.x": 1, "A.y": "a"}, {"A.x": 2, "A.y": "b"}]
-        batch = Batch.from_rows(rows)
-        assert batch.length == 2
-        assert batch.to_rows() == rows
-
     def test_key_order_preserved(self):
-        rows = [{"z": 1, "a": 2}]
-        assert list(Batch.from_rows(rows).to_rows()[0]) == ["z", "a"]
+        batch = Batch((({"z": np.array([1]), "a": np.array([2])}, None),), 1)
+        assert list(batch.to_rows()[0]) == ["z", "a"]
 
     def test_selection_vector_column_and_take(self):
         backing = {"T.c": [10, 20, 30, 40]}
