@@ -27,13 +27,17 @@ one unbudgeted execution of that plan (:class:`PlanOutcome`), valid under the
 same stamp.  The memo's cold-charge rule makes rows, metrics and
 ``elapsed_ms`` a pure function of (plan, table data); the plan is read-only
 and every data load advances ``stats_epoch``, so a later hit under the same
-stamp replays the outcome -- fresh rows from the stored batch -- instead of
-executing again.  An outcome is published only if the stamp is still the
-entry's after the execution that produced it
-(:meth:`PreparedStatement.keep_outcome`), and only hits store one: a
-statement served once leaves no outcome behind.  The lane therefore holds at
-most ``CAPACITY`` entries times the plans each hands out (one per allowed
-template set; almost always one) outcomes.
+stamp replays the outcome instead of executing again.  An outcome keeps
+copies of the rows its execution first handed out, and a replay hands out
+copies of those: one ``dict.copy`` per row.  Row values are immutable
+scalars (``int``, ``float``, ``str`` or ``None``), so a shallow copy gives
+every response rows of its own, with the same keys in the same order.  An
+outcome is published only if the stamp is still the entry's after the
+execution that produced it (:meth:`PreparedStatement.keep_outcome`), and
+only hits store one: a statement served once leaves no outcome behind.  The
+lane therefore holds at most ``CAPACITY`` entries times the plans each hands
+out (one per allowed template set; almost always one) outcomes, each the
+size of its result's rows.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from repro.engine.executor.executor import ExecutionResult
 if TYPE_CHECKING:
     from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
     from repro.engine.executor.metrics import RuntimeMetrics
-    from repro.engine.executor.vectorized import Batch
+    from repro.engine.expressions import Row
     from repro.engine.optimizer.guidelines import GuidelineDocument
     from repro.engine.plan.physical import Qgm
 
@@ -61,22 +65,23 @@ Stamp = Tuple[int, "KnowledgeBase", int]
 class PlanOutcome(NamedTuple):
     """One unbudgeted execution of a plan an entry hands out."""
 
-    #: The plan's output batch; every replay builds its own rows from it.
-    batch: "Batch"
+    #: Copies of the rows the execution first handed out; nothing outside
+    #: the outcome holds them, and every replay hands out copies of them.
+    rows: List["Row"]
     #: Shared by every replay, as are its ``actual_cardinalities``.
     metrics: "RuntimeMetrics"
     elapsed_ms: float
     #: ``ExecutionResult.max_q_error`` of the plan, computed once.
     max_q_error: float
 
-    def replay(self, qgm: "Qgm") -> ExecutionResult:
-        """The execution's result again, for ``qgm`` (a view of the plan)."""
+    def replay(self) -> ExecutionResult:
+        """The execution's result again, with rows of its own: copies of the
+        kept ones."""
         return ExecutionResult(
+            rows=list(map(dict.copy, self.rows)),
             metrics=self.metrics,
             elapsed_ms=self.elapsed_ms,
             actual_cardinalities=self.metrics.actual_cardinalities,
-            batch=self.batch,
-            plan_root=qgm.root,
         )
 
 
@@ -124,16 +129,20 @@ class PreparedStatement:
         ``stamp`` is read *after* the execution: a load or RUNSTATS that
         overlapped it advanced the epoch, so the result is kept only if this
         entry is still current (a stale entry is never looked up again).
-        Two threads storing at once compute equal outcomes; the first wins.
-        Returns the outcome kept, or None (stale, or a row-engine result,
-        which has no batch to replay).
+        The outcome keeps copies of ``result.rows``: those belong to the
+        caller, who may change them.  Two threads storing at once compute
+        equal outcomes; the first wins.  Returns the outcome kept, or None
+        (stale).
         """
-        if result.batch is None or not self.is_current(*stamp):
+        if not self.is_current(*stamp):
             return None
         return self.outcomes.setdefault(
             allowed,
             PlanOutcome(
-                result.batch, result.metrics, result.elapsed_ms, result.max_q_error(qgm)
+                list(map(dict.copy, result.rows)),
+                result.metrics,
+                result.elapsed_ms,
+                result.max_q_error(qgm),
             ),
         )
 

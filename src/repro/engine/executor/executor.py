@@ -51,10 +51,11 @@ class ExecutionResult:
     construction would have produced, as a list of its own.
 
     A prepared hit's result is a replay (see
-    :class:`repro.core.matching.prepared.PlanOutcome`): a new result over the
-    batch, ``metrics`` and ``actual_cardinalities`` of the one execution the
-    prepared entry stored, which every replay of it shares -- so a result is
-    read-only; only its ``rows`` belong to the caller.
+    :class:`repro.core.matching.prepared.PlanOutcome`): eager rows copied
+    from the ones the prepared entry kept, over the ``metrics`` and
+    ``actual_cardinalities`` of the one execution it stored, which every
+    replay of it shares -- so a result is read-only; only its ``rows``
+    belong to the caller.
     """
 
     def __init__(

@@ -486,15 +486,18 @@ class GaloService:
         """Plan, (maybe) steer, execute once (or replay), observe.
 
         A prepared hit whose entry keeps an outcome for its plan replays it
-        (:class:`~repro.core.matching.prepared.PlanOutcome`): fresh rows
-        from the stored batch, the stored metrics, ``elapsed_ms`` and max
-        q-error; the executor is not entered.  A hit without one executes
-        and keeps it.  Runs on a pool thread, or on the event-loop thread
-        for a prepared hit (see :meth:`submit`).  ``request_span`` is the request trace's
-        root (the no-op span when tracing is off), opened on the event loop
-        at admission time; the gap between ``admitted_at`` and the work being
-        picked up is the ``queue_wait`` stage (near zero for a hit served in
-        place).  The root span ends here, on every path.
+        (:class:`~repro.core.matching.prepared.PlanOutcome`): copies of the
+        kept rows, the stored metrics, ``elapsed_ms`` and max q-error; the
+        executor is not entered.  A hit without one executes and keeps it.
+        The response rows are materialized inside the ``execute`` span, on
+        both paths, so ``wall_ms``, the latency histogram and the stage
+        timings count building them.  Runs on a pool thread, or on the
+        event-loop thread for a prepared hit (see :meth:`submit`).
+        ``request_span`` is the request trace's root (the no-op span when
+        tracing is off), opened on the event loop at admission time; the gap
+        between ``admitted_at`` and the work being picked up is the
+        ``queue_wait`` stage (near zero for a hit served in place).  The
+        root span ends here, on every path.
         """
         started = time.perf_counter()
         if request_span.recording and admitted_at is not None:
@@ -552,15 +555,19 @@ class GaloService:
                 matched_ids = []
                 match_time_ms = 0.0
             # A hit replays the execution its entry keeps for this plan, or
-            # executes and keeps it; a miss executes and keeps nothing.
+            # executes and keeps it; a miss executes and keeps nothing.  The
+            # response rows are built (or copied) inside the span, so the
+            # stage timings and ``wall_ms`` include them.
             outcome = None if entry is None else entry.outcomes.get(decision.allowed)
             with request_span.child("execute") as execute_span:
                 if outcome is None:
                     result = database.execute_plan(qgm, memo=memo, span=execute_span)
                 else:
-                    result = outcome.replay(qgm)
+                    result = outcome.replay()
+                    self.metrics.increment("prepared_replays")
                     execute_span.set("replayed", True)
-                execute_span.set("rows", result.row_count)
+                rows = result.rows
+                execute_span.set("rows", len(rows))
                 execute_span.set("elapsed_ms", result.elapsed_ms)
             if entry is not None and outcome is None:
                 outcome = entry.keep_outcome(
@@ -639,7 +646,7 @@ class GaloService:
             query_name=query_name,
             sql=sql,
             status="ok",
-            rows=result.rows,
+            rows=rows,
             elapsed_ms=result.elapsed_ms,
             wall_ms=wall_ms,
             match_time_ms=match_time_ms,

@@ -16,10 +16,11 @@ import time
 import pytest
 
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
-from repro.core.matching.prepared import PreparedStatements
+from repro.core.matching.prepared import PlanOutcome, PreparedStatements
 from repro.core.matching.segmenter import segment_plan
 from repro.engine.executor.executor import Executor
-from repro.engine.executor.vectorized import VectorizedExecutor
+from repro.engine.executor.vectorized import Batch, VectorizedExecutor
+from repro.obs import Span
 from repro.service import GaloService, ServiceConfig
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
@@ -33,6 +34,7 @@ from tests.prepared_support import (
     plan_snapshot,
     usage_snapshot,
 )
+from tests.unit.test_vectorized_executor import assert_identical
 
 GUARD_SECONDS = 120
 
@@ -680,6 +682,63 @@ class TestServiceObservability:
             assert stage in replayed
         assert service.stage_timings.get("match").count == len(responses)
 
+    def test_replays_are_counted(self):
+        """Per serial round: the miss and the hit that keeps the outcome
+        replay nothing; every later hit replays."""
+        galo = build_system()
+        service = GaloService(
+            galo, ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=False)
+        )
+
+        async def scenario():
+            counts = []
+            async with service:
+                for _ in range(4):
+                    before = service.metrics.snapshot()["prepared_replays"]
+                    for name, sql in WORKLOAD:
+                        assert (await service.submit(sql, query_name=name)).ok
+                    counts.append(service.metrics.snapshot()["prepared_replays"] - before)
+            return counts
+
+        assert run(scenario()) == [0, 0, len(WORKLOAD), len(WORKLOAD)]
+        assert "prepared_replays" in ServiceMetrics.PROMETHEUS_HELP
+        assert "# TYPE galo_prepared_replays counter" in service.render_metrics()
+
+    def test_response_rows_are_built_inside_the_execute_span(self, monkeypatch):
+        """Building a response's rows is part of its request: ``to_rows``
+        (executed requests) and the replay's copy (replayed ones) both
+        finish while that request's ``execute`` span is still open."""
+        execute_spans = []
+        child = Span.child
+
+        def recording_child(self, name, start=None):
+            span = child(self, name, start)
+            if name == "execute":
+                execute_spans.append(span)
+            return span
+
+        seen = []
+
+        def spying(kind, method):
+            def spy(*args, **kwargs):
+                out = method(*args, **kwargs)
+                span = execute_spans[-1]
+                seen.append((kind, span.end_time is None))
+                return out
+            return spy
+
+        monkeypatch.setattr(Span, "child", recording_child)
+        monkeypatch.setattr(Batch, "to_rows", spying("to_rows", Batch.to_rows))
+        monkeypatch.setattr(PlanOutcome, "replay", spying("replay", PlanOutcome.replay))
+        galo = build_system()
+        responses, _ = self.serve(galo, WORKLOAD * 3)
+        assert all(response.ok for response in responses)
+        assert len(execute_spans) == len(responses)
+        # Miss and keeping hit execute; the third round replays.
+        assert sorted(seen) == sorted(
+            [("to_rows", True)] * (2 * len(WORKLOAD)) + [("replay", True)] * len(WORKLOAD)
+        )
+
     def test_stale_entries_count_as_invalidations(self):
         galo = build_system()
         _, service = self.serve(galo, WORKLOAD, tracing=False)
@@ -777,6 +836,10 @@ def assert_responses_equal_oracle(galo, responses):
         assert response_key(response) == oracle_key(galo, response), response.query_name
 
 
+def typed_items(row):
+    return [(key, value, type(value)) for key, value in row.items()]
+
+
 def warm_to_replay(galo):
     """Serve the workload three times: the miss, the hit that executes and
     stores its outcome, and a hit that replays it."""
@@ -820,6 +883,48 @@ class TestExecutionReplay:
         second.rows.pop()
         (third,) = serve_serially(galo, [(name, sql)])
         assert response_key(third) == expected
+
+    def test_the_keeping_requests_rows_belong_to_its_caller(self):
+        """The hit that executes and keeps the outcome hands its rows to its
+        caller; changing them must not reach what later hits replay."""
+        galo = build_system()
+        serve_serially(galo, WORKLOAD)
+        keeping = serve_serially(galo, WORKLOAD)
+        for response in keeping:
+            assert len(current_entry(galo, response.sql).outcomes) == 1
+            if response.rows:
+                response.rows[0].clear()
+                response.rows.pop()
+            response.rows.append({"extra": 1})
+        assert_responses_equal_oracle(galo, serve_serially(galo, WORKLOAD))
+
+    def test_replay_of_the_widest_statement_is_identical_to_the_oracle(self):
+        """Rows, key order, value types, metrics and actuals of a replay
+        equal the row engine's.  Every value is an immutable scalar, which is
+        what makes the outcome's shallow ``dict.copy`` a private copy."""
+        galo = build_system()
+        database = galo.database
+        row_engine = Executor(database.catalog, database.config)
+        oracles = {
+            sql: row_engine.execute(galo.matching_engine.steer(sql, query_name=name).qgm)
+            for name, sql in WORKLOAD
+        }
+
+        def width(statement):
+            rows = oracles[statement[1]].rows
+            return (len(rows[0]) if rows else 0, len(rows))
+
+        name, sql = max(WORKLOAD, key=width)
+        oracle = oracles[sql]
+        assert oracle.rows and len(oracle.rows[0]) >= 3
+        *_, replayed = serve_serially(galo, [(name, sql)] * 3)
+        (outcome,) = current_entry(galo, sql).outcomes.values()
+        assert_identical(oracle, outcome.replay(), context=name)
+        assert [typed_items(row) for row in replayed.rows] == [
+            typed_items(row) for row in oracle.rows
+        ]
+        values = [value for row in replayed.rows for value in row.values()]
+        assert {type(value) for value in values} <= {int, float, str, type(None)}
 
     def test_replays_leave_the_stored_outcome_unchanged(self, monkeypatch):
         """Learning and the guard on: feedback, the guard ledger and the drift

@@ -6,8 +6,9 @@ consumes a plan writes into it: executing it (cold, through memo hits, or
 stopped by a budget), steering through it, judging its outcome.  Each test
 takes :func:`plan_snapshot` of a plan before and after and requires the two
 equal.  The shared-master test runs one plan on two threads at once, and the
-shared-outcome test has one thread store a prepared entry's outcome while
-another replays it.
+shared-outcome tests have one thread store a prepared entry's outcome while
+another replays it, and two threads change the rows they replayed while the
+other replays.
 """
 
 import sys
@@ -267,6 +268,59 @@ class TestSharedOutcome:
                     sql, database.stats_epoch, kb, kb.generation
                 )
                 if served != [[expected[sql]] * self.REQUESTS] * 2 or len(entry.outcomes) != 1:
+                    failures.append(f"round {round_number} ({name})")
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures, failures[:5]
+
+    def test_two_threads_change_their_replayed_rows_while_the_other_replays(self):
+        """Two threads replay one kept outcome ``REQUESTS`` times each, at
+        once; after checking its rows against the oracle's, each thread
+        clears, appends to and pops from them, with a thread switch possible
+        between almost any two bytecodes.  Neither thread's changes may
+        reach the other's rows or the outcome."""
+        galo = build_system()
+        engine = galo.matching_engine
+        database = galo.database
+        row_engine = Executor(database.catalog, database.config)
+        service = GaloService(
+            galo, ServiceConfig(learning_enabled=False, guard_enabled=False)
+        )
+        outcomes = {}
+        for name, sql in WORKLOAD:
+            expected = ordered(row_engine.execute(engine.steer(sql, query_name=name).qgm).rows)
+            for _ in range(2):
+                service._serve_sync(sql, name)
+            kb = galo.knowledge_base
+            entry, _ = engine.prepared.lookup(sql, database.stats_epoch, kb, kb.generation)
+            (outcome,) = entry.outcomes.values()
+            outcomes[name] = (outcome, expected)
+        failures = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_number in range(self.ROUNDS):
+                name, _ = WORKLOAD[round_number % len(WORKLOAD)]
+                outcome, expected = outcomes[name]
+                barrier = threading.Barrier(2)
+                seen = [[], []]
+
+                def replay(slot, _barrier=barrier, _seen=seen, _outcome=outcome):
+                    _barrier.wait()
+                    for _ in range(self.REQUESTS):
+                        rows = _outcome.replay().rows
+                        _seen[slot].append(ordered(rows))
+                        if rows:
+                            rows[0].clear()
+                            rows.pop()
+                        rows.append({"extra": slot})
+
+                threads = [threading.Thread(target=replay, args=(slot,)) for slot in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                if seen != [[expected] * self.REQUESTS] * 2 or ordered(outcome.rows) != expected:
                     failures.append(f"round {round_number} ({name})")
         finally:
             sys.setswitchinterval(switch_interval)
