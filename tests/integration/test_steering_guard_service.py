@@ -93,16 +93,21 @@ GUARD_ONLY = set(GUARD_COUNTERS)
 #: The prepared lane's hit/miss split depends on scheduling -- with two
 #: workers a statement's second occurrence can start while its first is still
 #: computing the verdict, and then both miss -- but every request is one or
-#: the other, so their sum is compared instead.
+#: the other, so their sum is compared instead.  Replays split the hits the
+#: same way: a hit that starts while its entry's first execution is still
+#: running executes instead of replaying, so replays are only bounded by hits.
 PREPARED_SPLIT = ("prepared_hits", "prepared_misses")
+PREPARED_REPLAYS = "prepared_replays"
 
 
 def comparable_counters(snapshot):
+    assert 0 <= snapshot[PREPARED_REPLAYS] <= snapshot["prepared_hits"]
     counters = {
         name: value
         for name, value in snapshot.items()
         if name not in GUARD_ONLY
         and name not in PREPARED_SPLIT
+        and name != PREPARED_REPLAYS
         and not name.startswith("latency_")
     }
     counters["prepared_requests"] = sum(snapshot[name] for name in PREPARED_SPLIT)
