@@ -51,6 +51,9 @@ from repro.engine.sql.binder import BoundQuery
 from repro.errors import PlanBudgetExceeded
 from repro.obs.tracing import NULL_SPAN
 
+#: Minimum relative improvement for a rewrite to enter the knowledge base.
+IMPROVEMENT_THRESHOLD = 0.15
+
 
 @dataclass
 class LearningConfig:
@@ -64,8 +67,6 @@ class LearningConfig:
     max_variants: int = 3
     #: db2batch repetitions per plan.
     runs_per_plan: int = 5
-    #: Minimum relative improvement for a rewrite to enter the knowledge base.
-    improvement_threshold: float = 0.15
     #: Evaluate plans through the database's epoch-invalidated workload memo,
     #: shared across every ``learn_query`` of a sweep (sub-queries repeat
     #: *across* workload queries, not just within one).  Learning outcomes
@@ -89,12 +90,6 @@ class QueryLearningRecord:
     #: how many of them were stopped because they could no longer win.
     plans_benchmarked: int = 0
     plans_aborted: int = 0
-
-    @property
-    def per_subquery_seconds(self) -> float:
-        if self.analyzed_subquery_count == 0:
-            return 0.0
-        return self.elapsed_seconds / self.analyzed_subquery_count
 
 
 @dataclass
@@ -453,7 +448,7 @@ class LearningEngine:
         with span.child("benchmark_random"):
             for qgm in random_qgms:
                 cap_ms = candidate_cap_ms(
-                    optimizer_ms, best_random_ms, self.config.improvement_threshold
+                    optimizer_ms, best_random_ms, IMPROVEMENT_THRESHOLD
                 )
                 measurement = batch.benchmark_within(qgm, cap_ms, memo=memo)
                 if measurement is None:
@@ -478,7 +473,7 @@ class LearningEngine:
         improvement = (
             optimizer_ranked.elapsed_ms - best.elapsed_ms
         ) / optimizer_ranked.elapsed_ms
-        if improvement < self.config.improvement_threshold:
+        if improvement < IMPROVEMENT_THRESHOLD:
             return None
 
         problem_root = join_tree_root(optimizer_qgm)

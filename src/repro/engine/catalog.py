@@ -27,7 +27,7 @@ class Catalog:
         if key in self._schemas:
             raise CatalogError(f"table {schema.name!r} already exists")
         self._schemas[key] = schema
-        data = TableData(schema, self.config)
+        data = TableData(schema)
         self._data[key] = data
         for index in schema.indexes:
             data.build_index(index)

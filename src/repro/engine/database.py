@@ -48,15 +48,15 @@ class Database:
 
     def __init__(self, config: Optional[DbConfig] = None, name: str = "GALODB"):
         self.name = name
-        # Own a private copy: every component (catalog, optimizer, executor,
-        # per-table storage) shares this one object, and ``set_executor``
-        # mutates it -- copying keeps that mutation from leaking into other
-        # Database instances built from the same caller-owned DbConfig.
+        # Own a private copy: the catalog and the executor share this one
+        # object, and ``set_executor`` mutates it -- copying keeps that
+        # mutation from leaking into other Database instances built from the
+        # same caller-owned DbConfig.
         self.config = (config or DbConfig()).with_overrides()
         self.catalog = Catalog(self.config)
-        self.optimizer = Optimizer(self.catalog, self.config)
+        self.optimizer = Optimizer(self.catalog)
         self.executor = make_executor(self.catalog, self.config)
-        self.random_plan_generator = RandomPlanGenerator(self.catalog, self.config)
+        self.random_plan_generator = RandomPlanGenerator(self.catalog)
         # Plan cache for ``explain``: re-optimizing a workload plans every
         # query at least once and matched queries twice, and batch/parallel
         # re-optimization replans recurring statements constantly.  Keyed by
@@ -118,11 +118,6 @@ class Database:
         self._stats_epoch += 1
         if not stats_only:
             self._storage_epoch += 1
-
-    @property
-    def data_epoch(self) -> int:
-        """Monotonic counter of DDL / data / statistics changes (both kinds)."""
-        return self._storage_epoch + self._stats_epoch
 
     @property
     def storage_epoch(self) -> int:

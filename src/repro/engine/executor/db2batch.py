@@ -41,6 +41,9 @@ from repro.engine.executor.metrics import RuntimeMetrics
 from repro.engine.plan.physical import Qgm
 from repro.errors import PlanBudgetExceeded
 
+#: Standard deviation of the multiplicative per-run noise.
+NOISE_LEVEL = 0.06
+
 
 @dataclass
 class BatchMeasurement:
@@ -116,7 +119,7 @@ class Db2Batch:
         rng = random.Random(self._seed_for(qgm))
         factors = []
         for _ in range(self.runs):
-            scale = max(0.5, 1.0 + rng.gauss(0.0, self.config.noise_level))
+            scale = max(0.5, 1.0 + rng.gauss(0.0, NOISE_LEVEL))
             factors.append((scale, rng.random() < self.interference_probability))
         return factors
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.catalog import Catalog
-from repro.engine.config import DbConfig
+from repro.engine.config import PAGE_SIZE_ROWS, SORT_HEAP_PAGES, DbConfig
 from repro.engine.executor.bufferpool import BufferPool
 from repro.engine.executor.metrics import (
     ExecutionBudget,
@@ -193,13 +193,13 @@ class Executor:
         """
         metrics = RuntimeMetrics()
         if budget_ms is not None:
-            metrics.budget = ExecutionBudget(budget_ms, qgm, self.config)
+            metrics.budget = ExecutionBudget(budget_ms, qgm)
         buffer_pool = BufferPool(self.config.buffer_pool_pages)
         rows = self._execute_node(qgm.root, metrics, buffer_pool)
         metrics.rows_returned = len(rows)
         metrics.logical_reads = buffer_pool.logical_reads
         metrics.physical_reads = buffer_pool.physical_reads
-        elapsed = metrics.elapsed_ms(self.config)
+        elapsed = metrics.elapsed_ms()
         return ExecutionResult(
             rows=rows,
             metrics=metrics,
@@ -352,12 +352,12 @@ class Executor:
         keys = self._join_keys(node, outer_aliases, inner_aliases)
 
         metrics.hash_build_rows += len(inner_rows)
-        inner_pages = len(inner_rows) // max(1, self.config.page_size_rows)
+        inner_pages = len(inner_rows) // PAGE_SIZE_ROWS
         metrics.sort_heap_high_water_mark = max(
             metrics.sort_heap_high_water_mark, inner_pages
         )
-        if inner_pages > self.config.sort_heap_pages:
-            metrics.spill_pages += (inner_pages - self.config.sort_heap_pages) * 2
+        if inner_pages > SORT_HEAP_PAGES:
+            metrics.spill_pages += (inner_pages - SORT_HEAP_PAGES) * 2
 
         if not keys:
             # Cross product.
@@ -575,10 +575,10 @@ class Executor:
     ) -> List[Row]:
         rows = self._execute_node(node.inputs[0], metrics, pool)
         metrics.sort_rows += len(rows)
-        pages = len(rows) // max(1, self.config.page_size_rows)
+        pages = len(rows) // PAGE_SIZE_ROWS
         metrics.sort_heap_high_water_mark = max(metrics.sort_heap_high_water_mark, pages)
-        if pages > self.config.sort_heap_pages:
-            metrics.spill_pages += (pages - self.config.sort_heap_pages) * 2
+        if pages > SORT_HEAP_PAGES:
+            metrics.spill_pages += (pages - SORT_HEAP_PAGES) * 2
         key: Optional[ColumnRef] = node.properties.get("sorted_on")
         if key is None:
             return rows

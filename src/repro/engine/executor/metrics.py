@@ -11,11 +11,25 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.config import DbConfig
 from repro.engine.executor.bufferpool import BufferPool
 from repro.engine.plan.physical import PopType, Qgm
 from repro.errors import PlanBudgetExceeded
 from repro.obs.tracing import current_execution_span
+
+#: Runtime-simulation constants (simulated milliseconds), calibrated apart
+#: from the optimizer's ``OPT_*`` family in
+#: :mod:`repro.engine.optimizer.costmodel` -- the gap between the two is what
+#: makes the optimizer's choices wrong in the ways GALO learns to fix.
+#: Per page read sequentially / at random, and per row of CPU work:
+RUN_SEQ_PAGE_COST = 0.08
+RUN_RAND_PAGE_COST = 0.55
+RUN_CPU_ROW_COST = 0.0011
+#: Per row sorted, hashed into a build side, and probed:
+RUN_SORT_ROW_COST = 0.0035
+RUN_HASH_BUILD_ROW_COST = 0.0022
+RUN_HASH_PROBE_ROW_COST = 0.0012
+#: Per page spilled to temp by sorts / hash joins.
+RUN_SPILL_PAGE_COST = 0.9
 
 
 @dataclass
@@ -57,10 +71,7 @@ class RuntimeMetrics:
         )
 
     def elapsed_ms(
-        self,
-        config: DbConfig,
-        physical_reads: Optional[int] = None,
-        pending_bloom_rows: int = 0,
+        self, physical_reads: Optional[int] = None, pending_bloom_rows: int = 0
     ) -> float:
         """Simulated elapsed milliseconds from the runtime cost constants.
 
@@ -73,24 +84,24 @@ class RuntimeMetrics:
         if physical_reads is None:
             physical_reads = self.physical_reads
         io_time = (
-            self.sequential_pages * config.run_seq_page_cost
-            + self.random_pages * config.run_rand_page_cost
-            + physical_reads * config.run_rand_page_cost * 0.1
+            self.sequential_pages * RUN_SEQ_PAGE_COST
+            + self.random_pages * RUN_RAND_PAGE_COST
+            + physical_reads * RUN_RAND_PAGE_COST * 0.1
         )
         cpu_time = (
-            self.cpu_operations * config.run_cpu_row_cost
-            + self.rows_processed * config.run_cpu_row_cost
-            + self.hash_build_rows * config.run_hash_build_row_cost
-            + self.hash_probe_rows * config.run_hash_probe_row_cost
+            self.cpu_operations * RUN_CPU_ROW_COST
+            + self.rows_processed * RUN_CPU_ROW_COST
+            + self.hash_build_rows * RUN_HASH_BUILD_ROW_COST
+            + self.hash_probe_rows * RUN_HASH_PROBE_ROW_COST
             - (self.bloom_filtered_rows + pending_bloom_rows)
-            * config.run_hash_probe_row_cost
+            * RUN_HASH_PROBE_ROW_COST
             * 0.6
         )
         sort_time = (
-            self.sort_rows * config.run_sort_row_cost
-            + self.spill_pages * config.run_spill_page_cost
+            self.sort_rows * RUN_SORT_ROW_COST
+            + self.spill_pages * RUN_SPILL_PAGE_COST
         )
-        lookup_time = self.index_lookups * config.run_rand_page_cost * 0.05
+        lookup_time = self.index_lookups * RUN_RAND_PAGE_COST * 0.05
         return max(0.0, io_time + cpu_time + sort_time + lookup_time)
 
     def as_dict(self) -> Dict[str, float]:
@@ -134,11 +145,10 @@ class ExecutionBudget:
     never written.
     """
 
-    __slots__ = ("limit_ms", "_config", "_bloom_joins")
+    __slots__ = ("limit_ms", "_bloom_joins")
 
-    def __init__(self, limit_ms: float, qgm: Qgm, config: DbConfig):
+    def __init__(self, limit_ms: float, qgm: Qgm):
         self.limit_ms = limit_ms
-        self._config = config
         #: (join, outer input) operator ids of every bloom hash join.
         self._bloom_joins: List[Tuple[int, int]] = [
             (node.operator_id, node.inputs[0].operator_id)
@@ -156,9 +166,7 @@ class ExecutionBudget:
                 if outer_rows is None:
                     return
                 pending_bloom_rows += outer_rows
-        elapsed = metrics.elapsed_ms(
-            self._config, pool.physical_reads, pending_bloom_rows
-        )
+        elapsed = metrics.elapsed_ms(pool.physical_reads, pending_bloom_rows)
         if elapsed > self.limit_ms:
             # Under execution tracing, mark the node span being executed.
             span = current_execution_span()

@@ -66,7 +66,7 @@ from repro.engine.columns import (
     null_split,
     python_values,
 )
-from repro.engine.config import DbConfig
+from repro.engine.config import PAGE_SIZE_ROWS, SORT_HEAP_PAGES, DbConfig
 from repro.engine.executor.bufferpool import BufferPool, PageTrace
 from repro.engine.executor.executor import (
     ExecutionResult,
@@ -409,13 +409,13 @@ class VectorizedExecutor:
             memo = memo.pinned()
         metrics = RuntimeMetrics()
         if budget_ms is not None:
-            metrics.budget = ExecutionBudget(budget_ms, qgm, self.config)
+            metrics.budget = ExecutionBudget(budget_ms, qgm)
         pool = BufferPool(self.config.buffer_pool_pages)
         batch = self._execute_node(qgm.root, metrics, pool, memo)
         metrics.rows_returned = batch.length
         metrics.logical_reads = pool.logical_reads
         metrics.physical_reads = pool.physical_reads
-        elapsed = metrics.elapsed_ms(self.config)
+        elapsed = metrics.elapsed_ms()
         # Rows are materialized lazily: plan measurement (the learning tier's
         # dominant workload) ranks on metrics alone and never reads them.
         return ExecutionResult(
@@ -869,13 +869,13 @@ class VectorizedExecutor:
 
         own_deltas: List[Tuple[str, int]] = [("hash_build_rows", inner_batch.length)]
         metrics.hash_build_rows += inner_batch.length
-        inner_pages = inner_batch.length // max(1, self.config.page_size_rows)
+        inner_pages = inner_batch.length // PAGE_SIZE_ROWS
         metrics.sort_heap_high_water_mark = max(
             metrics.sort_heap_high_water_mark, inner_pages
         )
         own_deltas.append(("sort_heap_high_water_mark", inner_pages))
-        if inner_pages > self.config.sort_heap_pages:
-            spilled = (inner_pages - self.config.sort_heap_pages) * 2
+        if inner_pages > SORT_HEAP_PAGES:
+            spilled = (inner_pages - SORT_HEAP_PAGES) * 2
             metrics.spill_pages += spilled
             own_deltas.append(("spill_pages", spilled))
 
@@ -1123,11 +1123,11 @@ class VectorizedExecutor:
         child_batch = self._execute_node(node.inputs[0], metrics, pool, memo)
         length = child_batch.length
         metrics.sort_rows += length
-        pages = length // max(1, self.config.page_size_rows)
+        pages = length // PAGE_SIZE_ROWS
         metrics.sort_heap_high_water_mark = max(metrics.sort_heap_high_water_mark, pages)
         spilled = 0
-        if pages > self.config.sort_heap_pages:
-            spilled = (pages - self.config.sort_heap_pages) * 2
+        if pages > SORT_HEAP_PAGES:
+            spilled = (pages - SORT_HEAP_PAGES) * 2
             metrics.spill_pages += spilled
         sort_key: Optional[ColumnRef] = node.properties.get("sorted_on")
         if sort_key is None:

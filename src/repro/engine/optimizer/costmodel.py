@@ -1,37 +1,49 @@
 """Optimizer cost model.
 
-Costs are expressed in *timerons*, DB2's synthetic cost unit.  The constants
-live in :class:`repro.engine.config.DbConfig` (the ``opt_*`` family) and are
-deliberately calibrated differently from the runtime simulator's ``run_*``
-family -- a cost model is a model, and its systematic biases (an optimistic
-sequential transfer rate, ignorance of buffer-pool flooding, no knowledge of
-merge-join early termination) are what create the problem patterns GALO learns.
+Costs are expressed in *timerons*, DB2's synthetic cost unit.  The ``OPT_*``
+constants below are deliberately calibrated differently from the runtime
+simulator's ``RUN_*`` family (:mod:`repro.engine.executor.metrics`) -- a cost
+model is a model, and its systematic biases (an optimistic sequential transfer
+rate, ignorance of buffer-pool flooding, no knowledge of merge-join early
+termination) are what create the problem patterns GALO learns.  The
+calibration is a fixed part of this reproduction, not a setting.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.engine.catalog import Catalog
-from repro.engine.config import DbConfig
+from repro.engine.config import PAGE_SIZE_ROWS, SORT_HEAP_PAGES
 from repro.engine.schema import Index
+
+#: Timerons per page read sequentially / at random, and per row of CPU work.
+OPT_SEQ_PAGE_COST = 1.0
+OPT_RAND_PAGE_COST = 4.0
+OPT_CPU_ROW_COST = 0.01
+#: Multiplier on sequential page cost.  The paper's Figure 7 pattern is an
+#: overestimated table-scan cost caused by a mis-set transfer rate; > 1 here
+#: for the same effect.
+OPT_TRANSFER_RATE = 1.8
+#: Timerons per row sorted, hashed into a build side, and probed.
+OPT_SORT_ROW_COST = 0.03
+OPT_HASH_BUILD_ROW_COST = 0.025
+OPT_HASH_PROBE_ROW_COST = 0.012
 
 
 class CostModel:
     """Per-operator cost formulas used by the cost-based optimizer."""
 
-    def __init__(self, catalog: Catalog, config: Optional[DbConfig] = None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.config = config or catalog.config
 
     # -- scans -------------------------------------------------------------
 
     def table_scan_cost(self, table: str, output_rows: float) -> float:
         """Full sequential scan: every page read at the (believed) transfer rate."""
         stats = self.catalog.statistics(table)
-        io_cost = stats.pages * self.config.opt_seq_page_cost * self.config.opt_transfer_rate
-        cpu_cost = stats.cardinality * self.config.opt_cpu_row_cost
+        io_cost = stats.pages * OPT_SEQ_PAGE_COST * OPT_TRANSFER_RATE
+        cpu_cost = stats.cardinality * OPT_CPU_ROW_COST
         return io_cost + cpu_cost
 
     def index_scan_cost(
@@ -54,7 +66,7 @@ class CostModel:
         index_io = math.log2(max(2.0, key_stats.n_distinct or 2)) * 0.1 + (
             leaf_pages * (matching_rows / max(1.0, stats.cardinality))
         )
-        cost = index_io * self.config.opt_rand_page_cost
+        cost = index_io * OPT_RAND_PAGE_COST
         if fetch:
             rows_per_page = max(1.0, stats.cardinality / max(1, stats.pages))
             pages_fetched = min(float(stats.pages), matching_rows / rows_per_page
@@ -62,10 +74,10 @@ class CostModel:
             random_fraction = 1.0 - index.cluster_ratio
             sequential_fraction = index.cluster_ratio
             cost += pages_fetched * (
-                random_fraction * self.config.opt_rand_page_cost
-                + sequential_fraction * self.config.opt_seq_page_cost
+                random_fraction * OPT_RAND_PAGE_COST
+                + sequential_fraction * OPT_SEQ_PAGE_COST
             )
-        cost += matching_rows * self.config.opt_cpu_row_cost
+        cost += matching_rows * OPT_CPU_ROW_COST
         return cost
 
     # -- joins ----------------------------------------------------------------
@@ -78,13 +90,13 @@ class CostModel:
         bloom_filter: bool = False,
     ) -> float:
         """Hash join: build on the inner input, probe with the outer input."""
-        build = inner_rows * self.config.opt_hash_build_row_cost
-        probe = outer_rows * self.config.opt_hash_probe_row_cost
+        build = inner_rows * OPT_HASH_BUILD_ROW_COST
+        probe = outer_rows * OPT_HASH_PROBE_ROW_COST
         spill = 0.0
-        inner_pages = inner_rows / max(1, self.config.page_size_rows)
-        if inner_pages > self.config.sort_heap_pages:
-            spill_pages = inner_pages - self.config.sort_heap_pages
-            spill = spill_pages * self.config.opt_seq_page_cost * 2.0
+        inner_pages = inner_rows / PAGE_SIZE_ROWS
+        if inner_pages > SORT_HEAP_PAGES:
+            spill_pages = inner_pages - SORT_HEAP_PAGES
+            spill = spill_pages * OPT_SEQ_PAGE_COST * 2.0
         bloom_saving = 0.0
         if bloom_filter:
             # The bloom filter skips hash probes for outer rows that cannot match.
@@ -92,10 +104,10 @@ class CostModel:
             bloom_saving = (
                 outer_rows
                 * (1.0 - expected_match_fraction)
-                * self.config.opt_hash_probe_row_cost
+                * OPT_HASH_PROBE_ROW_COST
                 * 0.8
             )
-        cpu = output_rows * self.config.opt_cpu_row_cost
+        cpu = output_rows * OPT_CPU_ROW_COST
         return max(0.0, build + probe + spill + cpu - bloom_saving)
 
     def merge_join_cost(
@@ -112,8 +124,8 @@ class CostModel:
             cost += self.sort_cost(outer_rows)
         if not inner_sorted:
             cost += self.sort_cost(inner_rows)
-        cost += (outer_rows + inner_rows) * self.config.opt_cpu_row_cost
-        cost += output_rows * self.config.opt_cpu_row_cost
+        cost += (outer_rows + inner_rows) * OPT_CPU_ROW_COST
+        cost += output_rows * OPT_CPU_ROW_COST
         return cost
 
     def nested_loop_join_cost(
@@ -124,7 +136,7 @@ class CostModel:
     ) -> float:
         """Nested-loop join: re-evaluate the inner access once per outer row."""
         cost = outer_rows * inner_lookup_cost
-        cost += output_rows * self.config.opt_cpu_row_cost
+        cost += output_rows * OPT_CPU_ROW_COST
         return cost
 
     def index_lookup_cost(self, table: str, index: Index, rows_per_lookup: float) -> float:
@@ -134,9 +146,9 @@ class CostModel:
         traverse = math.log2(max(2.0, key_stats.n_distinct or 2)) * 0.02
         random_fraction = 1.0 - index.cluster_ratio
         fetch = rows_per_lookup * (
-            random_fraction * self.config.opt_rand_page_cost * 0.5
-            + index.cluster_ratio * self.config.opt_seq_page_cost * 0.1
-            + self.config.opt_cpu_row_cost
+            random_fraction * OPT_RAND_PAGE_COST * 0.5
+            + index.cluster_ratio * OPT_SEQ_PAGE_COST * 0.1
+            + OPT_CPU_ROW_COST
         )
         return traverse + fetch
 
@@ -145,16 +157,16 @@ class CostModel:
     def sort_cost(self, rows: float) -> float:
         """External-sort cost with spill past the sort heap."""
         if rows <= 1:
-            return self.config.opt_sort_row_cost
-        cpu = rows * math.log2(max(2.0, rows)) * self.config.opt_sort_row_cost * 0.1
-        pages = rows / max(1, self.config.page_size_rows)
+            return OPT_SORT_ROW_COST
+        cpu = rows * math.log2(max(2.0, rows)) * OPT_SORT_ROW_COST * 0.1
+        pages = rows / PAGE_SIZE_ROWS
         spill = 0.0
-        if pages > self.config.sort_heap_pages:
-            spill = (pages - self.config.sort_heap_pages) * self.config.opt_seq_page_cost * 2.0
+        if pages > SORT_HEAP_PAGES:
+            spill = (pages - SORT_HEAP_PAGES) * OPT_SEQ_PAGE_COST * 2.0
         return cpu + spill
 
     def filter_cost(self, rows: float) -> float:
-        return rows * self.config.opt_cpu_row_cost * 0.5
+        return rows * OPT_CPU_ROW_COST * 0.5
 
     def group_by_cost(self, rows: float, groups: float) -> float:
-        return rows * self.config.opt_cpu_row_cost + groups * self.config.opt_cpu_row_cost
+        return rows * OPT_CPU_ROW_COST + groups * OPT_CPU_ROW_COST

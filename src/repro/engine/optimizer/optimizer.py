@@ -9,10 +9,9 @@ fragments and the optimizer plans coherently around them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.config import DbConfig
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.cardinality import CardinalityEstimator
 from repro.engine.optimizer.costmodel import CostModel
@@ -31,10 +30,8 @@ from repro.engine.sql.parser import parse_select
 class Optimizer:
     """Two-stage optimizer (query rewrite + cost-based) with guideline support."""
 
-    def __init__(self, catalog: Catalog, config: Optional[DbConfig] = None,
-                 consider_bloom_filters: bool = False):
+    def __init__(self, catalog: Catalog, consider_bloom_filters: bool = False):
         self.catalog = catalog
-        self.config = config or catalog.config
         #: Whether the cost-based enumeration considers bloom-filter hash joins.
         #: DB2 does not always pick them; keeping this off by default lets the
         #: learning engine discover them as rewrites (the Figure 4 pattern).
@@ -58,7 +55,7 @@ class Optimizer:
 
         rewritten = rewrite_query(query)
         estimator = CardinalityEstimator(self.catalog, rewritten)
-        cost_model = CostModel(self.catalog, self.config)
+        cost_model = CostModel(self.catalog)
         builder = PlanBuilder(self.catalog, rewritten, estimator, cost_model)
 
         forced_fragments: List[PlanNode] = []

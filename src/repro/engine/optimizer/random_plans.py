@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional
+from typing import List
 
 from repro.engine.catalog import Catalog
-from repro.engine.config import DbConfig
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.cardinality import CardinalityEstimator
 from repro.engine.optimizer.costmodel import CostModel
@@ -28,21 +27,15 @@ from repro.errors import PlanError
 class RandomPlanGenerator:
     """Generates random valid plans for a bound query."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: Optional[DbConfig] = None,
-        seed: int = 1234,
-    ):
+    def __init__(self, catalog: Catalog, seed: int = 1234):
         self.catalog = catalog
-        self.config = config or catalog.config
         self.seed = seed
 
     def generate(self, query: BoundQuery, count: int, query_name: str = "") -> List[Qgm]:
         """Generate up to ``count`` distinct random plans for ``query``."""
         rewritten = rewrite_query(query)
         estimator = CardinalityEstimator(self.catalog, rewritten)
-        cost_model = CostModel(self.catalog, self.config)
+        cost_model = CostModel(self.catalog)
         builder = PlanBuilder(self.catalog, rewritten, estimator, cost_model)
         # The candidate access paths are a pure function of the bound query:
         # built once here, not once per attempt.

@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.columns import NO_ROWS, ColumnVector, KeyGroups, expand_slices
-from repro.engine.config import DbConfig
+from repro.engine.config import PAGE_SIZE_ROWS
 from repro.engine.schema import Index, TableSchema
 from repro.engine.types import coerce_value
 from repro.errors import CatalogError
@@ -149,9 +149,8 @@ class IndexData:
 class TableData:
     """Column-wise storage for one table plus its indexes."""
 
-    def __init__(self, schema: TableSchema, config: Optional[DbConfig] = None):
+    def __init__(self, schema: TableSchema):
         self.schema = schema
-        self.config = config or DbConfig()
         self._columns: Dict[str, ColumnVector] = {
             column.name: ColumnVector(column.data_type) for column in schema.columns
         }
@@ -202,9 +201,7 @@ class TableData:
     @property
     def page_count(self) -> int:
         """Number of storage pages occupied by the table."""
-        rows_per_page = max(
-            1, (self.config.page_size_rows * 100) // max(1, self.schema.row_width)
-        )
+        rows_per_page = max(1, (PAGE_SIZE_ROWS * 100) // max(1, self.schema.row_width))
         return max(1, -(-self._row_count // rows_per_page))
 
     def column_values(self, column_name: str) -> ColumnVector:

@@ -55,10 +55,6 @@ class WorkloadImprovement:
             return 0.0
         return sum(item.improvement for item in self.improvements) / len(self.improvements)
 
-    @property
-    def all_matched_improved(self) -> bool:
-        return all(item.improvement > 0 for item in self.improvements)
-
 
 @dataclass
 class Exp2Result:

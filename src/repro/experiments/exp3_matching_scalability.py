@@ -36,12 +36,6 @@ class Exp3Result:
     buckets: List[JoinBucket] = field(default_factory=list)
     knowledge_base_size: int = 0
 
-    @property
-    def is_monotone_in_cost(self) -> bool:
-        """Whether matching time grows (weakly) with join count, bucket to bucket."""
-        times = [bucket.avg_match_time_ms for bucket in self.buckets]
-        return all(later >= earlier * 0.5 for earlier, later in zip(times, times[1:]))
-
     def report(self) -> str:
         rows = [
             [bucket.join_count, bucket.queries, bucket.avg_match_time_ms]

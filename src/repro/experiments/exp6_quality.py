@@ -42,10 +42,6 @@ class Exp6Result:
     def galo_never_loses(self) -> bool:
         return all(row.galo_wins_or_ties for row in self.rows)
 
-    @property
-    def expert_missed_patterns(self) -> int:
-        return sum(1 for row in self.rows if not row.expert_found_fix)
-
     def report(self) -> str:
         table = format_table(
             ["pattern", "GALO gain", "expert gain", "expert found fix"],

@@ -47,14 +47,12 @@ class ExperimentSettings:
     max_joins: int = 3
     random_plans_per_subquery: int = 5
     max_variants: int = 2
-    improvement_threshold: float = 0.15
 
     def learning_config(self) -> LearningConfig:
         return LearningConfig(
             max_joins=self.max_joins,
             random_plans_per_subquery=self.random_plans_per_subquery,
             max_variants=self.max_variants,
-            improvement_threshold=self.improvement_threshold,
         )
 
     def matching_config(self) -> MatchingConfig:

@@ -27,8 +27,9 @@ class ServiceConfig:
     monitor; mis-estimated or regressed queries are enqueued (deduplicated by
     SQL hash) onto a background learning queue drained by one dedicated
     learner thread, so learning never occupies a serving worker.  The queue
-    itself is bounded by ``learning_queue_limit``; when it is full new
-    candidates are dropped (and counted) rather than blocking serving.
+    itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``); when
+    it is full new candidates are dropped (and counted) rather than blocking
+    serving.
     """
 
     #: Threads that serve prepared-lane misses (hits run on the event loop).
@@ -39,8 +40,6 @@ class ServiceConfig:
     steering_enabled: bool = True
     #: Feed runtime feedback into the background learning loop.
     learning_enabled: bool = True
-    #: Bound on queued background-learning tasks (full queue drops, not blocks).
-    learning_queue_limit: int = 256
     #: The learner prefers idle windows (the paper ran learning during
     #: non-peak hours): before starting a task it waits for the service to
     #: have no requests in flight, up to this many seconds, then proceeds
@@ -67,13 +66,13 @@ class ServiceConfig:
     #: rate reaches ``guard_quarantine_loss_rate`` is quarantined -- its
     #: matches stop steering (requests fall back to the optimizer plan) while
     #: learning continues.  Every ``guard_probe_interval``-th matched request
-    #: still steers as a shadow probe; ``guard_probation_wins`` consecutive
-    #: probe wins re-arm the template.
+    #: still steers as a shadow probe; consecutive probe wins re-arm the
+    #: template (:class:`repro.service.guard.SteeringGuard`'s
+    #: ``probation_wins``).
     guard_enabled: bool = True
     guard_regression_threshold: float = 1.5
     guard_min_observations: int = 3
     guard_quarantine_loss_rate: float = 0.5
-    guard_probation_wins: int = 2
     guard_probe_interval: int = 4
     #: Workload drift detection (second half of the guard): the live
     #: workload's feature vectors are averaged over a rolling window of
@@ -101,21 +100,16 @@ class ServiceConfig:
     #: work.  ``None`` disables.
     kb_checkpoint_interval_seconds: Optional[float] = None
     kb_checkpoint_directory: Optional[str] = None
-    #: Workload name recorded on templates learned online.
-    online_workload_name: str = "online"
     #: Request tracing (see :mod:`repro.obs`).  ``None`` defers to the
     #: ``GALO_TRACE`` environment variable (off unless set), so the CI
     #: tracing leg can flip the whole suite without touching configs.
     #: Tracing only reads runtime state -- rows, counters and simulated
     #: ``elapsed_ms`` are bit-identical with it on or off.
     tracing_enabled: Optional[bool] = None
-    #: Finished traces kept in the in-memory ring (per service instance).
-    trace_store_capacity: int = 256
     #: Request traces at or above this wall duration (ms) also land in the
-    #: slow-query log ring.
+    #: slow-query log ring (ring sizes: :class:`repro.obs.TraceStore`'s
+    #: defaults).
     slow_query_threshold_ms: float = 250.0
-    #: Slow-query log ring size.
-    slow_query_log_capacity: int = 64
 
     def resolved_tracing_enabled(self) -> bool:
         """``tracing_enabled`` with ``None`` resolved via ``GALO_TRACE``."""
@@ -130,8 +124,6 @@ class ServiceConfig:
             raise ValueError("max_workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.learning_queue_limit < 1:
-            raise ValueError("learning_queue_limit must be >= 1")
         if not 0.0 < self.learning_duty_cycle <= 1.0:
             raise ValueError("learning_duty_cycle must be in (0, 1]")
         if self.learning_idle_wait_seconds < 0:
@@ -146,8 +138,6 @@ class ServiceConfig:
             raise ValueError("guard_min_observations must be >= 1")
         if not 0.0 < self.guard_quarantine_loss_rate <= 1.0:
             raise ValueError("guard_quarantine_loss_rate must be in (0, 1]")
-        if self.guard_probation_wins < 1:
-            raise ValueError("guard_probation_wins must be >= 1")
         if self.guard_probe_interval < 1:
             raise ValueError("guard_probe_interval must be >= 1")
         if self.drift_window < 2:
@@ -172,12 +162,8 @@ class ServiceConfig:
             raise ValueError(
                 "kb_checkpoint_interval_seconds requires kb_checkpoint_directory"
             )
-        if self.trace_store_capacity < 0:
-            raise ValueError("trace_store_capacity must be >= 0")
         if self.slow_query_threshold_ms < 0:
             raise ValueError("slow_query_threshold_ms must be >= 0")
-        if self.slow_query_log_capacity < 0:
-            raise ValueError("slow_query_log_capacity must be >= 0")
 
 
 @dataclass
@@ -205,9 +191,11 @@ class ShardedServiceConfig:
     Fault handling
     --------------
     A worker process that dies fails only its in-flight requests (typed
-    ``WorkerCrashedError`` responses) and, with ``restart_crashed_workers``,
-    is respawned -- reloading the latest KB checkpoint on the way up -- at
-    most ``max_worker_restarts`` times per shard.
+    ``WorkerCrashedError`` responses) and is respawned -- reloading the
+    latest KB checkpoint on the way up -- at most ``max_worker_restarts``
+    times per shard; ``max_worker_restarts=0`` turns restarts off.  A shard
+    past its budget stays down and answers every request routed to it with a
+    ``WorkerCrashedError``.
     """
 
     #: Worker processes (shards).
@@ -226,19 +214,14 @@ class ShardedServiceConfig:
     #: Shard index whose worker runs the background learner (None = all do,
     #: without propagation).
     learner_shard: Optional[int] = 0
-    #: Respawn dead worker processes (in-flight requests still fail typed).
-    restart_crashed_workers: bool = True
-    #: Restart budget per shard; beyond it the shard stays down and its
-    #: requests are answered with typed errors.
+    #: Restart budget per shard (0 = never restart); beyond it the shard
+    #: stays down and its requests are answered with typed errors.
     max_worker_restarts: int = 3
     #: Routing key function ``(sql, query_name) -> str``; None = SQL
     #: fingerprint (whitespace-normalized hash, the feedback monitor's key).
     routing_key: Optional[Callable[[str, str], str]] = None
     #: Virtual nodes per shard on the consistent-hash ring.
     virtual_nodes: int = 64
-    #: ``multiprocessing`` start method; spawn is the portable default and
-    #: the only one safe under a threaded/asyncio parent.
-    start_method: str = "spawn"
     #: Bound on worker startup (workers build their database replica here).
     start_timeout_seconds: float = 300.0
     #: How often the router checks worker liveness.

@@ -68,6 +68,8 @@ from repro.service.metrics import ServiceMetrics
 #: Sentinel carried by the learning queue; one token per staged task (the
 #: tasks themselves live in the :class:`LearningScheduler`).
 _LEARNING_TOKEN = object()
+#: Bound on queued background-learning tasks (a full queue drops, not blocks).
+LEARNING_QUEUE_LIMIT = 256
 
 
 @dataclass
@@ -143,7 +145,6 @@ class GaloService:
                 regression_threshold=self.config.guard_regression_threshold,
                 min_observations=self.config.guard_min_observations,
                 quarantine_loss_rate=self.config.guard_quarantine_loss_rate,
-                probation_wins=self.config.guard_probation_wins,
                 probe_interval=self.config.guard_probe_interval,
                 drift_window=self.config.drift_window,
                 drift_threshold=self.config.drift_threshold,
@@ -183,9 +184,7 @@ class GaloService:
         self.trace_store: Optional[TraceStore] = None
         if self.tracing_enabled:
             self.trace_store = TraceStore(
-                capacity=self.config.trace_store_capacity,
-                slow_threshold_ms=self.config.slow_query_threshold_ms,
-                slow_capacity=self.config.slow_query_log_capacity,
+                slow_threshold_ms=self.config.slow_query_threshold_ms
             )
             self.tracer = Tracer(self.trace_store)
         else:
@@ -212,7 +211,7 @@ class GaloService:
         self._learn_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="galo-learn"
         )
-        self._learning_queue = asyncio.Queue(maxsize=self.config.learning_queue_limit)
+        self._learning_queue = asyncio.Queue(maxsize=LEARNING_QUEUE_LIMIT)
         self._idle_event = asyncio.Event()
         self._idle_event.set()
         self._last_kb_checkpoint = time.monotonic()
@@ -835,7 +834,7 @@ class GaloService:
             record = self.galo.learn_query(
                 task.sql,
                 query_name=task.query_name or task.sql_hash,
-                workload_name=self.config.online_workload_name,
+                workload_name="online",
                 span=span,
             )
             self.metrics.increment("learning_completed")

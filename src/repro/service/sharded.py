@@ -383,9 +383,7 @@ class ShardedGaloService:
         self.trace_store: Optional[TraceStore] = None
         if self.tracing_enabled:
             self.trace_store = TraceStore(
-                capacity=self.config.worker_config.trace_store_capacity,
-                slow_threshold_ms=self.config.worker_config.slow_query_threshold_ms,
-                slow_capacity=self.config.worker_config.slow_query_log_capacity,
+                slow_threshold_ms=self.config.worker_config.slow_query_threshold_ms
             )
             self.tracer = Tracer(self.trace_store)
         else:
@@ -401,7 +399,9 @@ class ShardedGaloService:
         self._stopping = False
         import multiprocessing
 
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        # Spawn: portable, and the only start method safe under a
+        # threaded/asyncio parent.
+        self._ctx = multiprocessing.get_context("spawn")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -921,9 +921,7 @@ class ShardedGaloService:
             "with the request in flight",
         )
         can_restart = (
-            self.config.restart_crashed_workers
-            and handle.restarts < self.config.max_worker_restarts
-            and not self._stopping
+            handle.restarts < self.config.max_worker_restarts and not self._stopping
         )
         if not can_restart:
             handle.failed = True

@@ -199,7 +199,12 @@ class TestHotReload:
 
 
 class TestWorkerCrash:
-    def test_crash_fails_inflight_typed_then_restarts_at_latest_kb(self, tmp_path):
+    VICTIM_SHARD = 1
+
+    @staticmethod
+    def crash_setup(tmp_path, max_worker_restarts):
+        """Checkpoint directory, worker factory and router config of a
+        two-shard crash drill."""
         kb_dir = str(tmp_path)
         seed_checkpoint(kb_dir, query_count=1)
         factory = MiniGaloFactory(sales_rows=SALES_ROWS)
@@ -209,9 +214,13 @@ class TestWorkerCrash:
             kb_poll_interval_seconds=0.2,
             learner_shard=None,
             worker_config=quiet_config(),
-            max_worker_restarts=2,
+            max_worker_restarts=max_worker_restarts,
         )
-        victim_shard = 1
+        return kb_dir, factory, config
+
+    def test_crash_fails_inflight_typed_then_restarts_at_latest_kb(self, tmp_path):
+        kb_dir, factory, config = self.crash_setup(tmp_path, max_worker_restarts=2)
+        victim_shard = self.VICTIM_SHARD
 
         async def scenario():
             service = ShardedGaloService(factory, config)
@@ -270,6 +279,44 @@ class TestWorkerCrash:
         assert snapshot["worker_crashes"] == 1
         assert snapshot["worker_restarts"] == 1
         assert snapshot["router_crashed_requests"] == len(typed)
+
+    def test_zero_restart_budget_leaves_the_crashed_shard_down(self, tmp_path):
+        """``max_worker_restarts=0`` turns restarts off: the dead shard stays
+        down, every later request routed to it is answered with a typed
+        error from the router, and the other shard keeps serving."""
+        _, factory, config = self.crash_setup(tmp_path, max_worker_restarts=0)
+
+        async def scenario():
+            service = ShardedGaloService(factory, config)
+            async with service:
+                service.inject_worker_crash(self.VICTIM_SHARD)
+                # The watchdog marks the shard failed in the same step that
+                # counts the crash.
+                deadline = time.monotonic() + GUARD_SECONDS / 2
+                while (
+                    service.metrics.snapshot()["worker_crashes"] == 0
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.05)
+                routed = []
+                for name, sql in mini_star_queries():
+                    response = await service.submit(sql, query_name=name)
+                    routed.append((service.shard_for(sql, name), response))
+                return routed, service.metrics.snapshot()
+
+        routed, snapshot = run(scenario())
+
+        down = [r for shard, r in routed if shard == self.VICTIM_SHARD]
+        up = [r for shard, r in routed if shard != self.VICTIM_SHARD]
+        assert down and up  # the mini workload covers both shards
+        for response in down:
+            assert response.status == "error"
+            assert response.error_type == "WorkerCrashedError"
+            assert response.shard == self.VICTIM_SHARD
+        assert all(r.ok for r in up)
+        assert snapshot["worker_crashes"] == 1
+        assert snapshot["worker_restarts"] == 0
+        assert snapshot["router_failed_shard_errors"] == len(down)
 
 
 class TestTracing:

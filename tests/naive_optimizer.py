@@ -114,7 +114,7 @@ def naive_optimize(database, query, guidelines=None, consider_bloom_filters=Fals
         database.catalog,
         rewritten,
         CardinalityEstimator(database.catalog, rewritten),
-        CostModel(database.catalog, database.config),
+        CostModel(database.catalog),
     )
     forced_fragments = []
     covered = set()

@@ -12,6 +12,11 @@ anywhere in ``src/``, ``tests/``, ``bench/``, ``benchmarks/`` or ``examples/``
 fields in that state when the check was written are listed in ``NEVER_SET``,
 which may only shrink: a new never-set field fails, and so does an entry that
 is set by now or no longer exists.
+
+A field that only tests and examples set earns its place through no caller of
+the package.  ``TESTS_ONLY`` lists the fields in that state, by the same scan
+restricted to ``src/``, ``bench/`` and ``benchmarks/``, and is shrink-only in
+the same way: a new test-only knob fails.
 """
 
 import ast
@@ -37,42 +42,46 @@ CONFIG_CLASSES = [
 ]
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
-SETTER_ROOTS = ["src", "tests", "bench", "benchmarks", "examples"]
+SETTER_ROOTS = ("src", "tests", "bench", "benchmarks", "examples")
+#: Setter roots that are not tests or examples.
+CALLER_ROOTS = ("src", "bench", "benchmarks")
 
 #: Fields nothing sets, by class.  Shrink-only: give a field a second value
 #: somewhere (and drop it here) or turn it into a constant (and drop it here).
 NEVER_SET = {
-    "DbConfig": {
-        "page_size_rows",
-        "sort_heap_pages",
-        "opt_seq_page_cost",
-        "opt_rand_page_cost",
-        "opt_cpu_row_cost",
-        "opt_transfer_rate",
-        "opt_sort_row_cost",
-        "opt_hash_build_row_cost",
-        "opt_hash_probe_row_cost",
-        "run_seq_page_cost",
-        "run_rand_page_cost",
-        "run_cpu_row_cost",
-        "run_sort_row_cost",
-        "run_hash_build_row_cost",
-        "run_hash_probe_row_cost",
-        "run_spill_page_cost",
-        "noise_level",
-    },
-    "ServiceConfig": {
-        "learning_queue_limit",
-        "guard_probation_wins",
-        "online_workload_name",
-        "trace_store_capacity",
-        "slow_query_log_capacity",
-    },
-    "ShardedServiceConfig": {"restart_crashed_workers", "start_method"},
+    "DbConfig": set(),
+    "ServiceConfig": set(),
+    "ShardedServiceConfig": set(),
     # Read by ``bench/layers.py`` to size its own ``Db2Batch``.
     "LearningConfig": {"runs_per_plan"},
     "MatchingConfig": set(),
-    "ExperimentSettings": {"improvement_threshold"},
+    "ExperimentSettings": set(),
+}
+
+#: Fields only tests and examples set, by class.  Shrink-only: give a field a
+#: caller outside ``tests/`` and ``examples/`` (and drop it here) or turn it
+#: into a constant (and drop it here).
+TESTS_ONLY = {
+    "DbConfig": {"buffer_pool_pages", "noise_seed"},
+    "ServiceConfig": {
+        "learning_idle_wait_seconds",
+        "learning_duty_cycle",
+        "kb_checkpoint_interval_seconds",
+        "kb_checkpoint_directory",
+        "slow_query_threshold_ms",
+    },
+    "ShardedServiceConfig": {
+        "max_pending_per_shard",
+        "kb_poll_interval_seconds",
+        "kb_publish_interval_seconds",
+        "max_worker_restarts",
+        "virtual_nodes",
+        "start_timeout_seconds",
+        "watchdog_interval_seconds",
+    },
+    "LearningConfig": set(),
+    "MatchingConfig": set(),
+    "ExperimentSettings": set(),
 }
 
 
@@ -82,10 +91,10 @@ def source_trees():
 
 
 @functools.lru_cache(maxsize=None)
-def setter_trees():
+def setter_trees(roots):
     return [
         ast.parse(path.read_text(encoding="utf-8"))
-        for root in SETTER_ROOTS
+        for root in roots
         for path in (ROOT / root).rglob("*.py")
     ]
 
@@ -140,20 +149,46 @@ def test_every_field_is_read_outside_its_class(config_class):
     assert not dead, f"{config_class.__name__} fields nothing reads: {dead}"
 
 
+def fields_set_outside(config_class, roots):
+    """Fields of ``config_class`` given a value somewhere under ``roots``."""
+    sets = NamesSet(skip=config_class.__name__)
+    for tree in setter_trees(roots):
+        sets.visit(tree)
+    return {f.name for f in dataclasses.fields(config_class) if f.name in sets.names}
+
+
+def assert_shrink_only(found, allowed, name, config_class, advice):
+    assert found <= allowed, (
+        f"{config_class.__name__} fields {advice}: {sorted(found - allowed)}"
+    )
+    assert allowed <= found, (
+        f"{name}[{config_class.__name__!r}] may only shrink; drop "
+        f"{sorted(allowed - found)}"
+    )
+
+
 @pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_field_is_set_outside_its_class(config_class):
-    sets = NamesSet(skip=config_class.__name__)
-    for tree in setter_trees():
-        sets.visit(tree)
-    never_set = {
-        f.name for f in dataclasses.fields(config_class) if f.name not in sets.names
-    }
-    allowed = NEVER_SET[config_class.__name__]
-    assert never_set <= allowed, (
-        f"{config_class.__name__} fields nothing sets (make them constants): "
-        f"{sorted(never_set - allowed)}"
+    every = {f.name for f in dataclasses.fields(config_class)}
+    never_set = every - fields_set_outside(config_class, SETTER_ROOTS)
+    assert_shrink_only(
+        never_set,
+        NEVER_SET[config_class.__name__],
+        "NEVER_SET",
+        config_class,
+        "nothing sets (make them constants)",
     )
-    assert allowed <= never_set, (
-        f"NEVER_SET[{config_class.__name__!r}] may only shrink; drop "
-        f"{sorted(allowed - never_set)}"
+
+
+@pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_field_is_set_by_a_caller_outside_tests(config_class):
+    tests_only = fields_set_outside(config_class, SETTER_ROOTS) - fields_set_outside(
+        config_class, CALLER_ROOTS
+    )
+    assert_shrink_only(
+        tests_only,
+        TESTS_ONLY[config_class.__name__],
+        "TESTS_ONLY",
+        config_class,
+        "only tests and examples set (give them a caller or make them constants)",
     )

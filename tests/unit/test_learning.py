@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.learning import engine as engine_module
-from repro.core.learning.engine import LearningConfig, LearningEngine
+from repro.core.learning.engine import IMPROVEMENT_THRESHOLD, LearningConfig, LearningEngine
 from repro.core.learning.property_ranges import generate_variants
 from repro.core.learning.ranking import (
     candidate_cap_ms,
@@ -174,9 +174,9 @@ class TestLearningEngine:
         assert len(kb) >= 1
 
     def test_learned_improvements_exceed_threshold(self, learned):
-        _, engine, record = learned
+        _, _, record = learned
         for improvement in record.improvements:
-            assert improvement >= engine.config.improvement_threshold
+            assert improvement >= IMPROVEMENT_THRESHOLD
 
     def test_templates_are_abstracted(self, learned):
         kb, _, _ = learned

@@ -323,7 +323,7 @@ class TestEnumeratorDifferential:
         """Production's plan equals the oracle's, unguided, under every
         guideline drawn from ``plans`` of the statement's own random plans, and
         under every learned guideline naming only table instances it has."""
-        optimizer = Optimizer(database.catalog, database.config, consider_bloom_filters=bloom)
+        optimizer = Optimizer(database.catalog, consider_bloom_filters=bloom)
         guided = forced_by_learned = 0
         for _, sql in statements:
             query = bind_sql(database, sql)

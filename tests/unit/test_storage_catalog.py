@@ -308,14 +308,14 @@ class TestCatalog:
             )
         )
         db.load_rows("T", [{"t_id": 0, "t_x": 1.5}, {"t_id": 1, "t_x": None}])
-        epoch = db.data_epoch
+        epochs = (db.storage_epoch, db.stats_epoch)
         for nan in (float("nan"), "NaN"):
             with pytest.raises(ValueError):
                 db.load_rows("T", [{"t_id": 2, "t_x": 2.5}, {"t_id": 3, "t_x": nan}])
         data = db.catalog.table_data("T")
         assert list(data.rows()) == [{"t_id": 0, "t_x": 1.5}, {"t_id": 1, "t_x": None}]
         assert data.index("T_X").scan().tolist() == [0, 1]
-        assert db.data_epoch == epoch
+        assert (db.storage_epoch, db.stats_epoch) == epochs
 
     def test_runstats_reflects_new_data(self):
         catalog = Catalog()

@@ -21,6 +21,7 @@ from repro.engine.executor import (
     VectorizedExecutor,
     make_executor,
 )
+from repro.engine.executor.metrics import RUN_RAND_PAGE_COST
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.rewrite import rewrite_query
@@ -297,7 +298,7 @@ class TestIndexLookupJoin:
         qgm = _lookup_join("p_key")
         row_engine = Executor(db.catalog, db.config)
         outer_ms = row_engine.execute(Qgm(table_scan("PROBE", "p"))).elapsed_ms
-        lookups_ms = 120 * db.config.run_rand_page_cost * 0.05
+        lookups_ms = 120 * RUN_RAND_PAGE_COST * 0.05
         budget_ms = outer_ms + lookups_ms / 2
         assert row_engine.execute(qgm).elapsed_ms > outer_ms + lookups_ms
         memo = ExecutionMemo()
