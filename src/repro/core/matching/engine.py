@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
-from repro.core.matching.prepared import (
-    AllowedIds,
-    PreparedStatement,
-    PreparedStatements,
-    Stamp,
-)
+from repro.core.matching.prepared import PreparedStatement, PreparedStatements, Stamp
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import remap_guideline_document
 from repro.core.transform.sparql_gen import sparql_for_subplan
@@ -138,14 +133,6 @@ class SteeringDecision:
     #: ``"miss"`` / ``"stale"`` (verdict computed; stale = an entry existed
     #: under an older stamp).  Empty from the uncached :meth:`steer`.
     prepared: str = ""
-    #: The entry a hit was answered from (None otherwise): its ``outcomes``
-    #: slot for ``allowed`` replays or keeps this plan's execution.
-    entry: Optional[PreparedStatement] = None
-
-    @property
-    def allowed(self) -> AllowedIds:
-        """The template ids the plan was steered by (the entry's plan key)."""
-        return tuple(self.matched_template_ids)
 
     @property
     def steered(self) -> bool:
@@ -371,9 +358,7 @@ class MatchingEngine:
         recorded are replayed into the knowledge base; and the plans handed
         out are :meth:`~repro.engine.plan.physical.Qgm.renamed` views of the
         entry's read-only masters, so the memo keys and row constructor a
-        master derives on its first execution serve every later hit.  A
-        hit's decision carries its entry (``decision.entry``), whose
-        ``outcomes`` let the caller replay the execution as well.
+        master derives on its first execution serve every later hit.
         """
         # The stamp is read before any work an entry would stand in for: an
         # entry built while the learner thread mutates the KB (or a reload
@@ -453,7 +438,6 @@ class MatchingEngine:
             guideline_document=guideline_document,
             match_time_ms=match_time_ms,
             prepared=outcome,
-            entry=entry if outcome == "hit" else None,
         )
 
     def reoptimize_workload(

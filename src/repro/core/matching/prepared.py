@@ -22,36 +22,22 @@ and read-only like every planned ``Qgm``: executing one writes nothing into
 it, so callers hand out :meth:`~repro.engine.plan.physical.Qgm.renamed`
 views of the same nodes and any number of threads run them at once.
 
-An entry also holds *outcomes*: beside each plan it hands out, the result of
-one unbudgeted execution of that plan (:class:`PlanOutcome`), valid under the
-same stamp.  The memo's cold-charge rule makes rows, metrics and
-``elapsed_ms`` a pure function of (plan, table data); the plan is read-only
-and every data load advances ``stats_epoch``, so a later hit under the same
-stamp replays the outcome instead of executing again.  An outcome keeps
-copies of the rows its execution first handed out, and a replay hands out
-copies of those: one ``dict.copy`` per row.  Row values are immutable
-scalars (``int``, ``float``, ``str`` or ``None``), so a shallow copy gives
-every response rows of its own, with the same keys in the same order.  An
-outcome is published only if the stamp is still the entry's after the
-execution that produced it (:meth:`PreparedStatement.keep_outcome`), and
-only hits store one: a statement served once leaves no outcome behind.  The
-lane therefore holds at most ``CAPACITY`` entries times the plans each hands
-out (one per allowed template set; almost always one) outcomes, each the
-size of its result's rows.
+An entry keeps verdicts only.  What executing a plan it hands out produced
+-- rows, metrics, ``elapsed_ms`` -- is a function of (plan, table data), not
+of this stamp, and is kept in the execution memo under the plan's key
+(:class:`repro.engine.executor.memo.PlanOutcome`): a stale entry whose
+re-matched plan is unchanged still replays its execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cache import LruCache
-from repro.engine.executor.executor import ExecutionResult
 
 if TYPE_CHECKING:
     from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
-    from repro.engine.executor.metrics import RuntimeMetrics
-    from repro.engine.expressions import Row
     from repro.engine.optimizer.guidelines import GuidelineDocument
     from repro.engine.plan.physical import Qgm
 
@@ -60,29 +46,6 @@ AllowedIds = Tuple[str, ...]
 
 #: (stats epoch, knowledge base, its generation): what an entry is valid for.
 Stamp = Tuple[int, "KnowledgeBase", int]
-
-
-class PlanOutcome(NamedTuple):
-    """One unbudgeted execution of a plan an entry hands out."""
-
-    #: Copies of the rows the execution first handed out; nothing outside
-    #: the outcome holds them, and every replay hands out copies of them.
-    rows: List["Row"]
-    #: Shared by every replay, as are its ``actual_cardinalities``.
-    metrics: "RuntimeMetrics"
-    elapsed_ms: float
-    #: ``ExecutionResult.max_q_error`` of the plan, computed once.
-    max_q_error: float
-
-    def replay(self) -> ExecutionResult:
-        """The execution's result again, with rows of its own: copies of the
-        kept ones."""
-        return ExecutionResult(
-            rows=list(map(dict.copy, self.rows)),
-            metrics=self.metrics,
-            elapsed_ms=self.elapsed_ms,
-            actual_cardinalities=self.metrics.actual_cardinalities,
-        )
 
 
 @dataclass
@@ -107,9 +70,6 @@ class PreparedStatement:
     plans: Dict[AllowedIds, Tuple["GuidelineDocument", Optional["Qgm"]]] = field(
         default_factory=dict
     )
-    #: allowed ids -> the outcome of executing that plan (the steered one,
-    #: or the baseline when the document is empty); see :meth:`keep_outcome`.
-    outcomes: Dict[AllowedIds, PlanOutcome] = field(default_factory=dict)
 
     def is_current(
         self, stats_epoch: int, knowledge_base: "KnowledgeBase", generation: int
@@ -118,32 +78,6 @@ class PreparedStatement:
             self.stats_epoch == stats_epoch
             and self.knowledge_base is knowledge_base
             and self.generation == generation
-        )
-
-    def keep_outcome(
-        self, allowed: AllowedIds, qgm: "Qgm", result: ExecutionResult, stamp: Stamp
-    ) -> Optional[PlanOutcome]:
-        """Store ``result`` -- an unbudgeted execution of ``qgm``, the plan
-        ``plans[allowed]`` hands out -- for later hits to replay.
-
-        ``stamp`` is read *after* the execution: a load or RUNSTATS that
-        overlapped it advanced the epoch, so the result is kept only if this
-        entry is still current (a stale entry is never looked up again).
-        The outcome keeps copies of ``result.rows``: those belong to the
-        caller, who may change them.  Two threads storing at once compute
-        equal outcomes; the first wins.  Returns the outcome kept, or None
-        (stale).
-        """
-        if not self.is_current(*stamp):
-            return None
-        return self.outcomes.setdefault(
-            allowed,
-            PlanOutcome(
-                list(map(dict.copy, result.rows)),
-                result.metrics,
-                result.elapsed_ms,
-                result.max_q_error(qgm),
-            ),
         )
 
 

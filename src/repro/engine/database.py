@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.cache import LruCache
 
@@ -251,23 +251,6 @@ class Database:
         """Optimize and execute ``sql`` in one call."""
         qgm = self.explain(sql, guidelines=guidelines)
         return self.execute_plan(qgm)
-
-    def execute_sql_with_plan(
-        self,
-        sql: str,
-        guidelines: Union[GuidelineDocument, str, None] = None,
-        query_name: str = "",
-        memo: Optional[ExecutionMemo] = None,
-        span=None,
-    ) -> "Tuple[Qgm, ExecutionResult]":
-        """Optimize and execute, returning the executed plan alongside the result.
-
-        The serving tier's feedback monitor needs the plan the rows came from:
-        estimated cardinalities live on the QGM's operators while the actuals
-        live on the :class:`ExecutionResult`, and q-errors pair the two.
-        """
-        qgm = self.explain(sql, guidelines=guidelines, query_name=query_name)
-        return qgm, self.execute_plan(qgm, memo=memo, span=span)
 
     def benchmark_plan(self, qgm: Qgm, runs: int = 5) -> BatchMeasurement:
         """Benchmark a plan the way the paper uses ``db2batch``."""

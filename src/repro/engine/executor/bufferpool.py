@@ -153,7 +153,3 @@ class BufferPool:
     @property
     def resident_pages(self) -> int:
         return len(self._pages)
-
-    def reset_counters(self) -> None:
-        self.logical_reads = 0
-        self.physical_reads = 0

@@ -50,9 +50,9 @@ class ExecutionResult:
     serving tier, the differential tests) sees exactly the rows an eager
     construction would have produced, as a list of its own.
 
-    A prepared hit's result is a replay (see
-    :class:`repro.core.matching.prepared.PlanOutcome`): eager rows copied
-    from the ones the prepared entry kept, over the ``metrics`` and
+    A served request whose plan's outcome the execution memo keeps gets a
+    replay (see :class:`repro.engine.executor.memo.PlanOutcome`): eager rows
+    copied from the kept ones, over the ``metrics`` and
     ``actual_cardinalities`` of the one execution it stored, which every
     replay of it shares -- so a result is read-only; only its ``rows``
     belong to the caller.
@@ -88,29 +88,24 @@ class ExecutionResult:
     def row_count(self) -> int:
         return self._row_count
 
-    def cardinality_q_errors(self, qgm: Qgm) -> Dict[int, float]:
-        """Per-operator q-error: max(est/actual, actual/est), both floored at 1.
+    def max_q_error(self, qgm: Qgm) -> float:
+        """The plan's worst per-operator cardinality q-error (1.0 = perfect).
 
-        Keyed by operator id, only for operators whose actual cardinality was
-        observed during this execution.  This is the runtime-feedback signal
-        the serving tier's monitor thresholds on: a large q-error anywhere in
-        the plan marks the query as mis-estimated and therefore a candidate
-        for background learning.
+        An operator's q-error is max(est/actual, actual/est), both floored at
+        1, over the operators whose actual cardinality this execution
+        observed.  This is the runtime-feedback signal the serving tier's
+        monitor thresholds on: a large q-error anywhere in the plan marks the
+        query as mis-estimated and therefore a candidate for background
+        learning.
         """
-        errors: Dict[int, float] = {}
+        worst = 1.0
         for node in qgm.root.walk():
             actual = self.actual_cardinalities.get(node.operator_id)
-            if actual is None:
-                continue
-            estimated = max(1.0, float(node.estimated_cardinality))
-            observed = max(1.0, float(actual))
-            errors[node.operator_id] = max(estimated / observed, observed / estimated)
-        return errors
-
-    def max_q_error(self, qgm: Qgm) -> float:
-        """The plan's worst per-operator cardinality q-error (1.0 = perfect)."""
-        errors = self.cardinality_q_errors(qgm)
-        return max(errors.values()) if errors else 1.0
+            if actual is not None:
+                estimated = max(1.0, float(node.estimated_cardinality))
+                observed = max(1.0, float(actual))
+                worst = max(worst, estimated / observed, observed / estimated)
+        return worst
 
 
 def equi_join_keys(

@@ -63,16 +63,34 @@ before an operator has produced anything, so an entry exists only for a
 subtree that ran to completion -- with its complete deltas and trace -- and
 every ``aux`` structure was built from a completed child.  An interrupted
 plan leaves complete subtrees or nothing.
+
+Whole-plan outcomes
+-------------------
+The second payload kind is a :class:`PlanOutcome`: one unbudgeted execution
+of a whole plan -- copies of its rows, its metrics (with the actual
+cardinalities) and ``elapsed_ms`` -- keyed by the plan's structure
+(:func:`~repro.engine.executor.vectorized.plan_key`).  By the rule above
+those are a pure function of (plan, table data), so an outcome is valid for
+the storage epoch whatever the KB or RUNSTATS did since.  It is charged
+against ``max_bytes`` (:meth:`PlanOutcome.estimated_bytes`) and evicted FIFO
+with the subtree entries.  A replay hands out ``dict.copy``s of the kept
+rows, whose values are immutable scalars.  The server stores an outcome
+through the :meth:`~ExecutionMemo.pinned` view its execution ran against, so
+a load that overlapped the execution orphans it with that snapshot.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.columns import nbytes_of
 from repro.engine.executor.bufferpool import BufferPool
+from repro.engine.executor.executor import ExecutionResult
 from repro.engine.executor.metrics import RuntimeMetrics
+from repro.engine.expressions import Row
+from repro.engine.plan.physical import PlanNode, Qgm
 
 #: A page-access replay step: ``("seq", table, first_page, page_count)`` for a
 #: sequential run (misses are not random I/O), or ``("rand", table, trace)``
@@ -159,6 +177,48 @@ class MemoEntry:
 
 
 @dataclass
+class PlanOutcome:
+    """One unbudgeted execution of a whole plan, kept for replay: copies of
+    its rows (nothing else holds them), its metrics (with the actual
+    cardinalities; every replay shares them) and ``elapsed_ms``, plus the
+    root of the plan it was kept from and that plan's max q-error."""
+
+    rows: List[Row]
+    metrics: RuntimeMetrics
+    elapsed_ms: float
+    root: PlanNode
+    q_error: float
+    #: Estimated payload bytes (filled on first ``ExecutionMemo.store``).
+    nbytes: int = 0
+
+    @classmethod
+    def of(cls, qgm: Qgm, result: ExecutionResult) -> "PlanOutcome":
+        """``result``, an unbudgeted execution of ``qgm``; its rows are the
+        caller's, so the outcome keeps copies."""
+        rows = list(map(dict.copy, result.rows))
+        return cls(rows, result.metrics, result.elapsed_ms, qgm.root, result.max_q_error(qgm))
+
+    def estimated_bytes(self) -> int:
+        """The row list, plus per row its dict and values, sized on the first."""
+        row = self.rows[0] if self.rows else {}
+        per_row = sys.getsizeof(row) + sum(map(sys.getsizeof, row.values()))
+        return 256 + sys.getsizeof(self.rows) + per_row * len(self.rows)
+
+    def replay(self) -> ExecutionResult:
+        """The result again, with rows of its own: copies of the kept ones."""
+        return ExecutionResult(
+            rows=list(map(dict.copy, self.rows)),
+            metrics=self.metrics,
+            elapsed_ms=self.elapsed_ms,
+            actual_cardinalities=self.metrics.actual_cardinalities,
+        )
+
+
+#: What the result-entry cache holds: subtree entries and whole-plan outcomes.
+Payload = Union[MemoEntry, PlanOutcome]
+
+
+@dataclass
 class ExecutionMemo:
     """Subtree-result cache + auxiliary join structures for one memo scope.
 
@@ -176,12 +236,19 @@ class ExecutionMemo:
     huge join outputs outweigh thousands of scan entries.  An
     entry larger than the whole budget is simply not cached (storing it would
     evict everything else for one tenant).  Byte accounting is best-effort
-    under the same lock-free concurrency rules as the entry cap.  Join
-    entries are self-contained (child traces are copied in, not referenced),
-    so evicting a child never invalidates a parent entry.
+    under the same lock-free concurrency rules as the entry cap.  A join
+    entry refers to no child entry -- it holds its own position vectors and
+    shares its children's immutable trace objects by reference -- so
+    evicting a child never invalidates a parent entry.
+
+    ``entries`` also holds whole-plan :class:`PlanOutcome` objects (rows,
+    metrics, ``elapsed_ms``) under plan keys: valid for the storage epoch,
+    charged against ``max_bytes``, evicted FIFO, replayed as copies of the
+    rows, read with :meth:`peek` (no hit/miss counter moves) and stored
+    through the :meth:`pinned` view the execution ran against.
     """
 
-    entries: Dict[Hashable, MemoEntry] = field(default_factory=dict)
+    entries: Dict[Hashable, Payload] = field(default_factory=dict)
     #: (kind, child subtree key, column(s)) -> gathered column / key grouping
     aux: Dict[Hashable, Any] = field(default_factory=dict)
     #: Storage epoch this memo's entries were computed at (None = unmanaged).
@@ -252,7 +319,7 @@ class ExecutionMemo:
 
     def lookup(self, key: Hashable) -> Optional[MemoEntry]:
         try:
-            entry = self.entries.get(key)
+            entry: Any = self.entries.get(key)
         except TypeError:  # unhashable predicate somewhere in the key
             entry = None
         if entry is None:
@@ -296,7 +363,7 @@ class ExecutionMemo:
             bytes_box[0] -= evicted.nbytes
         return evicted is not None
 
-    def store(self, key: Hashable, entry: MemoEntry) -> None:
+    def store(self, key: Hashable, entry: Payload) -> None:
         """Cache a result entry, enforcing the entry-count and byte budgets.
 
         Sizing happens once per entry; an entry bigger than the whole byte
@@ -329,7 +396,7 @@ class ExecutionMemo:
                     break
                 self.counters["byte_evictions"] += 1
 
-    def peek(self, key: Hashable) -> Optional[MemoEntry]:
+    def peek(self, key: Hashable) -> Any:
         """``lookup`` without touching the hit/miss counters."""
         try:
             return self.entries.get(key)
@@ -373,7 +440,14 @@ class ExecutionMemo:
         return self.entry_bytes_box[0]
 
     def stats(self) -> Dict[str, int]:
-        """Point-in-time cache statistics (counts, hit/miss totals, bytes)."""
+        """Point-in-time cache statistics (counts, hit/miss totals, bytes);
+        ``outcomes`` / ``outcome_bytes`` are the plan outcomes' share of
+        ``entries`` / ``entry_bytes``."""
+        outcomes = [
+            entry.nbytes
+            for entry in list(self.entries.values())
+            if isinstance(entry, PlanOutcome)
+        ]
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -384,4 +458,6 @@ class ExecutionMemo:
             "byte_evictions": self.counters.get("byte_evictions", 0),
             "aux_entries": len(self.aux),
             "resets": self.resets,
+            "outcomes": len(outcomes),
+            "outcome_bytes": sum(outcomes),
         }

@@ -362,6 +362,119 @@ class SubtreeKey:
 #: Sentinel distinguishing "never computed" from "computed as None".
 _KEY_UNSET = object()
 
+_JOIN_MEMO_TAGS = {
+    PopType.HSJOIN: "HJ",
+    PopType.MSJOIN: "MJ",
+    PopType.NLJOIN: "NJ",
+}
+
+
+def _cached_key(node: PlanNode, slot: str, derive: Callable[[PlanNode], Any]) -> Any:
+    """``SubtreeKey(derive(node))`` (None: no key), cached on the node: plans
+    are never structurally mutated after planning, so each key is built and
+    hashed once."""
+    key = node.__dict__.get(slot, _KEY_UNSET)
+    if key is _KEY_UNSET:
+        raw = derive(node)
+        try:
+            key = None if raw is None else SubtreeKey(raw)
+        except TypeError:  # unhashable predicate somewhere in the key
+            key = None
+        node.__dict__[slot] = key
+    return key
+
+
+def subtree_key(node: PlanNode) -> Optional[SubtreeKey]:
+    """Structural identity of a memoizable subtree (None = not memoizable)."""
+    return _cached_key(node, "_memo_subtree_key", _raw_subtree_key)
+
+
+def plan_key(qgm: Qgm) -> Optional[SubtreeKey]:
+    """Structural identity of a whole plan: the join tree's subtree key
+    extended by the plan top.  With the table data it fixes the plan's rows,
+    charges and actual cardinalities (operator ids number the nodes in
+    pre-order).  None = the plan keeps no outcome."""
+    return _cached_key(qgm.root, "_memo_plan_key", _raw_top_key)
+
+
+def _raw_top_key(node: PlanNode) -> Any:
+    """``node``'s subtree key, or for RETURN / GRPBY / FILTER / SORT over one
+    keyed input, that key extended by what the operator does."""
+    key = subtree_key(node)
+    if key is not None or len(node.inputs) != 1:
+        return key
+    child = _raw_top_key(node.inputs[0])
+    pop, properties = node.pop_type, node.properties
+    if child is None:
+        return None
+    if pop is PopType.RETURN:
+        return ("R", child, properties.get("output"))
+    if pop is PopType.GRPBY:
+        return ("G", child, properties.get("group_by"), properties.get("aggregates"))
+    if pop is PopType.FILTER:
+        return ("F", child, node.predicates)
+    if pop is PopType.SORT:
+        return ("S", child, properties.get("sorted_on"))
+    return None
+
+
+def _raw_subtree_key(node: PlanNode) -> Any:
+    pop = node.pop_type
+    if pop is PopType.TBSCAN:
+        return ("TB", node.table, node.table_alias, node.predicates)
+    if pop in (PopType.IXSCAN, PopType.FETCH):
+        if node.index_name:
+            return ("IX", node.table, node.table_alias, node.index_name, node.predicates)
+        return ("TB", node.table, node.table_alias, node.predicates)
+    if pop is PopType.FILTER and len(node.inputs) == 1:
+        child = subtree_key(node.inputs[0])
+        if child is not None:
+            return ("F", child, node.predicates)
+    if pop is PopType.SORT and len(node.inputs) == 1:
+        child = subtree_key(node.inputs[0])
+        if child is not None:
+            return ("S", child, node.properties.get("sorted_on"))
+    tag = _JOIN_MEMO_TAGS.get(pop)
+    if tag is not None and node.outer is not None and node.inner is not None:
+        outer = subtree_key(node.outer)
+        if outer is None:
+            return None
+        inner_node = node.inner
+        if (
+            pop is PopType.NLJOIN
+            and inner_node.is_scan
+            and inner_node.properties.get("nljoin_lookup")
+            and inner_node.index_name
+            # Mirror the handler's dispatch exactly: without an equi-join
+            # key the inner executes as a plain scan, not as lookups.
+            and equi_join_keys(
+                node, set(node.outer.aliases()), set(inner_node.aliases())
+            )
+        ):
+            # The index-lookup inner never executes as a standalone node;
+            # its identity (and the join's own page accesses) fold into
+            # the join entry itself.
+            inner = (
+                "NLIX",
+                inner_node.table,
+                inner_node.table_alias,
+                inner_node.index_name,
+                inner_node.predicates,
+            )
+        else:
+            inner = subtree_key(inner_node)
+            if inner is None:
+                return None
+        return (
+            tag,
+            outer,
+            inner,
+            node.predicates,
+            node.join_predicates,
+            bool(node.properties.get("bloom_filter")),
+        )
+    return None
+
 
 class VectorizedExecutor:
     """Executes QGM plans over column batches; charge-identical to ``Executor``."""
@@ -509,92 +622,6 @@ class VectorizedExecutor:
 
     # -- memo plumbing -------------------------------------------------------
 
-    _JOIN_MEMO_TAGS = {
-        PopType.HSJOIN: "HJ",
-        PopType.MSJOIN: "MJ",
-        PopType.NLJOIN: "NJ",
-    }
-
-    def _memo_key(self, node: PlanNode):
-        """Structural identity of a memoizable subtree (None = not memoizable).
-
-        Cached on the node (plans are never structurally mutated after
-        planning): the key is consulted by every handler that touches the
-        node -- key groupings, column gathers, entry stores -- and
-        recomputing the nested tuple each time is pure overhead.  The cached
-        object is a :class:`SubtreeKey`, so its hash is computed exactly once
-        as well.
-        """
-        cached = node.__dict__.get("_memo_subtree_key", _KEY_UNSET)
-        if cached is not _KEY_UNSET:
-            return cached
-        raw = self._raw_memo_key(node)
-        key = None
-        if raw is not None:
-            try:
-                key = SubtreeKey(raw)
-            except TypeError:  # unhashable predicate somewhere in the key
-                key = None
-        node.__dict__["_memo_subtree_key"] = key
-        return key
-
-    def _raw_memo_key(self, node: PlanNode):
-        pop = node.pop_type
-        if pop is PopType.TBSCAN:
-            return ("TB", node.table, node.table_alias, node.predicates)
-        if pop in (PopType.IXSCAN, PopType.FETCH):
-            if node.index_name:
-                return ("IX", node.table, node.table_alias, node.index_name, node.predicates)
-            return ("TB", node.table, node.table_alias, node.predicates)
-        if pop is PopType.FILTER and len(node.inputs) == 1:
-            child = self._memo_key(node.inputs[0])
-            if child is not None:
-                return ("F", child, node.predicates)
-        if pop is PopType.SORT and len(node.inputs) == 1:
-            child = self._memo_key(node.inputs[0])
-            if child is not None:
-                return ("S", child, node.properties.get("sorted_on"))
-        tag = self._JOIN_MEMO_TAGS.get(pop)
-        if tag is not None and node.outer is not None and node.inner is not None:
-            outer = self._memo_key(node.outer)
-            if outer is None:
-                return None
-            inner_node = node.inner
-            if (
-                pop is PopType.NLJOIN
-                and inner_node.is_scan
-                and inner_node.properties.get("nljoin_lookup")
-                and inner_node.index_name
-                # Mirror the handler's dispatch exactly: without an equi-join
-                # key the inner executes as a plain scan, not as lookups.
-                and equi_join_keys(
-                    node, set(node.outer.aliases()), set(inner_node.aliases())
-                )
-            ):
-                # The index-lookup inner never executes as a standalone node;
-                # its identity (and the join's own page accesses) fold into
-                # the join entry itself.
-                inner = (
-                    "NLIX",
-                    inner_node.table,
-                    inner_node.table_alias,
-                    inner_node.index_name,
-                    inner_node.predicates,
-                )
-            else:
-                inner = self._memo_key(inner_node)
-                if inner is None:
-                    return None
-            return (
-                tag,
-                outer,
-                inner,
-                node.predicates,
-                node.join_predicates,
-                bool(node.properties.get("bloom_filter")),
-            )
-        return None
-
     def _memo_hit(
         self,
         key,
@@ -711,9 +738,9 @@ class VectorizedExecutor:
         data = self._table_for(node)
         alias = node.table_alias or node.table or ""
         table = node.table or ""
-        # _memo_key maps an index-less IXSCAN to the same "TB" key this
+        # subtree_key maps an index-less IXSCAN to the same "TB" key this
         # handler serves via the fallback path, so the shapes always agree.
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -746,7 +773,7 @@ class VectorizedExecutor:
         if index_data is None:
             return self._execute_table_scan(node, metrics, pool, memo)
         table = node.table or ""
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -777,7 +804,7 @@ class VectorizedExecutor:
         the gathered column is identical across every plan that shares it.
         """
         if memo is not None:
-            child_key = self._memo_key(node)
+            child_key = subtree_key(node)
             if child_key is not None:
                 aux_key = ("col", child_key, column_key)
                 cached = memo.aux_lookup(aux_key)
@@ -804,7 +831,7 @@ class VectorizedExecutor:
         """
         aux_key = None
         if memo is not None:
-            child_key = self._memo_key(node)
+            child_key = subtree_key(node)
             if child_key is not None:
                 aux_key = ("groups", child_key, column_keys)
                 cached = memo.aux_lookup(aux_key)
@@ -859,7 +886,7 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -914,7 +941,7 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -944,7 +971,7 @@ class VectorizedExecutor:
         memo: Optional[ExecutionMemo],
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -1089,7 +1116,7 @@ class VectorizedExecutor:
         pool: BufferPool,
         memo: Optional[ExecutionMemo],
     ) -> Batch:
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -1116,7 +1143,7 @@ class VectorizedExecutor:
         pool: BufferPool,
         memo: Optional[ExecutionMemo],
     ) -> Batch:
-        key = self._memo_key(node) if memo is not None else None
+        key = subtree_key(node) if memo is not None else None
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit

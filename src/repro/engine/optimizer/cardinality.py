@@ -122,12 +122,3 @@ class CardinalityEstimator:
             else:
                 selectivity *= 0.1
         return max(outer_cardinality * inner_cardinality * selectivity, 1e-4)
-
-    # -- whole query -------------------------------------------------------------
-
-    def single_table_selectivity(self, alias: str) -> float:
-        """Combined selectivity of all local predicates on ``alias``."""
-        selectivity = 1.0
-        for predicate in self.query.predicates_for(alias):
-            selectivity *= self.predicate_selectivity(predicate)
-        return selectivity

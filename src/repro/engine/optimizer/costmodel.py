@@ -165,8 +165,5 @@ class CostModel:
             spill = (pages - SORT_HEAP_PAGES) * OPT_SEQ_PAGE_COST * 2.0
         return cpu + spill
 
-    def filter_cost(self, rows: float) -> float:
-        return rows * OPT_CPU_ROW_COST * 0.5
-
     def group_by_cost(self, rows: float, groups: float) -> float:
         return rows * OPT_CPU_ROW_COST + groups * OPT_CPU_ROW_COST

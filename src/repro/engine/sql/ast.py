@@ -82,10 +82,6 @@ class TableRef:
     table: str
     alias: Optional[str] = None
 
-    @property
-    def effective_alias(self) -> str:
-        return self.alias or self.table
-
 
 @dataclass
 class SelectStatement:

@@ -228,7 +228,7 @@ class ServiceMetrics:
         "prepared_hits": "Requests whose match verdict the prepared lane replayed.",
         "prepared_misses": "Requests whose match verdict was computed (no current entry).",
         "prepared_invalidations": "Misses that found an entry under a stale stamp.",
-        "prepared_replays": "Hits that replayed the execution their entry keeps.",
+        "prepared_replays": "Requests answered by replaying a kept execution outcome.",
         "prepared_entries": "Statements currently held by the prepared lane.",
         "learning_enqueued": "Queries enqueued for background learning.",
         "learning_dropped": "Learning candidates dropped (queue full).",

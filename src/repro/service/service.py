@@ -9,11 +9,11 @@
 2. executes that plan exactly once on the vectorized engine and returns rows
    + runtime metrics as soon as they are ready.  A statement the prepared
    lane answers under the current stamp (a *hit*) is served in place on the
-   event-loop thread -- plans are read-only and the entry keeps each plan's
-   outcome, so that is a replay of the verdict and of the execution (after
-   the first hit executes and stores it); everything else (misses and stale
-   entries: parse, optimize, match, cold execution) runs in a bounded worker
-   pool;
+   event-loop thread -- plans are read-only and the execution memo keeps
+   each repeated plan's outcome, so that is a replay of the verdict and of
+   the execution (after the first hit executes and stores it); everything
+   else (misses and stale entries: parse, optimize, match, then execute or
+   replay) runs in a bounded worker pool;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
    which enqueues mis-estimated or regressed statements onto a background
    learning queue drained by a dedicated learner thread -- the paper's offline
@@ -46,6 +46,8 @@ from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.galo import Galo
+from repro.engine.executor.memo import PlanOutcome
+from repro.engine.executor.vectorized import plan_key
 from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
@@ -484,14 +486,19 @@ class GaloService:
     ) -> Tuple[ServiceResponse, Optional[LearningTask]]:
         """Plan, (maybe) steer, execute once (or replay), observe.
 
-        A prepared hit whose entry keeps an outcome for its plan replays it
-        (:class:`~repro.core.matching.prepared.PlanOutcome`): copies of the
-        kept rows, the stored metrics, ``elapsed_ms`` and max q-error; the
-        executor is not entered.  A hit without one executes and keeps it.
-        The response rows are materialized inside the ``execute`` span, on
-        both paths, so ``wall_ms``, the latency histogram and the stage
-        timings count building them.  Runs on a pool thread, or on the
-        event-loop thread for a prepared hit (see :meth:`submit`).
+        A request whose plan (:func:`~repro.engine.executor.vectorized.plan_key`)
+        has an outcome in the execution memo replays it -- a re-matched miss
+        too: copies of the kept rows, the stored metrics and ``elapsed_ms``
+        (:class:`~repro.engine.executor.memo.PlanOutcome`); the executor is
+        not entered.  Otherwise the plan executes, and a statement served
+        before (a prepared hit or stale entry) keeps the outcome, stored
+        through the pinned memo view the execution ran against.
+        ``max_q_error`` is the served plan's (RUNSTATS moves estimates, not
+        the memo).  The response rows are materialized inside the
+        ``execute`` span, on both paths, so ``wall_ms``, the latency
+        histogram and the stage timings count building them.  Runs on a pool
+        thread, or on the event-loop thread for a prepared hit (see
+        :meth:`submit`).
         ``request_span`` is the request trace's root (the no-op span when
         tracing is off), opened on the event loop at admission time; the gap
         between ``admitted_at`` and the work being picked up is the
@@ -504,12 +511,12 @@ class GaloService:
         trace_id = request_span.trace_id
         database = self.galo.database
         try:
-            # Serving executes a plan once per request (unless a hit replays
-            # it, below), through the vectorized
-            # engine and the workload-scoped memo: recurring statements (the
-            # normal case for served traffic) replay their subtrees' cold
-            # charges instead of recomputing them, and the memo's epoch check
-            # drops entries the moment the data changes.
+            # Serving executes a plan once per request (unless the memo keeps
+            # its outcome, below), through the vectorized engine and the
+            # workload-scoped memo: recurring statements (the normal case for
+            # served traffic) replay their subtrees' cold charges instead of
+            # recomputing them, and the memo's epoch check drops entries and
+            # outcomes the moment the data changes.
             engine = self.galo.matching_engine
             memo = engine.execution_memo()
             # The KB reference is captured once per request: a sharded
@@ -518,7 +525,7 @@ class GaloService:
             knowledge_base = self.galo.knowledge_base
             guard = self.guard
             screen: Optional[GuardScreen] = None
-            entry = None
+            served_before = False
             if self.config.steering_enabled and len(knowledge_base):
                 match_filter = None
                 if guard is not None:
@@ -531,7 +538,7 @@ class GaloService:
                     sql, query_name=query_name, span=request_span,
                     match_filter=match_filter,
                 )
-                entry = decision.entry
+                served_before = decision.prepared != "miss"
                 if decision.prepared == "hit":
                     self.metrics.increment("prepared_hits")
                 else:
@@ -553,14 +560,20 @@ class GaloService:
                 steered = False
                 matched_ids = []
                 match_time_ms = 0.0
-            # A hit replays the execution its entry keeps for this plan, or
-            # executes and keeps it; a miss executes and keeps nothing.  The
-            # response rows are built (or copied) inside the span, so the
-            # stage timings and ``wall_ms`` include them.
-            outcome = None if entry is None else entry.outcomes.get(decision.allowed)
+            # A plan whose outcome the memo keeps replays it; otherwise it
+            # executes, and a statement served before (the lane had an entry
+            # for it, current or stale) keeps the outcome.  The response rows
+            # are built (or copied) inside the span, so the stage timings and
+            # ``wall_ms`` include them.
+            key = plan_key(qgm)
+            keep = served_before and key is not None and memo is not None
+            outcome = None if memo is None else memo.peek(key)
             with request_span.child("execute") as execute_span:
                 if outcome is None:
-                    result = database.execute_plan(qgm, memo=memo, span=execute_span)
+                    # Pinned here and stored through below: a load that
+                    # overlaps the execution orphans the outcome with it.
+                    pinned = None if memo is None else memo.pinned()
+                    result = database.execute_plan(qgm, memo=pinned, span=execute_span)
                 else:
                     result = outcome.replay()
                     self.metrics.increment("prepared_replays")
@@ -568,10 +581,8 @@ class GaloService:
                 rows = result.rows
                 execute_span.set("rows", len(rows))
                 execute_span.set("elapsed_ms", result.elapsed_ms)
-            if entry is not None and outcome is None:
-                outcome = entry.keep_outcome(
-                    decision.allowed, qgm, result, engine.stamp()
-                )
+            if keep and outcome is None:
+                pinned.store(key, PlanOutcome.of(qgm, result))
         except Exception as exc:  # noqa: BLE001 - served errors become responses
             self.metrics.increment("failed")
             wall_ms = (time.perf_counter() - started) * 1000.0
@@ -592,10 +603,12 @@ class GaloService:
 
         learning_task: Optional[LearningTask] = None
         with request_span.child("feedback") as feedback_span:
-            if outcome is None:
+            # A plan re-planned after RUNSTATS has other estimates than the
+            # one the outcome was kept from.
+            if outcome is None or outcome.root is not qgm.root:
                 max_q_error = result.max_q_error(qgm)
             else:
-                max_q_error = outcome.max_q_error
+                max_q_error = outcome.q_error
             if self.config.learning_enabled:
                 observation = self.feedback.observe(
                     sql=sql,

@@ -4,14 +4,18 @@
         "tests/unit/test_prepared_statements.py::TestConcurrentMutation" \\
         "tests/unit/test_readonly_plans.py::TestSharedMaster" \\
         "tests/unit/test_readonly_plans.py::TestSharedOutcome" \\
+        "tests/unit/test_prepared_statements.py::TestLoadRacingOutcomeStore" \\
         "tests/unit/test_kb_checkpoint_version.py::TestReloadSoak"
 
 Each collected test is parametrized ``--soak-runs`` times (``[0]`` ..
 ``[N-1]``), and every run starts with ``sys.setswitchinterval(1e-6)``: the
 interpreter may then hand the GIL to another thread between almost any two
 bytecodes, so a race in state two threads share -- a prepared master, the
-execution memo, a prepared entry's outcomes, a knowledge-base generation, a
-checkpoint directory -- fails a run instead of one build in a hundred.
+execution memo and the plan outcomes it keeps, a knowledge-base generation,
+a checkpoint directory -- fails a run instead of one build in a hundred.
+``TestLoadRacingOutcomeStore`` pins the named interleaving "load racing an
+outcome store": an execution pinned before a data load stores its outcome
+after the memo's reset, and the next request must execute.
 Without ``--soak-runs`` the plugin changes nothing.
 """
 

@@ -16,10 +16,13 @@ import time
 import pytest
 
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
-from repro.core.matching.prepared import PlanOutcome, PreparedStatements
+from repro.core.matching.prepared import PreparedStatements
 from repro.core.matching.segmenter import segment_plan
+from repro.core.planutils import join_tree_root
 from repro.engine.executor.executor import Executor
-from repro.engine.executor.vectorized import Batch, VectorizedExecutor
+from repro.engine.executor.memo import PlanOutcome
+from repro.engine.executor.vectorized import Batch, VectorizedExecutor, subtree_key
+from repro.engine.executor.vectorized import plan_key as outcome_key
 from repro.obs import Span
 from repro.service import GaloService, ServiceConfig
 from repro.service.guard import SteeringGuard
@@ -53,6 +56,19 @@ def current_entry(galo, sql):
         sql, galo.database.stats_epoch, kb, kb.generation
     )
     return entry
+
+
+def served_plans(galo, sql):
+    """The plans ``sql``'s current entry hands out (one per allowed set)."""
+    entry = current_entry(galo, sql)
+    return [steered or entry.baseline for _, steered in entry.plans.values()]
+
+
+def kept_outcomes(galo, sql):
+    """The memo's outcomes for the plans ``sql``'s current entry hands out."""
+    memo = galo.database.workload_memo()
+    keys = {outcome_key(plan) for plan in served_plans(galo, sql)}
+    return [memo.peek(key) for key in keys if memo.peek(key) is not None]
 
 
 def reinsert_sales(database, count=5):
@@ -704,6 +720,24 @@ class TestServiceObservability:
         assert "prepared_replays" in ServiceMetrics.PROMETHEUS_HELP
         assert "# TYPE galo_prepared_replays counter" in service.render_metrics()
 
+    def test_memo_outcomes_are_exported_and_move_no_memo_counter(self):
+        """``/metrics`` exports the memo's outcome count and bytes; looking
+        outcomes up and replaying them leaves the subtree hit/miss counters
+        (the bench's ``memo_hit_ratio``) where they were."""
+        galo = build_system()
+        _, service = self.serve(galo, WORKLOAD * 2, tracing=False)
+        memo = galo.database.workload_memo()
+        stats = memo.stats()
+        assert stats["outcomes"] == len(WORKLOAD)
+        assert 0 < stats["outcome_bytes"] <= stats["entry_bytes"]
+        page = service.render_metrics()
+        assert f"galo_memo_outcomes {len(WORKLOAD)}\n" in page
+        assert f"galo_memo_outcome_bytes {stats['outcome_bytes']}\n" in page
+        counters = (memo.hits, memo.misses)
+        _, replaying = self.serve(galo, WORKLOAD * 2, tracing=False)
+        assert replaying.metrics.snapshot()["prepared_replays"] == 2 * len(WORKLOAD)
+        assert (memo.hits, memo.misses) == counters
+
     def test_response_rows_are_built_inside_the_execute_span(self, monkeypatch):
         """Building a response's rows is part of its request: ``to_rows``
         (executed requests) and the replay's copy (replayed ones) both
@@ -862,12 +896,13 @@ class TestExecutionReplay:
         # Miss (stores nothing), hit (executes and stores), then replays.
         assert executed == [len(WORKLOAD), len(WORKLOAD), 0, 0]
         for _, sql in WORKLOAD:
-            assert len(current_entry(galo, sql).outcomes) == 1
+            assert len(kept_outcomes(galo, sql)) == 1
 
     def test_a_statement_served_once_keeps_no_outcome(self):
         galo = build_system()
         serve_serially(galo, WORKLOAD)
-        assert all(not current_entry(galo, sql).outcomes for _, sql in WORKLOAD)
+        assert all(not kept_outcomes(galo, sql) for _, sql in WORKLOAD)
+        assert galo.database.workload_memo().stats()["outcomes"] == 0
 
     def test_replayed_rows_belong_to_their_response(self):
         galo = build_system()
@@ -891,7 +926,7 @@ class TestExecutionReplay:
         serve_serially(galo, WORKLOAD)
         keeping = serve_serially(galo, WORKLOAD)
         for response in keeping:
-            assert len(current_entry(galo, response.sql).outcomes) == 1
+            assert len(kept_outcomes(galo, response.sql)) == 1
             if response.rows:
                 response.rows[0].clear()
                 response.rows.pop()
@@ -918,7 +953,7 @@ class TestExecutionReplay:
         oracle = oracles[sql]
         assert oracle.rows and len(oracle.rows[0]) >= 3
         *_, replayed = serve_serially(galo, [(name, sql)] * 3)
-        (outcome,) = current_entry(galo, sql).outcomes.values()
+        (outcome,) = kept_outcomes(galo, sql)
         assert_identical(oracle, outcome.replay(), context=name)
         assert [typed_items(row) for row in replayed.rows] == [
             typed_items(row) for row in oracle.rows
@@ -933,17 +968,14 @@ class TestExecutionReplay:
         galo = build_system()
         config = dict(learning_enabled=True, guard_enabled=True, q_error_threshold=1e9)
         serve_serially(galo, WORKLOAD * 2, **config)
-        outcomes = [
-            outcome for _, sql in WORKLOAD
-            for outcome in current_entry(galo, sql).outcomes.values()
-        ]
+        outcomes = [outcome for _, sql in WORKLOAD for outcome in kept_outcomes(galo, sql)]
         assert len(outcomes) == len(WORKLOAD)
         snapshot = [
             (
                 copy.deepcopy(outcome.metrics),
                 dict(outcome.metrics.actual_cardinalities),
                 outcome.elapsed_ms,
-                outcome.max_q_error,
+                outcome.q_error,
             )
             for outcome in outcomes
         ]
@@ -956,14 +988,15 @@ class TestExecutionReplay:
                 outcome.metrics,
                 outcome.metrics.actual_cardinalities,
                 outcome.elapsed_ms,
-                outcome.max_q_error,
+                outcome.q_error,
             )
             for outcome in outcomes
         ] == snapshot
 
-    def test_each_allowed_set_keeps_its_own_outcome(self):
-        """A guard probe or block changes the plan a hit runs; the outcome
-        is kept per allowed template set, beside that set's plan."""
+    def test_each_plan_keeps_its_own_outcome(self):
+        """A guard probe or block changes the plan a hit runs; the memo keeps
+        an outcome per plan, so the blocked statement's baseline plan keeps
+        its own beside the steered one."""
         galo = build_system()
         engine = galo.matching_engine
         name, sql = next(
@@ -976,11 +1009,19 @@ class TestExecutionReplay:
         )
         assert_responses_equal_oracle(galo, responses)
         assert not any(response.steered for response in responses)
-        assert len(current_entry(galo, sql).outcomes) == 2
+        assert len(kept_outcomes(galo, sql)) == 2
+
+
+def served_key(galo, sql):
+    """The plan key of the one plan ``sql``'s current entry hands out."""
+    (plan,) = served_plans(galo, sql)
+    return outcome_key(plan)
 
 
 class TestOutcomeStaleness:
-    """Every event that changes a stamp makes the next request execute."""
+    """A data load makes the next request execute.  Every other stamp change
+    re-matches each statement and executes only the plans it changed: a
+    plan's outcome lives in the memo, valid for the storage epoch."""
 
     @staticmethod
     def hot_reload(galo, tmp_path):
@@ -1002,53 +1043,205 @@ class TestOutcomeStaleness:
     }
 
     @pytest.mark.parametrize("event", sorted(EVENTS))
-    def test_the_next_request_executes(self, event, monkeypatch, tmp_path):
+    def test_the_next_request_executes_only_a_changed_plan(
+        self, event, monkeypatch, tmp_path
+    ):
         galo = build_system()
         warm_to_replay(galo)
         replayed = serve_serially(galo, WORKLOAD)
+        kept = {sql: served_key(galo, sql) for _, sql in WORKLOAD}
         self.EVENTS[event](galo, tmp_path)
+        assert all(current_entry(galo, sql) is None for _, sql in WORKLOAD)
         calls = count_executions(monkeypatch)
         responses = serve_serially(galo, WORKLOAD)
-        assert len(calls) == len(WORKLOAD)
         assert_responses_equal_oracle(galo, responses)
         if event == "load_rows":
+            executed = len(WORKLOAD)
             # The reinserted sales rows are counted and summed (the oracle
             # reads the new data too; this shows the data moved at all).
             assert any(
                 after.rows != before.rows for before, after in zip(replayed, responses)
             )
-        # The lane settles again: one hit executes and stores, then replays.
-        serve_serially(galo, WORKLOAD)
-        before = len(calls)
+        else:
+            executed = sum(served_key(galo, sql) != kept[sql] for _, sql in WORKLOAD)
+            assert executed < len(WORKLOAD)
+        assert len(calls) == executed
+        # The lane settles again: each statement kept its plan's outcome on
+        # the request above (it was served before), so everything replays.
         assert_responses_equal_oracle(galo, serve_serially(galo, WORKLOAD))
-        assert len(calls) == before
+        assert len(calls) == executed
 
-    def test_an_outcome_computed_across_runstats_is_never_replayed(self, monkeypatch):
-        """RUNSTATS lands while a hit executes: the stamp the hit would store
-        its outcome under is no longer current, so the outcome is dropped and
-        the next request recomputes instead of replaying it."""
+
+class TestLoadRacingOutcomeStore:
+    """The named interleaving "load racing an outcome store": an execution
+    pinned before ``Database.load_rows`` stores its outcome after the memo's
+    reset.  The outcome lands in the orphaned snapshot the execution was
+    pinned to, so the next request executes against the new data instead of
+    replaying the old rows."""
+
+    def test_an_outcome_stored_after_the_reset_is_never_replayed(self, monkeypatch):
         galo = build_system()
         database = galo.database
         name, sql = WORKLOAD[0]
         serve_serially(galo, [(name, sql)])
-        entry = current_entry(galo, sql)
-        assert entry is not None and not entry.outcomes
+        assert not kept_outcomes(galo, sql)
         execute_plan = database.execute_plan
-        moved = []
+        loaded = []
 
-        def execute_plan_across_runstats(*args, **kwargs):
-            if not moved:
-                moved.append(database.stats_epoch)
-                database.runstats("SALES")
-            return execute_plan(*args, **kwargs)
+        def execute_then_load(*args, **kwargs):
+            result = execute_plan(*args, **kwargs)
+            if not loaded:
+                loaded.append(database.storage_epoch)
+                reinsert_sales(database, count=40)
+                database.workload_memo()  # the reset, before the store
+            return result
 
-        monkeypatch.setattr(database, "execute_plan", execute_plan_across_runstats)
+        monkeypatch.setattr(database, "execute_plan", execute_then_load)
         (hit,) = serve_serially(galo, [(name, sql)])
         monkeypatch.undo()
-        assert moved and database.stats_epoch > moved[0]
-        assert hit.ok and not entry.outcomes
-        assert current_entry(galo, sql) is None
+        assert hit.ok and loaded and database.storage_epoch > loaded[0]
+        assert database.workload_memo().stats()["outcomes"] == 0
         calls = count_executions(monkeypatch)
         again = serve_serially(galo, [(name, sql)] * 3)
-        assert len(calls) == 2
+        # The stale request executes and keeps its outcome; the hits replay.
+        assert len(calls) == 1
         assert_responses_equal_oracle(galo, again)
+
+
+class TestOnlineLoop:
+    """The learner adds templates while statements are served: a KB change
+    re-matches every statement, and a plan it leaves unchanged replays."""
+
+    def test_a_learned_template_reexecutes_only_the_plan_it_changed(self, monkeypatch):
+        galo = build_system(seed=0)
+        service = GaloService(
+            galo, ServiceConfig(max_workers=2, learning_enabled=False)
+        )
+        calls = count_executions(monkeypatch)
+
+        def serve_round():
+            before = service.metrics.snapshot()
+            executed = len(calls)
+            responses = [service._serve_sync(sql, name)[0] for name, sql in WORKLOAD]
+            after = service.metrics.snapshot()
+            return responses, len(calls) - executed, {
+                counter: after[counter] - before[counter]
+                for counter in ("prepared_replays", "prepared_invalidations")
+            }
+
+        for _ in range(3):
+            serve_round()
+        templates = len(galo.knowledge_base)
+        name, sql = WORKLOAD[0]
+        assert name == "q_join2"
+        galo.learn_query(sql, query_name=name)
+        assert len(galo.knowledge_base) > templates
+        # Every entry is stale; 4 of the 5 re-matched plans are unchanged.
+        responses, executed, counters = serve_round()
+        assert counters == {
+            "prepared_replays": len(WORKLOAD) - 1,
+            "prepared_invalidations": len(WORKLOAD),
+        }
+        assert executed == 1
+        assert_responses_equal_oracle(galo, responses)
+        responses, executed, counters = serve_round()
+        assert counters == {"prepared_replays": len(WORKLOAD), "prepared_invalidations": 0}
+        assert executed == 0
+        assert_responses_equal_oracle(galo, responses)
+        assert assert_lane_equals_oracle(galo) == ALL_HITS
+
+
+class TestOutcomeKeys:
+    """A plan's outcome key is its join tree's key extended by the plan top."""
+
+    PAIRS = {
+        "select_list": (
+            "SELECT i_category FROM sales, item "
+            "WHERE s_item_sk = i_item_sk AND i_category = 'Music'",
+            "SELECT i_class FROM sales, item "
+            "WHERE s_item_sk = i_item_sk AND i_category = 'Music'",
+        ),
+        "aggregates": (
+            "SELECT i_category, COUNT(*) FROM sales, item "
+            "WHERE s_item_sk = i_item_sk GROUP BY i_category",
+            "SELECT i_category, SUM(s_price) FROM sales, item "
+            "WHERE s_item_sk = i_item_sk GROUP BY i_category",
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_one_join_tree_under_another_top_shares_no_outcome(self, pair, monkeypatch):
+        galo = build_system()
+        database = galo.database
+        first, second = self.PAIRS[pair]
+        plans = [database.explain(sql) for sql in (first, second)]
+        assert subtree_key(join_tree_root(plans[0])) == subtree_key(join_tree_root(plans[1]))
+        assert outcome_key(plans[0]) != outcome_key(plans[1])
+        requests = [(pair, first)] * 3 + [(pair, second)] * 3
+        calls = count_executions(monkeypatch)
+        responses = serve_serially(galo, requests)
+        assert_responses_equal_oracle(galo, responses)
+        # Each statement: miss, hit that keeps, replay -- nothing shared.
+        assert len(calls) == 4
+        assert database.workload_memo().stats()["outcomes"] == 2
+        assert responses[2].rows != responses[5].rows
+
+    def test_a_replay_after_runstats_reports_the_new_estimates_q_error(self, monkeypatch):
+        """Rows inserted without RUNSTATS (the storage epoch moves, the
+        statistics do not), a statement served until it replays, then
+        RUNSTATS: the statement is re-planned with new estimates to a plan
+        of the same structure, which replays the kept outcome, and its
+        ``max_q_error`` is a fresh execution's against the new plan."""
+        galo = build_system()
+        database = galo.database
+        data = database.catalog.table_data("SALES")
+        data.insert_rows(list(data.rows(range(300))))
+        database.invalidate_plan_cache()
+        name, sql = WORKLOAD[0]
+        *_, kept = serve_serially(galo, [(name, sql)] * 3)
+        key = served_key(galo, sql)
+        database.runstats("SALES")
+        calls = count_executions(monkeypatch)
+        (replayed,) = serve_serially(galo, [(name, sql)])
+        assert not calls and served_key(galo, sql) == key
+        steered = galo.matching_engine.steer(sql, query_name=name).qgm
+        fresh = database.execute_plan(steered).max_q_error(steered)
+        assert replayed.max_q_error == fresh != kept.max_q_error
+        assert_responses_equal_oracle(galo, [replayed])
+
+
+class TestOutcomeByteBound:
+    """Outcomes are charged against the memo's ``max_bytes``."""
+
+    STATEMENTS = [
+        (f"all_sales_by_{column}", f"SELECT * FROM sales WHERE {column} >= 0")
+        for column in ("s_item_sk", "s_date_sk", "s_quantity")
+    ]
+
+    def test_outcomes_stay_inside_the_byte_budget(self, monkeypatch):
+        galo = build_system()
+        memo = galo.database.workload_memo()
+        first = self.STATEMENTS[0]
+        serve_serially(galo, [first] * 2)
+        size = memo.stats()["outcome_bytes"]
+        assert size > 100_000
+        # Room for one of these outcomes (and the subtree entries), not two.
+        memo.max_bytes = size * 3 // 2
+        memo.reset(memo.epoch)
+        galo.matching_engine.prepared.clear()
+        calls = count_executions(monkeypatch)
+        service = GaloService(galo, ServiceConfig(max_workers=2, learning_enabled=False))
+        responses = []
+        for statement in self.STATEMENTS * 3:
+            response, _ = service._serve_sync(statement[1], statement[0])
+            responses.append(response)
+            stats = memo.stats()
+            assert stats["outcome_bytes"] <= stats["entry_bytes"] <= memo.max_bytes
+            assert stats["outcomes"] <= 1
+        assert memo.stats()["byte_evictions"] > 0
+        # Misses, then hits that each keep an outcome and evict the one
+        # before, then hits whose outcome was evicted: every request
+        # executed, and still equals the row engine's answer.
+        assert len(calls) == len(responses)
+        assert service.metrics.snapshot()["prepared_replays"] == 0
+        assert_responses_equal_oracle(galo, responses)

@@ -6,9 +6,9 @@ consumes a plan writes into it: executing it (cold, through memo hits, or
 stopped by a budget), steering through it, judging its outcome.  Each test
 takes :func:`plan_snapshot` of a plan before and after and requires the two
 equal.  The shared-master test runs one plan on two threads at once, and the
-shared-outcome tests have one thread store a prepared entry's outcome while
-another replays it, and two threads change the rows they replayed while the
-other replays.
+shared-outcome tests have one thread store a plan's outcome in the execution
+memo while another replays it, and two threads change the rows they replayed
+while the other replays.
 """
 
 import sys
@@ -18,7 +18,7 @@ import pytest
 
 from repro.engine.executor.executor import Executor
 from repro.engine.executor.memo import ExecutionMemo
-from repro.engine.executor.vectorized import VectorizedExecutor
+from repro.engine.executor.vectorized import VectorizedExecutor, plan_key
 from repro.errors import PlanBudgetExceeded
 from repro.service import GaloService, ServiceConfig
 from repro.service.feedback import FeedbackMonitor
@@ -220,10 +220,11 @@ class TestSharedOutcome:
     def test_one_thread_stores_an_outcome_while_another_replays_it(self):
         """Two serving threads send one statement ``REQUESTS`` times each, at
         once, right after its miss: the first hits race to execute and store
-        the entry's outcome while later hits replay it, with a thread switch
-        possible between almost any two bytecodes.  Every response must be
-        the uncached oracle's (``steer()`` planned, the row executor run),
-        and the entry must end up holding exactly one outcome."""
+        the plan's outcome in the memo while later hits replay it, with a
+        thread switch possible between almost any two bytecodes.  Every
+        response must be the uncached oracle's (``steer()`` planned, the row
+        executor run), and the memo must end up holding exactly one
+        outcome."""
         galo = build_system()
         engine = galo.matching_engine
         database = galo.database
@@ -245,6 +246,8 @@ class TestSharedOutcome:
             for round_number in range(self.ROUNDS):
                 name, sql = WORKLOAD[round_number % len(WORKLOAD)]
                 engine.prepared.clear()
+                memo = database.workload_memo()
+                memo.reset(memo.epoch)
                 service._serve_sync(sql, name)
                 barrier = threading.Barrier(2)
                 served = [[], []]
@@ -263,22 +266,19 @@ class TestSharedOutcome:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
-                kb = galo.knowledge_base
-                entry, _ = engine.prepared.lookup(
-                    sql, database.stats_epoch, kb, kb.generation
-                )
-                if served != [[expected[sql]] * self.REQUESTS] * 2 or len(entry.outcomes) != 1:
+                outcomes = memo.stats()["outcomes"]
+                if served != [[expected[sql]] * self.REQUESTS] * 2 or outcomes != 1:
                     failures.append(f"round {round_number} ({name})")
         finally:
             sys.setswitchinterval(switch_interval)
         assert not failures, failures[:5]
 
     def test_two_threads_change_their_replayed_rows_while_the_other_replays(self):
-        """Two threads replay one kept outcome ``REQUESTS`` times each, at
-        once; after checking its rows against the oracle's, each thread
-        clears, appends to and pops from them, with a thread switch possible
-        between almost any two bytecodes.  Neither thread's changes may
-        reach the other's rows or the outcome."""
+        """Two threads replay one outcome the memo keeps ``REQUESTS`` times
+        each, at once; after checking its rows against the oracle's, each
+        thread clears, appends to and pops from them, with a thread switch
+        possible between almost any two bytecodes.  Neither thread's changes
+        may reach the other's rows or the outcome."""
         galo = build_system()
         engine = galo.matching_engine
         database = galo.database
@@ -291,9 +291,9 @@ class TestSharedOutcome:
             expected = ordered(row_engine.execute(engine.steer(sql, query_name=name).qgm).rows)
             for _ in range(2):
                 service._serve_sync(sql, name)
-            kb = galo.knowledge_base
-            entry, _ = engine.prepared.lookup(sql, database.stats_epoch, kb, kb.generation)
-            (outcome,) = entry.outcomes.values()
+            served = engine.steer_prepared(sql, query_name=name).qgm
+            outcome = database.workload_memo().peek(plan_key(served))
+            assert outcome is not None
             outcomes[name] = (outcome, expected)
         failures = []
         switch_interval = sys.getswitchinterval()
