@@ -70,7 +70,6 @@ def _serve_stream(
     service = GaloService(
         galo,
         ServiceConfig(
-            max_workers=4,
             learning_enabled=learning_enabled,
             tracing_enabled=tracing_enabled,
             guard_enabled=guard_enabled,
@@ -248,7 +247,7 @@ def test_bench_serving_admission_control_sheds_load(benchmark, tpcds_bundle):
     service = GaloService(
         galo,
         ServiceConfig(
-            max_workers=2, max_pending=4,
+            max_pending=4,
             steering_enabled=True, learning_enabled=False,
         ),
     )
@@ -361,7 +360,6 @@ def test_bench_serving_guard_quarantines_poisoned_kb(benchmark, tpcds_bundle):
     service = GaloService(
         galo,
         ServiceConfig(
-            max_workers=4,
             learning_enabled=False,
             # Anything beyond 1.1x its optimizer baseline is a loss, so every
             # still-steering template in the converged phase is by definition
@@ -588,7 +586,7 @@ def test_bench_serving_sharded_scaling(
         num_workers=workers,
         kb_directory=sharded_kb_dir,
         learner_shard=None,
-        worker_config=ServiceConfig(max_workers=2, learning_enabled=False),
+        worker_config=ServiceConfig(learning_enabled=False),
     )
 
     async def scenario():

@@ -76,7 +76,7 @@ async def main() -> None:
         # Checkpoints come from outside the cluster in this demo, so no
         # worker is the designated learner -- all of them watch the stamp.
         learner_shard=None,
-        worker_config=ServiceConfig(max_workers=2, learning_enabled=False),
+        worker_config=ServiceConfig(learning_enabled=False),
     )
     service = ShardedGaloService(MiniGaloFactory(), config)
 

@@ -110,7 +110,6 @@ async def main() -> None:
     db = build_database()
     galo = Galo(db, learning_config=LearningConfig(max_joins=3, random_plans_per_subquery=4))
     config = ServiceConfig(
-        max_workers=4,
         max_pending=32,
         q_error_threshold=3.0,
         kb_capacity=8,

@@ -197,7 +197,7 @@ class TemplateIndex:
     place (no full rebuild), and both replace bucket lists copy-on-write so a
     concurrent ``candidates`` call iterating an old list never observes a
     partially mutated bucket (the online serving tier mutates the knowledge
-    base from a background learning thread while serving threads match).
+    base from the learner thread while the serving (loop) thread matches).
     """
 
     def __init__(self) -> None:
@@ -368,9 +368,10 @@ class KnowledgeBase:
         }
         #: Per-template steering win/loss ledger + quarantine state, fed by
         #: the serving tier's regression guard.  Guarded by ``_stats_lock``
-        #: (serving worker threads record outcomes concurrently); persisted
-        #: through :meth:`save` / :meth:`load` so quarantine decisions survive
-        #: checkpoints and propagate to sharded followers on hot-reload.
+        #: (the serving thread records outcomes while the learner thread
+        #: saves); persisted through :meth:`save` / :meth:`load` so quarantine
+        #: decisions survive checkpoints and propagate to sharded followers on
+        #: hot-reload.
         self._guard_records: Dict[str, TemplateGuardRecord] = {}
         #: Running mean of the workload feature vectors of the plans this
         #: knowledge base learned from -- the reference population the drift

@@ -161,8 +161,9 @@ class MatchingEngine:
 
     # What is left of the segment-SPARQL text cache: ``bench/`` reads both for
     # its ``sparql_cache_hit_ratio``, 0.0 by construction; ROADMAP item 2(c)
-    # deletes them.  The count is kept without a lock -- two serving threads
-    # can lose a tick, and the ratio is 0.0 either way.
+    # deletes them.  The count is kept without a lock -- the serving (loop)
+    # thread and the learner thread can lose a tick, and the ratio is 0.0
+    # either way.
 
     @property
     def sparql_cache_hits(self) -> int:

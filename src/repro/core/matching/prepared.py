@@ -65,8 +65,9 @@ class PreparedStatement:
     usage_batches: Tuple[Tuple[str, ...], ...]
     #: allowed ids -> (guideline document, steered master plan or None when
     #: the document is empty).  Filled lazily and idempotently
-    #: (``setdefault``): two serving threads racing on one statement compute
-    #: equal values and the first one published wins.
+    #: (``setdefault``): the serving (loop) thread and the learner thread
+    #: racing on one statement compute equal values and the first one
+    #: published wins.
     plans: Dict[AllowedIds, Tuple["GuidelineDocument", Optional["Qgm"]]] = field(
         default_factory=dict
     )

@@ -512,7 +512,7 @@ class VectorizedExecutor:
         ``elapsed_ms`` is above it, as early as that is certain (see
         :class:`~repro.engine.executor.metrics.ExecutionBudget`).
         The budget is state of this one call: the executor is shared by the
-        learner and the serving threads.
+        serving (loop) thread and the learner thread.
         """
         if memo is not None and memo.epoch is not None:
             # Epoch-managed (workload-scoped) memo: pin this execution to the

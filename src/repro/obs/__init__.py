@@ -11,8 +11,8 @@ import it without cycles.  The design contract, relied on throughout:
 * **Tracing never changes results.**  Spans only *read* runtime state; rows,
   counters and simulated ``elapsed_ms`` are bit-identical with tracing on or
   off (asserted differentially in the test suite).
-* **Context propagation is explicit.**  Spans are passed as arguments across
-  the serving thread pool and the learner thread, and serialized dicts cross
+* **Context propagation is explicit.**  Spans are passed as arguments between
+  the serving (loop) thread and the learner thread, and serialized dicts cross
   the sharded router's process boundary to be re-parented on arrival.  The
   only implicit state is a thread-local *execution* span used inside one
   synchronous executor call (:func:`current_execution_span`).

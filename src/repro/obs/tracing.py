@@ -179,9 +179,10 @@ class _TraceBuffer:
         self.root: Optional[Span] = None
         #: Finished span *records* (dicts with absolute perf_counter times,
         #: converted to root-relative offsets at finalization).  Appended from
-        #: worker threads and the event loop; list.append is atomic under the
-        #: GIL, and finalization happens strictly after every child ended
-        #: (children are lexically scoped inside the request's lifetime).
+        #: the serving (loop) thread and the learner thread; list.append is
+        #: atomic under the GIL, and finalization happens strictly after
+        #: every child ended (children are lexically scoped inside the
+        #: request's lifetime).
         self.spans: List[Dict[str, Any]] = []
         #: Pre-shifted adopted remote records (already root-relative offsets).
         self.extra: List[Dict[str, Any]] = []

@@ -12,29 +12,30 @@ class ServiceConfig:
 
     Admission control / backpressure
     --------------------------------
-    ``max_workers`` bounds how many prepared-lane misses execute concurrently
-    (one thread each; parse, optimize, match + cold execution are synchronous
-    CPU work).  A prepared hit takes no worker: it is served in place on the
-    event-loop thread, one at a time.  ``max_pending``
-    bounds the total number of admitted-but-unfinished requests (running plus
-    waiting for a worker); a submission arriving beyond that is rejected
-    immediately with a ``"rejected"`` response instead of queueing without
-    bound -- the caller sheds load or retries.
+    Every request is served on the event-loop thread, one at a time (scale
+    out with :class:`repro.service.sharded.ShardedGaloService` processes).
+    ``max_pending`` bounds the total number of admitted-but-unfinished
+    requests (the one being served plus those waiting for the loop); a
+    submission arriving beyond that is rejected immediately with a
+    ``"rejected"`` response instead of queueing without bound -- the caller
+    sheds load or retries.
 
     Continuous learning
     -------------------
     With ``learning_enabled``, every executed query is fed to the feedback
     monitor; mis-estimated or regressed queries are enqueued (deduplicated by
     SQL hash) onto a background learning queue drained by one dedicated
-    learner thread, so learning never occupies a serving worker.  The queue
-    itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``); when
-    it is full new candidates are dropped (and counted) rather than blocking
-    serving.
+    learner thread, so learning never occupies the serving (loop) thread.
+    The queue itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``);
+    when it is full new candidates are dropped (and counted) rather than
+    blocking serving.
     """
 
-    #: Threads that serve prepared-lane misses (hits run on the event loop).
+    #: Ignored: every request is served on the event loop.  Kept (and still
+    #: validated) only because the pinned benchmark passes it; deleted with
+    #: ROADMAP 1(d) / 9(b).
     max_workers: int = 4
-    #: Admission cap: running + queued requests before submissions are rejected.
+    #: Admission cap: served + waiting requests before submissions are rejected.
     max_pending: int = 64
     #: Match incoming queries against the knowledge base and run steered plans.
     steering_enabled: bool = True
@@ -48,8 +49,9 @@ class ServiceConfig:
     #: Fraction of wall time the background learner may consume *while
     #: foreground requests are in flight* (0 < d <= 1).  Learning is
     #: GIL-bound CPU work: run back to back it steals cycles from the serving
-    #: workers, so after a learning task that overlapped traffic the learner
-    #: sleeps ``task_seconds * (1 - d) / d`` before taking the next one.
+    #: (loop) thread, so after a learning task that overlapped traffic the
+    #: learner sleeps ``task_seconds * (1 - d) / d`` before taking the next
+    #: one.
     #: During idle windows no pacing applies (there is nothing to protect).
     learning_duty_cycle: float = 0.25
     #: Worst per-operator cardinality q-error before a query is considered

@@ -425,7 +425,7 @@ class SteeringGuard:
         qgm,
         max_q_error: float,
     ) -> None:
-        """Fold one served request into the drift window (worker threads).
+        """Fold one served request into the drift window (serving thread).
 
         On drift onset, re-learning tasks for the window's hottest
         statements are staged; the service's event loop collects them via

@@ -1,7 +1,7 @@
 """Service-level observability: counters and a latency reservoir.
 
-All updates are thread-safe: serving workers, the background learner and the
-event loop all report into one :class:`ServiceMetrics` instance.
+All updates are thread-safe: the serving (loop) thread and the learner thread
+both report into one :class:`ServiceMetrics` instance.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@
    repeated statement replays its cached verdict instead of re-matching) and
    plans the steered (or baseline) QGM;
 2. executes that plan exactly once on the vectorized engine and returns rows
-   + runtime metrics as soon as they are ready.  A statement the prepared
-   lane answers under the current stamp (a *hit*) is served in place on the
-   event-loop thread -- plans are read-only and the execution memo keeps
-   each repeated plan's outcome, so that is a replay of the verdict and of
-   the execution (after the first hit executes and stores it); everything
-   else (misses and stale entries: parse, optimize, match, then execute or
-   replay) runs in a bounded worker pool;
+   + runtime metrics as soon as they are ready.  Every request is served on
+   the event-loop thread.  A statement the prepared lane answers under the
+   current stamp (a *hit*) is served the moment it is submitted -- plans are
+   read-only and the execution memo keeps each repeated plan's outcome, so
+   that is a replay of the verdict and of the execution (after the first hit
+   executes and stores it); everything else (misses and stale entries:
+   parse, optimize, match, then execute or replay) first yields to the loop
+   once, so a burst is admitted before any of it is served, then is served
+   in admission order;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
    which enqueues mis-estimated or regressed statements onto a background
    learning queue drained by a dedicated learner thread -- the paper's offline
@@ -24,13 +26,14 @@
    maintenance).
 
 Admission control is load-shedding, not unbounded queueing: at most
-``ServiceConfig.max_pending`` requests may be in flight (running plus waiting
-for one of the ``max_workers`` threads that serve misses); submissions beyond
-that are answered immediately with a ``"rejected"`` response.
+``ServiceConfig.max_pending`` requests may be in flight (the one being served
+plus those waiting for the loop); submissions beyond that are answered
+immediately with a ``"rejected"`` response.  Parallelism comes from processes
+(:class:`repro.service.sharded.ShardedGaloService`), not serving threads.
 
 .. code-block:: python
 
-    service = GaloService(galo, ServiceConfig(max_workers=4))
+    service = GaloService(galo, ServiceConfig(max_pending=64))
     async with service:
         response = await service.submit("SELECT ...", query_name="q1")
         async for response in service.stream(queries):
@@ -159,7 +162,6 @@ class GaloService:
         #: scheduler decides pop order -- FIFO normally, frequency x benefit
         #: priority while the guard reports workload drift.
         self._scheduler = LearningScheduler(self.guard)
-        self._serve_pool: Optional[ThreadPoolExecutor] = None
         self._learn_pool: Optional[ThreadPoolExecutor] = None
         self._learning_queue: Optional[asyncio.Queue] = None
         self._learner_task: Optional[asyncio.Task] = None
@@ -200,16 +202,13 @@ class GaloService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "GaloService":
-        """Bring up the worker pools and the background learner."""
+        """Bring up the learner thread and the background learner task."""
         if self._started:
             return self
         self._loop = asyncio.get_running_loop()
-        self._serve_pool = ThreadPoolExecutor(
-            max_workers=self.config.max_workers, thread_name_prefix="galo-serve"
-        )
         # One dedicated learner thread: learning is CPU-heavy and must never
-        # occupy a serving worker; a single drainer also serializes knowledge
-        # base mutations so matching only ever races one writer.
+        # occupy the serving (loop) thread; a single drainer also serializes
+        # knowledge base mutations so matching only ever races one writer.
         self._learn_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="galo-learn"
         )
@@ -240,7 +239,7 @@ class GaloService:
             except asyncio.CancelledError:
                 pass
             self._learner_task = None
-        assert self._serve_pool is not None and self._learn_pool is not None
+        assert self._learn_pool is not None
         if self.config.kb_checkpoint_directory is not None:
             # Final checkpoint on the way down (still on the learner thread,
             # forced past the interval): online-learned templates survive a
@@ -248,14 +247,13 @@ class GaloService:
             await asyncio.get_running_loop().run_in_executor(
                 self._learn_pool, self._checkpoint_kb_sync, True
             )
-        # shutdown(wait=True) joins worker threads; run it off the event loop
-        # so concurrent tasks (health checks, other services on this loop)
-        # keep making progress while the pools wind down.
-        serve_pool, learn_pool = self._serve_pool, self._learn_pool
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lambda: serve_pool.shutdown(wait=True))
-        await loop.run_in_executor(None, lambda: learn_pool.shutdown(wait=True))
-        self._serve_pool = None
+        # shutdown(wait=True) joins the learner thread; run it off the event
+        # loop so concurrent tasks (health checks, other services on this
+        # loop) keep making progress while the pool winds down.
+        learn_pool = self._learn_pool
+        await asyncio.get_running_loop().run_in_executor(
+            None, lambda: learn_pool.shutdown(wait=True)
+        )
         self._learn_pool = None
         self._learning_queue = None
         self._idle_event = None
@@ -315,7 +313,6 @@ class GaloService:
         self._pending += 1
         if self._idle_event is not None:
             self._idle_event.clear()
-        assert self._loop is not None and self._serve_pool is not None
         request_span = NULL_SPAN
         admitted_at = time.perf_counter()
         if self.tracer.enabled:
@@ -323,35 +320,26 @@ class GaloService:
                 "request", request_id=request_id,
                 attributes={"query_name": query_name}, start=admitted_at,
             )
-        arguments = (sql, query_name, request_id, request_span, admitted_at)
-        steering = self.config.steering_enabled and len(self.galo.knowledge_base)
-        if steering and self.galo.matching_engine.is_prepared(sql):
-            # A current prepared hit replays its verdict and (from its second
-            # hit on) its execution: served right here, on the event-loop
-            # thread, it skips the hop to a pool thread and back, and the GIL
-            # hand-off to the other serve threads.  Misses (parse, optimize,
-            # match, cold execution) keep the pool, where they overlap.
-            response, learning_task = self._serve_sync(*arguments)
+        learning_task: Optional[LearningTask] = None
+        try:
+            steering = self.config.steering_enabled and len(self.galo.knowledge_base)
+            if not (steering and self.galo.matching_engine.is_prepared(sql)):
+                # Anything but a current prepared hit (parse, optimize, match,
+                # cold execution) yields once first, so the rest of a burst is
+                # admitted -- or shed by max_pending -- before any of it is
+                # served; misses are then served in admission order.
+                await asyncio.sleep(0)
+            response, learning_task = self._serve_sync(
+                sql, query_name, request_id, request_span, admitted_at
+            )
+        except asyncio.CancelledError:
+            # Cancelled while yielding: never served.
+            request_span.set("status", "cancelled")
+            request_span.end()
+            raise
+        finally:
             self._serve_finished(learning_task)
-            return response
-        future = self._loop.run_in_executor(self._serve_pool, self._serve_sync, *arguments)
-        # Completion bookkeeping rides on the future, not on this coroutine:
-        # if the caller abandons the await (e.g. breaks out of a stream), the
-        # worker thread still finishes the query, and _pending must only drop
-        # when that work is truly done -- otherwise admission control would
-        # admit new load on top of orphaned, still-running executions.
-        future.add_done_callback(self._finish_serve)
-        response, _ = await asyncio.shield(future)
         return response
-
-    def _finish_serve(self, future: "asyncio.Future") -> None:
-        """Done-callback (event-loop thread) for every pool execution."""
-        learning_task = None
-        # _serve_sync answers its own errors; a future that failed or was
-        # cancelled anyway still releases its admission slot.
-        if not future.cancelled() and future.exception() is None:
-            _, learning_task = future.result()
-        self._serve_finished(learning_task)
 
     def _serve_finished(self, learning_task: Optional[LearningTask]) -> None:
         """Bookkeeping after every served request (event-loop thread)."""
@@ -361,8 +349,7 @@ class GaloService:
         if learning_task is not None:
             self._enqueue_learning(learning_task)
         if self.guard is not None:
-            # Targeted re-learning staged by a drift onset (worker threads
-            # only stage; the queue is touched here, on the loop thread).
+            # Targeted re-learning staged by a drift onset while serving.
             for task in self.guard.take_drift_tasks():
                 if self.config.learning_enabled:
                     self._enqueue_learning(task)
@@ -426,9 +413,9 @@ class GaloService:
         gauges["kb_templates"] = len(self.galo.knowledge_base)
         gauges["prepared_entries"] = len(self.galo.matching_engine.prepared)
         gauges["pending_requests"] = self._pending
-        # Depth of the serve queue proper: admitted requests beyond the
-        # worker threads are waiting for a thread, not running.
-        gauges["serve_queue_depth"] = max(0, self._pending - self.config.max_workers)
+        # Depth of the serve queue proper: admitted requests beyond the one
+        # the loop thread serves are waiting for it, not running.
+        gauges["serve_queue_depth"] = max(0, self._pending - 1)
         gauges["learning_backlog"] = self.learning_backlog
         if self.guard is not None:
             gauges["quarantined_templates"] = len(
@@ -496,13 +483,13 @@ class GaloService:
         ``max_q_error`` is the served plan's (RUNSTATS moves estimates, not
         the memo).  The response rows are materialized inside the
         ``execute`` span, on both paths, so ``wall_ms``, the latency
-        histogram and the stage timings count building them.  Runs on a pool
-        thread, or on the event-loop thread for a prepared hit (see
-        :meth:`submit`).
+        histogram and the stage timings count building them.  Runs on the
+        event-loop thread (see :meth:`submit`).
         ``request_span`` is the request trace's root (the no-op span when
         tracing is off), opened on the event loop at admission time; the gap
         between ``admitted_at`` and the work being picked up is the
-        ``queue_wait`` stage (near zero for a hit served in place).  The
+        ``queue_wait`` stage: the wait for the loop behind the requests
+        admitted before it (near zero for a hit served in place).  The
         root span ends here, on every path.
         """
         started = time.perf_counter()
@@ -710,7 +697,7 @@ class GaloService:
     async def _wait_for_idle(self, timeout_seconds: float) -> bool:
         """Wait until no requests are in flight, bounded by *loop time*.
 
-        Event-driven, not polled: ``_finish_serve`` sets the idle event on the
+        Event-driven, not polled: ``_serve_finished`` sets the idle event on the
         exact pending-count transition to zero, so the learner wakes the
         moment the service drains instead of on the next poll tick.  The
         bound is measured on the event loop's clock -- a busy loop cannot
@@ -753,9 +740,10 @@ class GaloService:
             # with no await in between, on this same thread).
             task = self._scheduler.pop()
             # Idle-first: learning is GIL-bound CPU work that competes with
-            # the serving workers, so prefer a window with no requests in
-            # flight (the paper ran its learning tier during non-peak hours).
-            # The wait is bounded: sustained traffic cannot starve learning.
+            # the serving (loop) thread, so prefer a window with no requests
+            # in flight (the paper ran its learning tier during non-peak
+            # hours).  The wait is bounded: sustained traffic cannot starve
+            # learning.
             await self._wait_for_idle(self.config.learning_idle_wait_seconds)
             overlapped_at_start = self._pending > 0
             started = time.perf_counter()

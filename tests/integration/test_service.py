@@ -86,7 +86,7 @@ def make_service(db, **config_overrides):
     )
     # q-error threshold 4.0: the well-estimated single-table query peaks at
     # ~3.16 (the GRPBY sqrt heuristic), the mis-estimated joins at 10-30.
-    defaults = dict(max_workers=4, q_error_threshold=4.0)
+    defaults = dict(q_error_threshold=4.0)
     defaults.update(config_overrides)
     return galo, GaloService(galo, ServiceConfig(**defaults))
 

@@ -74,7 +74,7 @@ def seed_checkpoint(directory, query_count=None):
 
 
 def quiet_config(**overrides):
-    return ServiceConfig(max_workers=2, learning_enabled=False, **overrides)
+    return ServiceConfig(learning_enabled=False, **overrides)
 
 
 def response_key(response):

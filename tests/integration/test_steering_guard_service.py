@@ -90,32 +90,12 @@ def response_key(response):
 GUARD_ONLY = set(GUARD_COUNTERS)
 
 
-#: The prepared lane's hit/miss split depends on scheduling -- with two
-#: workers a statement's second occurrence can start while its first is still
-#: computing the verdict, and then both miss -- but every request is one or
-#: the other, so their sum is compared instead.  Replays depend on
-#: scheduling too: a request that starts while its plan's first execution is
-#: still running executes instead of replaying.  Replays come from the
-#: execution memo, which both deployments share through the one database, so
-#: a miss can replay an outcome the other deployment kept: replays are only
-#: bounded by requests.
-PREPARED_SPLIT = ("prepared_hits", "prepared_misses")
-PREPARED_REPLAYS = "prepared_replays"
-
-
 def comparable_counters(snapshot):
-    requests = sum(snapshot[name] for name in PREPARED_SPLIT)
-    assert 0 <= snapshot[PREPARED_REPLAYS] <= requests
-    counters = {
+    return {
         name: value
         for name, value in snapshot.items()
-        if name not in GUARD_ONLY
-        and name not in PREPARED_SPLIT
-        and name != PREPARED_REPLAYS
-        and not name.startswith("latency_")
+        if name not in GUARD_ONLY and not name.startswith("latency_")
     }
-    counters["prepared_requests"] = requests
-    return counters
 
 
 class TestDifferentialIdentity:
@@ -123,13 +103,18 @@ class TestDifferentialIdentity:
         self, serving_db, tmp_path
     ):
         requests = mini_star_queries() * 3
-        config = dict(max_workers=2, learning_enabled=False)
+        config = dict(learning_enabled=False)
         seed_template_checkpoint(serving_db, str(tmp_path))
 
+        # Both deployments share the one database and its execution memo:
+        # each starts from an empty memo, or the second replays outcomes the
+        # first kept and its prepared_replays differ.
+        serving_db.workload_memo().reset()
         galo_off = seeded_galo(serving_db, str(tmp_path))
         responses_off, snapshot_off = serve_workload(
             galo_off, requests, ServiceConfig(guard_enabled=False, **config)
         )
+        serving_db.workload_memo().reset()
         galo_on = seeded_galo(serving_db, str(tmp_path))
         responses_on, snapshot_on = serve_workload(
             galo_on, requests, ServiceConfig(guard_enabled=True, **config)
@@ -146,8 +131,9 @@ class TestDifferentialIdentity:
         assert snapshot_on["steering_losses"] == 0
         assert snapshot_on["quarantine_blocks"] == 0
         assert galo_on.quarantined_template_ids() == []
-        # Every counter both deployments share is identical; the guard only
-        # ever adds its own.
+        # Every counter both deployments share is identical -- the prepared
+        # lane's hits, misses and replays included, since one serving thread
+        # makes them deterministic; the guard only ever adds its own.
         assert comparable_counters(snapshot_on) == comparable_counters(snapshot_off)
 
     def test_quarantined_template_stops_steering_single_process(
@@ -156,7 +142,7 @@ class TestDifferentialIdentity:
         """Graceful degradation: quarantine -> optimizer plan, same rows."""
         requests = mini_star_queries()
         config = ServiceConfig(
-            max_workers=2, learning_enabled=False, guard_probe_interval=1000
+            learning_enabled=False, guard_probe_interval=1000
         )
         seed_template_checkpoint(serving_db, str(tmp_path))
         galo = seeded_galo(serving_db, str(tmp_path))
@@ -211,7 +197,6 @@ class TestQuarantineDurability:
             kb_poll_interval_seconds=0.2,
             learner_shard=None,
             worker_config=ServiceConfig(
-                max_workers=2,
                 learning_enabled=False,
                 # Probes effectively off: every match of a quarantined
                 # template must block, cluster-wide.

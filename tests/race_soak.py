@@ -5,7 +5,8 @@
         "tests/unit/test_readonly_plans.py::TestSharedMaster" \\
         "tests/unit/test_readonly_plans.py::TestSharedOutcome" \\
         "tests/unit/test_prepared_statements.py::TestLoadRacingOutcomeStore" \\
-        "tests/unit/test_kb_checkpoint_version.py::TestReloadSoak"
+        "tests/unit/test_kb_checkpoint_version.py::TestReloadSoak" \\
+        "tests/integration/test_steering_guard_service.py::TestDifferentialIdentity"
 
 Each collected test is parametrized ``--soak-runs`` times (``[0]`` ..
 ``[N-1]``), and every run starts with ``sys.setswitchinterval(1e-6)``: the
@@ -16,6 +17,9 @@ a checkpoint directory -- fails a run instead of one build in a hundred.
 ``TestLoadRacingOutcomeStore`` pins the named interleaving "load racing an
 outcome store": an execution pinned before a data load stores its outcome
 after the memo's reset, and the next request must execute.
+``TestDifferentialIdentity`` serves on the loop thread while the interpreter
+switches constantly: its exact prepared hit / miss / replay counters must not
+depend on scheduling.
 Without ``--soak-runs`` the plugin changes nothing.
 """
 

@@ -30,7 +30,7 @@ def galo(mini_db):
 
 
 def quiet_config(**overrides):
-    defaults = dict(max_workers=2, steering_enabled=False, learning_enabled=False)
+    defaults = dict(steering_enabled=False, learning_enabled=False)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -49,23 +49,20 @@ class ThreadRecorder:
 
 class TestServiceStopOffLoop:
     def test_pool_shutdown_runs_on_executor_thread(self, galo):
-        """GaloService.stop: shutdown(wait=True) joins workers off the loop."""
+        """GaloService.stop: shutdown(wait=True) joins the learner off the loop."""
         service = GaloService(galo, quiet_config())
 
         async def scenario():
             await service.start()
             await service.submit("SELECT 1 FROM item")
             loop_thread = threading.current_thread()
-            serve_recorder = ThreadRecorder(service._serve_pool.shutdown)
             learn_recorder = ThreadRecorder(service._learn_pool.shutdown)
-            service._serve_pool.shutdown = serve_recorder
             service._learn_pool.shutdown = learn_recorder
             await service.stop()
-            return loop_thread, serve_recorder.threads, learn_recorder.threads
+            return loop_thread, learn_recorder.threads
 
-        loop_thread, serve_threads, learn_threads = run(scenario())
-        assert serve_threads and learn_threads
-        assert all(thread is not loop_thread for thread in serve_threads)
+        loop_thread, learn_threads = run(scenario())
+        assert learn_threads
         assert all(thread is not loop_thread for thread in learn_threads)
 
     def test_loop_keeps_ticking_during_stop(self, galo):

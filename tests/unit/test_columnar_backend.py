@@ -510,7 +510,6 @@ class TestKbCheckpointing:
         galo = Galo(mini_db, knowledge_base=seeded_kb(mini_db))
         directory = tmp_path / "kb"
         config = ServiceConfig(
-            max_workers=1,
             steering_enabled=False,
             learning_enabled=True,
             kb_checkpoint_interval_seconds=0.05,
@@ -551,7 +550,6 @@ class TestKbCheckpointing:
         service = GaloService(
             galo,
             ServiceConfig(
-                max_workers=1,
                 steering_enabled=False,
                 learning_enabled=True,
                 kb_checkpoint_interval_seconds=10.0,
@@ -585,7 +583,6 @@ class TestKbCheckpointing:
         galo = Galo(mini_db, knowledge_base=seeded_kb(mini_db))
         directory = tmp_path / "kb"
         config = ServiceConfig(
-            max_workers=1,
             steering_enabled=False,
             learning_enabled=True,
             kb_checkpoint_interval_seconds=3600.0,
@@ -630,7 +627,7 @@ class TestPrometheusRendering:
         mini_db.execute_plan(
             mini_db.explain(MINI_SQLS[0]), memo=mini_db.workload_memo()
         )
-        service = GaloService(galo, ServiceConfig(max_workers=1))
+        service = GaloService(galo, ServiceConfig())
         text = service.render_metrics()
         assert "galo_memo_entries " in text
         assert "galo_memo_entry_bytes " in text

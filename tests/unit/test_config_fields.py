@@ -13,6 +13,11 @@ fields in that state when the check was written are listed in ``NEVER_SET``,
 which may only shrink: a new never-set field fails, and so does an entry that
 is set by now or no longer exists.
 
+A field that nothing reads may stay only while the pinned benchmark under
+``bench/`` still passes it: ``UNREAD_FOR_BENCH`` lists those fields and may
+only shrink -- an entry fails once ``src/`` reads it again, and once nothing
+under ``bench/`` sets it any more (then delete the field).
+
 A field that only tests and examples set earns its place through no caller of
 the package.  ``TESTS_ONLY`` lists the fields in that state, by the same scan
 restricted to ``src/``, ``bench/`` and ``benchmarks/``, and is shrink-only in
@@ -57,6 +62,11 @@ NEVER_SET = {
     "MatchingConfig": set(),
     "ExperimentSettings": set(),
 }
+
+#: Fields nothing in ``src/`` reads, kept only because ``bench/`` passes them.
+#: Shrink-only: drop an entry once ``bench/`` stops passing it (and delete
+#: the field).
+UNREAD_FOR_BENCH = {"ServiceConfig": {"max_workers"}}
 
 #: Fields only tests and examples set, by class.  Shrink-only: give a field a
 #: caller outside ``tests/`` and ``examples/`` (and drop it here) or turn it
@@ -145,8 +155,16 @@ def attributes_read_outside(config_class):
 @pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_field_is_read_outside_its_class(config_class):
     read = attributes_read_outside(config_class)
-    dead = [f.name for f in dataclasses.fields(config_class) if f.name not in read]
-    assert not dead, f"{config_class.__name__} fields nothing reads: {dead}"
+    dead = {f.name for f in dataclasses.fields(config_class) if f.name not in read}
+    kept_for_bench = UNREAD_FOR_BENCH.get(config_class.__name__, set())
+    assert_shrink_only(
+        dead, kept_for_bench, "UNREAD_FOR_BENCH", config_class, "nothing reads"
+    )
+    set_by_bench = fields_set_outside(config_class, ("bench",))
+    assert kept_for_bench <= set_by_bench, (
+        f"bench/ no longer sets {sorted(kept_for_bench - set_by_bench)}: delete "
+        f"the field and its UNREAD_FOR_BENCH[{config_class.__name__!r}] entry"
+    )
 
 
 def fields_set_outside(config_class, roots):

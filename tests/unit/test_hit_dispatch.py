@@ -1,11 +1,12 @@
 """Which thread serves a request.
 
-``GaloService.submit`` serves a statement the prepared lane answers under
-the current stamp on the event-loop thread itself; a miss or a stale entry
-goes to a ``galo-serve`` pool thread.  The service's promises must hold
-whichever way a request went: admission control, ``stream`` (completion
-order, cancellation), the ``stop()`` drain, learning tasks enqueued by an
-inline hit, and the traced ``queue_wait`` stage.
+``GaloService.submit`` serves every request on the event-loop thread: a
+statement the prepared lane answers under the current stamp at once, a miss
+or a stale entry after yielding to the loop once.  The service's promises
+must hold whichever way a request went: admission control, ``stream``
+(completion order, cancellation), a request cancelled while it yields, the
+``stop()`` drain, learning tasks enqueued by an inline hit, the traced
+``queue_wait`` stage and the serve-queue gauge.
 """
 
 import asyncio
@@ -42,13 +43,24 @@ class ServeRecorder:
 
 
 def serving_config(**overrides):
-    defaults = dict(max_workers=2, learning_enabled=False)
+    defaults = dict(learning_enabled=False)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
 
 def ordered(response):
     return [tuple(row.items()) for row in response.rows]
+
+
+def serve_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("galo-serve")]
+
+
+def gauge(service, name):
+    for line in service.render_metrics().splitlines():
+        if line.startswith(f"galo_{name} "):
+            return float(line.split()[1])
+    raise AssertionError(f"gauge {name} not rendered")
 
 
 class TestDispatch:
@@ -60,11 +72,13 @@ class TestDispatch:
 
         async def scenario():
             async with service:
+                threads_after_start = serve_threads()
                 responses = [await service.submit(sql, query_name=name) for _ in range(3)]
-                return threading.current_thread(), responses
+                return threading.current_thread(), responses, threads_after_start
 
-        loop_thread, responses = run(scenario())
-        assert recorder.thread_kinds(loop_thread) == ["galo-serve", "loop", "loop"]
+        loop_thread, responses, threads_after_start = run(scenario())
+        assert threads_after_start == []
+        assert recorder.thread_kinds(loop_thread) == ["loop", "loop", "loop"]
         assert all(response.ok for response in responses)
         first = responses[0]
         for response in responses[1:]:
@@ -74,7 +88,7 @@ class TestDispatch:
         assert service.metrics.count("prepared_hits") == 2
         assert service.metrics.count("prepared_misses") == 1
 
-    def test_stale_entry_and_unsteered_service_run_on_the_pool(self):
+    def test_stale_entry_and_unsteered_service_run_on_the_loop_thread(self):
         galo = build_system()
         name, sql = WORKLOAD[1]
         service = GaloService(galo, serving_config())
@@ -91,23 +105,22 @@ class TestDispatch:
 
         loop_thread, stale = run(scenario())
         assert stale.ok
-        assert recorder.thread_kinds(loop_thread) == [
-            "galo-serve", "loop", "galo-serve", "loop"
-        ]
+        assert recorder.thread_kinds(loop_thread) == ["loop"] * 4
         assert service.metrics.count("prepared_invalidations") == 1
 
-        # Without steering there is no lane to hit: every request is pooled.
+        # Without steering there is no lane to hit: every request yields first.
         unsteered = GaloService(galo, serving_config(steering_enabled=False))
-        pooled = ServeRecorder(unsteered)
+        unsteered_recorder = ServeRecorder(unsteered)
 
         async def unsteered_scenario():
             async with unsteered:
                 for _ in range(2):
                     await unsteered.submit(sql, query_name=name)
-                return threading.current_thread()
+                return threading.current_thread(), serve_threads()
 
-        loop_thread = run(unsteered_scenario())
-        assert pooled.thread_kinds(loop_thread) == ["galo-serve", "galo-serve"]
+        loop_thread, threads_after_start = run(unsteered_scenario())
+        assert threads_after_start == []
+        assert unsteered_recorder.thread_kinds(loop_thread) == ["loop", "loop"]
 
 
 class TestServicePromisesWithInlineHits:
@@ -115,12 +128,12 @@ class TestServicePromisesWithInlineHits:
         galo = build_system()
         (_, hit_sql), (_, miss_sql) = WORKLOAD[0], WORKLOAD[1]
         galo.matching_engine.steer_prepared(hit_sql)
-        service = GaloService(galo, serving_config(max_workers=1, max_pending=1))
+        service = GaloService(galo, serving_config(max_pending=1))
 
         async def scenario():
             async with service:
                 miss = asyncio.ensure_future(service.submit(miss_sql))
-                await asyncio.sleep(0)  # the miss is admitted and on the pool
+                await asyncio.sleep(0)  # the miss is admitted and yielding
                 shed = await service.submit(hit_sql)
                 served = await miss
                 hit = await service.submit(hit_sql)
@@ -136,7 +149,7 @@ class TestServicePromisesWithInlineHits:
         warm = WORKLOAD[:3]
         for name, sql in warm:
             galo.matching_engine.steer_prepared(sql, query_name=name)
-        service = GaloService(galo, serving_config(max_workers=1, max_pending=4))
+        service = GaloService(galo, serving_config(max_pending=4))
         recorder = ServeRecorder(service)
         batch = WORKLOAD * 2
         loop_problems = []
@@ -160,7 +173,7 @@ class TestServicePromisesWithInlineHits:
         )
         assert all(response.ok for response in completed)
         # The warmed statements are served in place, so they complete before
-        # any pooled miss submitted alongside them.
+        # any miss submitted alongside them (a miss yields to the loop first).
         warm_sql = sorted(sql for _, sql in warm)
         assert sorted(response.sql for response in completed[: len(warm)]) == warm_sql
         assert all(
@@ -215,10 +228,63 @@ class TestServicePromisesWithInlineHits:
                 return threading.current_thread(), responses
 
         loop_thread, responses = run(scenario())
-        assert recorder.thread_kinds(loop_thread) == ["galo-serve", "loop"]
+        assert recorder.thread_kinds(loop_thread) == ["loop", "loop"]
         for response in responses:
             trace = service.trace_store.get(request_id=response.request_id)
             names = [span["name"] for span in trace["spans"]]
             for stage in ("request", "queue_wait", "plan", "execute", "feedback"):
                 assert stage in names, (stage, names)
         assert service.stage_timings.get("queue_wait").count == 2
+
+    def test_miss_cancelled_while_yielding_is_never_served(self):
+        galo = build_system()
+        service = GaloService(galo, serving_config(tracing_enabled=True))
+        recorder = ServeRecorder(service)
+        name, sql = WORKLOAD[0]
+
+        async def scenario():
+            async with service:
+                miss = asyncio.ensure_future(service.submit(sql, query_name=name))
+                await asyncio.sleep(0)  # the miss is admitted and yielding
+                admitted = service.pending
+                miss.cancel()
+                try:
+                    await miss
+                except asyncio.CancelledError:
+                    pass
+                return admitted, service.pending, service._idle_event.is_set()
+
+        admitted, pending, idle = run(scenario())
+        assert admitted == 1
+        assert pending == 0 and idle
+        assert recorder.calls == []
+        assert service.metrics.count("completed") == 0
+        trace = service.trace_store.get(request_id="req-1")
+        root = next(span for span in trace["spans"] if span["name"] == "request")
+        assert root["attributes"]["status"] == "cancelled"
+
+    def test_serve_queue_depth_counts_requests_behind_the_one_served(self):
+        galo = build_system()
+        service = GaloService(galo, serving_config(max_pending=8))
+        burst = WORKLOAD[:4]
+
+        async def scenario():
+            async with service:
+                idle_depth = gauge(service, "serve_queue_depth")
+                gathered = asyncio.gather(
+                    *[service.submit(sql, query_name=name) for name, sql in burst]
+                )
+                await asyncio.sleep(0)  # every miss is admitted and yielding
+                burst_gauges = (
+                    gauge(service, "pending_requests"),
+                    gauge(service, "serve_queue_depth"),
+                )
+                responses = await gathered
+                drained_depth = gauge(service, "serve_queue_depth")
+                return idle_depth, burst_gauges, responses, drained_depth
+
+        idle_depth, burst_gauges, responses, drained_depth = run(scenario())
+        assert all(response.ok for response in responses)
+        assert idle_depth == 0
+        assert burst_gauges == (len(burst), len(burst) - 1)
+        assert drained_depth == 0

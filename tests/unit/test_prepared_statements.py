@@ -664,7 +664,7 @@ class TestServiceObservability:
     def serve(self, galo, requests, tracing=True):
         service = GaloService(
             galo,
-            ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=tracing),
+            ServiceConfig(learning_enabled=False, tracing_enabled=tracing),
         )
 
         async def scenario():
@@ -703,7 +703,7 @@ class TestServiceObservability:
         replay nothing; every later hit replays."""
         galo = build_system()
         service = GaloService(
-            galo, ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=False)
+            galo, ServiceConfig(learning_enabled=False, tracing_enabled=False)
         )
 
         async def scenario():
@@ -811,7 +811,7 @@ def serve_serially(galo, requests, **config):
     """Serve ``requests`` one after another on a fresh service over ``galo``
     (the prepared lane lives on the engine, so it persists across calls)."""
     config.setdefault("learning_enabled", False)
-    service = GaloService(galo, ServiceConfig(max_workers=2, **config))
+    service = GaloService(galo, ServiceConfig(**config))
 
     async def scenario():
         async with service:
@@ -1115,7 +1115,7 @@ class TestOnlineLoop:
     def test_a_learned_template_reexecutes_only_the_plan_it_changed(self, monkeypatch):
         galo = build_system(seed=0)
         service = GaloService(
-            galo, ServiceConfig(max_workers=2, learning_enabled=False)
+            galo, ServiceConfig(learning_enabled=False)
         )
         calls = count_executions(monkeypatch)
 
@@ -1230,7 +1230,7 @@ class TestOutcomeByteBound:
         memo.reset(memo.epoch)
         galo.matching_engine.prepared.clear()
         calls = count_executions(monkeypatch)
-        service = GaloService(galo, ServiceConfig(max_workers=2, learning_enabled=False))
+        service = GaloService(galo, ServiceConfig(learning_enabled=False))
         responses = []
         for statement in self.STATEMENTS * 3:
             response, _ = service._serve_sync(statement[1], statement[0])

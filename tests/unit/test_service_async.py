@@ -43,7 +43,7 @@ def galo(mini_db):
 
 def quiet_config(**overrides):
     """Serving only: no steering, no background learning."""
-    defaults = dict(max_workers=2, steering_enabled=False, learning_enabled=False)
+    defaults = dict(steering_enabled=False, learning_enabled=False)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -84,7 +84,7 @@ class TestLifecycle:
 
 class TestServing:
     def test_results_identical_to_serial_execution(self, galo, mini_db):
-        service = GaloService(galo, quiet_config(max_workers=4))
+        service = GaloService(galo, quiet_config())
         expected = {name: mini_db.execute_sql(sql).rows for name, sql in QUERIES}
 
         async def scenario():
@@ -140,7 +140,7 @@ class TestServing:
         """Regression: breaking out of ``stream`` used to cancel the leftover
         submit tasks without awaiting them, leaving them pending at loop close
         ("Task was destroyed but it is pending")."""
-        service = GaloService(galo, quiet_config(max_workers=1, max_pending=2))
+        service = GaloService(galo, quiet_config(max_pending=2))
         loop_problems = []
 
         async def scenario():
@@ -166,7 +166,7 @@ class TestServing:
 
 class TestAdmissionControl:
     def test_excess_submissions_are_rejected(self, galo):
-        service = GaloService(galo, quiet_config(max_workers=1, max_pending=1))
+        service = GaloService(galo, quiet_config(max_pending=1))
 
         async def scenario():
             async with service:
@@ -185,7 +185,7 @@ class TestAdmissionControl:
 
     def test_stream_self_throttles_instead_of_shedding(self, galo):
         """A single streaming caller gets backpressure, never rejections."""
-        service = GaloService(galo, quiet_config(max_workers=1, max_pending=2))
+        service = GaloService(galo, quiet_config(max_pending=2))
 
         async def scenario():
             async with service:
@@ -197,7 +197,7 @@ class TestAdmissionControl:
         assert service.metrics.count("rejected") == 0
 
     def test_pending_resets_after_completion(self, galo):
-        service = GaloService(galo, quiet_config(max_workers=1, max_pending=1))
+        service = GaloService(galo, quiet_config(max_pending=1))
 
         async def scenario():
             async with service:

@@ -50,7 +50,6 @@ def serve_batch(tracing_enabled, sales_rows=1500):
     service = GaloService(
         galo,
         ServiceConfig(
-            max_workers=2,
             learning_enabled=False,
             tracing_enabled=tracing_enabled,
             slow_query_threshold_ms=0.0,
@@ -120,7 +119,6 @@ class TestTracedRequests:
         return GaloService(
             galo,
             ServiceConfig(
-                max_workers=2,
                 learning_enabled=False,
                 tracing_enabled=True,
                 slow_query_threshold_ms=0.0,
@@ -195,7 +193,7 @@ class TestTracedRequests:
         service = GaloService(
             Galo(mini_db),
             ServiceConfig(
-                max_workers=2, learning_enabled=False, tracing_enabled=False
+                learning_enabled=False, tracing_enabled=False
             ),
         )
 
@@ -221,7 +219,7 @@ class TestReplayedHitTraces:
         name, sql = WORKLOAD[0]
         service = GaloService(
             galo,
-            ServiceConfig(max_workers=2, learning_enabled=False, tracing_enabled=True),
+            ServiceConfig(learning_enabled=False, tracing_enabled=True),
         )
 
         async def scenario():
@@ -264,7 +262,6 @@ class TestBackgroundPlaneTraces:
         service = GaloService(
             galo,
             ServiceConfig(
-                max_workers=2,
                 learning_enabled=True,
                 learning_idle_wait_seconds=0.1,
                 tracing_enabled=True,
