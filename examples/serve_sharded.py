@@ -23,6 +23,9 @@ The script demonstrates the full lifecycle on the mini star schema:
    at the latest checkpoint version;
 5. print the aggregated cluster ``/metrics`` page (merged counters and
    latency percentiles, plus per-shard labelled series).
+
+The script exits non-zero if the workers do not reach version 2 within 30 s,
+or if the restarted shard comes back at a lower version.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ async def main() -> None:
         kb_directory=kb_dir,
         kb_poll_interval_seconds=0.2,
         # Checkpoints come from outside the cluster in this demo, so no
-        # worker is the designated learner -- all of them watch the stamp.
+        # worker is the designated learner -- all of them watch the directory.
         learner_shard=None,
         worker_config=ServiceConfig(learning_enabled=False),
     )
@@ -102,7 +105,11 @@ async def main() -> None:
             versions = await service.kb_versions()
             if all(v == new_version for v in versions):
                 break
-        print(f"kb versions: {await service.kb_versions()} "
+        else:
+            raise RuntimeError(
+                f"workers did not reach checkpoint v{new_version} in 30 s: {versions}"
+            )
+        print(f"kb versions: {versions} "
               f"({served} requests served during the reload, zero dropped)")
 
         print("\n-- wave 3: worker crash and restart --------------------")
@@ -123,8 +130,14 @@ async def main() -> None:
               f"failed with a typed WorkerCrashedError")
         after = [await service.submit(sql, query_name=name)
                  for name, sql in mini_star_queries()]
+        versions = await service.kb_versions()
         print(f"  after restart: {sum(r.ok for r in after)}/{len(after)} ok, "
-              f"kb versions {await service.kb_versions()}")
+              f"kb versions {versions}")
+        if (versions[victim] or 0) < new_version:
+            raise RuntimeError(
+                f"shard {victim} restarted at checkpoint v{versions[victim]},"
+                f" below v{new_version}"
+            )
 
         print("\n-- aggregated cluster metrics --------------------------")
         page = await service.render_metrics()

@@ -158,8 +158,8 @@ class Galo:
         """Hot-reload the KB from ``directory`` if a newer checkpoint landed.
 
         The serving-tier entry point for checkpoint propagation: compares the
-        version the checkpoint's ``CURRENT`` pointer names against the live
-        replica's and swaps via :meth:`adopt_knowledge_base` on a bump --
+        checkpoint's newest version directory against the live replica's
+        version and swaps via :meth:`adopt_knowledge_base` on a bump --
         serving never pauses.  ``force`` loads the current checkpoint even
         without a bump (fresh-worker bootstrap).  A version directory is
         never rewritten, so a load reads one save's state.  No checkpoint,

@@ -739,11 +739,6 @@ class KnowledgeBase:
         replacement.add_triple(subject, predicate, Literal(value))
         self._template_graphs[template_id] = replacement
 
-    def note_template_used(self, template_id: str) -> None:
-        """Record one online hit for ``template_id`` (recency + frequency)."""
-        with self._stats_lock:
-            self._record_usage_locked([template_id])
-
     def _record_usage_locked(self, template_ids: Sequence[str]) -> None:
         """One shared tick for a batch of hits.  Caller holds ``_stats_lock``.
 
@@ -1079,13 +1074,6 @@ class KnowledgeBase:
 
     # ------------------------------------------------------------------
 
-    #: The one-line pointer naming the committed version directory ``v{N}/``
-    #: of a checkpoint directory.  Replacing it is a save's only commit point.
-    CURRENT_FILE = "CURRENT"
-
-    #: A version directory's stamp: its version and template count.
-    CHECKPOINT_VERSION_FILE = "checkpoint.json"
-
     #: Steering-guard state (win/loss ledger, quarantine flags, learned
     #: feature population), saved in the same version as the templates it
     #: describes.
@@ -1093,13 +1081,17 @@ class KnowledgeBase:
 
     @staticmethod
     def checkpoint_version_on_disk(directory: str) -> int:
-        """Version the ``CURRENT`` pointer in ``directory`` names (0 = none).
+        """Highest version directory ``v{N}/`` in ``directory`` (0 = none).
 
-        Cheap enough to poll: one small-file read, no graph parsing.
+        Only directories count: a file named ``v9`` or a staging ``v9.tmp/``
+        is not a version.  Cheap enough to poll: one listing, no file reads.
         """
         try:
-            pointer = Path(directory) / KnowledgeBase.CURRENT_FILE
-            return _version_of(pointer.read_text(encoding="utf-8").strip())
+            with os.scandir(directory) as entries:
+                return max(
+                    (_version_of(entry.name) for entry in entries if entry.is_dir()),
+                    default=0,
+                )
         except OSError:
             return 0
 
@@ -1117,13 +1109,13 @@ class KnowledgeBase:
     def save(self, directory: str) -> int:
         """Publish the knowledge base as version directory ``v{N}/``.
 
-        The four files (N-Triples graph, JSON template registry, guard state,
-        version stamp) are written into a private ``v{N}.tmp/``, which is
-        renamed to ``v{N}/``; replacing the ``CURRENT`` pointer then commits
-        it.  A version directory is never rewritten, so a reader that follows
-        the pointer reads one save's files and no other's.  ``N`` is one past
-        every version this KB, the pointer or a directory on disk has used,
-        and leftover ``*.tmp`` directories are removed first: a crash at any
+        The three files (N-Triples graph, JSON template registry, guard
+        state) are written into a private ``v{N}.tmp/``; renaming it to
+        ``v{N}/`` is the commit.  A version directory is never rewritten, so
+        a reader that loads the newest one reads one save's files and no
+        other's.  ``N`` is one past this KB's version and every ``v{N}``
+        name on disk (a stray file of that name only raises ``N``), and
+        leftover ``*.tmp`` directories are removed first: a crash at any
         step leaves the previous version current and the next save
         unblocked.  After the commit every version but the new one and its
         predecessor is deleted.  A successful save clears :attr:`dirty`.
@@ -1139,7 +1131,7 @@ class KnowledgeBase:
                 shutil.rmtree(leftover)
             previous = self.checkpoint_version_on_disk(directory)
             version = 1 + max(
-                [self.checkpoint_version, previous]
+                [self.checkpoint_version]
                 + [_version_of(entry.name) for entry in root.iterdir()]
             )
             registry = {
@@ -1162,22 +1154,16 @@ class KnowledgeBase:
                 ),
                 "templates.json": json.dumps(registry, indent=2, sort_keys=True),
                 self.GUARD_STATE_FILE: json.dumps(guard_payload, indent=2, sort_keys=True),
-                self.CHECKPOINT_VERSION_FILE: json.dumps(
-                    {"version": version, "templates": len(self.templates)},
-                    indent=2,
-                    sort_keys=True,
-                ),
             }
             staging = root / f"v{version}.tmp"
             staging.mkdir()
             for name, text in files.items():
                 self._write_atomic(staging / name, text)
             os.rename(staging, root / f"v{version}")
-            self._write_atomic(root / self.CURRENT_FILE, f"v{version}\n")
             self.checkpoint_version = version
             self._dirty = False
-            # The predecessor stays: a reader that followed the old pointer
-            # may still be reading it.
+            # The predecessor stays: a reader that listed the directory before
+            # the rename may still be reading it.
             for entry in root.iterdir():
                 if _version_of(entry.name) not in (0, previous, version):
                     shutil.rmtree(entry, ignore_errors=True)
@@ -1185,12 +1171,12 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, directory: str) -> "KnowledgeBase":
-        """Load the version directory the ``CURRENT`` pointer names.
+        """Load the newest version directory ``v{N}/``.
 
-        The pointer is read once, then only files under that version's
-        directory, so the result is exactly what one :meth:`save` wrote.  No
-        pointer, or a version directory a newer save pruned mid-read, raises
-        :class:`OSError`.
+        The directory is listed once, then only files under that version's
+        directory are read, so the result is exactly what one :meth:`save`
+        wrote.  No version, or a version directory a newer save pruned
+        mid-read, raises :class:`OSError`.
 
         The registry says which templates exist; a node belongs to the
         template its ``inTemplate`` triple names, and each triple of the file
@@ -1201,7 +1187,7 @@ class KnowledgeBase:
         """
         kb = cls()
         kb.checkpoint_version = cls.checkpoint_version_on_disk(directory)
-        # Version 0 (no pointer) names a directory no save creates, so the
+        # Version 0 (nothing saved) names a directory no save creates, so the
         # first read raises FileNotFoundError.
         path = Path(directory) / f"v{kb.checkpoint_version}"
         triples = list(

@@ -26,7 +26,6 @@ from repro.service.guard import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
     GaloService,
-    ServiceRequest,
     ServiceResponse,
     serve_workload,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "QueryObservation",
     "ServiceConfig",
     "ServiceMetrics",
-    "ServiceRequest",
     "ServiceResponse",
     "ShardedGaloService",
     "ShardedServiceConfig",

@@ -96,7 +96,7 @@ class ServiceConfig:
     #: Online KB checkpointing: with both fields set, the learner thread
     #: publishes the knowledge base to ``kb_checkpoint_directory`` at most
     #: every ``kb_checkpoint_interval_seconds`` -- as a new version directory
-    #: committed by one pointer rename (see
+    #: committed by its rename (see
     #: :meth:`repro.core.knowledge_base.KnowledgeBase.save`) and only when
     #: the KB mutated since the last save, so a quiet service does no disk
     #: work.  ``None`` disables.
@@ -183,10 +183,10 @@ class ShardedServiceConfig:
     Knowledge-base propagation
     --------------------------
     With ``kb_directory`` set, the worker on ``learner_shard`` keeps
-    background learning enabled and publishes atomic, version-stamped
-    checkpoints there at most every ``kb_publish_interval_seconds``; every
-    other worker disables its own learner and instead polls the version
-    stamp every ``kb_poll_interval_seconds``, hot-reloading on a bump
+    background learning enabled and publishes atomic, versioned checkpoints
+    there at most every ``kb_publish_interval_seconds``; every other worker
+    disables its own learner and instead polls the newest version directory
+    every ``kb_poll_interval_seconds``, hot-reloading on a bump
     without pausing serving.  ``learner_shard=None`` makes every worker
     learn locally (no propagation -- fine for a single shard).
 
@@ -209,7 +209,7 @@ class ShardedServiceConfig:
     worker_config: ServiceConfig = field(default_factory=ServiceConfig)
     #: Shared checkpoint directory for KB propagation (None = no propagation).
     kb_directory: Optional[str] = None
-    #: How often non-learner workers poll the checkpoint version stamp.
+    #: How often non-learner workers poll for a newer checkpoint version.
     kb_poll_interval_seconds: float = 0.5
     #: How often the learner shard publishes a (dirty) checkpoint.
     kb_publish_interval_seconds: float = 2.0

@@ -78,14 +78,6 @@ LEARNING_QUEUE_LIMIT = 256
 
 
 @dataclass
-class ServiceRequest:
-    """One SQL request submitted to the service."""
-
-    sql: str
-    query_name: str = ""
-
-
-@dataclass
 class ServiceResponse:
     """Outcome of one served request.
 
@@ -355,7 +347,7 @@ class GaloService:
                     self._enqueue_learning(task)
 
     async def stream(
-        self, requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]]
+        self, requests: Sequence[Union[str, Tuple[str, str]]]
     ) -> AsyncIterator[ServiceResponse]:
         """Submit a batch concurrently; yield responses in completion order.
 
@@ -372,9 +364,7 @@ class GaloService:
 
         tasks = []
         for position, entry in enumerate(requests, start=1):
-            if isinstance(entry, ServiceRequest):
-                name, sql = entry.query_name, entry.sql
-            elif isinstance(entry, tuple):
+            if isinstance(entry, tuple):
                 name, sql = entry
             else:
                 name, sql = f"Q{position}", entry
@@ -791,7 +781,7 @@ class GaloService:
         """Snapshot the KB to disk if due and dirty (learner thread only).
 
         Atomicity comes from :meth:`KnowledgeBase.save` (a new version
-        directory, committed by replacing the ``CURRENT`` pointer); this
+        directory, committed by its rename); this
         method adds the interval pacing and the dirty check, so a quiet
         service performs no disk writes.  ``force`` (shutdown) skips the
         interval, not the dirty check.  The timer advances only when a
@@ -879,7 +869,7 @@ class GaloService:
 
 async def _serve_all(
     galo: Galo,
-    requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]],
+    requests: Sequence[Union[str, Tuple[str, str]]],
     config: Optional[ServiceConfig],
     drain: bool,
 ) -> Tuple[List[ServiceResponse], Dict[str, float]]:
@@ -901,7 +891,7 @@ async def _serve_all(
 
 def serve_workload(
     galo: Galo,
-    requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]],
+    requests: Sequence[Union[str, Tuple[str, str]]],
     config: Optional[ServiceConfig] = None,
     drain: bool = True,
 ) -> Tuple[List[ServiceResponse], Dict[str, float]]:

@@ -17,8 +17,8 @@ module scales it out:
   order, matching the single-process API.
 - Knowledge propagates through checkpoint files: the worker on
   ``learner_shard`` keeps the background learner and publishes atomic,
-  version-stamped checkpoints to ``kb_directory``; every other worker polls
-  the version stamp and hot-reloads on a bump without pausing serving.
+  versioned checkpoints to ``kb_directory``; every other worker polls for the
+  newest version directory and hot-reloads on a bump without pausing serving.
 - A worker process that dies fails only its in-flight requests with typed
   :class:`WorkerCrashedError` responses and is respawned by the router
   (reloading the latest checkpoint on the way up), bounded by
@@ -69,7 +69,7 @@ from repro.obs import (
 from repro.service.config import ServiceConfig, ShardedServiceConfig
 from repro.service.feedback import sql_fingerprint
 from repro.service.metrics import ServiceMetrics
-from repro.service.service import GaloService, ServiceRequest, ServiceResponse
+from repro.service.service import GaloService, ServiceResponse
 
 #: Counters the router maintains on top of the per-worker service counters
 #: (distinct names, so merging never double counts).
@@ -258,10 +258,10 @@ async def _shard_serve(
                 payload["worker_trace"] = worker_trace
         response_queue.put(("response", shard_id, request_id, payload, kb_version()))
 
-    # Every shard that is not the designated publisher watches the version
-    # stamp -- including all shards when ``learner_shard`` is None and the
-    # checkpoints come from outside the cluster (e.g. an offline learning
-    # job publishing into ``kb_directory``).
+    # Every shard that is not the designated publisher watches for a newer
+    # version directory -- including all shards when ``learner_shard`` is
+    # None and the checkpoints come from outside the cluster (e.g. an offline
+    # learning job publishing into ``kb_directory``).
     is_publisher = config.learner_shard is not None and config.learner_shard == shard_id
     watcher: Optional[asyncio.Task] = None
     if directory is not None and not is_publisher:
@@ -554,7 +554,7 @@ class ShardedGaloService:
         return await asyncio.shield(future)
 
     async def stream(
-        self, requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]]
+        self, requests: Sequence[Union[str, Tuple[str, str]]]
     ) -> AsyncIterator[ServiceResponse]:
         """Submit a batch concurrently; yield responses in completion order.
 
@@ -574,9 +574,7 @@ class ShardedGaloService:
 
         tasks = []
         for position, entry in enumerate(requests, start=1):
-            if isinstance(entry, ServiceRequest):
-                name, sql = entry.query_name, entry.sql
-            elif isinstance(entry, tuple):
+            if isinstance(entry, tuple):
                 name, sql = entry
             else:
                 name, sql = f"Q{position}", entry
@@ -1032,7 +1030,7 @@ class ShardedGaloService:
 
 async def _serve_all_sharded(
     worker_factory: Callable[[], Any],
-    requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]],
+    requests: Sequence[Union[str, Tuple[str, str]]],
     config: Optional[ShardedServiceConfig],
 ) -> Tuple[List[ServiceResponse], Dict[str, float]]:
     service = ShardedGaloService(worker_factory, config)
@@ -1049,7 +1047,7 @@ async def _serve_all_sharded(
 
 def serve_workload_sharded(
     worker_factory: Callable[[], Any],
-    requests: Sequence[Union[str, Tuple[str, str], ServiceRequest]],
+    requests: Sequence[Union[str, Tuple[str, str]]],
     config: Optional[ShardedServiceConfig] = None,
 ) -> Tuple[List[ServiceResponse], Dict[str, float]]:
     """Synchronous convenience mirroring :func:`repro.service.serve_workload`.

@@ -481,11 +481,10 @@ class TestKbCheckpointing:
         assert kb.dirty
         kb.save(str(tmp_path))
         assert not kb.dirty
-        # One version directory behind the pointer that commits it; atomic
-        # writes leave no .tmp files behind.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["CURRENT", "v1"]
+        # One version directory, committed by its rename; atomic writes leave
+        # no .tmp files behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1"]
         assert sorted(p.name for p in (tmp_path / "v1").iterdir()) == [
-            "checkpoint.json",
             "guard_state.json",
             "knowledge_base.nt",
             "templates.json",
@@ -520,15 +519,15 @@ class TestKbCheckpointing:
         async def scenario():
             async with service:
                 deadline = asyncio.get_running_loop().time() + GUARD_SECONDS / 2
-                while not (directory / "CURRENT").exists():
+                while not (directory / "v1").is_dir():
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.02)
                 assert not galo.knowledge_base.dirty
-                first_mtime = os.stat(directory / "CURRENT").st_mtime_ns
+                first_mtime = os.stat(directory / "v1").st_mtime_ns
                 # A clean KB must not be rewritten by later timer ticks.
                 await asyncio.sleep(0.2)
-                assert os.stat(directory / "CURRENT").st_mtime_ns == first_mtime
-                assert sorted(p.name for p in directory.iterdir()) == ["CURRENT", "v1"]
+                assert os.stat(directory / "v1").st_mtime_ns == first_mtime
+                assert sorted(p.name for p in directory.iterdir()) == ["v1"]
             return service.metrics.count("kb_checkpoints")
 
         checkpoints = run_guarded(scenario())

@@ -1,16 +1,17 @@
 """Checkpoint versioning: the propagation protocol under sharded serving.
 
-A designated learner publishes knowledge-base checkpoints; follower shards
-poll the ``CURRENT`` pointer and hot-reload when it names a newer version.
-These tests pin the single-process pieces that protocol rests on: monotonic
-version assignment on save, the pointer replace being the only commit point
-(crash at any step of a save), pruning to two versions, ``maybe_reload``
-semantics (no-op / bump / force / pruned mid-read), and a reload racing
-saves -- interleaved deterministically and on two threads -- adopting only
-a knowledge base that one save wrote.
+A designated learner publishes knowledge-base checkpoints as version
+directories ``v{N}/``; follower shards list the checkpoint directory and
+hot-reload when its newest version directory is newer than theirs.  These
+tests pin the single-process pieces that protocol rests on: monotonic
+version assignment on save, only directories counting as versions, the
+rename of ``v{N}.tmp/`` to ``v{N}/`` being the only commit point (crash at
+any step of a save), pruning to two versions, ``maybe_reload`` semantics
+(no-op / bump / force / pruned mid-read), and a reload racing saves --
+interleaved deterministically and on two threads -- adopting only a
+knowledge base that one save wrote.
 """
 
-import json
 import os
 import threading
 from pathlib import Path
@@ -69,15 +70,26 @@ class TestCheckpointVersion:
         # save must still advance past what is on disk.
         assert kb.save(directory) == 3
 
-    def test_version_on_disk_handles_missing_and_garbage(self, tmp_path):
+    def test_only_version_directories_count(self, tmp_path):
         directory = str(tmp_path)
+        assert KnowledgeBase.checkpoint_version_on_disk(str(tmp_path / "missing")) == 0
         assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
-        pointer = tmp_path / KnowledgeBase.CURRENT_FILE
-        for garbage in ("not a version {", "v", "v-1", "3", "v3.tmp", ""):
-            pointer.write_text(garbage, encoding="utf-8")
-            assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
-        pointer.write_text("v12\n", encoding="utf-8")
+        for name in ("v", "v-1", "3", "v3.tmp"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "CURRENT").write_text("v12\n", encoding="utf-8")
+        (tmp_path / "v9").write_text("", encoding="utf-8")
+        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 0
+        (tmp_path / "v12").mkdir()
         assert KnowledgeBase.checkpoint_version_on_disk(directory) == 12
+
+    def test_a_file_named_like_a_version_never_blocks_a_save(self, kb, tmp_path):
+        directory = str(tmp_path)
+        kb.save(directory)
+        (tmp_path / "v2").write_text("", encoding="utf-8")
+        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 1
+        assert KnowledgeBase.load(directory).checkpoint_version == 1
+        assert kb.save(directory) == 3
+        assert KnowledgeBase.load(directory).checkpoint_version == 3
 
     def test_load_without_a_checkpoint_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -91,24 +103,31 @@ class TestCheckpointVersion:
         assert loaded.checkpoint_version == 2
         assert len(loaded) == len(kb)
 
-    def test_save_writes_one_version_directory_and_the_pointer(self, kb, tmp_path):
+    def test_save_writes_one_version_directory(self, kb, tmp_path):
         kb.save(str(tmp_path))
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["CURRENT", "v1"]
-        assert (tmp_path / "CURRENT").read_text(encoding="utf-8") == "v1\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["v1"]
         assert sorted(path.name for path in (tmp_path / "v1").iterdir()) == [
-            "checkpoint.json",
             "guard_state.json",
             "knowledge_base.nt",
             "templates.json",
         ]
 
-    def test_stamp_records_template_count(self, kb, tmp_path):
-        kb.save(str(tmp_path))
-        stamp = os.path.join(str(tmp_path), "v1", KnowledgeBase.CHECKPOINT_VERSION_FILE)
-        with open(stamp, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["version"] == 1
-        assert payload["templates"] == len(kb)
+    def test_a_directory_with_a_pointer_and_stamps_still_loads(self, kb, tmp_path):
+        """Checkpoints once also held a ``CURRENT`` pointer file and a
+        ``checkpoint.json`` stamp per version: both are ignored, never
+        deleted."""
+        directory = str(tmp_path)
+        kb.save(directory)
+        (tmp_path / "CURRENT").write_text("v1\n", encoding="utf-8")
+        (tmp_path / "v1" / "checkpoint.json").write_text(
+            '{"templates": %d, "version": 1}' % len(kb), encoding="utf-8"
+        )
+        loaded = KnowledgeBase.load(directory)
+        assert loaded.checkpoint_version == 1
+        assert published_state(loaded) == published_state(kb)
+        assert loaded.save(directory) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["CURRENT", "v1", "v2"]
+        assert KnowledgeBase.load(directory).checkpoint_version == 2
 
 
 class TestMaybeReload:
@@ -343,11 +362,10 @@ class TestCrashMatrix:
         "call, nth",
         [
             ("replace", 1),  # first file inside v2.tmp/
-            ("replace", 4),  # last file inside v2.tmp/
-            ("rename", 1),  # v2.tmp/ -> v2/
-            ("replace", 5),  # the CURRENT pointer: v2/ is left an orphan
+            ("replace", 3),  # last file inside v2.tmp/
+            ("rename", 1),  # v2.tmp/ -> v2/, the commit
         ],
-        ids=["tmp-first-file", "tmp-last-file", "directory-rename", "pointer-replace"],
+        ids=["tmp-first-file", "tmp-last-file", "directory-rename"],
     )
     def test_crash_leaves_the_previous_version_current(
         self, kb, tmp_path, monkeypatch, call, nth
@@ -380,18 +398,13 @@ class TestCrashMatrix:
         assert previous.template(template_id).improvement == original
         assert version_files(tmp_path / "v1") == before
 
-        orphaned = (tmp_path / "v2").is_dir()
-        assert orphaned == (call == "replace" and nth == 5)
-        version = kb.save(directory)
-        assert version == (3 if orphaned else 2)
+        assert not (tmp_path / "v2").exists()
+        assert (tmp_path / "v2.tmp").is_dir()
+        assert kb.save(directory) == 2
         assert not kb.dirty
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "CURRENT",
-            "v1",
-            f"v{version}",
-        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["v1", "v2"]
         current = KnowledgeBase.load(directory)
-        assert current.checkpoint_version == version
+        assert current.checkpoint_version == 2
         assert current.template(template_id).improvement == 0.77
 
 
@@ -399,9 +412,5 @@ class TestPruning:
     def test_five_saves_keep_the_newest_two_versions(self, kb, tmp_path):
         for _ in range(5):
             kb.save(str(tmp_path))
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "CURRENT",
-            "v4",
-            "v5",
-        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["v4", "v5"]
         assert KnowledgeBase.load(str(tmp_path)).checkpoint_version == 5

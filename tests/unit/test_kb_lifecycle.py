@@ -204,7 +204,7 @@ class TestCapacityEnforcement:
         ordered = kb.eviction_order()
         assert set(ordered) == set(kb.templates)
         # Touch the first-in-line template: it must move behind untouched ones.
-        kb.note_template_used(ordered[0])
+        kb.replay_usage([[ordered[0]]])
         reordered = kb.eviction_order()
         assert reordered[0] != ordered[0]
         assert reordered.index(ordered[0]) > 0
@@ -251,7 +251,7 @@ class TestCapacityEnforcement:
         assert usage.last_used_tick > 0
         # Recording a hit for an unknown (e.g. just-evicted) template must
         # not resurrect a usage entry.
-        kb.note_template_used("ghost")
+        kb.replay_usage([["ghost"]])
         assert "ghost" not in kb._usage
 
     def test_negative_capacity_rejected(self, mini_db):
