@@ -4,8 +4,8 @@ Pushes a TPC-DS request stream through a :class:`GaloService` twice -- once
 with background learning enabled and once without -- and reports sustained
 queries/sec plus p95 request latency for both.  The acceptance bar: serving
 with background learning on sustains at least 80 % of the learning-off
-throughput (learning runs on a dedicated thread and must never stall the
-serving workers).
+throughput (learning runs on the serving event loop, one step between
+requests, and must never stall serving for more than one step).
 
 The learning-on run goes first: any warm-up it pays for (plan caches, sorted
 index keys) then benefits the learning-off baseline, biasing the measured

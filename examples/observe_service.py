@@ -15,7 +15,7 @@ shows every observability surface the serving tier exposes:
 2. **The slow-query log** -- request traces over
    ``slow_query_threshold_ms`` land in a separate bounded ring so a burst of
    fast traffic cannot rotate a slow statement out before anyone looks.
-3. **Background-plane traces** -- the learner thread records a
+3. **Background-plane traces** -- the learner records a
    ``learn_query`` trace per task (queue dwell, per-phase spans) and KB
    checkpointing records ``kb_checkpoint`` traces.
 4. **The /metrics page** -- counters with ``# HELP``/``# TYPE`` headers plus

@@ -196,8 +196,8 @@ class TemplateIndex:
     Maintenance is incremental: ``add`` and ``remove`` update the buckets in
     place (no full rebuild), and both replace bucket lists copy-on-write so a
     concurrent ``candidates`` call iterating an old list never observes a
-    partially mutated bucket (the online serving tier mutates the knowledge
-    base from the learner thread while the serving (loop) thread matches).
+    partially mutated bucket (the tests' own threads mutate and match at
+    once; a service's learner mutates between requests on its loop).
     """
 
     def __init__(self) -> None:
@@ -368,8 +368,9 @@ class KnowledgeBase:
         }
         #: Per-template steering win/loss ledger + quarantine state, fed by
         #: the serving tier's regression guard.  Guarded by ``_stats_lock``
-        #: (the serving thread records outcomes while the learner thread
-        #: saves); persisted through :meth:`save` / :meth:`load` so quarantine
+        #: (the tests' own threads record outcomes while another saves; a
+        #: service does both on its loop); persisted through :meth:`save` /
+        #: :meth:`load` so quarantine
         #: decisions survive checkpoints and propagate to sharded followers on
         #: hot-reload.
         self._guard_records: Dict[str, TemplateGuardRecord] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.knowledge_base import CardinalityBounds, KnowledgeBase
 from repro.core.learning.property_ranges import PredicateVariant, generate_variants
@@ -211,8 +211,33 @@ class LearningEngine:
     ) -> QueryLearningRecord:
         """Analyze one workload query and store any discovered rewrites.
 
-        ``span`` (default: the no-op span) receives one child span per phase
-        -- ``bind``, ``generate_subqueries``, ``validate_parent`` and one
+        :meth:`learning_steps` run to completion; ``span`` (default: the
+        no-op span) receives its phase spans.
+        """
+        for record in self.learning_steps(sql, query_name, workload_name, span):
+            pass
+        return record
+
+    def learning_steps(
+        self,
+        sql: str,
+        query_name: str = "",
+        workload_name: str = "",
+        span=NULL_SPAN,
+    ) -> Iterator[QueryLearningRecord]:
+        """:meth:`learn_query` as a sequence of steps, for a caller that
+        interleaves it with other work.
+
+        The first step binds the query, generates its sub-queries and runs
+        the parent validation; each further step analyzes one sub-query.
+        After every step the generator yields the query's record so far
+        (the same object each time, ``templates_learned`` growing); after
+        the last one it is complete.  A step never yields inside a span or
+        an execution, so a caller may abandon the generator at any yield:
+        the templates already stored stay.
+
+        ``span`` receives one child span per phase -- ``bind``,
+        ``generate_subqueries``, ``validate_parent`` and one
         ``analyze_subquery`` per analyzed sub-query.  Each ``analyze_subquery``
         span carries ``plans_benchmarked`` / ``plans_aborted`` and, per
         predicate variant, the children ``optimize``, ``generate``,
@@ -226,10 +251,13 @@ class LearningEngine:
         with span.child("generate_subqueries") as generate_span:
             subqueries = generate_subqueries(bound, self.config.max_joins)
             generate_span.set("subqueries", len(subqueries))
-        analyzed = 0
-        templates: List[str] = []
-        improvements: List[float] = []
-        plans_benchmarked = plans_aborted = 0
+        record = QueryLearningRecord(
+            query_name=query_name,
+            workload=workload_name,
+            elapsed_seconds=0.0,
+            subquery_count=len(subqueries),
+            analyzed_subquery_count=0,
+        )
         # The optimizer's plan, every random plan variant and the
         # parent-validation runs all re-scan (and re-join) the same tables,
         # so structurally identical subtrees execute once and replay their
@@ -248,13 +276,15 @@ class LearningEngine:
         parent_context = _ParentContext(
             query=bound, sql=sql, elapsed_ms=parent_run.elapsed_ms
         )
+        record.elapsed_seconds = time.perf_counter() - started
+        yield record
         for subquery in subqueries:
             # Structurally identical sub-queries are analyzed once per sweep.
             key = subquery.structure_key()
             if key in self._seen_subqueries:
                 continue
             self._seen_subqueries.add(key)
-            analyzed += 1
+            record.analyzed_subquery_count += 1
             counts = _PlanCounts()
             with span.child("analyze_subquery") as subquery_span:
                 template_id, improvement = self._analyze_subquery(
@@ -270,23 +300,13 @@ class LearningEngine:
                 subquery_span.set("plans_aborted", counts.aborted)
                 if template_id is not None:
                     subquery_span.set("template_id", template_id)
-            plans_benchmarked += counts.benchmarked
-            plans_aborted += counts.aborted
+            record.plans_benchmarked += counts.benchmarked
+            record.plans_aborted += counts.aborted
             if template_id is not None:
-                templates.append(template_id)
-                improvements.append(improvement)
-        elapsed = time.perf_counter() - started
-        return QueryLearningRecord(
-            query_name=query_name,
-            workload=workload_name,
-            elapsed_seconds=elapsed,
-            subquery_count=len(subqueries),
-            analyzed_subquery_count=analyzed,
-            templates_learned=templates,
-            improvements=improvements,
-            plans_benchmarked=plans_benchmarked,
-            plans_aborted=plans_aborted,
-        )
+                record.templates_learned.append(template_id)
+                record.improvements.append(improvement)
+            record.elapsed_seconds = time.perf_counter() - started
+            yield record
 
     def _analyze_subquery(
         self,

@@ -161,9 +161,8 @@ class MatchingEngine:
 
     # What is left of the segment-SPARQL text cache: ``bench/`` reads both for
     # its ``sparql_cache_hit_ratio``, 0.0 by construction; ROADMAP item 2(c)
-    # deletes them.  The count is kept without a lock -- the serving (loop)
-    # thread and the learner thread can lose a tick, and the ratio is 0.0
-    # either way.
+    # deletes them.  The count is kept without a lock -- the tests' own
+    # threads can lose a tick, and the ratio is 0.0 either way.
 
     @property
     def sparql_cache_hits(self) -> int:
@@ -362,8 +361,9 @@ class MatchingEngine:
         master derives on its first execution serve every later hit.
         """
         # The stamp is read before any work an entry would stand in for: an
-        # entry built while the learner thread mutates the KB (or a reload
-        # swaps it) then carries the older stamp and is stale by construction.
+        # entry built while another thread mutates the KB (a test's writer)
+        # or the sharded reload executor thread swaps it then carries the
+        # older stamp and is stale by construction.
         stats_epoch, knowledge_base, generation = self.stamp()
         entry, outcome = self.prepared.lookup(
             sql, stats_epoch, knowledge_base, generation

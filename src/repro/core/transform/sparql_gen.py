@@ -36,7 +36,6 @@ from repro.rdf.sparql.ast import (
     TriplePattern,
     WhereElement,
 )
-from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.sparql.render import render_sparql
 from repro.rdf.terms import IRI, Literal, Variable
 
@@ -50,27 +49,17 @@ class GeneratedSparql:
     The variable maps are a cheap walk of the sub-plan; the query is the
     expensive part and only an evaluator needs it, so it comes from
     ``query_source`` -- a zero-argument callable -- on the first read of
-    :attr:`query`.  A hand-written query is given as ``text`` (or, to defer
-    writing it, ``text_source``) and parsed on that first read instead.
-    :attr:`text` of a built query is its rendering.
+    :attr:`query`.  :attr:`text` is its rendering.
     """
 
     def __init__(
         self,
-        text: Optional[str] = None,
+        query_source: Callable[[], SelectQuery],
         node_for_variable: Optional[Dict[str, PlanNode]] = None,
         label_variables: Optional[Dict[str, PlanNode]] = None,
         template_variable: str = "template",
         cardinality_tolerance: float = 1.0,
-        text_source: Optional[Callable[[], str]] = None,
-        query_source: Optional[Callable[[], SelectQuery]] = None,
     ):
-        if sum(source is not None for source in (text, text_source, query_source)) != 1:
-            raise ValueError(
-                "GeneratedSparql needs exactly one of text / text_source / query_source"
-            )
-        self._text = text
-        self._text_source = text_source
         self._query: Optional[SelectQuery] = None
         self._query_source = query_source
         #: variable name (without '?') -> the plan node it represents
@@ -84,12 +73,9 @@ class GeneratedSparql:
 
     @property
     def query(self) -> SelectQuery:
-        """The query as the evaluator takes it, built (or parsed) once."""
+        """The query as the evaluator takes it, built once."""
         if self._query is None:
-            if self._query_source is not None:
-                self._query = self._query_source()
-            else:
-                self._query = parse_sparql(self.text)
+            self._query = self._query_source()
         return self._query
 
     @property
@@ -99,12 +85,7 @@ class GeneratedSparql:
 
     @property
     def text(self) -> str:
-        if self._text is None:
-            if self._text_source is not None:
-                self._text = self._text_source()
-            else:
-                self._text = render_sparql(self.query)
-        return self._text
+        return render_sparql(self.query)
 
 
 def _result_handler(node: PlanNode) -> str:

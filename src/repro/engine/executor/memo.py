@@ -23,8 +23,9 @@ statistics epoch (cost model inputs / plan cache), while every memo payload
 pure function of storage and stays valid.  Entries therefore never outlive
 the table data they were computed from, and survive re-collections.  Entries
 are immutable once stored and the dicts are only ever replaced wholesale on
-reset, which makes concurrent readers (the serving (loop) thread and the
-learner thread) safe without a lock.
+reset, which makes concurrent readers (the tests' own serving threads; a
+service's requests and learner share the event-loop thread) safe without a
+lock.
 
 Cold-charge accounting rule
 ---------------------------

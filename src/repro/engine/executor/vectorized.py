@@ -511,8 +511,9 @@ class VectorizedExecutor:
         :class:`~repro.errors.PlanBudgetExceeded` exactly when the plan's
         ``elapsed_ms`` is above it, as early as that is certain (see
         :class:`~repro.engine.executor.metrics.ExecutionBudget`).
-        The budget is state of this one call: the executor is shared by the
-        serving (loop) thread and the learner thread.
+        The budget is state of this one call: the executor is shared by
+        every caller -- a service's requests and its learner's budgeted runs,
+        and the tests' own threads at once.
         """
         if memo is not None and memo.epoch is not None:
             # Epoch-managed (workload-scoped) memo: pin this execution to the

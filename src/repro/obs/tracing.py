@@ -10,8 +10,9 @@ request also gets executor-level node spans); the default is the :data:`NULL_TRA
 singleton -- instrumentation sites never branch on "is tracing on", they just
 talk to whatever span they were handed.
 
-Cross-thread propagation is explicit (spans travel as function arguments into
-the serving pool and the learner thread).  Cross-*process* propagation works
+Cross-thread propagation is explicit (spans travel as function arguments; a
+service's requests and its learner share the event-loop thread, and the tests'
+own threads serve too).  Cross-*process* propagation works
 by serializing a finished trace (:func:`Tracer.export_payload` via
 ``TraceStore.pop``) over the sharded router's response queue and re-parenting
 it under the router's request span with :meth:`Tracer.adopt_remote`; span ids
@@ -179,7 +180,8 @@ class _TraceBuffer:
         self.root: Optional[Span] = None
         #: Finished span *records* (dicts with absolute perf_counter times,
         #: converted to root-relative offsets at finalization).  Appended from
-        #: the serving (loop) thread and the learner thread; list.append is
+        #: whichever thread ends a span (a service's event-loop thread, the
+        #: tests' own serving threads); list.append is
         #: atomic under the GIL, and finalization happens strictly after
         #: every child ended (children are lexically scoped inside the
         #: request's lifetime).

@@ -9,7 +9,7 @@ thousand-template knowledge base in the millisecond range the paper reports.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import SparqlEvaluationError
 from repro.rdf.graph import Graph
@@ -23,7 +23,6 @@ from repro.rdf.sparql.ast import (
     StrCall,
     TriplePattern,
 )
-from repro.rdf.sparql.parser import parse_sparql
 from repro.rdf.terms import IRI, BlankNode, Literal, Node, Variable
 
 Bindings = Dict[str, Node]
@@ -32,17 +31,15 @@ PendingFilter = Tuple[FilterClause, Tuple[str, ...]]
 
 
 class SparqlEngine:
-    """Evaluates parsed (or textual) SPARQL SELECT queries against a graph."""
+    """Evaluates SPARQL SELECT queries (ASTs) against a graph."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
     # ------------------------------------------------------------------
 
-    def query(self, query: Union[SelectQuery, str]) -> List[Bindings]:
+    def query(self, query: SelectQuery) -> List[Bindings]:
         """Evaluate ``query`` and return a list of solution bindings."""
-        if isinstance(query, str):
-            query = parse_sparql(query)
         solutions = list(self._evaluate(query))
         if query.distinct:
             solutions = _distinct(solutions)
@@ -50,10 +47,8 @@ class SparqlEngine:
             solutions = solutions[: query.limit]
         return solutions
 
-    def ask(self, query: Union[SelectQuery, str]) -> bool:
+    def ask(self, query: SelectQuery) -> bool:
         """True when the query has at least one solution."""
-        if isinstance(query, str):
-            query = parse_sparql(query)
         limited = SelectQuery(
             variables=query.variables,
             select_all=query.select_all,

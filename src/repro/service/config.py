@@ -24,9 +24,9 @@ class ServiceConfig:
     -------------------
     With ``learning_enabled``, every executed query is fed to the feedback
     monitor; mis-estimated or regressed queries are enqueued (deduplicated by
-    SQL hash) onto a background learning queue drained by one dedicated
-    learner thread, so learning never occupies the serving (loop) thread.
-    The queue itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``);
+    SQL hash) onto a background learning queue.  The learner drains it on the
+    event loop, one learning step at a time, so a request waits for at most
+    one step (about one miss) behind it.  The queue itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``);
     when it is full new candidates are dropped (and counted) rather than
     blocking serving.
     """
@@ -41,19 +41,6 @@ class ServiceConfig:
     steering_enabled: bool = True
     #: Feed runtime feedback into the background learning loop.
     learning_enabled: bool = True
-    #: The learner prefers idle windows (the paper ran learning during
-    #: non-peak hours): before starting a task it waits for the service to
-    #: have no requests in flight, up to this many seconds, then proceeds
-    #: anyway so sustained 24/7 traffic cannot starve learning forever.
-    learning_idle_wait_seconds: float = 5.0
-    #: Fraction of wall time the background learner may consume *while
-    #: foreground requests are in flight* (0 < d <= 1).  Learning is
-    #: GIL-bound CPU work: run back to back it steals cycles from the serving
-    #: (loop) thread, so after a learning task that overlapped traffic the
-    #: learner sleeps ``task_seconds * (1 - d) / d`` before taking the next
-    #: one.
-    #: During idle windows no pacing applies (there is nothing to protect).
-    learning_duty_cycle: float = 0.25
     #: Worst per-operator cardinality q-error before a query is considered
     #: mis-estimated and enqueued for learning (1.0 = estimates were perfect).
     q_error_threshold: float = 4.0
@@ -89,11 +76,11 @@ class ServiceConfig:
     drift_threshold: float = 0.5
     drift_min_reference: int = 4
     drift_relearn_limit: int = 4
-    #: Knowledge-base size cap enforced after each background learning step
+    #: Knowledge-base size cap enforced after each learned task
     #: (None = unbounded).  Eviction follows the cold/low-benefit-first policy
     #: of :meth:`repro.core.knowledge_base.KnowledgeBase.eviction_order`.
     kb_capacity: Optional[int] = None
-    #: Online KB checkpointing: with both fields set, the learner thread
+    #: Online KB checkpointing: with both fields set, the learner
     #: publishes the knowledge base to ``kb_checkpoint_directory`` at most
     #: every ``kb_checkpoint_interval_seconds`` -- as a new version directory
     #: committed by its rename (see
@@ -126,10 +113,6 @@ class ServiceConfig:
             raise ValueError("max_workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if not 0.0 < self.learning_duty_cycle <= 1.0:
-            raise ValueError("learning_duty_cycle must be in (0, 1]")
-        if self.learning_idle_wait_seconds < 0:
-            raise ValueError("learning_idle_wait_seconds must be >= 0")
         if self.q_error_threshold < 1.0:
             raise ValueError("q_error_threshold must be >= 1.0 (1.0 = exact)")
         if self.regression_threshold < 1.0:

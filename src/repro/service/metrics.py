@@ -1,7 +1,8 @@
 """Service-level observability: counters and a latency reservoir.
 
-All updates are thread-safe: the serving (loop) thread and the learner thread
-both report into one :class:`ServiceMetrics` instance.
+All updates take a lock.  In a ``GaloService`` requests and the learner both
+report from the event-loop thread; the tests' own serving threads
+(``TestSharedOutcome``) report into one instance at once.
 """
 
 from __future__ import annotations

@@ -18,10 +18,12 @@
    in admission order;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
    which enqueues mis-estimated or regressed statements onto a background
-   learning queue drained by a dedicated learner thread -- the paper's offline
-   tier running continuously behind the online tier, Bao/superoptimizer-style,
-   without ever blocking serving;
-4. after each background learning step, enforces the knowledge-base size cap
+   learning queue -- the paper's offline tier running continuously behind the
+   online tier, Bao/superoptimizer-style.  The learner runs on the event loop
+   too, one step at a time (the parent validation, then one sub-query
+   analysis: the size of one miss) and yields to the loop after each, so a
+   request waits for at most one step, never for a whole query;
+4. after each learned task, enforces the knowledge-base size cap
    (cold/low-benefit templates are evicted with incremental index
    maintenance).
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -154,23 +155,17 @@ class GaloService:
         #: scheduler decides pop order -- FIFO normally, frequency x benefit
         #: priority while the guard reports workload drift.
         self._scheduler = LearningScheduler(self.guard)
-        self._learn_pool: Optional[ThreadPoolExecutor] = None
         self._learning_queue: Optional[asyncio.Queue] = None
         self._learner_task: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pending = 0
-        #: Set whenever no requests are in flight; the learner's idle-first
-        #: defer waits on this instead of polling, waking on the exact
-        #: pending-count transition to zero.
-        self._idle_event: Optional[asyncio.Event] = None
         self._started = False
         self._stopping = False
-        #: template id -> the statement it was learned from (learner thread
-        #: only); lets an eviction re-open that statement for learning.
+        #: template id -> the statement it was learned from; lets an
+        #: eviction re-open that statement for learning.
         self._template_sources: Dict[str, str] = {}
         #: Last background-learning failure, for operators ("" = none).
         self.last_learning_error = ""
-        #: Monotonic time of the last KB checkpoint attempt (learner thread).
+        #: Monotonic time of the last KB checkpoint attempt.
         self._last_kb_checkpoint = 0.0
         #: Tracing plumbing (see :mod:`repro.obs`).  Disabled, the tracer is
         #: the shared no-op and every instrumentation site costs an attribute
@@ -194,19 +189,10 @@ class GaloService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "GaloService":
-        """Bring up the learner thread and the background learner task."""
+        """Bring up the background learner task (on this event loop)."""
         if self._started:
             return self
-        self._loop = asyncio.get_running_loop()
-        # One dedicated learner thread: learning is CPU-heavy and must never
-        # occupy the serving (loop) thread; a single drainer also serializes
-        # knowledge base mutations so matching only ever races one writer.
-        self._learn_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="galo-learn"
-        )
         self._learning_queue = asyncio.Queue(maxsize=LEARNING_QUEUE_LIMIT)
-        self._idle_event = asyncio.Event()
-        self._idle_event.set()
         self._last_kb_checkpoint = time.monotonic()
         if self.config.learning_enabled:
             self._learner_task = asyncio.create_task(self._drain_learning_queue())
@@ -231,24 +217,16 @@ class GaloService:
             except asyncio.CancelledError:
                 pass
             self._learner_task = None
-        assert self._learn_pool is not None
-        if self.config.kb_checkpoint_directory is not None:
-            # Final checkpoint on the way down (still on the learner thread,
-            # forced past the interval): online-learned templates survive a
-            # clean shutdown even when the timer has not fired yet.
-            await asyncio.get_running_loop().run_in_executor(
-                self._learn_pool, self._checkpoint_kb_sync, True
-            )
-        # shutdown(wait=True) joins the learner thread; run it off the event
-        # loop so concurrent tasks (health checks, other services on this
-        # loop) keep making progress while the pool winds down.
-        learn_pool = self._learn_pool
-        await asyncio.get_running_loop().run_in_executor(
-            None, lambda: learn_pool.shutdown(wait=True)
-        )
-        self._learn_pool = None
+        # Tasks still staged (stop without drain) are dropped, not kept for
+        # a restart: the next start() brings a fresh queue, and a stale task
+        # left here would be popped for the new queue's first token.
+        while len(self._scheduler):
+            self._drop_learning(self._scheduler.pop())
+        # Final checkpoint on the way down (forced past the interval):
+        # online-learned templates survive a clean shutdown even when the
+        # timer has not fired yet.
+        self._checkpoint_kb_sync(force=True)
         self._learning_queue = None
-        self._idle_event = None
         self._started = False
 
     async def __aenter__(self) -> "GaloService":
@@ -303,8 +281,6 @@ class GaloService:
                 request_id=request_id, trace_id=trace_id,
             )
         self._pending += 1
-        if self._idle_event is not None:
-            self._idle_event.clear()
         request_span = NULL_SPAN
         admitted_at = time.perf_counter()
         if self.tracer.enabled:
@@ -336,8 +312,6 @@ class GaloService:
     def _serve_finished(self, learning_task: Optional[LearningTask]) -> None:
         """Bookkeeping after every served request (event-loop thread)."""
         self._pending -= 1
-        if self._pending == 0 and self._idle_event is not None:
-            self._idle_event.set()
         if learning_task is not None:
             self._enqueue_learning(learning_task)
         if self.guard is not None:
@@ -668,47 +642,28 @@ class GaloService:
             # did) after this request's _serve_sync completed; the response
             # is still valid, the task is simply dropped (and stays
             # re-triggerable on a future service).
-            self.metrics.increment("learning_dropped")
-            self.feedback.forget(task.sql)
+            self._drop_learning(task)
             return
         try:
             # One token per task: the queue keeps its bound/join semantics,
             # the scheduler (same thread) holds the task and picks pop order.
             queue.put_nowait(_LEARNING_TOKEN)
         except asyncio.QueueFull:
-            self.metrics.increment("learning_dropped")
-            # Dropped, not deferred: allow the statement to re-trigger later.
-            self.feedback.forget(task.sql)
+            self._drop_learning(task)
         else:
             # Stamp the enqueue time so the learner can report queue dwell.
             self._scheduler.push(replace(task, enqueued_at=time.perf_counter()))
             self.metrics.increment("learning_enqueued")
 
-    async def _wait_for_idle(self, timeout_seconds: float) -> bool:
-        """Wait until no requests are in flight, bounded by *loop time*.
-
-        Event-driven, not polled: ``_serve_finished`` sets the idle event on the
-        exact pending-count transition to zero, so the learner wakes the
-        moment the service drains instead of on the next poll tick.  The
-        bound is measured on the event loop's clock -- a busy loop cannot
-        stretch the wait the way the old per-iteration ``waited += 0.01``
-        accounting did.  Returns True when the service is idle on exit.
-        """
-        assert self._loop is not None and self._idle_event is not None
-        deadline = self._loop.time() + max(0.0, timeout_seconds)
-        while self._pending > 0:
-            remaining = deadline - self._loop.time()
-            if remaining <= 0:
-                return False
-            try:
-                await asyncio.wait_for(self._idle_event.wait(), timeout=remaining)
-            except asyncio.TimeoutError:
-                return self._pending == 0
-        return True
+    def _drop_learning(self, task: LearningTask) -> None:
+        """Count a task that will not be learned; dropped, not deferred, so
+        its statement may re-trigger later."""
+        self.metrics.increment("learning_dropped")
+        self.feedback.forget(task.sql)
 
     async def _drain_learning_queue(self) -> None:
-        """Background task: run queued learning work on the learner thread."""
-        assert self._learning_queue is not None and self._loop is not None
+        """Background task: learn queued tasks on the loop, step by step."""
+        assert self._learning_queue is not None
         interval = self.config.kb_checkpoint_interval_seconds
         while True:
             if interval is None:
@@ -722,26 +677,18 @@ class GaloService:
                         self._learning_queue.get(), timeout=interval
                     )
                 except asyncio.TimeoutError:
-                    await self._loop.run_in_executor(
-                        self._learn_pool, self._checkpoint_kb_sync
-                    )
+                    self._checkpoint_kb_sync()
                     continue
             # The token guarantees a task is staged (push follows put_nowait
             # with no await in between, on this same thread).
             task = self._scheduler.pop()
-            # Idle-first: learning is GIL-bound CPU work that competes with
-            # the serving (loop) thread, so prefer a window with no requests
-            # in flight (the paper ran its learning tier during non-peak
-            # hours).  The wait is bounded: sustained traffic cannot starve
-            # learning.
-            await self._wait_for_idle(self.config.learning_idle_wait_seconds)
-            overlapped_at_start = self._pending > 0
-            started = time.perf_counter()
             try:
-                assert self._learn_pool is not None
-                await self._loop.run_in_executor(
-                    self._learn_pool, self._learn_sync, task
-                )
+                await self._learn(task)
+            except asyncio.CancelledError:
+                # stop(drain=False) between two steps: what the task stored
+                # stays, and its statement may re-trigger later.
+                self._drop_learning(task)
+                raise
             except Exception as exc:  # noqa: BLE001 - learner must survive bad tasks
                 # Not "failed": that counter tracks serving requests.  Keep
                 # the detail so a broken learner is diagnosable from outside.
@@ -754,31 +701,10 @@ class GaloService:
                 self.feedback.forget(task.sql)
             finally:
                 self._learning_queue.task_done()
-            if interval is not None:
-                await self._loop.run_in_executor(
-                    self._learn_pool, self._checkpoint_kb_sync
-                )
-            # Duty-cycle pacing, applied only when the task overlapped
-            # foreground traffic (at its start or its end): sleeping (which
-            # releases the GIL) for the complementary share of the task's
-            # runtime caps the learner at ``learning_duty_cycle`` of wall
-            # time.  The pause is bounded and is cut short the moment the
-            # service goes idle -- an idle window has nothing to protect, so
-            # the backlog drains at full speed.
-            duty = self.config.learning_duty_cycle
-            if duty < 1.0 and (overlapped_at_start or self._pending > 0):
-                elapsed = time.perf_counter() - started
-                pause = min(
-                    elapsed * (1.0 - duty) / duty,
-                    self.config.learning_idle_wait_seconds,
-                )
-                # Same event-driven wait as the idle-first defer: the pause
-                # is cut short the instant the service goes idle (an idle
-                # window has nothing to protect).
-                await self._wait_for_idle(pause)
+            self._checkpoint_kb_sync()
 
     def _checkpoint_kb_sync(self, force: bool = False) -> None:
-        """Snapshot the KB to disk if due and dirty (learner thread only).
+        """Snapshot the KB to disk if due and dirty.
 
         Atomicity comes from :meth:`KnowledgeBase.save` (a new version
         directory, committed by its rename); this
@@ -809,25 +735,35 @@ class GaloService:
                 self.last_learning_error = f"kb checkpoint: {type(exc).__name__}: {exc}"
                 span.set("error", type(exc).__name__)
 
-    def _learn_sync(self, task: LearningTask) -> None:
-        """One background learning step + KB capacity enforcement (learner thread)."""
+    async def _learn(self, task: LearningTask) -> None:
+        """Learn one task, yielding to the loop after every learning step,
+        then enforce the KB capacity.
+
+        Every request that became ready is served before the next step.
+        A template is tied to its source statement in the step that stored
+        it, so one stored before a cancellation keeps its source too.
+        """
         span = self.tracer.start_trace(
             "learn_query", request_id=task.query_name or task.sql_hash
         )
         with span:
             if span.recording and task.enqueued_at:
-                # Dwell between _enqueue_learning (event loop) and the
-                # learner thread picking the task up -- includes the
-                # idle-first defer and duty-cycle pauses.
+                # Dwell between _enqueue_learning and the learner picking the
+                # task up (the tasks ahead of it, and the requests served
+                # between their steps).
                 dwell = span.child("queue_dwell", start=task.enqueued_at).end()
                 span.set("queue_dwell_ms", dwell.duration_ms)
             span.set("reason", task.reason)
-            record = self.galo.learn_query(
+            steps = self.galo.learning_engine.learning_steps(
                 task.sql,
                 query_name=task.query_name or task.sql_hash,
                 workload_name="online",
                 span=span,
             )
+            for record in steps:
+                for template_id in record.templates_learned:
+                    self._template_sources[template_id] = task.sql
+                await asyncio.sleep(0)
             self.metrics.increment("learning_completed")
             self.metrics.increment("templates_learned", len(record.templates_learned))
             span.set("templates", len(record.templates_learned))
@@ -837,8 +773,6 @@ class GaloService:
             # previously each statement was enqueued at most once per service
             # lifetime).
             self.feedback.mark_learned(task.sql)
-            for template_id in record.templates_learned:
-                self._template_sources[template_id] = task.sql
             if record.templates_learned:
                 # Fold this statement's plan features into the KB's learned
                 # population -- the reference the drift detector compares the

@@ -1,20 +1,24 @@
 """Regression tests for the GL005 (async hygiene) repairs.
 
 galolint's GL005 bans blocking calls on the serving event loop; these tests
-pin the *runtime* behaviour of each repaired site: the blocking work
-(thread-pool shutdown, KB checkpoint load, reader-thread join) must execute
-on an executor thread, never on the loop thread itself.
+pin the *runtime* behaviour of each repaired site: the blocking work (KB
+checkpoint load, reader-thread join) must execute on an executor thread,
+never on the loop thread itself.  ``GaloService.stop`` has no blocking work
+left (its learner runs on the loop in steps); what it must still do is let
+the loop tick while it drains.
 """
 
 import asyncio
 import queue
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.galo import Galo
 from repro.service import GaloService, ServiceConfig
 from repro.service.config import ShardedServiceConfig
+from repro.service.feedback import LearningTask, sql_fingerprint
 from repro.service.sharded import ShardedGaloService, _shard_serve
 
 GUARD_SECONDS = 60
@@ -47,28 +51,20 @@ class ThreadRecorder:
         return self.wrapped(*args, **kwargs)
 
 
-class TestServiceStopOffLoop:
-    def test_pool_shutdown_runs_on_executor_thread(self, galo):
-        """GaloService.stop: shutdown(wait=True) joins the learner off the loop."""
-        service = GaloService(galo, quiet_config())
-
-        async def scenario():
-            await service.start()
-            await service.submit("SELECT 1 FROM item")
-            loop_thread = threading.current_thread()
-            learn_recorder = ThreadRecorder(service._learn_pool.shutdown)
-            service._learn_pool.shutdown = learn_recorder
-            await service.stop()
-            return loop_thread, learn_recorder.threads
-
-        loop_thread, learn_threads = run(scenario())
-        assert learn_threads
-        assert all(thread is not loop_thread for thread in learn_threads)
-
+class TestServiceStopOnLoop:
     def test_loop_keeps_ticking_during_stop(self, galo):
-        """A concurrent heartbeat task makes progress while stop() winds down."""
-        service = GaloService(galo, quiet_config())
+        """A concurrent heartbeat ticks while stop(drain=True) learns a
+        queued multi-step task: every learning step yields to the loop."""
+        service = GaloService(galo, quiet_config(learning_enabled=True))
         ticks = []
+        ticks_at_step = []
+
+        def learning_steps(sql, **_):
+            for _ in range(5):
+                ticks_at_step.append(len(ticks))
+                yield SimpleNamespace(templates_learned=[])
+
+        galo.learning_engine.learning_steps = learning_steps
 
         async def heartbeat():
             while True:
@@ -77,10 +73,16 @@ class TestServiceStopOffLoop:
 
         async def scenario():
             await service.start()
-            await service.submit("SELECT 1 FROM item")
+            sql = "SELECT 1 FROM item"
+            service._enqueue_learning(
+                LearningTask(
+                    sql=sql, query_name="multi-step", reason="misestimated",
+                    sql_hash=sql_fingerprint(sql), max_q_error=8.0, elapsed_ms=1.0,
+                )
+            )
             task = asyncio.create_task(heartbeat())
             before = len(ticks)
-            await service.stop()
+            await service.stop(drain=True)
             after = len(ticks)
             task.cancel()
             try:
@@ -90,6 +92,10 @@ class TestServiceStopOffLoop:
             return before, after
 
         before, after = run(scenario())
+        assert service.metrics.count("learning_completed") == 1
+        assert len(ticks_at_step) == 5
+        # The heartbeat ran between every two learning steps.
+        assert all(b > a for a, b in zip(ticks_at_step, ticks_at_step[1:]))
         assert after > before, "event loop starved while stop() was winding down"
 
 

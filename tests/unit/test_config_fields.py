@@ -74,8 +74,6 @@ UNREAD_FOR_BENCH = {"ServiceConfig": {"max_workers"}}
 TESTS_ONLY = {
     "DbConfig": {"buffer_pool_pages", "noise_seed"},
     "ServiceConfig": {
-        "learning_idle_wait_seconds",
-        "learning_duty_cycle",
         "kb_checkpoint_interval_seconds",
         "kb_checkpoint_directory",
         "slow_query_threshold_ms",

@@ -189,11 +189,11 @@ class TestServicePromisesWithInlineHits:
         galo = build_system()
         learned = []
 
-        def learn_query(sql, **_):
-            learned.append((sql, threading.current_thread().name))
-            return SimpleNamespace(templates_learned=[])
+        def learning_steps(sql, **_):
+            learned.append((sql, threading.current_thread()))
+            yield SimpleNamespace(templates_learned=[])
 
-        galo.learn_query = learn_query
+        galo.learning_engine.learning_steps = learning_steps
         name, sql = WORKLOAD[-1]  # matches no template: feedback may enqueue it
         galo.matching_engine.steer_prepared(sql, query_name=name)
         service = GaloService(
@@ -213,7 +213,7 @@ class TestServicePromisesWithInlineHits:
         assert recorder.thread_kinds(loop_thread) == ["loop"]
         assert enqueued == 1
         assert learned and learned[0][0] == sql
-        assert learned[0][1].startswith("galo-learn")
+        assert learned[0][1] is loop_thread
         assert service.metrics.count("learning_completed") == 1
 
     def test_traced_queue_wait_stage_on_both_paths(self):
@@ -252,11 +252,11 @@ class TestServicePromisesWithInlineHits:
                     await miss
                 except asyncio.CancelledError:
                     pass
-                return admitted, service.pending, service._idle_event.is_set()
+                return admitted, service.pending
 
-        admitted, pending, idle = run(scenario())
+        admitted, pending = run(scenario())
         assert admitted == 1
-        assert pending == 0 and idle
+        assert pending == 0
         assert recorder.calls == []
         assert service.metrics.count("completed") == 0
         trace = service.trace_store.get(request_id="req-1")

@@ -212,11 +212,12 @@ THREE_WAY = (
 )
 
 
-def deferred_sparql(segment, text_source):
-    """What the matching engine hands ``match``: maps now, text on first read."""
+def deferred_sparql(segment, query_source):
+    """What the matching engine hands ``match``: maps now, the query on
+    first read."""
     node_for_variable, label_variables = variable_maps_for(segment)
     return GeneratedSparql(
-        text_source=text_source,
+        query_source=query_source,
         node_for_variable=node_for_variable,
         label_variables=label_variables,
     )
@@ -224,14 +225,14 @@ def deferred_sparql(segment, text_source):
 
 def unreadable_sparql(segment):
     def refuse():
-        raise AssertionError("the SPARQL text was read")
+        raise AssertionError("the SPARQL query was built")
 
     return deferred_sparql(segment, refuse)
 
 
 class TestIndexBeforeSparql:
-    """``match`` asks the index first and reads ``generated.text`` only when
-    a candidate survives; ``match_brute_force`` always reads it."""
+    """``match`` asks the index first and builds ``generated.query`` only
+    when a candidate survives; ``match_brute_force`` always builds it."""
 
     def test_no_candidate_means_no_text(self, mini_db):
         kb = KnowledgeBase()
@@ -251,7 +252,7 @@ class TestIndexBeforeSparql:
         kb = KnowledgeBase()
         _, qgm = make_template(mini_db, kb)
         segment = join_tree_root(qgm)
-        with pytest.raises(AssertionError, match="SPARQL text was read"):
+        with pytest.raises(AssertionError, match="SPARQL query was built"):
             kb.match(unreadable_sparql(segment), subplan_root=segment)
         assert kb.match_stats["candidates_evaluated"] == 1
         assert kb.match_stats["index_only_segments"] == 0
@@ -260,23 +261,23 @@ class TestIndexBeforeSparql:
         kb = KnowledgeBase()
         make_template(mini_db, kb)
         segment = join_tree_root(mini_db.explain(THREE_WAY))
-        with pytest.raises(AssertionError, match="SPARQL text was read"):
+        with pytest.raises(AssertionError, match="SPARQL query was built"):
             kb.match_brute_force(unreadable_sparql(segment), subplan_root=segment)
         assert kb.match_stats["indexed_queries"] == 0
         assert kb.match_stats["index_only_segments"] == 0
 
-    def test_deferred_text_is_written_once_and_matches_like_eager_text(self, mini_db):
+    def test_deferred_query_is_built_once_and_matches_like_eager_query(self, mini_db):
         kb = KnowledgeBase()
         template, qgm = make_template(mini_db, kb)
         segment = join_tree_root(qgm)
         eager = sparql_for_subplan(segment, catalog=mini_db.catalog)
         reads = []
 
-        def text_source():
+        def query_source():
             reads.append(1)
-            return eager.text
+            return eager.query
 
-        deferred = deferred_sparql(segment, text_source)
+        deferred = deferred_sparql(segment, query_source)
         for _ in range(2):
             found = kb.match(deferred, subplan_root=segment)
             expected = kb.match(eager, subplan_root=segment)
@@ -284,9 +285,3 @@ class TestIndexBeforeSparql:
             assert [m.label_to_alias for m in found] == [m.label_to_alias for m in expected]
             assert [m.bindings for m in found] == [m.bindings for m in expected]
         assert reads == [1]
-
-    def test_exactly_one_of_text_and_text_source(self):
-        with pytest.raises(ValueError):
-            GeneratedSparql()
-        with pytest.raises(ValueError):
-            GeneratedSparql(text="SELECT", text_source=lambda: "SELECT")

@@ -1,16 +1,22 @@
-"""GaloService front-end behaviour: admission control, errors, streaming.
+"""GaloService front-end behaviour: admission control, errors, streaming,
+and the learner that runs on the same event loop in steps.
 
-These are the fast serving-tier tests (no learning): every async scenario is
-driven through ``asyncio.run`` with an explicit ``wait_for`` guard so a hung
-event loop fails the test instead of wedging the suite.
+Every async scenario is driven through ``asyncio.run`` with an explicit
+``wait_for`` guard so a hung event loop fails the test instead of wedging the
+suite.
 """
 
 import asyncio
+import random
+import threading
+import uuid
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.galo import Galo
 from repro.service import GaloService, ServiceConfig
+from repro.service.feedback import LearningTask, sql_fingerprint
 
 
 #: Generous per-scenario guard; scenarios normally finish in well under 1 s.
@@ -34,6 +40,15 @@ QUERIES = [
         "GROUP BY i_category",
     ),
 ]
+
+
+#: Parent validation plus six sub-query analyses on ``mini_db``.
+FOUR_WAY = (
+    "q_state",
+    "SELECT o_state, SUM(s_price) FROM sales, item, outlet, date_dim "
+    "WHERE s_item_sk = i_item_sk AND s_outlet_sk = o_outlet_sk "
+    "AND s_date_sk = d_date_sk AND i_category = 'Music' GROUP BY o_state",
+)
 
 
 @pytest.fixture()
@@ -210,46 +225,6 @@ class TestAdmissionControl:
         # Serial submissions never trip admission control.
         assert first.ok and second.ok
 
-    def test_idle_event_tracks_pending_transitions(self, galo):
-        """The learner's idle wait is event-driven: the idle event is set at
-        start, cleared while requests are in flight, and re-set on the exact
-        transition back to zero pending."""
-        service = GaloService(galo, quiet_config())
-
-        async def scenario():
-            async with service:
-                assert service._idle_event.is_set()
-                # A waiter started while idle returns immediately.
-                assert await service._wait_for_idle(0.0) is True
-                response = await service.submit(QUERIES[0][1], query_name="q")
-                assert response.ok
-                # Completion bookkeeping re-set the event.
-                assert service.pending == 0
-                assert service._idle_event.is_set()
-                assert await service._wait_for_idle(1.0) is True
-
-        run(scenario())
-
-    def test_wait_for_idle_respects_deadline(self, galo):
-        """A wait that cannot be satisfied returns False once the loop-time
-        deadline passes instead of spinning."""
-        service = GaloService(galo, quiet_config())
-
-        async def scenario():
-            async with service:
-                # Fake sustained traffic: pending never drains.
-                service._pending += 1
-                service._idle_event.clear()
-                try:
-                    started = service._loop.time()
-                    assert await service._wait_for_idle(0.05) is False
-                    assert service._loop.time() - started < 5.0
-                finally:
-                    service._pending -= 1
-                    service._idle_event.set()
-
-        run(scenario())
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_workers=0)
@@ -259,9 +234,188 @@ class TestAdmissionControl:
             ServiceConfig(q_error_threshold=0.5)
         with pytest.raises(ValueError):
             ServiceConfig(kb_capacity=-1)
-        with pytest.raises(ValueError):
-            ServiceConfig(learning_duty_cycle=0.0)
-        with pytest.raises(ValueError):
-            ServiceConfig(learning_duty_cycle=1.5)
-        with pytest.raises(ValueError):
-            ServiceConfig(learning_idle_wait_seconds=-1.0)
+
+
+def learning_task(name, sql):
+    return LearningTask(
+        sql=sql, query_name=name, reason="misestimated",
+        sql_hash=sql_fingerprint(sql), max_q_error=8.0, elapsed_ms=1.0,
+    )
+
+
+class EventLog:
+    """Logs the learner's step boundaries and every served request, in order,
+    with the thread each ran on."""
+
+    def __init__(self, service):
+        self.events = []
+        engine = service.galo.learning_engine
+        steps = engine.learning_steps
+
+        def logged_steps(*args, **kwargs):
+            for record in steps(*args, **kwargs):
+                self.events.append(("step", threading.current_thread()))
+                yield record
+
+        engine.learning_steps = logged_steps
+        serve = service._serve_sync
+
+        def logged_serve(*args):
+            self.events.append(("serve", threading.current_thread()))
+            return serve(*args)
+
+        service._serve_sync = logged_serve
+
+    def kinds(self):
+        return [kind for kind, _ in self.events]
+
+
+class TestSteppedLearner:
+    def test_requests_wait_for_at_most_one_step(self, galo):
+        def five_steps(sql, **_):
+            for _ in range(5):
+                yield SimpleNamespace(templates_learned=[])
+
+        galo.learning_engine.learning_steps = five_steps
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+        log = EventLog(service)
+
+        async def client(name):
+            # One request after the other: each arrives while the backlog
+            # is being learned.
+            return [
+                await service.submit(sql, query_name=f"{name}-{query}")
+                for query, sql in QUERIES
+            ]
+
+        async def scenario():
+            async with service:
+                for name, sql in (*QUERIES, FOUR_WAY):
+                    service._enqueue_learning(learning_task(name, sql))
+                await asyncio.sleep(0)  # the learner takes its first step
+                answered = await asyncio.gather(client("a"), client("b"))
+                await service.drain()
+                return threading.current_thread(), answered
+
+        loop_thread, answered = run(scenario())
+        assert all(response.ok for responses in answered for response in responses)
+        assert {thread for _, thread in log.events} == {loop_thread}
+        kinds = log.kinds()
+        serves = [position for position, kind in enumerate(kinds) if kind == "serve"]
+        assert len(serves) == 4
+        # Learning was under way before the requests and went on after them.
+        assert "step" in kinds[: serves[0]] and "step" in kinds[serves[-1]:]
+        gaps = [later - earlier - 1 for earlier, later in zip(serves, serves[1:])]
+        assert max(gaps) <= 1, kinds
+
+    def test_stepped_learning_builds_the_kb_learn_query_builds(self, mini_db, monkeypatch):
+        statements = [*QUERIES, FOUR_WAY]
+
+        def seeded_ids():
+            rng = random.Random(7)
+            monkeypatch.setattr(uuid, "uuid4", lambda: uuid.UUID(int=rng.getrandbits(128)))
+
+        seeded_ids()
+        online = Galo(mini_db)
+        service = GaloService(online, quiet_config(learning_enabled=True))
+
+        async def scenario():
+            async with service:
+                for name, sql in statements:
+                    service._enqueue_learning(learning_task(name, sql))
+                await service.drain()
+
+        run(scenario())
+        assert service.metrics.count("learning_completed") == len(statements)
+
+        seeded_ids()
+        offline = Galo(mini_db)
+        for name, sql in statements:
+            offline.learn_query(sql, query_name=name, workload_name="online")
+
+        def template_ids(galo):
+            return [template.template_id for template in galo.knowledge_base.all_templates()]
+
+        assert template_ids(online) and template_ids(online) == template_ids(offline)
+        assert sorted(online.knowledge_base.graph.to_ntriples().splitlines()) == sorted(
+            offline.knowledge_base.graph.to_ntriples().splitlines()
+        )
+
+    def test_stop_without_drain_cancels_between_steps(self, galo):
+        service = GaloService(
+            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0)
+        )
+        log = EventLog(service)
+        name, sql = QUERIES[1]  # parent validation, then three analyses
+        stored = []
+
+        async def scenario():
+            await service.start()
+            queue = service._learning_queue
+            await service.submit(sql, query_name=name)  # feedback enqueues it
+            enqueued = service.feedback.was_enqueued(sql)
+            while log.kinds().count("step") < 3:
+                await asyncio.sleep(0)
+            stored.extend(galo.knowledge_base.all_templates())
+            await service.stop(drain=False)
+            await asyncio.wait_for(queue.join(), timeout=1.0)
+            return enqueued
+
+        assert run(scenario()) is True
+        kb = galo.knowledge_base
+        assert 0 < len(kb) == len(stored)
+        assert len(kb.index) == len(kb._template_graphs) == len(kb)
+        assert service._template_sources == {
+            template.template_id: sql for template in stored
+        }
+        assert service.metrics.count("learning_completed") == 0
+        assert service.metrics.count("learning_dropped") == 1
+        assert not service.feedback.was_enqueued(sql)
+
+    def test_learning_starts_no_thread(self, galo):
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+
+        async def scenario():
+            before = set(threading.enumerate())
+            await service.start()
+            service._enqueue_learning(learning_task(*QUERIES[0]))
+            await service.drain()
+            after = threading.enumerate()
+            await service.stop()
+            return before, after
+
+        before, after = run(scenario())
+        assert service.metrics.count("learning_completed") == 1
+        assert threading.current_thread() in after
+        assert [thread for thread in after if thread not in before] == []
+
+    def test_restart_after_stop_without_drain_learns_the_new_statement(self, galo):
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+        learned = []
+        forgotten = []
+
+        def learning_steps(sql, **_):
+            learned.append(sql)
+            yield SimpleNamespace(templates_learned=[])
+
+        galo.learning_engine.learning_steps = learning_steps
+        forget = service.feedback.forget
+        service.feedback.forget = lambda sql: (forgotten.append(sql), forget(sql))
+
+        async def scenario():
+            await service.start()
+            for number in (1, 2, 3):
+                service._enqueue_learning(learning_task(f"old-{number}", f"old-{number}"))
+            await service.stop(drain=False)
+            await service.start()
+            service._enqueue_learning(learning_task("new", "new"))
+            await service.drain()
+            staged = len(service._scheduler)
+            await service.stop()
+            return staged
+
+        assert run(scenario()) == 0
+        assert learned == ["new"]
+        assert forgotten == ["old-1", "old-2", "old-3"]
+        assert service.metrics.count("learning_dropped") == 3
+        assert service.metrics.count("learning_completed") == 1

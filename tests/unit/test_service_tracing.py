@@ -263,7 +263,6 @@ class TestBackgroundPlaneTraces:
             galo,
             ServiceConfig(
                 learning_enabled=True,
-                learning_idle_wait_seconds=0.1,
                 tracing_enabled=True,
                 q_error_threshold=4.0,
                 kb_checkpoint_interval_seconds=0.1,
@@ -281,7 +280,7 @@ class TestBackgroundPlaneTraces:
         assert service.metrics.count("learning_completed") >= 1
 
         learn_traces = service.trace_store.traces(name="learn_query")
-        assert learn_traces, "the learner thread must record learn_query traces"
+        assert learn_traces, "the learner must record learn_query traces"
         trace = learn_traces[0]
         names = [span["name"] for span in trace["spans"]]
         assert "queue_dwell" in names

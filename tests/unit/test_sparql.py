@@ -87,33 +87,33 @@ class TestEvaluator:
     def test_basic_bgp_join(self):
         engine = SparqlEngine(chain_graph())
         solutions = engine.query(
-            PREFIX + "SELECT ?scan WHERE { ?scan p:hasPopType 'IXSCAN' . ?scan p:hasOutputStream ?join . ?join p:hasPopType 'NLJOIN' }"
+            parse_sparql(PREFIX + "SELECT ?scan WHERE { ?scan p:hasPopType 'IXSCAN' . ?scan p:hasOutputStream ?join . ?join p:hasPopType 'NLJOIN' }")
         )
         assert len(solutions) == 1
         assert solutions[0]["scan"] == POP["1"]
 
     def test_no_match_returns_empty(self):
         engine = SparqlEngine(chain_graph())
-        assert engine.query(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'MSJOIN' }") == []
+        assert engine.query(parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'MSJOIN' }")) == []
 
     def test_numeric_filter(self):
         engine = SparqlEngine(chain_graph())
         solutions = engine.query(
-            PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c >= 1000) }"
+            parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c >= 1000) }")
         )
         assert [s["x"] for s in solutions] == [POP["2"]]
 
     def test_str_filter_on_iris(self):
         engine = SparqlEngine(chain_graph())
         solutions = engine.query(
-            PREFIX + "SELECT ?a ?b WHERE { ?a p:hasOutputStream ?b . FILTER (STR(?a) != STR(?b)) }"
+            parse_sparql(PREFIX + "SELECT ?a ?b WHERE { ?a p:hasOutputStream ?b . FILTER (STR(?a) != STR(?b)) }")
         )
         assert len(solutions) == 2
 
     def test_property_path_transitive(self):
         engine = SparqlEngine(chain_graph())
         solutions = engine.query(
-            PREFIX + "SELECT ?target WHERE { <http://galo/qep/pop/1> p:hasOutputStream+ ?target }"
+            parse_sparql(PREFIX + "SELECT ?target WHERE { <http://galo/qep/pop/1> p:hasOutputStream+ ?target }")
         )
         targets = {s["target"] for s in solutions}
         assert targets == {POP["2"], POP["3"]}
@@ -121,35 +121,35 @@ class TestEvaluator:
     def test_property_path_with_bound_object(self):
         engine = SparqlEngine(chain_graph())
         solutions = engine.query(
-            PREFIX + "SELECT ?src WHERE { ?src p:hasOutputStream+ <http://galo/qep/pop/3> }"
+            parse_sparql(PREFIX + "SELECT ?src WHERE { ?src p:hasOutputStream+ <http://galo/qep/pop/3> }")
         )
         assert {s["src"] for s in solutions} == {POP["1"], POP["2"]}
 
     def test_distinct_and_limit(self):
         graph = chain_graph()
         engine = SparqlEngine(graph)
-        all_rows = engine.query(PREFIX + "SELECT ?t WHERE { ?x p:hasPopType ?t }")
-        distinct = engine.query(PREFIX + "SELECT DISTINCT ?t WHERE { ?x p:hasPopType ?t }")
-        limited = engine.query(PREFIX + "SELECT ?t WHERE { ?x p:hasPopType ?t } LIMIT 2")
+        all_rows = engine.query(parse_sparql(PREFIX + "SELECT ?t WHERE { ?x p:hasPopType ?t }"))
+        distinct = engine.query(parse_sparql(PREFIX + "SELECT DISTINCT ?t WHERE { ?x p:hasPopType ?t }"))
+        limited = engine.query(parse_sparql(PREFIX + "SELECT ?t WHERE { ?x p:hasPopType ?t } LIMIT 2"))
         assert len(all_rows) == 3
         assert len(distinct) == 3  # three distinct types
         assert len(limited) == 2
 
     def test_ask(self):
         engine = SparqlEngine(chain_graph())
-        assert engine.ask(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'RETURN' }")
-        assert not engine.ask(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'HSJOIN' }")
+        assert engine.ask(parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'RETURN' }"))
+        assert not engine.ask(parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasPopType 'HSJOIN' }"))
 
     def test_logical_filters(self):
         engine = SparqlEngine(chain_graph())
         both = engine.query(
-            PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c >= 50 && ?c <= 200) }"
+            parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c >= 50 && ?c <= 200) }")
         )
         either = engine.query(
-            PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c = 100 || ?c = 5000) }"
+            parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (?c = 100 || ?c = 5000) }")
         )
         negated = engine.query(
-            PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (!(?c = 100)) }"
+            parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasCardinality ?c . FILTER (!(?c = 100)) }")
         )
         assert len(both) == 1
         assert len(either) == 2
@@ -160,6 +160,6 @@ class TestEvaluator:
         graph.add_triple(POP["9"], NS["hasLowerCardinality"], Literal("19771"))
         engine = SparqlEngine(graph)
         solutions = engine.query(
-            PREFIX + "SELECT ?x WHERE { ?x p:hasLowerCardinality ?c . FILTER (?c <= 20000) }"
+            parse_sparql(PREFIX + "SELECT ?x WHERE { ?x p:hasLowerCardinality ?c . FILTER (?c <= 20000) }")
         )
         assert len(solutions) == 1

@@ -1,5 +1,8 @@
 """Unit tests for the transformation engine (QGM -> RDF, QGM -> SPARQL)."""
 
+import ast
+import inspect
+
 import pytest
 
 from repro.core import vocabulary as voc
@@ -217,8 +220,15 @@ class TestGeneratedQueryAndItsText:
             raise AssertionError("SPARQL text on the request path")
 
         monkeypatch.setattr(sparql_gen, "render_sparql", refuse)
+        # Nothing on the matching path can parse: neither module imports the parser.
         for module in (sparql_gen, evaluator):
-            monkeypatch.setattr(module, "parse_sparql", refuse)
+            imported = {
+                node.module if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            assert "repro.rdf.sparql.parser" not in imported
         decisions = [
             tiny_tpcds_galo.matching_engine.steer(sql, query_name=name)
             for name, sql in generate_tpcds_queries(99)
