@@ -17,6 +17,10 @@ three waves:
 3. wave 3 shows the steady state plus the service metrics (throughput,
    latency percentiles, learning counters) and the knowledge-base lifecycle
    (size cap enforcement / eviction).
+
+The script exits non-zero if a request failed, a learning task raised, or no
+learning task completed -- so it doubles as an end-to-end check of the
+learning-on queue.
 """
 
 from __future__ import annotations
@@ -139,6 +143,14 @@ async def main() -> None:
         print("service metrics:")
         for key in sorted(snapshot):
             print(f"  {key:<22} {snapshot[key]:.3f}")
+        if snapshot["failed"] or snapshot["learning_failed"]:
+            raise RuntimeError(
+                f"{snapshot['failed']:.0f} requests failed, "
+                f"{snapshot['learning_failed']:.0f} learning tasks failed"
+                f" (last: {service.last_learning_error or '-'})"
+            )
+        if not snapshot["learning_completed"]:
+            raise RuntimeError("no learning task completed")
 
 
 if __name__ == "__main__":

@@ -574,10 +574,9 @@ _SUMMARY_STAT_NAMES = frozenset(
         "latency_p95_ms",
         "latency_min_ms",
         "latency_max_ms",
-        # Steering-guard gauges (repro/service/guard.py): point-in-time state,
-        # not monotonic counters.
+        # Steering-guard gauge (repro/service/guard.py): point-in-time state,
+        # not a monotonic counter.
         "quarantined_templates",
-        "workload_drift_score",
         # Size of the prepared-statement lane (repro/core/matching/prepared.py).
         "prepared_entries",
     }

@@ -374,12 +374,6 @@ class KnowledgeBase:
         #: decisions survive checkpoints and propagate to sharded followers on
         #: hot-reload.
         self._guard_records: Dict[str, TemplateGuardRecord] = {}
-        #: Running mean of the workload feature vectors of the plans this
-        #: knowledge base learned from -- the reference population the drift
-        #: detector compares the live workload against.  Guarded by
-        #: ``_stats_lock``; persisted alongside the guard ledger.
-        self._feature_mean: List[float] = []
-        self._feature_count = 0
         #: Per-template match usage, driving the LRU half of the eviction
         #: policy.  Ticks come from a logical clock (one tick per ``match``
         #: call) so eviction order is reproducible across runs.
@@ -879,27 +873,6 @@ class KnowledgeBase:
                 if record.quarantined
             )
 
-    # ------------------------------------------------------------------
-    # learned workload-feature population (drift detection reference)
-    # ------------------------------------------------------------------
-
-    def record_learned_features(self, features: Sequence[float]) -> None:
-        """Fold one learned plan's feature vector into the running mean."""
-        with self._stats_lock:
-            if not self._feature_mean:
-                self._feature_mean = [0.0] * len(features)
-            if len(features) != len(self._feature_mean):
-                return
-            self._feature_count += 1
-            for position, value in enumerate(features):
-                delta = float(value) - self._feature_mean[position]
-                self._feature_mean[position] += delta / self._feature_count
-
-    def learned_feature_population(self) -> Tuple[int, List[float]]:
-        """(sample count, mean feature vector) of the learned population."""
-        with self._stats_lock:
-            return self._feature_count, list(self._feature_mean)
-
     def eviction_order(self) -> List[str]:
         """Template ids sorted most-evictable first.
 
@@ -1146,8 +1119,6 @@ class KnowledgeBase:
                         for template_id, record in self._guard_records.items()
                         if template_id in self.templates
                     },
-                    "feature_count": self._feature_count,
-                    "feature_mean": list(self._feature_mean),
                 }
             files = {
                 "knowledge_base.nt": format_ntriples(
@@ -1221,8 +1192,6 @@ class KnowledgeBase:
             for template_id, entry in guard_payload["records"].items()
             if template_id in kb.templates
         }
-        kb._feature_count = int(guard_payload["feature_count"])
-        kb._feature_mean = [float(value) for value in guard_payload["feature_mean"]]
         return kb
 
 

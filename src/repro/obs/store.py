@@ -155,11 +155,10 @@ _TIMELINE_ATTRS = (
     "version",
     "error",
     # Steering-guard verdicts: the win/loss/baseline judgement, quarantined
-    # templates blocked from (or probed into) this request, drift score.
+    # templates blocked from (or probed into) this request.
     "verdict",
     "blocked",
     "probed",
-    "drift_score",
 )
 
 

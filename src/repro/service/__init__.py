@@ -16,13 +16,7 @@ from repro.service.feedback import (
     QueryObservation,
     sql_fingerprint,
 )
-from repro.service.guard import (
-    GuardScreen,
-    LearningScheduler,
-    SteeringGuard,
-    WorkloadDriftDetector,
-    workload_features,
-)
+from repro.service.guard import GuardScreen, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
     GaloService,
@@ -41,7 +35,6 @@ __all__ = [
     "FeedbackMonitor",
     "GaloService",
     "GuardScreen",
-    "LearningScheduler",
     "LearningTask",
     "QueryObservation",
     "ServiceConfig",
@@ -51,9 +44,7 @@ __all__ = [
     "ShardedServiceConfig",
     "SteeringGuard",
     "WorkerCrashedError",
-    "WorkloadDriftDetector",
     "serve_workload",
     "serve_workload_sharded",
     "sql_fingerprint",
-    "workload_features",
 ]

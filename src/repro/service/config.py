@@ -24,11 +24,12 @@ class ServiceConfig:
     -------------------
     With ``learning_enabled``, every executed query is fed to the feedback
     monitor; mis-estimated or regressed queries are enqueued (deduplicated by
-    SQL hash) onto a background learning queue.  The learner drains it on the
-    event loop, one learning step at a time, so a request waits for at most
-    one step (about one miss) behind it.  The queue itself is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``);
-    when it is full new candidates are dropped (and counted) rather than
-    blocking serving.
+    SQL hash) onto a background learning queue.  The learner drains it in
+    FIFO order on the event loop, one learning step at a time, so a request
+    waits for at most one step (about one miss) behind it.  The queue itself
+    is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``); when it is
+    full new candidates are dropped (and counted) rather than blocking
+    serving.
     """
 
     #: Ignored: every request is served on the event loop.  Kept (and still
@@ -63,19 +64,6 @@ class ServiceConfig:
     guard_min_observations: int = 3
     guard_quarantine_loss_rate: float = 0.5
     guard_probe_interval: int = 4
-    #: Workload drift detection (second half of the guard): the live
-    #: workload's feature vectors are averaged over a rolling window of
-    #: ``drift_window`` requests and compared against the mean of the
-    #: population the KB learned from (once that population has at least
-    #: ``drift_min_reference`` samples).  A normalized distance at or above
-    #: ``drift_threshold`` switches the learning queue from FIFO to
-    #: frequency x estimated-benefit priority and, on the onset transition,
-    #: enqueues re-learning tasks for the window's ``drift_relearn_limit``
-    #: hottest statements.
-    drift_window: int = 64
-    drift_threshold: float = 0.5
-    drift_min_reference: int = 4
-    drift_relearn_limit: int = 4
     #: Knowledge-base size cap enforced after each learned task
     #: (None = unbounded).  Eviction follows the cold/low-benefit-first policy
     #: of :meth:`repro.core.knowledge_base.KnowledgeBase.eviction_order`.
@@ -125,14 +113,6 @@ class ServiceConfig:
             raise ValueError("guard_quarantine_loss_rate must be in (0, 1]")
         if self.guard_probe_interval < 1:
             raise ValueError("guard_probe_interval must be >= 1")
-        if self.drift_window < 2:
-            raise ValueError("drift_window must be >= 2")
-        if self.drift_threshold <= 0:
-            raise ValueError("drift_threshold must be > 0")
-        if self.drift_min_reference < 1:
-            raise ValueError("drift_min_reference must be >= 1")
-        if self.drift_relearn_limit < 0:
-            raise ValueError("drift_relearn_limit must be >= 0")
         if self.kb_capacity is not None and self.kb_capacity < 0:
             raise ValueError("kb_capacity must be >= 0")
         if (
@@ -161,7 +141,7 @@ class ShardedServiceConfig:
     :class:`GaloService` over its own database + engine + KB replica.
     Requests are routed by consistent hash of the SQL fingerprint
     (``routing_key`` overrides the key function, e.g. for per-tenant
-    routing); ``virtual_nodes`` controls ring smoothness.
+    routing).
 
     Knowledge-base propagation
     --------------------------
@@ -205,20 +185,12 @@ class ShardedServiceConfig:
     #: Routing key function ``(sql, query_name) -> str``; None = SQL
     #: fingerprint (whitespace-normalized hash, the feedback monitor's key).
     routing_key: Optional[Callable[[str, str], str]] = None
-    #: Virtual nodes per shard on the consistent-hash ring.
-    virtual_nodes: int = 64
-    #: Bound on worker startup (workers build their database replica here).
-    start_timeout_seconds: float = 300.0
-    #: How often the router checks worker liveness.
-    watchdog_interval_seconds: float = 0.1
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.max_pending_per_shard < 1:
             raise ValueError("max_pending_per_shard must be >= 1")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         if self.kb_poll_interval_seconds <= 0:
             raise ValueError("kb_poll_interval_seconds must be > 0")
         if self.kb_publish_interval_seconds <= 0:
@@ -229,7 +201,3 @@ class ShardedServiceConfig:
             raise ValueError("learner_shard must be a valid shard index")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
-        if self.start_timeout_seconds <= 0:
-            raise ValueError("start_timeout_seconds must be > 0")
-        if self.watchdog_interval_seconds <= 0:
-            raise ValueError("watchdog_interval_seconds must be > 0")

@@ -246,10 +246,7 @@ class ServiceMetrics:
         "quarantine_probes": "Quarantined-template matches allowed as shadow probes.",
         "templates_quarantined": "Templates quarantined by the regression guard.",
         "templates_rearmed": "Quarantined templates re-armed after probation wins.",
-        "drift_events": "Workload drift onsets detected.",
-        "learning_drift_enqueued": "Targeted re-learning tasks staged by drift onsets.",
         "quarantined_templates": "Templates currently quarantined (not steering).",
-        "workload_drift_score": "Live-workload distance from the KB's learned population.",
         "router_requests": "Requests accepted by the sharded router.",
         "router_rejected": "Requests refused by per-shard admission control.",
         "router_failed_shard_errors": "Requests failed because their shard was down.",

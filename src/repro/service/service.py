@@ -17,12 +17,12 @@
    once, so a burst is admitted before any of it is served, then is served
    in admission order;
 3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
-   which enqueues mis-estimated or regressed statements onto a background
-   learning queue -- the paper's offline tier running continuously behind the
-   online tier, Bao/superoptimizer-style.  The learner runs on the event loop
-   too, one step at a time (the parent validation, then one sub-query
-   analysis: the size of one miss) and yields to the loop after each, so a
-   request waits for at most one step, never for a whole query;
+   which enqueues mis-estimated or regressed statements onto a FIFO
+   background learning queue -- the paper's offline tier running continuously
+   behind the online tier, Bao/superoptimizer-style.  The learner runs on the
+   event loop too, one step at a time (the parent validation, then one
+   sub-query analysis: the size of one miss) and yields to the loop after
+   each, so a request waits for at most one step, never for a whole query;
 4. after each learned task, enforces the knowledge-base size cap
    (cold/low-benefit templates are evicted with incremental index
    maintenance).
@@ -62,18 +62,10 @@ from repro.obs import (
 )
 from repro.service.config import ServiceConfig
 from repro.service.feedback import FeedbackMonitor, LearningTask
-from repro.service.guard import (
-    GuardScreen,
-    LearningScheduler,
-    SteeringGuard,
-    workload_features,
-)
+from repro.service.guard import GuardScreen, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 
 
-#: Sentinel carried by the learning queue; one token per staged task (the
-#: tasks themselves live in the :class:`LearningScheduler`).
-_LEARNING_TOKEN = object()
 #: Bound on queued background-learning tasks (a full queue drops, not blocks).
 LEARNING_QUEUE_LIMIT = 256
 
@@ -134,9 +126,9 @@ class GaloService:
             q_error_threshold=self.config.q_error_threshold,
             regression_threshold=self.config.regression_threshold,
         )
-        #: Regression guard + drift detector (None when disabled).  The guard
-        #: registers its counters on ``metrics`` either way it is built, so a
-        #: guard-on service exposes the same counter set from request one.
+        #: Regression guard (None when disabled).  The guard registers its
+        #: counters on ``metrics`` either way it is built, so a guard-on
+        #: service exposes the same counter set from request one.
         self.guard: Optional[SteeringGuard] = None
         if self.config.guard_enabled:
             self.guard = SteeringGuard(
@@ -144,17 +136,9 @@ class GaloService:
                 min_observations=self.config.guard_min_observations,
                 quarantine_loss_rate=self.config.guard_quarantine_loss_rate,
                 probe_interval=self.config.guard_probe_interval,
-                drift_window=self.config.drift_window,
-                drift_threshold=self.config.drift_threshold,
-                drift_min_reference=self.config.drift_min_reference,
-                drift_relearn_limit=self.config.drift_relearn_limit,
                 metrics=self.metrics,
             )
-        #: Pending learning tasks; the asyncio queue carries one token per
-        #: task (preserving its backpressure/join semantics) while the
-        #: scheduler decides pop order -- FIFO normally, frequency x benefit
-        #: priority while the guard reports workload drift.
-        self._scheduler = LearningScheduler(self.guard)
+        #: Pending learning tasks, learned in FIFO order.
         self._learning_queue: Optional[asyncio.Queue] = None
         self._learner_task: Optional[asyncio.Task] = None
         self._pending = 0
@@ -217,11 +201,12 @@ class GaloService:
             except asyncio.CancelledError:
                 pass
             self._learner_task = None
-        # Tasks still staged (stop without drain) are dropped, not kept for
-        # a restart: the next start() brings a fresh queue, and a stale task
-        # left here would be popped for the new queue's first token.
-        while len(self._scheduler):
-            self._drop_learning(self._scheduler.pop())
+        # Tasks still queued (stop without drain) are dropped, not kept for
+        # a restart: the next start() brings a fresh queue.
+        queue = self._learning_queue
+        while not queue.empty():
+            self._drop_learning(queue.get_nowait())
+            queue.task_done()
         # Final checkpoint on the way down (forced past the interval):
         # online-learned templates survive a clean shutdown even when the
         # timer has not fired yet.
@@ -246,7 +231,7 @@ class GaloService:
 
     @property
     def learning_backlog(self) -> int:
-        """Learning tasks waiting (or running) in the background queue."""
+        """Learning tasks waiting in the background queue (not the running one)."""
         if self._learning_queue is None:
             return 0
         return self._learning_queue.qsize()
@@ -314,11 +299,6 @@ class GaloService:
         self._pending -= 1
         if learning_task is not None:
             self._enqueue_learning(learning_task)
-        if self.guard is not None:
-            # Targeted re-learning staged by a drift onset while serving.
-            for task in self.guard.take_drift_tasks():
-                if self.config.learning_enabled:
-                    self._enqueue_learning(task)
 
     async def stream(
         self, requests: Sequence[Union[str, Tuple[str, str]]]
@@ -385,7 +365,6 @@ class GaloService:
             gauges["quarantined_templates"] = len(
                 self.galo.knowledge_base.quarantined_template_ids()
             )
-            gauges["workload_drift_score"] = self.guard.drift_score
         if self.trace_store is not None:
             store_stats = self.trace_store.stats()
             gauges["traces_stored"] = store_stats["traces_stored"]
@@ -575,8 +554,8 @@ class GaloService:
                     feedback_span.set("reason", learning_task.reason)
             feedback_span.set("max_q_error", max_q_error)
             if guard is not None:
-                # Ledger first (win/loss vs the optimizer baseline, plus any
-                # quarantine / re-arm transition), then the drift window.
+                # Win/loss vs the optimizer baseline, plus any quarantine /
+                # re-arm transition.
                 verdict = guard.observe(
                     knowledge_base,
                     sql=sql,
@@ -585,16 +564,6 @@ class GaloService:
                     template_ids=matched_ids,
                 )
                 feedback_span.set("verdict", verdict)
-                if self.config.learning_enabled:
-                    guard.observe_workload(
-                        knowledge_base,
-                        sql=sql,
-                        query_name=query_name,
-                        qgm=qgm,
-                        max_q_error=max_q_error,
-                    )
-                    if guard.drift_score:
-                        feedback_span.set("drift_score", round(guard.drift_score, 4))
 
         self.metrics.increment("completed")
         if steered:
@@ -645,14 +614,11 @@ class GaloService:
             self._drop_learning(task)
             return
         try:
-            # One token per task: the queue keeps its bound/join semantics,
-            # the scheduler (same thread) holds the task and picks pop order.
-            queue.put_nowait(_LEARNING_TOKEN)
+            # Stamp the enqueue time so the learner can report queue dwell.
+            queue.put_nowait(replace(task, enqueued_at=time.perf_counter()))
         except asyncio.QueueFull:
             self._drop_learning(task)
         else:
-            # Stamp the enqueue time so the learner can report queue dwell.
-            self._scheduler.push(replace(task, enqueued_at=time.perf_counter()))
             self.metrics.increment("learning_enqueued")
 
     def _drop_learning(self, task: LearningTask) -> None:
@@ -667,21 +633,18 @@ class GaloService:
         interval = self.config.kb_checkpoint_interval_seconds
         while True:
             if interval is None:
-                await self._learning_queue.get()
+                task = await self._learning_queue.get()
             else:
                 # Wake at least once per checkpoint interval even when no
                 # learning work arrives: the timer must fire on a quiet
                 # service too (the dirty check makes an idle wake-up free).
                 try:
-                    await asyncio.wait_for(
+                    task = await asyncio.wait_for(
                         self._learning_queue.get(), timeout=interval
                     )
                 except asyncio.TimeoutError:
                     self._checkpoint_kb_sync()
                     continue
-            # The token guarantees a task is staged (push follows put_nowait
-            # with no await in between, on this same thread).
-            task = self._scheduler.pop()
             try:
                 await self._learn(task)
             except asyncio.CancelledError:
@@ -773,17 +736,6 @@ class GaloService:
             # previously each statement was enqueued at most once per service
             # lifetime).
             self.feedback.mark_learned(task.sql)
-            if record.templates_learned:
-                # Fold this statement's plan features into the KB's learned
-                # population -- the reference the drift detector compares the
-                # live workload against.  explain() hits the plan cache.
-                self.galo.knowledge_base.record_learned_features(
-                    workload_features(
-                        self.galo.database.explain(
-                            task.sql, query_name=task.query_name or task.sql_hash
-                        )
-                    )
-                )
             if self.config.kb_capacity is not None:
                 with span.child("enforce_capacity") as evict_span:
                     evicted = self.galo.knowledge_base.enforce_capacity(

@@ -81,6 +81,11 @@ ROUTER_COUNTERS = (
     "worker_crashes",
     "worker_restarts",
 )
+#: Bound on worker startup, first spawn or restart (each worker builds its
+#: database replica here).
+WORKER_START_TIMEOUT_SECONDS = 300.0
+#: How often the router's watchdog checks worker liveness.
+WATCHDOG_INTERVAL_SECONDS = 0.1
 
 
 class WorkerCrashedError(RuntimeError):
@@ -367,9 +372,7 @@ class ShardedGaloService:
     ):
         self.config = config or ShardedServiceConfig()
         self.worker_factory = worker_factory
-        self.router = ConsistentHashRouter(
-            self.config.num_workers, self.config.virtual_nodes
-        )
+        self.router = ConsistentHashRouter(self.config.num_workers)
         #: Router-side counters (distinct names from the per-worker counters,
         #: so merging in :meth:`render_metrics` never double counts).
         self.metrics = ServiceMetrics()
@@ -425,7 +428,7 @@ class ShardedGaloService:
         try:
             await asyncio.wait_for(
                 asyncio.gather(*(handle.ready for handle in self._workers)),
-                timeout=self.config.start_timeout_seconds,
+                timeout=WORKER_START_TIMEOUT_SECONDS,
             )
         except (asyncio.TimeoutError, RuntimeError):
             await self._abort_start()
@@ -901,7 +904,7 @@ class ShardedGaloService:
     async def _watchdog(self) -> None:
         """Detect dead workers; fail their in-flight requests and restart."""
         while True:
-            await asyncio.sleep(self.config.watchdog_interval_seconds)
+            await asyncio.sleep(WATCHDOG_INTERVAL_SECONDS)
             for handle in self._workers:
                 if handle.state != "up":
                     continue
@@ -932,7 +935,7 @@ class ShardedGaloService:
         try:
             await asyncio.wait_for(
                 asyncio.shield(handle.ready),
-                timeout=self.config.start_timeout_seconds,
+                timeout=WORKER_START_TIMEOUT_SECONDS,
             )
         except (asyncio.TimeoutError, RuntimeError):
             handle.failed = True

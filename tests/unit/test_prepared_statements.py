@@ -962,9 +962,9 @@ class TestExecutionReplay:
         assert {type(value) for value in values} <= {int, float, str, type(None)}
 
     def test_replays_leave_the_stored_outcome_unchanged(self, monkeypatch):
-        """Learning and the guard on: feedback, the guard ledger and the drift
-        window read a replayed result's shared metrics and actuals, and must
-        write nothing into them."""
+        """Learning and the guard on: feedback and the guard ledger read a
+        replayed result's shared metrics and actuals, and must write nothing
+        into them."""
         galo = build_system()
         config = dict(learning_enabled=True, guard_enabled=True, q_error_threshold=1e9)
         serve_serially(galo, WORKLOAD * 2, **config)

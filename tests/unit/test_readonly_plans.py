@@ -139,7 +139,7 @@ class TestServingLeavesPlansAlone:
             plans = (decision.qgm, decision.baseline_qgm)
             before = [plan_snapshot(plan) for plan in plans]
             result = database.execute_plan(decision.qgm)
-            observation = monitor.observe(
+            monitor.observe(
                 sql=sql, query_name=name, qgm=decision.qgm, result=result,
                 matched=bool(decision.matches), steered=decision.steered,
             )
@@ -147,10 +147,6 @@ class TestServingLeavesPlansAlone:
             guard.observe(
                 knowledge_base, sql=sql, elapsed_ms=result.elapsed_ms,
                 steered=decision.steered, template_ids=decision.matched_template_ids,
-            )
-            guard.observe_workload(
-                knowledge_base, sql=sql, query_name=name, qgm=decision.qgm,
-                max_q_error=observation.max_q_error,
             )
             assert [plan_snapshot(plan) for plan in plans] == before
 

@@ -410,7 +410,7 @@ class TestSteppedLearner:
             await service.start()
             service._enqueue_learning(learning_task("new", "new"))
             await service.drain()
-            staged = len(service._scheduler)
+            staged = service.learning_backlog
             await service.stop()
             return staged
 
@@ -419,3 +419,142 @@ class TestSteppedLearner:
         assert forgotten == ["old-1", "old-2", "old-3"]
         assert service.metrics.count("learning_dropped") == 3
         assert service.metrics.count("learning_completed") == 1
+
+
+class TestLearningQueue:
+    """The learning queue carries its tasks and hands them out in FIFO order."""
+
+    def recording_service(self, galo, steps_per_task=1):
+        """A learning service whose learner records each task's SQL and takes
+        ``steps_per_task`` loop steps on it."""
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+        learned = []
+
+        def learning_steps(sql, **_):
+            learned.append(sql)
+            for _ in range(steps_per_task):
+                yield SimpleNamespace(templates_learned=[])
+
+        galo.learning_engine.learning_steps = learning_steps
+        return service, learned
+
+    def test_tasks_are_learned_in_enqueue_order(self, galo):
+        service, learned = self.recording_service(galo)
+        order = [f"task-{number}" for number in (3, 1, 4, 0, 2)]
+
+        async def scenario():
+            await service.start()
+            for sql in order:
+                service._enqueue_learning(learning_task(sql, sql))
+            await service.drain()
+            await service.stop()
+
+        run(scenario())
+        assert learned == order
+        assert service.metrics.count("learning_enqueued") == len(order)
+        assert service.metrics.count("learning_completed") == len(order)
+
+    def test_task_enqueued_mid_learning_waits_behind_queued_tasks(self, galo):
+        service, learned = self.recording_service(galo, steps_per_task=3)
+
+        async def scenario():
+            await service.start()
+            service._enqueue_learning(learning_task("first", "first"))
+            service._enqueue_learning(learning_task("second", "second"))
+            while learned != ["first"]:
+                await asyncio.sleep(0)
+            service._enqueue_learning(learning_task("late", "late"))
+            await service.drain()
+            await service.stop()
+
+        run(scenario())
+        assert learned == ["first", "second", "late"]
+
+    def test_learning_backlog_counts_only_waiting_tasks(self, galo):
+        service, learned = self.recording_service(galo, steps_per_task=3)
+
+        async def scenario():
+            await service.start()
+            for sql in ("running", "waiting-1", "waiting-2"):
+                service._enqueue_learning(learning_task(sql, sql))
+            assert service.learning_backlog == 3
+            while learned != ["running"]:
+                await asyncio.sleep(0)
+            during = service.learning_backlog
+            await service.drain()
+            after = service.learning_backlog
+            await service.stop()
+            return during, after
+
+        assert run(scenario()) == (2, 0)
+
+    def test_stop_without_drain_leaves_no_unfinished_queue_work(self, galo):
+        service, learned = self.recording_service(galo)
+
+        async def scenario():
+            await service.start()
+            queue = service._learning_queue
+            for number in range(3):
+                service._enqueue_learning(learning_task(f"q{number}", f"q{number}"))
+            await service.stop(drain=False)
+            # Every dropped task was marked done: join() returns at once.
+            await asyncio.wait_for(queue.join(), timeout=1.0)
+            return queue.qsize()
+
+        assert run(scenario()) == 0
+        assert learned == []
+        assert service.metrics.count("learning_dropped") == 3
+        assert service.learning_backlog == 0
+
+    def test_full_queue_drops_the_task(self, galo, monkeypatch):
+        from repro.service import service as service_module
+
+        monkeypatch.setattr(service_module, "LEARNING_QUEUE_LIMIT", 2)
+        service, learned = self.recording_service(galo)
+        forgotten = []
+        forget = service.feedback.forget
+        service.feedback.forget = lambda sql: (forgotten.append(sql), forget(sql))
+
+        async def scenario():
+            await service.start()
+            for sql in ("kept-1", "kept-2", "overflow"):
+                service._enqueue_learning(learning_task(sql, sql))
+            await service.drain()
+            await service.stop()
+
+        run(scenario())
+        assert learned == ["kept-1", "kept-2"]
+        assert forgotten == ["overflow"]
+        assert service.metrics.count("learning_enqueued") == 2
+        assert service.metrics.count("learning_dropped") == 1
+
+    def test_enqueue_stamps_a_copy_of_the_task(self, galo):
+        service, _ = self.recording_service(galo)
+        task = learning_task("stamped", "stamped")
+
+        async def scenario():
+            await service.start()
+            service._enqueue_learning(task)
+            # No await since the put: the learner has not taken it yet.
+            queued = service._learning_queue.get_nowait()
+            service._learning_queue.task_done()
+            await service.stop()
+            return queued
+
+        queued = run(scenario())
+        assert queued.sql == task.sql and queued.enqueued_at > 0.0
+        assert task.enqueued_at == 0.0
+
+    def test_learning_disabled_drops_instead_of_queueing(self, galo):
+        service = GaloService(galo, quiet_config())
+
+        async def scenario():
+            await service.start()
+            service._enqueue_learning(learning_task(*QUERIES[0]))
+            backlog = service.learning_backlog
+            await service.stop()
+            return backlog
+
+        assert run(scenario()) == 0
+        assert service.metrics.count("learning_enqueued") == 0
+        assert service.metrics.count("learning_dropped") == 1

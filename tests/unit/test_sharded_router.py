@@ -13,6 +13,7 @@ from repro.service import (
     ConsistentHashRouter,
     ServiceConfig,
     ServiceMetrics,
+    ShardedGaloService,
     ShardedServiceConfig,
     sql_fingerprint,
 )
@@ -76,19 +77,31 @@ class TestShardedServiceConfig:
         [
             dict(num_workers=0),
             dict(max_pending_per_shard=0),
-            dict(virtual_nodes=0),
             dict(kb_poll_interval_seconds=0),
             dict(kb_publish_interval_seconds=0),
             dict(learner_shard=2, num_workers=2),
             dict(learner_shard=-1),
             dict(max_worker_restarts=-1),
-            dict(start_timeout_seconds=0),
-            dict(watchdog_interval_seconds=0),
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             ShardedServiceConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "knob", ["virtual_nodes", "start_timeout_seconds", "watchdog_interval_seconds"]
+    )
+    def test_constant_knobs_are_not_fields(self, knob):
+        with pytest.raises(TypeError):
+            ShardedServiceConfig(**{knob: 1})
+
+    def test_service_ring_uses_the_router_default(self):
+        service = ShardedGaloService(object, ShardedServiceConfig(num_workers=3))
+        reference = ConsistentHashRouter(3)
+        keys = [f"key-{i}" for i in range(300)]
+        assert [service.router.route(k) for k in keys] == [
+            reference.route(k) for k in keys
+        ]
 
     def test_learner_shard_keeps_learning_and_publishes(self, tmp_path):
         config = ShardedServiceConfig(

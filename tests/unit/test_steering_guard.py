@@ -1,16 +1,17 @@
-"""Steering-guard unit tests: the win/loss ledger, quarantine lifecycle,
-workload drift detection and the priority learning scheduler.
+"""Steering-guard unit tests: the win/loss ledger and quarantine lifecycle.
 
-The contract under test, per the robustness issue: a template whose steered
-executions keep regressing past the optimizer baseline is quarantined (its
-matches stop steering) while deterministic probes keep judging it; probation
-wins re-arm it with a fresh ledger; chronic losers evict first; guard state
-survives knowledge-base checkpoints; and drift onset switches background
-learning from FIFO to frequency x benefit priority.
+The contract under test: a template whose steered executions keep regressing
+past the optimizer baseline is quarantined (its matches stop steering) while
+deterministic probes keep judging it; probation wins re-arm it with a fresh
+ledger; chronic losers evict first; and guard state survives knowledge-base
+checkpoints.
 """
+
+import json
 
 import pytest
 
+from repro.core.galo import Galo
 from repro.core.knowledge_base import (
     KnowledgeBase,
     TemplateGuardRecord,
@@ -18,15 +19,9 @@ from repro.core.knowledge_base import (
     abstract_template_from_plan,
 )
 from repro.core.matching.segmenter import segment_plan
-from repro.service.feedback import FeedbackMonitor, LearningTask, sql_fingerprint
-from repro.service.guard import (
-    GUARD_COUNTERS,
-    LearningScheduler,
-    SteeringGuard,
-    WorkloadDriftDetector,
-    drift_score,
-    workload_features,
-)
+from repro.service import GaloService, ServiceConfig
+from repro.service.feedback import FeedbackMonitor
+from repro.service.guard import GUARD_COUNTERS, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 
 
@@ -84,41 +79,6 @@ def matches_for(kb, plan_root):
         TemplateMatch(template=template, label_to_alias={}, subplan_root=plan_root)
         for template in kb.all_templates()
     ]
-
-
-FEATURE_WIDTH = 6
-
-
-class TestWorkloadFeatures:
-    def test_feature_vector_shape_and_flags(self, mini_db):
-        plan = mini_db.explain(SQL)
-        features = workload_features(plan)
-        assert len(features) == FEATURE_WIDTH
-        joins, scans, predicates, group_by, order_by, scan_share = features
-        assert joins >= 1  # sales x item
-        assert scans >= 2
-        assert predicates >= 1
-        assert group_by == 1.0
-        assert order_by in (0.0, 1.0)
-        assert 0.0 < scan_share <= 1.0
-
-    def test_subtree_and_full_plan_agree_on_type(self, mini_db):
-        plan = mini_db.explain(SQL)
-        segment = next(iter(segment_plan(plan, max_joins=3)))
-        features = workload_features(segment)
-        assert len(features) == FEATURE_WIDTH
-
-    def test_drift_score_zero_for_identical_means(self):
-        mean = [2.0, 3.0, 5.0, 1.0, 0.0, 0.5]
-        assert drift_score(mean, mean) == 0.0
-        assert drift_score([], mean) == 0.0
-        assert drift_score(mean, mean[:-1]) == 0.0  # width mismatch is inert
-
-    def test_drift_score_grows_with_distance(self):
-        reference = [1.0, 2.0, 3.0, 0.0, 0.0, 0.3]
-        near = [1.5, 2.0, 3.0, 0.0, 0.0, 0.3]
-        far = [6.0, 8.0, 12.0, 1.0, 1.0, 0.9]
-        assert drift_score(near, reference) < drift_score(far, reference)
 
 
 class TestLedger:
@@ -182,6 +142,48 @@ class TestLedger:
         assert guard.baseline_ms("SELECT 9 FROM sales") == 10.0
         assert guard.baseline_ms("SELECT 0 FROM sales") is None
 
+    def test_verdict_at_the_threshold_is_a_win(self, mini_db):
+        kb = kb_with_templates(mini_db)
+        tid = next(iter(kb.templates))
+        guard = make_guard(regression_threshold=1.5)
+        guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=False, template_ids=[])
+        assert (
+            guard.observe(kb, sql=SQL, elapsed_ms=150.0, steered=True, template_ids=[tid])
+            == "win"
+        )
+        assert kb.guard_record(tid).wins == 1
+
+    def test_outcome_is_tallied_against_every_steering_template(self, mini_db):
+        kb = kb_with_templates(mini_db, count=2)
+        ids = sorted(kb.templates)
+        guard = make_guard()
+        guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=False, template_ids=[])
+        guard.observe(kb, sql=SQL, elapsed_ms=400.0, steered=True, template_ids=ids)
+        for tid in ids:
+            record = kb.guard_record(tid)
+            assert record.wins == 0 and record.losses == 1
+        # One verdict per request, however many templates steered it.
+        assert guard.metrics.count("steering_losses") == 1
+
+    def test_baselines_are_per_statement(self, mini_db):
+        kb = kb_with_templates(mini_db)
+        tid = next(iter(kb.templates))
+        guard = make_guard()
+        other = "SELECT i_category FROM item WHERE i_category = 'Music'"
+        guard.observe(kb, sql=other, elapsed_ms=1.0, steered=False, template_ids=[])
+        # SQL has no baseline of its own: another statement's never judges it.
+        assert (
+            guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=True, template_ids=[tid])
+            == "unjudged"
+        )
+        assert kb.guard_record(tid).observations == 0
+
+    def test_whitespace_variants_share_a_baseline(self, mini_db):
+        kb = kb_with_templates(mini_db)
+        guard = make_guard()
+        guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=False, template_ids=[])
+        assert guard.baseline_ms("  ".join(SQL.split()) + "\n") == 100.0
+
 
 class TestQuarantineLifecycle:
     def quarantined_guard_and_kb(self, db):
@@ -234,6 +236,18 @@ class TestQuarantineLifecycle:
         assert screen.allowed == matches  # same objects, same order
         assert not screen.degraded and not screen.probed
         assert guard.metrics.count("quarantine_blocks") == 0
+
+    def test_screen_blocks_only_the_quarantined_template(self, mini_db):
+        kb = kb_with_templates(mini_db, count=3)
+        ids = [template.template_id for template in kb.all_templates()]
+        kb.quarantine_template(ids[1])
+        guard = make_guard(probe_interval=3)
+        matches = matches_for(kb, mini_db.explain(SQL).root)
+        screen = guard.screen(kb, matches)
+        assert screen.blocked == [ids[1]] and screen.probed == []
+        # The armed matches pass in their original order, same objects.
+        assert screen.allowed == [matches[0], matches[2]]
+        assert screen.degraded
 
     def test_probation_wins_rearm_with_fresh_ledger(self, mini_db):
         guard, kb, tid = self.quarantined_guard_and_kb(mini_db)
@@ -309,7 +323,6 @@ class TestGuardPersistence:
         kb.record_steering_outcome(ids[0], win=True)
         kb.record_steering_outcome(ids[0], win=False)
         kb.quarantine_template(ids[0])
-        kb.record_learned_features([2.0, 3.0, 5.0, 1.0, 0.0, 0.5])
         kb.save(str(tmp_path))
         assert (tmp_path / "v1" / "guard_state.json").exists()
 
@@ -317,9 +330,43 @@ class TestGuardPersistence:
         assert restored.quarantined_template_ids() == [ids[0]]
         record = restored.guard_record(ids[0])
         assert record.wins == 1 and record.losses == 1 and record.quarantined
-        count, mean = restored.learned_feature_population()
-        assert count == 1
-        assert mean == [2.0, 3.0, 5.0, 1.0, 0.0, 0.5]
+
+    def test_guard_state_with_feature_population_loads(self, mini_db, tmp_path):
+        """A checkpoint whose guard state also carries a learned-feature
+        population (``feature_count`` / ``feature_mean``, written by earlier
+        versions) loads: the extra keys are ignored, the ledger is kept."""
+        kb = kb_with_templates(mini_db, count=2)
+        ids = sorted(kb.templates)
+        kb.record_steering_outcome(ids[0], win=False)
+        kb.record_steering_outcome(ids[0], win=False)
+        kb.quarantine_template(ids[0])
+        kb.record_steering_outcome(ids[1], win=True)
+        kb.save(str(tmp_path))
+        state_path = tmp_path / "v1" / "guard_state.json"
+        payload = json.loads(state_path.read_text(encoding="utf-8"))
+        payload["feature_count"] = 3
+        payload["feature_mean"] = [2.0, 3.0, 5.0, 1.0, 0.0, 0.5]
+        state_path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+        )
+
+        restored = KnowledgeBase.load(str(tmp_path))
+        assert restored.checkpoint_version == 1
+        assert restored.quarantined_template_ids() == [ids[0]]
+        quarantined = restored.guard_record(ids[0])
+        assert quarantined.wins == 0 and quarantined.losses == 2
+        armed = restored.guard_record(ids[1])
+        assert armed.wins == 1 and armed.losses == 0 and not armed.quarantined
+
+    def test_checkpoint_guard_state_holds_only_the_ledger(self, mini_db, tmp_path):
+        kb = kb_with_templates(mini_db)
+        tid = next(iter(kb.templates))
+        kb.record_steering_outcome(tid, win=True)
+        kb.save(str(tmp_path))
+        state_path = tmp_path / "v1" / "guard_state.json"
+        payload = json.loads(state_path.read_text(encoding="utf-8"))
+        assert sorted(payload) == ["records"]
+        assert sorted(payload["records"]) == [tid]
 
     def test_quarantine_transition_marks_dirty(self, mini_db, tmp_path):
         kb = kb_with_templates(mini_db)
@@ -355,150 +402,6 @@ class TestGuardPersistence:
         assert not kb.quarantine_template("no-such-template")
 
 
-class TestDriftDetector:
-    REFERENCE = (8, [1.0, 2.0, 3.0, 1.0, 0.0, 0.4])
-    SHIFTED = [6.0, 9.0, 14.0, 0.0, 1.0, 0.9]
-
-    def test_no_drift_until_window_full(self):
-        detector = WorkloadDriftDetector(window=4, threshold=0.1)
-        for position in range(3):
-            assert not detector.observe(f"q{position}", self.SHIFTED, self.REFERENCE)
-            assert detector.score == 0.0
-        assert detector.observe("q3", self.SHIFTED, self.REFERENCE)
-        assert detector.drifted and detector.score > 0.1
-
-    def test_no_drift_against_thin_reference(self):
-        detector = WorkloadDriftDetector(
-            window=2, threshold=0.1, min_reference_samples=4
-        )
-        thin = (1, self.REFERENCE[1])
-        assert not detector.observe("a", self.SHIFTED, thin)
-        assert not detector.observe("b", self.SHIFTED, thin)
-        assert detector.score == 0.0 and not detector.drifted
-
-    def test_onset_fires_once(self):
-        detector = WorkloadDriftDetector(window=2, threshold=0.1)
-        assert not detector.observe("a", self.SHIFTED, self.REFERENCE)
-        assert detector.observe("b", self.SHIFTED, self.REFERENCE)
-        # Still drifted: not a new onset.
-        assert not detector.observe("c", self.SHIFTED, self.REFERENCE)
-        assert detector.drifted
-
-    def test_matching_workload_never_drifts(self):
-        detector = WorkloadDriftDetector(window=2, threshold=0.1)
-        matching = list(self.REFERENCE[1])
-        assert not detector.observe("a", matching, self.REFERENCE)
-        assert not detector.observe("b", matching, self.REFERENCE)
-        assert detector.score == pytest.approx(0.0)
-
-    def test_frequency_tracks_window_expiry(self):
-        detector = WorkloadDriftDetector(window=3, threshold=9.9)
-        features = list(self.REFERENCE[1])
-        for fingerprint in ["a", "a", "b", "c"]:  # first "a" expires
-            detector.observe(fingerprint, features, self.REFERENCE)
-        assert detector.frequency("a") == 1
-        assert detector.frequency("b") == 1
-        assert detector.frequency("missing") == 0
-
-    def test_hottest_is_deterministic(self):
-        detector = WorkloadDriftDetector(window=8, threshold=9.9)
-        features = list(self.REFERENCE[1])
-        for fingerprint in ["b", "a", "b", "c", "a", "b"]:
-            detector.observe(fingerprint, features, self.REFERENCE)
-        assert detector.hottest(2) == ["b", "a"]
-        assert detector.hottest(10) == ["b", "a", "c"]
-
-
-class _StubGuard:
-    """Minimal guard stand-in for scheduler tests."""
-
-    def __init__(self):
-        self.drifted = False
-        self.frequencies = {}
-
-    def statement_frequency(self, fingerprint):
-        return self.frequencies.get(fingerprint, 0)
-
-
-def task_named(name, q_error=1.0):
-    return LearningTask(
-        sql=f"SELECT {name}",
-        query_name=name,
-        reason="misestimated",
-        sql_hash=name,
-        max_q_error=q_error,
-        elapsed_ms=1.0,
-    )
-
-
-class TestLearningScheduler:
-    def test_fifo_without_guard(self):
-        scheduler = LearningScheduler()
-        for name in ["a", "b", "c"]:
-            scheduler.push(task_named(name))
-        assert [scheduler.pop().sql_hash for _ in range(3)] == ["a", "b", "c"]
-        with pytest.raises(IndexError):
-            scheduler.pop()
-
-    def test_fifo_while_not_drifted(self):
-        guard = _StubGuard()
-        guard.frequencies = {"c": 100}
-        scheduler = LearningScheduler(guard)
-        for name in ["a", "b", "c"]:
-            scheduler.push(task_named(name))
-        assert scheduler.pop().sql_hash == "a", "no drift -> insertion order"
-
-    def test_priority_under_drift(self):
-        guard = _StubGuard()
-        guard.drifted = True
-        guard.frequencies = {"a": 1, "b": 10, "c": 2}
-        scheduler = LearningScheduler(guard)
-        scheduler.push(task_named("a", q_error=50.0))  # 1 x 50 = 50
-        scheduler.push(task_named("b", q_error=8.0))  # 10 x 8 = 80
-        scheduler.push(task_named("c", q_error=2.0))  # 2 x 2 = 4
-        assert scheduler.pop().sql_hash == "b"
-        assert scheduler.pop().sql_hash == "a"
-        assert scheduler.pop().sql_hash == "c"
-
-    def test_priority_ties_break_by_insertion_order(self):
-        guard = _StubGuard()
-        guard.drifted = True
-        scheduler = LearningScheduler(guard)
-        for name in ["x", "y"]:
-            scheduler.push(task_named(name, q_error=5.0))
-        assert scheduler.pop().sql_hash == "x"
-        assert len(scheduler) == 1
-
-
-class TestDriftStaging:
-    def test_onset_stages_relearn_tasks_for_hot_statements(self, mini_db):
-        kb = kb_with_templates(mini_db)
-        plan = mini_db.explain(SQL)
-        # Learned population far away from the live features: every live
-        # observation scores as drifted once the window fills.
-        far = [99.0, 99.0, 99.0, 0.0, 0.0, 0.0]
-        for _ in range(4):
-            kb.record_learned_features(far)
-        guard = make_guard(
-            drift_window=3, drift_threshold=0.1, drift_min_reference=4,
-            drift_relearn_limit=2,
-        )
-        statements = [(SQL, "hot"), (SQL, "hot"), ("SELECT 1 FROM sales", "cold")]
-        for sql, name in statements:
-            guard.observe_workload(
-                kb, sql=sql, query_name=name, qgm=plan, max_q_error=9.0
-            )
-        assert guard.drifted and guard.drift_events == 1
-        tasks = guard.take_drift_tasks()
-        assert [task.reason for task in tasks] == ["drift", "drift"]
-        # Hottest first: SQL appears twice in the window.
-        assert tasks[0].sql_hash == sql_fingerprint(SQL)
-        assert guard.metrics.count("drift_events") == 1
-        assert guard.metrics.count("learning_drift_enqueued") == 2
-        # Drained: a second take returns nothing.
-        assert guard.take_drift_tasks() == []
-
-
 class TestGuardValidation:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -513,6 +416,24 @@ class TestGuardValidation:
             SteeringGuard(probation_wins=0)
         with pytest.raises(ValueError):
             SteeringGuard(probe_interval=0)
+
+    @pytest.mark.parametrize(
+        "parameter",
+        ["drift_window", "drift_threshold", "drift_min_reference", "drift_relearn_limit"],
+    )
+    def test_guard_takes_no_drift_parameters(self, parameter):
+        with pytest.raises(TypeError):
+            SteeringGuard(**{parameter: 1})
+
+
+class TestServiceGauges:
+    def test_guard_gauges_report_quarantine_only(self, mini_db):
+        service = GaloService(Galo(mini_db), ServiceConfig(learning_enabled=False))
+        page = service.render_metrics()
+        assert "galo_quarantined_templates 0" in page
+        for name in GUARD_COUNTERS:
+            assert f"galo_{name} 0" in page
+        assert "drift" not in page
 
 
 class TestFeedbackRearm:
