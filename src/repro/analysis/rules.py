@@ -387,6 +387,9 @@ GL002_ORACLE_FUNCTIONS = frozenset(
         "BufferPool.access_many",
         # storage.py: none -- an index is a KeyGroups; the dict-of-lists loop
         # is tests/naive_index.py
+        # expressions.py: ``Predicate.evaluate`` row by row, for the rows
+        # whose Python comparison raised (compare as strings, or raise)
+        "_evaluate_each",
     }
 )
 
@@ -394,6 +397,7 @@ GL002_ORACLE_FUNCTIONS = frozenset(
 _ROW_SCALE_NAMES = frozenset(
     {
         "rows", "row_ids", "survivors", "trace", "picks", "matches", "pages",
+        "positions",
         # one column's values, NULLs included / removed
         "values", "non_null",
     }
@@ -472,6 +476,7 @@ class HotPathLoopRule(Rule):
         "repro/engine/executor/bufferpool.py",
         "repro/engine/statistics.py",
         "repro/engine/storage.py",
+        "repro/engine/expressions.py",
     )
 
     def __init__(self) -> None:

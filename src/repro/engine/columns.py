@@ -16,8 +16,8 @@ column exposes a lazily built **typed view** via
   ``None`` directly (the mask is still built, so ``IS NULL`` vectorizes for
   string columns too).
 
-The typed view is what the vectorized predicate path
-(:func:`repro.engine.expressions.compile_predicate`), the batch executor's
+The typed view is what predicate evaluation
+(:func:`repro.engine.expressions.filter_positions`), the batch executor's
 gather kernels, RUNSTATS
 (:func:`repro.engine.statistics.collect_column_statistics`) and
 :class:`KeyGroups` consume.  ``KeyGroups`` is the engine's one key grouping
@@ -112,9 +112,8 @@ class ColumnVector:
 
         The view is rebuilt lazily after appends.  A column whose values do
         not fit the schema dtype (e.g. integers beyond int64) degrades to an
-        ``object`` array rather than failing -- the vectorized predicate path
-        then declines it and the closure path takes over, preserving exact
-        Python comparison semantics.
+        ``object`` array rather than failing -- predicates then compare its
+        values with Python's own comparisons, preserving exact semantics.
         """
         if self._typed is None:
             self._typed = self._build_typed()

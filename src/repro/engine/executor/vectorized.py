@@ -3,8 +3,8 @@
 Operators exchange :class:`Batch` objects -- per input table, its backing
 value arrays plus a *position vector* selecting the live rows -- instead of
 lists of per-row dicts.  Scans filter directly over the table's storage
-columns (zero-copy), predicates are compiled once per plan into column-wise
-closures (:func:`repro.engine.expressions.compile_predicate`), joins compose
+columns (zero-copy), predicates evaluate as arrays over the position vector
+(:func:`repro.engine.expressions.filter_positions`), joins compose
 their inputs' position vectors and gather only the key columns they read,
 and sort/group-by reorder position vectors by a grouping of their key columns.
 RETURN reduces the batch to the statement's select list; result rows are only
@@ -80,7 +80,7 @@ from repro.engine.executor.metrics import (
     record_node_metric_deltas,
     snapshot_metrics,
 )
-from repro.engine.expressions import ColumnRef, conjunction_mask, filter_positions
+from repro.engine.expressions import ColumnRef, filter_positions
 from repro.engine.plan.physical import PlanNode, PopType, Qgm
 from repro.engine.schema import Index
 from repro.engine.storage import IndexData, TableData
@@ -1073,15 +1073,10 @@ class VectorizedExecutor:
         predicates = inner_node.predicates
         keep = _residual_equal(candidates, keys[1:])
         if predicates and processed:
-            mask = conjunction_mask(predicates, inner_columns)
-            if mask is None:
-                # Not vectorizable: the closure path, once per touched row.
-                touched = np.zeros(data.row_count, dtype=bool)
-                touched[row_ids] = True
-                survivors = filter_positions(predicates, inner_columns, np.flatnonzero(touched))
-                mask = np.zeros_like(touched)
-                mask[as_index_array(survivors)] = True
-            keep &= mask[row_ids]
+            # Qualify each touched inner row once, however many probes reach it.
+            qualified = np.zeros(data.row_count, dtype=bool)
+            qualified[filter_positions(predicates, inner_columns, np.unique(row_ids))] = True
+            keep &= qualified[row_ids]
         result = candidates if keep.all() else candidates.take(np.flatnonzero(keep))
         metrics.actual_cardinalities[inner_node.operator_id] = result.length
         self._store_join_entry(

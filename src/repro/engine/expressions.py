@@ -5,36 +5,32 @@ their selectivity) and the executor (which evaluates them against rows).
 Rows are dictionaries keyed by ``"<alias>.<column>"`` so the same expression
 evaluates correctly before and after joins.
 
-Three evaluation forms exist:
+Two evaluation forms exist:
 
-* :meth:`Predicate.evaluate` -- row-at-a-time, used by the legacy executor;
-* :func:`compile_predicate` -- compiles a predicate once into a column-wise
-  closure that filters a *position vector* against column arrays, used by the
-  vectorized executor.  Compiled predicates produce exactly the rows
-  ``evaluate`` accepts (including the ``NULL``-rejects-everything and the
-  mixed-type string-comparison fallback semantics of :class:`Comparison`, and
-  the left-to-right short-circuiting of :class:`And` / :class:`Or`);
-* the same :class:`CompiledPredicate` additionally carries a **vectorized
-  mask form** when the predicate's shape allows it: comparisons, BETWEEN, IN
-  and IS NULL over numeric typed columns (and their AND/OR combinations)
-  evaluate as whole-array ufunc operations producing a boolean selection
-  mask over the backing arrays, which the filter then gathers at the given
-  positions.  The mask form is attempted first and silently declines --
-  per expression, at runtime -- whenever a referenced column has no typed
-  view (plain list, object dtype, missing column) or an operand is
-  non-numeric, falling back to the closure form.  Both forms accept exactly
-  the same rows in the same order; NULLs are excluded through the columns'
-  explicit null masks, mirroring the ``NULL``-rejects-everything rule.
+* :meth:`Predicate.evaluate` -- row-at-a-time, used by the row engine and
+  the oracle the other form is tested against;
+* :func:`filter_positions` -- array evaluation of a *position vector*
+  against column arrays, used by the vectorized executor.  Each referenced
+  column is read at the positions (typed values plus an explicit ``NULL``
+  mask), numeric operands compare with ufuncs and everything else with
+  Python's own comparisons element-wise on ``object`` arrays.  Only where
+  one of those raises are the predicate's rows handed to ``evaluate`` one
+  by one, so the accepted rows are exactly the ones ``evaluate`` accepts --
+  including the ``NULL``-rejects-everything rule, the mixed-type
+  compare-as-strings rule of :class:`Comparison`, and the left-to-right
+  short-circuiting of :class:`And` / :class:`Or`.  Numeric operands take
+  a ufunc only where float64 / int64 compare as Python does (an int array
+  never against a float, whose conversion would round beyond 2**53).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.columns import ColumnVector, as_index_array
+from repro.engine.columns import ColumnVector, as_index_array, null_split
 
 Row = Dict[str, Any]
 
@@ -263,519 +259,202 @@ def conjunction(predicates: Sequence[Predicate]) -> Optional[Predicate]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled (column-wise) predicate evaluation
+# Array evaluation over position vectors
 # ---------------------------------------------------------------------------
 
-#: Column arrays: ``"<alias>.<column>"`` -> full value list.  Position vectors
-#: index into these arrays, so a scan can filter directly over the table's
-#: backing columns without materializing a dict per row.
+#: Column arrays: ``"<alias>.<column>"`` -> full value sequence (a
+#: :class:`~repro.engine.columns.ColumnVector`, an ndarray or a list).
+#: Position vectors index into these, so a scan filters directly over the
+#: table's backing columns without materializing a dict per row.
 Columns = Mapping[str, Sequence[Any]]
-FilterFn = Callable[[Columns, Sequence[int]], List[int]]
-#: Vectorized form: full-length boolean qualification mask over the backing
-#: arrays, or None when a referenced column has no usable typed view.
-MaskFn = Callable[[Columns], Optional[Any]]
 
-#: Below this many candidate positions the closure path wins: the mask form
-#: always evaluates over the *full* backing arrays, which an index scan
-#: qualifying a handful of rows should not pay for.  Pure heuristic -- both
-#: forms accept identical rows.
-_MIN_MASK_POSITIONS = 32
-
-
-class CompiledPredicate:
-    """A predicate compiled into a position-vector filter.
-
-    ``filter(columns, positions)`` returns the sub-sequence of ``positions``
-    whose rows satisfy the predicate, preserving order (an ndarray when the
-    vectorized mask form ran, a list otherwise).  A column key absent from
-    ``columns`` behaves like an all-``NULL`` column, matching ``row.get``.
-    """
-
-    __slots__ = ("predicate", "_filter", "_mask")
-
-    def __init__(
-        self,
-        predicate: Predicate,
-        filter_fn: FilterFn,
-        mask_fn: Optional[MaskFn] = None,
-    ):
-        self.predicate = predicate
-        self._filter = filter_fn
-        self._mask = mask_fn
-
-    def mask(self, columns: Columns) -> Optional[Any]:
-        """Full-length boolean qualification mask, or None (not vectorizable).
-
-        Callers must treat the returned array as read-only: IS NULL masks may
-        alias a column's own null mask.
-        """
-        if self._mask is None:
-            return None
-        return self._mask(columns)
-
-    def filter(self, columns: Columns, positions: Sequence[int]) -> Sequence[int]:
-        if self._mask is not None and len(positions) >= _MIN_MASK_POSITIONS:
-            mask = self._mask(columns)
-            if mask is not None:
-                index = as_index_array(positions)
-                return index[mask[index]]
-        return self._filter(columns, positions)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CompiledPredicate {self.predicate}>"
-
-
-def _operand_key_or_const(operand: Any) -> Tuple[Optional[str], Any]:
-    """Split an operand into (column key, None) or (None, constant value)."""
-    if isinstance(operand, ColumnRef):
-        return operand.key, None
-    if isinstance(operand, Literal):
-        return None, operand.value
-    return None, operand
-
-
-def _compile_comparison(predicate: Comparison) -> FilterFn:
-    op = _COMPARATORS[predicate.op]
-    left_key, left_const = _operand_key_or_const(predicate.left)
-    right_key, right_const = _operand_key_or_const(predicate.right)
-
-    if left_key is not None and right_key is not None:
-
-        def filter_col_col(columns: Columns, positions: Sequence[int]) -> List[int]:
-            left = columns.get(left_key)
-            right = columns.get(right_key)
-            if left is None or right is None:
-                return []
-            try:
-                return [
-                    i
-                    for i in positions
-                    if left[i] is not None
-                    and right[i] is not None
-                    and op(left[i], right[i])
-                ]
-            except TypeError:
-                out = []
-                for i in positions:
-                    lv, rv = left[i], right[i]
-                    if lv is None or rv is None:
-                        continue
-                    try:
-                        keep = op(lv, rv)
-                    except TypeError:
-                        keep = op(str(lv), str(rv))
-                    if keep:
-                        out.append(i)
-                return out
-
-        return filter_col_col
-
-    if left_key is not None:
-        const = right_const
-        if const is None:
-            return lambda columns, positions: []
-
-        def filter_col_const(columns: Columns, positions: Sequence[int]) -> List[int]:
-            values = columns.get(left_key)
-            if values is None:
-                return []
-            try:
-                return [i for i in positions if values[i] is not None and op(values[i], const)]
-            except TypeError:
-                out = []
-                for i in positions:
-                    value = values[i]
-                    if value is None:
-                        continue
-                    try:
-                        keep = op(value, const)
-                    except TypeError:
-                        keep = op(str(value), str(const))
-                    if keep:
-                        out.append(i)
-                return out
-
-        return filter_col_const
-
-    if right_key is not None:
-        const = left_const
-        if const is None:
-            return lambda columns, positions: []
-
-        def filter_const_col(columns: Columns, positions: Sequence[int]) -> List[int]:
-            values = columns.get(right_key)
-            if values is None:
-                return []
-            try:
-                return [i for i in positions if values[i] is not None and op(const, values[i])]
-            except TypeError:
-                out = []
-                for i in positions:
-                    value = values[i]
-                    if value is None:
-                        continue
-                    try:
-                        keep = op(const, value)
-                    except TypeError:
-                        keep = op(str(const), str(value))
-                    if keep:
-                        out.append(i)
-                return out
-
-        return filter_const_col
-
-    # Constant comparison: evaluate once.
-    if left_const is None or right_const is None:
-        return lambda columns, positions: []
-    try:
-        constant_true = op(left_const, right_const)
-    except TypeError:
-        constant_true = op(str(left_const), str(right_const))
-    if constant_true:
-        return lambda columns, positions: list(positions)
-    return lambda columns, positions: []
-
-
-def _compile_between(predicate: Between) -> FilterFn:
-    key = predicate.column.key
-    low = predicate.low.value
-    high = predicate.high.value
-
-    def filter_between(columns: Columns, positions: Sequence[int]) -> List[int]:
-        values = columns.get(key)
-        if values is None:
-            return []
-        return [i for i in positions if values[i] is not None and low <= values[i] <= high]
-
-    return filter_between
-
-
-def _compile_in_list(predicate: InList) -> FilterFn:
-    key = predicate.column.key
-    try:
-        members: Any = frozenset(predicate.values)
-    except TypeError:  # pragma: no cover - unhashable literals never parse
-        members = predicate.values
-
-    def filter_in(columns: Columns, positions: Sequence[int]) -> List[int]:
-        values = columns.get(key)
-        if values is None:
-            return []
-        return [i for i in positions if values[i] is not None and values[i] in members]
-
-    return filter_in
-
-
-def _compile_is_null(predicate: IsNull) -> FilterFn:
-    key = predicate.column.key
-    if predicate.negated:
-
-        def filter_not_null(columns: Columns, positions: Sequence[int]) -> List[int]:
-            values = columns.get(key)
-            if values is None:
-                return []
-            return [i for i in positions if values[i] is not None]
-
-        return filter_not_null
-
-    def filter_null(columns: Columns, positions: Sequence[int]) -> List[int]:
-        values = columns.get(key)
-        if values is None:
-            return list(positions)
-        return [i for i in positions if values[i] is None]
-
-    return filter_null
-
-
-def _compile_and(predicate: And) -> FilterFn:
-    children = [_compile(child) for child in predicate.children]
-
-    def filter_and(columns: Columns, positions: Sequence[int]) -> List[int]:
-        current: Sequence[int] = positions
-        for child in children:
-            if not current:
-                break
-            current = child(columns, current)
-        return list(current)
-
-    return filter_and
-
-
-def _compile_or(predicate: Or) -> FilterFn:
-    children = [_compile(child) for child in predicate.children]
-
-    def filter_or(columns: Columns, positions: Sequence[int]) -> List[int]:
-        # Mirror ``any``'s short-circuit: child k only ever sees the rows every
-        # child before it rejected, so side effects (raises) match row order.
-        matched: set = set()
-        remaining: Sequence[int] = positions
-        for child in children:
-            if not remaining:
-                break
-            hits = child(columns, remaining)
-            if hits:
-                matched.update(hits)
-                hit_set = set(hits)
-                remaining = [i for i in remaining if i not in hit_set]
-        return [i for i in positions if i in matched]
-
-    return filter_or
-
-
-def _compile_fallback(predicate: Predicate) -> FilterFn:
-    """Row-at-a-time fallback for predicate classes without a compiled form."""
-
-    def filter_rows(columns: Columns, positions: Sequence[int]) -> List[int]:
-        keys = list(columns)
-        out = []
-        for i in positions:
-            row = {key: columns[key][i] for key in keys}
-            if predicate.evaluate(row):
-                out.append(i)
-        return out
-
-    return filter_rows
-
-
-def _compile(predicate: Predicate) -> FilterFn:
-    if isinstance(predicate, Comparison):
-        return _compile_comparison(predicate)
-    if isinstance(predicate, Between):
-        return _compile_between(predicate)
-    if isinstance(predicate, InList):
-        return _compile_in_list(predicate)
-    if isinstance(predicate, IsNull):
-        return _compile_is_null(predicate)
-    if isinstance(predicate, And):
-        return _compile_and(predicate)
-    if isinstance(predicate, Or):
-        return _compile_or(predicate)
-    return _compile_fallback(predicate)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized (whole-array mask) compilation
-# ---------------------------------------------------------------------------
-
-
-def _typed_view(values: Any) -> Optional[Tuple[Any, Optional[Any]]]:
-    """``(array, null mask)`` of a column, or None when it has no typed view.
-
-    Accepts the storage-backed :class:`~repro.engine.columns.ColumnVector`
-    (typed view + mask) and raw non-object ndarrays (executor-gathered
-    columns, null-free by construction).
-    """
-    if isinstance(values, ColumnVector):
-        return values.arrays()
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values, None
-    return None
-
-
-def _is_vector_constant(value: Any) -> bool:
-    """Constants the ufunc path may compare against numeric columns.
-
-    Strings (and any other type) must keep the closure path so the
-    ``TypeError -> compare as str`` fallback semantics stay exact.
-    """
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _non_null(mask: Any, nulls: Optional[Any]) -> Any:
-    return mask if nulls is None else mask & ~nulls
-
-
-def _mask_comparison(predicate: Comparison) -> Optional[MaskFn]:
-    op = _COMPARATORS[predicate.op]
-    left_key, left_const = _operand_key_or_const(predicate.left)
-    right_key, right_const = _operand_key_or_const(predicate.right)
-
-    if left_key is not None and right_key is not None:
-
-        def mask_col_col(columns: Columns) -> Optional[Any]:
-            left = _typed_view(columns.get(left_key))
-            right = _typed_view(columns.get(right_key))
-            if left is None or right is None:
-                return None
-            left_arr, left_nulls = left
-            right_arr, right_nulls = right
-            if left_arr.dtype == object or right_arr.dtype == object:
-                return None
-            return _non_null(_non_null(op(left_arr, right_arr), left_nulls), right_nulls)
-
-        return mask_col_col
-
-    key = left_key if left_key is not None else right_key
-    if key is None:
-        return None  # constant-only comparisons are already O(1) closures
-    const = right_const if left_key is not None else left_const
-    if not _is_vector_constant(const):
-        return None
-    flipped = left_key is None
-
-    def mask_col_const(columns: Columns) -> Optional[Any]:
-        pair = _typed_view(columns.get(key))
-        if pair is None:
-            return None
-        array, nulls = pair
-        if array.dtype == object:
-            return None
-        result = op(const, array) if flipped else op(array, const)
-        return _non_null(result, nulls)
-
-    return mask_col_const
-
-
-def _mask_between(predicate: Between) -> Optional[MaskFn]:
-    key = predicate.column.key
-    low, high = predicate.low.value, predicate.high.value
-    if not (_is_vector_constant(low) and _is_vector_constant(high)):
-        return None
-
-    def mask_between(columns: Columns) -> Optional[Any]:
-        pair = _typed_view(columns.get(key))
-        if pair is None:
-            return None
-        array, nulls = pair
-        if array.dtype == object:
-            return None
-        return _non_null((array >= low) & (array <= high), nulls)
-
-    return mask_between
-
-
-def _mask_in_list(predicate: InList) -> Optional[MaskFn]:
-    key = predicate.column.key
-    if not all(_is_vector_constant(value) for value in predicate.values):
-        return None
-    members = list(predicate.values)
-
-    def mask_in(columns: Columns) -> Optional[Any]:
-        pair = _typed_view(columns.get(key))
-        if pair is None:
-            return None
-        array, nulls = pair
-        if array.dtype == object:
-            return None
-        return _non_null(np.isin(array, members), nulls)
-
-    return mask_in
-
-
-def _mask_is_null(predicate: IsNull) -> MaskFn:
-    key = predicate.column.key
-    negated = predicate.negated
-
-    def mask_null(columns: Columns) -> Optional[Any]:
-        pair = _typed_view(columns.get(key))
-        if pair is None:
-            # Missing columns (all-NULL semantics) and untyped views both
-            # land here; the closure path distinguishes them.
-            return None
-        array, nulls = pair
-        if nulls is None:
-            nulls = np.zeros(len(array), dtype=bool)
-        # IS NULL works for object (string) columns too: the null mask is
-        # maintained independently of the value dtype.
-        return ~nulls if negated else nulls
-
-    return mask_null
-
-
-def _mask_connective(children: List[Optional[MaskFn]], conjunction_op: bool) -> Optional[MaskFn]:
-    if any(child is None for child in children):
-        return None
-
-    def mask_connective(columns: Columns) -> Optional[Any]:
-        result = None
-        for child in children:
-            mask = child(columns)
-            if mask is None:
-                return None
-            if result is None:
-                result = mask
-            elif conjunction_op:
-                result = result & mask
-            else:
-                result = result | mask
-        return result
-
-    return mask_connective
-
-
-def _compile_mask(predicate: Predicate) -> Optional[MaskFn]:
-    """Vectorized mask form of ``predicate`` (None = shape not vectorizable).
-
-    Unlike the closure form this can also *decline at runtime* (the returned
-    function yields None) when the columns it meets carry no usable typed
-    view -- plain list, object dtype, missing column.
-    """
-    if isinstance(predicate, Comparison):
-        return _mask_comparison(predicate)
-    if isinstance(predicate, Between):
-        return _mask_between(predicate)
-    if isinstance(predicate, InList):
-        return _mask_in_list(predicate)
-    if isinstance(predicate, IsNull):
-        return _mask_is_null(predicate)
-    if isinstance(predicate, And):
-        return _mask_connective([_compile_mask(child) for child in predicate.children], True)
-    if isinstance(predicate, Or):
-        return _mask_connective([_compile_mask(child) for child in predicate.children], False)
-    return None
-
-
-#: Predicates are immutable, so their compiled form is cached process-wide.
-_COMPILED_CACHE: Dict[Predicate, CompiledPredicate] = {}
-_COMPILED_CACHE_LIMIT = 4096
-
-
-def compile_predicate(predicate: Predicate) -> CompiledPredicate:
-    """Compile ``predicate`` into a column-wise filter (cached per predicate).
-
-    The compiled object carries both the closure form and, where the
-    predicate's shape allows, the vectorized mask form; ``filter`` picks per
-    call (see :class:`CompiledPredicate`).
-    """
-    try:
-        cached = _COMPILED_CACHE.get(predicate)
-    except TypeError:  # unhashable predicate: compile without caching
-        return CompiledPredicate(predicate, _compile(predicate), _compile_mask(predicate))
-    if cached is None:
-        cached = CompiledPredicate(predicate, _compile(predicate), _compile_mask(predicate))
-        if len(_COMPILED_CACHE) >= _COMPILED_CACHE_LIMIT:
-            _COMPILED_CACHE.clear()
-        _COMPILED_CACHE[predicate] = cached
-    return cached
+#: The comparison operators as ufuncs (raise instead of returning
+#: ``NotImplemented``, on every NumPy version).
+_UFUNCS = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def filter_positions(
     predicates: Sequence[Predicate], columns: Columns, positions: Sequence[int]
 ) -> Sequence[int]:
-    """Apply ``predicates`` in order to a position vector (AND semantics)."""
-    current = positions
-    for predicate in predicates:
-        if not len(current):
-            break
-        current = compile_predicate(predicate).filter(columns, current)
-    return current
+    """The ``positions`` whose rows satisfy every one of ``predicates``.
 
-
-def conjunction_mask(
-    predicates: Sequence[Predicate], columns: Columns
-) -> Optional[Any]:
-    """One boolean qualification mask for ANDed ``predicates`` over ``columns``.
-
-    Returns None when any predicate (or any column it touches) is not
-    vectorizable -- the caller then keeps the per-position
-    :func:`filter_positions` path.  Used by the executor's index-lookup
-    nested-loop join to qualify residual predicates once for the whole inner
-    table instead of once per probe value.
+    Exactly the rows ``all(p.evaluate(row) for p in predicates)`` accepts, in
+    position order, as an ``intp`` array (``positions`` come back as given
+    when there are no predicates).  Each predicate sees only the rows the
+    ones before it accepted, and raises where :meth:`Predicate.evaluate`
+    raises on one of them.  A key absent from ``columns`` reads as an
+    all-``NULL`` column, as ``row.get`` does.
     """
-    result = None
+    if not predicates:
+        return positions
+    live = np.asarray(as_index_array(positions), dtype=np.intp)
     for predicate in predicates:
-        mask = compile_predicate(predicate).mask(columns)
-        if mask is None:
-            return None
-        result = mask if result is None else result & mask
-    return result
+        if not len(live):
+            break
+        live = live[_accepts(predicate, columns, live)]
+    return live
+
+
+def _accepts(predicate: Predicate, columns: Columns, positions: Any) -> Any:
+    """Boolean mask over ``positions``: the rows ``predicate`` accepts."""
+    if isinstance(predicate, And):
+        # ``all``'s short-circuit: child k sees the rows every earlier one accepted.
+        live = np.arange(len(positions))
+        for child in predicate.children:
+            if not len(live):
+                break
+            live = live[_accepts(child, columns, positions[live])]
+        return _mask_of(live, len(positions))
+    if isinstance(predicate, Or):
+        # ``any``'s short-circuit: child k sees the rows every earlier one rejected.
+        rest = np.arange(len(positions))
+        for child in predicate.children:
+            if not len(rest):
+                break
+            rest = rest[~_accepts(child, columns, positions[rest])]
+        return ~_mask_of(rest, len(positions))
+    if isinstance(predicate, IsNull):
+        nulls = _column_at(columns, predicate.column.key, positions)[1]
+        if nulls is None:
+            return np.full(len(positions), predicate.negated)
+        return ~nulls if predicate.negated else nulls
+    if isinstance(predicate, (Comparison, Between, InList)):
+        return _accepts_non_null(predicate, columns, positions)
+    raise TypeError(f"no array evaluation for {type(predicate).__name__}")
+
+
+def _accepts_non_null(predicate: Predicate, columns: Columns, positions: Any) -> Any:
+    """A comparison, BETWEEN or IN over the rows where none of its columns is
+    ``NULL`` (every other row is rejected, as ``evaluate`` rejects it)."""
+    keys = sorted({ref.key for ref in predicate.referenced_columns()})
+    if not keys:
+        # Constants only: one answer for every row.
+        return np.full(len(positions), predicate.evaluate({}), dtype=bool)
+    arrays = {}
+    valid = None
+    for key in keys:
+        arrays[key], nulls = _column_at(columns, key, positions)
+        if nulls is not None:
+            valid = ~nulls if valid is None else valid & ~nulls
+    if valid is None:
+        return _compare_or_evaluate(predicate, arrays)
+    keep = np.zeros(len(positions), dtype=bool)
+    rows = np.flatnonzero(valid)
+    if len(rows):
+        keep[rows] = _compare_or_evaluate(
+            predicate, {key: array[rows] for key, array in arrays.items()}
+        )
+    return keep
+
+
+def _compare_or_evaluate(predicate: Predicate, values: Dict[str, Any]) -> Any:
+    try:
+        return _compare(predicate, values)
+    except TypeError:
+        return _evaluate_each(predicate, values)
+
+
+def _compare(predicate: Predicate, values: Dict[str, Any]) -> Any:
+    """``predicate`` over non-``NULL`` column values: a ufunc where every
+    operand is numeric and the comparison exact, else Python's own
+    comparisons element-wise on ``object`` arrays.  Raises ``TypeError``
+    where one of those raises."""
+    if isinstance(predicate, Comparison):
+        operands = (_value_of(predicate.left, values), _value_of(predicate.right, values))
+        if operands[0] is None or operands[1] is None:
+            return np.zeros(len(next(iter(values.values()))), dtype=bool)
+    elif isinstance(predicate, Between):
+        operands = (predicate.low.value, values[predicate.column.key], predicate.high.value)
+    else:
+        operands = (values[predicate.column.key],) + tuple(predicate.values)
+    numeric = _exact_in_numpy(operands)
+    if not numeric:
+        operands = tuple(_as_object(operand) for operand in operands)
+    if isinstance(predicate, Comparison):
+        return np.asarray(_UFUNCS[predicate.op](*operands), dtype=bool)
+    if isinstance(predicate, Between):
+        low, column, high = operands
+        return np.asarray(np.less_equal(low, column) & np.less_equal(column, high), dtype=bool)
+    column, members = operands[0], operands[1:]
+    if numeric:
+        return np.isin(column, list(members))
+    hits = np.zeros(len(column), dtype=bool)
+    for member in members:
+        hits |= np.asarray(np.equal(column, member), dtype=bool)
+    return hits
+
+
+def _evaluate_each(predicate: Predicate, values: Dict[str, Any]) -> Any:
+    """``predicate.evaluate`` row by row over the given column values: the rule
+    for rows whose Python comparison raised (compare as strings, or raise)."""
+    keys = list(values)
+    columns = [values[key].tolist() for key in keys]
+    return np.array(
+        [predicate.evaluate(dict(zip(keys, row))) for row in zip(*columns)], dtype=bool
+    )
+
+
+def _column_at(columns: Columns, key: str, positions: Any) -> Tuple[Any, Any]:
+    """Values of column ``key`` at ``positions`` and their ``NULL`` mask (None
+    when none is ``NULL``): a column vector's typed view and null mask, an
+    ndarray as it is, a plain list as an ``object`` array; an absent key
+    reads as all ``NULL``."""
+    column = columns.get(key)
+    if column is None:
+        return None, np.ones(len(positions), dtype=bool)
+    if isinstance(column, ColumnVector):
+        array, nulls = column.arrays()
+        return array[positions], (None if nulls is None else nulls[positions])
+    if not isinstance(column, np.ndarray):
+        column = np.asarray(column, dtype=object)
+    return null_split(column[positions])
+
+
+#: Integers up to this magnitude are exact as float64 too.
+_EXACT_IN_FLOAT = 2**53
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def _exact_in_numpy(operands: Tuple[Any, ...]) -> bool:
+    """True when a ufunc over ``operands`` answers as Python would: int64 and
+    float64 arrays and int / float constants (not bool), never an int array
+    against a float (float64 rounds integers beyond 2**53)."""
+    kinds = set()
+    for operand in operands:
+        if isinstance(operand, np.ndarray):
+            kind = operand.dtype.kind
+        elif isinstance(operand, float):
+            kind = "f"
+        elif isinstance(operand, int) and not isinstance(operand, bool):
+            if abs(operand) <= _EXACT_IN_FLOAT:
+                continue  # exact against either kind
+            if not _INT64[0] <= operand <= _INT64[1]:
+                return False
+            kind = "i"
+        else:
+            return False
+        kinds.add(kind)
+    return len(kinds) == 1 and kinds <= {"i", "f"}
+
+
+def _as_object(operand: Any) -> Any:
+    """``operand`` as an ``object`` array (a constant as a 0-d one), so NumPy
+    hands every element pair to Python's comparison."""
+    if isinstance(operand, np.ndarray):
+        return operand.astype(object, copy=False)
+    boxed = np.empty((), dtype=object)
+    boxed[()] = operand
+    return boxed
+
+
+def _mask_of(indices: Any, count: int) -> Any:
+    mask = np.zeros(count, dtype=bool)
+    mask[indices] = True
+    return mask

@@ -46,7 +46,8 @@ class ServiceConfig:
     #: mis-estimated and enqueued for learning (1.0 = estimates were perfect).
     q_error_threshold: float = 4.0
     #: Factor over a query's best observed runtime before a repeat execution
-    #: is considered regressed and enqueued for (re-)learning.
+    #: is considered regressed and, if never enqueued before, enqueued for
+    #: learning.
     regression_threshold: float = 1.5
     #: Steering safety (see :mod:`repro.service.guard`).  With
     #: ``guard_enabled``, every steered execution is judged against the
@@ -157,16 +158,16 @@ class ShardedServiceConfig:
     --------------
     A worker process that dies fails only its in-flight requests (typed
     ``WorkerCrashedError`` responses) and is respawned -- reloading the
-    latest KB checkpoint on the way up -- at most ``max_worker_restarts``
-    times per shard; ``max_worker_restarts=0`` turns restarts off.  A shard
+    latest KB checkpoint on the way up -- at most
+    ``repro.service.sharded.MAX_WORKER_RESTARTS`` times per shard.  A shard
     past its budget stays down and answers every request routed to it with a
-    ``WorkerCrashedError``.
+    ``WorkerCrashedError``.  The router admits at most
+    ``repro.service.sharded.MAX_PENDING_PER_SHARD`` in-flight requests per
+    shard.
     """
 
     #: Worker processes (shards).
     num_workers: int = 2
-    #: Per-shard admission cap: in-flight requests beyond it are rejected.
-    max_pending_per_shard: int = 32
     #: Per-worker service configuration (learning/checkpoint fields are
     #: overridden per shard according to ``learner_shard``/``kb_directory``).
     worker_config: ServiceConfig = field(default_factory=ServiceConfig)
@@ -179,9 +180,6 @@ class ShardedServiceConfig:
     #: Shard index whose worker runs the background learner (None = all do,
     #: without propagation).
     learner_shard: Optional[int] = 0
-    #: Restart budget per shard (0 = never restart); beyond it the shard
-    #: stays down and its requests are answered with typed errors.
-    max_worker_restarts: int = 3
     #: Routing key function ``(sql, query_name) -> str``; None = SQL
     #: fingerprint (whitespace-normalized hash, the feedback monitor's key).
     routing_key: Optional[Callable[[str, str], str]] = None
@@ -189,8 +187,6 @@ class ShardedServiceConfig:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.max_pending_per_shard < 1:
-            raise ValueError("max_pending_per_shard must be >= 1")
         if self.kb_poll_interval_seconds <= 0:
             raise ValueError("kb_poll_interval_seconds must be > 0")
         if self.kb_publish_interval_seconds <= 0:
@@ -199,5 +195,3 @@ class ShardedServiceConfig:
             0 <= self.learner_shard < self.num_workers
         ):
             raise ValueError("learner_shard must be a valid shard index")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")

@@ -7,15 +7,14 @@ Queries that are badly mis-estimated -- the precondition for GALO finding a
 better plan -- or that regressed against their best observed runtime are
 turned into :class:`LearningTask` items for the background learning queue.
 
-Each distinct SQL text is enqueued at most once *per learning cycle*
-(deduplicated by hash): the learning tier already merges structurally
-identical sub-queries, so repeated tasks for the same statement would only
-burn learner time.  After the learner finishes the statement
-(:meth:`FeedbackMonitor.mark_learned`) a later *regression* on the same
-fingerprint re-arms it -- the learned template may itself be the problem --
-while repeat misestimation alone stays deduplicated (re-learning the same
-estimates would produce the same templates).  Eviction or a dropped task
-(:meth:`FeedbackMonitor.forget`) re-arms the statement completely.
+Each distinct SQL text is enqueued at most once (deduplicated by
+fingerprint), whatever triggers it later: the learner analyzes each
+structurally distinct sub-query once per process
+(``LearningEngine._seen_subqueries``), so learning a statement a second time
+-- after a regression, or after its templates were evicted -- would analyze
+nothing and store nothing.  Only a task that was dropped, cancelled or
+failed (:meth:`FeedbackMonitor.forget`) makes its statement learnable again:
+it may have left sub-queries unanalyzed.
 """
 
 from __future__ import annotations
@@ -90,13 +89,9 @@ class FeedbackMonitor:
         self._lock = threading.Lock()
         #: sql hash -> runtime history (insertion-ordered for FIFO trimming).
         self._history: Dict[str, _SqlHistory] = {}
-        #: sql hash -> dedup state: the enqueue reason while the statement is
-        #: queued or learning, ``_LEARNED`` once the learner finished it (at
-        #: which point a fresh regression may re-enqueue -- see ``observe``).
-        self._enqueued: Dict[str, str] = {}
-
-    #: Dedup-state marker for statements whose learning completed.
-    _LEARNED = "learned"
+        #: Fingerprints of the statements enqueued so far, as an
+        #: insertion-ordered set (dict keys) for FIFO trimming.
+        self._enqueued: Dict[str, None] = {}
 
     # ------------------------------------------------------------------
 
@@ -142,21 +137,14 @@ class FeedbackMonitor:
                 reason = "misestimated"
             elif observation.regressed:
                 reason = "regressed"
-            state = self._enqueued.get(sql_hash)
-            # A statement re-arms once its learning cycle completed, but only
-            # for *regressions*: the learned template may be what regressed
-            # it.  Repeat misestimation stays deduplicated -- re-learning the
-            # same estimates would just reproduce the same templates.
-            rearmed = state == self._LEARNED and reason == "regressed"
-            if reason is not None and (state is None or rearmed):
+            if reason is not None and sql_hash not in self._enqueued:
                 # Bound the dedup map too (FIFO): in a very long-lived service
                 # the oldest statements become learnable again, which is
                 # harmless -- learning merges duplicate sub-queries anyway.
                 while len(self._enqueued) >= self.max_tracked_statements * 4:
                     oldest = next(iter(self._enqueued))
                     del self._enqueued[oldest]
-                self._enqueued.pop(sql_hash, None)
-                self._enqueued[sql_hash] = reason
+                self._enqueued[sql_hash] = None
                 observation.task = LearningTask(
                     sql=sql,
                     query_name=query_name,
@@ -180,22 +168,10 @@ class FeedbackMonitor:
             return sql_fingerprint(sql) in self._enqueued
 
     def forget(self, sql: str) -> None:
-        """Allow ``sql`` to be enqueued again (e.g. after a KB eviction)."""
+        """Allow ``sql`` to be enqueued again (its task was dropped, cancelled
+        or failed before every sub-query was analyzed)."""
         with self._lock:
             self._enqueued.pop(sql_fingerprint(sql), None)
-
-    def mark_learned(self, sql: str) -> None:
-        """Record that ``sql``'s learning cycle completed.
-
-        The statement stays deduplicated against repeat misestimation but
-        re-arms for regression-triggered re-learning (the learned template
-        itself may be what regressed it).  A statement never enqueued is
-        left untracked.
-        """
-        with self._lock:
-            sql_hash = sql_fingerprint(sql)
-            if sql_hash in self._enqueued:
-                self._enqueued[sql_hash] = self._LEARNED
 
     @property
     def enqueued_count(self) -> int:

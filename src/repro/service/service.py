@@ -144,9 +144,6 @@ class GaloService:
         self._pending = 0
         self._started = False
         self._stopping = False
-        #: template id -> the statement it was learned from; lets an
-        #: eviction re-open that statement for learning.
-        self._template_sources: Dict[str, str] = {}
         #: Last background-learning failure, for operators ("" = none).
         self.last_learning_error = ""
         #: Monotonic time of the last KB checkpoint attempt.
@@ -703,8 +700,6 @@ class GaloService:
         then enforce the KB capacity.
 
         Every request that became ready is served before the next step.
-        A template is tied to its source statement in the step that stored
-        it, so one stored before a cancellation keeps its source too.
         """
         span = self.tracer.start_trace(
             "learn_query", request_id=task.query_name or task.sql_hash
@@ -724,18 +719,10 @@ class GaloService:
                 span=span,
             )
             for record in steps:
-                for template_id in record.templates_learned:
-                    self._template_sources[template_id] = task.sql
                 await asyncio.sleep(0)
             self.metrics.increment("learning_completed")
             self.metrics.increment("templates_learned", len(record.templates_learned))
             span.set("templates", len(record.templates_learned))
-            # Re-arm the statement's feedback entry: a *future* regression on
-            # this fingerprint must be able to trigger re-learning now that
-            # its templates have (re-)learned (satellite of the guard work --
-            # previously each statement was enqueued at most once per service
-            # lifetime).
-            self.feedback.mark_learned(task.sql)
             if self.config.kb_capacity is not None:
                 with span.child("enforce_capacity") as evict_span:
                     evicted = self.galo.knowledge_base.enforce_capacity(
@@ -744,13 +731,6 @@ class GaloService:
                     evict_span.set("evicted", len(evicted))
                 if evicted:
                     self.metrics.increment("templates_evicted", len(evicted))
-                    # An evicted template's statement becomes learnable again:
-                    # without this, one capacity-pressured eviction would lose
-                    # steering for that statement for the rest of the process.
-                    for template_id in evicted:
-                        source_sql = self._template_sources.pop(template_id, None)
-                        if source_sql is not None:
-                            self.feedback.forget(source_sql)
 
 
 async def _serve_all(

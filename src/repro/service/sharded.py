@@ -13,7 +13,7 @@ module scales it out:
 - Requests travel over a per-worker ``multiprocessing`` queue; responses come
   back on one shared queue drained by a reader thread that resolves futures
   on the event loop.  Admission is bounded per shard
-  (``max_pending_per_shard``); ``stream`` yields responses in completion
+  (``MAX_PENDING_PER_SHARD``); ``stream`` yields responses in completion
   order, matching the single-process API.
 - Knowledge propagates through checkpoint files: the worker on
   ``learner_shard`` keeps the background learner and publishes atomic,
@@ -22,7 +22,7 @@ module scales it out:
 - A worker process that dies fails only its in-flight requests with typed
   :class:`WorkerCrashedError` responses and is respawned by the router
   (reloading the latest checkpoint on the way up), bounded by
-  ``max_worker_restarts``.
+  ``MAX_WORKER_RESTARTS``.
 
 .. code-block:: python
 
@@ -86,6 +86,11 @@ ROUTER_COUNTERS = (
 WORKER_START_TIMEOUT_SECONDS = 300.0
 #: How often the router's watchdog checks worker liveness.
 WATCHDOG_INTERVAL_SECONDS = 0.1
+#: Per-shard admission cap: in-flight requests beyond it are rejected.
+MAX_PENDING_PER_SHARD = 32
+#: Restart budget per shard (0 = never restart); beyond it the shard stays
+#: down and its requests are answered with typed errors.
+MAX_WORKER_RESTARTS = 3
 
 
 class WorkerCrashedError(RuntimeError):
@@ -168,7 +173,7 @@ def _worker_service_config(
     base = config.worker_config
     is_learner = config.learner_shard is None or config.learner_shard == shard_id
     overrides: Dict[str, Any] = {
-        "max_pending": max(base.max_pending, config.max_pending_per_shard),
+        "max_pending": max(base.max_pending, MAX_PENDING_PER_SHARD),
     }
     if not is_learner:
         overrides["learning_enabled"] = False
@@ -532,7 +537,7 @@ class ShardedGaloService:
                 request_id=router_request_id,
                 trace_id=span.trace_id,
             )
-        if handle.pending >= self.config.max_pending_per_shard:
+        if handle.pending >= MAX_PENDING_PER_SHARD:
             self.metrics.increment("router_rejected")
             span.set("status", "rejected")
             span.end()
@@ -566,7 +571,7 @@ class ShardedGaloService:
         batch gets backpressure, not rejections.
         """
         throttles = [
-            asyncio.Semaphore(self.config.max_pending_per_shard)
+            asyncio.Semaphore(MAX_PENDING_PER_SHARD)
             for _ in self._workers
         ]
 
@@ -922,7 +927,7 @@ class ShardedGaloService:
             "with the request in flight",
         )
         can_restart = (
-            handle.restarts < self.config.max_worker_restarts and not self._stopping
+            handle.restarts < MAX_WORKER_RESTARTS and not self._stopping
         )
         if not can_restart:
             handle.failed = True

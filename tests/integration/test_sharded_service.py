@@ -28,6 +28,7 @@ from repro.service import (
     serve_workload,
     serve_workload_sharded,
 )
+from repro.service import sharded
 from repro.service.workers import MiniGaloFactory, mini_star_queries
 
 #: Spawned workers each build their own mini database; generous guard so a
@@ -202,9 +203,10 @@ class TestWorkerCrash:
     VICTIM_SHARD = 1
 
     @staticmethod
-    def crash_setup(tmp_path, max_worker_restarts):
+    def crash_setup(tmp_path, monkeypatch, max_worker_restarts):
         """Checkpoint directory, worker factory and router config of a
-        two-shard crash drill."""
+        two-shard crash drill with a restart budget of ``max_worker_restarts``."""
+        monkeypatch.setattr(sharded, "MAX_WORKER_RESTARTS", max_worker_restarts)
         kb_dir = str(tmp_path)
         seed_checkpoint(kb_dir, query_count=1)
         factory = MiniGaloFactory(sales_rows=SALES_ROWS)
@@ -214,12 +216,11 @@ class TestWorkerCrash:
             kb_poll_interval_seconds=0.2,
             learner_shard=None,
             worker_config=quiet_config(),
-            max_worker_restarts=max_worker_restarts,
         )
         return kb_dir, factory, config
 
-    def test_crash_fails_inflight_typed_then_restarts_at_latest_kb(self, tmp_path):
-        kb_dir, factory, config = self.crash_setup(tmp_path, max_worker_restarts=2)
+    def test_crash_fails_inflight_typed_then_restarts_at_latest_kb(self, tmp_path, monkeypatch):
+        kb_dir, factory, config = self.crash_setup(tmp_path, monkeypatch, max_worker_restarts=2)
         victim_shard = self.VICTIM_SHARD
 
         async def scenario():
@@ -280,11 +281,11 @@ class TestWorkerCrash:
         assert snapshot["worker_restarts"] == 1
         assert snapshot["router_crashed_requests"] == len(typed)
 
-    def test_zero_restart_budget_leaves_the_crashed_shard_down(self, tmp_path):
-        """``max_worker_restarts=0`` turns restarts off: the dead shard stays
+    def test_zero_restart_budget_leaves_the_crashed_shard_down(self, tmp_path, monkeypatch):
+        """``MAX_WORKER_RESTARTS = 0`` turns restarts off: the dead shard stays
         down, every later request routed to it is answered with a typed
         error from the router, and the other shard keeps serving."""
-        _, factory, config = self.crash_setup(tmp_path, max_worker_restarts=0)
+        _, factory, config = self.crash_setup(tmp_path, monkeypatch, max_worker_restarts=0)
 
         async def scenario():
             service = ShardedGaloService(factory, config)

@@ -28,6 +28,7 @@ from repro.service import (
     ShardedServiceConfig,
     serve_workload,
 )
+from repro.service import sharded
 from repro.service.guard import GUARD_COUNTERS
 from repro.service.workers import MiniGaloFactory, mini_star_queries
 
@@ -187,7 +188,8 @@ def seed_quarantined_checkpoint(directory):
 
 
 class TestQuarantineDurability:
-    def test_quarantine_survives_checkpoint_reload_and_crash(self, tmp_path):
+    def test_quarantine_survives_checkpoint_reload_and_crash(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "MAX_WORKER_RESTARTS", 2)
         kb_dir = str(tmp_path)
         quarantined = seed_quarantined_checkpoint(kb_dir)
         factory = MiniGaloFactory(sales_rows=SALES_ROWS)
@@ -202,7 +204,6 @@ class TestQuarantineDurability:
                 # template must block, cluster-wide.
                 guard_probe_interval=10_000,
             ),
-            max_worker_restarts=2,
         )
         victim_shard = 0
 

@@ -34,8 +34,7 @@ from repro.engine.expressions import (
     IsNull,
     Literal,
     Or,
-    compile_predicate,
-    conjunction_mask,
+    filter_positions,
 )
 from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
@@ -178,13 +177,12 @@ class TestColumnVector:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized predicate masks vs the closure oracle
+# Array predicate evaluation over storage columns vs the row oracle
 # ---------------------------------------------------------------------------
 
 
 class TestPredicateMasks:
     REF = ColumnRef("t", "v")
-    STR_REF = ColumnRef("t", "s")
 
     def columns(self):
         return {
@@ -204,59 +202,26 @@ class TestPredicateMasks:
         InList(ColumnRef("t", "v"), (0, 7, 99)),
         IsNull(ColumnRef("t", "v")),
         IsNull(ColumnRef("t", "v"), negated=True),
-        IsNull(ColumnRef("t", "s")),  # mask path via the VARCHAR null mask
+        IsNull(ColumnRef("t", "s")),  # the VARCHAR column's null mask
         And((Comparison(">", ColumnRef("t", "v"), Literal(4)), IsNull(ColumnRef("t", "v"), negated=True))),
         Or((Comparison("=", ColumnRef("t", "v"), Literal(0)), Comparison(">", ColumnRef("t", "v"), Literal(30)))),
     ]
 
     @pytest.mark.parametrize("predicate", PREDICATES, ids=[str(p) for p in PREDICATES])
-    def test_mask_equals_closure(self, predicate):
+    def test_filter_positions_equals_evaluate(self, predicate):
         columns = self.columns()
-        compiled = compile_predicate(predicate)
-        positions = list(range(8))
-        mask = compiled.mask(columns)
-        assert mask is not None, "expected a vectorized form"
-        vectorized = [positions[i] for i in range(8) if mask[i]]
-        closure = list(compiled._filter(columns, positions))
-        assert vectorized == closure
+        rows = [{key: columns[key][i] for key in columns} for i in range(8)]
+        got = filter_positions([predicate], columns, range(8))
+        assert got.dtype == np.intp
+        assert list(got) == [i for i in range(8) if predicate.evaluate(rows[i])]
 
     def test_filter_preserves_position_order(self):
         columns = self.columns()
-        compiled = compile_predicate(Comparison(">", self.REF, Literal(3)))
         scrambled = [6, 0, 3, 5, 2]
-        out = compiled.filter(columns, np.asarray(scrambled * 7))  # above min size
-        assert list(out)[: len(scrambled)] == [6, 0, 3, 5, 2]
-
-    def test_string_comparison_declines_mask(self):
-        columns = self.columns()
-        compiled = compile_predicate(Comparison("=", self.STR_REF, Literal("a")))
-        assert compiled.mask(columns) is None
-        assert list(compiled.filter(columns, range(8))) == [0, 3, 7]
-
-    def test_list_backend_declines_at_runtime(self):
-        """A plain list column (what a declined kernel hands on) has no typed
-        view: the mask form declines and the closure filters."""
-        columns = {"t.v": [1, 2, 3]}
-        compiled = compile_predicate(Comparison(">", self.REF, Literal(1)))
-        assert compiled.mask(columns) is None
-        assert list(compiled.filter(columns, range(3))) == [1, 2]
-
-    def test_conjunction_mask_matches_sequential_filters(self):
-        columns = self.columns()
-        predicates = [
-            Comparison(">", self.REF, Literal(4)),
-            Comparison("<", self.REF, Literal(40)),
-        ]
-        mask = conjunction_mask(predicates, columns)
-        assert mask is not None
-        assert [i for i in range(8) if mask[i]] == [0, 2, 3, 6]
-        # A non-vectorizable member poisons the whole conjunction.
-        assert (
-            conjunction_mask(
-                predicates + [Comparison("=", self.STR_REF, Literal("a"))], columns
-            )
-            is None
+        out = filter_positions(
+            [Comparison(">", self.REF, Literal(3))], columns, np.asarray(scrambled * 7)
         )
+        assert list(out)[: len(scrambled)] == [6, 0, 3, 5, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.engine.expressions import (
     Or,
     conjunction,
     conjuncts,
+    filter_positions,
 )
 
 A_X = ColumnRef("A", "x")
@@ -139,7 +140,7 @@ class TestConjunctionHelpers:
 
 
 class TestCompiledPredicates:
-    """Compiled column-wise evaluation must agree with row-at-a-time evaluate."""
+    """Array evaluation over positions must agree with row-at-a-time evaluate."""
 
     COLUMNS = {
         "A.x": [5, None, 6, 0, 5],
@@ -155,11 +156,8 @@ class TestCompiledPredicates:
         ]
 
     def assert_agrees(self, predicate):
-        from repro.engine.expressions import compile_predicate
-
         expected = [i for i, row in enumerate(self._rows()) if predicate.evaluate(row)]
-        compiled = compile_predicate(predicate)
-        got = compiled.filter(self.COLUMNS, range(len(self._rows())))
+        got = filter_positions([predicate], self.COLUMNS, range(len(self._rows())))
         assert list(got) == expected, str(predicate)
 
     def test_comparison_col_literal(self):
@@ -201,22 +199,12 @@ class TestCompiledPredicates:
         )
 
     def test_missing_column_behaves_as_nulls(self):
-        from repro.engine.expressions import compile_predicate
-
-        compiled = compile_predicate(Comparison("=", ColumnRef("Z", "q"), Literal(1)))
-        assert compiled.filter(self.COLUMNS, range(5)) == []
-        compiled_null = compile_predicate(IsNull(ColumnRef("Z", "q")))
-        assert list(compiled_null.filter(self.COLUMNS, range(5))) == list(range(5))
-
-    def test_compile_cache_returns_same_object(self):
-        from repro.engine.expressions import compile_predicate
-
-        predicate = Comparison("=", A_X, Literal(123456))
-        assert compile_predicate(predicate) is compile_predicate(predicate)
+        missing = ColumnRef("Z", "q")
+        equals = Comparison("=", missing, Literal(1))
+        assert list(filter_positions([equals], self.COLUMNS, range(5))) == []
+        assert list(filter_positions([IsNull(missing)], self.COLUMNS, range(5))) == list(range(5))
 
     def test_filter_positions_applies_in_order(self):
-        from repro.engine.expressions import filter_positions
-
         predicates = (
             Comparison(">=", A_X, Literal(0)),
             Comparison("=", B_Y, Literal(7)),

@@ -319,6 +319,44 @@ class TestGL002HotPathLoops:
         )
         assert report.findings == []
 
+    EXPRESSIONS = "repro/engine/expressions.py"
+
+    def test_fires_on_a_per_position_predicate_closure(self, tmp_path):
+        """The predicate evaluator is a kernel too: the closure form it
+        replaced, a comprehension over the position vector, is a finding."""
+        report = lint(
+            tmp_path,
+            {self.EXPRESSIONS: """
+                def _compile_comparison(op, key, const):
+                    def filter_col_const(columns, positions):
+                        values = columns.get(key)
+                        return [i for i in positions if values[i] is not None and op(values[i], const)]
+                    return filter_col_const
+            """},
+            [HotPathLoopRule()],
+        )
+        assert rule_ids(report) == ["GL002"]
+        assert "_compile_comparison.filter_col_const" in report.findings[0].message
+
+    def test_clean_twin_array_evaluator_and_its_declared_fallback(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {self.EXPRESSIONS: """
+                def filter_positions(predicates, columns, positions):
+                    live = as_index_array(positions)
+                    for predicate in predicates:
+                        live = live[_accepts(predicate, columns, live)]
+                    return live
+
+                def _evaluate_each(predicate, values):
+                    keys = list(values)
+                    columns = [values[key].tolist() for key in keys]
+                    return [predicate.evaluate(dict(zip(keys, row))) for row in zip(*columns)]
+            """},
+            [HotPathLoopRule()],
+        )
+        assert report.findings == []
+
     def test_dead_allowlist_entry_detected(self, tmp_path):
         """With all kernel files present, unmatched allowlist entries fail."""
         stub = "def only_function():\n    return 0\n"
@@ -330,6 +368,7 @@ class TestGL002HotPathLoops:
                 "repro/engine/executor/bufferpool.py": stub,
                 "repro/engine/statistics.py": stub,
                 "repro/engine/storage.py": stub,
+                "repro/engine/expressions.py": stub,
             },
             [HotPathLoopRule()],
         )

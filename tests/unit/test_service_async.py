@@ -365,12 +365,53 @@ class TestSteppedLearner:
         kb = galo.knowledge_base
         assert 0 < len(kb) == len(stored)
         assert len(kb.index) == len(kb._template_graphs) == len(kb)
-        assert service._template_sources == {
-            template.template_id: sql for template in stored
-        }
         assert service.metrics.count("learning_completed") == 0
         assert service.metrics.count("learning_dropped") == 1
         assert not service.feedback.was_enqueued(sql)
+
+    def test_learned_statement_that_regresses_is_not_re_enqueued(self, galo, mini_db):
+        """Learning it again would analyze no sub-query (each is analyzed once
+        per process), so a regression after learning enqueues nothing."""
+        service = GaloService(
+            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0)
+        )
+        name, sql = QUERIES[1]
+
+        async def scenario():
+            async with service:
+                await service.submit(sql, query_name=name)
+                await service.drain()
+
+        run(scenario())
+        assert service.metrics.count("learning_completed") == 1
+        plan = mini_db.explain(sql)
+        result = mini_db.execute_plan(plan)
+        result.elapsed_ms *= 10
+        observation = service.feedback.observe(
+            sql=sql, query_name=name, qgm=plan, result=result, matched=True, steered=True
+        )
+        assert observation.regressed and observation.task is None
+
+    def test_statement_whose_templates_were_evicted_is_not_re_enqueued(self, galo):
+        """Learning it again would analyze no sub-query (each is analyzed once
+        per process), so an eviction does not re-open the statement."""
+        service = GaloService(
+            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0, kb_capacity=0)
+        )
+        name, sql = QUERIES[1]
+
+        async def scenario():
+            async with service:
+                for _ in range(2):
+                    await service.submit(sql, query_name=name)
+                    await service.drain()
+
+        run(scenario())
+        assert service.metrics.count("templates_learned") > 0
+        assert service.metrics.count("templates_evicted") > 0
+        assert len(galo.knowledge_base) == 0
+        assert service.metrics.count("learning_enqueued") == 1
+        assert service.feedback.was_enqueued(sql)
 
     def test_learning_starts_no_thread(self, galo):
         service = GaloService(galo, quiet_config(learning_enabled=True))

@@ -17,6 +17,7 @@ from repro.service import (
     ShardedServiceConfig,
     sql_fingerprint,
 )
+from repro.service import sharded
 from repro.service.sharded import _default_routing_key, _worker_service_config
 
 
@@ -76,12 +77,10 @@ class TestShardedServiceConfig:
         "overrides",
         [
             dict(num_workers=0),
-            dict(max_pending_per_shard=0),
             dict(kb_poll_interval_seconds=0),
             dict(kb_publish_interval_seconds=0),
             dict(learner_shard=2, num_workers=2),
             dict(learner_shard=-1),
-            dict(max_worker_restarts=-1),
         ],
     )
     def test_validation(self, overrides):
@@ -89,7 +88,14 @@ class TestShardedServiceConfig:
             ShardedServiceConfig(**overrides)
 
     @pytest.mark.parametrize(
-        "knob", ["virtual_nodes", "start_timeout_seconds", "watchdog_interval_seconds"]
+        "knob",
+        [
+            "virtual_nodes",
+            "start_timeout_seconds",
+            "watchdog_interval_seconds",
+            "max_pending_per_shard",
+            "max_worker_restarts",
+        ],
     )
     def test_constant_knobs_are_not_fields(self, knob):
         with pytest.raises(TypeError):
@@ -120,11 +126,10 @@ class TestShardedServiceConfig:
         assert follower.kb_checkpoint_directory is None
         assert follower.kb_checkpoint_interval_seconds is None
 
-    def test_worker_admission_cap_at_least_router_cap(self):
+    def test_worker_admission_cap_at_least_router_cap(self, monkeypatch):
+        monkeypatch.setattr(sharded, "MAX_PENDING_PER_SHARD", 128)
         config = ShardedServiceConfig(
-            num_workers=2,
-            max_pending_per_shard=128,
-            worker_config=ServiceConfig(max_pending=8),
+            num_workers=2, worker_config=ServiceConfig(max_pending=8)
         )
         derived = _worker_service_config(config, 0)
         # The router is the single place requests are shed: a worker whose

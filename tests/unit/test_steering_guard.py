@@ -20,7 +20,6 @@ from repro.core.knowledge_base import (
 )
 from repro.core.matching.segmenter import segment_plan
 from repro.service import GaloService, ServiceConfig
-from repro.service.feedback import FeedbackMonitor
 from repro.service.guard import GUARD_COUNTERS, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 
@@ -434,70 +433,3 @@ class TestServiceGauges:
         for name in GUARD_COUNTERS:
             assert f"galo_{name} 0" in page
         assert "drift" not in page
-
-
-class TestFeedbackRearm:
-    """Satellite 1: the dedup map re-arms after learning completes."""
-
-    SQL2 = SQL
-
-    def result_with(self, qgm, *, q_error=1.0, elapsed_ms=100.0):
-        from repro.engine.executor.executor import ExecutionResult
-        from repro.engine.executor.metrics import RuntimeMetrics
-
-        actuals = {
-            node.operator_id: max(
-                1, int(round(float(node.estimated_cardinality) * q_error))
-            )
-            for node in qgm.root.walk()
-        }
-        return ExecutionResult(
-            rows=[], metrics=RuntimeMetrics(), elapsed_ms=elapsed_ms,
-            actual_cardinalities=actuals,
-        )
-
-    def observe(self, monitor, qgm, **kwargs):
-        defaults = dict(q_error=1.0, elapsed_ms=100.0, matched=False, steered=False)
-        defaults.update(kwargs)
-        return monitor.observe(
-            sql=self.SQL2,
-            query_name="q",
-            qgm=qgm,
-            result=self.result_with(
-                qgm, q_error=defaults["q_error"], elapsed_ms=defaults["elapsed_ms"]
-            ),
-            matched=defaults["matched"],
-            steered=defaults["steered"],
-        )
-
-    def test_regression_after_learning_re_enqueues(self, mini_db):
-        plan = mini_db.explain(self.SQL2)
-        monitor = FeedbackMonitor(q_error_threshold=4.0, regression_threshold=1.5)
-        first = self.observe(monitor, plan, q_error=10.0)
-        assert first.task is not None and first.task.reason == "misestimated"
-        # While queued/learning: still deduplicated.
-        assert self.observe(monitor, plan, q_error=10.0).task is None
-        monitor.mark_learned(self.SQL2)
-        # Repeat misestimation alone stays deduplicated after learning...
-        assert self.observe(monitor, plan, q_error=10.0).task is None
-        # ...but a regression re-arms the statement (the learned template
-        # may be what regressed it).
-        regressed = self.observe(
-            monitor, plan, q_error=10.0, elapsed_ms=400.0, matched=True, steered=True
-        )
-        assert regressed.regressed
-        assert regressed.task is not None and regressed.task.reason == "regressed"
-
-    def test_mark_learned_untracked_statement_is_noop(self, mini_db):
-        monitor = FeedbackMonitor()
-        monitor.mark_learned("SELECT 1 FROM sales")
-        assert monitor.enqueued_count == 0
-
-    def test_forget_still_fully_rearms(self, mini_db):
-        plan = mini_db.explain(self.SQL2)
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        assert self.observe(monitor, plan, q_error=10.0).task is not None
-        monitor.mark_learned(self.SQL2)
-        monitor.forget(self.SQL2)
-        again = self.observe(monitor, plan, q_error=10.0)
-        assert again.task is not None and again.task.reason == "misestimated"
