@@ -18,6 +18,11 @@ three waves:
    latency percentiles, learning counters) and the knowledge-base lifecycle
    (size cap enforcement / eviction).
 
+After the last wave it persists what the service learned: once ``drain()``
+returns no learning is in flight, so ``Galo.save_knowledge_base(directory)``
+checkpoints every learned template, and a restarted service picks them up
+with ``Galo.load_knowledge_base(directory)``.
+
 The script exits non-zero if a request failed, a learning task raised, or no
 learning task completed -- so it doubles as an end-to-end check of the
 learning-on queue.
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import random
+import tempfile
 
-from repro import Database, Galo, GaloService, ServiceConfig
+from repro import Database, Galo, GaloService, KnowledgeBase, ServiceConfig
 from repro.core.learning.engine import LearningConfig
 from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
@@ -151,6 +157,14 @@ async def main() -> None:
             )
         if not snapshot["learning_completed"]:
             raise RuntimeError("no learning task completed")
+
+    # The waves drained the learner, so the checkpoint holds everything learned.
+    with tempfile.TemporaryDirectory() as directory:
+        version = galo.save_knowledge_base(directory)
+        restored = KnowledgeBase.load(directory)
+        print(f"\ncheckpoint v{version}: {len(restored)} templates persisted")
+        if sorted(restored.templates) != sorted(galo.knowledge_base.templates):
+            raise RuntimeError("the checkpoint does not hold the learned templates")
 
 
 if __name__ == "__main__":

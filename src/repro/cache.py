@@ -33,11 +33,6 @@ class LruCache:
             self.misses += 1
             return None
 
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """The cached value, or None, moving neither the LRU order nor a count."""
-        with self._lock:
-            return self._data.get(key)
-
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:
             self._data[key] = value

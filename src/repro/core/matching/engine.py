@@ -333,17 +333,13 @@ class MatchingEngine:
         knowledge_base = self.knowledge_base
         return self.database.stats_epoch, knowledge_base, knowledge_base.generation
 
-    def is_prepared(self, sql: str) -> bool:
-        """Whether :meth:`steer_prepared` would replay ``sql``'s verdict now.
-
-        A peek under the current stamp: no counter, usage tick or LRU order
-        moves.  A mutation between the peek and the call makes that call a
-        ``"stale"`` miss, which is still answered correctly.
-        """
-        return self.prepared.peek(sql, *self.stamp())
-
     def steer_prepared(
-        self, sql: str, query_name: str = "", span=NULL_SPAN, match_filter=None
+        self,
+        sql: str,
+        query_name: str = "",
+        span=NULL_SPAN,
+        match_filter=None,
+        hit: Optional[Tuple[Stamp, PreparedStatement]] = None,
     ) -> SteeringDecision:
         """:meth:`steer`, served from the prepared-statement lane.
 
@@ -359,15 +355,22 @@ class MatchingEngine:
         out are :meth:`~repro.engine.plan.physical.Qgm.renamed` views of the
         entry's read-only masters, so the memo keys and row constructor a
         master derives on its first execution serve every later hit.
+
+        ``hit`` is a ``(stamp, entry)`` pair a caller's own
+        :meth:`~repro.core.matching.prepared.PreparedStatements.lookup`
+        answered ``"hit"`` under, with nothing run in between: it is served
+        without a second lookup.
         """
-        # The stamp is read before any work an entry would stand in for: an
-        # entry built while another thread mutates the KB (a test's writer)
-        # or the sharded reload executor thread swaps it then carries the
-        # older stamp and is stale by construction.
-        stats_epoch, knowledge_base, generation = self.stamp()
-        entry, outcome = self.prepared.lookup(
-            sql, stats_epoch, knowledge_base, generation
-        )
+        if hit is None:
+            # The stamp is read before any work an entry would stand in for:
+            # an entry built while another thread mutates the KB (a test's
+            # writer) or the sharded reload executor thread swaps it then
+            # carries the older stamp and is stale by construction.
+            stamp = self.stamp()
+            entry, outcome = self.prepared.lookup(sql, *stamp)
+        else:
+            (stamp, entry), outcome = hit, "hit"
+        stats_epoch, knowledge_base, generation = stamp
         with span.child("plan") as plan_span:
             if entry is None:
                 master = self.database.explain(sql, query_name=query_name)

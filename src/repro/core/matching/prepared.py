@@ -116,19 +116,6 @@ class PreparedStatements:
             return None, "stale"
         return entry, "hit"
 
-    def peek(
-        self,
-        sql: str,
-        stats_epoch: int,
-        knowledge_base: "KnowledgeBase",
-        generation: int,
-    ) -> bool:
-        """Whether :meth:`lookup` would answer ``"hit"`` now; moves nothing."""
-        entry: Optional[PreparedStatement] = self._entries.peek(sql)
-        return entry is not None and entry.is_current(
-            stats_epoch, knowledge_base, generation
-        )
-
     def publish(self, sql: str, entry: PreparedStatement) -> None:
         """Install a fully built entry (replacing any older one for ``sql``)."""
         self._entries.put(sql, entry)

@@ -42,6 +42,7 @@ numeric ndarray, the embedded ``None`` in an ``object`` one.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,6 +322,9 @@ def nbytes_of(values: Any) -> int:
         if values.dtype == object:
             return int(values.size) * 32
         return int(values.nbytes)
+    if isinstance(values, range):
+        # A predicate-free scan's positions: the range object, not its rows.
+        return sys.getsizeof(values)
     if isinstance(values, ColumnVector):
         return len(values) * 32
     try:

@@ -144,8 +144,8 @@ class MemoEntry:
         Entries share a table's backing columns with every other entry over
         that table -- charging each the full column payload would let one
         table's scans blow the whole byte budget -- so an entry is charged for
-        its position vectors (ndarray ``nbytes``, or a per-element estimate
-        for lists), one per input table, plus its traces
+        its position vectors (ndarray ``nbytes``, a ``range`` its own size,
+        or a per-element estimate for lists), one per input table, plus its traces
         (:data:`TRACE_BYTES_PER_ACCESS` an access, shared or not).  A source
         without positions has arrays of the batch's own (no executor stores
         one today) and is charged for them in full.

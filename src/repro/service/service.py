@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.galo import Galo
+from repro.core.matching.prepared import PreparedStatement, Stamp
 from repro.engine.executor.memo import PlanOutcome
 from repro.engine.executor.vectorized import plan_key
 from repro.obs import (
@@ -272,15 +273,22 @@ class GaloService:
             )
         learning_task: Optional[LearningTask] = None
         try:
-            steering = self.config.steering_enabled and len(self.galo.knowledge_base)
-            if not (steering and self.galo.matching_engine.is_prepared(sql)):
+            hit = None
+            if self.config.steering_enabled and len(self.galo.knowledge_base):
+                engine = self.galo.matching_engine
+                stamp = engine.stamp()
+                entry, _ = engine.prepared.lookup(sql, *stamp)
+                if entry is not None:
+                    hit = (stamp, entry)
+            if hit is None:
                 # Anything but a current prepared hit (parse, optimize, match,
                 # cold execution) yields once first, so the rest of a burst is
                 # admitted -- or shed by max_pending -- before any of it is
-                # served; misses are then served in admission order.
+                # served; misses are then served in admission order, looked
+                # up afresh (the lane may have changed during the yield).
                 await asyncio.sleep(0)
             response, learning_task = self._serve_sync(
-                sql, query_name, request_id, request_span, admitted_at
+                sql, query_name, request_id, request_span, admitted_at, hit
             )
         except asyncio.CancelledError:
             # Cancelled while yielding: never served.
@@ -410,6 +418,7 @@ class GaloService:
         request_id: str = "",
         request_span=NULL_SPAN,
         admitted_at: Optional[float] = None,
+        hit: Optional[Tuple[Stamp, PreparedStatement]] = None,
     ) -> Tuple[ServiceResponse, Optional[LearningTask]]:
         """Plan, (maybe) steer, execute once (or replay), observe.
 
@@ -430,7 +439,10 @@ class GaloService:
         between ``admitted_at`` and the work being picked up is the
         ``queue_wait`` stage: the wait for the loop behind the requests
         admitted before it (near zero for a hit served in place).  The
-        root span ends here, on every path.
+        root span ends here, on every path.  ``hit`` is the prepared-lane
+        ``(stamp, entry)`` :meth:`submit` found current just before, handed to
+        :meth:`~repro.core.matching.engine.MatchingEngine.steer_prepared` so
+        the lane is looked up once per hit.
         """
         started = time.perf_counter()
         if request_span.recording and admitted_at is not None:
@@ -463,7 +475,7 @@ class GaloService:
 
                 decision = engine.steer_prepared(
                     sql, query_name=query_name, span=request_span,
-                    match_filter=match_filter,
+                    match_filter=match_filter, hit=hit,
                 )
                 served_before = decision.prepared != "miss"
                 if decision.prepared == "hit":

@@ -10,7 +10,9 @@ Two acceptance scenarios from the robustness issue:
 (b) **Durability**: quarantine state written into a knowledge-base checkpoint
     reaches every sharded worker via hot-reload (the quarantined template
     stops steering cluster-wide), is visible in the per-shard metrics, and
-    survives a worker crash + restart.
+    survives a worker crash + restart.  In one process, a serving
+    ``GaloService`` that hot-swaps in such a checkpoint stops steering but
+    for its probes.
 """
 
 import asyncio
@@ -23,6 +25,7 @@ from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
 from repro.service import (
+    GaloService,
     ServiceConfig,
     ShardedGaloService,
     ShardedServiceConfig,
@@ -266,3 +269,39 @@ class TestQuarantineDurability:
             f'galo_quarantined_templates{{shard="{victim_shard}"}} {len(quarantined)}'
             in after_page
         )
+
+
+class TestQuarantineAdoptedInProcess:
+    def test_adopted_quarantine_stops_steering(self, tmp_path):
+        """A serving ``GaloService`` hot-swaps in a checkpoint whose templates
+        are all quarantined: its matches block, and only probe ticks steer."""
+        kb_dir = str(tmp_path)
+        quarantined = seed_quarantined_checkpoint(kb_dir)
+        galo = MiniGaloFactory(sales_rows=SALES_ROWS)()
+        service = GaloService(
+            galo, ServiceConfig(learning_enabled=False, tracing_enabled=True)
+        )
+        requests = mini_star_queries() * 4
+
+        async def scenario():
+            async with service:
+                before = [await service.submit(sql, query_name=name) for name, sql in requests]
+                version = galo.maybe_reload_knowledge_base(kb_dir, force=True)
+                after = [await service.submit(sql, query_name=name) for name, sql in requests]
+            return before, version, after
+
+        before, version, after = run(scenario())
+        assert version == 1
+        assert galo.quarantined_template_ids() == quarantined
+        assert all(r.ok and not r.steered for r in before)
+        assert all(r.ok for r in after)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["quarantine_blocks"] > 0
+        assert snapshot["quarantine_probes"] > 0
+        for response in after:
+            trace = service.trace_store.get(trace_id=response.trace_id)
+            (root,) = [s for s in trace["spans"] if s["span_id"] == trace["root_span_id"]]
+            probed = set(root["attributes"].get("probed", ()))
+            # A steered request ran only templates whose probe tick fired.
+            assert not response.steered or set(response.matched_template_ids) <= probed
+        assert 0 < sum(r.steered for r in after) <= snapshot["quarantine_probes"]

@@ -13,6 +13,7 @@ and ``ServiceMetrics.render_prometheus`` are tested here too.
 
 import asyncio
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ import pytest
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
-from repro.engine.columns import ColumnVector, KeyGroups, gather, python_values
+from repro.engine.columns import ColumnVector, KeyGroups, gather, nbytes_of, python_values
 from repro.engine.config import DbConfig
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionMemo
 from repro.engine.executor.memo import MemoEntry
+from repro.engine.executor.vectorized import VectorizedExecutor
 from repro.engine.expressions import (
     And,
     Between,
@@ -347,6 +349,22 @@ class TestMemoByteBudget:
         )
         assert scan_entry.estimated_bytes() < owning.estimated_bytes()
         assert scan_entry.estimated_bytes() < 16_384
+
+    def test_a_range_is_charged_its_own_size(self):
+        positions = range(100_000)
+        assert nbytes_of(positions) == sys.getsizeof(positions)
+        assert nbytes_of(positions) < 100
+
+    def test_predicate_free_scan_entry_is_charged_its_range(self, mini_db):
+        """A TBSCAN without predicates keeps ``range(row_count)`` as its
+        positions: the entry costs its struct overhead plus that range."""
+        memo = ExecutionMemo()
+        qgm = mini_db.explain("SELECT s_quantity FROM sales")
+        VectorizedExecutor(mini_db.catalog, mini_db.config).execute(qgm, memo=memo).rows
+        (entry,) = memo.entries.values()
+        ((_, positions),) = entry.sources
+        assert positions == range(mini_db.catalog.table_data("SALES").row_count)
+        assert entry.estimated_bytes() == 256 + sys.getsizeof(positions)
 
     def test_byte_budget_evicts_fifo(self):
         budget = make_entry(100).estimated_bytes() * 3 + 128

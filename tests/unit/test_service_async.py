@@ -599,3 +599,59 @@ class TestLearningQueue:
         assert run(scenario()) == 0
         assert service.metrics.count("learning_enqueued") == 0
         assert service.metrics.count("learning_dropped") == 1
+
+
+class LaneSpy:
+    """Stands in for the prepared lane's ``LruCache``, noting every read."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.reads = []
+
+    def __getattr__(self, name):
+        attribute = getattr(self.cache, name)
+        if name not in ("get", "peek"):
+            return attribute
+
+        def read(key):
+            self.reads.append((name, key))
+            return attribute(key)
+
+        return read
+
+    def __len__(self):
+        return len(self.cache)
+
+
+class TestPreparedLaneLookups:
+    def test_a_current_hit_reads_the_lane_once(self):
+        from tests.prepared_support import WORKLOAD, build_system
+
+        galo = build_system()
+        engine = galo.matching_engine
+        spy = engine.prepared._entries = LaneSpy(engine.prepared._entries)
+        service = GaloService(galo, ServiceConfig(learning_enabled=False))
+        name, sql = WORKLOAD[0]
+
+        async def scenario():
+            async with service:
+                # A miss yields, then looks the statement up afresh.
+                await service.submit(sql, query_name=name)
+                misses = len(spy.reads)
+                spy.reads.clear()
+                for _ in range(3):
+                    await service.submit(sql, query_name=name)
+                hits = list(spy.reads)
+                # A stale entry takes the miss path again.
+                galo.database.runstats("SALES")
+                spy.reads.clear()
+                await service.submit(sql, query_name=name)
+                return misses, hits, len(spy.reads)
+
+        misses, hits, stale = run(scenario())
+        assert misses == 2 and stale == 2
+        assert hits == [("get", sql)] * 3
+        snapshot = service.metrics.snapshot()
+        assert snapshot["prepared_hits"] == 3
+        assert snapshot["prepared_misses"] == 2
+        assert snapshot["prepared_invalidations"] == 1
