@@ -364,7 +364,7 @@ def test_bench_serving_guard_quarantines_poisoned_kb(benchmark, tpcds_bundle):
             # Anything beyond 1.1x its optimizer baseline is a loss, so every
             # still-steering template in the converged phase is by definition
             # within the 1.1x p95 bar being asserted.
-            guard_regression_threshold=1.1,
+            regression_threshold=1.1,
             guard_min_observations=2,
             guard_quarantine_loss_rate=0.5,
             # Probes effectively off within this stream length: the converged

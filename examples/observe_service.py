@@ -46,7 +46,6 @@ async def main() -> None:
     service = GaloService(
         galo,
         ServiceConfig(
-            q_error_threshold=3.0,
             tracing_enabled=True,
             # Demo threshold: low enough that the heavier joins land in the
             # slow-query log (production would use hundreds of ms).

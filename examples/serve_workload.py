@@ -8,8 +8,8 @@ The script builds a small skewed star schema, starts a :class:`GaloService`
 with an *empty* knowledge base, and pushes the same query mix through it in
 three waves:
 
-1. wave 1 runs cold -- every query executes on the optimizer's plan, and the
-   feedback monitor spots the mis-estimated ones (large cardinality q-errors)
+1. wave 1 runs cold -- every query executes on the optimizer's plan, and
+   runtime feedback spots the mis-estimated ones (large cardinality q-errors)
    and enqueues them for background learning;
 2. by wave 2 the background learner has stored problem-pattern templates, so
    repeat statements are matched against the knowledge base and run on
@@ -119,11 +119,7 @@ QUERY_MIX = [
 async def main() -> None:
     db = build_database()
     galo = Galo(db, learning_config=LearningConfig(max_joins=3, random_plans_per_subquery=4))
-    config = ServiceConfig(
-        max_pending=32,
-        q_error_threshold=3.0,
-        kb_capacity=8,
-    )
+    config = ServiceConfig(max_pending=32, kb_capacity=8)
     service = GaloService(galo, config)
 
     async with service:

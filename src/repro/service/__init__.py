@@ -3,19 +3,14 @@
 The paper's two tiers -- offline learning and online matching -- are connected
 here into one long-lived system: an asyncio front-end serving a stream of SQL
 requests through the indexed matching tier and the vectorized engine, a
-runtime-feedback monitor that spots mis-estimated or regressed queries, a
-background learning loop that keeps growing the knowledge base while the
-system serves, and knowledge-base lifecycle management (size cap, eviction,
-incremental index maintenance).
+per-statement ledger whose runtime feedback spots mis-estimated or regressed
+queries, a background learning loop that keeps growing the knowledge base
+while the system serves, and knowledge-base lifecycle management (size cap,
+eviction, incremental index maintenance).
 """
 
 from repro.service.config import ServiceConfig, ShardedServiceConfig
-from repro.service.feedback import (
-    FeedbackMonitor,
-    LearningTask,
-    QueryObservation,
-    sql_fingerprint,
-)
+from repro.service.feedback import LearningTask, sql_fingerprint
 from repro.service.guard import GuardScreen, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
@@ -32,11 +27,9 @@ from repro.service.sharded import (
 
 __all__ = [
     "ConsistentHashRouter",
-    "FeedbackMonitor",
     "GaloService",
     "GuardScreen",
     "LearningTask",
-    "QueryObservation",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceResponse",

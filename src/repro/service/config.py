@@ -22,11 +22,12 @@ class ServiceConfig:
 
     Continuous learning
     -------------------
-    With ``learning_enabled``, every executed query is fed to the feedback
-    monitor; mis-estimated or regressed queries are enqueued (deduplicated by
-    SQL hash) onto a background learning queue.  The learner drains it in
-    FIFO order on the event loop, one learning step at a time, so a request
-    waits for at most one step (about one miss) behind it.  The queue itself
+    With ``learning_enabled``, every executed query is fed back into its
+    statement's record (:mod:`repro.service.feedback`); mis-estimated or
+    regressed queries are enqueued (at most once per statement) onto a
+    background learning queue.  The learner drains it in FIFO order on the
+    event loop, one learning step at a time, so a request waits for at most
+    one step (about one miss) behind it.  The queue itself
     is bounded (``repro.service.service.LEARNING_QUEUE_LIMIT``); when it is
     full new candidates are dropped (and counted) rather than blocking
     serving.
@@ -42,26 +43,23 @@ class ServiceConfig:
     steering_enabled: bool = True
     #: Feed runtime feedback into the background learning loop.
     learning_enabled: bool = True
-    #: Worst per-operator cardinality q-error before a query is considered
-    #: mis-estimated and enqueued for learning (1.0 = estimates were perfect).
-    q_error_threshold: float = 4.0
-    #: Factor over a query's best observed runtime before a repeat execution
-    #: is considered regressed and, if never enqueued before, enqueued for
-    #: learning.
+    #: Factor over a statement's best runtime past which an execution
+    #: regressed.  Feedback enqueues a regressed statement for learning (if
+    #: never enqueued before); the guard counts a steered run past its
+    #: statement's best *unsteered* runtime as a loss.
     regression_threshold: float = 1.5
     #: Steering safety (see :mod:`repro.service.guard`).  With
     #: ``guard_enabled``, every steered execution is judged against the
-    #: statement's best *unsteered* runtime: within
-    #: ``guard_regression_threshold`` is a win, beyond it a loss.  A template
-    #: with at least ``guard_min_observations`` judged executions whose loss
-    #: rate reaches ``guard_quarantine_loss_rate`` is quarantined -- its
+    #: statement's best *unsteered* runtime: within ``regression_threshold``
+    #: is a win, beyond it a loss.  A template with at least
+    #: ``guard_min_observations`` judged executions whose loss rate reaches
+    #: ``guard_quarantine_loss_rate`` is quarantined -- its
     #: matches stop steering (requests fall back to the optimizer plan) while
     #: learning continues.  Every ``guard_probe_interval``-th matched request
     #: still steers as a shadow probe; consecutive probe wins re-arm the
     #: template (:class:`repro.service.guard.SteeringGuard`'s
     #: ``probation_wins``).
     guard_enabled: bool = True
-    guard_regression_threshold: float = 1.5
     guard_min_observations: int = 3
     guard_quarantine_loss_rate: float = 0.5
     guard_probe_interval: int = 4
@@ -102,12 +100,8 @@ class ServiceConfig:
             raise ValueError("max_workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.q_error_threshold < 1.0:
-            raise ValueError("q_error_threshold must be >= 1.0 (1.0 = exact)")
         if self.regression_threshold < 1.0:
             raise ValueError("regression_threshold must be >= 1.0")
-        if self.guard_regression_threshold < 1.0:
-            raise ValueError("guard_regression_threshold must be >= 1.0")
         if self.guard_min_observations < 1:
             raise ValueError("guard_min_observations must be >= 1")
         if not 0.0 < self.guard_quarantine_loss_rate <= 1.0:
@@ -181,7 +175,8 @@ class ShardedServiceConfig:
     #: without propagation).
     learner_shard: Optional[int] = 0
     #: Routing key function ``(sql, query_name) -> str``; None = SQL
-    #: fingerprint (whitespace-normalized hash, the feedback monitor's key).
+    #: fingerprint (the hash of the statement ledger's key: the text with
+    #: whitespace collapsed outside literals).
     routing_key: Optional[Callable[[str, str], str]] = None
 
     def __post_init__(self) -> None:

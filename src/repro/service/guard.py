@@ -7,10 +7,10 @@ serving path with a per-template **win/loss ledger** (stored in the
 :class:`~repro.core.knowledge_base.KnowledgeBase`, so it persists through
 checkpoints and propagates to sharded followers): every steered execution is
 judged against the statement's own optimizer-baseline runtime (the best
-*unsteered* ``elapsed_ms`` the guard has observed for that SQL fingerprint).
-A template whose loss rate crosses the configured threshold is
-**quarantined**: its matches stop steering (requests fall back to the
-optimizer's plan -- graceful degradation) while learning continues.  Every
+*unsteered* ``elapsed_ms`` its ``StatementRecord`` holds).  A template whose
+loss rate crosses the configured threshold is **quarantined**: its matches
+stop steering (requests fall back to the optimizer's plan -- graceful
+degradation) while learning continues.  Every
 ``guard_probe_interval``-th matched request still steers as a shadow *probe*;
 ``guard_probation_wins`` consecutive probe wins re-arm the template.
 Wins/losses also feed
@@ -25,12 +25,12 @@ bit-identical to guard-off.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.knowledge_base import KnowledgeBase, TemplateMatch
-from repro.service.feedback import sql_fingerprint
+from repro.service.feedback import StatementLedger, StatementRecord, statement_key
 from repro.service.metrics import ServiceMetrics
 
 #: Guard counters, registered on the service's :class:`ServiceMetrics` by
@@ -69,8 +69,9 @@ class GuardScreen:
 class SteeringGuard:
     """The serving tier's regression guard (see the module docstring).
 
-    One instance per :class:`~repro.service.GaloService`.  The knowledge base
-    is passed *per call* rather than captured at construction: a sharded
+    One instance per :class:`~repro.service.GaloService`, sharing the
+    service's ``ledger`` (a guard built alone keeps its own).  The knowledge
+    base is passed *per call* rather than captured at construction: a sharded
     follower hot-reloads by swapping the KB object, and the guard must always
     judge against (and record into) the currently adopted one.
     """
@@ -83,7 +84,7 @@ class SteeringGuard:
         quarantine_loss_rate: float = 0.5,
         probation_wins: int = 2,
         probe_interval: int = 4,
-        max_tracked_statements: int = 4096,
+        ledger: Optional[StatementLedger] = None,
         metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         if regression_threshold < 1.0:
@@ -101,14 +102,9 @@ class SteeringGuard:
         self.quarantine_loss_rate = quarantine_loss_rate
         self.probation_wins = probation_wins
         self.probe_interval = probe_interval
-        self.max_tracked_statements = max_tracked_statements
+        self.ledger = StatementLedger() if ledger is None else ledger
         self.metrics = metrics or ServiceMetrics()
         self.register_metrics(self.metrics)
-        self._lock = threading.Lock()
-        #: fingerprint -> best *unsteered* elapsed_ms (the optimizer baseline
-        #: the ledger judges steered runs against).  Insertion-ordered for
-        #: FIFO trimming, like the feedback monitor's history.
-        self._baselines: Dict[str, float] = {}
 
     def register_metrics(self, metrics: ServiceMetrics) -> None:
         """Declare every guard counter on ``metrics`` (idempotent)."""
@@ -156,7 +152,24 @@ class SteeringGuard:
         steered: bool,
         template_ids: Sequence[str],
     ) -> str:
-        """Record one served execution; returns the verdict.
+        """:meth:`judge` one served execution of ``sql``, whose record is
+        looked up in the ledger (created on an unsteered run)."""
+        record = self.ledger.observe(statement_key(sql), create=not steered)
+        return self.judge(
+            knowledge_base, record,
+            elapsed_ms=elapsed_ms, steered=steered, template_ids=template_ids,
+        )
+
+    def judge(
+        self,
+        knowledge_base: KnowledgeBase,
+        record: Optional[StatementRecord],
+        *,
+        elapsed_ms: float,
+        steered: bool,
+        template_ids: Sequence[str],
+    ) -> str:
+        """Judge one served execution of ``record``'s statement.
 
         Unsteered executions update the statement's optimizer baseline and
         return ``"baseline"``.  Steered executions are judged against that
@@ -167,43 +180,29 @@ class SteeringGuard:
         are tallied against every template that steered the request, and
         quarantine / re-arm transitions are applied here.
         """
-        fingerprint = sql_fingerprint(sql)
         if not steered:
-            with self._lock:
-                best = self._baselines.get(fingerprint)
-                if best is None:
-                    while len(self._baselines) >= self.max_tracked_statements:
-                        oldest = next(iter(self._baselines))
-                        del self._baselines[oldest]
-                    self._baselines[fingerprint] = elapsed_ms
-                elif elapsed_ms < best:
-                    self._baselines[fingerprint] = elapsed_ms
+            # The ledger creates the record of every unsteered run.
+            assert record is not None
+            record.best_unsteered_ms = min(record.best_unsteered_ms, elapsed_ms)
             return "baseline"
-        with self._lock:
-            baseline = self._baselines.get(fingerprint)
-        if baseline is None:
+        if record is None or record.best_unsteered_ms == math.inf:
             self.metrics.increment("steering_unjudged")
             return "unjudged"
-        win = elapsed_ms <= baseline * self.regression_threshold
+        win = elapsed_ms <= record.best_unsteered_ms * self.regression_threshold
         if win:
             self.metrics.increment("steering_wins")
         else:
             self.metrics.increment("steering_losses")
         for template_id in template_ids:
-            record = knowledge_base.record_steering_outcome(template_id, win)
-            if record.quarantined:
-                if record.probation_wins >= self.probation_wins:
+            tally = knowledge_base.record_steering_outcome(template_id, win)
+            if tally.quarantined:
+                if tally.probation_wins >= self.probation_wins:
                     if knowledge_base.rearm_template(template_id):
                         self.metrics.increment("templates_rearmed")
             elif (
-                record.observations >= self.min_observations
-                and record.loss_rate >= self.quarantine_loss_rate
+                tally.observations >= self.min_observations
+                and tally.loss_rate >= self.quarantine_loss_rate
             ):
                 if knowledge_base.quarantine_template(template_id):
                     self.metrics.increment("templates_quarantined")
         return "win" if win else "loss"
-
-    def baseline_ms(self, sql: str) -> Optional[float]:
-        """The optimizer baseline the ledger judges ``sql`` against."""
-        with self._lock:
-            return self._baselines.get(sql_fingerprint(sql))

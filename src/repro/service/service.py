@@ -16,10 +16,12 @@
    parse, optimize, match, then execute or replay) first yields to the loop
    once, so a burst is admitted before any of it is served, then is served
    in admission order;
-3. feeds the outcome to the :class:`repro.service.feedback.FeedbackMonitor`,
-   which enqueues mis-estimated or regressed statements onto a FIFO
-   background learning queue -- the paper's offline tier running continuously
-   behind the online tier, Bao/superoptimizer-style.  The learner runs on the
+3. feeds the outcome to the statement's one record in the
+   :class:`repro.service.feedback.StatementLedger`: feedback enqueues
+   mis-estimated or regressed statements onto a FIFO background learning
+   queue -- the paper's offline tier running continuously behind the online
+   tier, Bao/superoptimizer-style -- and the guard judges a steered run
+   against the record's best unsteered runtime.  The learner runs on the
    event loop too, one step at a time (the parent validation, then one
    sub-query analysis: the size of one miss) and yields to the loop after
    each, so a request waits for at most one step, never for a whole query;
@@ -62,7 +64,8 @@ from repro.obs import (
     render_timeline,
 )
 from repro.service.config import ServiceConfig
-from repro.service.feedback import FeedbackMonitor, LearningTask
+from repro.service.feedback import LearningTask, StatementLedger
+from repro.service.feedback import feedback, statement_key
 from repro.service.guard import GuardScreen, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 
@@ -123,20 +126,19 @@ class GaloService:
         self.galo = galo
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics()
-        self.feedback = FeedbackMonitor(
-            q_error_threshold=self.config.q_error_threshold,
-            regression_threshold=self.config.regression_threshold,
-        )
+        #: Per-statement runtimes and learn state (feedback and the guard).
+        self.ledger = StatementLedger()
         #: Regression guard (None when disabled).  The guard registers its
         #: counters on ``metrics`` either way it is built, so a guard-on
         #: service exposes the same counter set from request one.
         self.guard: Optional[SteeringGuard] = None
         if self.config.guard_enabled:
             self.guard = SteeringGuard(
-                regression_threshold=self.config.guard_regression_threshold,
+                regression_threshold=self.config.regression_threshold,
                 min_observations=self.config.guard_min_observations,
                 quarantine_loss_rate=self.config.guard_quarantine_loss_rate,
                 probe_interval=self.config.guard_probe_interval,
+                ledger=self.ledger,
                 metrics=self.metrics,
             )
         #: Pending learning tasks, learned in FIFO order.
@@ -548,29 +550,29 @@ class GaloService:
                 max_q_error = result.max_q_error(qgm)
             else:
                 max_q_error = outcome.q_error
-            if self.config.learning_enabled:
-                observation = self.feedback.observe(
-                    sql=sql,
-                    query_name=query_name,
-                    qgm=qgm,
-                    result=result,
-                    matched=bool(matched_ids),
-                    steered=steered,
-                    max_q_error=max_q_error,
+            learning = self.config.learning_enabled
+            if learning or guard is not None:
+                # Learning records every statement; the guard alone only
+                # those with an unsteered run (a baseline to judge against).
+                record = self.ledger.observe(
+                    statement_key(sql), create=learning or not steered
                 )
-                learning_task = observation.task
+            if learning:
+                learning_task = feedback(
+                    record, sql=sql, query_name=query_name,
+                    elapsed_ms=result.elapsed_ms, max_q_error=max_q_error,
+                    steered=steered,
+                    regression_threshold=self.config.regression_threshold,
+                )
                 if learning_task is not None:
                     feedback_span.set("reason", learning_task.reason)
             feedback_span.set("max_q_error", max_q_error)
             if guard is not None:
                 # Win/loss vs the optimizer baseline, plus any quarantine /
                 # re-arm transition.
-                verdict = guard.observe(
-                    knowledge_base,
-                    sql=sql,
-                    elapsed_ms=result.elapsed_ms,
-                    steered=steered,
-                    template_ids=matched_ids,
+                verdict = guard.judge(
+                    knowledge_base, record, elapsed_ms=result.elapsed_ms,
+                    steered=steered, template_ids=matched_ids,
                 )
                 feedback_span.set("verdict", verdict)
 
@@ -634,7 +636,7 @@ class GaloService:
         """Count a task that will not be learned; dropped, not deferred, so
         its statement may re-trigger later."""
         self.metrics.increment("learning_dropped")
-        self.feedback.forget(task.sql)
+        self.ledger.forget(task.sql)
 
     async def _drain_learning_queue(self) -> None:
         """Background task: learn queued tasks on the loop, step by step."""
@@ -670,7 +672,7 @@ class GaloService:
                 )
                 # Same policy as a queue-full drop: the statement may
                 # re-trigger later (the failure may have been transient).
-                self.feedback.forget(task.sql)
+                self.ledger.forget(task.sql)
             finally:
                 self._learning_queue.task_done()
             self._checkpoint_kb_sync()

@@ -84,11 +84,10 @@ def make_service(db, **config_overrides):
             max_joins=3, random_plans_per_subquery=4, max_variants=2
         ),
     )
-    # q-error threshold 4.0: the well-estimated single-table query peaks at
-    # ~3.16 (the GRPBY sqrt heuristic), the mis-estimated joins at 10-30.
-    defaults = dict(q_error_threshold=4.0)
-    defaults.update(config_overrides)
-    return galo, GaloService(galo, ServiceConfig(**defaults))
+    # The q-error threshold is 4.0: the well-estimated single-table query
+    # peaks at ~3.16 (the GRPBY sqrt heuristic), the mis-estimated joins at
+    # 10-30.
+    return galo, GaloService(galo, ServiceConfig(**config_overrides))
 
 
 class TestEndToEndService:
@@ -141,7 +140,7 @@ class TestEndToEndService:
         assert steered_response.elapsed_ms < baseline_elapsed
 
         # The well-estimated statement must never have been enqueued.
-        assert not service.feedback.was_enqueued(MIX[0][1])
+        assert not service.ledger.get(MIX[0][1]).enqueued
 
         # -- (c) eviction under a size cap keeps indexed == brute force ------
         kb = galo.knowledge_base

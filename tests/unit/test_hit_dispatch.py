@@ -14,6 +14,7 @@ import threading
 from types import SimpleNamespace
 
 from repro.service import GaloService, ServiceConfig
+from repro.service import feedback as feedback_module
 from tests.prepared_support import WORKLOAD, build_system
 
 GUARD_SECONDS = 60
@@ -185,7 +186,8 @@ class TestServicePromisesWithInlineHits:
         assert loop_problems == []
         assert service.pending == 0
 
-    def test_inline_hit_enqueues_learning_and_stop_drains_it(self):
+    def test_inline_hit_enqueues_learning_and_stop_drains_it(self, monkeypatch):
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
         galo = build_system()
         learned = []
 
@@ -196,9 +198,7 @@ class TestServicePromisesWithInlineHits:
         galo.learning_engine.learning_steps = learning_steps
         name, sql = WORKLOAD[-1]  # matches no template: feedback may enqueue it
         galo.matching_engine.steer_prepared(sql, query_name=name)
-        service = GaloService(
-            galo, serving_config(learning_enabled=True, q_error_threshold=1.0)
-        )
+        service = GaloService(galo, serving_config(learning_enabled=True))
         recorder = ServeRecorder(service)
 
         async def scenario():

@@ -25,6 +25,7 @@ from repro.engine.executor.vectorized import Batch, VectorizedExecutor, subtree_
 from repro.engine.executor.vectorized import plan_key as outcome_key
 from repro.obs import Span
 from repro.service import GaloService, ServiceConfig
+from repro.service import feedback as feedback_module
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
 from tests.naive_optimizer import plan_rows
@@ -965,8 +966,9 @@ class TestExecutionReplay:
         """Learning and the guard on: feedback and the guard ledger read a
         replayed result's shared metrics and actuals, and must write nothing
         into them."""
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1e9)
         galo = build_system()
-        config = dict(learning_enabled=True, guard_enabled=True, q_error_threshold=1e9)
+        config = dict(learning_enabled=True, guard_enabled=True)
         serve_serially(galo, WORKLOAD * 2, **config)
         outcomes = [outcome for _, sql in WORKLOAD for outcome in kept_outcomes(galo, sql)]
         assert len(outcomes) == len(WORKLOAD)

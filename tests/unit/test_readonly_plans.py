@@ -21,7 +21,7 @@ from repro.engine.executor.memo import ExecutionMemo
 from repro.engine.executor.vectorized import VectorizedExecutor, plan_key
 from repro.errors import PlanBudgetExceeded
 from repro.service import GaloService, ServiceConfig
-from repro.service.feedback import FeedbackMonitor
+from repro.service.feedback import feedback, statement_key
 from repro.service.guard import SteeringGuard
 from repro.service.metrics import ServiceMetrics
 from tests.prepared_support import WORKLOAD, build_system, plan_snapshot
@@ -132,20 +132,21 @@ class TestServingLeavesPlansAlone:
         galo = build_system()
         database = galo.database
         knowledge_base = galo.knowledge_base
-        monitor = FeedbackMonitor(q_error_threshold=1.0)
         guard = SteeringGuard(metrics=ServiceMetrics())
         for name, sql in WORKLOAD:
             decision = galo.matching_engine.steer_prepared(sql, query_name=name)
             plans = (decision.qgm, decision.baseline_qgm)
             before = [plan_snapshot(plan) for plan in plans]
             result = database.execute_plan(decision.qgm)
-            monitor.observe(
-                sql=sql, query_name=name, qgm=decision.qgm, result=result,
-                matched=bool(decision.matches), steered=decision.steered,
+            record = guard.ledger.observe(statement_key(sql), create=True)
+            feedback(
+                record, sql=sql, query_name=name, elapsed_ms=result.elapsed_ms,
+                max_q_error=result.max_q_error(decision.qgm),
+                steered=decision.steered, regression_threshold=1.5,
             )
             guard.screen(knowledge_base, decision.matches)
-            guard.observe(
-                knowledge_base, sql=sql, elapsed_ms=result.elapsed_ms,
+            guard.judge(
+                knowledge_base, record, elapsed_ms=result.elapsed_ms,
                 steered=decision.steered, template_ids=decision.matched_template_ids,
             )
             assert [plan_snapshot(plan) for plan in plans] == before

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.galo import Galo
 from repro.service import GaloService, ServiceConfig
-from repro.service.feedback import LearningTask, sql_fingerprint
+from repro.service import feedback as feedback_module
+from repro.service.feedback import LearningTask, feedback, sql_fingerprint
 
 
 #: Generous per-scenario guard; scenarios normally finish in well under 1 s.
@@ -231,9 +232,16 @@ class TestAdmissionControl:
         with pytest.raises(ValueError):
             ServiceConfig(max_pending=0)
         with pytest.raises(ValueError):
-            ServiceConfig(q_error_threshold=0.5)
+            ServiceConfig(regression_threshold=0.9)
         with pytest.raises(ValueError):
             ServiceConfig(kb_capacity=-1)
+
+    @pytest.mark.parametrize(
+        "knob", ["q_error_threshold", "guard_regression_threshold"]
+    )
+    def test_constant_knobs_are_not_fields(self, knob):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{knob: 1.5})
 
 
 def learning_task(name, sql):
@@ -341,10 +349,9 @@ class TestSteppedLearner:
             offline.knowledge_base.graph.to_ntriples().splitlines()
         )
 
-    def test_stop_without_drain_cancels_between_steps(self, galo):
-        service = GaloService(
-            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0)
-        )
+    def test_stop_without_drain_cancels_between_steps(self, galo, monkeypatch):
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
+        service = GaloService(galo, quiet_config(learning_enabled=True))
         log = EventLog(service)
         name, sql = QUERIES[1]  # parent validation, then three analyses
         stored = []
@@ -353,7 +360,7 @@ class TestSteppedLearner:
             await service.start()
             queue = service._learning_queue
             await service.submit(sql, query_name=name)  # feedback enqueues it
-            enqueued = service.feedback.was_enqueued(sql)
+            enqueued = service.ledger.get(sql).enqueued
             while log.kinds().count("step") < 3:
                 await asyncio.sleep(0)
             stored.extend(galo.knowledge_base.all_templates())
@@ -367,14 +374,15 @@ class TestSteppedLearner:
         assert len(kb.index) == len(kb._template_graphs) == len(kb)
         assert service.metrics.count("learning_completed") == 0
         assert service.metrics.count("learning_dropped") == 1
-        assert not service.feedback.was_enqueued(sql)
+        assert not service.ledger.get(sql).enqueued
 
-    def test_learned_statement_that_regresses_is_not_re_enqueued(self, galo, mini_db):
+    def test_learned_statement_that_regresses_is_not_re_enqueued(
+        self, galo, mini_db, monkeypatch
+    ):
         """Learning it again would analyze no sub-query (each is analyzed once
         per process), so a regression after learning enqueues nothing."""
-        service = GaloService(
-            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0)
-        )
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
+        service = GaloService(galo, quiet_config(learning_enabled=True))
         name, sql = QUERIES[1]
 
         async def scenario():
@@ -384,20 +392,24 @@ class TestSteppedLearner:
 
         run(scenario())
         assert service.metrics.count("learning_completed") == 1
-        plan = mini_db.explain(sql)
-        result = mini_db.execute_plan(plan)
-        result.elapsed_ms *= 10
-        observation = service.feedback.observe(
-            sql=sql, query_name=name, qgm=plan, result=result, matched=True, steered=True
+        record = service.ledger.get(sql)
+        assert record.enqueued
+        elapsed_ms = record.best_ms * 10
+        assert elapsed_ms > record.best_ms * service.config.regression_threshold
+        task = feedback(
+            record, sql=sql, query_name=name, elapsed_ms=elapsed_ms,
+            max_q_error=1.0, steered=True,
+            regression_threshold=service.config.regression_threshold,
         )
-        assert observation.regressed and observation.task is None
+        assert task is None
 
-    def test_statement_whose_templates_were_evicted_is_not_re_enqueued(self, galo):
+    def test_statement_whose_templates_were_evicted_is_not_re_enqueued(
+        self, galo, monkeypatch
+    ):
         """Learning it again would analyze no sub-query (each is analyzed once
         per process), so an eviction does not re-open the statement."""
-        service = GaloService(
-            galo, quiet_config(learning_enabled=True, q_error_threshold=1.0, kb_capacity=0)
-        )
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
+        service = GaloService(galo, quiet_config(learning_enabled=True, kb_capacity=0))
         name, sql = QUERIES[1]
 
         async def scenario():
@@ -411,7 +423,7 @@ class TestSteppedLearner:
         assert service.metrics.count("templates_evicted") > 0
         assert len(galo.knowledge_base) == 0
         assert service.metrics.count("learning_enqueued") == 1
-        assert service.feedback.was_enqueued(sql)
+        assert service.ledger.get(sql).enqueued
 
     def test_learning_starts_no_thread(self, galo):
         service = GaloService(galo, quiet_config(learning_enabled=True))
@@ -440,8 +452,8 @@ class TestSteppedLearner:
             yield SimpleNamespace(templates_learned=[])
 
         galo.learning_engine.learning_steps = learning_steps
-        forget = service.feedback.forget
-        service.feedback.forget = lambda sql: (forgotten.append(sql), forget(sql))
+        forget = service.ledger.forget
+        service.ledger.forget = lambda sql: (forgotten.append(sql), forget(sql))
 
         async def scenario():
             await service.start()
@@ -553,8 +565,8 @@ class TestLearningQueue:
         monkeypatch.setattr(service_module, "LEARNING_QUEUE_LIMIT", 2)
         service, learned = self.recording_service(galo)
         forgotten = []
-        forget = service.feedback.forget
-        service.feedback.forget = lambda sql: (forgotten.append(sql), forget(sql))
+        forget = service.ledger.forget
+        service.ledger.forget = lambda sql: (forgotten.append(sql), forget(sql))
 
         async def scenario():
             await service.start()

@@ -1,17 +1,34 @@
-"""Feedback-monitor thresholds: what gets enqueued for background learning.
+"""The statement ledger and its feedback: what gets enqueued for learning.
 
 The contract under test: a query whose actuals agree with the optimizer's
 estimates is *not* enqueued; a mis-estimated or regressed query is enqueued
-*exactly once* (deduplicated by SQL fingerprint); steering suppresses the
-mis-estimation trigger (the knowledge base already handled that statement).
+*exactly once* while its record is live (one record per statement key);
+steering suppresses the mis-estimation trigger (the knowledge base already
+handled that statement).  The key collapses whitespace outside string
+literals only, so statements that differ inside a literal never share a
+record.
 """
+
+import asyncio
+import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.engine.executor.executor import ExecutionResult
 from repro.engine.executor.metrics import RuntimeMetrics
-from repro.service.feedback import FeedbackMonitor, sql_fingerprint
+from repro.service import feedback as feedback_module
+from repro.service.feedback import (
+    StatementLedger,
+    feedback,
+    sql_fingerprint,
+    statement_key,
+)
+from repro.service import GaloService, ServiceConfig
+from repro.service import guard as guard_module
+from repro.service import service as service_module
 from repro.service.metrics import ServiceMetrics
+from tests.prepared_support import WORKLOAD, build_system
 
 
 SQL = (
@@ -37,107 +54,174 @@ def result_with(qgm, *, q_error=1.0, elapsed_ms=100.0):
     )
 
 
-def observe(monitor, qgm, *, sql=SQL, q_error=1.0, elapsed_ms=100.0,
-            matched=False, steered=False):
-    return monitor.observe(
+def observe(ledger, qgm, *, sql=SQL, q_error=1.0, elapsed_ms=100.0, steered=False):
+    """Feed one execution back as the service does: one record lookup, then
+    :func:`feedback`; returns the learning task (or None)."""
+    result = result_with(qgm, q_error=q_error, elapsed_ms=elapsed_ms)
+    return feedback(
+        ledger.observe(statement_key(sql), create=True),
         sql=sql,
         query_name="q",
-        qgm=qgm,
-        result=result_with(qgm, q_error=q_error, elapsed_ms=elapsed_ms),
-        matched=matched,
+        elapsed_ms=result.elapsed_ms,
+        max_q_error=result.max_q_error(qgm),
         steered=steered,
+        regression_threshold=1.5,
     )
 
 
 class TestMisestimationTrigger:
     def test_accurate_estimates_are_not_enqueued(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        observation = observe(monitor, plan, q_error=1.0)
-        assert observation.task is None
-        assert observation.max_q_error == pytest.approx(1.0, abs=0.05)
-        assert monitor.enqueued_count == 0
+        ledger = StatementLedger()
+        assert result_with(plan).max_q_error(plan) == pytest.approx(1.0, abs=0.05)
+        assert observe(ledger, plan, q_error=1.0) is None
+        assert not ledger.get(SQL).enqueued
 
     def test_below_threshold_is_not_enqueued(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        assert observe(monitor, plan, q_error=2.0).task is None
+        assert observe(StatementLedger(), plan, q_error=2.0) is None
 
     def test_misestimated_query_is_enqueued(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        observation = observe(monitor, plan, q_error=10.0)
-        assert observation.task is not None
-        assert observation.task.reason == "misestimated"
-        assert observation.task.sql_hash == sql_fingerprint(SQL)
-        assert observation.task.max_q_error >= 4.0
+        task = observe(StatementLedger(), plan, q_error=10.0)
+        assert task is not None
+        assert task.reason == "misestimated"
+        assert task.sql_hash == sql_fingerprint(SQL)
+        assert task.max_q_error >= feedback_module.Q_ERROR_THRESHOLD
 
     def test_enqueued_exactly_once(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        first = observe(monitor, plan, q_error=10.0)
-        assert first.task is not None
+        ledger = StatementLedger()
+        assert observe(ledger, plan, q_error=10.0) is not None
         for _ in range(5):
-            assert observe(monitor, plan, q_error=10.0).task is None
-        assert monitor.enqueued_count == 1
+            assert observe(ledger, plan, q_error=10.0) is None
+        assert ledger.get(SQL).enqueued
+        assert ledger.get(SQL).executions == 6
 
     def test_whitespace_variants_share_one_fingerprint(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        assert observe(monitor, plan, q_error=10.0).task is not None
+        ledger = StatementLedger()
+        assert observe(ledger, plan, q_error=10.0) is not None
         reformatted = SQL.replace(" FROM ", "\n  FROM\n  ")
-        assert observe(monitor, plan, sql=reformatted, q_error=10.0).task is None
+        assert observe(ledger, plan, sql=reformatted, q_error=10.0) is None
+        assert sql_fingerprint(reformatted) == sql_fingerprint(SQL)
 
     def test_steered_query_is_not_enqueued_for_misestimation(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        observation = observe(monitor, plan, q_error=10.0, matched=True, steered=True)
-        assert observation.task is None
+        assert observe(StatementLedger(), plan, q_error=10.0, steered=True) is None
 
     def test_forget_allows_re_enqueue(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0)
-        assert observe(monitor, plan, q_error=10.0).task is not None
-        monitor.forget(SQL)
-        assert observe(monitor, plan, q_error=10.0).task is not None
+        ledger = StatementLedger()
+        assert observe(ledger, plan, q_error=10.0) is not None
+        ledger.forget(SQL)
+        assert observe(ledger, plan, q_error=10.0) is not None
+
+    def test_threshold_is_a_module_constant(self, plan, monkeypatch):
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
+        task = observe(StatementLedger(), plan, q_error=1.0)
+        assert task is not None and task.reason == "misestimated"
 
 
 class TestRegressionTrigger:
     def test_first_execution_establishes_history(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=100.0, regression_threshold=1.5)
-        assert observe(monitor, plan, elapsed_ms=100.0).task is None
-        assert monitor.best_elapsed_ms(SQL) == 100.0
+        ledger = StatementLedger()
+        assert observe(ledger, plan, elapsed_ms=100.0) is None
+        assert ledger.get(SQL).best_ms == 100.0
 
     def test_regressed_repeat_is_enqueued(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=100.0, regression_threshold=1.5)
-        observe(monitor, plan, elapsed_ms=100.0)
-        observation = observe(monitor, plan, elapsed_ms=200.0, matched=True, steered=True)
-        assert observation.regressed
-        assert observation.task is not None
-        assert observation.task.reason == "regressed"
+        ledger = StatementLedger()
+        observe(ledger, plan, elapsed_ms=100.0)
+        task = observe(ledger, plan, elapsed_ms=200.0, steered=True)
+        assert task is not None
+        assert task.reason == "regressed"
 
     def test_faster_repeat_is_not_regressed(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=100.0, regression_threshold=1.5)
-        observe(monitor, plan, elapsed_ms=100.0)
-        observation = observe(monitor, plan, elapsed_ms=90.0)
-        assert not observation.regressed
-        assert observation.task is None
-        assert monitor.best_elapsed_ms(SQL) == 90.0
+        ledger = StatementLedger()
+        observe(ledger, plan, elapsed_ms=100.0)
+        assert observe(ledger, plan, elapsed_ms=90.0) is None
+        assert ledger.get(SQL).best_ms == 90.0
 
     def test_regression_dedups_with_misestimation(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=4.0, regression_threshold=1.5)
-        assert observe(monitor, plan, q_error=10.0, elapsed_ms=100.0).task is not None
-        observation = observe(monitor, plan, q_error=10.0, elapsed_ms=500.0)
-        assert observation.regressed
-        assert observation.task is None, "one statement is enqueued at most once"
+        ledger = StatementLedger()
+        assert observe(ledger, plan, q_error=10.0, elapsed_ms=100.0) is not None
+        # 500 ms against a best of 100: regressed, but enqueued already.
+        task = observe(ledger, plan, q_error=10.0, elapsed_ms=500.0)
+        assert task is None, "one statement is enqueued at most once"
+        assert ledger.get(SQL).best_ms == 100.0
 
-    def test_history_is_bounded(self, plan):
-        monitor = FeedbackMonitor(q_error_threshold=100.0, max_tracked_statements=4)
+    def test_history_is_bounded(self, plan, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_STATEMENTS", 4)
+        ledger = StatementLedger()
         for position in range(10):
-            observe(monitor, plan, sql=f"SELECT {position} FROM sales", elapsed_ms=10.0)
-        assert monitor.best_elapsed_ms("SELECT 9 FROM sales") == 10.0
-        assert monitor.best_elapsed_ms("SELECT 0 FROM sales") is None
+            observe(ledger, plan, sql=f"SELECT {position} FROM sales", elapsed_ms=10.0)
+        kept = [ledger.get(f"SELECT {position} FROM sales") for position in range(10)]
+        assert [record is not None for record in kept] == [False] * 6 + [True] * 4
+        assert kept[-1].best_ms == 10.0
+
+    def test_trimmed_statement_is_learnable_again(self, plan, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_STATEMENTS", 2)
+        ledger = StatementLedger()
+        assert observe(ledger, plan, q_error=10.0) is not None
+        for position in range(2):
+            observe(ledger, plan, sql=f"SELECT {position} FROM sales")
+        assert ledger.get(SQL) is None
+        assert observe(ledger, plan, q_error=10.0) is not None
 
 
-class TestMonitorValidation:
-    def test_thresholds_must_be_at_least_one(self):
-        with pytest.raises(ValueError):
-            FeedbackMonitor(q_error_threshold=0.5)
-        with pytest.raises(ValueError):
-            FeedbackMonitor(regression_threshold=0.9)
+class TestStatementKey:
+    def test_literal_variants_get_different_keys(self):
+        spaced = SQL.replace("'Jewelry'", "'Home  Garden'")
+        single = SQL.replace("'Jewelry'", "'Home Garden'")
+        assert statement_key(spaced) != statement_key(single)
+        assert sql_fingerprint(spaced) != sql_fingerprint(single)
+        assert "'Home  Garden'" in statement_key(spaced)
+
+    def test_reformatting_outside_literals_gives_one_key(self):
+        variants = [
+            "  ".join(SQL.split(" ")) + "\n",
+            SQL.replace(" WHERE ", "\n\tWHERE\n    "),
+            SQL.replace(" = 'Jewelry' ", " =   'Jewelry'\n"),
+        ]
+        for variant in variants:
+            literal = variant.replace("'Jewelry'", "'Home  Garden'")
+            assert statement_key(literal) == statement_key(
+                SQL.replace("'Jewelry'", "'Home  Garden'")
+            )
+
+    def test_escaped_quotes_stay_inside_the_literal(self):
+        sql = "SELECT i_category FROM item WHERE i_category = 'It''s  here'"
+        assert statement_key(sql).endswith("'It''s  here'")
+        assert statement_key(sql) != statement_key(sql.replace("s  h", "s h"))
+
+    def test_fingerprint_is_the_hash_of_the_key(self):
+        key = statement_key(SQL)
+        assert sql_fingerprint(SQL) == hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
+
+
+class TestOneKeyPerRequest:
+    def test_guard_and_learning_share_one_key(self, monkeypatch):
+        """A guard-on, learning-on service computes each request's statement
+        key once and hands the one record to both feedback and the guard."""
+        monkeypatch.setattr(feedback_module, "Q_ERROR_THRESHOLD", 1.0)
+        galo = build_system()
+        galo.learning_engine.learning_steps = lambda sql, **_: iter(
+            [SimpleNamespace(templates_learned=[])]
+        )
+        keys = []
+
+        def counting_key(sql):
+            keys.append(sql)
+            return statement_key(sql)
+
+        for module in (feedback_module, guard_module, service_module):
+            monkeypatch.setattr(module, "statement_key", counting_key, raising=False)
+        service = GaloService(galo, ServiceConfig(learning_enabled=True))
+        requests = WORKLOAD * 2
+
+        async def scenario():
+            async with service:
+                return [await service.submit(sql, query_name=name) for name, sql in requests]
+
+        responses = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        assert all(response.ok for response in responses)
+        assert any(response.steered for response in responses)
+        assert service.metrics.count("learning_enqueued") > 0
+        assert keys == [sql for _, sql in requests]
+        assert all(service.ledger.get(sql).executions == 2 for _, sql in WORKLOAD)
 
 
 class TestServiceMetrics:

@@ -264,7 +264,6 @@ class TestBackgroundPlaneTraces:
             ServiceConfig(
                 learning_enabled=True,
                 tracing_enabled=True,
-                q_error_threshold=4.0,
                 kb_checkpoint_interval_seconds=0.1,
                 kb_checkpoint_directory=str(tmp_path),
             ),

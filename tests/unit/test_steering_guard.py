@@ -20,6 +20,7 @@ from repro.core.knowledge_base import (
 )
 from repro.core.matching.segmenter import segment_plan
 from repro.service import GaloService, ServiceConfig
+from repro.service import feedback as feedback_module
 from repro.service.guard import GUARD_COUNTERS, SteeringGuard
 from repro.service.metrics import ServiceMetrics
 
@@ -72,6 +73,13 @@ def make_guard(**overrides):
     return SteeringGuard(**defaults)
 
 
+def baseline_ms(guard, sql):
+    """The optimizer baseline the guard judges ``sql`` against (None: no
+    record)."""
+    record = guard.ledger.get(sql)
+    return None if record is None else record.best_unsteered_ms
+
+
 def matches_for(kb, plan_root):
     """A TemplateMatch per KB template (screen only reads the template id)."""
     return [
@@ -88,12 +96,12 @@ class TestLedger:
             kb, sql=SQL, elapsed_ms=100.0, steered=False, template_ids=[]
         )
         assert verdict == "baseline"
-        assert guard.baseline_ms(SQL) == 100.0
+        assert baseline_ms(guard, SQL) == 100.0
         # Only the best (lowest) unsteered run is kept as the baseline.
         guard.observe(kb, sql=SQL, elapsed_ms=250.0, steered=False, template_ids=[])
-        assert guard.baseline_ms(SQL) == 100.0
+        assert baseline_ms(guard, SQL) == 100.0
         guard.observe(kb, sql=SQL, elapsed_ms=80.0, steered=False, template_ids=[])
-        assert guard.baseline_ms(SQL) == 80.0
+        assert baseline_ms(guard, SQL) == 80.0
 
     def test_steered_without_baseline_is_unjudged(self, mini_db):
         kb = kb_with_templates(mini_db)
@@ -127,9 +135,10 @@ class TestLedger:
         assert guard.metrics.count("steering_wins") == 1
         assert guard.metrics.count("steering_losses") == 1
 
-    def test_baseline_history_is_bounded(self, mini_db):
+    def test_baseline_history_is_bounded(self, mini_db, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_STATEMENTS", 4)
         kb = kb_with_templates(mini_db)
-        guard = make_guard(max_tracked_statements=4)
+        guard = make_guard()
         for position in range(10):
             guard.observe(
                 kb,
@@ -138,8 +147,8 @@ class TestLedger:
                 steered=False,
                 template_ids=[],
             )
-        assert guard.baseline_ms("SELECT 9 FROM sales") == 10.0
-        assert guard.baseline_ms("SELECT 0 FROM sales") is None
+        assert baseline_ms(guard, "SELECT 9 FROM sales") == 10.0
+        assert baseline_ms(guard, "SELECT 0 FROM sales") is None
 
     def test_verdict_at_the_threshold_is_a_win(self, mini_db):
         kb = kb_with_templates(mini_db)
@@ -181,7 +190,30 @@ class TestLedger:
         kb = kb_with_templates(mini_db)
         guard = make_guard()
         guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=False, template_ids=[])
-        assert guard.baseline_ms("  ".join(SQL.split()) + "\n") == 100.0
+        assert baseline_ms(guard, "  ".join(SQL.split()) + "\n") == 100.0
+
+    def test_literal_variants_do_not_share_a_baseline(self, mini_db):
+        kb = kb_with_templates(mini_db)
+        tid = next(iter(kb.templates))
+        guard = make_guard()
+        spaced = SQL.replace("'Jewelry'", "'Home  Garden'")
+        single = SQL.replace("'Jewelry'", "'Home Garden'")
+        guard.observe(kb, sql=spaced, elapsed_ms=1.0, steered=False, template_ids=[])
+        # A 100x slower steered run of the other literal is not a loss
+        # against this statement's baseline: it has none of its own.
+        assert (
+            guard.observe(kb, sql=single, elapsed_ms=100.0, steered=True, template_ids=[tid])
+            == "unjudged"
+        )
+        assert kb.guard_record(tid).observations == 0
+        assert baseline_ms(guard, single) is None
+
+    def test_steered_run_of_an_unknown_statement_makes_no_record(self, mini_db):
+        kb = kb_with_templates(mini_db)
+        tid = next(iter(kb.templates))
+        guard = make_guard()
+        guard.observe(kb, sql=SQL, elapsed_ms=100.0, steered=True, template_ids=[tid])
+        assert guard.ledger.get(SQL) is None
 
 
 class TestQuarantineLifecycle:
