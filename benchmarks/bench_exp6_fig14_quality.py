@@ -2,39 +2,35 @@
 
 Paper reference points: experts improve three of four sample patterns but never
 beat GALO (e.g. 82 % vs 82 % + 8.6 % on the Figure 4 pattern) and miss pattern
-#2 entirely; GALO improves every pattern.
+#2 entirely; GALO improves every pattern.  The patterns and GALO's fixes come
+from ``repro.experiments.expert.run_pattern_study``: learned templates, and
+the plan the matching engine serves for each pattern's sub-query.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.expert import ExpertModel, find_sample_patterns
+from repro.experiments.expert import ExpertModel, run_pattern_study
 
 
 @pytest.fixture(scope="module")
-def sample_patterns(tpcds_bundle, settings):
-    return find_sample_patterns(
-        tpcds_bundle.workload.database,
-        tpcds_bundle.workload.queries[: settings.learning_query_count],
-        count=4,
-        max_joins=settings.max_joins,
-        random_plans=settings.random_plans_per_subquery,
-    )
+def study(settings):
+    return run_pattern_study("tpcds", settings)
 
 
-def test_fig14_improvement_quality(benchmark, tpcds_bundle, sample_patterns):
+def test_fig14_improvement_quality(benchmark, study):
     """Per-pattern improvement over the optimizer's plan: GALO vs the expert fix."""
-    expert = ExpertModel(tpcds_bundle.workload.database)
+    expert = ExpertModel(study.bundle.workload.database)
 
     def compare():
         rows = []
-        for index, pattern in enumerate(sample_patterns):
-            finding = expert.analyze(pattern, index)
+        for index, studied in enumerate(study.patterns):
+            finding = expert.analyze(studied.pattern, index)
             rows.append(
                 {
-                    "pattern": pattern.name,
-                    "galo_improvement": round(pattern.galo_improvement, 3),
+                    "pattern": studied.pattern.name,
+                    "galo_improvement": round(studied.galo_improvement, 3),
                     "expert_improvement": round(finding.expert_improvement, 3),
                     "expert_found_fix": finding.found_fix,
                 }
@@ -51,11 +47,11 @@ def test_fig14_improvement_quality(benchmark, tpcds_bundle, sample_patterns):
         assert row["galo_improvement"] > 0
 
 
-def test_fig14_galo_improvement_positive_on_every_pattern(benchmark, sample_patterns):
-    """GALO's rewrites improve every sample pattern (the paper's headline)."""
+def test_fig14_galo_improvement_positive_on_every_pattern(benchmark, study):
+    """GALO's served rewrites improve every sample pattern (the paper's headline)."""
 
     def improvements():
-        return [pattern.galo_improvement for pattern in sample_patterns]
+        return [studied.galo_improvement for studied in study.patterns]
 
     gains = benchmark(improvements)
     benchmark.extra_info["galo_improvements"] = [round(g, 3) for g in gains]

@@ -353,8 +353,8 @@ class MatchingEngine:
         is looked up by the ids it *allowed*); the usage ticks the match
         recorded are replayed into the knowledge base; and the plans handed
         out are :meth:`~repro.engine.plan.physical.Qgm.renamed` views of the
-        entry's read-only masters, so the memo keys and row constructor a
-        master derives on its first execution serve every later hit.
+        entry's read-only masters, so the memo keys a master derives on its
+        first execution serve every later hit.
 
         ``hit`` is a ``(stamp, entry)`` pair a caller's own
         :meth:`~repro.core.matching.prepared.PreparedStatements.lookup`

@@ -42,13 +42,13 @@ class ExecutionResult:
     """Rows produced plus the runtime metrics and simulated elapsed time.
 
     ``rows`` may be given eagerly (a list of dicts, the row engine) or as the
-    output ``batch`` of the vectorized engine, materialized on first access
-    with the row constructor of ``plan_root``: the learning tier executes
-    thousands of candidate plans per sweep and ranks them purely on
-    metrics/elapsed time, so building one dict per result row at every plan
-    root is wasted work there.  Every consumer that does read ``rows`` (the
-    serving tier, the differential tests) sees exactly the rows an eager
-    construction would have produced, as a list of its own.
+    output ``batch`` of the vectorized engine, materialized on first access:
+    the learning tier executes thousands of candidate plans per sweep and
+    ranks them purely on metrics/elapsed time, so building one dict per
+    result row at every plan root is wasted work there.  Every consumer that
+    does read ``rows`` (the serving tier, the differential tests) sees
+    exactly the rows an eager construction would have produced, as a list of
+    its own.
 
     A served request whose plan's outcome the execution memo keeps gets a
     replay (see :class:`repro.engine.executor.memo.PlanOutcome`): eager rows
@@ -65,14 +65,12 @@ class ExecutionResult:
         elapsed_ms: float = 0.0,
         actual_cardinalities: Optional[Dict[int, int]] = None,
         batch=None,
-        plan_root: Optional[PlanNode] = None,
     ):
         if rows is None and batch is None:
             rows = []
         self._rows = rows
         #: The vectorized engine's output batch (None from the row engine).
         self.batch = batch
-        self._plan_root = plan_root
         self._row_count = len(rows) if rows is not None else batch.length
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.elapsed_ms = elapsed_ms
@@ -81,7 +79,7 @@ class ExecutionResult:
     @property
     def rows(self) -> List[Row]:
         if self._rows is None:
-            self._rows = self.batch.to_rows(self._plan_root)
+            self._rows = self.batch.to_rows()
         return self._rows
 
     @property

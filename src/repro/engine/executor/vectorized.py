@@ -53,6 +53,7 @@ rule), so memoized and cold executions are indistinguishable in the output.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,27 +192,18 @@ class Batch:
         projected._gathered = self._gathered
         return projected
 
-    def to_rows(self, plan_root: Optional[PlanNode] = None) -> List[Dict[str, Any]]:
+    def to_rows(self) -> List[Dict[str, Any]]:
         """Materialize per-row dicts (same key order as the row engine).
 
         This is a representation boundary: every value comes out as a plain
         Python object (numpy scalars are converted), so result rows are
         type-identical to the row engine's and JSON-serializable.  Rows are
-        built by :func:`row_constructor`; given the plan's root, the
-        constructor is compiled once for that plan and kept on it, beside
-        its memo keys.
+        built by :func:`row_constructor`, compiled once per select list.
         """
         keys = tuple(self.keys())
         if not keys:
             return [{} for _ in range(self.length)]
-        if plan_root is None:
-            make = row_constructor(keys)
-        else:
-            cached = plan_root.__dict__.get("_row_constructor")
-            if cached is None or cached[0] != keys:
-                cached = (keys, row_constructor(keys))
-                plan_root.__dict__["_row_constructor"] = cached
-            make = cached[1]
+        make = row_constructor(keys)
         return list(map(make, *(python_values(self.column(key)) for key in keys)))
 
 
@@ -223,7 +215,8 @@ def row_constructor_source(keys: Sequence[str]) -> str:
     return f"lambda {parameters}: {{{items}}}"
 
 
-def row_constructor(keys: Sequence[str]) -> Callable[..., Dict[str, Any]]:
+@functools.lru_cache(maxsize=1024)
+def row_constructor(keys: Tuple[str, ...]) -> Callable[..., Dict[str, Any]]:
     """A function building one result row from its values, in ``keys`` order.
 
     For ``("A.x", "B.y")`` it is ``lambda v0, v1: {'A.x': v0, 'B.y': v1}``,
@@ -231,6 +224,8 @@ def row_constructor(keys: Sequence[str]) -> Callable[..., Dict[str, Any]]:
     :mod:`dataclasses` build their methods: ``repr()`` quotes every key, so
     any string is a safe key.  The rows equal ``dict(zip(keys, values))``,
     key order and repeated keys included, at a fraction of the cost.
+    Compiled once per distinct key tuple: plans that share a select list
+    share its constructor.
     """
     return eval(row_constructor_source(keys), {"__builtins__": {}})  # noqa: S307
 
@@ -534,7 +529,6 @@ class VectorizedExecutor:
         # dominant workload) ranks on metrics alone and never reads them.
         return ExecutionResult(
             batch=batch,
-            plan_root=qgm.root,
             metrics=metrics,
             elapsed_ms=elapsed,
             actual_cardinalities=metrics.actual_cardinalities,

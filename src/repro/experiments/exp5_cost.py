@@ -3,59 +3,61 @@
 The paper measures, over a sample of four problematic queries, the time it
 takes IBM experts to determine the problem manually versus GALO's automatic
 (offline) learning; manual determination averages more than twice the
-automatic cost.  The expert baseline here is the scripted model described in
-:mod:`repro.experiments.expert`.
+automatic cost.  This is one view of
+:func:`repro.experiments.expert.run_pattern_study`: the patterns are the
+first templates GALO's learner stores, and GALO's seconds are the wall time
+of the learning step that stored each one.  The expert's seconds are GALO's
+times :data:`~repro.experiments.expert.EXPERT_TIME_RATIOS`, so the
+expert / GALO ratio equals those ratios by construction -- an assumption
+taken from the paper's figure, not a measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.experiments.expert import ExpertFinding, ExpertModel, find_sample_patterns
-from repro.experiments.harness import (
-    ExperimentSettings,
-    build_bundle,
-    format_table,
-)
-
-
-@dataclass
-class CostRow:
-    """One pattern of Figure 13."""
-
-    pattern: str
-    galo_seconds: float
-    expert_seconds: float
-
-    @property
-    def ratio(self) -> float:
-        if self.galo_seconds <= 0:
-            return 0.0
-        return self.expert_seconds / self.galo_seconds
+from repro.experiments.expert import PatternStudy, StudiedPattern, run_pattern_study
+from repro.experiments.harness import ExperimentSettings, format_table
 
 
 @dataclass
 class Exp5Result:
-    """Outcome of Exp-5."""
+    """Outcome of Exp-5: the cost view of one pattern study."""
 
-    workload: str
-    rows: List[CostRow] = field(default_factory=list)
+    study: PatternStudy
+
+    @property
+    def rows(self) -> List[StudiedPattern]:
+        return self.study.patterns
+
+    @property
+    def ratios(self) -> List[float]:
+        """Per pattern, the expert's analysis seconds over GALO's."""
+        return [
+            row.expert.expert_analysis_seconds / max(row.pattern.galo_analysis_seconds, 1e-9)
+            for row in self.rows
+        ]
 
     @property
     def average_ratio(self) -> float:
-        ratios = [row.ratio for row in self.rows if row.ratio > 0]
-        if not ratios:
-            return 0.0
-        return sum(ratios) / len(ratios)
+        return sum(self.ratios) / len(self.ratios) if self.ratios else 0.0
 
     def report(self) -> str:
         table = format_table(
             ["pattern", "GALO s", "expert s", "expert / GALO"],
-            [[row.pattern, row.galo_seconds, row.expert_seconds, row.ratio] for row in self.rows],
+            [
+                [
+                    f"#{index} {row.pattern.name}",
+                    row.pattern.galo_analysis_seconds,
+                    row.expert.expert_analysis_seconds,
+                    ratio,
+                ]
+                for index, (row, ratio) in enumerate(zip(self.rows, self.ratios), start=1)
+            ],
         )
         return (
-            f"Exp-5 (cost of learning) -- workload {self.workload}\n{table}\n"
+            f"Exp-5 (cost of learning) -- workload {self.study.bundle.name}\n{table}\n"
             f"manual determination costs {self.average_ratio:.2f}x the automatic learning on average"
         )
 
@@ -65,25 +67,5 @@ def run_exp5(
     settings: Optional[ExperimentSettings] = None,
     pattern_count: int = 4,
 ) -> Exp5Result:
-    """Compare GALO's measured analysis time with the expert baseline."""
-    settings = settings or ExperimentSettings()
-    bundle = build_bundle(workload_name, settings)
-    patterns = find_sample_patterns(
-        bundle.workload.database,
-        bundle.workload.queries[: settings.learning_query_count],
-        count=pattern_count,
-        max_joins=settings.max_joins,
-        random_plans=settings.random_plans_per_subquery,
-    )
-    expert = ExpertModel(bundle.workload.database)
-    result = Exp5Result(workload=bundle.workload.name)
-    for index, pattern in enumerate(patterns, start=1):
-        finding: ExpertFinding = expert.analyze(pattern, index - 1)
-        result.rows.append(
-            CostRow(
-                pattern=f"#{index} {pattern.name}",
-                galo_seconds=pattern.galo_analysis_seconds,
-                expert_seconds=finding.expert_analysis_seconds,
-            )
-        )
-    return result
+    """Compare GALO's measured learning time with the expert baseline."""
+    return Exp5Result(run_pattern_study(workload_name, settings, pattern_count))

@@ -1,30 +1,38 @@
-"""A scripted "IBM expert" baseline for Exp-5 and Exp-6.
+"""The comparative study of Exp-5 / Exp-6: GALO vs a scripted "IBM expert".
 
 The paper compares GALO against four IBM optimization experts on a sample of
-problematic queries.  We obviously have no experts on call, so this module
-encodes their *published behaviour* as a reproducible baseline:
+problematic queries.  :func:`run_pattern_study` runs that comparison once and
+both figures read it:
 
-* **Fix strategy** (measured, not asserted): an expert inspects the plan and
-  applies the classic manual remedy -- force hash joins in the optimizer's join
-  order, leaving access paths and join order untouched.  This is precisely the
-  kind of fix the paper's Figure 15 attributes to the experts: better than the
-  optimizer's plan, but not as good as GALO's (no bloom filters, no join
-  re-ordering, no access-path changes).  When the optimizer's plan already uses
-  hash joins everywhere the expert finds no fix at all (the paper's problem
-  pattern #2).  The resulting plan is *executed*, so the quality comparison in
-  Exp-6 is a real measurement.
-* **Analysis time** (calibrated): per-pattern manual analysis times are modeled
-  as a multiple of GALO's measured automatic analysis time, with the multiples
-  taken from the shape of the paper's Figure 13 (experts average a bit more
-  than twice the automatic cost).  This is a documented substitution -- see
-  DESIGN.md -- because wall-clock expert effort cannot be reproduced in a
-  simulation.
+* **GALO's columns are GALO's own loop.**  A fresh bundle learns the first
+  ``learning_query_count`` queries through
+  :meth:`~repro.core.learning.engine.LearningEngine.learning_steps`, the
+  generator the serving tier drives.  The sample patterns are the first
+  ``pattern_count`` templates it stores, in workload order -- a rule no
+  budget enters -- and each pattern is the template's source sub-query.
+  GALO's analysis time (Exp-5) is the wall time of the learning step that
+  stored the template; GALO's fix (Exp-6) is the plan
+  :meth:`~repro.core.matching.engine.MatchingEngine.steer` serves for the
+  sub-query after the whole learning phase, executed against the same
+  decision's baseline plan.
+* **The expert's fix is measured, not asserted.**  An expert inspects the
+  plan and applies the classic manual remedy -- force hash joins in the
+  optimizer's join order (or the reverse one), with the access paths kept or
+  forced to table scans.  This is the kind of fix the paper's Figure 15
+  attributes to the experts: no bloom filters, no re-ordering beyond a
+  swap, no access-path changes beyond table scans.  Every candidate is
+  executed, so Exp-6 compares two measurements on the same substrate (the
+  same ``Db2Batch`` and ``rank_measurements``).
+* **The expert's analysis time is an assumption.**  Manual effort cannot be
+  reproduced in a simulation, so it is GALO's measured time multiplied by
+  :data:`EXPERT_TIME_RATIOS`, the shape of the paper's Figure 13.  Exp-5's
+  expert / GALO ratio therefore equals those ratios by construction.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.learning.ranking import rank_measurements
@@ -35,7 +43,7 @@ from repro.engine.executor.db2batch import Db2Batch
 from repro.engine.optimizer.builder import PlanBuilder
 from repro.engine.optimizer.rewrite import rewrite_query
 from repro.engine.plan.physical import PlanNode, PopType, Qgm
-from repro.engine.sql.binder import BoundQuery
+from repro.experiments.harness import ExperimentSettings, WorkloadBundle, build_bundle
 
 #: Per-pattern manual-to-automatic analysis-time ratios (Figure 13's shape).
 EXPERT_TIME_RATIOS = (2.6, 1.9, 2.4, 2.1)
@@ -43,21 +51,13 @@ EXPERT_TIME_RATIOS = (2.6, 1.9, 2.4, 2.1)
 
 @dataclass
 class SamplePattern:
-    """One problematic sub-query used in the comparative study."""
+    """One problematic sub-query, as the expert receives it."""
 
     name: str
     subquery: SubQuery
     problem_qgm: Qgm
-    galo_qgm: Qgm
     optimizer_elapsed_ms: float
-    galo_elapsed_ms: float
     galo_analysis_seconds: float
-
-    @property
-    def galo_improvement(self) -> float:
-        if self.optimizer_elapsed_ms <= 0:
-            return 0.0
-        return (self.optimizer_elapsed_ms - self.galo_elapsed_ms) / self.optimizer_elapsed_ms
 
 
 @dataclass
@@ -81,66 +81,96 @@ class ExpertFinding:
         ) / self.pattern.optimizer_elapsed_ms
 
 
-def find_sample_patterns(
-    database: Database,
-    queries: List[Tuple[str, str]],
-    count: int = 4,
-    max_joins: int = 3,
-    random_plans: int = 6,
-    runs_per_plan: int = 5,
-) -> List[SamplePattern]:
-    """Discover ``count`` problematic sub-queries the way the learning engine does.
+@dataclass
+class StudiedPattern:
+    """One sample pattern with GALO's answer and the expert's."""
 
-    Each returned pattern carries the optimizer's plan, the best competing plan
-    found via the Random Plan Generator, their measured runtimes, and the
-    wall-clock seconds the automated analysis took (GALO's cost in Figure 13).
-    """
-    patterns: List[SamplePattern] = []
-    seen_structures = set()
-    batch = Db2Batch(
-        database.catalog, database.config, runs=runs_per_plan, executor=database.executor
-    )
-    for query_name, sql in queries:
-        if len(patterns) >= count:
-            break
-        bound = database.bind(sql)
-        for subquery in generate_subqueries(bound, max_joins):
-            if len(patterns) >= count:
-                break
-            key = subquery.structure_key()
-            if key in seen_structures:
-                continue
-            seen_structures.add(key)
+    template_id: str
+    galo_qgm: Qgm
+    galo_elapsed_ms: float
+    expert: ExpertFinding
+
+    @property
+    def pattern(self) -> SamplePattern:
+        return self.expert.pattern
+
+    @property
+    def galo_improvement(self) -> float:
+        optimizer_ms = self.pattern.optimizer_elapsed_ms
+        return (optimizer_ms - self.galo_elapsed_ms) / optimizer_ms if optimizer_ms > 0 else 0.0
+
+
+@dataclass
+class PatternStudy:
+    """GALO and the expert on the same sample patterns (Exp-5 and Exp-6)."""
+
+    bundle: WorkloadBundle
+    patterns: List[StudiedPattern]
+
+
+def run_pattern_study(
+    workload_name: str = "tpcds",
+    settings: Optional[ExperimentSettings] = None,
+    pattern_count: int = 4,
+) -> PatternStudy:
+    """Learn on a fresh bundle, then put GALO's served fix and the expert's
+    fix side by side on the first ``pattern_count`` learned templates."""
+    settings = settings or ExperimentSettings()
+    bundle = build_bundle(workload_name, settings)
+    learned = _learn_step_by_step(bundle, settings.learning_query_count)
+    database = bundle.workload.database
+    expert = ExpertModel(database)
+    study = PatternStudy(bundle=bundle, patterns=[])
+    for index, (template_id, seconds) in enumerate(learned[:pattern_count]):
+        # The template's name is ``workload:query:A+B``: its source query
+        # and the aliases of the sub-query it was learned from.
+        template = bundle.galo.knowledge_base.template(template_id)
+        name = template.name.split(":", 1)[1]
+        aliases = tuple(name.rsplit(":", 1)[1].split("+"))
+        bound = database.bind(bundle.workload.query(template.source_query))
+        subquery = next(
+            subquery
+            for subquery in generate_subqueries(bound, settings.max_joins)
+            if subquery.aliases == aliases
+        )
+        decision = bundle.galo.matching_engine.steer(subquery.sql, query_name=name)
+        pattern = SamplePattern(
+            name=name,
+            subquery=subquery,
+            problem_qgm=decision.baseline_qgm,
+            optimizer_elapsed_ms=_measure(expert.batch, decision.baseline_qgm),
+            galo_analysis_seconds=seconds,
+        )
+        study.patterns.append(
+            StudiedPattern(
+                template_id=template_id,
+                galo_qgm=decision.qgm,
+                galo_elapsed_ms=_measure(expert.batch, decision.qgm),
+                expert=expert.analyze(pattern, index),
+            )
+        )
+    return study
+
+
+def _learn_step_by_step(bundle: WorkloadBundle, query_count: int) -> List[Tuple[str, float]]:
+    """Learn the bundle's first ``query_count`` queries one learning step at
+    a time.  Returns every stored template id, in workload order, with the
+    wall-clock seconds of the step that stored it."""
+    learned: List[Tuple[str, float]] = []
+    for query_name, sql in bundle.workload.queries[:query_count]:
+        stored = 0
+        started = time.perf_counter()
+        for record in bundle.galo.learning_engine.learning_steps(sql, query_name, bundle.name):
+            seconds = time.perf_counter() - started
+            learned.extend((tid, seconds) for tid in record.templates_learned[stored:])
+            stored = len(record.templates_learned)
             started = time.perf_counter()
-            optimizer_qgm = database.optimizer.optimize(subquery.query)
-            candidates = [optimizer_qgm] + database.random_plan_generator.generate(
-                subquery.query, random_plans
-            )
-            ranked = rank_measurements([batch.benchmark(qgm) for qgm in candidates])
-            analysis_seconds = time.perf_counter() - started
-            best = ranked[0]
-            optimizer_ranked = next(
-                plan for plan in ranked if plan.measurement.qgm is optimizer_qgm
-            )
-            if best.measurement.qgm is optimizer_qgm:
-                continue
-            improvement = (
-                optimizer_ranked.elapsed_ms - best.elapsed_ms
-            ) / max(optimizer_ranked.elapsed_ms, 1e-9)
-            if improvement < 0.15:
-                continue
-            patterns.append(
-                SamplePattern(
-                    name=f"{query_name}:{'+'.join(subquery.aliases)}",
-                    subquery=subquery,
-                    problem_qgm=optimizer_qgm,
-                    galo_qgm=best.measurement.qgm,
-                    optimizer_elapsed_ms=optimizer_ranked.elapsed_ms,
-                    galo_elapsed_ms=best.elapsed_ms,
-                    galo_analysis_seconds=analysis_seconds,
-                )
-            )
-    return patterns
+    return learned
+
+
+def _measure(batch: Db2Batch, qgm: Qgm) -> float:
+    """``qgm``'s noise-filtered elapsed time, measured as the expert's fixes are."""
+    return rank_measurements([batch.benchmark(qgm)])[0].elapsed_ms
 
 
 class ExpertModel:

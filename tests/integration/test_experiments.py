@@ -76,3 +76,38 @@ class TestExperimentRuns:
         for row in result.rows:
             assert row.galo_improvement > 0
         assert "Exp-6" in result.report()
+
+
+def plan_shape(qgm):
+    return qgm.shape_signature(), tuple(qgm.aliases())
+
+
+class TestPatternStudy:
+    """Exp-5 and Exp-6 read GALO's own learn -> match -> steer loop."""
+
+    def test_patterns_are_the_first_learned_templates(self):
+        bundle = build_bundle("tpcds", TINY)
+        report = learn_bundle(bundle, TINY.learning_query_count)
+        knowledge_base = bundle.galo.knowledge_base
+        first_two = [knowledge_base.template(tid).name for tid in report.template_ids[:2]]
+        assert len(first_two) == 2
+        for result in (
+            run_exp5("tpcds", TINY, pattern_count=2),
+            run_exp6("tpcds", TINY, pattern_count=2),
+        ):
+            study_kb = result.study.bundle.galo.knowledge_base
+            assert [study_kb.template(row.template_id).name for row in result.rows] == first_two
+            for row in result.rows:
+                _, query_and_aliases = study_kb.template(row.template_id).name.split(":", 1)
+                assert row.pattern.name == query_and_aliases
+
+    def test_exp6_galo_plan_is_the_served_plan(self):
+        result = run_exp6("tpcds", TINY, pattern_count=2)
+        engine = result.study.bundle.galo.matching_engine
+        assert len(result.study.patterns) == 2
+        for studied in result.study.patterns:
+            decision = engine.steer(studied.pattern.subquery.sql)
+            assert decision.steered
+            assert studied.template_id in decision.matched_template_ids
+            assert plan_shape(studied.galo_qgm) == plan_shape(decision.qgm)
+            assert plan_shape(studied.pattern.problem_qgm) == plan_shape(decision.baseline_qgm)

@@ -200,7 +200,11 @@ class TestHotReload:
 
 
 class TestWorkerCrash:
-    VICTIM_SHARD = 1
+    @staticmethod
+    def victim_shard(service):
+        """The highest-numbered shard the mini workload routes a statement to:
+        a drill on it always has requests to fail, whatever the routing key."""
+        return max(service.shard_for(sql, name) for name, sql in mini_star_queries())
 
     @staticmethod
     def crash_setup(tmp_path, monkeypatch, max_worker_restarts):
@@ -221,11 +225,11 @@ class TestWorkerCrash:
 
     def test_crash_fails_inflight_typed_then_restarts_at_latest_kb(self, tmp_path, monkeypatch):
         kb_dir, factory, config = self.crash_setup(tmp_path, monkeypatch, max_worker_restarts=2)
-        victim_shard = self.VICTIM_SHARD
 
         async def scenario():
             service = ShardedGaloService(factory, config)
             async with service:
+                victim_shard = self.victim_shard(service)
                 # Bump the checkpoint BEFORE the crash: the restarted worker
                 # must come back at v2, not its birth version.
                 publisher = KnowledgeBase.load(kb_dir)
@@ -236,7 +240,7 @@ class TestWorkerCrash:
                     for name, sql in mini_star_queries()
                     if service.shard_for(sql, name) == victim_shard
                 ]
-                assert victim_queries  # the mini workload covers both shards
+                assert victim_queries
 
                 # Queue the crash first, then requests right behind it on the
                 # same FIFO: they are in flight when the process dies.
@@ -262,9 +266,9 @@ class TestWorkerCrash:
                     await asyncio.sleep(0.1)
                     versions = await service.kb_versions()
                 snapshot = service.metrics.snapshot()
-                return crashed_wave, after, versions, latest, snapshot
+                return victim_shard, crashed_wave, after, versions, latest, snapshot
 
-        crashed_wave, after, versions, latest, snapshot = run(scenario())
+        victim_shard, crashed_wave, after, versions, latest, snapshot = run(scenario())
 
         typed = [r for r in crashed_wave if r.error_type == "WorkerCrashedError"]
         assert typed, "requests queued behind the crash must fail typed"
@@ -290,7 +294,8 @@ class TestWorkerCrash:
         async def scenario():
             service = ShardedGaloService(factory, config)
             async with service:
-                service.inject_worker_crash(self.VICTIM_SHARD)
+                victim_shard = self.victim_shard(service)
+                service.inject_worker_crash(victim_shard)
                 # The watchdog marks the shard failed in the same step that
                 # counts the crash.
                 deadline = time.monotonic() + GUARD_SECONDS / 2
@@ -303,17 +308,17 @@ class TestWorkerCrash:
                 for name, sql in mini_star_queries():
                     response = await service.submit(sql, query_name=name)
                     routed.append((service.shard_for(sql, name), response))
-                return routed, service.metrics.snapshot()
+                return victim_shard, routed, service.metrics.snapshot()
 
-        routed, snapshot = run(scenario())
+        victim_shard, routed, snapshot = run(scenario())
 
-        down = [r for shard, r in routed if shard == self.VICTIM_SHARD]
-        up = [r for shard, r in routed if shard != self.VICTIM_SHARD]
+        down = [r for shard, r in routed if shard == victim_shard]
+        up = [r for shard, r in routed if shard != victim_shard]
         assert down and up  # the mini workload covers both shards
         for response in down:
             assert response.status == "error"
             assert response.error_type == "WorkerCrashedError"
-            assert response.shard == self.VICTIM_SHARD
+            assert response.shard == victim_shard
         assert all(r.ok for r in up)
         assert snapshot["worker_crashes"] == 1
         assert snapshot["worker_restarts"] == 0

@@ -136,9 +136,9 @@ def plan_snapshot(qgm):
 
     Each node contributes its identity, its input count, every dataclass
     field and a copy of its properties, so replacing, renumbering or
-    annotating a node changes the snapshot.  The caches the executor keeps
-    on a node (memo keys, the row constructor) are not fields and are left
-    out: deriving them is not a change to the plan.
+    annotating a node changes the snapshot.  The cache the executor keeps
+    on a node (its memo keys) is not a field and is left out: deriving it
+    is not a change to the plan.
     """
     return (
         qgm.root,

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.executor.vectorized import Batch, row_constructor, row_constructor_source
-from repro.engine.plan.physical import PlanNode, PopType
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -84,20 +83,23 @@ def test_source_is_a_dict_display_of_constant_keys(keys):
 
 @SETTINGS
 @given(rows_of())
-def test_batch_rows_with_and_without_a_plan(case):
-    """``to_rows`` over the same batch: compiled per call, or kept on the
-    plan root and reused -- both equal ``dict(zip())`` on unique keys."""
+def test_batch_rows_compile_once_per_select_list(case):
+    """``to_rows`` over two batches with the same select list: both equal
+    ``dict(zip())`` on unique keys, and the constructor is compiled at most
+    once for them -- the second batch, like any later plan with that select
+    list, reuses it."""
     keys, rows = case
     unique = tuple(dict.fromkeys(keys))
     columns = {
         key: [values[keys.index(key)] for values in rows] for key in unique
     }
-    batch = Batch(((columns, None),), len(rows))
     expected = ordered(dict(zip(unique, (columns[key][row] for key in unique)))
                        for row in range(len(rows)))
-    root = PlanNode(pop_type=PopType.RETURN)
-    assert ordered(batch.to_rows()) == expected
-    assert ordered(batch.to_rows(root)) == expected
-    assert ordered(batch.to_rows(root)) == expected
+    before = row_constructor.cache_info()
+    assert ordered(Batch(((columns, None),), len(rows)).to_rows()) == expected
+    assert ordered(Batch(((dict(columns), None),), len(rows)).to_rows()) == expected
+    after = row_constructor.cache_info()
     if unique:
-        assert root.__dict__["_row_constructor"][0] == unique
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 1
+        assert row_constructor(unique) is row_constructor(tuple(dict.fromkeys(keys)))

@@ -367,9 +367,19 @@ class TestIncumbentBoundOracle:
 
     CONFIG = dict(max_joins=3, random_plans_per_subquery=4, max_variants=2)
 
-    def learn(self, workload, capped):
-        """Learn the first queries of ``workload``; returns what every variant
-        decided, the KB's identity and what the run was seen doing."""
+    #: Orders to benchmark each variant's random plans in, besides the
+    #: generator's own: ``candidate_cap_ms``'s argument makes what is
+    #: learned independent of it.
+    ORDERS = {
+        "reversed": lambda plans: plans[::-1],
+        "cheapest_first": lambda plans: sorted(plans, key=lambda qgm: qgm.total_cost),
+    }
+
+    def learn(self, workload, capped, order=None):
+        """Learn the first queries of ``workload``, each variant's random
+        plans benchmarked in ``order`` (default: as generated); returns what
+        every variant decided, the KB's identity and what the run was seen
+        doing."""
         database = workload.database
         seen = {"caps": [], "variants": [], "parents": []}
 
@@ -401,6 +411,15 @@ class TestIncumbentBoundOracle:
                 )
             else:
                 stack.enter_context(uncapped())
+            if order is not None:
+                generate = database.random_plan_generator.generate
+                stack.enter_context(
+                    mock.patch.object(
+                        database.random_plan_generator,
+                        "generate",
+                        lambda *args, **kwargs: order(generate(*args, **kwargs)),
+                    )
+                )
             records = [
                 engine.learn_query(sql, query_name=name, workload_name="oracle", span=root)
                 for name, sql in workload.queries[:8]
@@ -420,14 +439,24 @@ class TestIncumbentBoundOracle:
         )
         return identity, seen
 
-    @pytest.mark.parametrize("workload_name", ["tpcds", "client"])
+    @pytest.mark.parametrize(
+        "workload_name, order",
+        [
+            pytest.param(workload_name, order, id="-".join(filter(None, (workload_name, order))))
+            for workload_name in ("tpcds", "client")
+            for order in (None, "reversed", "cheapest_first")
+        ],
+    )
     def test_capped_learning_equals_the_oracle(
-        self, workload_name, tiny_tpcds_workload, tiny_client_workload
+        self, workload_name, order, tiny_tpcds_workload, tiny_client_workload
     ):
+        """Capped -- random plans in the generator's order, reversed, or
+        cheapest estimate first -- against the uncapped oracle in the
+        generator's order: the cap stops other plans, not other decisions."""
         workload = {"tpcds": tiny_tpcds_workload, "client": tiny_client_workload}[
             workload_name
         ]
-        capped_kb, capped = self.learn(workload, capped=True)
+        capped_kb, capped = self.learn(workload, capped=True, order=self.ORDERS.get(order))
         oracle_kb, oracle = self.learn(workload, capped=False)
         assert capped["variants"] == oracle["variants"]
         assert capped["parents"] == oracle["parents"]

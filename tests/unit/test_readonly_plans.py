@@ -159,10 +159,10 @@ class TestSharedMaster:
         """Both threads execute the same prepared master (each through its
         own renamed view) at once, with a thread switch possible between
         almost any two bytecodes.  Every other round re-plans, so half the
-        rounds race on deriving the master's memo keys and row constructor
-        and half replay what an earlier round derived; the shared memo
-        races too.  Each thread's rows, ``elapsed_ms`` and actuals must be
-        the uncached oracle's: ``steer()`` planned, the row executor run."""
+        rounds race on deriving the master's memo keys and half replay what
+        an earlier round derived; the shared memo races too.  Each thread's
+        rows, ``elapsed_ms`` and actuals must be the uncached oracle's:
+        ``steer()`` planned, the row executor run."""
         galo = build_system()
         engine = galo.matching_engine
         database = galo.database
