@@ -51,11 +51,12 @@ class ExecutionResult:
     its own.
 
     A served request whose plan's outcome the execution memo keeps gets a
-    replay (see :class:`repro.engine.executor.memo.PlanOutcome`): eager rows
-    copied from the kept ones, over the ``metrics`` and
-    ``actual_cardinalities`` of the one execution it stored, which every
-    replay of it shares -- so a result is read-only; only its ``rows``
-    belong to the caller.
+    replay (see :class:`repro.engine.executor.memo.PlanOutcome`): a list of
+    its own holding the kept rows, over the ``metrics`` and
+    ``actual_cardinalities`` of the one execution it stored.  Every replay
+    shares the rows, the metrics and the actuals, so a result is read-only:
+    only the list belongs to the caller, a kept row raises ``TypeError`` on
+    any change, and ``dict(row)`` is a private mutable copy.
     """
 
     def __init__(

@@ -69,16 +69,19 @@ plan leaves complete subtrees or nothing.
 Whole-plan outcomes
 -------------------
 The second payload kind is a :class:`PlanOutcome`: one unbudgeted execution
-of a whole plan -- copies of its rows, its metrics (with the actual
-cardinalities) and ``elapsed_ms`` -- keyed by the plan's structure
-(:func:`~repro.engine.executor.vectorized.plan_key`).  By the rule above
-those are a pure function of (plan, table data), so an outcome is valid for
-the storage epoch whatever the KB or RUNSTATS did since.  It is charged
-against ``max_bytes`` (:meth:`PlanOutcome.estimated_bytes`) and evicted FIFO
-with the subtree entries.  A replay hands out ``dict.copy``s of the kept
-rows, whose values are immutable scalars.  The server stores an outcome
-through the :meth:`~ExecutionMemo.pinned` view its execution ran against, so
-a load that overlapped the execution orphans it with that snapshot.
+of a whole plan -- read-only copies of its rows (:class:`FrozenRow`), its
+metrics (with the actual cardinalities) and ``elapsed_ms`` -- keyed by the
+plan's structure (:func:`~repro.engine.executor.vectorized.plan_key`).  By
+the rule above those are a pure function of (plan, table data), so an
+outcome is valid for the storage epoch whatever the KB or RUNSTATS did
+since.  It is charged against ``max_bytes``
+(:meth:`PlanOutcome.estimated_bytes`) and evicted FIFO with the subtree
+entries.  A replay hands out a list of its own holding the kept rows
+themselves, shared by every replay: a row refuses every change, its values
+are immutable scalars, and ``dict(row)`` is a private mutable copy.  The
+server stores an outcome through the :meth:`~ExecutionMemo.pinned` view its
+execution ran against, so a load that overlapped the execution orphans it
+with that snapshot.
 """
 
 from __future__ import annotations
@@ -178,12 +181,29 @@ class MemoEntry:
                 metrics.random_pages += pool.access_many(trace[1], trace[2])
 
 
+class FrozenRow(dict):
+    """A result row no one can change: what a :class:`PlanOutcome` keeps and
+    every replay shares.  Reads, equality, key order, ``json.dumps`` and its
+    ``sys.getsizeof`` are the dict's; ``dict(row)`` is a mutable copy."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("a replayed result row is read-only; dict(row) copies it")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return FrozenRow, (dict(self),)
+
+
 @dataclass
 class PlanOutcome:
-    """One unbudgeted execution of a whole plan, kept for replay: copies of
-    its rows (nothing else holds them), its metrics (with the actual
-    cardinalities; every replay shares them) and ``elapsed_ms``, plus the
-    root of the plan it was kept from and that plan's max q-error."""
+    """One unbudgeted execution of a whole plan, kept for replay: read-only
+    copies of its rows, its metrics (with the actual cardinalities) and
+    ``elapsed_ms`` -- every replay shares all three -- plus the root of the
+    plan it was kept from and that plan's max q-error."""
 
     rows: List[Row]
     metrics: RuntimeMetrics
@@ -196,8 +216,8 @@ class PlanOutcome:
     @classmethod
     def of(cls, qgm: Qgm, result: ExecutionResult) -> "PlanOutcome":
         """``result``, an unbudgeted execution of ``qgm``; its rows are the
-        caller's, so the outcome keeps copies."""
-        rows = list(map(dict.copy, result.rows))
+        caller's, so the outcome keeps read-only copies."""
+        rows: List[Row] = list(map(FrozenRow, result.rows))
         return cls(rows, result.metrics, result.elapsed_ms, qgm.root, result.max_q_error(qgm))
 
     def estimated_bytes(self) -> int:
@@ -207,9 +227,9 @@ class PlanOutcome:
         return 256 + sys.getsizeof(self.rows) + per_row * len(self.rows)
 
     def replay(self) -> ExecutionResult:
-        """The result again, with rows of its own: copies of the kept ones."""
+        """The result again: a list of its own over the shared kept rows."""
         return ExecutionResult(
-            rows=list(map(dict.copy, self.rows)),
+            rows=list(self.rows),
             metrics=self.metrics,
             elapsed_ms=self.elapsed_ms,
             actual_cardinalities=self.metrics.actual_cardinalities,
@@ -245,9 +265,10 @@ class ExecutionMemo:
 
     ``entries`` also holds whole-plan :class:`PlanOutcome` objects (rows,
     metrics, ``elapsed_ms``) under plan keys: valid for the storage epoch,
-    charged against ``max_bytes``, evicted FIFO, replayed as copies of the
-    rows, read with :meth:`peek` (no hit/miss counter moves) and stored
-    through the :meth:`pinned` view the execution ran against.
+    charged against ``max_bytes``, evicted FIFO, replayed as fresh lists of
+    the shared read-only rows, read with :meth:`peek` (no hit/miss counter
+    moves) and stored through the :meth:`pinned` view the execution ran
+    against.
     """
 
     entries: Dict[Hashable, Payload] = field(default_factory=dict)

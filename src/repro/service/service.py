@@ -93,6 +93,9 @@ class ServiceResponse:
     #: One dict per result row, keyed ``"<ALIAS>.<column>"`` in select-list
     #: order; ``SELECT *`` carries every column of the joined tables in plan
     #: order, an aggregate its group keys then ``"SUM(<ALIAS>.<column>)"``...
+    #: The list is the response's own.  A replayed request's rows are the
+    #: kept outcome's, shared and read-only (a change raises ``TypeError``);
+    #: ``dict(row)`` is a private mutable copy.
     rows: List[dict] = field(default_factory=list)
     elapsed_ms: float = 0.0
     wall_ms: float = 0.0
@@ -426,7 +429,8 @@ class GaloService:
 
         A request whose plan (:func:`~repro.engine.executor.vectorized.plan_key`)
         has an outcome in the execution memo replays it -- a re-matched miss
-        too: copies of the kept rows, the stored metrics and ``elapsed_ms``
+        too: a fresh list of the kept rows, which every replay shares
+        read-only, the stored metrics and ``elapsed_ms``
         (:class:`~repro.engine.executor.memo.PlanOutcome`); the executor is
         not entered.  Otherwise the plan executes, and a statement served
         before (a prepared hit or stale entry) keeps the outcome, stored
@@ -504,8 +508,8 @@ class GaloService:
             # A plan whose outcome the memo keeps replays it; otherwise it
             # executes, and a statement served before (the lane had an entry
             # for it, current or stale) keeps the outcome.  The response rows
-            # are built (or copied) inside the span, so the stage timings and
-            # ``wall_ms`` include them.
+            # are built (or listed from the outcome) inside the span, so the
+            # stage timings and ``wall_ms`` include them.
             key = plan_key(qgm)
             keep = served_before and key is not None and memo is not None
             outcome = None if memo is None else memo.peek(key)

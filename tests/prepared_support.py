@@ -24,6 +24,26 @@ WORKLOAD = mini_star_queries() + [
 ]
 
 
+#: Every way to change a dict in place; each must raise on a replayed row.
+ROW_MUTATIONS = [
+    lambda row: row.__setitem__("extra", 1),
+    lambda row: row.__delitem__(next(iter(row))),
+    lambda row: row.clear(),
+    lambda row: row.pop(next(iter(row))),
+    lambda row: row.popitem(),
+    lambda row: row.setdefault("extra", 1),
+    lambda row: row.update(extra=1),
+    lambda row: row.__ior__({"extra": 1}),
+]
+
+
+def reinsert_sales(database, count=5):
+    """Load the first ``count`` SALES rows again: a data load, which moves
+    the storage epoch."""
+    data = database.catalog.table_data("SALES")
+    database.load_rows("SALES", list(data.rows(range(count))))
+
+
 def seed_templates(database, knowledge_base):
     """One template per plan segment of ``WORKLOAD``, plus variety.
 

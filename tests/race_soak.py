@@ -4,6 +4,7 @@
         "tests/unit/test_prepared_statements.py::TestConcurrentMutation" \\
         "tests/unit/test_readonly_plans.py::TestSharedMaster" \\
         "tests/unit/test_readonly_plans.py::TestSharedOutcome" \\
+        "tests/unit/test_readonly_plans.py::TestSharedRowsUnderLoad" \\
         "tests/unit/test_prepared_statements.py::TestLoadRacingOutcomeStore" \\
         "tests/unit/test_kb_checkpoint_version.py::TestReloadSoak" \\
         "tests/integration/test_steering_guard_service.py::TestDifferentialIdentity"

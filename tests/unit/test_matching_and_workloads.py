@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, SegmentProfile
+from repro.core.learning.subquery import generate_subqueries
 from repro.core.matching.engine import MatchingConfig, MatchingEngine
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
@@ -84,16 +85,30 @@ class TestMatchingEngine:
         assert result.guideline_document.to_xml().startswith("<OPTGUIDELINES")
 
     def test_guidelines_reference_actual_aliases(self, mini_db):
+        """Every template learned from ``FOUR_WAY`` matches the sub-query it
+        was learned from (none matches ``FOUR_WAY``'s own plan at this
+        configuration), and the guidelines it steers with name that
+        sub-query's aliases, never the template's ``TABLE_<n>`` placeholders."""
         galo = Galo(mini_db)
         galo.learning_engine.config.max_joins = 2
         galo.learning_engine.config.max_variants = 1
         galo.learn_query(FOUR_WAY, query_name="q4", workload_name="unit")
-        result = galo.reoptimize(FOUR_WAY, query_name="q4", execute=False)
-        if not result.was_reoptimized:
-            pytest.skip("no match at this configuration")
-        aliases = set(result.guideline_document.aliases())
-        assert aliases <= {"SALES", "ITEM", "DATE_DIM", "OUTLET"}
-        assert not any(alias.startswith("TABLE_") for alias in aliases)
+        templates = galo.knowledge_base.all_templates()
+        assert templates
+        subqueries = {
+            subquery.aliases: subquery
+            for subquery in generate_subqueries(mini_db.bind(FOUR_WAY), 2)
+        }
+        for template in templates:
+            # The name is ``workload:query:A+B``, the sub-query's aliases last.
+            aliases = tuple(template.name.rsplit(":", 1)[1].split("+"))
+            result = galo.reoptimize(
+                subqueries[aliases].sql, query_name=template.name, execute=False
+            )
+            assert result.was_reoptimized, template.name
+            assert template.template_id in result.matched_template_ids
+            guided = set(result.guideline_document.aliases())
+            assert guided and guided <= set(aliases), template.name
 
 
 def workload_plans(galo):

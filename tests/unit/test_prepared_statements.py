@@ -9,6 +9,8 @@ first and repeated calls and across every event that changes the verdict.
 
 import asyncio
 import copy
+import json
+import pickle
 import sys
 import threading
 import time
@@ -20,7 +22,7 @@ from repro.core.matching.prepared import PreparedStatements
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
 from repro.engine.executor.executor import Executor
-from repro.engine.executor.memo import PlanOutcome
+from repro.engine.executor.memo import FrozenRow, PlanOutcome
 from repro.engine.executor.vectorized import Batch, VectorizedExecutor, subtree_key
 from repro.engine.executor.vectorized import plan_key as outcome_key
 from repro.obs import Span
@@ -31,11 +33,13 @@ from repro.service.metrics import ServiceMetrics
 from tests.naive_optimizer import plan_rows
 from tests.prepared_support import (
     MAX_JOINS,
+    ROW_MUTATIONS,
     WORKLOAD,
     assert_lane_equals_oracle,
     build_system,
     plan_key,
     plan_snapshot,
+    reinsert_sales,
     usage_snapshot,
 )
 from tests.unit.test_vectorized_executor import assert_identical
@@ -70,11 +74,6 @@ def kept_outcomes(galo, sql):
     memo = galo.database.workload_memo()
     keys = {outcome_key(plan) for plan in served_plans(galo, sql)}
     return [memo.peek(key) for key in keys if memo.peek(key) is not None]
-
-
-def reinsert_sales(database, count=5):
-    data = database.catalog.table_data("SALES")
-    database.load_rows("SALES", list(data.rows(range(count))))
 
 
 class TestEqualsUncachedSteer:
@@ -906,19 +905,49 @@ class TestExecutionReplay:
         assert galo.database.workload_memo().stats()["outcomes"] == 0
 
     def test_replayed_rows_belong_to_their_response(self):
+        """A replay's row list is its response's own; the rows in it are the
+        outcome's, shared and read-only, so changing them raises and a later
+        replay still answers the oracle."""
         galo = build_system()
         warm_to_replay(galo)
         name, sql = WORKLOAD[1]
         first, second = serve_serially(galo, [(name, sql)] * 2)
         assert first.rows and first.rows == second.rows
         assert first.rows is not second.rows
-        assert all(a is not b for a, b in zip(first.rows, second.rows))
         expected = response_key(second)
-        first.rows[0].clear()
+        for mutate in ROW_MUTATIONS:
+            with pytest.raises(TypeError):
+                mutate(first.rows[0])
+        assert response_key(first) == expected
         first.rows.append({"extra": 1})
         second.rows.pop()
         (third,) = serve_serially(galo, [(name, sql)])
         assert response_key(third) == expected
+        assert_responses_equal_oracle(galo, [third])
+
+    def test_replays_and_the_outcome_share_their_rows(self):
+        galo = build_system()
+        warm_to_replay(galo)
+        name, sql = WORKLOAD[1]
+        first, second = serve_serially(galo, [(name, sql)] * 2)
+        (outcome,) = kept_outcomes(galo, sql)
+        assert first.rows and len(first.rows) == len(outcome.rows)
+        assert all(
+            a is b is kept for a, b, kept in zip(first.rows, second.rows, outcome.rows)
+        )
+        assert all(type(row) is FrozenRow for row in outcome.rows)
+
+    def test_the_keeping_requests_rows_are_plain_dicts(self):
+        galo = build_system()
+        serve_serially(galo, WORKLOAD)
+        keeping = serve_serially(galo, WORKLOAD)
+        assert any(response.rows for response in keeping)
+        for response in keeping:
+            (outcome,) = kept_outcomes(galo, response.sql)
+            assert all(type(row) is dict for row in response.rows)
+            assert not any(
+                row is kept for row, kept in zip(response.rows, outcome.rows)
+            )
 
     def test_the_keeping_requests_rows_belong_to_its_caller(self):
         """The hit that executes and keeps the outcome hands its rows to its
@@ -937,7 +966,7 @@ class TestExecutionReplay:
     def test_replay_of_the_widest_statement_is_identical_to_the_oracle(self):
         """Rows, key order, value types, metrics and actuals of a replay
         equal the row engine's.  Every value is an immutable scalar, which is
-        what makes the outcome's shallow ``dict.copy`` a private copy."""
+        what makes a shared read-only row safe to hand out."""
         galo = build_system()
         database = galo.database
         row_engine = Executor(database.catalog, database.config)
@@ -1012,6 +1041,51 @@ class TestExecutionReplay:
         assert_responses_equal_oracle(galo, responses)
         assert not any(response.steered for response in responses)
         assert len(kept_outcomes(galo, sql)) == 2
+
+
+class TestFrozenRow:
+    """A kept row is a dict to every reader: equality, key order, JSON, its
+    size, and a round trip through pickle (the sharded tier's IPC) or
+    ``deepcopy``; ``dict(row)`` is a mutable copy."""
+
+    @pytest.fixture(scope="class")
+    def kept_rows(self):
+        galo = build_system()
+        warm_to_replay(galo)
+        rows = [
+            row
+            for _, sql in WORKLOAD
+            for outcome in kept_outcomes(galo, sql)
+            for row in outcome.rows[:3]
+        ]
+        assert rows and all(type(row) is FrozenRow for row in rows)
+        return rows
+
+    def test_round_trips_through_pickle_deepcopy_and_json(self, kept_rows):
+        for row in kept_rows:
+            plain = dict(row)
+            for again in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+                assert type(again) is FrozenRow and again is not row
+                assert typed_items(again) == typed_items(row)
+            assert json.dumps(row) == json.dumps(plain)
+            assert json.loads(json.dumps(row)) == row
+
+    def test_is_the_size_of_its_dict(self, kept_rows):
+        for row in kept_rows:
+            assert sys.getsizeof(row) == sys.getsizeof(dict(row))
+            assert sys.getsizeof(row) == sys.getsizeof(dict(row).copy())
+
+    def test_a_copy_is_a_mutable_dict_and_the_row_is_not(self, kept_rows):
+        row = kept_rows[0]
+        before = typed_items(row)
+        mine = dict(row)
+        mine["extra"] = 1
+        mine.pop(next(iter(row)))
+        for mutate in ROW_MUTATIONS:
+            with pytest.raises(TypeError):
+                mutate(row)
+        assert typed_items(row) == before
+        assert type(row.copy()) is dict and row.copy() == row
 
 
 def served_key(galo, sql):
