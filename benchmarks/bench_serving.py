@@ -15,24 +15,14 @@ ratio *against* the 80 % bar, never for it.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
-
-import pytest
 
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
 from repro.experiments.harness import bench_tiny_mode
-from repro.service import (
-    GaloService,
-    ServiceConfig,
-    ShardedGaloService,
-    ShardedServiceConfig,
-)
-from repro.service.workers import WorkloadGaloFactory
-from repro.workloads.tpcds import generate_tpcds_queries
+from repro.service import GaloService, ServiceConfig
 
 #: Guard for the whole async scenario; a hung loop fails instead of wedging.
 GUARD_SECONDS = 540
@@ -522,121 +512,3 @@ def test_bench_serving_guard_overhead_clean_kb(benchmark, tpcds_bundle, tmp_path
         f"(guard-on {[f'{q:.0f}' for q, _ in guard_on]} vs "
         f"guard-off {[f'{q:.0f}' for q, _ in guard_off]} qps)"
     )
-
-
-# ---------------------------------------------------------------------------
-# Sharded multi-process soak: sustained qps at 1 / 2 / 4 workers.
-# ---------------------------------------------------------------------------
-
-#: Worker counts measured by the scaling soak.  The 1-worker point is the
-#: baseline: it pays the same spawn/queue/pickle overhead as the scaled
-#: points, so the ratio isolates sharding itself.
-WORKER_SCALE_POINTS = [1, 2] if bench_tiny_mode() else [1, 2, 4]
-
-#: How many times the sharded request list is cycled per measurement.
-SHARDED_STREAM_REPEATS = 2
-
-#: Distinct statements in the sharded stream.  Routing is per-fingerprint,
-#: so distinct-query diversity (not repeats) is what spreads load across the
-#: ring; 48 distinct queries keeps the max shard share near the balls-in-bins
-#: expectation instead of its small-sample tail.
-SHARDED_DISTINCT_QUERIES = 16 if bench_tiny_mode() else 48
-
-#: qps per worker count, accumulated across the parametrized runs so the
-#: final point can assert the scaling ratios.
-_scaling_qps = {}
-
-
-def _sharded_requests(settings):
-    queries = generate_tpcds_queries(
-        count=SHARDED_DISTINCT_QUERIES, seed=settings.seed
-    )
-    return [
-        (f"{name}@{cycle}", sql)
-        for cycle in range(SHARDED_STREAM_REPEATS)
-        for name, sql in queries
-    ]
-
-
-@pytest.fixture(scope="module")
-def sharded_kb_dir(tpcds_bundle, tmp_path_factory):
-    """Checkpoint v1 of the learned TPC-DS knowledge base, shared by every
-    worker count (each worker bootstraps from it at start-up)."""
-    directory = str(tmp_path_factory.mktemp("sharded_kb"))
-    tpcds_bundle.galo.save_knowledge_base(directory)
-    return directory
-
-
-@pytest.mark.parametrize("workers", WORKER_SCALE_POINTS)
-def test_bench_serving_sharded_scaling(
-    benchmark, settings, sharded_kb_dir, workers
-):
-    """Sustained qps of the sharded service at increasing worker counts.
-
-    Each worker process builds its own deterministic workload replica and
-    bootstraps the shared knowledge-base checkpoint; the measured region is
-    the request stream only (cluster start-up is paid outside the clock).
-    One core per worker is the scaling assumption: the ratio bars are only
-    asserted when the host actually has that many cores (and never in the
-    tiny CI smoke, which serves too few requests for stable ratios).
-    """
-    factory = WorkloadGaloFactory("tpcds", settings)
-    requests = _sharded_requests(settings)
-    config = ShardedServiceConfig(
-        num_workers=workers,
-        kb_directory=sharded_kb_dir,
-        learner_shard=None,
-        worker_config=ServiceConfig(learning_enabled=False),
-    )
-
-    async def scenario():
-        service = ShardedGaloService(factory, config)
-        async with service:
-            started = time.perf_counter()
-            completed = 0
-            async for response in service.stream(requests):
-                assert response.ok, response.error
-                completed += 1
-            seconds = time.perf_counter() - started
-            snapshot = (await service.merged_metrics()).snapshot()
-            return completed, seconds, snapshot
-
-    measured = {}
-
-    def soak():
-        completed, seconds, snapshot = asyncio.run(
-            asyncio.wait_for(scenario(), GUARD_SECONDS)
-        )
-        measured["result"] = (completed, seconds, snapshot)
-        return completed
-
-    benchmark.pedantic(soak, rounds=1, iterations=1)
-    completed, seconds, snapshot = measured["result"]
-    qps = completed / max(seconds, 1e-9)
-    _scaling_qps[workers] = qps
-
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["qps"] = qps
-    benchmark.extra_info["p95_ms"] = snapshot.get("latency_p95_ms", 0.0)
-    benchmark.extra_info["requests"] = len(requests)
-    benchmark.extra_info["distinct_queries"] = SHARDED_DISTINCT_QUERIES
-    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-    benchmark.extra_info["tiny_mode"] = bench_tiny_mode()
-
-    assert completed == len(requests)
-    assert snapshot["failed"] == 0
-    assert snapshot["rejected"] == 0
-
-    # The scaling bars, asserted once every point has been measured.
-    if workers != WORKER_SCALE_POINTS[-1] or bench_tiny_mode():
-        return
-    cores = os.cpu_count() or 1
-    for scaled, bar in ((2, 1.4), (4, 1.8)):
-        if scaled not in _scaling_qps or cores < scaled:
-            continue
-        ratio = _scaling_qps[scaled] / max(_scaling_qps[1], 1e-9)
-        benchmark.extra_info[f"scaling_x{scaled}"] = ratio
-        assert ratio >= bar, (
-            f"{scaled} workers sustain only {ratio:.2f}x the 1-worker qps "
-            f"({_scaling_qps[scaled]:.1f} vs {_scaling_qps[1]:.1f}); bar {bar}x"
-        )

@@ -16,8 +16,7 @@ shows every observability surface the serving tier exposes:
    ``slow_query_threshold_ms`` land in a separate bounded ring so a burst of
    fast traffic cannot rotate a slow statement out before anyone looks.
 3. **Background-plane traces** -- the learner records a
-   ``learn_query`` trace per task (queue dwell, per-phase spans) and KB
-   checkpointing records ``kb_checkpoint`` traces.
+   ``learn_query`` trace per task (queue dwell, per-phase spans).
 4. **The /metrics page** -- counters with ``# HELP``/``# TYPE`` headers plus
    per-stage latency histograms (``galo_stage_latency_ms_bucket{stage=...}``).
 

@@ -157,11 +157,10 @@ class Galo:
     ) -> Optional[int]:
         """Hot-reload the KB from ``directory`` if a newer checkpoint landed.
 
-        The serving-tier entry point for checkpoint propagation: compares the
-        checkpoint's newest version directory against the live replica's
-        version and swaps via :meth:`adopt_knowledge_base` on a bump --
-        serving never pauses.  ``force`` loads the current checkpoint even
-        without a bump (fresh-worker bootstrap).  A version directory is
+        Compares the checkpoint's newest version directory against the live
+        knowledge base's version and swaps via :meth:`adopt_knowledge_base`
+        on a bump -- serving never pauses.  ``force`` loads the current
+        checkpoint even without a bump.  A version directory is
         never rewritten, so a load reads one save's state.  No checkpoint,
         or a version directory a newer save pruned mid-read, returns None;
         the next poll adopts the newer version.  Returns the adopted

@@ -370,9 +370,8 @@ class KnowledgeBase:
         #: the serving tier's regression guard.  Guarded by ``_stats_lock``
         #: (the tests' own threads record outcomes while another saves; a
         #: service does both on its loop); persisted through :meth:`save` /
-        #: :meth:`load` so quarantine
-        #: decisions survive checkpoints and propagate to sharded followers on
-        #: hot-reload.
+        #: :meth:`load` so quarantine decisions survive checkpoints and
+        #: hot-reloads.
         self._guard_records: Dict[str, TemplateGuardRecord] = {}
         #: Per-template match usage, driving the LRU half of the eviction
         #: policy.  Ticks come from a logical clock (one tick per ``match``
@@ -390,19 +389,12 @@ class KnowledgeBase:
         #: it: a reader that took the generation before computing a verdict
         #: can never pass a half-applied mutation off as current.
         self.generation = 0
-        #: True when the knowledge base has mutated since the last ``save``;
-        #: the serving tier's checkpoint timer skips clean snapshots.
-        self._dirty = False
         #: Monotonic checkpoint version: 0 until the first :meth:`save` (or a
-        #: :meth:`load` of a versioned checkpoint).  Sharded workers compare
-        #: this against :meth:`checkpoint_version_on_disk` to decide whether a
+        #: :meth:`load` of a versioned checkpoint).
+        #: :meth:`repro.core.galo.Galo.maybe_reload_knowledge_base` compares
+        #: it against :meth:`checkpoint_version_on_disk` to decide whether a
         #: hot-reload is due.
         self.checkpoint_version = 0
-
-    @property
-    def dirty(self) -> bool:
-        """Mutated since the last :meth:`save` (or since construction)."""
-        return self._dirty
 
     # ------------------------------------------------------------------
 
@@ -486,7 +478,6 @@ class KnowledgeBase:
             )
             self._usage[template_id] = TemplateUsage(last_used_tick=self._usage_tick)
             self.lifecycle_stats["added"] += 1
-            self._dirty = True
             self.generation += 1
         return template
 
@@ -598,7 +589,6 @@ class KnowledgeBase:
             for template, subgraph in entries:
                 self._register(template, subgraph)
             self.lifecycle_stats["added"] += len(entries)
-            self._dirty = True
             self.generation += 1
 
     def _profile_from_subgraph(
@@ -674,7 +664,6 @@ class KnowledgeBase:
             with self._stats_lock:
                 self._guard_records.pop(template_id, None)
             self.lifecycle_stats["evicted"] += 1
-            self._dirty = True
             self.generation += 1
             return True
 
@@ -714,7 +703,6 @@ class KnowledgeBase:
             if recommended_summary is not None:
                 template.recommended_summary = recommended_summary
             self.lifecycle_stats["updated"] += 1
-            self._dirty = True
             self.generation += 1
             return template
 
@@ -783,11 +771,9 @@ class KnowledgeBase:
         """Tally one steered execution's outcome against a template.
 
         While the template is quarantined, a recorded outcome is a *probe*
-        result: wins extend the probation streak, a loss resets it.  Tallies
-        alone do not mark the knowledge base dirty -- they are soft state that
-        rides along on whichever checkpoint happens next (guard bookkeeping
-        must not force extra checkpoints).  Returns a snapshot of the updated
-        record.
+        result: wins extend the probation streak, a loss resets it.  The
+        tallies ride along on whichever checkpoint is saved next.  Returns a
+        snapshot of the updated record.
         """
         with self._stats_lock:
             if template_id not in self.templates:
@@ -819,9 +805,8 @@ class KnowledgeBase:
     def quarantine_template(self, template_id: str) -> bool:
         """Stop steering from ``template_id``; True on an actual transition.
 
-        Quarantine is durable state (unlike the tallies): the transition marks
-        the knowledge base dirty so the next checkpoint publishes it to every
-        sharded follower.
+        Quarantine is durable state: :meth:`save` writes it and :meth:`load`
+        restores it.
         """
         with self._stats_lock:
             if template_id not in self.templates:
@@ -836,7 +821,6 @@ class KnowledgeBase:
             record.probation_wins = 0
             record.probe_counter = 0
             self.lifecycle_stats["quarantined"] += 1
-            self._dirty = True
             return True
 
     def rearm_template(self, template_id: str) -> bool:
@@ -857,7 +841,6 @@ class KnowledgeBase:
             record.probation_wins = 0
             record.probe_counter = 0
             self.lifecycle_stats["rearmed"] += 1
-            self._dirty = True
             return True
 
     def is_quarantined(self, template_id: str) -> bool:
@@ -1092,7 +1075,7 @@ class KnowledgeBase:
         leftover ``*.tmp`` directories are removed first: a crash at any
         step leaves the previous version current and the next save
         unblocked.  After the commit every version but the new one and its
-        predecessor is deleted.  A successful save clears :attr:`dirty`.
+        predecessor is deleted.
         One writer per directory at a time.  Returns the published version.
         """
         root = Path(directory)
@@ -1133,7 +1116,6 @@ class KnowledgeBase:
                 self._write_atomic(staging / name, text)
             os.rename(staging, root / f"v{version}")
             self.checkpoint_version = version
-            self._dirty = False
             # The predecessor stays: a reader that listed the directory before
             # the rename may still be reading it.
             for entry in root.iterdir():

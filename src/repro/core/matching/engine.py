@@ -364,8 +364,8 @@ class MatchingEngine:
         if hit is None:
             # The stamp is read before any work an entry would stand in for:
             # an entry built while another thread mutates the KB (a test's
-            # writer) or the sharded reload executor thread swaps it then
-            # carries the older stamp and is stale by construction.
+            # writer) or a hot-reload swaps it then carries the older stamp
+            # and is stale by construction.
             stamp = self.stamp()
             entry, outcome = self.prepared.lookup(sql, *stamp)
         else:

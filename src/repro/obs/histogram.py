@@ -1,16 +1,14 @@
 """Fixed-bucket latency histograms and the per-stage timing collection.
 
 Buckets are upper bounds in milliseconds; observations are O(log n) via
-bisect.  State round-trips as plain dicts so histograms can cross the sharded
-service's process boundary inside status payloads and be merged on the router
-(merging requires identical bucket bounds).
+bisect.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.prometheus import format_labels, format_sample_value
 
@@ -65,35 +63,6 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
-
-    # -- state / merge -------------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "bounds": list(self.bounds),
-                "counts": list(self._counts),
-                "sum": self._sum,
-                "count": self._count,
-            }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "Histogram":
-        histogram = cls(state["bounds"])  # type: ignore[arg-type]
-        histogram._counts = list(state["counts"])  # type: ignore[arg-type]
-        histogram._sum = float(state["sum"])  # type: ignore[arg-type]
-        histogram._count = int(state["count"])  # type: ignore[arg-type]
-        return histogram
-
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        other_state = other.state()
-        with self._lock:
-            for index, count in enumerate(other_state["counts"]):  # type: ignore[arg-type]
-                self._counts[index] += count
-            self._sum += other_state["sum"]  # type: ignore[operator]
-            self._count += other_state["count"]  # type: ignore[operator]
 
     # -- exposition ----------------------------------------------------------
 
@@ -150,30 +119,13 @@ class StageTimings:
         with self._lock:
             return self._stages.get(stage)
 
-    # -- state / merge -------------------------------------------------------
-
-    def state(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            items = list(self._stages.items())
-        return {stage: histogram.state() for stage, histogram in items}
-
-    def merge_state(self, state: Mapping[str, Mapping[str, object]]) -> None:
-        for stage, histogram_state in state.items():
-            self._stage(stage).merge(Histogram.from_state(histogram_state))
-
     # -- exposition ----------------------------------------------------------
 
-    def render_prometheus(
-        self,
-        name: str,
-        extra_labels: Optional[Mapping[str, object]] = None,
-    ) -> List[str]:
+    def render_prometheus(self, name: str) -> List[str]:
         """Sample lines for every stage, labelled ``stage="..."``."""
         lines: List[str] = []
         with self._lock:
             items = sorted(self._stages.items())
         for stage, histogram in items:
-            labels = dict(extra_labels or {})
-            labels["stage"] = stage
-            lines.extend(histogram.render_prometheus(name, labels))
+            lines.extend(histogram.render_prometheus(name, {"stage": stage}))
         return lines

@@ -2,9 +2,8 @@
 
 The exposition format (text/plain version 0.0.4) requires label values to
 escape backslash, double-quote, and newline; these helpers centralize that so
-`ServiceMetrics.render_prometheus` and the sharded router's per-shard series
-produce parseable output even when a label value carries a quote or newline
-(e.g. a query name).
+`ServiceMetrics.render_prometheus` and the stage histograms produce parseable
+output even when a label value carries a quote or newline (e.g. a query name).
 """
 
 from __future__ import annotations
@@ -47,11 +46,3 @@ def format_sample_value(value: float) -> str:
         return str(int(value))
     return repr(float(value))
 
-
-def render_sample(
-    name: str,
-    value: float,
-    labels: Optional[Mapping[str, object]] = None,
-) -> str:
-    """One exposition sample line: ``name{labels} value``."""
-    return f"{name}{format_labels(labels)} {format_sample_value(value)}"

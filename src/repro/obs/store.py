@@ -4,7 +4,7 @@ Finished traces are plain dicts (JSON-exportable as-is)::
 
     {
         "trace_id": "1a2b-3",
-        "name": "request",           # request | learn_query | kb_checkpoint | ...
+        "name": "request",           # request | learn_query | ...
         "request_id": "req-17",
         "root_span_id": 42,
         "duration_ms": 12.4,
@@ -84,7 +84,7 @@ class TraceStore:
         return None
 
     def pop(self, trace_id: str) -> Optional[Dict[str, Any]]:
-        """Remove and return the trace with ``trace_id`` (ship-over-the-wire)."""
+        """Remove and return the trace with ``trace_id``."""
         with self._lock:
             for index in range(len(self._traces) - 1, -1, -1):
                 if self._traces[index].get("trace_id") == trace_id:
@@ -135,7 +135,6 @@ class TraceStore:
 #: keep the rendering one line per span).
 _TIMELINE_ATTRS = (
     "status",
-    "shard",
     "rows",
     "elapsed_ms",
     "matches",

@@ -1,7 +1,7 @@
 """Tracer / Span: monotonic-clock request tracing with explicit propagation.
 
 A :class:`Tracer` opens *traces* (one per served request, background learning
-step, KB checkpoint, ...); each trace is a tree of :class:`Span` objects timed
+task, ...); each trace is a tree of :class:`Span` objects timed
 on ``time.perf_counter()``.  Finished traces land in the tracer's
 :class:`~repro.obs.store.TraceStore` as plain JSON-able dicts.
 
@@ -10,17 +10,9 @@ request also gets executor-level node spans); the default is the :data:`NULL_TRA
 singleton -- instrumentation sites never branch on "is tracing on", they just
 talk to whatever span they were handed.
 
-Cross-thread propagation is explicit (spans travel as function arguments; a
-service's requests and its learner share the event-loop thread, and the tests'
-own threads serve too).  Cross-*process* propagation works
-by serializing a finished trace (:func:`Tracer.export_payload` via
-``TraceStore.pop``) over the sharded router's response queue and re-parenting
-it under the router's request span with :meth:`Tracer.adopt_remote`; span ids
-are re-allocated on adoption so worker and router id spaces can never
-collide.  Worker and router clocks are not comparable, so adopted spans are
-aligned by their *end*: the remote root is placed so it finishes at the
-moment the router received the response, which attributes the (unmeasurable)
-request-side IPC wait to the visible gap before the worker subtree starts.
+Propagation is explicit: spans travel as function arguments (a service's
+requests and its learner share the event-loop thread, and the tests' own
+threads serve too).  A trace never leaves the process that opened it.
 
 Inside one synchronous executor call the current node span is tracked in a
 thread-local (:func:`current_execution_span` / :class:`execution_tracing`):
@@ -57,7 +49,7 @@ _trace_ids = itertools.count(1)
 
 
 def _new_trace_id() -> str:
-    # The pid prefix keeps ids distinct across sharded worker processes.
+    # The pid prefix keeps ids from two processes apart in a shared log.
     return f"{os.getpid():x}-{next(_trace_ids):x}"
 
 
@@ -170,7 +162,7 @@ NULL_SPAN = _NullSpan()
 class _TraceBuffer:
     """Collects the finished spans of one in-flight trace."""
 
-    __slots__ = ("trace_id", "name", "request_id", "root", "tracer", "spans", "extra")
+    __slots__ = ("trace_id", "name", "request_id", "root", "tracer", "spans")
 
     def __init__(self, trace_id: str, name: str, request_id: str, tracer: "Tracer"):
         self.trace_id = trace_id
@@ -186,8 +178,6 @@ class _TraceBuffer:
         #: every child ended (children are lexically scoped inside the
         #: request's lifetime).
         self.spans: List[Dict[str, Any]] = []
-        #: Pre-shifted adopted remote records (already root-relative offsets).
-        self.extra: List[Dict[str, Any]] = []
 
     def record(self, span: Span) -> None:
         self.spans.append(
@@ -238,7 +228,6 @@ class Tracer:
             record = dict(record)
             record["start_ms"] = (record.pop("_start_abs") - base) * 1000.0
             spans.append(record)
-        spans.extend(buffer.extra)
         spans.sort(key=lambda record: (record["start_ms"], record["span_id"]))
         self.store.add(
             {
@@ -250,60 +239,6 @@ class Tracer:
                 "spans": spans,
             }
         )
-
-    # -- cross-process adoption ----------------------------------------------
-
-    def adopt_remote(
-        self,
-        parent: Span,
-        payload: Mapping[str, Any],
-        root_name: Optional[str] = None,
-        received_at: Optional[float] = None,
-    ) -> None:
-        """Re-parent a remote (worker) trace payload under ``parent``.
-
-        ``payload`` is a finished-trace dict shipped over the response queue
-        (root-relative ``start_ms`` offsets).  Span ids are re-allocated in
-        this process's id space; the remote root's parent becomes ``parent``
-        and, clocks being incomparable across processes, the subtree is
-        aligned so the remote root *ends* at ``received_at`` (default: now).
-        The visible gap before the worker subtree then reads as request-side
-        queue/IPC wait, which is exactly what it was.
-        """
-        if not parent.recording:
-            return
-        buffer = parent._trace
-        root_id = payload.get("root_span_id")
-        root_duration = float(payload.get("duration_ms", 0.0))
-        received = time.perf_counter() if received_at is None else received_at
-        # Offset (ms, relative to the local trace root) at which the remote
-        # root is placed: its end pinned to the moment we saw the response.
-        assert buffer.root is not None
-        local_base_ms = (received - buffer.root.start) * 1000.0 - root_duration
-        id_map: Dict[int, int] = {}
-        adopted: List[Dict[str, Any]] = []
-        for record in payload.get("spans", ()):
-            new_id = next(_span_ids)
-            id_map[int(record["span_id"])] = new_id
-            adopted.append(
-                {
-                    "span_id": new_id,
-                    "parent_id": record.get("parent_id"),
-                    "name": record["name"],
-                    "start_ms": float(record["start_ms"]) + local_base_ms,
-                    "duration_ms": float(record["duration_ms"]),
-                    "attributes": dict(record.get("attributes") or {}),
-                }
-            )
-        for record, source in zip(adopted, payload.get("spans", ())):
-            old_parent = source.get("parent_id")
-            if old_parent is None or int(source["span_id"]) == root_id:
-                record["parent_id"] = parent.span_id
-                if root_name:
-                    record["name"] = root_name
-            else:
-                record["parent_id"] = id_map.get(int(old_parent), parent.span_id)
-        buffer.extra.extend(adopted)
 
 
 class _NullTracer:
@@ -320,9 +255,6 @@ class _NullTracer:
         start: Optional[float] = None,
     ) -> _NullSpan:
         return NULL_SPAN
-
-    def adopt_remote(self, parent, payload, root_name=None, received_at=None) -> None:
-        pass
 
 
 NULL_TRACER = _NullTracer()

@@ -6,10 +6,11 @@ requests through the indexed matching tier and the vectorized engine, a
 per-statement ledger whose runtime feedback spots mis-estimated or regressed
 queries, a background learning loop that keeps growing the knowledge base
 while the system serves, and knowledge-base lifecycle management (size cap,
-eviction, incremental index maintenance).
+eviction, incremental index maintenance).  All of it runs in one process, on
+one event loop.
 """
 
-from repro.service.config import ServiceConfig, ShardedServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.feedback import LearningTask, sql_fingerprint
 from repro.service.guard import GuardScreen, SteeringGuard
 from repro.service.metrics import ServiceMetrics
@@ -18,26 +19,15 @@ from repro.service.service import (
     ServiceResponse,
     serve_workload,
 )
-from repro.service.sharded import (
-    ConsistentHashRouter,
-    ShardedGaloService,
-    WorkerCrashedError,
-    serve_workload_sharded,
-)
 
 __all__ = [
-    "ConsistentHashRouter",
     "GaloService",
     "GuardScreen",
     "LearningTask",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceResponse",
-    "ShardedGaloService",
-    "ShardedServiceConfig",
     "SteeringGuard",
-    "WorkerCrashedError",
     "serve_workload",
-    "serve_workload_sharded",
     "sql_fingerprint",
 ]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -12,8 +12,7 @@ class ServiceConfig:
 
     Admission control / backpressure
     --------------------------------
-    Every request is served on the event-loop thread, one at a time (scale
-    out with :class:`repro.service.sharded.ShardedGaloService` processes).
+    Every request is served on the event-loop thread, one at a time.
     ``max_pending`` bounds the total number of admitted-but-unfinished
     requests (the one being served plus those waiting for the loop); a
     submission arriving beyond that is rejected immediately with a
@@ -67,15 +66,6 @@ class ServiceConfig:
     #: (None = unbounded).  Eviction follows the cold/low-benefit-first policy
     #: of :meth:`repro.core.knowledge_base.KnowledgeBase.eviction_order`.
     kb_capacity: Optional[int] = None
-    #: Online KB checkpointing: with both fields set, the learner
-    #: publishes the knowledge base to ``kb_checkpoint_directory`` at most
-    #: every ``kb_checkpoint_interval_seconds`` -- as a new version directory
-    #: committed by its rename (see
-    #: :meth:`repro.core.knowledge_base.KnowledgeBase.save`) and only when
-    #: the KB mutated since the last save, so a quiet service does no disk
-    #: work.  ``None`` disables.
-    kb_checkpoint_interval_seconds: Optional[float] = None
-    kb_checkpoint_directory: Optional[str] = None
     #: Request tracing (see :mod:`repro.obs`).  ``None`` defers to the
     #: ``GALO_TRACE`` environment variable (off unless set), so the CI
     #: tracing leg can flip the whole suite without touching configs.
@@ -110,83 +100,5 @@ class ServiceConfig:
             raise ValueError("guard_probe_interval must be >= 1")
         if self.kb_capacity is not None and self.kb_capacity < 0:
             raise ValueError("kb_capacity must be >= 0")
-        if (
-            self.kb_checkpoint_interval_seconds is not None
-            and self.kb_checkpoint_interval_seconds <= 0
-        ):
-            raise ValueError("kb_checkpoint_interval_seconds must be > 0")
-        if (
-            self.kb_checkpoint_interval_seconds is not None
-            and not self.kb_checkpoint_directory
-        ):
-            raise ValueError(
-                "kb_checkpoint_interval_seconds requires kb_checkpoint_directory"
-            )
         if self.slow_query_threshold_ms < 0:
             raise ValueError("slow_query_threshold_ms must be >= 0")
-
-
-@dataclass
-class ShardedServiceConfig:
-    """Knobs of :class:`repro.service.sharded.ShardedGaloService`.
-
-    Topology
-    --------
-    ``num_workers`` worker *processes*, each running a full
-    :class:`GaloService` over its own database + engine + KB replica.
-    Requests are routed by consistent hash of the SQL fingerprint
-    (``routing_key`` overrides the key function, e.g. for per-tenant
-    routing).
-
-    Knowledge-base propagation
-    --------------------------
-    With ``kb_directory`` set, the worker on ``learner_shard`` keeps
-    background learning enabled and publishes atomic, versioned checkpoints
-    there at most every ``kb_publish_interval_seconds``; every other worker
-    disables its own learner and instead polls the newest version directory
-    every ``kb_poll_interval_seconds``, hot-reloading on a bump
-    without pausing serving.  ``learner_shard=None`` makes every worker
-    learn locally (no propagation -- fine for a single shard).
-
-    Fault handling
-    --------------
-    A worker process that dies fails only its in-flight requests (typed
-    ``WorkerCrashedError`` responses) and is respawned -- reloading the
-    latest KB checkpoint on the way up -- at most
-    ``repro.service.sharded.MAX_WORKER_RESTARTS`` times per shard.  A shard
-    past its budget stays down and answers every request routed to it with a
-    ``WorkerCrashedError``.  The router admits at most
-    ``repro.service.sharded.MAX_PENDING_PER_SHARD`` in-flight requests per
-    shard.
-    """
-
-    #: Worker processes (shards).
-    num_workers: int = 2
-    #: Per-worker service configuration (learning/checkpoint fields are
-    #: overridden per shard according to ``learner_shard``/``kb_directory``).
-    worker_config: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Shared checkpoint directory for KB propagation (None = no propagation).
-    kb_directory: Optional[str] = None
-    #: How often non-learner workers poll for a newer checkpoint version.
-    kb_poll_interval_seconds: float = 0.5
-    #: How often the learner shard publishes a (dirty) checkpoint.
-    kb_publish_interval_seconds: float = 2.0
-    #: Shard index whose worker runs the background learner (None = all do,
-    #: without propagation).
-    learner_shard: Optional[int] = 0
-    #: Routing key function ``(sql, query_name) -> str``; None = SQL
-    #: fingerprint (the hash of the statement ledger's key: the text with
-    #: whitespace collapsed outside literals).
-    routing_key: Optional[Callable[[str, str], str]] = None
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.kb_poll_interval_seconds <= 0:
-            raise ValueError("kb_poll_interval_seconds must be > 0")
-        if self.kb_publish_interval_seconds <= 0:
-            raise ValueError("kb_publish_interval_seconds must be > 0")
-        if self.learner_shard is not None and not (
-            0 <= self.learner_shard < self.num_workers
-        ):
-            raise ValueError("learner_shard must be a valid shard index")

@@ -5,7 +5,7 @@ template can be *wrong* for live traffic -- Bao's defining contribution is
 exactly this regression avoidance.  :class:`SteeringGuard` protects the
 serving path with a per-template **win/loss ledger** (stored in the
 :class:`~repro.core.knowledge_base.KnowledgeBase`, so it persists through
-checkpoints and propagates to sharded followers): every steered execution is
+checkpoints and hot reloads): every steered execution is
 judged against the statement's own optimizer-baseline runtime (the best
 *unsteered* ``elapsed_ms`` its ``StatementRecord`` holds).  A template whose
 loss rate crosses the configured threshold is **quarantined**: its matches
@@ -71,9 +71,9 @@ class SteeringGuard:
 
     One instance per :class:`~repro.service.GaloService`, sharing the
     service's ``ledger`` (a guard built alone keeps its own).  The knowledge
-    base is passed *per call* rather than captured at construction: a sharded
-    follower hot-reloads by swapping the KB object, and the guard must always
-    judge against (and record into) the currently adopted one.
+    base is passed *per call* rather than captured at construction: a hot
+    reload (``Galo.maybe_reload_knowledge_base``) swaps the KB object, and the
+    guard must always judge against (and record into) the current one.
     """
 
     def __init__(

@@ -8,7 +8,7 @@ report from the event-loop thread; the tests' own serving threads
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs.prometheus import format_sample_value
 
@@ -31,8 +31,6 @@ DECLARED_COUNTERS = (
     "learning_failed",
     "templates_learned",
     "templates_evicted",
-    "kb_checkpoints",
-    "kb_checkpoint_failures",
 )
 
 
@@ -123,76 +121,6 @@ class ServiceMetrics:
         with self._lock:
             return self._latency_max_ms
 
-    # -- cross-process serialization and aggregation ------------------------
-
-    def state(self) -> Dict[str, object]:
-        """Picklable full state, sufficient to reconstruct or merge.
-
-        Unlike :meth:`snapshot` (a summary), this carries the raw reservoir,
-        its stride, and the exact extremes -- what a sharded router needs to
-        aggregate per-worker metrics without losing percentile fidelity.
-        """
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "latencies_ms": list(self._latencies_ms),
-                "latency_stride": self._latency_stride,
-                "latency_min_ms": self._latency_min_ms,
-                "latency_max_ms": self._latency_max_ms,
-            }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "ServiceMetrics":
-        """Rebuild an instance from :meth:`state` (e.g. shipped over a pipe)."""
-        metrics = cls()
-        metrics._counters = dict(state["counters"])  # type: ignore[arg-type]
-        metrics._latencies_ms = list(state["latencies_ms"])  # type: ignore[arg-type]
-        metrics._latency_stride = int(state.get("latency_stride", 1))  # type: ignore[arg-type]
-        metrics._latency_min_ms = state.get("latency_min_ms")  # type: ignore[assignment]
-        metrics._latency_max_ms = state.get("latency_max_ms")  # type: ignore[assignment]
-        return metrics
-
-    @classmethod
-    def merge(
-        cls, sources: Iterable[Union["ServiceMetrics", Mapping[str, object]]]
-    ) -> "ServiceMetrics":
-        """Aggregate several per-worker metrics into one cluster-wide view.
-
-        Counters are summed and ``latency_min_ms`` / ``latency_max_ms`` are
-        combined from the exact running extremes, so both are exact.
-        Percentiles come from the concatenated reservoirs: exact while no
-        source ever halved its reservoir; once strides differ the merged
-        percentiles weight each retained sample equally (each source's
-        reservoir is a uniform-ish sample of its own stream), which is the
-        standard reservoir-union approximation.  The merged reservoir is
-        re-bounded by the usual halving rule.
-        """
-        merged = cls()
-        samples: List[float] = []
-        for source in sources:
-            state = source.state() if isinstance(source, ServiceMetrics) else source
-            for name, value in state["counters"].items():  # type: ignore[union-attr]
-                merged._counters[name] = merged._counters.get(name, 0) + int(value)
-            low = state.get("latency_min_ms")
-            if low is not None and (
-                merged._latency_min_ms is None or low < merged._latency_min_ms
-            ):
-                merged._latency_min_ms = low  # type: ignore[assignment]
-            high = state.get("latency_max_ms")
-            if high is not None and (
-                merged._latency_max_ms is None or high > merged._latency_max_ms
-            ):
-                merged._latency_max_ms = high  # type: ignore[assignment]
-            samples.extend(state["latencies_ms"])  # type: ignore[arg-type]
-            merged._latency_stride = max(
-                merged._latency_stride, int(state.get("latency_stride", 1))
-            )
-        while len(samples) >= cls.MAX_LATENCY_SAMPLES:
-            samples = samples[::2]
-            merged._latency_stride *= 2
-        merged._latencies_ms = samples
-        return merged
-
     def snapshot(self) -> Dict[str, float]:
         """A point-in-time copy of every counter plus latency summary stats.
 
@@ -237,8 +165,6 @@ class ServiceMetrics:
         "learning_failed": "Background learning tasks that raised.",
         "templates_learned": "Plan templates added to the knowledge base.",
         "templates_evicted": "Plan templates evicted by the capacity policy.",
-        "kb_checkpoints": "Knowledge-base checkpoints written.",
-        "kb_checkpoint_failures": "Knowledge-base checkpoint attempts that failed.",
         "steering_wins": "Steered executions at or under the optimizer baseline.",
         "steering_losses": "Steered executions regressed past the optimizer baseline.",
         "steering_unjudged": "Steered executions with no optimizer baseline yet.",
@@ -247,12 +173,6 @@ class ServiceMetrics:
         "templates_quarantined": "Templates quarantined by the regression guard.",
         "templates_rearmed": "Quarantined templates re-armed after probation wins.",
         "quarantined_templates": "Templates currently quarantined (not steering).",
-        "router_requests": "Requests accepted by the sharded router.",
-        "router_rejected": "Requests refused by per-shard admission control.",
-        "router_failed_shard_errors": "Requests failed because their shard was down.",
-        "router_crashed_requests": "In-flight requests failed by a worker crash.",
-        "worker_crashes": "Worker processes observed dead by the watchdog.",
-        "worker_restarts": "Worker processes respawned after a crash.",
         "latency_samples": "Latency reservoir size (post-downsampling).",
         "latency_p50_ms": "Median request wall latency (reservoir, ms).",
         "latency_p95_ms": "95th-percentile request wall latency (reservoir, ms).",

@@ -32,8 +32,8 @@
 Admission control is load-shedding, not unbounded queueing: at most
 ``ServiceConfig.max_pending`` requests may be in flight (the one being served
 plus those waiting for the loop); submissions beyond that are answered
-immediately with a ``"rejected"`` response.  Parallelism comes from processes
-(:class:`repro.service.sharded.ShardedGaloService`), not serving threads.
+immediately with a ``"rejected"`` response.  One service is one process and
+one serving thread.
 
 .. code-block:: python
 
@@ -80,11 +80,8 @@ class ServiceResponse:
 
     ``status`` is ``"ok"``, ``"rejected"`` (admission control shed the
     request before execution) or ``"error"`` (planning/execution raised).
-    On errors ``error_type`` carries the exception class name (e.g.
-    ``"WorkerCrashedError"`` from the sharded router) so callers can branch
-    without parsing the message.  ``shard`` is the worker index that served
-    the request under :class:`repro.service.sharded.ShardedGaloService`
-    (None in single-process serving).
+    On errors ``error_type`` carries the exception class name so callers
+    can branch without parsing the message.
     """
 
     query_name: str
@@ -105,11 +102,9 @@ class ServiceResponse:
     max_q_error: float = 1.0
     error: str = ""
     error_type: str = ""
-    shard: Optional[int] = None
     #: Request id / trace id assigned when tracing is enabled ("" otherwise);
     #: feed ``request_id`` to :meth:`GaloService.explain_request` for the
-    #: span timeline.  Under the sharded router these are the *router's* ids
-    #: (the worker-side trace is re-parented into the router's trace).
+    #: span timeline.
     request_id: str = ""
     trace_id: str = ""
 
@@ -152,8 +147,6 @@ class GaloService:
         self._stopping = False
         #: Last background-learning failure, for operators ("" = none).
         self.last_learning_error = ""
-        #: Monotonic time of the last KB checkpoint attempt.
-        self._last_kb_checkpoint = 0.0
         #: Tracing plumbing (see :mod:`repro.obs`).  Disabled, the tracer is
         #: the shared no-op and every instrumentation site costs an attribute
         #: read; enabled, finished traces land in ``trace_store`` and feed
@@ -180,7 +173,6 @@ class GaloService:
         if self._started:
             return self
         self._learning_queue = asyncio.Queue(maxsize=LEARNING_QUEUE_LIMIT)
-        self._last_kb_checkpoint = time.monotonic()
         if self.config.learning_enabled:
             self._learner_task = asyncio.create_task(self._drain_learning_queue())
         self._stopping = False
@@ -210,10 +202,6 @@ class GaloService:
         while not queue.empty():
             self._drop_learning(queue.get_nowait())
             queue.task_done()
-        # Final checkpoint on the way down (forced past the interval):
-        # online-learned templates survive a clean shutdown even when the
-        # timer has not fired yet.
-        self._checkpoint_kb_sync(force=True)
         self._learning_queue = None
         self._started = False
 
@@ -464,9 +452,10 @@ class GaloService:
             # outcomes the moment the data changes.
             engine = self.galo.matching_engine
             memo = engine.execution_memo()
-            # The KB reference is captured once per request: a sharded
-            # hot-reload swaps the object mid-flight, and the guard must
-            # screen against and record into the same KB the match used.
+            # The KB reference is captured once per request: a hot-reload
+            # (``Galo.maybe_reload_knowledge_base``) swaps the object, and the
+            # guard must screen against and record into the same KB the match
+            # used.
             knowledge_base = self.galo.knowledge_base
             guard = self.guard
             screen: Optional[GuardScreen] = None
@@ -645,21 +634,8 @@ class GaloService:
     async def _drain_learning_queue(self) -> None:
         """Background task: learn queued tasks on the loop, step by step."""
         assert self._learning_queue is not None
-        interval = self.config.kb_checkpoint_interval_seconds
         while True:
-            if interval is None:
-                task = await self._learning_queue.get()
-            else:
-                # Wake at least once per checkpoint interval even when no
-                # learning work arrives: the timer must fire on a quiet
-                # service too (the dirty check makes an idle wake-up free).
-                try:
-                    task = await asyncio.wait_for(
-                        self._learning_queue.get(), timeout=interval
-                    )
-                except asyncio.TimeoutError:
-                    self._checkpoint_kb_sync()
-                    continue
+            task = await self._learning_queue.get()
             try:
                 await self._learn(task)
             except asyncio.CancelledError:
@@ -679,39 +655,6 @@ class GaloService:
                 self.ledger.forget(task.sql)
             finally:
                 self._learning_queue.task_done()
-            self._checkpoint_kb_sync()
-
-    def _checkpoint_kb_sync(self, force: bool = False) -> None:
-        """Snapshot the KB to disk if due and dirty.
-
-        Atomicity comes from :meth:`KnowledgeBase.save` (a new version
-        directory, committed by its rename); this
-        method adds the interval pacing and the dirty check, so a quiet
-        service performs no disk writes.  ``force`` (shutdown) skips the
-        interval, not the dirty check.  The timer advances only when a
-        snapshot is actually attempted: an idle (clean-KB) wake-up must not
-        restart the interval, or a KB dirtied just after it would wait up to
-        two intervals for its first snapshot.
-        """
-        directory = self.config.kb_checkpoint_directory
-        interval = self.config.kb_checkpoint_interval_seconds
-        if directory is None:
-            return
-        now = time.monotonic()
-        if not force and (interval is None or now - self._last_kb_checkpoint < interval):
-            return
-        if not self.galo.knowledge_base.dirty:
-            return
-        self._last_kb_checkpoint = now
-        with self.tracer.start_trace("kb_checkpoint") as span:
-            try:
-                self.galo.knowledge_base.save(directory)
-                self.metrics.increment("kb_checkpoints")
-                span.set("templates", len(self.galo.knowledge_base))
-            except OSError as exc:  # pragma: no cover - disk trouble must not kill learning
-                self.metrics.increment("kb_checkpoint_failures")
-                self.last_learning_error = f"kb checkpoint: {type(exc).__name__}: {exc}"
-                span.set("error", type(exc).__name__)
 
     async def _learn(self, task: LearningTask) -> None:
         """Learn one task, yielding to the loop after every learning step,

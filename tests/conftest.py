@@ -150,34 +150,38 @@ def serving_db() -> Database:
     return build_mini_database(sales_rows=4000)
 
 
+#: A handful of analytic queries over the mini database, as (name, sql).
+MINI_QUERIES = [
+    (
+        "q_join2",
+        "SELECT i_category, COUNT(*) FROM sales, item "
+        "WHERE s_item_sk = i_item_sk AND i_category = 'Jewelry' GROUP BY i_category",
+    ),
+    (
+        "q_join3",
+        "SELECT i_category, SUM(s_price) FROM sales, item, date_dim "
+        "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk AND d_year >= 2018 "
+        "GROUP BY i_category",
+    ),
+    (
+        "q_join4",
+        "SELECT i_category, o_state, COUNT(*) FROM sales, item, date_dim, outlet "
+        "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk AND s_outlet_sk = o_outlet_sk "
+        "AND i_category = 'Music' AND o_state = 'CA' GROUP BY i_category, o_state",
+    ),
+    (
+        "q_filter_range",
+        "SELECT i_class, COUNT(*) FROM sales, item, date_dim "
+        "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk "
+        "AND d_date BETWEEN 12500 AND 12600 GROUP BY i_class",
+    ),
+]
+
+
 @pytest.fixture(scope="session")
 def mini_queries() -> list:
     """A handful of analytic queries over the mini database."""
-    return [
-        (
-            "q_join2",
-            "SELECT i_category, COUNT(*) FROM sales, item "
-            "WHERE s_item_sk = i_item_sk AND i_category = 'Jewelry' GROUP BY i_category",
-        ),
-        (
-            "q_join3",
-            "SELECT i_category, SUM(s_price) FROM sales, item, date_dim "
-            "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk AND d_year >= 2018 "
-            "GROUP BY i_category",
-        ),
-        (
-            "q_join4",
-            "SELECT i_category, o_state, COUNT(*) FROM sales, item, date_dim, outlet "
-            "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk AND s_outlet_sk = o_outlet_sk "
-            "AND i_category = 'Music' AND o_state = 'CA' GROUP BY i_category, o_state",
-        ),
-        (
-            "q_filter_range",
-            "SELECT i_class, COUNT(*) FROM sales, item, date_dim "
-            "WHERE s_item_sk = i_item_sk AND s_date_sk = d_date_sk "
-            "AND d_date BETWEEN 12500 AND 12600 GROUP BY i_class",
-        ),
-    ]
+    return list(MINI_QUERIES)
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,8 @@ Two acceptance scenarios from the robustness issue:
     matched template ids and every shared counter.  The guard may only add
     its own counters, never perturb the serving path.
 (b) **Durability**: quarantine state written into a knowledge-base checkpoint
-    reaches every sharded worker via hot-reload (the quarantined template
-    stops steering cluster-wide), is visible in the per-shard metrics, and
-    survives a worker crash + restart.  In one process, a serving
-    ``GaloService`` that hot-swaps in such a checkpoint stops steering but
-    for its probes.
+    survives a hot-reload: a serving ``GaloService`` that hot-swaps in such a
+    checkpoint stops steering but for its probes.
 """
 
 import asyncio
@@ -24,16 +21,9 @@ pytestmark = pytest.mark.slow
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.segmenter import segment_plan
-from repro.service import (
-    GaloService,
-    ServiceConfig,
-    ShardedGaloService,
-    ShardedServiceConfig,
-    serve_workload,
-)
-from repro.service import sharded
+from repro.service import GaloService, ServiceConfig, serve_workload
 from repro.service.guard import GUARD_COUNTERS
-from repro.service.workers import MiniGaloFactory, mini_star_queries
+from tests.conftest import MINI_QUERIES, build_mini_database
 
 GUARD_SECONDS = 300
 
@@ -53,7 +43,7 @@ def seed_template_checkpoint(db, directory):
     """
     kb = KnowledgeBase()
     count = 0
-    for name, sql in mini_star_queries():
+    for name, sql in MINI_QUERIES:
         for segment in segment_plan(db.explain(sql), max_joins=3):
             count += 1
             abstract_template_from_plan(
@@ -106,7 +96,7 @@ class TestDifferentialIdentity:
     def test_guard_on_without_regressions_is_bit_identical(
         self, serving_db, tmp_path
     ):
-        requests = mini_star_queries() * 3
+        requests = MINI_QUERIES * 3
         config = dict(learning_enabled=False)
         seed_template_checkpoint(serving_db, str(tmp_path))
 
@@ -144,7 +134,7 @@ class TestDifferentialIdentity:
         self, serving_db, tmp_path
     ):
         """Graceful degradation: quarantine -> optimizer plan, same rows."""
-        requests = mini_star_queries()
+        requests = MINI_QUERIES
         config = ServiceConfig(
             learning_enabled=False, guard_probe_interval=1000
         )
@@ -167,11 +157,11 @@ class TestDifferentialIdentity:
 
 def seed_quarantined_checkpoint(directory):
     """Checkpoint v1: templates for the mini workload, every one quarantined."""
-    galo = MiniGaloFactory(sales_rows=SALES_ROWS)()
+    database = build_mini_database(sales_rows=SALES_ROWS)
     kb = KnowledgeBase()
     count = 0
-    for name, sql in mini_star_queries():
-        for segment in segment_plan(galo.database.explain(sql), max_joins=3):
+    for name, sql in MINI_QUERIES:
+        for segment in segment_plan(database.explain(sql), max_joins=3):
             count += 1
             abstract_template_from_plan(
                 kb,
@@ -181,7 +171,7 @@ def seed_quarantined_checkpoint(directory):
                 source_query=name,
                 widen=2.0,
                 improvement=0.2,
-                catalog=galo.database.catalog,
+                catalog=database.catalog,
             )
     for template_id in list(kb.templates):
         kb.record_steering_outcome(template_id, win=False)
@@ -190,98 +180,17 @@ def seed_quarantined_checkpoint(directory):
     return sorted(kb.templates)
 
 
-class TestQuarantineDurability:
-    def test_quarantine_survives_checkpoint_reload_and_crash(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "MAX_WORKER_RESTARTS", 2)
-        kb_dir = str(tmp_path)
-        quarantined = seed_quarantined_checkpoint(kb_dir)
-        factory = MiniGaloFactory(sales_rows=SALES_ROWS)
-        config = ShardedServiceConfig(
-            num_workers=2,
-            kb_directory=kb_dir,
-            kb_poll_interval_seconds=0.2,
-            learner_shard=None,
-            worker_config=ServiceConfig(
-                learning_enabled=False,
-                # Probes effectively off: every match of a quarantined
-                # template must block, cluster-wide.
-                guard_probe_interval=10_000,
-            ),
-        )
-        victim_shard = 0
-
-        async def scenario():
-            service = ShardedGaloService(factory, config)
-            async with service:
-                first_wave = []
-                async for response in service.stream(mini_star_queries() * 2):
-                    first_wave.append(response)
-
-                statuses = await service.shard_status()
-                page = await service.render_metrics()
-
-                # Crash one worker; its replacement bootstraps from the
-                # checkpoint and must come back quarantined too.
-                service.inject_worker_crash(victim_shard)
-                crash_wave = [
-                    await service.submit(sql, query_name=name)
-                    for name, sql in mini_star_queries() * 3
-                ]
-                after_statuses = await service.shard_status()
-                after_page = await service.render_metrics()
-                return (
-                    first_wave, statuses, page,
-                    crash_wave, after_statuses, after_page,
-                )
-
-        (first_wave, statuses, page,
-         crash_wave, after_statuses, after_page) = run(scenario())
-
-        # (1) Hot-loaded quarantine degrades steering on every shard.
-        assert first_wave and all(r.ok for r in first_wave)
-        assert all(not r.steered for r in first_wave)
-
-        # (2) Every worker reports the quarantine it loaded.
-        assert [s["quarantined_templates"] for s in statuses if s] == [
-            len(quarantined)
-        ] * 2
-        for shard in (0, 1):
-            assert (
-                f'galo_quarantined_templates{{shard="{shard}"}} {len(quarantined)}'
-                in page
-            )
-        assert f"galo_quarantined_templates {len(quarantined)}" in page
-
-        # (3) The restarted worker still refuses to steer and still reports
-        # the quarantine (state came back through the checkpoint).
-        survivors = [r for r in crash_wave if r.ok]
-        assert survivors, "the cluster must keep serving through the crash"
-        assert all(not r.steered for r in survivors)
-        assert all(
-            r.ok or r.error_type == "WorkerCrashedError" for r in crash_wave
-        )
-        live_after = [s for s in after_statuses if s]
-        assert len(live_after) == 2, "the crashed worker must restart"
-        assert [s["quarantined_templates"] for s in live_after] == [
-            len(quarantined)
-        ] * 2
-        assert (
-            f'galo_quarantined_templates{{shard="{victim_shard}"}} {len(quarantined)}'
-            in after_page
-        )
-
-
 class TestQuarantineAdoptedInProcess:
     def test_adopted_quarantine_stops_steering(self, tmp_path):
         """A serving ``GaloService`` hot-swaps in a checkpoint whose templates
         are all quarantined: its matches block, and only probe ticks steer."""
         kb_dir = str(tmp_path)
         quarantined = seed_quarantined_checkpoint(kb_dir)
-        galo = MiniGaloFactory(sales_rows=SALES_ROWS)()
+        galo = Galo(build_mini_database(sales_rows=SALES_ROWS))
         service = GaloService(
             galo, ServiceConfig(learning_enabled=False, tracing_enabled=True)
         )
-        requests = mini_star_queries() * 4
+        requests = MINI_QUERIES * 4
 
         async def scenario():
             async with service:

@@ -14,12 +14,12 @@ from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.engine import MatchingConfig
 from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import join_tree_root
-from repro.service.workers import build_mini_star_database, mini_star_queries
+from tests.conftest import MINI_QUERIES, build_mini_database
 
 MAX_JOINS = 3
 
 #: The mini star queries plus one statement nothing in the KB matches.
-WORKLOAD = mini_star_queries() + [
+WORKLOAD = MINI_QUERIES + [
     ("q_single", "SELECT i_category FROM item WHERE i_category = 'Music'"),
 ]
 
@@ -96,7 +96,7 @@ def seed_templates(database, knowledge_base):
 
 def build_system(sales_rows=600, seed=0, knowledge_base=None):
     """A ``Galo`` over a private mini database (KB seeded unless given)."""
-    database = build_mini_star_database(seed=seed, sales_rows=sales_rows)
+    database = build_mini_database(seed=seed, sales_rows=sales_rows)
     if knowledge_base is None:
         knowledge_base = KnowledgeBase()
         seed_templates(database, knowledge_base)

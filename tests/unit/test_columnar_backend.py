@@ -7,12 +7,10 @@ views): every result -- rows (values *and* dict key order), per-operator
 actual cardinalities, every ``RuntimeMetrics`` counter and the simulated
 ``elapsed_ms`` -- is bit-identical to the row-engine oracle, over
 optimizer-chosen and randomized plans, including NULL-bearing and string
-columns.  Byte-budgeted memo eviction, the knowledge-base checkpoint timer
-and ``ServiceMetrics.render_prometheus`` are tested here too.
+columns.  Byte-budgeted memo eviction, knowledge-base checkpoints and
+``ServiceMetrics.render_prometheus`` are tested here too.
 """
 
-import asyncio
-import os
 import sys
 
 import numpy as np
@@ -44,12 +42,6 @@ from repro.service import GaloService, ServiceConfig, ServiceMetrics
 
 from tests.conftest import build_mini_database
 from tests.unit.test_vectorized_executor import MINI_SQLS, run_differential
-
-GUARD_SECONDS = 30.0
-
-
-def run_guarded(coroutine):
-    return asyncio.run(asyncio.wait_for(coroutine, timeout=GUARD_SECONDS))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +449,9 @@ def seeded_kb(db) -> KnowledgeBase:
 
 
 class TestKbCheckpointing:
-    def test_dirty_tracks_mutations_and_save_clears(self, mini_db, tmp_path):
-        kb = KnowledgeBase()
-        assert not kb.dirty
+    def test_save_commits_one_version_directory(self, mini_db, tmp_path):
         kb = seeded_kb(mini_db)
-        assert kb.dirty
         kb.save(str(tmp_path))
-        assert not kb.dirty
         # One version directory, committed by its rename; atomic writes leave
         # no .tmp files behind.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v1"]
@@ -472,114 +460,12 @@ class TestKbCheckpointing:
             "knowledge_base.nt",
             "templates.json",
         ]
-        evicted_id = next(iter(kb.templates))
-        kb.evict_template(evicted_id)
-        assert kb.dirty
 
     def test_checkpoint_round_trips(self, mini_db, tmp_path):
         kb = seeded_kb(mini_db)
         kb.save(str(tmp_path))
         restored = KnowledgeBase.load(str(tmp_path))
         assert sorted(restored.templates) == sorted(kb.templates)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(kb_checkpoint_interval_seconds=0.0, kb_checkpoint_directory="x")
-        with pytest.raises(ValueError):
-            ServiceConfig(kb_checkpoint_interval_seconds=5.0)
-
-    def test_timer_checkpoints_only_when_dirty(self, mini_db, tmp_path):
-        galo = Galo(mini_db, knowledge_base=seeded_kb(mini_db))
-        directory = tmp_path / "kb"
-        config = ServiceConfig(
-            steering_enabled=False,
-            learning_enabled=True,
-            kb_checkpoint_interval_seconds=0.05,
-            kb_checkpoint_directory=str(directory),
-        )
-        service = GaloService(galo, config)
-
-        async def scenario():
-            async with service:
-                deadline = asyncio.get_running_loop().time() + GUARD_SECONDS / 2
-                while not (directory / "v1").is_dir():
-                    assert asyncio.get_running_loop().time() < deadline
-                    await asyncio.sleep(0.02)
-                assert not galo.knowledge_base.dirty
-                first_mtime = os.stat(directory / "v1").st_mtime_ns
-                # A clean KB must not be rewritten by later timer ticks.
-                await asyncio.sleep(0.2)
-                assert os.stat(directory / "v1").st_mtime_ns == first_mtime
-                assert sorted(p.name for p in directory.iterdir()) == ["v1"]
-            return service.metrics.count("kb_checkpoints")
-
-        checkpoints = run_guarded(scenario())
-        assert checkpoints == 1
-        restored = KnowledgeBase.load(str(directory))
-        assert sorted(restored.templates) == sorted(galo.knowledge_base.templates)
-
-    def test_clean_wakeup_does_not_restart_interval(self, mini_db, tmp_path, monkeypatch):
-        """Regression: an idle (clean-KB) timer wake-up must not advance the
-        checkpoint clock.  It used to, which made a KB dirtied right after a
-        clean tick wait up to two full intervals for its first snapshot."""
-        import repro.service.service as service_module
-
-        directory = tmp_path / "kb"
-        kb = seeded_kb(mini_db)
-        kb.save(str(directory))
-        assert not kb.dirty
-        galo = Galo(mini_db, knowledge_base=kb)
-        service = GaloService(
-            galo,
-            ServiceConfig(
-                steering_enabled=False,
-                learning_enabled=True,
-                kb_checkpoint_interval_seconds=10.0,
-                kb_checkpoint_directory=str(directory),
-            ),
-        )
-        clock = [10.0]
-        monkeypatch.setattr(service_module.time, "monotonic", lambda: clock[0])
-        service._last_kb_checkpoint = 0.0
-        # Clean wake-up one full interval in: nothing to snapshot, and the
-        # timer must stay where it was.
-        service._checkpoint_kb_sync()
-        assert service.metrics.count("kb_checkpoints") == 0
-        assert service._last_kb_checkpoint == 0.0
-        # The KB goes dirty just after the clean tick; the very next due
-        # wake-up (t=12 > interval since the *last attempt*, not since the
-        # clean tick) must snapshot immediately.
-        kb.evict_template(next(iter(kb.templates)))
-        clock[0] = 12.0
-        service._checkpoint_kb_sync()
-        assert service.metrics.count("kb_checkpoints") == 1
-        assert service._last_kb_checkpoint == 12.0
-        assert not kb.dirty
-        # A later clean wake-up still leaves the timer at the last attempt.
-        clock[0] = 23.0
-        service._checkpoint_kb_sync()
-        assert service.metrics.count("kb_checkpoints") == 1
-        assert service._last_kb_checkpoint == 12.0
-
-    def test_stop_forces_final_checkpoint(self, mini_db, tmp_path):
-        galo = Galo(mini_db, knowledge_base=seeded_kb(mini_db))
-        directory = tmp_path / "kb"
-        config = ServiceConfig(
-            steering_enabled=False,
-            learning_enabled=True,
-            kb_checkpoint_interval_seconds=3600.0,
-            kb_checkpoint_directory=str(directory),
-        )
-        service = GaloService(galo, config)
-
-        async def scenario():
-            async with service:
-                await asyncio.sleep(0.01)
-
-        run_guarded(scenario())
-        # The hour-long timer never fired; the shutdown checkpoint did.
-        assert KnowledgeBase.checkpoint_version_on_disk(str(directory)) == 1
-        assert not galo.knowledge_base.dirty
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,11 @@ from repro.core.learning.engine import LearningConfig
 from repro.core.matching.engine import MatchingConfig
 from repro.engine.config import DbConfig
 from repro.experiments.harness import ExperimentSettings
-from repro.service.config import ServiceConfig, ShardedServiceConfig
+from repro.service.config import ServiceConfig
 
 CONFIG_CLASSES = [
     DbConfig,
     ServiceConfig,
-    ShardedServiceConfig,
     LearningConfig,
     MatchingConfig,
     ExperimentSettings,
@@ -57,7 +56,6 @@ CALLER_ROOTS = ("src", "bench", "benchmarks")
 NEVER_SET = {
     "DbConfig": set(),
     "ServiceConfig": set(),
-    "ShardedServiceConfig": set(),
     # Read by ``bench/layers.py`` to size its own ``Db2Batch``.
     "LearningConfig": {"runs_per_plan"},
     "MatchingConfig": set(),
@@ -74,17 +72,7 @@ UNREAD_FOR_BENCH = {"ServiceConfig": {"max_workers"}}
 #: into a constant (and drop it here).
 TESTS_ONLY = {
     "DbConfig": {"buffer_pool_pages", "noise_seed"},
-    "ServiceConfig": {
-        "kb_checkpoint_interval_seconds",
-        "kb_checkpoint_directory",
-        "slow_query_threshold_ms",
-    },
-    # Read in the spawned workers, where a parent-side monkeypatch of a
-    # module constant cannot reach: tests shorten them through the config.
-    "ShardedServiceConfig": {
-        "kb_poll_interval_seconds",
-        "kb_publish_interval_seconds",
-    },
+    "ServiceConfig": {"slow_query_threshold_ms"},
     "LearningConfig": set(),
     # Read by ``bench/layers.py`` to build its own SPARQL.  No caller sets the
     # field; the scan sees tests pass ``sparql_for_subplan``'s parameter of
@@ -244,3 +232,18 @@ def test_attribute_assignment_is_counted_as_set():
 def test_names_set_inside_the_config_class_are_skipped():
     source = "class Config:\n    def f(self):\n        self.window = 1\ng(limit=2)"
     assert names_set_in(source) == {"limit"}
+
+
+def test_no_module_under_src_imports_multiprocessing():
+    """Serving is one process.  Shrink-only: multi-process serving comes back
+    only with a change that decides to revive it (ROADMAP "Parked")."""
+    imported = set()
+    for tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert not {
+        name for name in imported if name.split(".")[0] == "multiprocessing"
+    }

@@ -1,9 +1,9 @@
-"""Checkpoint versioning: the propagation protocol under sharded serving.
+"""Checkpoint versioning: save, publish and hot-reload of a knowledge base.
 
-A designated learner publishes knowledge-base checkpoints as version
-directories ``v{N}/``; follower shards list the checkpoint directory and
-hot-reload when its newest version directory is newer than theirs.  These
-tests pin the single-process pieces that protocol rests on: monotonic
+An owner saves knowledge-base checkpoints as version directories ``v{N}/``;
+``Galo.maybe_reload_knowledge_base`` lists the checkpoint directory and
+hot-reloads when its newest version directory is newer than the live
+knowledge base's.  These tests pin what that rests on: monotonic
 version assignment on save, only directories counting as versions, the
 rename of ``v{N}.tmp/`` to ``v{N}/`` being the only commit point (crash at
 any step of a save), pruning to two versions, ``maybe_reload`` semantics
@@ -391,7 +391,8 @@ class TestCrashMatrix:
             kb.save(directory)
         monkeypatch.undo()
 
-        assert kb.dirty
+        # The failed save committed nothing: the KB's version did not move.
+        assert kb.checkpoint_version == 1
         assert KnowledgeBase.checkpoint_version_on_disk(directory) == 1
         previous = KnowledgeBase.load(directory)
         assert previous.checkpoint_version == 1
@@ -401,7 +402,7 @@ class TestCrashMatrix:
         assert not (tmp_path / "v2").exists()
         assert (tmp_path / "v2.tmp").is_dir()
         assert kb.save(directory) == 2
-        assert not kb.dirty
+        assert kb.checkpoint_version == 2
         assert sorted(path.name for path in tmp_path.iterdir()) == ["v1", "v2"]
         current = KnowledgeBase.load(directory)
         assert current.checkpoint_version == 2

@@ -157,7 +157,7 @@ class TestOneRegistrationPath:
         copy.copy_templates_from(base)
         assert copy.templates == base.templates
         assert len(copy.index) == len(copy._template_graphs) == len(copy) == len(base)
-        assert copy.generation > generation and copy.dirty
+        assert copy.generation > generation
         assert matched_ids(copy, mini_db) == matched_ids(base, mini_db)
         # Registry entries are copies: an update on one side stays there.
         template_id = sorted(base.templates)[0]

@@ -784,15 +784,6 @@ class TestServiceObservability:
         assert snapshot["prepared_misses"] == len(WORKLOAD)
         assert snapshot["prepared_hits"] == len(WORKLOAD)
 
-    def test_merge_sums_the_prepared_counters(self):
-        first, second = ServiceMetrics(), ServiceMetrics()
-        first.increment("prepared_hits", 3)
-        second.increment("prepared_hits", 4)
-        second.increment("prepared_invalidations")
-        merged = ServiceMetrics.merge([first, second]).snapshot()
-        assert merged["prepared_hits"] == 7
-        assert merged["prepared_invalidations"] == 1
-
     def test_replayed_responses_equal_the_computed_ones(self):
         """A statement's hit returns exactly what its miss returned."""
         galo = build_system()
@@ -1045,8 +1036,8 @@ class TestExecutionReplay:
 
 class TestFrozenRow:
     """A kept row is a dict to every reader: equality, key order, JSON, its
-    size, and a round trip through pickle (the sharded tier's IPC) or
-    ``deepcopy``; ``dict(row)`` is a mutable copy."""
+    size, and a round trip through pickle or ``deepcopy``; ``dict(row)`` is
+    a mutable copy."""
 
     @pytest.fixture(scope="class")
     def kept_rows(self):

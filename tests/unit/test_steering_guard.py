@@ -399,22 +399,6 @@ class TestGuardPersistence:
         assert sorted(payload) == ["records"]
         assert sorted(payload["records"]) == [tid]
 
-    def test_quarantine_transition_marks_dirty(self, mini_db, tmp_path):
-        kb = kb_with_templates(mini_db)
-        tid = next(iter(kb.templates))
-        kb.save(str(tmp_path))
-        assert not kb.dirty
-        # Win/loss tallies are soft state: they ride along with the next
-        # checkpoint but never force one.
-        kb.record_steering_outcome(tid, win=False)
-        assert not kb.dirty
-        assert kb.quarantine_template(tid)
-        assert kb.dirty
-        kb.save(str(tmp_path))
-        assert not kb.dirty
-        assert kb.rearm_template(tid)
-        assert kb.dirty
-
     def test_stale_guard_entries_are_dropped_on_load(self, mini_db, tmp_path):
         kb = kb_with_templates(mini_db)
         tid = next(iter(kb.templates))
