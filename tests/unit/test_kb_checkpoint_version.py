@@ -21,8 +21,11 @@ import pytest
 from repro.core import vocabulary as voc
 from repro.core.galo import Galo
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
+from repro.core.learning.engine import LearningConfig
 from repro.core.matching.segmenter import segment_plan
 from repro.rdf.terms import Literal
+from repro.service import ServiceConfig, serve_workload
+from tests.conftest import build_mini_database
 from tests.prepared_support import build_system
 
 
@@ -177,6 +180,62 @@ class TestMaybeReload:
         galo = Galo(mini_db, knowledge_base=kb)
         galo.save_knowledge_base(directory)
         assert galo.maybe_reload_knowledge_base(directory, force=True) == 1
+
+    def test_serving_between_reloads_drops_no_request(self, mini_queries, tmp_path):
+        # Its own database: serving a statement twice keeps its outcome in
+        # the database's workload memo, which the session-wide mini_db must
+        # not carry into later tests.
+        db = build_mini_database(sales_rows=1500)
+        directory = str(tmp_path)
+        sqls = [sql for _, sql in mini_queries]
+        galo = Galo(db, knowledge_base=seeded_kb(db, sqls[:2]))
+        galo.save_knowledge_base(directory)
+        config = ServiceConfig(learning_enabled=False)
+        before, _ = serve_workload(galo, mini_queries, config)
+
+        # Another owner publishes a larger knowledge base as v2.
+        publisher = KnowledgeBase.load(directory)
+        published = seeded_kb(db, sqls[2:3], name_prefix="extra")
+        publisher.copy_templates_from(published)
+        assert publisher.save(directory) == 2
+
+        assert galo.maybe_reload_knowledge_base(directory) == 2
+        after, snapshot = serve_workload(galo, mini_queries, config)
+        assert len(galo.knowledge_base) == len(publisher)
+        assert all(response.ok for response in before + after)
+        assert [r.rows for r in before] == [r.rows for r in after]
+        # The swap invalidated what the prepared lane held for the old KB.
+        assert snapshot["prepared_invalidations"] > 0
+
+
+class TestOwnerSave:
+    """Serving never writes the knowledge base: its owner saves after stop()."""
+
+    def test_stop_writes_nothing_and_a_save_after_it_keeps_what_was_learned(
+        self, mini_db, mini_queries, kb, tmp_path
+    ):
+        directory = str(tmp_path)
+        galo = Galo(
+            mini_db,
+            knowledge_base=kb,
+            learning_config=LearningConfig(
+                max_joins=2, random_plans_per_subquery=2, max_variants=1
+            ),
+        )
+        assert galo.save_knowledge_base(directory) == 1
+        saved = sorted(kb.templates)
+        # serve_workload drains the learner and stops the service.
+        _, snapshot = serve_workload(
+            galo, mini_queries, ServiceConfig(steering_enabled=False)
+        )
+        assert snapshot["templates_learned"] > 0
+        assert sorted(galo.knowledge_base.templates) != saved
+        assert KnowledgeBase.checkpoint_version_on_disk(directory) == 1
+        assert sorted(KnowledgeBase.load(directory).templates) == saved
+
+        assert galo.save_knowledge_base(directory) == 2
+        restored = KnowledgeBase.load(directory)
+        assert sorted(restored.templates) == sorted(galo.knowledge_base.templates)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.core.galo import Galo
 from repro.service import GaloService, ServiceConfig
 from repro.service import feedback as feedback_module
 from repro.service.feedback import LearningTask, feedback, sql_fingerprint
+from tests.unit.test_kb_checkpoint_version import seeded_kb
 
 
 #: Generous per-scenario guard; scenarios normally finish in well under 1 s.
@@ -96,6 +97,28 @@ class TestLifecycle:
             await service.stop()
 
         run(scenario())
+
+    def test_start_is_idempotent(self, galo):
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+
+        async def scenario():
+            first = await service.start()
+            learner = service._learner_task
+            second = await service.start()
+            # A second start neither replaces the learner nor its queue.
+            same = second is first and service._learner_task is learner
+            await service.stop()
+            return same
+
+        assert run(scenario())
+
+    def test_stop_before_start_is_a_no_op(self, galo):
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+
+        run(service.stop())
+        assert not service.started
+        assert service.learning_backlog == 0
+        assert service.metrics.count("learning_dropped") == 0
 
 
 class TestServing:
@@ -226,6 +249,29 @@ class TestAdmissionControl:
         # Serial submissions never trip admission control.
         assert first.ok and second.ok
 
+    def test_rejected_request_leaves_a_trace(self, galo):
+        service = GaloService(
+            galo, quiet_config(max_pending=1, tracing_enabled=True)
+        )
+
+        async def scenario():
+            async with service:
+                return await asyncio.gather(
+                    *[service.submit(QUERIES[0][1], query_name=f"r{i}") for i in range(2)]
+                )
+
+        rejected = [response for response in run(scenario()) if response.rejected]
+        assert len(rejected) == 1
+        response = rejected[0]
+        assert response.request_id and response.trace_id
+        trace = service.trace_store.get(trace_id=response.trace_id)
+        assert trace["request_id"] == response.request_id
+        root = next(span for span in trace["spans"] if span["parent_id"] is None)
+        assert root["attributes"]["status"] == "rejected"
+        assert root["attributes"]["query_name"] == response.query_name
+        # Only the served request's stages reach the histograms.
+        assert service.stage_timings.get("request").count == 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_workers=0)
@@ -237,11 +283,55 @@ class TestAdmissionControl:
             ServiceConfig(kb_capacity=-1)
 
     @pytest.mark.parametrize(
-        "knob", ["q_error_threshold", "guard_regression_threshold"]
+        "knob",
+        [
+            "q_error_threshold",
+            "guard_regression_threshold",
+            # The online checkpoint timer is gone: an owner saves the KB
+            # after stop().
+            "kb_checkpoint_interval_seconds",
+            "kb_checkpoint_directory",
+        ],
     )
     def test_constant_knobs_are_not_fields(self, knob):
         with pytest.raises(TypeError):
             ServiceConfig(**{knob: 1.5})
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_workers", 0),
+            ("max_pending", 0),
+            ("regression_threshold", 0.99),
+            ("guard_min_observations", 0),
+            ("guard_quarantine_loss_rate", 0.0),
+            ("guard_quarantine_loss_rate", 1.01),
+            ("guard_probe_interval", 0),
+            ("kb_capacity", -1),
+            ("slow_query_threshold_ms", -0.5),
+        ],
+    )
+    def test_out_of_range_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_workers", 1),
+            ("max_pending", 1),
+            ("regression_threshold", 1.0),
+            ("guard_min_observations", 1),
+            ("guard_quarantine_loss_rate", 1.0),
+            ("guard_probe_interval", 1),
+            ("kb_capacity", 0),
+            ("slow_query_threshold_ms", 0.0),
+        ],
+    )
+    def test_boundary_value_is_accepted(self, field, value):
+        assert getattr(ServiceConfig(**{field: value}), field) == value
 
 
 def learning_task(name, sql):
@@ -611,6 +701,66 @@ class TestLearningQueue:
         assert run(scenario()) == 0
         assert service.metrics.count("learning_enqueued") == 0
         assert service.metrics.count("learning_dropped") == 1
+
+    def test_failing_task_is_counted_and_the_learner_carries_on(self, galo):
+        service = GaloService(galo, quiet_config(learning_enabled=True))
+        learned = []
+
+        def learning_steps(sql, **_):
+            if sql == "broken":
+                raise RuntimeError("no plan")
+            learned.append(sql)
+            yield SimpleNamespace(templates_learned=[])
+
+        galo.learning_engine.learning_steps = learning_steps
+        forgotten = []
+        forget = service.ledger.forget
+        service.ledger.forget = lambda sql: (forgotten.append(sql), forget(sql))
+
+        async def scenario():
+            async with service:
+                for name in ("broken", "after"):
+                    service._enqueue_learning(learning_task(name, name))
+                await service.drain()
+                # Serving is unaffected by the learner's failure.
+                return await service.submit(QUERIES[0][1], query_name="q")
+
+        response = run(scenario())
+        assert response.ok
+        # The served query's own feedback may have queued it behind "after".
+        assert learned[0] == "after"
+        assert service.metrics.count("learning_failed") == 1
+        assert service.metrics.count("learning_completed") == len(learned)
+        assert service.metrics.count("failed") == 0
+        assert service.last_learning_error == "broken: RuntimeError: no plan"
+        # Like a queue-full drop, a failed statement may re-trigger later.
+        assert forgotten == ["broken"]
+
+    def test_learner_enforces_the_kb_capacity_after_each_task(self, mini_db):
+        knowledge_base = seeded_kb(mini_db, [sql for _, sql in QUERIES])
+        before = len(knowledge_base)
+        assert before > 1
+        galo = Galo(mini_db, knowledge_base=knowledge_base)
+        galo.learning_engine.learning_steps = lambda sql, **_: iter(
+            [SimpleNamespace(templates_learned=[])]
+        )
+        service = GaloService(
+            galo,
+            quiet_config(learning_enabled=True, kb_capacity=1, tracing_enabled=True),
+        )
+
+        async def scenario():
+            async with service:
+                service._enqueue_learning(learning_task("one", "one"))
+                await service.drain()
+
+        run(scenario())
+        assert len(galo.knowledge_base) == 1
+        assert service.metrics.count("templates_evicted") == before - 1
+        assert service.metrics.count("learning_completed") == 1
+        (trace,) = service.trace_store.traces(name="learn_query")
+        (evict,) = [s for s in trace["spans"] if s["name"] == "enforce_capacity"]
+        assert evict["attributes"]["evicted"] == before - 1
 
 
 class LaneSpy:

@@ -282,3 +282,19 @@ class TestServiceMetrics:
         assert metrics.snapshot()["latency_max_ms"] == 1000.0
         metrics.record_latency(0.25)
         assert metrics.snapshot()["latency_min_ms"] == 0.25
+
+    @pytest.mark.parametrize("percentile", [-5.0, 100.5])
+    def test_percentile_outside_the_range_is_rejected(self, percentile):
+        metrics = ServiceMetrics()
+        metrics.record_latency(1.0)
+        with pytest.raises(ValueError, match="percentile"):
+            metrics.latency_percentile(percentile)
+
+    def test_no_samples_reads_zero_and_no_extremes(self):
+        metrics = ServiceMetrics()
+        assert metrics.latency_percentile(50) == 0.0
+        assert metrics.latency_min_ms is None and metrics.latency_max_ms is None
+        snapshot = metrics.snapshot()
+        assert snapshot["latency_samples"] == 0
+        for key in ("latency_p50_ms", "latency_p95_ms", "latency_min_ms", "latency_max_ms"):
+            assert key not in snapshot

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.galo import Galo
 from repro.core.learning.engine import LearningConfig
+from repro.obs import TraceStore
 from repro.service import GaloService, ServiceConfig
 from tests.conftest import build_mini_database
 from tests.prepared_support import WORKLOAD, build_system
@@ -173,6 +174,36 @@ class TestTracedRequests:
         assert 'stage="execute"' in page and 'stage="queue_wait"' in page
         assert "galo_traces_stored" in page
         assert "galo_slow_queries_stored" in page
+
+    def test_stage_histograms_count_each_served_request(self, traced_service):
+        async def scenario():
+            async with traced_service:
+                for name, sql in QUERIES:
+                    await traced_service.submit(sql, query_name=name)
+
+        run(scenario())
+        timings = traced_service.stage_timings
+        served = len(QUERIES)
+        assert timings.get("request").count == served
+        for stage in ("queue_wait", "plan", "execute", "feedback"):
+            assert timings.get(stage).count == served, stage
+        # Only the request's direct children are stages, not executor nodes.
+        assert timings.get("return") is None
+
+    def test_request_whose_trace_left_the_store_skips_the_histograms(
+        self, traced_service
+    ):
+        store = TraceStore(capacity=0)
+        traced_service.trace_store = traced_service.tracer.store = store
+
+        async def scenario():
+            async with traced_service:
+                return await traced_service.submit(QUERIES[0][1], query_name="q")
+
+        response = run(scenario())
+        assert response.ok and response.trace_id
+        assert store.stats()["traces_recorded"] == 1
+        assert traced_service.stage_timings.stages() == []
 
     def test_error_requests_are_traced_with_error_attribute(self, traced_service):
         async def scenario():

@@ -9,6 +9,7 @@ counter registry, and the latency-reservoir percentile property.
 import json
 import random
 import re
+import threading
 import time
 
 import pytest
@@ -76,6 +77,62 @@ class TestSpanLifecycle:
         root.end()
         root.end()
         assert len(tracer.store) == 1
+
+    def test_open_span_reports_zero_duration_until_ended(self):
+        tracer = Tracer(TraceStore())
+        base = time.perf_counter()
+        root = tracer.start_trace("request", start=base)
+        child = root.child("plan", start=base)
+        assert child.duration_ms == 0.0
+        child.end(base + 0.002)
+        assert child.duration_ms == pytest.approx(2.0, abs=1e-6)
+        # Nothing is filed until the root ends.
+        assert len(tracer.store) == 0
+        root.end(base + 0.003)
+        assert len(tracer.store) == 1
+
+    def test_start_attributes_land_on_the_root_record(self):
+        tracer = Tracer(TraceStore())
+        root = tracer.start_trace(
+            "request", request_id="req-9", attributes={"query_name": "q1"}
+        )
+        root.set("status", "ok")
+        root.end()
+        (record,) = tracer.store.get(request_id="req-9")["spans"]
+        assert record["attributes"] == {"query_name": "q1", "status": "ok"}
+
+    def test_ids_stay_unique_across_threads(self):
+        tracer = Tracer(TraceStore(capacity=0))
+        roots = []
+
+        def open_traces():
+            for _ in range(200):
+                root = tracer.start_trace("request")
+                roots.append((root.trace_id, root.span_id))
+                root.end()
+
+        threads = [threading.Thread(target=open_traces) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({trace_id for trace_id, _ in roots}) == 800
+        assert len({span_id for _, span_id in roots}) == 800
+
+    def test_children_ended_on_other_threads_join_the_trace(self):
+        tracer = Tracer(TraceStore())
+        root = tracer.start_trace("request", request_id="req-t")
+        children = [root.child(f"part-{index}") for index in range(4)]
+        threads = [threading.Thread(target=child.end) for child in children]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        root.end()
+        trace = tracer.store.get(request_id="req-t")
+        parts = [span for span in trace["spans"] if span["name"].startswith("part-")]
+        assert sorted(span["name"] for span in parts) == [f"part-{i}" for i in range(4)]
+        assert all(span["parent_id"] == root.span_id for span in parts)
 
     def test_context_manager_records_error_attribute(self):
         tracer = Tracer(TraceStore())
@@ -175,6 +232,46 @@ class TestTraceStore:
         assert len(everything) == 1 and len(slow_only) == 1
         assert everything[0]["request_id"] == "req-0"
 
+    @pytest.mark.parametrize(
+        "keyword", ["capacity", "slow_capacity", "slow_threshold_ms"]
+    )
+    def test_negative_sizes_are_rejected(self, keyword):
+        with pytest.raises(ValueError, match=keyword):
+            TraceStore(**{keyword: -1})
+
+    def test_zero_capacity_counts_but_keeps_nothing(self):
+        store = TraceStore(capacity=0, slow_threshold_ms=0.0, slow_capacity=0)
+        tracer = Tracer(store)
+        trace_id = _finished_trace(tracer, request_id="req-0", duration_s=0.01)
+        assert len(store) == 0 and store.slow_queries() == []
+        assert store.get(trace_id=trace_id) is None
+        assert store.pop(trace_id) is None
+        assert store.stats() == {
+            "traces_stored": 0,
+            "traces_recorded": 1,
+            "slow_queries_stored": 0,
+            "slow_queries_recorded": 1,
+        }
+
+    def test_slow_ring_outlives_the_main_ring(self):
+        store = TraceStore(capacity=2, slow_threshold_ms=100.0, slow_capacity=2)
+        tracer = Tracer(store)
+        _finished_trace(tracer, request_id="slow", duration_s=0.5)
+        for index in range(3):
+            _finished_trace(tracer, request_id=f"fast-{index}", duration_s=0.001)
+        # Fast traffic rotated the slow request out of the main ring only.
+        assert store.get(request_id="slow") is None
+        assert [trace["request_id"] for trace in store.slow_queries()] == ["slow"]
+
+    def test_get_returns_the_most_recent_match_and_traces_filter_by_name(self):
+        tracer = Tracer(TraceStore())
+        _finished_trace(tracer, request_id="req-0")
+        newest = _finished_trace(tracer, request_id="req-0")
+        _finished_trace(tracer, name="learn_query", request_id="q1")
+        assert tracer.store.get(request_id="req-0")["trace_id"] == newest
+        assert [t["request_id"] for t in tracer.store.traces("learn_query")] == ["q1"]
+        assert len(tracer.store.traces()) == 3
+
 
 class TestExecutionContext:
     def test_install_and_restore(self):
@@ -196,6 +293,31 @@ class TestExecutionContext:
             assert current_execution_span() is None
         with execution_tracing(None):
             assert current_execution_span() is None
+
+    def test_execution_span_is_per_thread(self):
+        tracer = Tracer(TraceStore())
+        root = tracer.start_trace("request")
+        seen = []
+        with execution_tracing(root):
+            worker = threading.Thread(
+                target=lambda: seen.append(current_execution_span())
+            )
+            worker.start()
+            worker.join()
+            assert current_execution_span() is root
+        root.end()
+        assert seen == [None]
+
+    def test_exception_inside_restores_the_outer_span(self):
+        tracer = Tracer(TraceStore())
+        root = tracer.start_trace("request")
+        with execution_tracing(root):
+            with pytest.raises(KeyError):
+                with execution_tracing(root.child("node")):
+                    raise KeyError("boom")
+            assert current_execution_span() is root
+        assert current_execution_span() is None
+        root.end()
 
 
 class TestTimelineRendering:
@@ -250,6 +372,83 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(bounds=())
 
+    def test_empty_histogram_renders_zero_buckets(self):
+        lines = Histogram(bounds=(1.0, 2.5)).render_prometheus("lat")
+        assert lines == [
+            'lat_bucket{le="1"} 0',
+            'lat_bucket{le="2.5"} 0',
+            'lat_bucket{le="+Inf"} 0',
+            "lat_sum 0",
+            "lat_count 0",
+        ]
+
+    def test_labels_ride_on_every_line_with_le_last(self):
+        histogram = Histogram(bounds=(1.0,))
+        histogram.observe(3.0)
+        lines = histogram.render_prometheus("lat", {"stage": "plan"})
+        assert lines == [
+            'lat_bucket{stage="plan",le="1"} 0',
+            'lat_bucket{stage="plan",le="+Inf"} 1',
+            'lat_sum{stage="plan"} 3',
+            'lat_count{stage="plan"} 1',
+        ]
+
+    def test_concurrent_observations_are_all_counted(self):
+        histogram = Histogram(bounds=(1.0, 10.0))
+        threads = [
+            threading.Thread(
+                target=lambda: [histogram.observe(5.0) for _ in range(2000)]
+            )
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert histogram.count == 8000
+        assert histogram.sum == pytest.approx(40000.0)
+        assert histogram.render_prometheus("lat")[1] == 'lat_bucket{le="10"} 8000'
+
+    def test_stage_timings_list_and_get_stages(self):
+        timings = StageTimings(bounds=(1.0, 10.0))
+        assert timings.stages() == [] and timings.get("plan") is None
+        for stage in ("plan", "execute", "match", "plan"):
+            timings.observe(stage, 2.0)
+        assert timings.stages() == ["execute", "match", "plan"]
+        assert timings.get("plan").count == 2
+        assert timings.get("execute").bounds == (1.0, 10.0)
+        assert timings.get("queue_wait") is None
+
+    def test_stage_timings_render_stages_in_name_order(self):
+        timings = StageTimings(bounds=(1.0,))
+        timings.observe("plan", 0.5)
+        timings.observe("execute", 4.0)
+        lines = timings.render_prometheus("stage_ms")
+        counts = [line for line in lines if line.startswith("stage_ms_count")]
+        assert counts == [
+            'stage_ms_count{stage="execute"} 1',
+            'stage_ms_count{stage="plan"} 1',
+        ]
+        assert 'stage_ms_bucket{stage="plan",le="1"} 1' in lines
+        assert 'stage_ms_bucket{stage="execute",le="1"} 0' in lines
+
+    def test_racing_first_observations_share_one_stage_histogram(self):
+        timings = StageTimings()
+        barrier = threading.Barrier(4)
+
+        def observe():
+            barrier.wait()
+            for _ in range(500):
+                timings.observe("execute", 1.0)
+
+        threads = [threading.Thread(target=observe) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert timings.stages() == ["execute"]
+        assert timings.get("execute").count == 2000
+
 
 class TestPrometheusHelpers:
     def test_label_value_escaping(self):
@@ -259,6 +458,10 @@ class TestPrometheusHelpers:
         assert format_labels({"q": 'say "hi"\n'}) == '{q="say \\"hi\\"\\n"}'
         assert format_labels(None) == ""
         assert format_labels({}) == ""
+
+    def test_label_values_are_stringified_in_insertion_order(self):
+        assert format_labels({"stage": "plan", "le": 2.5}) == '{stage="plan",le="2.5"}'
+        assert format_labels({"n": 3, "ok": True}) == '{n="3",ok="True"}'
 
     def test_sample_value_formatting(self):
         assert format_sample_value(3) == "3"
@@ -289,6 +492,25 @@ class TestCounterRegistry:
         metrics.increment("extension_events", 2)
         metrics.register_counter("extension_events")  # must not reset the value
         assert metrics.count("extension_events") == 2
+
+    def test_concurrent_increments_are_exact(self):
+        metrics = ServiceMetrics()
+        threads = [
+            threading.Thread(
+                target=lambda: [metrics.increment("completed") for _ in range(2500)]
+            )
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert metrics.count("completed") == 10000
+
+    def test_unknown_counter_reads_zero_without_registering(self):
+        metrics = ServiceMetrics()
+        assert metrics.count("not_a_counter") == 0
+        assert "not_a_counter" not in metrics.snapshot()
 
 
 # A strict-enough sample-line grammar for the exposition text format: metric
@@ -346,6 +568,35 @@ class TestExpositionParses:
         assert "galo_memo_entries" in names
         # Diff-stable: samples appear in sorted order.
         assert names == sorted(names)
+
+    def test_counters_are_typed_counter_and_the_rest_gauge(self):
+        metrics = ServiceMetrics()
+        metrics.register_counter("extension_events")
+        metrics.record_latency(2.0)
+        page = metrics.render_prometheus({"memo_entries": 3})
+        assert "# TYPE galo_submitted counter" in page
+        assert "# TYPE galo_extension_events counter" in page
+        assert "# TYPE galo_latency_p95_ms gauge" in page
+        assert "# TYPE galo_memo_entries gauge" in page
+        assert "\ngalo_memo_entries 3\n" in page
+
+    def test_series_without_help_text_gets_a_generic_line(self):
+        page = ServiceMetrics().render_prometheus({"kb_bytes": 1.5})
+        assert "# HELP galo_kb_bytes GALO service metric kb_bytes.\n" in page
+        assert "# HELP galo_submitted Requests admitted for execution.\n" in page
+        _parse_exposition(page)
+
+    def test_page_before_any_request_has_no_latency_stats(self):
+        page = ServiceMetrics().render_prometheus()
+        names = _parse_exposition(page)
+        assert "galo_latency_samples" in names
+        assert not any(
+            name.startswith("galo_latency_") and name != "galo_latency_samples"
+            for name in names
+        )
+        assert set(names) == {
+            f"galo_{name}" for name in DECLARED_COUNTERS
+        } | {"galo_latency_samples"}
 
     def test_labelled_series_with_hostile_values_parse(self):
         timings = StageTimings(bounds=(1.0, 10.0))
