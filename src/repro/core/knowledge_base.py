@@ -17,6 +17,9 @@ indexed matching evaluates one candidate's graph at a time, and a checkpoint is
 the sorted lines of all of them.  The single RDF graph the paper queries is
 :attr:`KnowledgeBase.graph`, their union, assembled when asked for and read
 only by the verification path (``match(use_index=False)``).
+
+A knowledge base is used from one thread at a time (a service's requests and
+its learner share the event-loop thread), so nothing here takes a lock.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import json
 import os
 import re
 import shutil
-import threading
 import uuid
 from collections import Counter
 from dataclasses import dataclass, field
@@ -194,10 +196,7 @@ class TemplateIndex:
     template the SPARQL evaluation could match is never filtered out.
 
     Maintenance is incremental: ``add`` and ``remove`` update the buckets in
-    place (no full rebuild), and both replace bucket lists copy-on-write so a
-    concurrent ``candidates`` call iterating an old list never observes a
-    partially mutated bucket (the tests' own threads mutate and match at
-    once; a service's learner mutates between requests on its loop).
+    place (no full rebuild).
     """
 
     def __init__(self) -> None:
@@ -220,7 +219,7 @@ class TemplateIndex:
     def add(self, profile: TemplateProfile) -> None:
         self._profiles[profile.template_id] = profile
         key = (profile.join_count, profile.scan_count)
-        self._by_shape[key] = self._by_shape.get(key, []) + [profile.template_id]
+        self._by_shape.setdefault(key, []).append(profile.template_id)
 
     def remove(self, template_id: str) -> bool:
         """Drop one template from the index; True when it was present."""
@@ -228,13 +227,10 @@ class TemplateIndex:
         if profile is None:
             return False
         key = (profile.join_count, profile.scan_count)
-        remaining = [
-            existing for existing in self._by_shape.get(key, []) if existing != template_id
-        ]
-        if remaining:
-            self._by_shape[key] = remaining
-        else:
-            self._by_shape.pop(key, None)
+        bucket = self._by_shape[key]
+        bucket.remove(template_id)
+        if not bucket:
+            del self._by_shape[key]
         return True
 
     def candidates(self, segment: SegmentProfile) -> List[str]:
@@ -242,14 +238,8 @@ class TemplateIndex:
         bucket = self._by_shape.get((segment.join_count, segment.scan_count), ())
         out: List[str] = []
         for template_id in bucket:
-            # ``get``: a concurrent eviction may have dropped the profile after
-            # this thread picked up the (immutable) bucket list.
-            profile = self._profiles.get(template_id)
-            if profile is None:
-                continue
-            if not self._covers(profile, segment):
-                continue
-            out.append(template_id)
+            if self._covers(self._profiles[template_id], segment):
+                out.append(template_id)
         return out
 
     @staticmethod
@@ -335,11 +325,10 @@ class KnowledgeBase:
         self.index = TemplateIndex()
         #: template id -> the template's own triples: the only place a triple
         #: is stored.  A registered graph is never edited, only replaced
-        #: (``_replace_literal``), so readers need no lock.
+        #: (``_replace_literal``): ``copy_templates_from`` shares graphs.
         self._template_graphs: Dict[str, Graph] = {}
-        #: Matching observability: how much work the index saved.  Guarded by
-        #: ``_stats_lock``: the serving tier calls ``match`` from several
-        #: threads.  Counts SPARQL work actually performed: a verdict
+        #: Matching observability: how much work the index saved.  Counts
+        #: SPARQL work actually performed: a verdict
         #: served from the prepared-statement lane replays its usage ticks
         #: (:meth:`replay_usage`) but adds nothing here.  ``queries`` /
         #: ``indexed_queries`` count ``match`` calls (all / through the
@@ -356,7 +345,6 @@ class KnowledgeBase:
             "templates_skipped": 0,
             "index_only_segments": 0,
         }
-        self._stats_lock = threading.Lock()
         #: Online lifecycle observability (adds / evictions / updates /
         #: quarantine transitions).
         self.lifecycle_stats = {
@@ -367,10 +355,8 @@ class KnowledgeBase:
             "rearmed": 0,
         }
         #: Per-template steering win/loss ledger + quarantine state, fed by
-        #: the serving tier's regression guard.  Guarded by ``_stats_lock``
-        #: (the tests' own threads record outcomes while another saves; a
-        #: service does both on its loop); persisted through :meth:`save` /
-        #: :meth:`load` so quarantine decisions survive checkpoints and
+        #: the serving tier's regression guard; persisted through :meth:`save`
+        #: / :meth:`load` so quarantine decisions survive checkpoints and
         #: hot-reloads.
         self._guard_records: Dict[str, TemplateGuardRecord] = {}
         #: Per-template match usage, driving the LRU half of the eviction
@@ -378,16 +364,10 @@ class KnowledgeBase:
         #: call) so eviction order is reproducible across runs.
         self._usage: Dict[str, TemplateUsage] = {}
         self._usage_tick = 0
-        #: Serializes structural mutations (add / evict / update / rebuild).
-        #: Readers (``match``) deliberately do not take it: the index and the
-        #: per-template subgraphs are maintained copy-on-write, so a reader
-        #: always sees either the old or the new state of any one template.
-        self._write_lock = threading.RLock()
-        #: Monotonic count of completed structural mutations (add / evict /
-        #: update / index rebuild / load), advanced *last* inside
-        #: ``_write_lock``.  Caches of match verdicts stamp themselves with
-        #: it: a reader that took the generation before computing a verdict
-        #: can never pass a half-applied mutation off as current.
+        #: Monotonic count of structural mutations (add / evict / update /
+        #: index rebuild / load).  Caches of match verdicts stamp themselves
+        #: with it, so a verdict never outlives the templates it was
+        #: computed from.
         self.generation = 0
         #: Monotonic checkpoint version: 0 until the first :meth:`save` (or a
         #: :meth:`load` of a versioned checkpoint).
@@ -408,7 +388,7 @@ class KnowledgeBase:
         (``match(use_index=False)``) and by tests only; adding to it changes
         nothing."""
         union = Graph()
-        for subgraph in list(self._template_graphs.values()):
+        for subgraph in self._template_graphs.values():
             union.update(subgraph)
         return union
 
@@ -464,21 +444,20 @@ class KnowledgeBase:
                 for key, bounds in cardinality_bounds.items()
             },
         )
-        with self._write_lock:
-            self._register(
+        self._register(
+            template,
+            self._template_triples(
                 template,
-                self._template_triples(
-                    template,
-                    problem_root,
-                    cardinality_bounds,
-                    catalog,
-                    fpages_widening,
-                    row_size_slack,
-                ),
-            )
-            self._usage[template_id] = TemplateUsage(last_used_tick=self._usage_tick)
-            self.lifecycle_stats["added"] += 1
-            self.generation += 1
+                problem_root,
+                cardinality_bounds,
+                catalog,
+                fpages_widening,
+                row_size_slack,
+            ),
+        )
+        self._usage[template_id] = TemplateUsage(last_used_tick=self._usage_tick)
+        self.lifecycle_stats["added"] += 1
+        self.generation += 1
         return template
 
     @staticmethod
@@ -562,9 +541,6 @@ class KnowledgeBase:
         """Make ``template`` with its triples part of the knowledge base.
 
         The one way in (a learned template, a loaded one, a copied one).
-        Caller holds ``_write_lock``.  The index entry goes last: a lock-free
-        ``match`` that is offered the template then finds its graph and its
-        registry entry (``evict_template`` takes them away in reverse).
         """
         self.templates[template.template_id] = template
         self._template_graphs[template.template_id] = subgraph
@@ -577,19 +553,13 @@ class KnowledgeBase:
         edited); the registry entries are copies, so a later
         ``update_template`` on one side does not reach the other.
         """
-        with other._write_lock:
-            entries = [
-                (
-                    ProblemPatternTemplate.from_dict(template.to_dict()),
-                    other._template_graphs[template_id],
-                )
-                for template_id, template in other.templates.items()
-            ]
-        with self._write_lock:
-            for template, subgraph in entries:
-                self._register(template, subgraph)
-            self.lifecycle_stats["added"] += len(entries)
-            self.generation += 1
+        for template_id, template in other.templates.items():
+            self._register(
+                ProblemPatternTemplate.from_dict(template.to_dict()),
+                other._template_graphs[template_id],
+            )
+        self.lifecycle_stats["added"] += len(other.templates)
+        self.generation += 1
 
     def _profile_from_subgraph(
         self, template: ProblemPatternTemplate, subgraph: Graph
@@ -630,15 +600,14 @@ class KnowledgeBase:
 
         What incremental maintenance must equal; the tests compare against it.
         """
-        with self._write_lock:
-            self.index.clear()
-            for template_id, template in self.templates.items():
-                self.index.add(
-                    self._profile_from_subgraph(
-                        template, self._template_graphs[template_id]
-                    )
+        self.index.clear()
+        for template_id, template in self.templates.items():
+            self.index.add(
+                self._profile_from_subgraph(
+                    template, self._template_graphs[template_id]
                 )
-            self.generation += 1
+            )
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # online lifecycle: evict / update / capacity enforcement
@@ -648,24 +617,19 @@ class KnowledgeBase:
         """Remove one template as a first-class online operation.
 
         The index entry, the template's graph (and with it every triple of
-        the template) and the registry entry are dropped in an order that
-        keeps concurrent indexed matching safe: the index stops offering the
-        template before its graph goes away, and ``match`` treats a missing
-        graph / registry entry as a non-match.  Returns True when the
-        template existed.
+        the template), the registry entry, its usage and its guard record are
+        dropped together.  Returns True when the template existed.
         """
-        with self._write_lock:
-            if template_id not in self.templates:
-                return False
-            self.index.remove(template_id)
-            self._template_graphs.pop(template_id, None)
-            self.templates.pop(template_id)
-            self._usage.pop(template_id, None)
-            with self._stats_lock:
-                self._guard_records.pop(template_id, None)
-            self.lifecycle_stats["evicted"] += 1
-            self.generation += 1
-            return True
+        if template_id not in self.templates:
+            return False
+        self.index.remove(template_id)
+        self._template_graphs.pop(template_id, None)
+        self.templates.pop(template_id)
+        self._usage.pop(template_id, None)
+        self._guard_records.pop(template_id, None)
+        self.lifecycle_stats["evicted"] += 1
+        self.generation += 1
+        return True
 
     def update_template(
         self,
@@ -681,38 +645,33 @@ class KnowledgeBase:
         are kept consistent so a subsequent ``save`` / ``load`` round-trips the
         new values; the index needs no maintenance because neither field
         participates in pre-filtering.  Returns None when the template does
-        not (or no longer) exist -- losing the race against a concurrent
-        eviction is a normal lifecycle outcome, like ``evict_template``
-        returning False.
+        not (or no longer) exist, like ``evict_template`` returning False.
         """
-        with self._write_lock:
-            template = self.templates.get(template_id)
-            if template is None:
-                return None
-            resource = voc.TEMPLATE[template_id]
-            if improvement is not None:
-                self._replace_literal(
-                    template_id, resource, voc.HAS_IMPROVEMENT, round(improvement, 4)
-                )
-                template.improvement = improvement
-            if guideline_xml is not None:
-                self._replace_literal(
-                    template_id, resource, voc.HAS_GUIDELINE, guideline_xml
-                )
-                template.guideline_xml = guideline_xml
-            if recommended_summary is not None:
-                template.recommended_summary = recommended_summary
-            self.lifecycle_stats["updated"] += 1
-            self.generation += 1
-            return template
+        template = self.templates.get(template_id)
+        if template is None:
+            return None
+        resource = voc.TEMPLATE[template_id]
+        if improvement is not None:
+            self._replace_literal(
+                template_id, resource, voc.HAS_IMPROVEMENT, round(improvement, 4)
+            )
+            template.improvement = improvement
+        if guideline_xml is not None:
+            self._replace_literal(
+                template_id, resource, voc.HAS_GUIDELINE, guideline_xml
+            )
+            template.guideline_xml = guideline_xml
+        if recommended_summary is not None:
+            template.recommended_summary = recommended_summary
+        self.lifecycle_stats["updated"] += 1
+        self.generation += 1
+        return template
 
     def _replace_literal(self, template_id, subject, predicate, value) -> None:
         """Swap the object of (subject, predicate, *) in the template's graph.
 
-        The graph is replaced, not edited -- a concurrent ``match`` keeps
-        reading the old (complete) one and the swap of the dict entry is
-        atomic -- which is the contract that lets readers skip
-        ``_write_lock``.
+        The graph is replaced, not edited: a KB that ``copy_templates_from``
+        this one shares the old graph and keeps it.
         """
         replacement = Graph(
             triple
@@ -722,11 +681,11 @@ class KnowledgeBase:
         replacement.add_triple(subject, predicate, Literal(value))
         self._template_graphs[template_id] = replacement
 
-    def _record_usage_locked(self, template_ids: Sequence[str]) -> None:
-        """One shared tick for a batch of hits.  Caller holds ``_stats_lock``.
+    def _record_usage(self, template_ids: Sequence[str]) -> None:
+        """One shared tick for a batch of hits.
 
-        Ids no longer in the registry are skipped: recording a hit for a
-        concurrently evicted template would resurrect a dead usage entry.
+        Ids no longer in the registry are skipped, so a usage entry never
+        outlives its template.
         """
         self._usage_tick += 1
         for template_id in template_ids:
@@ -748,9 +707,8 @@ class KnowledgeBase:
         the match again would, so :meth:`eviction_order` cannot tell a replayed
         verdict from a recomputed one.
         """
-        with self._stats_lock:
-            for batch in batches:
-                self._record_usage_locked(batch)
+        for batch in batches:
+            self._record_usage(batch)
 
     def template_usage(self, template_id: str) -> TemplateUsage:
         return self._usage.get(template_id, TemplateUsage())
@@ -761,11 +719,10 @@ class KnowledgeBase:
 
     def guard_record(self, template_id: str) -> TemplateGuardRecord:
         """Snapshot of one template's ledger (a default record when unseen)."""
-        with self._stats_lock:
-            record = self._guard_records.get(template_id)
-            if record is None:
-                return TemplateGuardRecord()
-            return TemplateGuardRecord.from_dict(record.to_dict())
+        record = self._guard_records.get(template_id)
+        if record is None:
+            return TemplateGuardRecord()
+        return TemplateGuardRecord.from_dict(record.to_dict())
 
     def record_steering_outcome(self, template_id: str, win: bool) -> TemplateGuardRecord:
         """Tally one steered execution's outcome against a template.
@@ -775,32 +732,30 @@ class KnowledgeBase:
         tallies ride along on whichever checkpoint is saved next.  Returns a
         snapshot of the updated record.
         """
-        with self._stats_lock:
-            if template_id not in self.templates:
-                return TemplateGuardRecord()
-            record = self._guard_records.get(template_id)
-            if record is None:
-                record = TemplateGuardRecord()
-                self._guard_records[template_id] = record
-            if win:
-                record.wins += 1
-                if record.quarantined:
-                    record.probation_wins += 1
-            else:
-                record.losses += 1
-                if record.quarantined:
-                    record.probation_wins = 0
-            return TemplateGuardRecord.from_dict(record.to_dict())
+        if template_id not in self.templates:
+            return TemplateGuardRecord()
+        record = self._guard_records.get(template_id)
+        if record is None:
+            record = TemplateGuardRecord()
+            self._guard_records[template_id] = record
+        if win:
+            record.wins += 1
+            if record.quarantined:
+                record.probation_wins += 1
+        else:
+            record.losses += 1
+            if record.quarantined:
+                record.probation_wins = 0
+        return TemplateGuardRecord.from_dict(record.to_dict())
 
     def advance_probe_counter(self, template_id: str) -> int:
         """Bump and return a quarantined template's deterministic probe tick."""
-        with self._stats_lock:
-            record = self._guard_records.get(template_id)
-            if record is None:
-                record = TemplateGuardRecord()
-                self._guard_records[template_id] = record
-            record.probe_counter += 1
-            return record.probe_counter
+        record = self._guard_records.get(template_id)
+        if record is None:
+            record = TemplateGuardRecord()
+            self._guard_records[template_id] = record
+        record.probe_counter += 1
+        return record.probe_counter
 
     def quarantine_template(self, template_id: str) -> bool:
         """Stop steering from ``template_id``; True on an actual transition.
@@ -808,20 +763,19 @@ class KnowledgeBase:
         Quarantine is durable state: :meth:`save` writes it and :meth:`load`
         restores it.
         """
-        with self._stats_lock:
-            if template_id not in self.templates:
-                return False
-            record = self._guard_records.get(template_id)
-            if record is None:
-                record = TemplateGuardRecord()
-                self._guard_records[template_id] = record
-            if record.quarantined:
-                return False
-            record.quarantined = True
-            record.probation_wins = 0
-            record.probe_counter = 0
-            self.lifecycle_stats["quarantined"] += 1
-            return True
+        if template_id not in self.templates:
+            return False
+        record = self._guard_records.get(template_id)
+        if record is None:
+            record = TemplateGuardRecord()
+            self._guard_records[template_id] = record
+        if record.quarantined:
+            return False
+        record.quarantined = True
+        record.probation_wins = 0
+        record.probe_counter = 0
+        self.lifecycle_stats["quarantined"] += 1
+        return True
 
     def rearm_template(self, template_id: str) -> bool:
         """Lift a template's quarantine after probation; True on transition.
@@ -831,30 +785,27 @@ class KnowledgeBase:
         quarantined (otherwise one more loss would immediately re-trip the
         threshold and the template could never genuinely recover).
         """
-        with self._stats_lock:
-            record = self._guard_records.get(template_id)
-            if record is None or not record.quarantined:
-                return False
-            record.quarantined = False
-            record.wins = 0
-            record.losses = 0
-            record.probation_wins = 0
-            record.probe_counter = 0
-            self.lifecycle_stats["rearmed"] += 1
-            return True
+        record = self._guard_records.get(template_id)
+        if record is None or not record.quarantined:
+            return False
+        record.quarantined = False
+        record.wins = 0
+        record.losses = 0
+        record.probation_wins = 0
+        record.probe_counter = 0
+        self.lifecycle_stats["rearmed"] += 1
+        return True
 
     def is_quarantined(self, template_id: str) -> bool:
-        with self._stats_lock:
-            record = self._guard_records.get(template_id)
-            return record is not None and record.quarantined
+        record = self._guard_records.get(template_id)
+        return record is not None and record.quarantined
 
     def quarantined_template_ids(self) -> List[str]:
-        with self._stats_lock:
-            return sorted(
-                template_id
-                for template_id, record in self._guard_records.items()
-                if record.quarantined
-            )
+        return sorted(
+            template_id
+            for template_id, record in self._guard_records.items()
+            if record.quarantined
+        )
 
     def eviction_order(self) -> List[str]:
         """Template ids sorted most-evictable first.
@@ -866,12 +817,11 @@ class KnowledgeBase:
         remaining ties so the order is fully deterministic.  Templates with no
         guard observations keep exactly the historical order.
         """
-        with self._stats_lock:
-            losers = {
-                template_id
-                for template_id, record in self._guard_records.items()
-                if record.losses > record.wins
-            }
+        losers = {
+            template_id
+            for template_id, record in self._guard_records.items()
+            if record.losses > record.wins
+        }
 
         def score(template_id: str) -> Tuple:
             usage = self.template_usage(template_id)
@@ -898,24 +848,13 @@ class KnowledgeBase:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         evicted: List[str] = []
-        with self._write_lock:
+        if len(self.templates) <= capacity:
+            return evicted
+        for template_id in self.eviction_order():
             if len(self.templates) <= capacity:
-                return evicted
-            for template_id in self.eviction_order():
-                if len(self.templates) <= capacity:
-                    break
-                if self.evict_template(template_id):
-                    evicted.append(template_id)
-            # A match() racing an eviction can re-insert a usage entry for a
-            # template that no longer exists; prune so dead entries cannot
-            # accumulate over a long-lived service's lifetime.
-            with self._stats_lock:
-                for template_id in list(self._usage):
-                    if template_id not in self.templates:
-                        del self._usage[template_id]
-                for template_id in list(self._guard_records):
-                    if template_id not in self.templates:
-                        del self._guard_records[template_id]
+                break
+            if self.evict_template(template_id):
+                evicted.append(template_id)
         return evicted
 
     # ------------------------------------------------------------------
@@ -945,26 +884,21 @@ class KnowledgeBase:
                 segment_nodes, generated.cardinality_tolerance
             )
             candidate_ids = self.index.candidates(profile)
-            with self._stats_lock:
-                self.match_stats["queries"] += 1
-                self.match_stats["indexed_queries"] += 1
-                self.match_stats["candidates_evaluated"] += len(candidate_ids)
-                self.match_stats["templates_skipped"] += len(self.templates) - len(candidate_ids)
-                self.match_stats["index_only_segments"] += not candidate_ids
+            self.match_stats["queries"] += 1
+            self.match_stats["indexed_queries"] += 1
+            self.match_stats["candidates_evaluated"] += len(candidate_ids)
+            self.match_stats["templates_skipped"] += len(self.templates) - len(candidate_ids)
+            self.match_stats["index_only_segments"] += not candidate_ids
             if not candidate_ids:
                 return []
             query_ast = generated.query
             solutions: List[dict] = []
             for template_id in candidate_ids:
-                subgraph = self._template_graphs.get(template_id)
-                if subgraph is None:
-                    # Evicted between the candidates() snapshot and here; the
-                    # template is gone, so it simply no longer matches.
-                    continue
-                solutions.extend(SparqlEngine(subgraph).query(query_ast))
+                solutions.extend(
+                    SparqlEngine(self._template_graphs[template_id]).query(query_ast)
+                )
         else:
-            with self._stats_lock:
-                self.match_stats["queries"] += 1
+            self.match_stats["queries"] += 1
             solutions = SparqlEngine(self.graph).query(generated.query)
 
         segment_joins = sum(1 for node in segment_nodes if node.is_join)
@@ -992,11 +926,7 @@ class KnowledgeBase:
             root = next(iter(generated.node_for_variable.values()))
         matches: List[TemplateMatch] = []
         for template_id, template_solutions in solutions_by_template.items():
-            # A concurrent eviction may have removed the template after its
-            # solutions were collected; treat it as a non-match.
-            template = self.templates.get(template_id)
-            if template is None:
-                continue
+            template = self.templates[template_id]
             # The evaluator enumerates solutions in hash order, which differs
             # between the flat graph and a template subgraph; picking the
             # canonically smallest solution makes the chosen bindings identical
@@ -1017,10 +947,7 @@ class KnowledgeBase:
             )
         matches.sort(key=lambda match: (match.template.name, match.template.template_id))
         if matches:
-            with self._stats_lock:
-                self._record_usage_locked(
-                    [match.template.template_id for match in matches]
-                )
+            self._record_usage([match.template.template_id for match in matches])
         return matches
 
     def match_brute_force(
@@ -1080,47 +1007,42 @@ class KnowledgeBase:
         """
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        # Under the write lock: an online learner adding or evicting templates
-        # mid-save would otherwise leave the checkpoint files mutually
-        # inconsistent.
-        with self._write_lock:
-            for leftover in root.glob("v*.tmp"):
-                shutil.rmtree(leftover)
-            previous = self.checkpoint_version_on_disk(directory)
-            version = 1 + max(
-                [self.checkpoint_version]
-                + [_version_of(entry.name) for entry in root.iterdir()]
-            )
-            registry = {
-                template_id: template.to_dict()
-                for template_id, template in self.templates.items()
-            }
-            with self._stats_lock:
-                guard_payload = {
-                    "records": {
-                        template_id: record.to_dict()
-                        for template_id, record in self._guard_records.items()
-                        if template_id in self.templates
-                    },
-                }
-            files = {
-                "knowledge_base.nt": format_ntriples(
-                    itertools.chain.from_iterable(self._template_graphs.values())
-                ),
-                "templates.json": json.dumps(registry, indent=2, sort_keys=True),
-                self.GUARD_STATE_FILE: json.dumps(guard_payload, indent=2, sort_keys=True),
-            }
-            staging = root / f"v{version}.tmp"
-            staging.mkdir()
-            for name, text in files.items():
-                self._write_atomic(staging / name, text)
-            os.rename(staging, root / f"v{version}")
-            self.checkpoint_version = version
-            # The predecessor stays: a reader that listed the directory before
-            # the rename may still be reading it.
-            for entry in root.iterdir():
-                if _version_of(entry.name) not in (0, previous, version):
-                    shutil.rmtree(entry, ignore_errors=True)
+        for leftover in root.glob("v*.tmp"):
+            shutil.rmtree(leftover)
+        previous = self.checkpoint_version_on_disk(directory)
+        version = 1 + max(
+            [self.checkpoint_version]
+            + [_version_of(entry.name) for entry in root.iterdir()]
+        )
+        registry = {
+            template_id: template.to_dict()
+            for template_id, template in self.templates.items()
+        }
+        guard_payload = {
+            "records": {
+                template_id: record.to_dict()
+                for template_id, record in self._guard_records.items()
+                if template_id in self.templates
+            },
+        }
+        files = {
+            "knowledge_base.nt": format_ntriples(
+                itertools.chain.from_iterable(self._template_graphs.values())
+            ),
+            "templates.json": json.dumps(registry, indent=2, sort_keys=True),
+            self.GUARD_STATE_FILE: json.dumps(guard_payload, indent=2, sort_keys=True),
+        }
+        staging = root / f"v{version}.tmp"
+        staging.mkdir()
+        for name, text in files.items():
+            self._write_atomic(staging / name, text)
+        os.rename(staging, root / f"v{version}")
+        self.checkpoint_version = version
+        # The predecessor stays: a reader that listed the directory before
+        # the rename may still be reading it.
+        for entry in root.iterdir():
+            if _version_of(entry.name) not in (0, previous, version):
+                shutil.rmtree(entry, ignore_errors=True)
         return version
 
     @classmethod
@@ -1162,10 +1084,9 @@ class KnowledgeBase:
             subgraph = by_subject.get(triple.subject)
             if subgraph is not None:
                 subgraph.add(triple)
-        with kb._write_lock:
-            for template in templates:
-                kb._register(template, by_resource[voc.TEMPLATE[template.template_id]])
-            kb.generation += 1
+        for template in templates:
+            kb._register(template, by_resource[voc.TEMPLATE[template.template_id]])
+        kb.generation += 1
         guard_payload = json.loads(
             (path / cls.GUARD_STATE_FILE).read_text(encoding="utf-8")
         )

@@ -161,8 +161,7 @@ class MatchingEngine:
 
     # What is left of the segment-SPARQL text cache: ``bench/`` reads both for
     # its ``sparql_cache_hit_ratio``, 0.0 by construction; ROADMAP item 2(c)
-    # deletes them.  The count is kept without a lock -- the tests' own
-    # threads can lose a tick, and the ratio is 0.0 either way.
+    # deletes them.
 
     @property
     def sparql_cache_hits(self) -> int:
@@ -362,10 +361,6 @@ class MatchingEngine:
         without a second lookup.
         """
         if hit is None:
-            # The stamp is read before any work an entry would stand in for:
-            # an entry built while another thread mutates the KB (a test's
-            # writer) or a hot-reload swaps it then carries the older stamp
-            # and is stale by construction.
             stamp = self.stamp()
             entry, outcome = self.prepared.lookup(sql, *stamp)
         else:
@@ -392,14 +387,7 @@ class MatchingEngine:
                     matches=matches,
                     usage_batches=usage_batches,
                 )
-                # ``KnowledgeBase.match`` reads without the write lock, so a
-                # match that overlapped a mutation can mix two states.  Such
-                # a verdict still answers this request (as ``steer()`` would)
-                # but is published only if the stamp it carries is still the
-                # current one -- a second reader holding the same stamp must
-                # never be handed it as a hit.
-                if entry.is_current(*self.stamp()):
-                    self.prepared.publish(sql, entry)
+                self.prepared.publish(sql, entry)
             else:
                 started = time.perf_counter()
                 knowledge_base.replay_usage(entry.usage_batches)
@@ -432,7 +420,7 @@ class MatchingEngine:
                 if steer_span.recording:
                     steer_span.set("templates", list(allowed))
         if cached is None:
-            entry.plans.setdefault(allowed, (guideline_document, steered_master))
+            entry.plans[allowed] = (guideline_document, steered_master)
         return SteeringDecision(
             query_name=query_name,
             sql=sql,

@@ -20,7 +20,8 @@ blocks and probes advance per request) and the usage ticks the match recorded
 (replayed per request from ``usage_batches``).  Plans held here are masters,
 and read-only like every planned ``Qgm``: executing one writes nothing into
 it, so callers hand out :meth:`~repro.engine.plan.physical.Qgm.renamed`
-views of the same nodes and any number of threads run them at once.
+views of the same nodes.  The lane is used from one thread (a service's
+event loop), so a verdict is published as soon as it is computed.
 
 An entry keeps verdicts only.  What executing a plan it hands out produced
 -- rows, metrics, ``elapsed_ms`` -- is a function of (plan, table data), not
@@ -64,10 +65,7 @@ class PreparedStatement:
     #: while computing ``matches``, one per segment that matched, in order.
     usage_batches: Tuple[Tuple[str, ...], ...]
     #: allowed ids -> (guideline document, steered master plan or None when
-    #: the document is empty).  Filled lazily and idempotently
-    #: (``setdefault``): threads racing on one statement (the tests' own
-    #: serving threads) compute equal values and the first one published
-    #: wins.
+    #: the document is empty).  Filled lazily, once per allowed subset.
     plans: Dict[AllowedIds, Tuple["GuidelineDocument", Optional["Qgm"]]] = field(
         default_factory=dict
     )

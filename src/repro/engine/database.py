@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, List, Optional, Union
 
 from repro.cache import LruCache
@@ -78,7 +77,6 @@ class Database:
             max_entries=self.WORKLOAD_MEMO_MAX_ENTRIES,
             max_bytes=self.WORKLOAD_MEMO_MAX_BYTES,
         )
-        self._memo_lock = threading.Lock()
 
     # -- DDL / DML -----------------------------------------------------------
 
@@ -136,8 +134,8 @@ class Database:
         -- all ``learn_query`` calls of a workload sweep, the online tier's
         steered-vs-baseline measurements, and the serving layer -- so repeated
         sub-plans are executed once per *storage* epoch, not once per query.
-        The memo is reset (under a lock, at most once per epoch change)
-        whenever DDL or data loads have bumped :attr:`storage_epoch`; RUNSTATS
+        The memo is reset on the first call after DDL or a data load has
+        bumped :attr:`storage_epoch`; RUNSTATS
         does not reset it -- entries and aux caches are pure functions of
         storage, and statistics only steer the optimizer.  The cold-charge
         accounting rule keeps results bit-identical to memo-less execution,
@@ -145,9 +143,7 @@ class Database:
         """
         memo = self._workload_memo
         if memo.epoch != self._storage_epoch:
-            with self._memo_lock:
-                if memo.epoch != self._storage_epoch:
-                    memo.reset(epoch=self._storage_epoch)
+            memo.reset(epoch=self._storage_epoch)
         return memo
 
     @property

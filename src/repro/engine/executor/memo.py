@@ -22,10 +22,8 @@ statistics epoch (cost model inputs / plan cache), while every memo payload
 -- result entries, gathered aux columns, key groupings -- is a
 pure function of storage and stays valid.  Entries therefore never outlive
 the table data they were computed from, and survive re-collections.  Entries
-are immutable once stored and the dicts are only ever replaced wholesale on
-reset, which makes concurrent readers (the tests' own serving threads; a
-service's requests and learner share the event-loop thread) safe without a
-lock.
+are immutable once stored.  A service's requests and its learner share the
+event-loop thread, so the memo is used from one thread and takes no lock.
 
 Cold-charge accounting rule
 ---------------------------
@@ -79,9 +77,8 @@ since.  It is charged against ``max_bytes``
 entries.  A replay hands out a list of its own holding the kept rows
 themselves, shared by every replay: a row refuses every change, its values
 are immutable scalars, and ``dict(row)`` is a private mutable copy.  The
-server stores an outcome through the :meth:`~ExecutionMemo.pinned` view its
-execution ran against, so a load that overlapped the execution orphans it
-with that snapshot.
+server keeps an outcome only while the memo's epoch is still the one its
+execution started under, so a load run inside the execution drops it.
 """
 
 from __future__ import annotations
@@ -249,7 +246,7 @@ class ExecutionMemo:
     stamps ``epoch`` with the database's *storage* epoch and resets the memo
     when that epoch moves (DDL / data loads; stats-only changes keep it);
     short-lived callers may still create a private instance per
-    plan-evaluation sweep and discard it.
+    plan-evaluation sweep and discard it.  One thread uses a memo at a time.
 
     ``max_entries`` bounds both caches (FIFO eviction): a long-lived serving
     process must not grow the memo without bound.  ``max_bytes`` additionally
@@ -257,8 +254,9 @@ class ExecutionMemo:
     :meth:`MemoEntry.estimated_bytes`): entry counts alone let a handful of
     huge join outputs outweigh thousands of scan entries.  An
     entry larger than the whole budget is simply not cached (storing it would
-    evict everything else for one tenant).  Byte accounting is best-effort
-    under the same lock-free concurrency rules as the entry cap.  A join
+    evict everything else for one tenant).  Both caps are exact: the caches
+    never hold more than ``max_entries`` items, and ``entry_bytes`` is the
+    sum of the held entries' ``nbytes``.  A join
     entry refers to no child entry -- it holds its own position vectors and
     shares its children's immutable trace objects by reference -- so
     evicting a child never invalidates a parent entry.
@@ -266,9 +264,8 @@ class ExecutionMemo:
     ``entries`` also holds whole-plan :class:`PlanOutcome` objects (rows,
     metrics, ``elapsed_ms``) under plan keys: valid for the storage epoch,
     charged against ``max_bytes``, evicted FIFO, replayed as fresh lists of
-    the shared read-only rows, read with :meth:`peek` (no hit/miss counter
-    moves) and stored through the :meth:`pinned` view the execution ran
-    against.
+    the shared read-only rows, and read with :meth:`peek` (no hit/miss
+    counter moves).
     """
 
     entries: Dict[Hashable, Payload] = field(default_factory=dict)
@@ -276,69 +273,20 @@ class ExecutionMemo:
     aux: Dict[Hashable, Any] = field(default_factory=dict)
     #: Storage epoch this memo's entries were computed at (None = unmanaged).
     epoch: Optional[int] = None
-    #: Per-cache entry cap (None = unbounded); oldest entries evicted first.
+    #: Per-cache entry cap (None = unbounded, else at least 1); oldest
+    #: entries evicted first.
     max_entries: Optional[int] = None
     #: Byte budget for the result-entry cache (None = unbounded).
     max_bytes: Optional[int] = None
-    #: Byte total of the *current* ``entries`` dict, boxed so it travels with
-    #: the dict it describes: :meth:`pinned` views share the box along with
-    #: the dicts, and :meth:`reset` replaces both together -- a pinned
-    #: execution's late stores therefore account against its own (orphaned)
-    #: snapshot and can never corrupt the new epoch's budget.
-    entry_bytes_box: List[int] = field(default_factory=lambda: [0])
-    #: Cumulative counters, held in one mutable mapping so :meth:`pinned`
-    #: handles and the shared memo report into the same place.
-    counters: Dict[str, int] = field(
-        default_factory=lambda: {
-            "hits": 0,
-            "misses": 0,
-            "aux_hits": 0,
-            "aux_misses": 0,
-            "resets": 0,
-            "byte_evictions": 0,
-        }
-    )
-
-    @property
-    def hits(self) -> int:
-        return self.counters["hits"]
-
-    @property
-    def misses(self) -> int:
-        return self.counters["misses"]
-
-    @property
-    def aux_hits(self) -> int:
-        return self.counters["aux_hits"]
-
-    @property
-    def aux_misses(self) -> int:
-        return self.counters["aux_misses"]
-
-    @property
-    def resets(self) -> int:
-        return self.counters["resets"]
-
-    def pinned(self) -> "ExecutionMemo":
-        """A per-execution handle over this memo's *current* dicts.
-
-        The executor pins an epoch-managed memo once per ``execute`` call: if
-        a concurrent data change resets the shared memo mid-execution, the
-        in-flight run keeps reading and writing the snapshot it started with
-        (the orphaned dicts), so results computed from pre-change data can
-        never leak into the new epoch's cache.  Counters are shared, so
-        observability is unaffected.
-        """
-        view = ExecutionMemo(
-            entries=self.entries,
-            aux=self.aux,
-            epoch=self.epoch,
-            max_entries=self.max_entries,
-            max_bytes=self.max_bytes,
-            entry_bytes_box=self.entry_bytes_box,
-            counters=self.counters,
-        )
-        return view
+    #: Estimated bytes held by the result-entry cache.
+    entry_bytes: int = 0
+    #: Cumulative counters; :meth:`reset` keeps them.
+    hits: int = 0
+    misses: int = 0
+    aux_hits: int = 0
+    aux_misses: int = 0
+    resets: int = 0
+    byte_evictions: int = 0
 
     def lookup(self, key: Hashable) -> Optional[MemoEntry]:
         try:
@@ -346,78 +294,44 @@ class ExecutionMemo:
         except TypeError:  # unhashable predicate somewhere in the key
             entry = None
         if entry is None:
-            self.counters["misses"] += 1
+            self.misses += 1
         else:
-            self.counters["hits"] += 1
+            self.hits += 1
         return entry
 
-    def _put_capped(self, target: Dict[Hashable, Any], key: Hashable, value: Any) -> None:
-        """Insert ``key`` into ``target``, evicting the oldest entry at the cap.
-
-        The cap is best-effort under concurrency: the dicts are shared across
-        threads without a lock (see the module docstring), so the oldest-key
-        probe can race a concurrent insert/pop -- ``RuntimeError`` ("dict
-        changed size during iteration") simply skips this eviction, and two
-        racing stores may briefly overshoot the cap by one.  Unhashable keys
-        (``TypeError``) are silently not cached, as in ``lookup``.
-        """
-        try:
-            if (
-                self.max_entries is not None
-                and len(target) >= self.max_entries
-                and key not in target
-            ):
-                try:
-                    target.pop(next(iter(target)), None)
-                except (StopIteration, RuntimeError):
-                    pass
-            target[key] = value
-        except TypeError:
-            pass
-
-    @staticmethod
-    def _evict_oldest_entry(target: Dict[Hashable, Any], bytes_box: List[int]) -> bool:
+    def _evict_oldest_entry(self) -> None:
         """Pop the FIFO-oldest result entry, releasing its bytes."""
-        try:
-            evicted = target.pop(next(iter(target)), None)
-        except (StopIteration, RuntimeError):
-            return False
-        if evicted is not None:
-            bytes_box[0] -= evicted.nbytes
-        return evicted is not None
+        self.entry_bytes -= self.entries.pop(next(iter(self.entries))).nbytes
 
     def store(self, key: Hashable, entry: Payload) -> None:
         """Cache a result entry, enforcing the entry-count and byte budgets.
 
         Sizing happens once per entry; an entry bigger than the whole byte
-        budget is not cached at all.  Both caps evict FIFO-oldest first and
-        are best-effort under the lock-free sharing rules of
-        :meth:`_put_capped`.  The dict and its byte box are read as one pair,
-        so accounting follows whichever snapshot this handle stores into.
+        budget is not cached at all.  Both caps evict FIFO-oldest first;
+        re-storing a held key replaces it in place.  Unhashable keys are
+        silently not cached, as in :meth:`lookup`.
         """
         if entry.nbytes == 0:
             entry.nbytes = entry.estimated_bytes()
         if self.max_bytes is not None and entry.nbytes > self.max_bytes:
             return
-        target = self.entries
-        bytes_box = self.entry_bytes_box
+        entries = self.entries
         try:
-            replaced = target.get(key)
-            if (
-                self.max_entries is not None
-                and replaced is None
-                and len(target) >= self.max_entries
-            ):
-                self._evict_oldest_entry(target, bytes_box)
-            target[key] = entry
-        except TypeError:  # unhashable key: silently not cached
+            replaced = entries.get(key)
+        except TypeError:
             return
-        bytes_box[0] += entry.nbytes - (replaced.nbytes if replaced else 0)
+        if (
+            replaced is None
+            and self.max_entries is not None
+            and len(entries) >= self.max_entries
+        ):
+            self._evict_oldest_entry()
+        entries[key] = entry
+        self.entry_bytes += entry.nbytes - (replaced.nbytes if replaced else 0)
         if self.max_bytes is not None:
-            while bytes_box[0] > self.max_bytes and len(target) > 1:
-                if not self._evict_oldest_entry(target, bytes_box):
-                    break
-                self.counters["byte_evictions"] += 1
+            while self.entry_bytes > self.max_bytes and len(entries) > 1:
+                self._evict_oldest_entry()
+                self.byte_evictions += 1
 
     def peek(self, key: Hashable) -> Any:
         """``lookup`` without touching the hit/miss counters."""
@@ -432,35 +346,33 @@ class ExecutionMemo:
         except TypeError:
             value = None
         if value is None:
-            self.counters["aux_misses"] += 1
+            self.aux_misses += 1
         else:
-            self.counters["aux_hits"] += 1
+            self.aux_hits += 1
         return value
 
     def aux_store(self, key: Hashable, value: Any) -> None:
-        self._put_capped(self.aux, key, value)
+        """Cache an aux structure, evicting the FIFO-oldest at the cap;
+        unhashable keys are silently not cached."""
+        aux = self.aux
+        try:
+            if (
+                self.max_entries is not None
+                and len(aux) >= self.max_entries
+                and key not in aux
+            ):
+                del aux[next(iter(aux))]
+            aux[key] = value
+        except TypeError:
+            pass
 
     def reset(self, epoch: Optional[int] = None) -> None:
-        """Drop every cached entry and restamp the memo at ``epoch``.
-
-        The dicts are *replaced*, not cleared: replacement is a single atomic
-        store, so a concurrent reader on another thread sees either the old
-        snapshot or the new empty one, never a half-cleared dict -- and an
-        execution pinned (:meth:`pinned`) to the old dicts keeps its
-        consistent snapshot, its late stores landing nowhere visible.
-        """
-        self.entries = {}
-        self.aux = {}
-        # A fresh box alongside the fresh dict: executions still pinned to
-        # the old snapshot keep accounting against the old box.
-        self.entry_bytes_box = [0]
+        """Drop every cached entry and restamp the memo at ``epoch``."""
+        self.entries.clear()
+        self.aux.clear()
+        self.entry_bytes = 0
         self.epoch = epoch
-        self.counters["resets"] += 1
-
-    @property
-    def entry_bytes(self) -> int:
-        """Estimated bytes held by the result-entry cache (best-effort)."""
-        return self.entry_bytes_box[0]
+        self.resets += 1
 
     def stats(self) -> Dict[str, int]:
         """Point-in-time cache statistics (counts, hit/miss totals, bytes);
@@ -468,7 +380,7 @@ class ExecutionMemo:
         ``entries`` / ``entry_bytes``."""
         outcomes = [
             entry.nbytes
-            for entry in list(self.entries.values())
+            for entry in self.entries.values()
             if isinstance(entry, PlanOutcome)
         ]
         return {
@@ -478,7 +390,7 @@ class ExecutionMemo:
             "aux_misses": self.aux_misses,
             "entries": len(self.entries),
             "entry_bytes": self.entry_bytes,
-            "byte_evictions": self.counters.get("byte_evictions", 0),
+            "byte_evictions": self.byte_evictions,
             "aux_entries": len(self.aux),
             "resets": self.resets,
             "outcomes": len(outcomes),

@@ -53,11 +53,11 @@ class RuntimeMetrics:
     #: Simulated-time budget of this one execution (None = run to the end).
     #: Not a counter: it rides here because the metrics object is the one
     #: piece of state every operator handler already receives and that no two
-    #: executions share (the executor itself is shared across threads).
+    #: executions share (the executor itself is shared by every caller).
     budget: Optional["ExecutionBudget"] = field(default=None, compare=False, repr=False)
     #: Operator id -> rows the operator produced in this execution.  Not a
     #: counter either, and here for the same reason: plans are read-only and
-    #: shared across threads, so what a run observes is recorded per run.
+    #: shared by every execution, so what a run observes is recorded per run.
     actual_cardinalities: Dict[int, int] = field(
         default_factory=dict, compare=False, repr=False
     )

@@ -501,21 +501,15 @@ class VectorizedExecutor:
         """Execute ``qgm``, recording every node's row count by operator id.
 
         The plan is only read, never written (the memo keys and the row
-        constructor it derives are cached on its nodes, idempotently), so one
-        plan may run on several threads at once.  ``budget_ms`` raises
+        constructor it derives are cached on its nodes, idempotently), so
+        cached plans are shared safely.  ``budget_ms`` raises
         :class:`~repro.errors.PlanBudgetExceeded` exactly when the plan's
         ``elapsed_ms`` is above it, as early as that is certain (see
         :class:`~repro.engine.executor.metrics.ExecutionBudget`).
-        The budget is state of this one call: the executor is shared by
-        every caller -- a service's requests and its learner's budgeted runs,
-        and the tests' own threads at once.
+        The budget is state of this one call: the executor is shared by a
+        service's requests and its learner's budgeted runs, one call at a
+        time on the event-loop thread.
         """
-        if memo is not None and memo.epoch is not None:
-            # Epoch-managed (workload-scoped) memo: pin this execution to the
-            # memo's current dict snapshot so a concurrent data change --
-            # which resets the shared memo -- can neither corrupt this run's
-            # view nor receive stale entries stored by it afterwards.
-            memo = memo.pinned()
         metrics = RuntimeMetrics()
         if budget_ms is not None:
             metrics.budget = ExecutionBudget(budget_ms, qgm)
@@ -581,7 +575,7 @@ class VectorizedExecutor:
         """Run ``handler`` under a per-node child span.
 
         Spans only *read* runtime state (metric snapshots and the memo's
-        shared counters), so traced and untraced execution stay
+        counters), so traced and untraced execution stay
         bit-identical.  The handler runs with this node's span installed as
         the thread's execution span, so recursive ``_execute_node`` calls
         parent under it; metric and memo-counter deltas are therefore per
@@ -589,12 +583,8 @@ class VectorizedExecutor:
         inside the span, so it is this node's span that an abort marks.
         """
         before = snapshot_metrics(metrics)
-        # ``memo.counters`` is the one dict shared by every pinned() view, so
-        # reading deltas around the subtree sees hits/misses stored through
-        # any view of the same memo.
-        counters = memo.counters if memo is not None else None
-        hits_before = counters["hits"] if counters is not None else 0
-        misses_before = counters["misses"] if counters is not None else 0
+        hits_before = memo.hits if memo is not None else 0
+        misses_before = memo.misses if memo is not None else 0
         with parent.child(node.pop_type.name.lower()) as span:
             with execution_tracing(span):
                 batch = handler(node, metrics, pool, memo)
@@ -606,9 +596,9 @@ class VectorizedExecutor:
                     span.set("alias", node.table_alias)
             span.set("rows", batch.length)
             record_node_metric_deltas(span, before, snapshot_metrics(metrics))
-            if counters is not None:
-                hits = counters["hits"] - hits_before
-                misses = counters["misses"] - misses_before
+            if memo is not None:
+                hits = memo.hits - hits_before
+                misses = memo.misses - misses_before
                 if hits:
                     span.set("memo_hits", hits)
                 if misses:

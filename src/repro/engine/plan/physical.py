@@ -191,7 +191,7 @@ class Qgm:
 
     A plan is read-only once the optimizer has numbered it: executing it
     writes nothing into its nodes, so one plan is shared by the plan cache,
-    the prepared-statement lane and every thread that runs it.  Callers that
+    the prepared-statement lane and every execution of it.  Callers that
     want their own ``query_name`` take a :meth:`renamed` view.
     """
 

@@ -11,11 +11,12 @@ cycles.  The design contract, relied on throughout:
 * **Tracing never changes results.**  Spans only *read* runtime state; rows,
   counters and simulated ``elapsed_ms`` are bit-identical with tracing on or
   off (asserted differentially in the test suite).
-* **Context propagation is explicit.**  Spans are passed as arguments (a
-  service's requests and its learner share the event-loop thread; the tests'
-  own threads serve too).  The only implicit state is a thread-local
-  *execution* span used inside one synchronous executor call
-  (:func:`current_execution_span`).
+* **One thread.**  A service's requests and its learner share the
+  event-loop thread, so histograms, stage timings and the trace store take
+  no locks.
+* **Context propagation is explicit.**  Spans are passed as arguments.  The
+  only implicit state is a thread-local *execution* span used inside one
+  synchronous executor call (:func:`current_execution_span`).
 """
 
 from repro.obs.histogram import DEFAULT_BOUNDS_MS, Histogram, StageTimings

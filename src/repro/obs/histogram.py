@@ -1,12 +1,11 @@
 """Fixed-bucket latency histograms and the per-stage timing collection.
 
 Buckets are upper bounds in milliseconds; observations are O(log n) via
-bisect.
+bisect.  Like the rest of the engine they are used from one thread.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,9 +31,9 @@ DEFAULT_BOUNDS_MS: Tuple[float, ...] = (
 
 
 class Histogram:
-    """Thread-safe fixed-bucket histogram of millisecond durations."""
+    """Fixed-bucket histogram of millisecond durations."""
 
-    __slots__ = ("bounds", "_counts", "_sum", "_count", "_lock")
+    __slots__ = ("bounds", "_counts", "_sum", "_count")
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS_MS):
         if not bounds:
@@ -47,14 +46,11 @@ class Histogram:
         self._counts = [0] * (len(ordered) + 1)
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
 
     def observe(self, value_ms: float) -> None:
-        index = bisect_left(self.bounds, value_ms)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value_ms
-            self._count += 1
+        self._counts[bisect_left(self.bounds, value_ms)] += 1
+        self._sum += value_ms
+        self._count += 1
 
     @property
     def count(self) -> int:
@@ -72,24 +68,20 @@ class Histogram:
         labels: Optional[Mapping[str, object]] = None,
     ) -> List[str]:
         """Cumulative ``_bucket``/``_sum``/``_count`` sample lines."""
-        with self._lock:
-            counts = list(self._counts)
-            total_sum = self._sum
-            total_count = self._count
         lines: List[str] = []
         cumulative = 0
-        for bound, count in zip(self.bounds, counts):
+        for bound, count in zip(self.bounds, self._counts):
             cumulative += count
             bucket_labels = dict(labels or {})
             bucket_labels["le"] = format_sample_value(bound)
             lines.append(f"{name}_bucket{format_labels(bucket_labels)} {cumulative}")
         bucket_labels = dict(labels or {})
         bucket_labels["le"] = "+Inf"
-        lines.append(f"{name}_bucket{format_labels(bucket_labels)} {total_count}")
+        lines.append(f"{name}_bucket{format_labels(bucket_labels)} {self._count}")
         lines.append(
-            f"{name}_sum{format_labels(labels)} {format_sample_value(total_sum)}"
+            f"{name}_sum{format_labels(labels)} {format_sample_value(self._sum)}"
         )
-        lines.append(f"{name}_count{format_labels(labels)} {total_count}")
+        lines.append(f"{name}_count{format_labels(labels)} {self._count}")
         return lines
 
 
@@ -99,33 +91,24 @@ class StageTimings:
     def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS_MS):
         self.bounds = tuple(float(b) for b in bounds)
         self._stages: Dict[str, Histogram] = {}
-        self._lock = threading.Lock()
-
-    def _stage(self, stage: str) -> Histogram:
-        histogram = self._stages.get(stage)
-        if histogram is None:
-            with self._lock:
-                histogram = self._stages.setdefault(stage, Histogram(self.bounds))
-        return histogram
 
     def observe(self, stage: str, value_ms: float) -> None:
-        self._stage(stage).observe(value_ms)
+        histogram = self._stages.get(stage)
+        if histogram is None:
+            histogram = self._stages[stage] = Histogram(self.bounds)
+        histogram.observe(value_ms)
 
     def stages(self) -> List[str]:
-        with self._lock:
-            return sorted(self._stages)
+        return sorted(self._stages)
 
     def get(self, stage: str) -> Optional[Histogram]:
-        with self._lock:
-            return self._stages.get(stage)
+        return self._stages.get(stage)
 
     # -- exposition ----------------------------------------------------------
 
     def render_prometheus(self, name: str) -> List[str]:
         """Sample lines for every stage, labelled ``stage="..."``."""
         lines: List[str] = []
-        with self._lock:
-            items = sorted(self._stages.items())
-        for stage, histogram in items:
+        for stage, histogram in sorted(self._stages.items()):
             lines.extend(histogram.render_prometheus(name, {"stage": stage}))
         return lines

@@ -24,13 +24,12 @@ statement out of the log before anyone looks at it.
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from typing import Any, Dict, List, Optional
 
 
 class TraceStore:
-    """Thread-safe bounded buffer of finished traces + slow-query log."""
+    """Bounded buffer of finished traces + slow-query log (one thread)."""
 
     def __init__(
         self,
@@ -46,7 +45,6 @@ class TraceStore:
             raise ValueError("slow_threshold_ms must be >= 0")
         self.capacity = capacity
         self.slow_threshold_ms = slow_threshold_ms
-        self._lock = threading.Lock()
         self._traces: deque = deque(maxlen=capacity)
         self._slow: deque = deque(maxlen=slow_capacity)
         self._recorded = 0
@@ -56,18 +54,17 @@ class TraceStore:
 
     def add(self, trace: Dict[str, Any]) -> None:
         """File one finished trace (called by the tracer)."""
-        with self._lock:
-            self._recorded += 1
-            if self.capacity:
-                self._traces.append(trace)
-            if (
-                self.slow_threshold_ms is not None
-                and trace.get("name") == "request"
-                and trace.get("duration_ms", 0.0) >= self.slow_threshold_ms
-            ):
-                self._slow_recorded += 1
-                if self._slow.maxlen:
-                    self._slow.append(trace)
+        self._recorded += 1
+        if self.capacity:
+            self._traces.append(trace)
+        if (
+            self.slow_threshold_ms is not None
+            and trace.get("name") == "request"
+            and trace.get("duration_ms", 0.0) >= self.slow_threshold_ms
+        ):
+            self._slow_recorded += 1
+            if self._slow.maxlen:
+                self._slow.append(trace)
 
     # -- retrieval -----------------------------------------------------------
 
@@ -75,51 +72,44 @@ class TraceStore:
         self, request_id: Optional[str] = None, trace_id: Optional[str] = None
     ) -> Optional[Dict[str, Any]]:
         """Most recent trace matching ``request_id`` or ``trace_id``."""
-        with self._lock:
-            for trace in reversed(self._traces):
-                if request_id is not None and trace.get("request_id") == request_id:
-                    return trace
-                if trace_id is not None and trace.get("trace_id") == trace_id:
-                    return trace
+        for trace in reversed(self._traces):
+            if request_id is not None and trace.get("request_id") == request_id:
+                return trace
+            if trace_id is not None and trace.get("trace_id") == trace_id:
+                return trace
         return None
 
     def pop(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """Remove and return the trace with ``trace_id``."""
-        with self._lock:
-            for index in range(len(self._traces) - 1, -1, -1):
-                if self._traces[index].get("trace_id") == trace_id:
-                    trace = self._traces[index]
-                    del self._traces[index]
-                    return trace
+        for index in range(len(self._traces) - 1, -1, -1):
+            if self._traces[index].get("trace_id") == trace_id:
+                trace = self._traces[index]
+                del self._traces[index]
+                return trace
         return None
 
     def traces(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
         """Stored traces, oldest first, optionally filtered by trace name."""
-        with self._lock:
-            out = list(self._traces)
-        if name is not None:
-            out = [trace for trace in out if trace.get("name") == name]
-        return out
+        if name is None:
+            return list(self._traces)
+        return [trace for trace in self._traces if trace.get("name") == name]
 
     def slow_queries(self) -> List[Dict[str, Any]]:
         """Request traces over the slow threshold, oldest first."""
-        with self._lock:
-            return list(self._slow)
+        return list(self._slow)
 
     # -- stats / export ------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return len(self._traces)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "traces_stored": len(self._traces),
-                "traces_recorded": self._recorded,
-                "slow_queries_stored": len(self._slow),
-                "slow_queries_recorded": self._slow_recorded,
-            }
+        return {
+            "traces_stored": len(self._traces),
+            "traces_recorded": self._recorded,
+            "slow_queries_stored": len(self._slow),
+            "slow_queries_recorded": self._slow_recorded,
+        }
 
     def export_json(self, slow_only: bool = False, indent: Optional[int] = None) -> str:
         """JSON dump of the stored traces (or just the slow-query log)."""

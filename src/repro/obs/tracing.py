@@ -11,8 +11,8 @@ singleton -- instrumentation sites never branch on "is tracing on", they just
 talk to whatever span they were handed.
 
 Propagation is explicit: spans travel as function arguments (a service's
-requests and its learner share the event-loop thread, and the tests' own
-threads serve too).  A trace never leaves the process that opened it.
+requests and its learner share the event-loop thread).  A trace never leaves
+the process that opened it.
 
 Inside one synchronous executor call the current node span is tracked in a
 thread-local (:func:`current_execution_span` / :class:`execution_tracing`):
@@ -171,12 +171,10 @@ class _TraceBuffer:
         self.tracer = tracer
         self.root: Optional[Span] = None
         #: Finished span *records* (dicts with absolute perf_counter times,
-        #: converted to root-relative offsets at finalization).  Appended from
-        #: whichever thread ends a span (a service's event-loop thread, the
-        #: tests' own serving threads); list.append is
-        #: atomic under the GIL, and finalization happens strictly after
-        #: every child ended (children are lexically scoped inside the
-        #: request's lifetime).
+        #: converted to root-relative offsets at finalization).  Appended as
+        #: each span ends; finalization happens strictly after every child
+        #: ended (children are lexically scoped inside the request's
+        #: lifetime).
         self.spans: List[Dict[str, Any]] = []
 
     def record(self, span: Span) -> None:

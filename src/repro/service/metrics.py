@@ -1,13 +1,11 @@
 """Service-level observability: counters and a latency reservoir.
 
-All updates take a lock.  In a ``GaloService`` requests and the learner both
-report from the event-loop thread; the tests' own serving threads
-(``TestSharedOutcome``) report into one instance at once.
+In a ``GaloService`` requests and the learner both report from the
+event-loop thread, so an update is a plain read-modify-write.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Mapping, Optional
 
 from repro.obs.prometheus import format_sample_value
@@ -42,7 +40,6 @@ class ServiceMetrics:
     MAX_LATENCY_SAMPLES = 65536
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in DECLARED_COUNTERS}
         self._latencies_ms: List[float] = []
         self._latency_stride = 1
@@ -55,38 +52,34 @@ class ServiceMetrics:
 
     def register_counter(self, name: str) -> None:
         """Declare an extension counter (idempotent, never resets a value)."""
-        with self._lock:
-            self._counters.setdefault(name, 0)
+        self._counters.setdefault(name, 0)
 
     def increment(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            if name not in self._counters:
-                raise ValueError(
-                    f"unregistered counter {name!r}; declare it with "
-                    "register_counter() first"
-                )
-            self._counters[name] += amount
+        if name not in self._counters:
+            raise ValueError(
+                f"unregistered counter {name!r}; declare it with "
+                "register_counter() first"
+            )
+        self._counters[name] += amount
 
     def count(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
+        return self._counters.get(name, 0)
 
     def record_latency(self, wall_ms: float) -> None:
-        with self._lock:
-            if self._latency_min_ms is None or wall_ms < self._latency_min_ms:
-                self._latency_min_ms = wall_ms
-            if self._latency_max_ms is None or wall_ms > self._latency_max_ms:
-                self._latency_max_ms = wall_ms
-            self._latency_skip += 1
-            if self._latency_skip < self._latency_stride:
-                return
-            self._latency_skip = 0
-            self._latencies_ms.append(wall_ms)
-            if len(self._latencies_ms) >= self.MAX_LATENCY_SAMPLES:
-                # Halve the reservoir and double the stride: keeps memory
-                # bounded while remaining a uniform-ish sample of the stream.
-                self._latencies_ms = self._latencies_ms[::2]
-                self._latency_stride *= 2
+        if self._latency_min_ms is None or wall_ms < self._latency_min_ms:
+            self._latency_min_ms = wall_ms
+        if self._latency_max_ms is None or wall_ms > self._latency_max_ms:
+            self._latency_max_ms = wall_ms
+        self._latency_skip += 1
+        if self._latency_skip < self._latency_stride:
+            return
+        self._latency_skip = 0
+        self._latencies_ms.append(wall_ms)
+        if len(self._latencies_ms) >= self.MAX_LATENCY_SAMPLES:
+            # Halve the reservoir and double the stride: keeps memory
+            # bounded while remaining a uniform-ish sample of the stream.
+            self._latencies_ms = self._latencies_ms[::2]
+            self._latency_stride *= 2
 
     @staticmethod
     def _nearest_rank(sorted_samples: List[float], percentile: float) -> float:
@@ -100,26 +93,21 @@ class ServiceMetrics:
         """Nearest-rank percentile of recorded wall latencies (ms); 0 if none."""
         if not 0 < percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
-        with self._lock:
-            samples = sorted(self._latencies_ms)
-        return self._nearest_rank(samples, percentile)
+        return self._nearest_rank(sorted(self._latencies_ms), percentile)
 
     @property
     def sample_count(self) -> int:
-        with self._lock:
-            return len(self._latencies_ms)
+        return len(self._latencies_ms)
 
     @property
     def latency_min_ms(self) -> Optional[float]:
         """Exact minimum recorded wall latency (None before any sample)."""
-        with self._lock:
-            return self._latency_min_ms
+        return self._latency_min_ms
 
     @property
     def latency_max_ms(self) -> Optional[float]:
         """Exact maximum recorded wall latency (None before any sample)."""
-        with self._lock:
-            return self._latency_max_ms
+        return self._latency_max_ms
 
     def snapshot(self) -> Dict[str, float]:
         """A point-in-time copy of every counter plus latency summary stats.
@@ -128,19 +116,16 @@ class ServiceMetrics:
         and ``latency_max_ms`` are the exact running extremes -- the reservoir
         may have dropped the true tail sample, the running trackers cannot.
         """
-        with self._lock:
-            out: Dict[str, float] = dict(self._counters)
-            samples = sorted(self._latencies_ms)
-            minimum = self._latency_min_ms
-            maximum = self._latency_max_ms
+        out: Dict[str, float] = dict(self._counters)
+        samples = sorted(self._latencies_ms)
         out["latency_samples"] = len(samples)
         if samples:
             out["latency_p50_ms"] = self._nearest_rank(samples, 50)
             out["latency_p95_ms"] = self._nearest_rank(samples, 95)
-        if minimum is not None:
-            out["latency_min_ms"] = minimum
-        if maximum is not None:
-            out["latency_max_ms"] = maximum
+        if self._latency_min_ms is not None:
+            out["latency_min_ms"] = self._latency_min_ms
+        if self._latency_max_ms is not None:
+            out["latency_max_ms"] = self._latency_max_ms
         return out
 
     #: Prefix for every exposed series (``galo_submitted``, ...).
@@ -192,9 +177,7 @@ class ServiceMetrics:
         ``gauge``), sorted by name so the output is diff-stable.  Ends with a
         trailing newline as the exposition format requires.
         """
-        with self._lock:
-            counter_names = set(self._counters)
-        samples = dict(self.snapshot())
+        samples = self.snapshot()
         if extra_gauges:
             for name, value in extra_gauges.items():
                 samples[name] = value
@@ -202,7 +185,7 @@ class ServiceMetrics:
         for name in sorted(samples):
             value = samples[name]
             metric = self.PROMETHEUS_PREFIX + name
-            kind = "counter" if name in counter_names else "gauge"
+            kind = "counter" if name in self._counters else "gauge"
             help_text = self.PROMETHEUS_HELP.get(
                 name, f"GALO service metric {name}."
             )

@@ -421,8 +421,8 @@ class GaloService:
         read-only, the stored metrics and ``elapsed_ms``
         (:class:`~repro.engine.executor.memo.PlanOutcome`); the executor is
         not entered.  Otherwise the plan executes, and a statement served
-        before (a prepared hit or stale entry) keeps the outcome, stored
-        through the pinned memo view the execution ran against.
+        before (a prepared hit or stale entry) keeps the outcome while the
+        memo's epoch is still the one the execution started under.
         ``max_q_error`` is the served plan's (RUNSTATS moves estimates, not
         the memo).  The response rows are materialized inside the
         ``execute`` span, on both paths, so ``wall_ms``, the latency
@@ -504,10 +504,11 @@ class GaloService:
             outcome = None if memo is None else memo.peek(key)
             with request_span.child("execute") as execute_span:
                 if outcome is None:
-                    # Pinned here and stored through below: a load that
-                    # overlaps the execution orphans the outcome with it.
-                    pinned = None if memo is None else memo.pinned()
-                    result = database.execute_plan(qgm, memo=pinned, span=execute_span)
+                    # A load run inside the execution resets the memo under
+                    # a new epoch; the outcome of the old data is then not
+                    # kept (below).
+                    epoch = None if memo is None else memo.epoch
+                    result = database.execute_plan(qgm, memo=memo, span=execute_span)
                 else:
                     result = outcome.replay()
                     self.metrics.increment("prepared_replays")
@@ -515,8 +516,8 @@ class GaloService:
                 rows = result.rows
                 execute_span.set("rows", len(rows))
                 execute_span.set("elapsed_ms", result.elapsed_ms)
-            if keep and outcome is None:
-                pinned.store(key, PlanOutcome.of(qgm, result))
+            if keep and outcome is None and memo.epoch == epoch:
+                memo.store(key, PlanOutcome.of(qgm, result))
         except Exception as exc:  # noqa: BLE001 - served errors become responses
             self.metrics.increment("failed")
             wall_ms = (time.perf_counter() - started) * 1000.0

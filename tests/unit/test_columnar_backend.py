@@ -393,29 +393,9 @@ class TestMemoByteBudget:
         memo.reset(epoch=1)
         assert memo.stats()["entry_bytes"] == 0
 
-    def test_pinned_view_stores_after_reset_do_not_corrupt_live_bytes(self):
-        """A pinned execution's late stores land in its own orphaned snapshot.
-
-        Regression: byte totals used to live in the shared counters mapping,
-        so an execution pinned before an epoch reset would inflate the *new*
-        epoch's byte total with entries only the orphaned dict holds --
-        phantom bytes nothing could ever evict, eventually pinning the live
-        cache at one entry.
-        """
-        memo = ExecutionMemo(max_bytes=1 << 20, epoch=0)
-        pinned = memo.pinned()
-        memo.reset(epoch=1)
-        pinned.store("orphan", make_entry(1000))
-        assert memo.stats()["entries"] == 0
-        assert memo.stats()["entry_bytes"] == 0
-        # The orphaned snapshot accounted for itself, against its own box.
-        assert pinned.entry_bytes > 0
-        assert pinned.peek("orphan") is not None
-
     def test_workload_memo_carries_byte_budget(self, mini_db):
         memo = mini_db.workload_memo()
         assert memo.max_bytes == Database.WORKLOAD_MEMO_MAX_BYTES
-        assert memo.pinned().max_bytes == Database.WORKLOAD_MEMO_MAX_BYTES
 
     def test_real_execution_accumulates_bytes(self):
         db = build_mini_database(sales_rows=1000)

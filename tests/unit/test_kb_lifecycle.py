@@ -108,72 +108,6 @@ class TestEviction:
         assert indexed == [] and brute == []
 
 
-class TestConcurrentReaderSafety:
-    def test_match_skips_partially_evicted_template(self, mini_db):
-        """A reader holding a pre-eviction candidate list must see a non-match.
-
-        Simulates the instant mid-eviction where the index still offers the
-        template but its registry entry and subgraph are already gone: match
-        must skip it (no KeyError, no fallback to the mutating global graph).
-        """
-        kb = KnowledgeBase()
-        root = join_tree_root(mini_db.explain(QUERIES[0]))
-        keep = abstract_template_from_plan(kb, root, name="keep", catalog=mini_db.catalog)
-        gone = abstract_template_from_plan(kb, root, name="gone", catalog=mini_db.catalog)
-        # Partially-evicted state: registry + subgraph removed, index intact.
-        kb.templates.pop(gone.template_id)
-        kb._template_graphs.pop(gone.template_id)
-
-        segment = join_tree_root(mini_db.explain(QUERIES[0]))
-        generated = sparql_for_subplan(segment, catalog=mini_db.catalog)
-        matches = kb.match(generated, subplan_root=segment)
-        assert [m.template.template_id for m in matches] == [keep.template_id]
-        # No usage entry resurrected for the dead template.
-        assert kb.template_usage(gone.template_id).hits == 0
-
-    def test_concurrent_match_and_lifecycle_mutation(self, mini_db):
-        """Matching threads racing add/evict churn must never raise."""
-        import threading
-
-        kb = populated_kb(mini_db)
-        segments = [
-            segment
-            for sql in QUERIES
-            for segment in segment_plan(mini_db.explain(sql), max_joins=3)
-        ]
-        generated = [
-            sparql_for_subplan(segment, catalog=mini_db.catalog) for segment in segments
-        ]
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    for query, segment in zip(generated, segments):
-                        kb.match(query, subplan_root=segment)
-            except Exception as exc:  # pragma: no cover - the assertion target
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        root = join_tree_root(mini_db.explain(QUERIES[1]))
-        try:
-            for round_no in range(30):
-                template = abstract_template_from_plan(
-                    kb, root, name=f"churn{round_no}", catalog=mini_db.catalog
-                )
-                kb.update_template(template.template_id, improvement=0.01 * round_no)
-                kb.evict_template(template.template_id)
-                kb.enforce_capacity(max(1, len(kb) - 1))
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        assert not errors, f"reader raised during lifecycle churn: {errors[:1]}"
-
-
 class TestUpdate:
     def test_update_improvement_and_guideline_round_trip(self, mini_db, tmp_path):
         kb = populated_kb(mini_db)

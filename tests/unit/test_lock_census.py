@@ -1,33 +1,27 @@
-"""Lock census: every ``threading.Lock`` / ``RLock`` in ``src/`` is listed.
+"""Lock census and thread guard: one thread owns the engine.
 
-A ``GaloService`` starts no thread, so a lock earns its place only through a
-class that callers really use from several threads (the threaded tests and
-the race soak pin those).  The scan walks the AST of every module under
-``src/`` for a reference to ``threading.Lock`` or ``threading.RLock`` -- a
-call or a ``default_factory`` alike -- and names each site by its module and
-the attribute it is assigned to, qualified by the enclosing class.
+A ``GaloService`` serves every request and runs its learner on the
+event-loop thread, and no module under ``src/`` starts a thread or an
+executor (:func:`test_no_module_under_src_starts_a_thread`), so no class
+needs a lock.  The census walks the AST of every module under ``src/`` for
+a reference to ``threading.Lock`` or ``threading.RLock`` -- a call or a
+``default_factory`` alike -- and names each site by its module and the
+attribute it is assigned to, qualified by the enclosing class.
 
 ``LOCK_SITES`` is shrink-only, like the field lists of
-``test_config_fields.py``: a new site fails, and so does an entry whose lock
-is gone (drop it from the set).
+``test_config_fields.py``, and empty: a lock, or a thread, comes back only
+with a change that decides to bring it.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: (module, site) of every lock constructed in ``src/``.  Shrink-only.
-LOCK_SITES = {
-    ("repro.cache", "LruCache._lock"),
-    ("repro.core.knowledge_base", "KnowledgeBase._stats_lock"),
-    ("repro.core.knowledge_base", "KnowledgeBase._write_lock"),
-    ("repro.engine.database", "Database._memo_lock"),
-    ("repro.obs.histogram", "Histogram._lock"),
-    ("repro.obs.histogram", "StageTimings._lock"),
-    ("repro.obs.store", "TraceStore._lock"),
-    ("repro.service.metrics", "ServiceMetrics._lock"),
-}
+LOCK_SITES = set()
 
 LOCK_FACTORIES = {"Lock", "RLock"}
 
@@ -93,11 +87,11 @@ def sites_in(source):
     return visitor.sites
 
 
-def census():
+def census(scan=None):
     found = set()
     for path in SRC.rglob("*.py"):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for site in sites_in(path.read_text(encoding="utf-8")):
+        for site in (scan or sites_in)(path.read_text(encoding="utf-8")):
             found.add((module, site))
     return found
 
@@ -134,3 +128,71 @@ def test_default_factory_and_bare_names_count():
 def test_other_threading_names_do_not_count():
     source = "import threading\nlocal = threading.local()\nthreading.Thread()\n"
     assert sites_in(source) == []
+
+
+#: What starts a thread: the classes (``threading.Thread`` / ``Timer``, the
+#: ``concurrent.futures`` executors, ``_thread.start_new_thread``) and the
+#: asyncio calls that hand work to a pool thread.
+THREAD_STARTERS = {
+    "Thread",
+    "Timer",
+    "ThreadPoolExecutor",
+    "ProcessPoolExecutor",
+    "start_new_thread",
+    "run_in_executor",
+    "to_thread",
+}
+
+
+def thread_starts_in(source):
+    """Names of every thread starter ``source`` refers to, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in THREAD_STARTERS:
+            found.append((node.lineno, node.col_offset, node.attr))
+        elif isinstance(node, ast.Name) and node.id in THREAD_STARTERS:
+            found.append((node.lineno, node.col_offset, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(
+                (node.lineno, node.col_offset, alias.name)
+                for alias in node.names
+                if alias.name in THREAD_STARTERS
+            )
+    return [name for _, _, name in sorted(found)]
+
+
+def test_no_module_under_src_starts_a_thread():
+    """Shrink-only, like ``test_no_module_under_src_imports_multiprocessing``."""
+    assert census(thread_starts_in) == set()
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import threading\nthreading.Thread(target=f).start()\n", ["Thread"]),
+        ("from threading import Timer\nTimer(1, f)\n", ["Timer", "Timer"]),
+        (
+            "from concurrent.futures import ThreadPoolExecutor as Pool\nPool(2)\n",
+            ["ThreadPoolExecutor"],
+        ),
+        ("import concurrent.futures\nconcurrent.futures.ProcessPoolExecutor()\n",
+         ["ProcessPoolExecutor"]),
+        ("await loop.run_in_executor(None, f)\n", ["run_in_executor"]),
+        ("await asyncio.to_thread(f)\n", ["to_thread"]),
+        ("import _thread\n_thread.start_new_thread(f, ())\n", ["start_new_thread"]),
+    ],
+    ids=["thread", "timer", "thread-pool", "process-pool", "run-in-executor",
+         "to-thread", "start-new-thread"],
+)
+def test_every_thread_starter_is_found(source, expected):
+    assert thread_starts_in(source) == expected
+
+
+def test_thread_local_state_and_introspection_are_not_thread_starts():
+    source = (
+        "import threading\n"
+        "local = threading.local()\n"
+        "name = threading.current_thread().name\n"
+        "threads = threading.enumerate()\n"
+    )
+    assert thread_starts_in(source) == []

@@ -12,8 +12,6 @@ import copy
 import json
 import pickle
 import sys
-import threading
-import time
 
 import pytest
 
@@ -420,167 +418,9 @@ class TestMastersAndCapacity:
         ).prepared == "miss"
 
 
-class TestConcurrentMutation:
-    def test_readers_never_see_a_verdict_older_than_the_generation_they_read(self):
-        """Two threads hammer one statement while a writer adds and evicts.
-
-        The writer installs templates of strictly increasing benefit over the
-        statement's segment (each becomes the best match) and evicts the one
-        before, so "which template steers" is monotone in the KB generation.
-        A reader that took generation g before asking and got a *replayed*
-        verdict must see the template that was best at g or a later one:
-        anything older means an entry outlived the mutation that replaced it.
-
-        Computed verdicts are not held to that: ``KnowledgeBase.match`` reads
-        without the write lock, so one that overlaps two mutations can mix
-        their states (candidates listed before an add, evaluated after the
-        following evict) -- exactly as the uncached ``steer()`` can.  Such a
-        verdict answers the request that computed it and is then dropped:
-        ``steer_prepared`` re-reads the stamp after matching and publishes
-        only if nothing moved (the interleaving is pinned single-threaded in
-        ``test_a_verdict_computed_across_a_mutation_is_not_published``), so
-        no later reader can be handed it; the hit-side assertion checks that.
-
-        After each round the writer waits (up to the test's deadline) for a
-        reader to report a replayed verdict at the generation it just left,
-        so hits are checked at every generation instead of only where the
-        scheduler happened to fit two requests between two mutations.
-        """
-        galo = build_system()
-        engine = galo.matching_engine
-        kb = galo.knowledge_base
-        name, sql = WORKLOAD[0]
-        segment = segment_plan(galo.database.explain(sql), max_joins=MAX_JOINS)[-1]
-        rounds = 40
-        base = kb.generation
-        # Operation i (1-based) leaves generation base + i: add(1), then
-        # add(k), evict(k - 1) for k = 2..rounds.
-        best_at = {base: 0, base + 1: 1}
-        for k in range(2, rounds + 1):
-            best_at[base + 2 * k - 2] = k
-            best_at[base + 2 * k - 1] = k
-        failures = []
-        done = threading.Event()
-        hit_at_current_generation = threading.Event()
-        deadline = time.monotonic() + GUARD_SECONDS
-
-        def writer():
-            try:
-                previous = None
-                for k in range(1, rounds + 1):
-                    added = abstract_template_from_plan(
-                        kb, segment, name=f"rank-{k:03d}", improvement=10.0 + k,
-                        catalog=galo.database.catalog,
-                    )
-                    if previous is not None:
-                        kb.evict_template(previous.template_id)
-                    previous = added
-                    hit_at_current_generation.clear()
-                    hit_at_current_generation.wait(
-                        timeout=max(0.0, deadline - time.monotonic())
-                    )
-            except Exception as exc:  # pragma: no cover - reported below
-                failures.append(repr(exc))
-            finally:
-                done.set()
-
-        served = []
-
-        def reader():
-            try:
-                while not done.is_set():
-                    generation = kb.generation
-                    decision = engine.steer_prepared(sql, query_name=name)
-                    ranks = [
-                        int(match.template.name.split("-")[1])
-                        for match in decision.matches
-                        if match.template.name.startswith("rank-")
-                    ]
-                    rank = max(ranks, default=0)
-                    served.append(decision.prepared)
-                    if decision.prepared == "hit":
-                        if rank < best_at[generation]:
-                            failures.append(
-                                f"generation {generation}: served rank {rank}, "
-                                f"best was {best_at[generation]} ({decision.prepared})"
-                            )
-                        if generation == kb.generation:
-                            hit_at_current_generation.set()
-            except Exception as exc:  # pragma: no cover - reported below
-                failures.append(repr(exc))
-
-        switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=reader) for _ in range(2)]
-            threads.append(threading.Thread(target=writer))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(switch_interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures, failures[:5]
-        assert kb.generation == base + 2 * rounds - 1
-        assert "hit" in served and set(served) <= {"hit", "miss", "stale"}
-        # Quiescent again: the lane agrees with the oracle on the final KB.
-        final = engine.steer_prepared(sql, query_name=name)
-        assert [m.template.name for m in final.matches] == [f"rank-{rounds:03d}"]
-        assert_lane_equals_oracle(galo)
-
-
-    def test_a_verdict_computed_across_a_mutation_is_not_published(self):
-        """The flake above, single-threaded: reader A reads generation g, at
-        which ``rank-001`` is the best match; between A's candidate listing
-        and its evaluation the KB gains ``rank-002`` and loses ``rank-001``,
-        so A computes a verdict steered by neither.  A is answered with it
-        (uncached ``steer()`` would compute the same), but a second reader
-        that also read g must not be served it as a hit."""
-        galo = build_system()
-        engine = galo.matching_engine
-        kb = galo.knowledge_base
-        name, sql = WORKLOAD[0]
-        segment = segment_plan(galo.database.explain(sql), max_joins=MAX_JOINS)[-1]
-
-        def add_rank(k):
-            return abstract_template_from_plan(
-                kb, segment, name=f"rank-{k:03d}", improvement=10.0 + k,
-                catalog=galo.database.catalog,
-            )
-
-        first = add_rank(1)
-        generation = kb.generation
-        candidates = kb.index.candidates
-        mutated = []
-
-        def candidates_then_mutate(profile):
-            listed = candidates(profile)
-            if first.template_id in listed and not mutated:
-                mutated.append(add_rank(2))
-                kb.evict_template(first.template_id)
-            return listed
-
-        kb.index.candidates = candidates_then_mutate
-        try:
-            decision = engine.steer_prepared(sql, query_name=name)
-        finally:
-            del kb.index.candidates
-        assert mutated and kb.generation == generation + 2
-        assert decision.prepared == "miss"
-        assert not any(
-            match.template.name.startswith("rank-") for match in decision.matches
-        )
-        _, outcome = engine.prepared.lookup(
-            sql, galo.database.stats_epoch, kb, generation
-        )
-        assert outcome != "hit"
-        # Quiescent: the next request recomputes at the current generation.
-        assert [m.template.name for m in engine.steer_prepared(sql).matches] == [
-            "rank-002"
-        ]
-        assert_lane_equals_oracle(galo)
-
+class TestStatisticsMovingMidRequest:
+    """RUNSTATS run by a caller's hook inside planning, the one way the
+    statistics can move in the middle of a request on one thread."""
 
     def test_a_plan_optimized_across_runstats_is_not_put_back(self):
         """``Database.explain`` optimizes, then caches.  RUNSTATS going by in
@@ -622,8 +462,7 @@ class TestConcurrentMutation:
 
     def test_a_steered_plan_built_across_runstats_stays_with_its_stale_entry(self):
         """``steer_prepared`` stores the steered master into the entry it
-        computed (``entry.plans.setdefault``) without looking at the stamp
-        again.  It need not: a master built while the statistics moved lands
+        computed (``entry.plans``) without looking at the stamp again.  It need not: a master built while the statistics moved lands
         in an entry stamped before the move, which ``lookup`` never returns
         under the stamp that follows."""
         galo = build_system()

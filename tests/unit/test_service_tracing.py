@@ -115,8 +115,11 @@ class TestBitIdentity:
 
 class TestTracedRequests:
     @pytest.fixture()
-    def traced_service(self, mini_db):
-        galo = Galo(mini_db)
+    def traced_service(self):
+        # A database of its own: the session-wide ``mini_db``'s workload memo
+        # may keep a plan outcome from an earlier test, and a replayed request
+        # has no executor node spans.
+        galo = Galo(build_mini_database())
         return GaloService(
             galo,
             ServiceConfig(

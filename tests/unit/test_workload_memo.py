@@ -15,8 +15,8 @@ import ast
 import dataclasses
 import math
 import pathlib
-import sys
-import threading
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -134,24 +134,17 @@ class TestMemoByteAccounting:
         assert "huge" not in memo.entries
         assert_bytes_consistent(memo, "after rejecting oversized entry")
 
-    def test_epoch_swap_and_pinned_stores_keep_budgets_separate(self):
-        memo = ExecutionMemo(max_entries=8, epoch=1)
+    def test_reset_releases_every_byte_and_keeps_the_budgets(self):
+        memo = ExecutionMemo(max_entries=8, max_bytes=1 << 20, epoch=1)
         memo.store("a", _entry_of(10))
-        pin = memo.pinned()
+        memo.aux_store("x", 1)
         memo.reset(epoch=2)
-        assert memo.entry_bytes == 0
+        assert memo.entry_bytes == 0 and not memo.entries and not memo.aux
+        assert (memo.epoch, memo.max_entries, memo.max_bytes) == (2, 8, 1 << 20)
         assert_bytes_consistent(memo, "after reset")
-        # A pinned execution's late stores land in the orphaned snapshot and
-        # account against the orphaned box -- both stay internally consistent.
-        pin.store("late", _entry_of(50))
-        assert "late" not in memo.entries
-        assert_bytes_consistent(memo, "shared memo after pinned store")
-        assert_bytes_consistent(pin, "pinned snapshot after pinned store")
-        # A pin taken after the reset shares the new dict *and* the new box.
-        fresh_pin = memo.pinned()
-        fresh_pin.store("b", _entry_of(7))
-        assert "b" in memo.entries
-        assert_bytes_consistent(memo, "after post-reset pinned store")
+        memo.store("b", _entry_of(7))
+        assert list(memo.entries) == ["b"]
+        assert_bytes_consistent(memo, "after a store into the new epoch")
 
     def test_bytes_consistent_through_real_sweep(self, mini_db):
         """The invariant holds for entries produced by actual executions,
@@ -169,6 +162,106 @@ class TestMemoByteAccounting:
         refreshed = mini_db.workload_memo()
         assert refreshed.entry_bytes == 0
         assert_bytes_consistent(refreshed, "after storage epoch reset")
+
+
+class FifoModel:
+    """What ``ExecutionMemo`` documents, on one ``OrderedDict`` per cache:
+    a held key is replaced in place, a new one evicts the oldest at
+    ``max_entries``, and entries evict oldest-first while their bytes are
+    over ``max_bytes`` (never the last one); an entry over the whole budget
+    is not cached."""
+
+    def __init__(self, max_entries, max_bytes):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.entries = OrderedDict()
+        self.aux = OrderedDict()
+        self.byte_evictions = 0
+
+    def store(self, key, nbytes):
+        if nbytes > self.max_bytes:
+            return
+        if key not in self.entries and len(self.entries) >= self.max_entries:
+            self.entries.popitem(last=False)
+        self.entries[key] = nbytes
+        while sum(self.entries.values()) > self.max_bytes and len(self.entries) > 1:
+            self.entries.popitem(last=False)
+            self.byte_evictions += 1
+
+    def aux_store(self, key, value):
+        if key not in self.aux and len(self.aux) >= self.max_entries:
+            self.aux.popitem(last=False)
+        self.aux[key] = value
+
+    def reset(self):
+        self.entries.clear()
+        self.aux.clear()
+
+
+def assert_memo_matches_model(memo, model, context):
+    assert len(memo.entries) <= memo.max_entries, context
+    assert len(memo.aux) <= memo.max_entries, context
+    assert memo.entry_bytes <= memo.max_bytes, context
+    assert_bytes_consistent(memo, context)
+    assert list(memo.entries) == list(model.entries), context
+    assert [entry.nbytes for entry in memo.entries.values()] == list(
+        model.entries.values()
+    ), context
+    assert list(memo.aux.items()) == list(model.aux.items()), context
+    assert memo.byte_evictions == model.byte_evictions, context
+
+
+class TestExactCaps:
+    """One thread owns a memo, so its caps are exact: never more than
+    ``max_entries`` entries or aux items, ``entry_bytes`` always the sum of
+    the held entries' ``nbytes``, and evictions in FIFO order."""
+
+    SIZES = (0, 4, 16, 64, 256, 4096)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_operations_follow_the_fifo_model(self, seed):
+        rng = random.Random(seed)
+        max_entries = rng.randint(3, 8)
+        large = _entry_of(256).estimated_bytes()
+        max_bytes = 2 * large + rng.randrange(large)
+        memo = ExecutionMemo(max_entries=max_entries, max_bytes=max_bytes, epoch=0)
+        model = FifoModel(max_entries, max_bytes)
+        keys = [f"k{index}" for index in range(10)]
+        for step in range(400):
+            roll = rng.random()
+            key = rng.choice(keys)
+            if roll < 0.6:
+                entry = _entry_of(rng.choice(self.SIZES))
+                memo.store(key, entry)
+                model.store(key, entry.nbytes)
+                action = f"store {key} ({entry.nbytes} B)"
+            elif roll < 0.95:
+                memo.aux_store(key, step)
+                model.aux_store(key, step)
+                action = f"aux_store {key}"
+            else:
+                memo.reset(epoch=memo.epoch + 1)
+                model.reset()
+                action = "reset"
+            assert_memo_matches_model(memo, model, f"seed {seed}, step {step}: {action}")
+        assert memo.byte_evictions > 0, "the sequence never hit the byte cap"
+
+    def test_real_sweep_under_tight_caps(self, mini_db):
+        """Entries from actual executions, at caps small enough that every
+        plan evicts: both caps hold after each execution and the results stay
+        the cold ones."""
+        engine = VectorizedExecutor(mini_db.catalog, mini_db.config)
+        row_engine = Executor(mini_db.catalog, mini_db.config)
+        memo = ExecutionMemo(max_entries=3, max_bytes=4096)
+        for sweep in range(2):
+            for sql in JOIN_SQLS:
+                qgm = mini_db.explain(sql)
+                result = engine.execute(qgm, memo=memo)
+                assert_identical(row_engine.execute(qgm), result, f"{sweep}:{sql}")
+                assert len(memo.entries) <= 3 and len(memo.aux) <= 3
+                assert memo.entry_bytes <= 4096
+                assert_bytes_consistent(memo, f"{sweep}:{sql}")
+        assert memo.byte_evictions > 0
 
 
 class TestJoinSubtreeMemo:
@@ -251,26 +344,6 @@ class TestEpochInvalidation:
         assert len(second.rows) == len(first.rows) + 10
         cold = Executor(db.catalog, db.config).execute(db.explain(self.SQL))
         assert_identical(cold, second)
-
-    def test_inflight_execution_cannot_repopulate_reset_memo(self):
-        """An execution pinned to the memo before a data change must not leak
-        its (stale) stores into the freshly reset memo."""
-        db = _tiny_database()
-        shared = db.workload_memo()
-        pin = shared.pinned()  # what the executor does at execute() start
-        assert pin.entries is shared.entries
-        # Data changes mid-flight: the shared memo resets.
-        db.load_rows("T", [{"t_id": 200, "t_val": 1}])
-        refreshed = db.workload_memo()
-        assert refreshed is shared and not shared.entries
-        # The in-flight run stores into its pinned (orphaned) snapshot...
-        pin.store("stale", MemoEntry(sources=(({}, []),), length=0, deltas=(), traces=()))
-        assert pin.peek("stale") is not None
-        # ...which is invisible to the new epoch's cache.
-        assert "stale" not in shared.entries
-        # Counters stay shared for observability.
-        pin.lookup("anything")
-        assert shared.misses == pin.misses
 
     def test_ddl_resets_memo_but_runstats_keeps_it(self):
         db = _tiny_database()
@@ -499,35 +572,18 @@ class TestBudgetedExecution:
         assert_identical(cold, mini_db.execute_plan(qgm))
 
     def test_budget_is_private_to_one_execution(self, mini_db):
-        """The learner's budgeted runs and the serving threads' plain ones go
-        through the one shared ``Database.executor`` at the same time."""
+        """The learner's budgeted runs and the server's plain ones take turns
+        on the one shared ``Database.executor``: a run that a budget stopped
+        leaves nothing behind for the next, unbudgeted one."""
         plans = [mini_db.explain(sql) for sql in JOIN_SQLS]
         cold = [mini_db.execute_plan(qgm) for qgm in plans]
-        stop = threading.Event()
-        trips = []
-
-        def budgeted():
-            while not stop.is_set():
-                for qgm in plans:
-                    try:
-                        mini_db.executor.execute(qgm, budget_ms=0.0)
-                    except PlanBudgetExceeded:
-                        trips.append(1)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        learner = threading.Thread(target=budgeted)
-        learner.start()
-        try:
-            for _ in range(5):
-                for qgm, reference in zip(plans, cold):
-                    assert_identical(reference, mini_db.executor.execute(qgm))
-        finally:
-            stop.set()
-            learner.join(timeout=30)
-            sys.setswitchinterval(previous)
-        assert not learner.is_alive()
-        assert trips
+        memo = mini_db.workload_memo()
+        for _ in range(3):
+            for qgm, reference in zip(plans, cold):
+                with pytest.raises(PlanBudgetExceeded):
+                    mini_db.executor.execute(qgm, memo=memo, budget_ms=0.0)
+                assert_identical(reference, mini_db.executor.execute(qgm, memo=memo))
+                assert_identical(reference, mini_db.executor.execute(qgm))
 
     def test_only_the_learning_tier_passes_a_budget(self):
         """``PlanBudgetExceeded`` can only reach a caller that asked for a
