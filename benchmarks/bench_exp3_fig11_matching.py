@@ -19,7 +19,6 @@ import pytest
 from repro.core.knowledge_base import KnowledgeBase, abstract_template_from_plan
 from repro.core.matching.engine import MatchingConfig, MatchingEngine
 from repro.core.matching.segmenter import segment_plan
-from repro.experiments.harness import bench_tiny_mode
 
 
 @pytest.fixture(scope="module")
@@ -160,56 +159,4 @@ def test_fig11_kb_size_sweep_indexed_vs_brute(benchmark, sweep_workload, kb_size
         assert speedup >= 2.0, (
             f"indexed matching should be >= 2x brute force at {kb_size} templates, "
             f"got {speedup:.2f}x"
-        )
-
-
-@pytest.mark.parametrize("kb_size", [50])
-def test_fig11_online_measurement_vectorized_memo(benchmark, sweep_workload, kb_size):
-    """Plan-measurement throughput of the online tier (``execute=True``).
-
-    PR 4 routes the baseline-vs-reoptimized measurement through the
-    vectorized engine *and* the workload-scoped execution memo: the two sides
-    of one query share their scan/join subtrees, and recurring statements
-    across the sweep share them again.  Measured against the memo-disabled
-    path; reported runtimes must be bit-identical (cold-charge rule).
-    """
-    database, queries, _ = sweep_workload
-    kb = _synthetic_knowledge_base(database, queries, kb_size)
-    memo_engine = MatchingEngine(database, kb, MatchingConfig(max_joins=MAX_JOINS))
-    plain_engine = MatchingEngine(
-        database, kb, MatchingConfig(max_joins=MAX_JOINS, use_workload_memo=False)
-    )
-
-    started = time.perf_counter()
-    plain_results = plain_engine.reoptimize_workload(queries, execute=True)
-    plain_seconds = time.perf_counter() - started
-
-    results = benchmark.pedantic(
-        lambda: memo_engine.reoptimize_workload(queries, execute=True),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    # Identical measurements, with and without the memo.
-    assert [r.original_elapsed_ms for r in results] == [
-        r.original_elapsed_ms for r in plain_results
-    ]
-    assert [r.reoptimized_elapsed_ms for r in results] == [
-        r.reoptimized_elapsed_ms for r in plain_results
-    ]
-    memo_seconds = benchmark.stats.stats.mean
-    speedup = plain_seconds / memo_seconds if memo_seconds > 0 else float("inf")
-    benchmark.extra_info["kb_templates"] = len(kb)
-    benchmark.extra_info["queries_measured"] = len(queries)
-    benchmark.extra_info["memo_off_seconds"] = round(plain_seconds, 4)
-    benchmark.extra_info["memo_on_seconds"] = round(memo_seconds, 4)
-    benchmark.extra_info["speedup_vs_memo_off"] = round(speedup, 2)
-    benchmark.extra_info["memo_stats"] = dict(database.workload_memo().stats())
-    benchmark.extra_info["tiny_mode"] = bench_tiny_mode()
-    # Like every perf-ratio assert in the CI bench jobs, the bar only applies
-    # at the full bench scale: tiny mode is noise-dominated.
-    if not bench_tiny_mode():
-        assert speedup > 1.0, (
-            f"vectorized online-tier measurement through the memo should be "
-            f"faster than without it, got {speedup:.2f}x"
         )

@@ -67,12 +67,6 @@ class LearningConfig:
     max_variants: int = 3
     #: db2batch repetitions per plan.
     runs_per_plan: int = 5
-    #: Evaluate plans through the database's epoch-invalidated workload memo,
-    #: shared across every ``learn_query`` of a sweep (sub-queries repeat
-    #: *across* workload queries, not just within one).  Learning outcomes
-    #: are bit-identical either way (cold-charge rule); disable only to
-    #: benchmark the memo itself.
-    use_workload_memo: bool = True
 
 
 @dataclass
@@ -264,7 +258,7 @@ class LearningEngine:
         # cold charges into each plan.  The memo is the database's workload
         # memo: sub-plans repeat across the queries of a sweep, and the epoch
         # check guarantees entries never survive a data change.
-        memo = self.database.workload_memo() if self.config.use_workload_memo else None
+        memo = self.database.workload_memo()
         # Every candidate rewrite is validated on the workload query it came
         # from (the guideline applied to the parent query must make the whole
         # query faster): this is what keeps matched queries from regressing,
@@ -314,7 +308,7 @@ class LearningEngine:
         query_name: str,
         workload_name: str,
         parent_context: "_ParentContext",
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         span,
         counts: _PlanCounts,
     ) -> Tuple[Optional[str], float]:
@@ -397,7 +391,7 @@ class LearningEngine:
         self,
         guideline_element,
         parent_context: "_ParentContext",
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         span,
     ) -> bool:
         """Apply the concrete (un-abstracted) guideline to the parent workload
@@ -433,7 +427,7 @@ class LearningEngine:
         self,
         variant: PredicateVariant,
         subquery: SubQuery,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         span,
         counts: _PlanCounts,
     ) -> Optional[_RewriteCandidate]:

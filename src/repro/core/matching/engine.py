@@ -20,6 +20,7 @@ from repro.core.matching.segmenter import segment_plan
 from repro.core.planutils import remap_guideline_document
 from repro.core.transform.sparql_gen import sparql_for_subplan
 from repro.engine.database import Database
+from repro.engine.executor.memo import ExecutionMemo
 from repro.engine.optimizer.guidelines import GuidelineDocument, parse_guidelines
 from repro.engine.plan.physical import Qgm
 from repro.engine.sql.binder import BoundQuery
@@ -38,12 +39,6 @@ class MatchingConfig:
     check_row_size: bool = True
     #: Consult the knowledge base's template index before running SPARQL.
     use_index: bool = True
-    #: Measure plans through the database's workload-scoped execution memo:
-    #: the baseline and re-optimized plans of one query share their scan and
-    #: join subtrees, and recurring statements across a workload sweep share
-    #: them again.  Results are bit-identical either way (cold-charge rule);
-    #: disable only to benchmark the memo itself.
-    use_workload_memo: bool = True
 
 
 @dataclass
@@ -160,7 +155,7 @@ class MatchingEngine:
         self.prepared = PreparedStatements()
 
     # What is left of the segment-SPARQL text cache: ``bench/`` reads both for
-    # its ``sparql_cache_hit_ratio``, 0.0 by construction; ROADMAP item 2(c)
+    # its ``sparql_cache_hit_ratio``, 0.0 by construction; ROADMAP item 1A(c)
     # deletes them.
 
     @property
@@ -235,16 +230,16 @@ class MatchingEngine:
 
     # ------------------------------------------------------------------
 
-    def execution_memo(self):
-        """The memo plan measurements run through (None when disabled).
+    def execution_memo(self) -> ExecutionMemo:
+        """The memo plan measurements run through: the database's workload memo.
 
         The online tier's measurement path (``reoptimize(execute=True)`` and
         the serving layer's single execution per request) shares the same
-        workload-scoped memo as the learning tier, so steered-vs-baseline
-        comparisons stop re-executing subtrees the sweep has already paid for.
+        workload-scoped memo as the learning tier: the baseline and steered
+        plans of one query share their scan and join subtrees, and recurring
+        statements share them again, so steered-vs-baseline comparisons stop
+        re-executing subtrees the sweep has already paid for.
         """
-        if not self.config.use_workload_memo:
-            return None
         return self.database.workload_memo()
 
     def reoptimize(

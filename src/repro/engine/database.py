@@ -47,10 +47,10 @@ class Database:
 
     def __init__(self, config: Optional[DbConfig] = None, name: str = "GALODB"):
         self.name = name
-        # Own a private copy: the catalog and the executor share this one
-        # object, and ``set_executor`` mutates it -- copying keeps that
-        # mutation from leaking into other Database instances built from the
-        # same caller-owned DbConfig.
+        # Own a private copy: the catalog, the executor and every ``Db2Batch``
+        # share this one object, so a caller mutating its DbConfig after
+        # construction -- or building a second Database from it -- cannot
+        # change this database's engine or sizes behind its back.
         self.config = (config or DbConfig()).with_overrides()
         self.catalog = Catalog(self.config)
         self.optimizer = Optimizer(self.catalog)
@@ -138,8 +138,9 @@ class Database:
         bumped :attr:`storage_epoch`; RUNSTATS
         does not reset it -- entries and aux caches are pure functions of
         storage, and statistics only steer the optimizer.  The cold-charge
-        accounting rule keeps results bit-identical to memo-less execution,
-        so sharing is always safe.
+        accounting rule keeps results bit-identical to the row engine's, so
+        sharing is always safe; a call that passes no memo runs through a
+        private one instead.
         """
         memo = self._workload_memo
         if memo.epoch != self._storage_epoch:
@@ -203,21 +204,6 @@ class Database:
 
     # -- execution ------------------------------------------------------------
 
-    def set_executor(self, engine: str) -> None:
-        """Switch the execution engine (``"vectorized"`` or ``"row"``).
-
-        Both engines are result- and charge-identical; the row engine exists
-        as the differential-testing oracle and for perf baselines.  The
-        database owns its config (copied at construction), so mutating the
-        engine field here stays consistent across every component that
-        shares it (``catalog.config``, default ``Db2Batch`` construction)
-        without affecting other Database instances.
-        """
-        # Validate before mutating, so an unknown engine leaves state intact.
-        make_executor(self.catalog, self.config.with_overrides(executor=engine))
-        self.config.executor = engine
-        self.executor = make_executor(self.catalog, self.config)
-
     def execute_plan(
         self,
         qgm: Qgm,
@@ -226,7 +212,8 @@ class Database:
         budget_ms: Optional[float] = None,
     ) -> ExecutionResult:
         """Execute a plan; ``memo`` shares scan subtrees across plans (see
-        :mod:`repro.engine.executor.memo`; ignored by the row engine).
+        :mod:`repro.engine.executor.memo`; without one the vectorized engine
+        runs through a private memo; the row engine ignores it).
 
         ``span`` (a recording :class:`repro.obs.Span`) activates per-node
         child spans for this execution; tracing only reads runtime state, so

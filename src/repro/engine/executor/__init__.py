@@ -5,13 +5,14 @@ contract and produce bit-identical results (rows, metrics, simulated
 ``elapsed_ms``, per-operator actual cardinalities):
 
 * :class:`VectorizedExecutor` (default) -- operators exchange column batches
-  with position vectors; predicates compile once per plan; supports
-  shared-subplan memoization via :class:`ExecutionMemo`.
+  with position vectors; predicates compile once per plan; every execution
+  runs through an :class:`ExecutionMemo` (the caller's, else a private one
+  dropped after the call) that shares structurally identical subtrees.
 * :class:`Executor` -- the legacy row-at-a-time engine, kept as the
-  differential-testing oracle.
+  differential-testing oracle; it ignores ``memo``.
 
-Select with ``DbConfig.executor`` (``"vectorized"`` / ``"row"``) or build one
-directly via :func:`make_executor`.
+A database picks its engine once, at construction, from ``DbConfig.executor``
+(``"vectorized"`` / ``"row"``); :func:`make_executor` builds one directly.
 """
 
 from repro.engine.executor.db2batch import BatchMeasurement, Db2Batch

@@ -86,9 +86,10 @@ class Db2Batch:
     def benchmark(self, qgm: Qgm, memo: Optional[ExecutionMemo] = None) -> BatchMeasurement:
         """Execute ``qgm`` once for real, then derive noisy per-run timings.
 
-        ``memo`` (vectorized engine only) shares structurally identical scan
-        subtrees across the candidate plans of one learning sweep; charges are
-        replayed cold, so the measurement is identical with or without it.
+        ``memo`` shares structurally identical scan subtrees across the
+        candidate plans of one learning sweep (without one the vectorized
+        engine runs through a private memo; the row engine ignores it);
+        charges are replayed cold, so the measurement is the same either way.
         """
         result = self.executor.execute(qgm, memo=memo)
         return self._measurement(qgm, result, self.noise_factors(qgm))

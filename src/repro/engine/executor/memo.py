@@ -11,19 +11,26 @@ once per memo scope instead of once per plan.
 
 Memo scope
 ----------
-The memo is *workload-scoped* by default: :meth:`repro.engine.database.
-Database.workload_memo` hands out one shared instance used by every
+Every vectorized execution runs through a memo.  :meth:`repro.engine.
+database.Database.workload_memo` hands out the shared one, used by every
 ``learn_query`` call of a workload sweep, by the online tier's plan
 measurement, and by the serving layer -- sub-queries repeat across workload
-queries, not just within one.  The instance is stamped with the database's
-*storage epoch* and lazily swapped for a fresh one whenever DDL or data
-loads bump that epoch.  RUNSTATS deliberately does not: it bumps only the
-statistics epoch (cost model inputs / plan cache), while every memo payload
--- result entries, gathered aux columns, key groupings -- is a
-pure function of storage and stays valid.  Entries therefore never outlive
-the table data they were computed from, and survive re-collections.  Entries
-are immutable once stored.  A service's requests and its learner share the
-event-loop thread, so the memo is used from one thread and takes no lock.
+queries, not just within one; a call that passes no memo runs through a
+private one that is dropped when the call returns.  The workload instance is
+stamped with the database's *storage epoch* and lazily swapped for a fresh
+one whenever DDL or data loads bump that epoch.  RUNSTATS deliberately does
+not: it bumps only the statistics epoch (cost model inputs / plan cache),
+while every memo payload -- result entries, gathered aux columns, key
+groupings -- is a pure function of storage and stays valid.  Entries
+therefore never outlive the table data they were computed from, and survive
+re-collections.  Entries are immutable once stored.  A service's requests
+and its learner share the event-loop thread, so the memo is used from one
+thread and takes no lock.
+
+Keys are :class:`~repro.engine.executor.vectorized.SubtreeKey` objects,
+hashed once when the executor builds them (a subtree whose key would not
+hash gets no key and is not memoized), and ``("col" | "groups", SubtreeKey,
+column(s))`` tuples over them; so the memo never sees an unhashable key.
 
 Cold-charge accounting rule
 ---------------------------
@@ -244,9 +251,9 @@ class ExecutionMemo:
     Valid only while the underlying table data is unchanged.  The workload
     scope (obtained from :meth:`repro.engine.database.Database.workload_memo`)
     stamps ``epoch`` with the database's *storage* epoch and resets the memo
-    when that epoch moves (DDL / data loads; stats-only changes keep it);
-    short-lived callers may still create a private instance per
-    plan-evaluation sweep and discard it.  One thread uses a memo at a time.
+    when that epoch moves (DDL / data loads; stats-only changes keep it).  A
+    call without a memo runs through a private one that the executor then
+    discards.  One thread uses a memo at a time.
 
     ``max_entries`` bounds both caches (FIFO eviction): a long-lived serving
     process must not grow the memo without bound.  ``max_bytes`` additionally
@@ -289,10 +296,7 @@ class ExecutionMemo:
     byte_evictions: int = 0
 
     def lookup(self, key: Hashable) -> Optional[MemoEntry]:
-        try:
-            entry: Any = self.entries.get(key)
-        except TypeError:  # unhashable predicate somewhere in the key
-            entry = None
+        entry: Any = self.entries.get(key)
         if entry is None:
             self.misses += 1
         else:
@@ -308,18 +312,14 @@ class ExecutionMemo:
 
         Sizing happens once per entry; an entry bigger than the whole byte
         budget is not cached at all.  Both caps evict FIFO-oldest first;
-        re-storing a held key replaces it in place.  Unhashable keys are
-        silently not cached, as in :meth:`lookup`.
+        re-storing a held key replaces it in place.
         """
         if entry.nbytes == 0:
             entry.nbytes = entry.estimated_bytes()
         if self.max_bytes is not None and entry.nbytes > self.max_bytes:
             return
         entries = self.entries
-        try:
-            replaced = entries.get(key)
-        except TypeError:
-            return
+        replaced = entries.get(key)
         if (
             replaced is None
             and self.max_entries is not None
@@ -335,16 +335,10 @@ class ExecutionMemo:
 
     def peek(self, key: Hashable) -> Any:
         """``lookup`` without touching the hit/miss counters."""
-        try:
-            return self.entries.get(key)
-        except TypeError:
-            return None
+        return self.entries.get(key)
 
     def aux_lookup(self, key: Hashable) -> Any:
-        try:
-            value = self.aux.get(key)
-        except TypeError:
-            value = None
+        value = self.aux.get(key)
         if value is None:
             self.aux_misses += 1
         else:
@@ -352,19 +346,15 @@ class ExecutionMemo:
         return value
 
     def aux_store(self, key: Hashable, value: Any) -> None:
-        """Cache an aux structure, evicting the FIFO-oldest at the cap;
-        unhashable keys are silently not cached."""
+        """Cache an aux structure, evicting the FIFO-oldest at the cap."""
         aux = self.aux
-        try:
-            if (
-                self.max_entries is not None
-                and len(aux) >= self.max_entries
-                and key not in aux
-            ):
-                del aux[next(iter(aux))]
-            aux[key] = value
-        except TypeError:
-            pass
+        if (
+            self.max_entries is not None
+            and len(aux) >= self.max_entries
+            and key not in aux
+        ):
+            del aux[next(iter(aux))]
+        aux[key] = value
 
     def reset(self, epoch: Optional[int] = None) -> None:
         """Drop every cached entry and restamp the memo at ``epoch``."""

@@ -44,11 +44,14 @@ counter, buffer-pool hit sequences, and therefore the simulated
 TPC-DS and client plans and every key type; the row engine stays available
 via ``DbConfig.executor = "row"`` as the oracle.
 
-Pass an :class:`~repro.engine.executor.memo.ExecutionMemo` to :meth:`execute`
-to share structurally identical scan/FILTER/SORT subtrees across the many
-candidate plans the learning tier evaluates; the memo replays each subtree's
-cold charges into every consuming plan (see ``memo.py`` for the accounting
-rule), so memoized and cold executions are indistinguishable in the output.
+Every execution runs through an :class:`~repro.engine.executor.memo.
+ExecutionMemo`: pass one to :meth:`execute` (the database's workload memo) to
+share structurally identical scan/FILTER/SORT/join subtrees across the many
+candidate plans the learning tier evaluates; a call without one runs through
+a private memo that is dropped when the call returns.  The memo replays each
+subtree's cold charges into every consuming plan (see ``memo.py`` for the
+accounting rule), so memoized and cold executions are indistinguishable in
+the output.
 """
 
 from __future__ import annotations
@@ -367,7 +370,8 @@ _JOIN_MEMO_TAGS = {
 def _cached_key(node: PlanNode, slot: str, derive: Callable[[PlanNode], Any]) -> Any:
     """``SubtreeKey(derive(node))`` (None: no key), cached on the node: plans
     are never structurally mutated after planning, so each key is built and
-    hashed once."""
+    hashed once.  This is the one place an unhashable predicate is caught:
+    its subtree gets no key, so the memo is never handed an unhashable one."""
     key = node.__dict__.get(slot, _KEY_UNSET)
     if key is _KEY_UNSET:
         raw = derive(node)
@@ -508,8 +512,10 @@ class VectorizedExecutor:
         :class:`~repro.engine.executor.metrics.ExecutionBudget`).
         The budget is state of this one call: the executor is shared by a
         service's requests and its learner's budgeted runs, one call at a
-        time on the event-loop thread.
+        time on the event-loop thread.  Without ``memo`` the call runs
+        through a private one, dropped when it returns.
         """
+        memo = memo or ExecutionMemo()
         metrics = RuntimeMetrics()
         if budget_ms is not None:
             metrics.budget = ExecutionBudget(budget_ms, qgm)
@@ -535,7 +541,7 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         handler = self._handlers.get(node.pop_type)
         if handler is None:
@@ -569,7 +575,7 @@ class VectorizedExecutor:
         handler,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         parent,
     ) -> Batch:
         """Run ``handler`` under a per-node child span.
@@ -583,8 +589,8 @@ class VectorizedExecutor:
         inside the span, so it is this node's span that an abort marks.
         """
         before = snapshot_metrics(metrics)
-        hits_before = memo.hits if memo is not None else 0
-        misses_before = memo.misses if memo is not None else 0
+        hits_before = memo.hits
+        misses_before = memo.misses
         with parent.child(node.pop_type.name.lower()) as span:
             with execution_tracing(span):
                 batch = handler(node, metrics, pool, memo)
@@ -596,13 +602,12 @@ class VectorizedExecutor:
                     span.set("alias", node.table_alias)
             span.set("rows", batch.length)
             record_node_metric_deltas(span, before, snapshot_metrics(metrics))
-            if memo is not None:
-                hits = memo.hits - hits_before
-                misses = memo.misses - misses_before
-                if hits:
-                    span.set("memo_hits", hits)
-                if misses:
-                    span.set("memo_misses", misses)
+            hits = memo.hits - hits_before
+            misses = memo.misses - misses_before
+            if hits:
+                span.set("memo_hits", hits)
+            if misses:
+                span.set("memo_misses", misses)
         return batch
 
     # -- memo plumbing -------------------------------------------------------
@@ -613,7 +618,7 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Optional[Batch]:
         """Replay a memoized subtree (None = miss, execute cold).
 
@@ -631,7 +636,7 @@ class VectorizedExecutor:
 
     def _store_join_entry(
         self,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         key,
         node: PlanNode,
         result: Batch,
@@ -648,7 +653,7 @@ class VectorizedExecutor:
         owns of the data is one position vector per input table; it refers to
         no child entry, so a later eviction of a child never corrupts it.
         """
-        if memo is None or key is None:
+        if key is None:
             return
         outer_entry = memo.peek(key[1])
         if outer_entry is None:
@@ -684,7 +689,7 @@ class VectorizedExecutor:
         memo.store(key, MemoEntry(batch.sources, batch.length, deltas, traces, cardinalities))
 
     def _store_over_child(
-        self, memo: Optional[ExecutionMemo], key, node: PlanNode, batch: Batch, metrics, own_deltas
+        self, memo: ExecutionMemo, key, node: PlanNode, batch: Batch, metrics, own_deltas
     ) -> None:
         """Store a FILTER / SORT: its child's charges, then its own."""
         child_entry = memo.peek(key[1]) if key is not None else None
@@ -718,14 +723,14 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         data = self._table_for(node)
         alias = node.table_alias or node.table or ""
         table = node.table or ""
         # subtree_key maps an index-less IXSCAN to the same "TB" key this
         # handler serves via the fallback path, so the shapes always agree.
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -750,7 +755,7 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         data = self._table_for(node)
         alias = node.table_alias or node.table or ""
@@ -758,7 +763,7 @@ class VectorizedExecutor:
         if index_data is None:
             return self._execute_table_scan(node, metrics, pool, memo)
         table = node.table or ""
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -781,23 +786,22 @@ class VectorizedExecutor:
         batch: Batch,
         node: PlanNode,
         column_key: str,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Sequence[Any]:
         """``batch.column`` with the gathered list cached per memoized subtree.
 
         Valid because a memoized subtree always yields the same positions, so
         the gathered column is identical across every plan that shares it.
         """
-        if memo is not None:
-            child_key = subtree_key(node)
-            if child_key is not None:
-                aux_key = ("col", child_key, column_key)
-                cached = memo.aux_lookup(aux_key)
-                if cached is None:
-                    cached = batch.column(column_key)
-                    memo.aux_store(aux_key, cached)
-                return cached
-        return batch.column(column_key)
+        child_key = subtree_key(node)
+        if child_key is None:
+            return batch.column(column_key)
+        aux_key = ("col", child_key, column_key)
+        cached = memo.aux_lookup(aux_key)
+        if cached is None:
+            cached = batch.column(column_key)
+            memo.aux_store(aux_key, cached)
+        return cached
 
     # -- joins ----------------------------------------------------------------
 
@@ -806,7 +810,7 @@ class VectorizedExecutor:
         batch: Batch,
         node: PlanNode,
         column_keys: Tuple[str, ...],
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> KeyGroups:
         """The :class:`KeyGroups` of ``node``'s output on ``column_keys``
         (several columns :func:`_combine` into one grouping).
@@ -814,14 +818,12 @@ class VectorizedExecutor:
         Cached in the memo's aux store per memoized subtree + columns: the
         grouping is a pure function of the subtree's batch.
         """
-        aux_key = None
-        if memo is not None:
-            child_key = subtree_key(node)
-            if child_key is not None:
-                aux_key = ("groups", child_key, column_keys)
-                cached = memo.aux_lookup(aux_key)
-                if cached is not None:
-                    return cached
+        child_key = subtree_key(node)
+        aux_key = None if child_key is None else ("groups", child_key, column_keys)
+        if aux_key is not None:
+            cached = memo.aux_lookup(aux_key)
+            if cached is not None:
+                return cached
         if len(column_keys) == 1:
             values = self._column_of(batch, node, column_keys[0], memo)
             groups = KeyGroups(*null_split(values))
@@ -838,7 +840,7 @@ class VectorizedExecutor:
         outer_batch: Batch,
         inner_batch: Batch,
         keys: List[Tuple[ColumnRef, ColumnRef]],
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
         nulls_match: bool,
     ) -> Tuple[Any, Any, int, int]:
         """Every outer row probes the inner's grouping of the join keys at once.
@@ -868,10 +870,10 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -923,10 +925,10 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -953,10 +955,10 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         assert node.outer is not None and node.inner is not None
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -1001,8 +1003,8 @@ class VectorizedExecutor:
         keys: List[Tuple[ColumnRef, ColumnRef]],
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo] = None,
-        memo_key=None,
+        memo: ExecutionMemo,
+        memo_key,
     ) -> Batch:
         """Inner side evaluated as one index lookup per outer row.
 
@@ -1081,7 +1083,7 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         if not node.inputs:
             return Batch((), 0)
@@ -1094,9 +1096,9 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -1121,9 +1123,9 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
-        key = subtree_key(node) if memo is not None else None
+        key = subtree_key(node)
         hit = self._memo_hit(key, node, metrics, pool, memo)
         if hit is not None:
             return hit
@@ -1155,7 +1157,7 @@ class VectorizedExecutor:
         node: PlanNode,
         metrics: RuntimeMetrics,
         pool: BufferPool,
-        memo: Optional[ExecutionMemo],
+        memo: ExecutionMemo,
     ) -> Batch:
         """Aggregate over the runs of the group keys' grouping.
 

@@ -34,7 +34,7 @@ class ServiceConfig:
 
     #: Ignored: every request is served on the event loop.  Kept (and still
     #: validated) only because the pinned benchmark passes it; deleted with
-    #: ROADMAP 1(d) / 9(b).
+    #: ROADMAP 1A(d) / 12(d).
     max_workers: int = 4
     #: Admission cap: served + waiting requests before submissions are rejected.
     max_pending: int = 64

@@ -500,14 +500,14 @@ class GaloService:
             # are built (or listed from the outcome) inside the span, so the
             # stage timings and ``wall_ms`` include them.
             key = plan_key(qgm)
-            keep = served_before and key is not None and memo is not None
-            outcome = None if memo is None else memo.peek(key)
+            keep = served_before and key is not None
+            outcome = memo.peek(key)
             with request_span.child("execute") as execute_span:
                 if outcome is None:
                     # A load run inside the execution resets the memo under
                     # a new epoch; the outcome of the old data is then not
                     # kept (below).
-                    epoch = None if memo is None else memo.epoch
+                    epoch = memo.epoch
                     result = database.execute_plan(qgm, memo=memo, span=execute_span)
                 else:
                     result = outcome.replay()

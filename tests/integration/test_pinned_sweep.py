@@ -15,7 +15,10 @@ The same round is the memory gate.  What the workload memo holds after it is
 counted by the program, not measured on the host, and repeats exactly: a
 change that goes back to storing column copies in join entries fills the
 memo's byte budget and evicts (134 194 032 bytes, 342 evictions at 3fe9f60)
-and fails here, before any benchmark runs.
+and fails here, before any benchmark runs.  The memo's hit and miss counts
+after the round are pinned exactly: every plan the learner measures runs
+through the workload memo, so a change that stops it sharing subtrees (or
+shares ones it should not) moves them.
 """
 
 import hashlib
@@ -37,6 +40,10 @@ LEARNED_SHA256 = "bd22d419d940a7c0f41d9e376d5a9d4d691f40c219664155f778f4a1413081
 MEMO_ENTRY_BYTES_BOUND = 90_000_000
 MEMO_BYTE_EVICTIONS_BOUND = 0
 
+#: Recorded at ed0fc71 (77 831 856 entry bytes at that commit).
+MEMO_HITS = 3236
+MEMO_MISSES = 3694
+
 
 def test_pinned_sweep_learns_the_recorded_templates():
     population = build_population(PINNED)
@@ -56,3 +63,4 @@ def test_pinned_sweep_learns_the_recorded_templates():
     memo = population.database.workload_memo().stats()
     assert memo["entry_bytes"] <= MEMO_ENTRY_BYTES_BOUND
     assert memo["byte_evictions"] <= MEMO_BYTE_EVICTIONS_BOUND
+    assert (memo["hits"], memo["misses"]) == (MEMO_HITS, MEMO_MISSES)

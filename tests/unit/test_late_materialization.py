@@ -4,7 +4,8 @@ RETURN projects to the statement's select list in both executors (``SELECT *``
 and aggregates emit whatever reaches RETURN); a join's output is position
 vectors over its input tables' own columns, and that -- never a column copy --
 is what the memo stores.  The row executor is the ``==`` oracle for rows *and*
-dict key order; a memo-less execution is the oracle for a replayed join.
+dict key order; a cold execution (a private, empty memo) is the oracle for a
+replayed join.
 """
 
 import numpy as np
@@ -119,7 +120,7 @@ def join_entries(memo):
 
 
 def execute_cold_then_replayed(database, sql, qgm):
-    """``qgm`` without a memo, and again with every subtree replayed."""
+    """``qgm`` cold (no memo passed), and again with every subtree replayed."""
     engine = VectorizedExecutor(database.catalog, database.config)
     memo = ExecutionMemo()
     engine.execute(qgm, memo=memo)

@@ -11,6 +11,8 @@ full equality.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.config import DbConfig
 from repro.engine.database import Database
@@ -22,8 +24,10 @@ from repro.engine.executor import (
     make_executor,
 )
 from repro.engine.executor.metrics import RUN_RAND_PAGE_COST
-from repro.engine.expressions import ColumnRef, Comparison, Literal
+from repro.engine.executor.vectorized import SubtreeKey, plan_key, subtree_key
+from repro.engine.expressions import ColumnRef, Comparison, InList, Literal
 from repro.engine.optimizer.builder import PlanBuilder
+from repro.engine.optimizer.random_plans import RandomPlanGenerator
 from repro.engine.optimizer.rewrite import rewrite_query
 from repro.engine.plan.physical import (
     PopType,
@@ -610,6 +614,54 @@ class TestKeyPool:
         assert ids[: values.count("")] == sorted(ids[: values.count("")])
 
 
+def _assert_memo_keys(qgm, context):
+    """Every node's subtree key, and the plan key, is a hashable
+    ``SubtreeKey`` or None -- and so is every aux key built over one."""
+    for node in [*qgm.nodes(), None]:
+        key = plan_key(qgm) if node is None else subtree_key(node)
+        if key is None:
+            continue
+        assert isinstance(key, SubtreeKey), context
+        assert hash(key) == hash(key.value) == hash(SubtreeKey(key.value)), context
+        assert key == SubtreeKey(key.value), context
+        hash(("col", key, "T.c"))
+        hash(("groups", key, ("T.a", "T.b")))
+
+
+class TestMemoKeys:
+    """The memo takes keys without a guard: ``_cached_key`` is the one place
+    an unhashable key is caught, by giving its subtree no key at all."""
+
+    def test_key_pool_plans(self, key_pool_db):
+        for operator, build in sorted(POOL_OPERATORS.items()):
+            for keys, names in sorted(POOL_JOIN_KEYS.items()):
+                qgm = Qgm(build(names))
+                _assert_memo_keys(qgm, f"{operator} on {keys}")
+                assert plan_key(qgm) is not None, f"{operator} on {keys}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(sql=st.sampled_from(POOL_SQLS + MINI_SQLS), seed=st.integers(0, 2**16))
+    def test_random_plans(self, key_pool_db, mini_db, sql, seed):
+        db = key_pool_db if sql in POOL_SQLS else mini_db
+        query = db.bind(sql)
+        plans = [db.explain(sql)]
+        plans += RandomPlanGenerator(db.catalog, seed=seed).generate(query, 4)
+        for qgm in plans:
+            _assert_memo_keys(qgm, f"{sql} (seed {seed})")
+
+    def test_unhashable_predicate_gets_no_key(self, key_pool_db):
+        """A predicate that does not hash leaves its subtree unmemoized --
+        and the plan still runs through the memo, equal to the row engine."""
+        db = key_pool_db
+        scan = table_scan("KL", "l", (InList(ColumnRef("l", "l_a"), [1, 2]),))
+        qgm = Qgm(sort(scan, ColumnRef("l", "l_id")))
+        assert subtree_key(scan) is None and plan_key(qgm) is None
+        memo = ExecutionMemo()
+        result = VectorizedExecutor(db.catalog, db.config).execute(qgm, memo=memo)
+        assert_identical(Executor(db.catalog, db.config).execute(qgm), result)
+        assert result.row_count > 0 and not memo.entries
+
+
 class TestMissingAggregateColumn:
     """Both engines reject an aggregate over a column its input does not
     produce -- the vectorized path used to fabricate an all-None column."""
@@ -664,32 +716,6 @@ class TestEngineSelection:
         config = mini_db.config.with_overrides(executor="quantum")
         with pytest.raises(ValueError):
             make_executor(mini_db.catalog, config)
-
-    def test_set_executor_does_not_leak_into_shared_config(self):
-        from repro.engine.database import Database
-
-        config = DbConfig()
-        first = Database(config=config)
-        first.set_executor("row")
-        assert config.executor == "vectorized"
-        second = Database(config=config)
-        assert isinstance(second.executor, VectorizedExecutor)
-        assert isinstance(first.executor, Executor)
-        # No split brain inside a database: the catalog (and therefore the
-        # default Db2Batch construction path) sees the same engine choice.
-        assert first.catalog.config is first.config
-        assert first.catalog.config.executor == "row"
-
-    def test_set_executor_switches_engine(self, mini_db):
-        try:
-            mini_db.set_executor("row")
-            assert isinstance(mini_db.executor, Executor)
-            row_result = mini_db.execute_sql(MINI_SQLS[3])
-        finally:
-            mini_db.set_executor("vectorized")
-        assert isinstance(mini_db.executor, VectorizedExecutor)
-        vec_result = mini_db.execute_sql(MINI_SQLS[3])
-        assert_identical(row_result, vec_result)
 
     def test_benchmarking_reuses_the_database_executor(self, mini_db, monkeypatch):
         """``benchmark_plan`` and the expert model measure on the database's
@@ -770,29 +796,28 @@ class TestWorkloadDifferential:
         from repro.core.knowledge_base import KnowledgeBase
         from repro.core.learning.engine import LearningConfig
 
-        db = tiny_tpcds_workload.database
+        from repro.workloads.workload import load_workload
+
+        row_db = load_workload(
+            "tpcds", scale=0.15, query_count=20, config=DbConfig(executor="row")
+        ).database
+        assert isinstance(row_db.executor, Executor)
         queries = tiny_tpcds_workload.queries[:3]
         config = LearningConfig(
             max_joins=2, random_plans_per_subquery=3, max_variants=2
         )
         outcomes = []
-        try:
-            for engine in ("row", "vectorized"):
-                db.set_executor(engine)
-                galo = Galo(
-                    db, knowledge_base=KnowledgeBase(), learning_config=config
-                )
-                report = galo.learn(queries, workload_name=f"diff-{engine}")
-                names = sorted(
-                    template.name.split(":", 1)[1]
-                    for template in galo.knowledge_base.all_templates()
-                )
-                improvements = sorted(
-                    round(value, 12)
-                    for record in report.records
-                    for value in record.improvements
-                )
-                outcomes.append((report.template_count, names, improvements))
-        finally:
-            db.set_executor("vectorized")
+        for db in (row_db, tiny_tpcds_workload.database):
+            galo = Galo(db, knowledge_base=KnowledgeBase(), learning_config=config)
+            report = galo.learn(queries, workload_name="diff")
+            names = sorted(
+                template.name.split(":", 1)[1]
+                for template in galo.knowledge_base.all_templates()
+            )
+            improvements = sorted(
+                round(value, 12)
+                for record in report.records
+                for value in record.improvements
+            )
+            outcomes.append((report.template_count, names, improvements))
         assert outcomes[0] == outcomes[1]

@@ -32,6 +32,7 @@ from repro.engine.schema import Index, make_schema
 from repro.engine.types import DataType
 from repro.errors import PlanBudgetExceeded
 from repro.obs.tracing import Tracer, current_execution_span
+from tests.conftest import build_mini_database
 
 JOIN_SQLS = [
     "SELECT i_category, COUNT(*) FROM sales, item "
@@ -407,18 +408,15 @@ class TestEpochInvalidation:
 
 class TestLearningMemoScopes:
     @staticmethod
-    def _outcome(database, queries, use_memo):
+    def _outcome(database, queries):
         galo = Galo(
             database,
             knowledge_base=KnowledgeBase(),
             learning_config=LearningConfig(
-                max_joins=2,
-                random_plans_per_subquery=3,
-                max_variants=2,
-                use_workload_memo=use_memo,
+                max_joins=2, random_plans_per_subquery=3, max_variants=2
             ),
         )
-        report = galo.learn(queries, workload_name=f"memo-{use_memo}")
+        report = galo.learn(queries, workload_name="memo")
         names = sorted(
             template.name.split(":", 1)[1]
             for template in galo.knowledge_base.all_templates()
@@ -431,35 +429,54 @@ class TestLearningMemoScopes:
         return report.template_count, names, improvements
 
     @pytest.mark.slow
-    def test_scopes_learn_identically(self, mini_db, mini_queries):
-        """Workload-scoped memo or none (``use_workload_memo``): the learner
-        must find the exact same templates with the exact same improvements."""
-        with_memo = self._outcome(mini_db, mini_queries, True)
-        without_memo = self._outcome(mini_db, mini_queries, False)
-        assert with_memo == without_memo
+    def test_workload_memo_learns_as_the_row_engine(self, mini_db, mini_queries):
+        """Learning through the workload memo finds the exact same templates
+        with the exact same improvements as learning on a row-engine
+        database, which ignores the memo."""
+        row_db = build_mini_database(config=DbConfig(executor="row"))
+        assert isinstance(row_db.executor, Executor)
+        with_memo = self._outcome(mini_db, mini_queries)
+        assert with_memo == self._outcome(row_db, mini_queries)
         assert with_memo[0] > 0, "sweep should learn something"
 
 
 class TestOnlineTierMeasurement:
-    def test_execute_plans_memo_on_off_identical(self, mini_db):
-        """The online measurement path (execute_plans=True) reports the same
-        runtimes through the workload memo as without it."""
+    def test_reoptimize_runtimes_equal_the_row_engine(self, mini_db):
+        """The online measurement path (``execute=True``) runs through the
+        workload memo and reports the runtimes a row-engine database does."""
         queries = [(f"q{i}", sql) for i, sql in enumerate(JOIN_SQLS)]
         kb = KnowledgeBase()
-        engine_on = MatchingEngine(mini_db, kb, MatchingConfig(max_joins=2))
-        engine_off = MatchingEngine(
-            mini_db, kb, MatchingConfig(max_joins=2, use_workload_memo=False)
+        engine = MatchingEngine(mini_db, kb, MatchingConfig(max_joins=2))
+        row_engine = MatchingEngine(
+            build_mini_database(config=DbConfig(executor="row")),
+            kb,
+            MatchingConfig(max_joins=2),
         )
-        assert engine_off.execution_memo() is None
-        assert engine_on.execution_memo() is mini_db.workload_memo()
-        on = engine_on.reoptimize_workload(queries, execute=True)
-        off = engine_off.reoptimize_workload(queries, execute=True)
-        assert [r.original_elapsed_ms for r in on] == [
-            r.original_elapsed_ms for r in off
+        assert engine.execution_memo() is mini_db.workload_memo()
+        hits_before = mini_db.workload_memo().hits
+        memoized = engine.reoptimize_workload(queries, execute=True)
+        assert mini_db.workload_memo().hits > hits_before
+        row = row_engine.reoptimize_workload(queries, execute=True)
+        assert [r.original_elapsed_ms for r in memoized] == [
+            r.original_elapsed_ms for r in row
         ]
-        assert [r.reoptimized_elapsed_ms for r in on] == [
-            r.reoptimized_elapsed_ms for r in off
+        assert [r.reoptimized_elapsed_ms for r in memoized] == [
+            r.reoptimized_elapsed_ms for r in row
         ]
+
+    def test_execute_without_a_memo_leaves_the_workload_memo(self, mini_db):
+        """A call without a memo runs through a private one: the workload
+        memo's counters and contents do not move, and the result still
+        equals the row engine's."""
+        engine = VectorizedExecutor(mini_db.catalog, mini_db.config)
+        row_engine = Executor(mini_db.catalog, mini_db.config)
+        memo = mini_db.workload_memo()
+        before = memo.stats()
+        for qgm in _plans(mini_db):
+            for result in (engine.execute(qgm), mini_db.execute_plan(qgm)):
+                assert_identical(row_engine.execute(qgm), result)
+        assert mini_db.workload_memo() is memo
+        assert memo.stats() == before
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +527,8 @@ class TestBudgetedExecution:
     def test_interrupted_plan_leaves_a_consistent_memo(self, mini_db):
         """Abort a plan at several depths through a fresh memo, then run it to
         the end through that memo: rows, elapsed, cardinalities and metrics
-        equal a memo-less cold run, so whatever the abort stored was complete."""
+        equal a cold run (no memo passed), so whatever the abort stored was
+        complete."""
         engine = VectorizedExecutor(mini_db.catalog, mini_db.config)
         stored = 0
         for qgm in _plans(mini_db):
